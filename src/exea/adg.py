@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .embedding import EmbeddingStore, cosine
+from .embedding import EmbeddingStore, pair_cosines
 from .errors import ConfigError
 from .explain import Explanation, MatchedPathPair
 from .kg import Direction, EntityRef, Kg, RelationPath, functionality, inverse_functionality
@@ -109,21 +109,28 @@ def classify_edge(source_len: int, target_len: int) -> EdgeClass:
     return EdgeClass.WEAK
 
 
-def edge_weight(
-    kg1: Kg, kg2: Kg, matched: MatchedPathPair, cfg: AdgConfig
+def _classed_weight(
+    source_len: int, target_len: int, source_weight: float, target_weight: float, cfg: AdgConfig
 ) -> tuple[EdgeClass, float]:
-    cls = classify_edge(matched.source_path.length, matched.target_path.length)
+    cls = classify_edge(source_len, target_len)
     if cls is EdgeClass.WEAK:
         return cls, cfg.weak_weight
-    w = min(path_weight(kg1, matched.source_path), path_weight(kg2, matched.target_path))
+    w = min(source_weight, target_weight)
     if cls is EdgeClass.MODERATE:
         w *= cfg.alpha
     return cls, w
 
 
-def _clamped_influence(store: EmbeddingStore, e1: EntityRef, e2: EntityRef) -> float:
-    sim = cosine(store.entity_vec(e1.side, e1.index), store.entity_vec(e2.side, e2.index))
-    return min(1.0, max(0.0, sim))
+def edge_weight(
+    kg1: Kg, kg2: Kg, matched: MatchedPathPair, cfg: AdgConfig
+) -> tuple[EdgeClass, float]:
+    return _classed_weight(
+        matched.source_path.length,
+        matched.target_path.length,
+        path_weight(kg1, matched.source_path),
+        path_weight(kg2, matched.target_path),
+        cfg,
+    )
 
 
 def aggregate_confidence(c_s: float, c_m: float, c_w: float, cfg: AdgConfig) -> float:
@@ -156,21 +163,28 @@ def build_adg(
     filled in."""
     cfg = cfg or AdgConfig()
     e1, e2 = expl.pair
-    central = AdgNode((e1, e2), _clamped_influence(store, e1, e2), is_central=True)
-    neighbors: list[AdgNode] = []
+    pairs: list[tuple[EntityRef, EntityRef]] = []
     node_of: dict[tuple[int, int], int] = {}
     for n1, n2 in expl.matched_neighbor_pairs:
         key = (n1.index, n2.index)
-        if key in node_of:
-            continue
-        node_of[key] = len(neighbors)
-        neighbors.append(AdgNode((n1, n2), _clamped_influence(store, n1, n2)))
+        if key not in node_of:
+            node_of[key] = len(pairs)
+            pairs.append((n1, n2))
+    # influences: embedding cosines clamped to [0, 1], the central pair first
+    sims = pair_cosines(
+        store,
+        e1.side, [e1.index] + [a.index for a, _ in pairs],
+        e2.side, [e2.index] + [b.index for _, b in pairs],
+    ).tolist()
+    influence = [min(1.0, max(0.0, sim)) for sim in sims]
+    central = AdgNode((e1, e2), influence[0], is_central=True)
+    neighbors = [AdgNode(p, x) for p, x in zip(pairs, influence[1:])]
     edges: list[AdgEdge] = []
-    for mp in expl.path_pairs:
+    for mp, (w1, w2) in zip(expl.path_pairs, expl.path_weights):
         key = (mp.source_path.endpoint.index, mp.target_path.endpoint.index)
         if key not in node_of:
             raise ValueError(f"path pair endpoints {key} have no matched neighbor node")
-        cls, w = edge_weight(kg1, kg2, mp, cfg)
+        cls, w = _classed_weight(mp.source_path.length, mp.target_path.length, w1, w2, cfg)
         edges.append(AdgEdge(node_of[key], cls, w, mp))
     c_s, c_m, c_w = _aggregates(neighbors, edges)
     return Adg(

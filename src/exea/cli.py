@@ -26,6 +26,7 @@ from .embedding import (
     cosine,
     greedy_align,
     load_embeddings,
+    pair_cosines,
     save_embeddings,
 )
 from .errors import (
@@ -307,7 +308,13 @@ def _load_side(cfg: dict, which: str) -> tuple[Kg, dict[str, str]]:
     return kg, {f"kg{which}": triples, f"ent_ids{which}": ents, f"rel_ids{which}": rels}
 
 
-def _load_pair_file(path: str) -> list[tuple[int, int]]:
+def _load_pair_file(
+    path: str, kg1: Kg | None = None, kg2: Kg | None = None
+) -> list[tuple[int, int]]:
+    """Read a two-column integer pair file. With the two graphs given, a
+    source id outside ``[0, kg1.n_entities)`` or a target id outside
+    ``[0, kg2.n_entities)`` is a malformed line."""
+    bounds = () if kg1 is None else (("source", kg1.n_entities), ("target", kg2.n_entities))
     pairs = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -318,10 +325,22 @@ def _load_pair_file(path: str) -> list[tuple[int, int]]:
             if len(parts) < 2:
                 raise MalformedLine(path, line_no, "expected two tab-separated ids")
             try:
-                pairs.append((int(parts[0]), int(parts[1])))
+                pair = (int(parts[0]), int(parts[1]))
             except ValueError:
                 raise MalformedLine(path, line_no, "non-integer id") from None
+            for (what, n), x in zip(bounds, pair):
+                if not 0 <= x < n:
+                    raise MalformedLine(path, line_no, f"{what} id {x} outside [0, {n})")
+            pairs.append(pair)
     return pairs
+
+
+def _scored(store: EmbeddingStore, pairs: list[tuple[int, int]]) -> list[tuple[int, int, float]]:
+    """Each pair with the cosine of its two entity vectors."""
+    sims = pair_cosines(
+        store, Side.SOURCE, [s for s, _ in pairs], Side.TARGET, [t for _, t in pairs]
+    )
+    return [(s, t, sim) for (s, t), sim in zip(pairs, sims.tolist())]
 
 
 def _sha256(path: str | Path) -> str:
@@ -487,7 +506,7 @@ def _cmd_train(cfg: dict) -> None:
     kg1, in1 = _load_side(cfg, "1")
     kg2, in2 = _load_side(cfg, "2")
     _check_inputs({"seeds": cfg["seeds"]})
-    seeds = _load_pair_file(cfg["seeds"])
+    seeds = _load_pair_file(cfg["seeds"], kg1, kg2)
     store = train(kg1, kg2, seeds, _train_config(cfg))
     save_embeddings(cfg["out"], store)
     _write_manifest("train", cfg, {**in1, **in2, "seeds": cfg["seeds"]}, {"out": cfg["out"]})
@@ -504,7 +523,7 @@ def _cmd_infer(cfg: dict) -> None:
     if cfg.get("seeds") is not None:
         _check_inputs({"seeds": cfg["seeds"]})
         inputs["seeds"] = cfg["seeds"]
-        skip = {s for s, _ in _load_pair_file(cfg["seeds"])}
+        skip = {s for s, _ in _load_pair_file(cfg["seeds"], kg1, kg2)}
     sources = [s for s in range(kg1.n_entities) if s not in skip]
     pairs = [(s, t) for s, t, _ in greedy_align(store, sources, range(kg2.n_entities))]
     _write_pairs(cfg["out"], pairs)
@@ -516,7 +535,7 @@ def _context(cfg: dict):
     kg2, in2 = _load_side(cfg, "2")
     _check_inputs({"emb": cfg["emb"], "alignment": cfg["alignment"]})
     store = load_embeddings(cfg["emb"])
-    alignments = _load_pair_file(cfg["alignment"])
+    alignments = _load_pair_file(cfg["alignment"], kg1, kg2)
     inputs = {**in1, **in2, "emb": cfg["emb"], "alignment": cfg["alignment"]}
     return kg1, kg2, store, alignments, inputs
 
@@ -546,13 +565,8 @@ def _cmd_repair(cfg: dict) -> None:
     kg2, in2 = _load_side(cfg, "2")
     _check_inputs({"emb": cfg["emb"], "seeds": cfg["seeds"], "pred": cfg["pred"]})
     store = load_embeddings(cfg["emb"])
-    seeds = _load_pair_file(cfg["seeds"])
-    raw_pairs = _load_pair_file(cfg["pred"])
-    raw = [
-        (s, t, float(cosine(store.entity_matrix(Side.SOURCE)[s],
-                            store.entity_matrix(Side.TARGET)[t])))
-        for s, t in raw_pairs
-    ]
+    seeds = _load_pair_file(cfg["seeds"], kg1, kg2)
+    raw = _scored(store, _load_pair_file(cfg["pred"], kg1, kg2))
     result = repair(kg1, kg2, store, raw, seeds, _repair_config(cfg))
     _write_pairs(cfg["out"], result.pairs)
     _write_json(cfg["report"], result.report.to_json_dict())
@@ -605,9 +619,9 @@ def _eval_fidelity(cfg: dict) -> tuple[EvalReport, dict]:
     _check_inputs({"emb": cfg["emb"], "seeds": cfg["seeds"],
                    "pred": cfg["pred"], "gold": cfg["gold"]})
     store = load_embeddings(cfg["emb"])
-    seeds = _load_pair_file(cfg["seeds"])
-    pred = _load_pair_file(cfg["pred"])
-    gold = _load_pair_file(cfg["gold"])
+    seeds = _load_pair_file(cfg["seeds"], kg1, kg2)
+    pred = _load_pair_file(cfg["pred"], kg1, kg2)
+    gold = _load_pair_file(cfg["gold"], kg1, kg2)
     h = int(cfg["h"])
     sample = sample_correct_pairs(pred, gold, int(cfg["sample_n"]), int(cfg["rng_seed"]))
     if not sample:
@@ -640,13 +654,9 @@ def _eval_ablation(cfg: dict) -> tuple[EvalReport, dict]:
     _check_inputs({"emb": cfg["emb"], "seeds": cfg["seeds"],
                    "pred": cfg["pred"], "gold": cfg["gold"]})
     store = load_embeddings(cfg["emb"])
-    seeds = _load_pair_file(cfg["seeds"])
-    gold = _load_pair_file(cfg["gold"])
-    raw = [
-        (s, t, float(cosine(store.entity_matrix(Side.SOURCE)[s],
-                            store.entity_matrix(Side.TARGET)[t])))
-        for s, t in _load_pair_file(cfg["pred"])
-    ]
+    seeds = _load_pair_file(cfg["seeds"], kg1, kg2)
+    gold = _load_pair_file(cfg["gold"], kg1, kg2)
+    raw = _scored(store, _load_pair_file(cfg["pred"], kg1, kg2))
     report = ablation(kg1, kg2, store, raw, seeds, gold, _repair_config(cfg))
     inputs = {**in1, **in2, "emb": cfg["emb"], "seeds": cfg["seeds"],
               "pred": cfg["pred"], "gold": cfg["gold"]}

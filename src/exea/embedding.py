@@ -79,6 +79,7 @@ class EmbeddingStore:
             raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
         self.dim = dims.pop()
         self._derived_relation: dict[Side, np.ndarray] = {}
+        self._entity_norms: dict[Side, np.ndarray] = {}
 
     def sides(self) -> list[Side]:
         return [s for s in (Side.SOURCE, Side.TARGET) if s in self._entity]
@@ -96,6 +97,18 @@ class EmbeddingStore:
         if not 0 <= index < mat.shape[0]:
             raise MissingEmbedding(f"entity {index} has no vector on side {side.value}")
         return mat[index].astype(np.float64)
+
+    def entity_norms(self, side: Side) -> np.ndarray:
+        """Norms of the side's entity vectors, computed once per side in
+        64-bit as ``sqrt(vecdot(v, v))``: the BLAS dot that ``np.linalg.norm``
+        takes for one vector, so each equals ``np.linalg.norm(entity_vec(side,
+        i))`` bit for bit."""
+        got = self._entity_norms.get(side)
+        if got is None:
+            rows = self.entity_matrix(side).astype(np.float64)
+            got = np.sqrt(np.vecdot(rows, rows))
+            self._entity_norms[side] = got
+        return got
 
     def has_relation_vecs(self, side: Side) -> bool:
         return side in self._relation
@@ -186,6 +199,36 @@ def cosine(u, v) -> float:
     if na == 0.0 or nb == 0.0:
         raise ZeroVector("cosine is undefined for a zero vector")
     return float(np.dot(a, b) / (na * nb))
+
+
+def pair_cosines(
+    store: EmbeddingStore, side1: Side, rows1: Sequence[int], side2: Side, rows2: Sequence[int]
+) -> np.ndarray:
+    """Cosine of each pair (``rows1[i]`` on ``side1``, ``rows2[i]`` on ``side2``).
+
+    Equal bit for bit to ``cosine`` of the two entity vectors: the dot is the
+    same BLAS dot, taken by ``np.vecdot`` row by row (a matrix product or an
+    einsum may sum in another order), over norms from ``entity_norms``.
+    """
+    a, b = store.entity_matrix(side1), store.entity_matrix(side2)
+    i = np.asarray(rows1, dtype=np.int64)
+    j = np.asarray(rows2, dtype=np.int64)
+    for idx, mat, side in ((i, a, side1), (j, b, side2)):
+        if idx.size and (idx.min() < 0 or idx.max() >= mat.shape[0]):
+            raise MissingEmbedding(f"entity index outside store on side {side.value}")
+    na, nb = store.entity_norms(side1)[i], store.entity_norms(side2)[j]
+    if not (np.all(na) and np.all(nb)):
+        raise ZeroVector("cosine is undefined for a zero vector")
+    return np.vecdot(a[i].astype(np.float64), b[j].astype(np.float64)) / (na * nb)
+
+
+def entity_cosine(store: EmbeddingStore, side1: Side, i: int, side2: Side, j: int) -> float:
+    """``pair_cosines`` for a single pair, without the array set-up."""
+    u, v = store.entity_vec(side1, i), store.entity_vec(side2, j)
+    nu, nv = store.entity_norms(side1)[i], store.entity_norms(side2)[j]
+    if nu == 0.0 or nv == 0.0:
+        raise ZeroVector("cosine is undefined for a zero vector")
+    return float(np.dot(u, v) / (nu * nv))
 
 
 def _normalized_rows(store: EmbeddingStore, side: Side, indices) -> np.ndarray:

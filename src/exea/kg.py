@@ -287,17 +287,16 @@ def neighborhood_triples(kg: Kg, e: EntityRef | int, h: int) -> list[Triple]:
     return [kg.triple(*k) for k in sorted(keys)]
 
 
-def enumerate_paths(kg: Kg, e: EntityRef | int, h: int) -> list[RelationPath]:
-    """All simple paths of length 1..h starting at ``e``, in lexicographic step order.
-
-    Both edge directions are traversed; an OUTGOING step follows a triple whose
-    subject is the current anchor, an INCOMING step one whose object is. Paths
-    never revisit an entity.
-    """
+def enumerate_path_keys(
+    kg: Kg, e: EntityRef | int, h: int
+) -> list[tuple[tuple[int, int, int], ...]]:
+    """The ``key()`` of every path ``enumerate_paths`` yields, in the same order,
+    built from integers alone: each step is (0 outgoing / 1 incoming,
+    relation, entity reached)."""
     _validate_hops(h)
     start = e.index if isinstance(e, EntityRef) else int(e)
-    center = kg.entity(start)
-    paths: list[RelationPath] = []
+    kg.entity(start)  # UnknownId for an entity outside the graph
+    keys: list[tuple[tuple[int, int, int], ...]] = []
 
     def incident_steps(v: int) -> list[tuple[int, int, int]]:
         steps = [(0, r, o) for r, o in kg.out_index.get(v, ())]
@@ -305,18 +304,38 @@ def enumerate_paths(kg: Kg, e: EntityRef | int, h: int) -> list[RelationPath]:
         steps.sort()
         return steps
 
-    def walk(v: int, visited: set[int], prefix: tuple[PathStep, ...]) -> None:
-        for rank, r, u in incident_steps(v):
+    def walk(v: int, visited: set[int], prefix: tuple[tuple[int, int, int], ...]) -> None:
+        for step in incident_steps(v):
+            u = step[2]
             if u in visited:
                 continue
-            direction = Direction.OUTGOING if rank == 0 else Direction.INCOMING
-            steps = prefix + (PathStep(direction, kg.relation(r), kg.entity(u)),)
-            paths.append(RelationPath(center, steps))
+            steps = prefix + (step,)
+            keys.append(steps)
             if len(steps) < h:
                 walk(u, visited | {u}, steps)
 
     walk(start, {start}, ())
-    return paths
+    return keys
+
+
+def enumerate_paths(kg: Kg, e: EntityRef | int, h: int) -> list[RelationPath]:
+    """All simple paths of length 1..h starting at ``e``, in lexicographic step order.
+
+    Both edge directions are traversed; an OUTGOING step follows a triple whose
+    subject is the current anchor, an INCOMING step one whose object is. Paths
+    never revisit an entity.
+    """
+    start = e.index if isinstance(e, EntityRef) else int(e)
+    keys = enumerate_path_keys(kg, start, h)
+    center = kg.entity(start)
+    directions = (Direction.OUTGOING, Direction.INCOMING)
+    return [
+        RelationPath(
+            center,
+            tuple(PathStep(directions[rank], kg.relation(r), kg.entity(u)) for rank, r, u in key),
+        )
+        for key in keys
+    ]
 
 
 def _read_label_file(path: str | Path, what: str) -> list[str]:

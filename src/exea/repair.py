@@ -26,7 +26,7 @@ from .adg import Adg, AdgConfig, EdgeClass, build_adg, prune_neighbors, sigmoid
 from .embedding import (
     EmbeddingStore,
     SimilarityTopK,
-    cosine,
+    entity_cosine,
     similarity_matrix,
     similarity_topk,
 )
@@ -273,7 +273,8 @@ class PairAnalyzer:
         self.banned_pairs: set[tuple[int, int]] = set()
         self._hood1: dict[int, frozenset[int]] = {}
         self._hood2: dict[int, frozenset[int]] = {}
-        self._adg_cache: dict[tuple[int, int], Adg] = {}
+        # (s, t) -> its explanation and the dependency graph built from it
+        self._cache: dict[tuple[int, int], tuple[Explanation, Adg]] = {}
         self._replayed = 0
 
     def hood1(self, e: int) -> frozenset[int]:
@@ -299,11 +300,11 @@ class PairAnalyzer:
             touched_t = self.hood2(tgt) | {tgt}
             stale = [
                 key
-                for key in self._adg_cache
+                for key in self._cache
                 if key[0] in touched_s or key[1] in touched_t
             ]
             for key in stale:
-                del self._adg_cache[key]
+                del self._cache[key]
 
     def ban(self, pairs: Iterable[tuple[int, int]]) -> None:
         fresh = set(pairs) - self.banned_pairs
@@ -312,12 +313,11 @@ class PairAnalyzer:
         self.banned_pairs |= fresh
         stale = [
             (s, t)
-            for s, t in self._adg_cache
-            for bs, bt in fresh
-            if bs in self.hood1(s) or bt in self.hood2(t)
+            for s, t in self._cache
+            if any(bs in self.hood1(s) or bt in self.hood2(t) for bs, bt in fresh)
         ]
         for key in stale:
-            self._adg_cache.pop(key, None)
+            del self._cache[key]
 
     def neighbor_pairs(self, s: int, t: int) -> list[tuple[EntityRef, EntityRef]]:
         pairs = matched_neighbors((s, t), self.kg1, self.kg2, self.state.forward_map(), self.cfg.h)
@@ -325,39 +325,38 @@ class PairAnalyzer:
             pairs = [p for p in pairs if (p[0].index, p[1].index) not in self.banned_pairs]
         return pairs
 
-    def explanation(self, s: int, t: int) -> Explanation:
-        return explanation(
-            (s, t),
-            self.kg1,
-            self.kg2,
-            self.store,
-            None,
-            self.cfg.h,
-            signed=self.cfg.signed_relation_paths,
-            index1=self.index1,
-            index2=self.index2,
-            neighbor_pairs=self.neighbor_pairs(s, t),
-        )
-
-    def adg(self, s: int, t: int) -> Adg:
+    def _entry(self, s: int, t: int) -> tuple[Explanation, Adg]:
         self._replay_mutations()
         key = (int(s), int(t))
-        got = self._adg_cache.get(key)
+        got = self._cache.get(key)
         if got is None:
-            got = build_adg(self.explanation(*key), self.kg1, self.kg2, self.store, self.cfg.adg)
-            self._adg_cache[key] = got
+            expl = explanation(
+                key,
+                self.kg1,
+                self.kg2,
+                self.store,
+                None,
+                self.cfg.h,
+                signed=self.cfg.signed_relation_paths,
+                index1=self.index1,
+                index2=self.index2,
+                neighbor_pairs=self.neighbor_pairs(*key),
+            )
+            got = (expl, build_adg(expl, self.kg1, self.kg2, self.store, self.cfg.adg))
+            self._cache[key] = got
         return got
+
+    def explanation(self, s: int, t: int) -> Explanation:
+        return self._entry(s, t)[0]
+
+    def adg(self, s: int, t: int) -> Adg:
+        return self._entry(s, t)[1]
 
     def confidence(self, s: int, t: int) -> float:
         return self.adg(s, t).confidence
 
     def similarity(self, s: int, t: int) -> float:
-        return float(
-            cosine(
-                self.store.entity_vec(Side.SOURCE, s),
-                self.store.entity_vec(Side.TARGET, t),
-            )
-        )
+        return entity_cosine(self.store, Side.SOURCE, s, Side.TARGET, t)
 
 
 def _derived_relation_matrix(store: EmbeddingStore, kg: Kg) -> np.ndarray:

@@ -525,3 +525,49 @@ class TestConsoleScript:
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
+
+
+class TestPairFileRanges:
+    """Ids in a pair file read next to the two graphs must lie inside their
+    side's entity range; otherwise the run exits 2 naming the file and line."""
+
+    def bad_copy(self, src, tmp_path, row):
+        lines = src.read_text().splitlines()
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("".join(line + "\n" for line in lines) + row + "\n")
+        return bad, len(lines) + 1
+
+    @pytest.mark.parametrize("row", ["999\t3", "-1\t3"])
+    def test_repair_pred_out_of_range(
+        self, dataset, kg_flags, raw_alignment, tmp_path, capsys, row
+    ):
+        bad, line_no = self.bad_copy(raw_alignment, tmp_path, row)
+        rc = main([
+            "repair", *kg_flags, "--seeds", str(dataset / "train_links"),
+            "--pred", str(bad),
+            "--out", str(tmp_path / "a.tsv"), "--report", str(tmp_path / "r.json"),
+        ])
+        assert rc == 2
+        expected = f"{bad}:{line_no}: source id {row.split()[0]} outside [0, 30)"
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "a.tsv").exists()
+
+    def test_ablation_pred_out_of_range(self, dataset, kg_flags, raw_alignment, tmp_path, capsys):
+        bad, line_no = self.bad_copy(raw_alignment, tmp_path, "999\t3")
+        rc = main([
+            "eval", *kg_flags, "--mode", "ablation",
+            "--seeds", str(dataset / "train_links"), "--pred", str(bad),
+            "--gold", str(dataset / "ent_links"), "--out", str(tmp_path / "o.json"),
+        ])
+        assert rc == 2
+        assert f"{bad}:{line_no}:" in capsys.readouterr().err
+
+    def test_adg_alignment_target_out_of_range(self, kg_flags, tmp_path, capsys):
+        bad = tmp_path / "align.tsv"
+        bad.write_text("0\t999\n")
+        rc = main([
+            "adg", *kg_flags, "--alignment", str(bad),
+            "--pair", "0", "0", "--out", str(tmp_path / "adg.json"),
+        ])
+        assert rc == 2
+        assert f"{bad}:1: target id 999 outside [0, 30)" in capsys.readouterr().err

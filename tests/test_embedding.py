@@ -8,8 +8,10 @@ from exea.embedding import (
     EmbeddingStore,
     cosine,
     derive_relation_embedding,
+    entity_cosine,
     greedy_align,
     load_embeddings,
+    pair_cosines,
     path_embedding,
     save_embeddings,
     similarity_matrix,
@@ -154,6 +156,36 @@ class TestCosine:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             cosine([0.0, 0.0], [1.0, 0.0])
+
+
+class TestCachedRowCosines:
+    """pair_cosines and entity_cosine reuse cached float64 rows and norms and
+    still equal ``cosine`` of the two entity vectors bit for bit."""
+
+    def test_equal_to_cosine(self):
+        rng = np.random.default_rng(41)
+        st = store_from(rng.normal(size=(30, 32)), rng.normal(size=(25, 32)))
+        norms = st.entity_norms(Side.SOURCE)
+        for i in range(30):
+            assert norms[i] == np.linalg.norm(st.entity_vec(Side.SOURCE, i))
+        src = rng.integers(0, 30, size=200)
+        tgt = rng.integers(0, 25, size=200)
+        batch = pair_cosines(st, Side.SOURCE, src, Side.TARGET, tgt).tolist()
+        for s, t, got in zip(src.tolist(), tgt.tolist(), batch):
+            expected = cosine(st.entity_vec(Side.SOURCE, s), st.entity_vec(Side.TARGET, t))
+            assert got == expected
+            assert entity_cosine(st, Side.SOURCE, s, Side.TARGET, t) == expected
+
+    def test_zero_and_missing_rows_rejected(self):
+        st = store_from([[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]])
+        with pytest.raises(ZeroVector):
+            pair_cosines(st, Side.SOURCE, [1, 0], Side.TARGET, [0, 0])
+        with pytest.raises(ZeroVector):
+            entity_cosine(st, Side.SOURCE, 0, Side.TARGET, 0)
+        with pytest.raises(MissingEmbedding):
+            pair_cosines(st, Side.SOURCE, [2], Side.TARGET, [0])
+        with pytest.raises(MissingEmbedding):
+            entity_cosine(st, Side.SOURCE, 1, Side.TARGET, -1)
 
 
 class TestSimilaritySearch:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from exea.adg import path_weight
 from exea.embedding import EmbeddingStore, cosine, path_embedding
 from exea.explain import (
     PathIndex,
@@ -108,6 +109,171 @@ def oracle_mutual_best(store, kg1, kg2, pair, neighbor_pair, h):
         if i_back == i:
             out.append((p1[i].key(), p2[j].key(), sims[i][j]))
     return out
+
+
+def reference_match_paths(store, kg1, kg2, pair, neighbor_pair, h, signed=False, stats=None):
+    """The per-pair matcher the batched tables replaced, kept as the exact
+    reference: unit path embeddings one path at a time, similarities by
+    ``float(np.dot(a, b))``, -2.0 for all-zero paths, argmax both ways.
+    ``stats["ties"]``, when given, counts rows and columns whose best
+    similarity occurs more than once, where the lowest-index rule decides."""
+    p1 = [p for p in enumerate_paths(kg1, pair[0], h) if p.endpoint.index == neighbor_pair[0]]
+    p2 = [p for p in enumerate_paths(kg2, pair[1], h) if p.endpoint.index == neighbor_pair[1]]
+    if not p1 or not p2:
+        return []
+
+    def unit(kg, path):
+        vec = path_embedding(store, kg, path, signed=signed)
+        norm = float(np.linalg.norm(vec))
+        return None if norm == 0.0 else vec / norm
+
+    u1 = [unit(kg1, p) for p in p1]
+    u2 = [unit(kg2, p) for p in p2]
+    sims = np.full((len(p1), len(p2)), -2.0, dtype=np.float64)
+    for i, a in enumerate(u1):
+        if a is None:
+            continue
+        for j, b in enumerate(u2):
+            if b is None:
+                continue
+            sims[i, j] = float(np.dot(a, b))
+    best1 = np.argmax(sims, axis=1)
+    best2 = np.argmax(sims, axis=0)
+    if stats is not None:
+        for axis in (0, 1):
+            top = sims.max(axis=axis, keepdims=True)
+            stats["ties"] += int(((sims == top).sum(axis=axis) > 1)[top.ravel() > -2.0].sum())
+    out = []
+    for i, j in enumerate(best1):
+        if sims[i, j] <= -2.0:
+            continue
+        if best2[j] == i:
+            out.append((p1[i].key(), p2[int(j)].key(), float(sims[i, j])))
+    return out
+
+
+def tied_pair(rng, n_ent, n_rel, n_triples, h, integer):
+    """Two graphs and a store built to stress the batched core: reciprocal
+    triples (the same relation both ways, so unsigned paths tie exactly) and
+    some all-zero entity and relation rows (all-zero paths). ``integer``
+    picks small integer vectors, which tie more often; otherwise the vectors
+    are wide enough that a sum in another order (a matrix product, an
+    einsum) changes last bits."""
+    def graph(side):
+        triples = set()
+        while len(triples) < n_triples:
+            s, o = (int(x) for x in rng.integers(0, n_ent, size=2))
+            if s == o:
+                continue
+            r = int(rng.integers(0, n_rel))
+            triples.add((s, r, o))
+            if rng.random() < 0.4:
+                triples.add((o, r, s))
+        return make_kg(n_ent, sorted(triples), n_rel=n_rel, side=side)
+
+    kg1, kg2 = graph(Side.SOURCE), graph(Side.TARGET)
+    if integer:
+        ents = {side: rng.integers(-1, 2, size=(n_ent, 3)).astype(float) for side in Side}
+        rels = {side: rng.integers(-1, 2, size=(n_rel, 3)).astype(float) for side in Side}
+    else:
+        ents = {side: rng.normal(size=(n_ent, 24)) for side in Side}
+        rels = {side: rng.normal(size=(n_rel, 24)) for side in Side}
+    for side in Side:
+        ents[side][rng.choice(n_ent, size=2, replace=False)] = 0.0
+        rels[side][int(rng.integers(0, n_rel))] = 0.0
+    native = rng.random() < 0.5
+    store = EmbeddingStore(ents, rels if native else None)
+    return kg1, kg2, store
+
+
+class TestBatchedCoreIsExact:
+    """The per-centre tables and the one-vecdot matcher reproduce the
+    per-pair computation bit for bit: keys, order and similarity, with ``==``."""
+
+    @pytest.mark.parametrize("h", [1, 2])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_match_paths_equals_reference(self, h, signed):
+        rng = np.random.default_rng(1000 + 10 * h + signed)
+        compared = 0
+        stats = {"ties": 0}
+        for trial in range(12):
+            kg1, kg2, store = tied_pair(rng, 9, 3, 22, h, integer=trial % 2 == 0)
+            idx1 = PathIndex(kg1, store, h, signed)
+            idx2 = PathIndex(kg2, store, h, signed)
+            for e1, e2 in ((0, 0), (1, 2), (3, 3)):
+                for n1 in range(9):
+                    for n2 in range(9):
+                        expected = reference_match_paths(
+                            store, kg1, kg2, (e1, e2), (n1, n2), h, signed, stats
+                        )
+                        got = [
+                            (mp.source_path.key(), mp.target_path.key(), mp.similarity)
+                            for mp in match_paths((e1, e2), (n1, n2), store, kg1, kg2, h,
+                                                  signed=signed, index1=idx1, index2=idx2)
+                        ]
+                        assert got == expected
+                        compared += len(expected)
+        assert compared > 100
+        assert stats["ties"] > 0
+
+    @pytest.mark.parametrize("h", [1, 2])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_explanation_equals_reference_over_all_blocks(self, h, signed):
+        rng = np.random.default_rng(2000 + 10 * h + signed)
+        for trial in range(12):
+            kg1, kg2, store = tied_pair(rng, 10, 3, 25, h, integer=trial % 2 == 0)
+            alignments = {int(s): int(rng.integers(0, 10)) for s in range(10)}
+            for e in range(0, 10, 3):
+                expl = explanation((e, e), kg1, kg2, store, alignments, h, signed=signed)
+                expected = []
+                for n1, n2 in expl.matched_neighbor_pairs:
+                    expected += reference_match_paths(
+                        store, kg1, kg2, (e, e), (n1.index, n2.index), h, signed
+                    )
+                got = [
+                    (mp.source_path.key(), mp.target_path.key(), mp.similarity)
+                    for mp in expl.path_pairs
+                ]
+                assert got == expected
+                assert expl.path_weights == [
+                    (path_weight(kg1, mp.source_path), path_weight(kg2, mp.target_path))
+                    for mp in expl.path_pairs
+                ]
+                triples = {(Side.SOURCE, t.key()) for mp in expl.path_pairs
+                           for t in path_triples(kg1, mp.source_path)}
+                triples |= {(Side.TARGET, t.key()) for mp in expl.path_pairs
+                            for t in path_triples(kg2, mp.target_path)}
+                assert {(t.subject.side, t.key()) for t in expl.triples} == triples
+
+    @pytest.mark.parametrize("h", [1, 2])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_table_rows_equal_path_embedding_over_norm(self, h, signed):
+        rng = np.random.default_rng(3000 + 10 * h + signed)
+        zero_rows = 0
+        for trial in range(6):
+            kg, _, store = tied_pair(rng, 9, 3, 22, h, integer=trial % 2 == 0)
+            index = PathIndex(kg, store, h, signed)
+            for center in range(9):
+                table = index.table(center)
+                by_key = {p.key(): p for p in enumerate_paths(kg, center, h)}
+                assert table.steps.shape[0] == len(by_key)
+                for row in range(table.steps.shape[0]):
+                    steps = table.steps[row, : table.lengths[row]].tolist()
+                    path = by_key[tuple(map(tuple, steps))]
+                    assert index.path(table, row) == path
+                    assert table.weight[row] == path_weight(kg, path)
+                    vec = path_embedding(store, kg, path, signed=signed)
+                    norm = np.linalg.norm(vec)
+                    if norm == 0.0:
+                        assert table.zero[row]
+                        zero_rows += 1
+                    else:
+                        assert not table.zero[row]
+                        assert np.array_equal(table.unit[row], vec / norm)
+                for end, (start, stop) in table.groups.items():
+                    ends = table.steps[np.arange(start, stop), table.lengths[start:stop] - 1, 2]
+                    assert (ends == end).all()
+        assert zero_rows > 0
 
 
 class TestMatchPaths:

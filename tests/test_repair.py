@@ -803,3 +803,27 @@ class TestRepairPipeline:
             assert 0.0 <= row["confidence"] <= 1.0
         assert len(out.explanations) == 200
         assert len(out.adgs) == 200
+
+
+class TestCachedExplanations:
+    """repair() hands out the explanations and graphs its analyzer cached;
+    each must equal a cold rebuild over the final state."""
+
+    @pytest.mark.parametrize("rng_seed", [1, 2, 3])
+    def test_cached_equals_cold_rebuild(self, rng_seed):
+        res = generate_pair(SynthConfig(n_entities=200, conflict_injection=0.2, rng_seed=rng_seed))
+        seed_set = {s for s, _ in res.seeds}
+        free = [i for i in range(200) if i not in seed_set]
+        raw = greedy_align(res.perturbed_store, free, range(200))
+        cfg = RepairConfig()
+        out = repair(res.kg1, res.kg2, res.perturbed_store, raw, res.seeds, cfg)
+        cold = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, out.state, cfg)
+        cold.ban(tuple(p) for p in out.report.derived_not_same_as)
+        assert len(out.pairs) == 200
+        for s, t in out.pairs:
+            cached, fresh = out.explanations[(s, t)], cold.explanation(s, t)
+            assert cached.path_pairs == fresh.path_pairs
+            assert cached.triple_keys == fresh.triple_keys
+            assert cached.triples == fresh.triples
+            assert out.adgs[(s, t)].confidence == cold.adg(s, t).confidence
+            assert out.adgs[(s, t)] == cold.adg(s, t)
