@@ -202,32 +202,3 @@ def confidence(adg: Adg, cfg: AdgConfig | None = None) -> float:
     """Recompute the gated confidence from the graph's aggregates."""
     cfg = cfg or AdgConfig()
     return aggregate_confidence(adg.c_s, adg.c_m, adg.c_w, cfg)
-
-
-def prune_neighbors(adg: Adg, banned: set[tuple[int, int]], cfg: AdgConfig | None = None) -> Adg:
-    """Rebuild the graph without the banned neighbor pairs (and their edges),
-    recomputing aggregates and confidence. The central flag is preserved."""
-    cfg = cfg or AdgConfig()
-    keep = [
-        i
-        for i, node in enumerate(adg.neighbors)
-        if (node.pair[0].index, node.pair[1].index) not in banned
-    ]
-    remap = {old: new for new, old in enumerate(keep)}
-    neighbors = [adg.neighbors[i] for i in keep]
-    edges = [
-        AdgEdge(remap[e.neighbor], e.edge_class, e.weight, e.paths)
-        for e in adg.edges
-        if e.neighbor in remap
-    ]
-    c_s, c_m, c_w = _aggregates(neighbors, edges)
-    return Adg(
-        central=adg.central,
-        neighbors=neighbors,
-        edges=edges,
-        c_s=c_s,
-        c_m=c_m,
-        c_w=c_w,
-        confidence=aggregate_confidence(c_s, c_m, c_w, cfg),
-        central_conflict=adg.central_conflict,
-    )

@@ -18,6 +18,7 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .adg import Adg, AdgConfig, build_adg
@@ -50,67 +51,71 @@ from .repair import RepairConfig, repair
 from .synth import SynthConfig, generate_pair, write_dataset
 from .trainer import TrainConfig, train
 
-DEFAULTS = {
-    "h": 2,
-    "k": 10,
-    "alpha": 0.5,
-    "weak_weight": 0.1,
-    "theta": 0.5,
-    "gamma": 0.3,
-    "beta": None,
-    "score_lambda": 1.0,
-    "triple_budget": 200,
-    "candidate_cap": 50,
-    "relation_vector_source": "derived",
-    "deep_chaining": False,
-    "dim": 32,
-    "epochs": 800,
-    "learning_rate": 0.02,
-    "negatives": 2,
-    "margin": 1.0,
-    "rng_seed": 0,
-    "workers": 1,
-    "sample_n": 100,
-    "mode": "ablation",
-    "n_entities": 200,
-    "n_relations": 8,
-    "density": 3.0,
-    "rename_noise": 0.0,
-    "seed_fraction": 0.3,
-    "embedding_noise": 0.05,
-    "conflict_injection": 0.0,
+
+class Option(NamedTuple):
+    """One key of the command line and of the config file."""
+
+    type: type  # int, float, str, or tuple for a pair of entity ids
+    default: object  # ABSENT: the key enters the config only when given
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+ABSENT = object()
+_LABELS = "label TSV (default: derived from the triples file name)"
+
+OPTIONS: dict[str, Option] = {
+    # input and output files
+    "kg1": Option(str, ABSENT, "source-side triples TSV"),
+    "kg2": Option(str, ABSENT, "target-side triples TSV"),
+    "ent_ids1": Option(str, ABSENT, f"source-side entity {_LABELS}"),
+    "rel_ids1": Option(str, ABSENT, f"source-side relation {_LABELS}"),
+    "ent_ids2": Option(str, ABSENT, f"target-side entity {_LABELS}"),
+    "rel_ids2": Option(str, ABSENT, f"target-side relation {_LABELS}"),
+    "emb": Option(str, ABSENT, "embedding file"),
+    "seeds": Option(str, ABSENT, "seed alignment TSV (infer skips seed sources)"),
+    "pred": Option(str, ABSENT, "predicted alignment TSV"),
+    "gold": Option(str, ABSENT, "gold alignment TSV"),
+    "alignment": Option(str, ABSENT, "alignment TSV providing the matched context "
+                        "(eval --mode sparsity explains each of its pairs)"),
+    "pair": Option(tuple, ABSENT, "entity pair to explain or grade"),
+    "out": Option(str, ABSENT, "primary output file (synth: output directory)"),
+    "report": Option(str, ABSENT, "repair report JSON"),
+    "csv": Option(str, ABSENT, "optional per-stage accuracy CSV"),
+    # tunables
+    "h": Option(int, 2, "neighborhood radius in hops"),
+    "k": Option(int, 10, "candidate list length for conflict resolution"),
+    "alpha": Option(float, 0.5, "moderate-edge weight multiplier"),
+    "weak_weight": Option(float, 0.1, "fixed weight of weak edges"),
+    "theta": Option(float, 0.5, "confidence gate for the strong aggregate"),
+    "gamma": Option(float, 0.3, "confidence gate for the moderate aggregate"),
+    "beta": Option(float, None, "low-confidence floor"),
+    "score_lambda": Option(float, 1.0, "similarity weight in rematch scores"),
+    "triple_budget": Option(int, 200, "max triples consulted for cross-graph facts"),
+    "candidate_cap": Option(int, 50, "max rematch candidates per entity"),
+    "relation_vector_source": Option(str, "derived",
+                                     "relation vectors: derived, native, or name"),
+    "dim": Option(int, 32, "embedding dimension"),
+    "epochs": Option(int, 800, "training epochs"),
+    "learning_rate": Option(float, 0.02, "gradient step size"),
+    "negatives": Option(int, 2, "negative samples per positive"),
+    "margin": Option(float, 1.0, "ranking margin"),
+    "rng_seed": Option(int, 0, "random seed"),
+    "sample_n": Option(int, 100, "fidelity sample size"),
+    "mode": Option(str, "ablation", "metric to compute",
+                   ("accuracy", "sparsity", "fidelity", "ablation")),
+    "n_entities": Option(int, 200, "entities per side"),
+    "n_relations": Option(int, 8, "relation count"),
+    "density": Option(float, 3.0, "mean out-degree"),
+    "rename_noise": Option(float, 0.0, "fraction of target triples dropped"),
+    "seed_fraction": Option(float, 0.3, "fraction of gold pairs used as seeds"),
+    "embedding_noise": Option(float, 0.05, "stddev of embedding perturbation"),
+    "conflict_injection": Option(float, 0.0,
+                                 "fraction of sources pushed toward a shared target"),
 }
 
-_HELP = {
-    "h": "neighborhood radius in hops",
-    "k": "candidate list length for conflict resolution",
-    "alpha": "moderate-edge weight multiplier",
-    "weak_weight": "fixed weight of weak edges",
-    "theta": "confidence gate for the strong aggregate",
-    "gamma": "confidence gate for the moderate aggregate",
-    "beta": "low-confidence floor",
-    "score_lambda": "similarity weight in rematch scores",
-    "triple_budget": "max triples consulted for cross-graph facts",
-    "candidate_cap": "max rematch candidates per entity",
-    "relation_vector_source": "relation vectors: derived, native, or name",
-    "deep_chaining": "chain rules to a fixpoint instead of one round",
-    "dim": "embedding dimension",
-    "epochs": "training epochs",
-    "learning_rate": "gradient step size",
-    "negatives": "negative samples per positive",
-    "margin": "ranking margin",
-    "rng_seed": "random seed",
-    "workers": "worker count (EXEA_WORKERS overrides)",
-    "sample_n": "fidelity sample size",
-    "mode": "metric to compute",
-    "n_entities": "entities per side",
-    "n_relations": "relation count",
-    "density": "mean out-degree",
-    "rename_noise": "fraction of target triples dropped",
-    "seed_fraction": "fraction of gold pairs used as seeds",
-    "embedding_noise": "stddev of embedding perturbation",
-    "conflict_injection": "fraction of sources pushed toward a shared target",
-}
+# every run starts from these; the manifest records them with the given keys
+DEFAULTS = {key: opt.default for key, opt in OPTIONS.items() if opt.default is not ABSENT}
 
 
 def _default_label(key: str) -> str:
@@ -127,124 +132,63 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _opt(sub: argparse.ArgumentParser, key: str, typ=None, **kwargs):
-    flag = "--" + key.replace("_", "-")
-    help_text = f"{_HELP[key]} (default: {_default_label(key)})"
-    if typ is bool:
-        sub.add_argument(
-            flag, dest=key, action="store_true", default=argparse.SUPPRESS, help=help_text
-        )
+def _add_option(sub: argparse.ArgumentParser, key: str) -> None:
+    opt = OPTIONS[key]
+    help_text = opt.help
+    if opt.default is not ABSENT:
+        help_text += f" (default: {_default_label(key)})"
+    if opt.type is tuple:
+        kwargs = {"nargs": 2, "type": int, "metavar": ("SRC", "TGT")}
     else:
-        sub.add_argument(
-            flag, dest=key, type=typ, default=argparse.SUPPRESS, help=help_text, **kwargs
-        )
-
-
-def _path_opt(sub: argparse.ArgumentParser, key: str, help_text: str, required=False):
-    flag = "--" + key.replace("_", "-")
-    sub.add_argument(
-        flag, dest=key, default=argparse.SUPPRESS, help=help_text, required=required
-    )
+        kwargs = {"type": opt.type, "choices": opt.choices}
+    sub.add_argument("--" + key.replace("_", "-"), dest=key, default=argparse.SUPPRESS,
+                     help=help_text, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="exea", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"exea {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def common(sub, *, kgs=True, emb=False):
+    for command, (help_text, keys, _) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
         sub.add_argument(
             "--config", default=argparse.SUPPRESS,
             help="flat JSON config file; flags override its values",
         )
-        if kgs:
-            _path_opt(sub, "kg1", "source-side triples TSV")
-            _path_opt(sub, "kg2", "target-side triples TSV")
-            for side in ("1", "2"):
-                _path_opt(sub, f"ent_ids{side}", f"entity label TSV for side {side} "
-                          "(default: derived from the triples file name)")
-                _path_opt(sub, f"rel_ids{side}", f"relation label TSV for side {side} "
-                          "(default: derived from the triples file name)")
-        if emb:
-            _path_opt(sub, "emb", "embedding file")
-        _opt(sub, "workers", int)
-
-    t = subs.add_parser("train", help="fit embeddings for two graphs")
-    common(t)
-    _path_opt(t, "seeds", "seed alignment TSV")
-    _path_opt(t, "out", "output embedding file")
-    for key, typ in (("dim", int), ("epochs", int), ("learning_rate", float),
-                     ("negatives", int), ("margin", float), ("rng_seed", int)):
-        _opt(t, key, typ)
-
-    i = subs.add_parser("infer", help="greedy nearest-neighbor alignment from embeddings")
-    common(i, emb=True)
-    _path_opt(i, "seeds", "seed alignment TSV; seed sources are skipped")
-    _path_opt(i, "out", "output alignment TSV")
-
-    e = subs.add_parser("explain", help="matched-subgraph explanation for one pair")
-    common(e, emb=True)
-    _path_opt(e, "alignment", "alignment TSV providing the matched context")
-    e.add_argument("--pair", dest="pair", nargs=2, type=int, metavar=("SRC", "TGT"),
-                   default=argparse.SUPPRESS, help="entity pair to explain")
-    _path_opt(e, "out", "output JSON file")
-    _opt(e, "h", int)
-
-    a = subs.add_parser("adg", help="dependency graph and confidence for one pair")
-    common(a, emb=True)
-    _path_opt(a, "alignment", "alignment TSV providing the matched context")
-    a.add_argument("--pair", dest="pair", nargs=2, type=int, metavar=("SRC", "TGT"),
-                   default=argparse.SUPPRESS, help="entity pair to grade")
-    _path_opt(a, "out", "output JSON file")
-    for key, typ in (("h", int), ("alpha", float), ("weak_weight", float),
-                     ("theta", float), ("gamma", float)):
-        _opt(a, key, typ)
-
-    r = subs.add_parser("repair", help="resolve conflicts in a raw alignment")
-    common(r, emb=True)
-    _path_opt(r, "seeds", "seed alignment TSV")
-    _path_opt(r, "pred", "raw predicted alignment TSV")
-    _path_opt(r, "out", "repaired alignment TSV")
-    _path_opt(r, "report", "repair report JSON")
-    for key, typ in (("h", int), ("k", int), ("alpha", float), ("weak_weight", float),
-                     ("theta", float), ("gamma", float), ("beta", float),
-                     ("score_lambda", float), ("triple_budget", int),
-                     ("candidate_cap", int), ("relation_vector_source", str),
-                     ("deep_chaining", bool)):
-        _opt(r, key, typ)
-
-    v = subs.add_parser("eval", help="accuracy, sparsity, fidelity, or ablation")
-    common(v, emb=True)
-    _opt(v, "mode", str, choices=["accuracy", "sparsity", "fidelity", "ablation"])
-    _path_opt(v, "seeds", "seed alignment TSV")
-    _path_opt(v, "pred", "predicted alignment TSV")
-    _path_opt(v, "gold", "gold alignment TSV")
-    _path_opt(v, "alignment", "alignment TSV to explain (sparsity mode)")
-    _path_opt(v, "out", "report JSON file")
-    _path_opt(v, "csv", "optional per-stage accuracy CSV")
-    for key, typ in (("h", int), ("k", int), ("alpha", float), ("weak_weight", float),
-                     ("theta", float), ("gamma", float), ("beta", float),
-                     ("score_lambda", float), ("triple_budget", int),
-                     ("candidate_cap", int), ("relation_vector_source", str),
-                     ("deep_chaining", bool), ("sample_n", int), ("rng_seed", int),
-                     ("dim", int), ("epochs", int), ("learning_rate", float),
-                     ("negatives", int), ("margin", float)):
-        _opt(v, key, typ)
-
-    s = subs.add_parser("synth", help="generate a synthetic dataset directory")
-    common(s, kgs=False)
-    _path_opt(s, "out", "output directory")
-    for key, typ in (("n_entities", int), ("n_relations", int), ("density", float),
-                     ("rename_noise", float), ("seed_fraction", float),
-                     ("embedding_noise", float), ("conflict_injection", float),
-                     ("rng_seed", int), ("dim", int)):
-        _opt(s, key, typ)
-
+        for key in keys:
+            _add_option(sub, key)
     return parser
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_config_value(path: str, key: str, value) -> None:
+    """A config-file value must be of its key's type (null where the default
+    is null); an unknown key is an error."""
+    opt = OPTIONS.get(key)
+    if opt is None:
+        raise ConfigError(f"config file {path}: unknown key {key!r}")
+    if value is None and opt.default is None:
+        return
+    if opt.type is tuple:
+        ok, want = (isinstance(value, list) and len(value) == 2
+                    and all(map(_is_int, value))), "a list of two integers"
+    elif opt.type is int:
+        ok, want = _is_int(value), "an integer"
+    elif opt.type is float:
+        ok, want = _is_int(value) or isinstance(value, float), "a number"
+    elif opt.choices:
+        ok, want = value in opt.choices, f"one of {', '.join(opt.choices)}"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"config file {path}: {key!r} must be {want}, got {value!r}")
+
+
 def _resolve_config(args: argparse.Namespace) -> dict:
-    """defaults <- config file <- explicit flags, then the env worker knob."""
+    """defaults <- config file <- explicit flags."""
     cfg = dict(DEFAULTS)
     given = vars(args)
     path = given.pop("config", None)
@@ -259,16 +203,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
+        for key, value in loaded.items():
+            _check_config_value(path, key, value)
         cfg.update(loaded)
     cfg.update(given)
-    env_workers = os.environ.get("EXEA_WORKERS")
-    if env_workers is not None:
-        try:
-            cfg["workers"] = int(env_workers)
-        except ValueError:
-            raise ConfigError(f"EXEA_WORKERS must be an integer, got {env_workers!r}") from None
-    if int(cfg.get("workers", 1)) < 1:
-        raise ConfigError("workers must be at least 1")
     return cfg
 
 
@@ -333,6 +271,28 @@ def _load_pair_file(
                     raise MalformedLine(path, line_no, f"{what} id {x} outside [0, {n})")
             pairs.append(pair)
     return pairs
+
+
+class _Inputs(NamedTuple):
+    kg1: Kg
+    kg2: Kg
+    store: EmbeddingStore | None
+    pairs: dict[str, list[tuple[int, int]]]  # by key, for each pair file read
+    paths: dict[str, str]  # every file read, by key, for the manifest
+
+
+def _load_inputs(cfg: dict, pair_keys: tuple[str, ...] = (), emb: bool = True) -> _Inputs:
+    """Both graphs, the embedding file (with ``emb``) and each pair file of
+    ``pair_keys`` that the config names, every pair range-checked against the
+    two graphs."""
+    kg1, in1 = _load_side(cfg, "1")
+    kg2, in2 = _load_side(cfg, "2")
+    named = {key: cfg[key] for key in (("emb",) if emb else ()) + pair_keys
+             if cfg.get(key) is not None}
+    _check_inputs(named)
+    store = load_embeddings(cfg["emb"]) if emb else None
+    pairs = {key: _load_pair_file(cfg[key], kg1, kg2) for key in pair_keys if key in named}
+    return _Inputs(kg1, kg2, store, pairs, {**in1, **in2, **named})
 
 
 def _scored(store: EmbeddingStore, pairs: list[tuple[int, int]]) -> list[tuple[int, int, float]]:
@@ -404,7 +364,6 @@ def _repair_config(cfg: dict) -> RepairConfig:
         triple_budget=int(cfg["triple_budget"]),
         candidate_cap=int(cfg["candidate_cap"]),
         relation_vector_source=str(cfg["relation_vector_source"]),
-        deep_chaining=bool(cfg["deep_chaining"]),
     )
 
 
@@ -503,75 +462,53 @@ def _adg_json(adg: Adg) -> dict:
 
 def _cmd_train(cfg: dict) -> None:
     _require(cfg, "kg1", "kg2", "seeds", "out")
-    kg1, in1 = _load_side(cfg, "1")
-    kg2, in2 = _load_side(cfg, "2")
-    _check_inputs({"seeds": cfg["seeds"]})
-    seeds = _load_pair_file(cfg["seeds"], kg1, kg2)
-    store = train(kg1, kg2, seeds, _train_config(cfg))
+    data = _load_inputs(cfg, ("seeds",), emb=False)
+    store = train(data.kg1, data.kg2, data.pairs["seeds"], _train_config(cfg))
     save_embeddings(cfg["out"], store)
-    _write_manifest("train", cfg, {**in1, **in2, "seeds": cfg["seeds"]}, {"out": cfg["out"]})
+    _write_manifest("train", cfg, data.paths, {"out": cfg["out"]})
 
 
 def _cmd_infer(cfg: dict) -> None:
     _require(cfg, "kg1", "kg2", "emb", "out")
-    kg1, in1 = _load_side(cfg, "1")
-    kg2, in2 = _load_side(cfg, "2")
-    inputs = {**in1, **in2, "emb": cfg["emb"]}
-    _check_inputs({"emb": cfg["emb"]})
-    store = load_embeddings(cfg["emb"])
-    skip = set()
-    if cfg.get("seeds") is not None:
-        _check_inputs({"seeds": cfg["seeds"]})
-        inputs["seeds"] = cfg["seeds"]
-        skip = {s for s, _ in _load_pair_file(cfg["seeds"], kg1, kg2)}
-    sources = [s for s in range(kg1.n_entities) if s not in skip]
-    pairs = [(s, t) for s, t, _ in greedy_align(store, sources, range(kg2.n_entities))]
-    _write_pairs(cfg["out"], pairs)
-    _write_manifest("infer", cfg, inputs, {"out": cfg["out"]})
+    data = _load_inputs(cfg, ("seeds",))
+    skip = {s for s, _ in data.pairs.get("seeds", ())}
+    sources = [s for s in range(data.kg1.n_entities) if s not in skip]
+    aligned = greedy_align(data.store, sources, range(data.kg2.n_entities))
+    _write_pairs(cfg["out"], [(s, t) for s, t, _ in aligned])
+    _write_manifest("infer", cfg, data.paths, {"out": cfg["out"]})
 
 
-def _context(cfg: dict):
-    kg1, in1 = _load_side(cfg, "1")
-    kg2, in2 = _load_side(cfg, "2")
-    _check_inputs({"emb": cfg["emb"], "alignment": cfg["alignment"]})
-    store = load_embeddings(cfg["emb"])
-    alignments = _load_pair_file(cfg["alignment"], kg1, kg2)
-    inputs = {**in1, **in2, "emb": cfg["emb"], "alignment": cfg["alignment"]}
-    return kg1, kg2, store, alignments, inputs
+def _pair_explanation(cfg: dict) -> tuple[_Inputs, Explanation]:
+    _require(cfg, "kg1", "kg2", "emb", "alignment", "pair", "out")
+    data = _load_inputs(cfg, ("alignment",))
+    pair = tuple(int(x) for x in cfg["pair"])
+    expl = explanation(
+        pair, data.kg1, data.kg2, data.store, data.pairs["alignment"], int(cfg["h"])
+    )
+    return data, expl
 
 
 def _cmd_explain(cfg: dict) -> None:
-    _require(cfg, "kg1", "kg2", "emb", "alignment", "pair", "out")
-    kg1, kg2, store, alignments, inputs = _context(cfg)
-    pair = tuple(int(x) for x in cfg["pair"])
-    expl = explanation(pair, kg1, kg2, store, alignments, int(cfg["h"]))
-    _write_json(cfg["out"], _explanation_json(expl, store))
-    _write_manifest("explain", cfg, inputs, {"out": cfg["out"]})
+    data, expl = _pair_explanation(cfg)
+    _write_json(cfg["out"], _explanation_json(expl, data.store))
+    _write_manifest("explain", cfg, data.paths, {"out": cfg["out"]})
 
 
 def _cmd_adg(cfg: dict) -> None:
-    _require(cfg, "kg1", "kg2", "emb", "alignment", "pair", "out")
-    kg1, kg2, store, alignments, inputs = _context(cfg)
-    pair = tuple(int(x) for x in cfg["pair"])
-    expl = explanation(pair, kg1, kg2, store, alignments, int(cfg["h"]))
-    adg = build_adg(expl, kg1, kg2, store, _adg_config(cfg))
+    data, expl = _pair_explanation(cfg)
+    adg = build_adg(expl, data.kg1, data.kg2, data.store, _adg_config(cfg))
     _write_json(cfg["out"], _adg_json(adg))
-    _write_manifest("adg", cfg, inputs, {"out": cfg["out"]})
+    _write_manifest("adg", cfg, data.paths, {"out": cfg["out"]})
 
 
 def _cmd_repair(cfg: dict) -> None:
     _require(cfg, "kg1", "kg2", "emb", "seeds", "pred", "out", "report")
-    kg1, in1 = _load_side(cfg, "1")
-    kg2, in2 = _load_side(cfg, "2")
-    _check_inputs({"emb": cfg["emb"], "seeds": cfg["seeds"], "pred": cfg["pred"]})
-    store = load_embeddings(cfg["emb"])
-    seeds = _load_pair_file(cfg["seeds"], kg1, kg2)
-    raw = _scored(store, _load_pair_file(cfg["pred"], kg1, kg2))
-    result = repair(kg1, kg2, store, raw, seeds, _repair_config(cfg))
+    data = _load_inputs(cfg, ("seeds", "pred"))
+    raw = _scored(data.store, data.pairs["pred"])
+    result = repair(data.kg1, data.kg2, data.store, raw, data.pairs["seeds"], _repair_config(cfg))
     _write_pairs(cfg["out"], result.pairs)
     _write_json(cfg["report"], result.report.to_json_dict())
-    inputs = {**in1, **in2, "emb": cfg["emb"], "seeds": cfg["seeds"], "pred": cfg["pred"]}
-    _write_manifest("repair", cfg, inputs, {"out": cfg["out"], "report": cfg["report"]})
+    _write_manifest("repair", cfg, data.paths, {"out": cfg["out"], "report": cfg["report"]})
 
 
 def _eval_accuracy(cfg: dict) -> tuple[EvalReport, dict]:
@@ -593,10 +530,11 @@ def _eval_accuracy(cfg: dict) -> tuple[EvalReport, dict]:
 
 def _eval_sparsity(cfg: dict) -> tuple[EvalReport, dict]:
     _require(cfg, "kg1", "kg2", "emb", "alignment")
-    kg1, kg2, store, alignments, inputs = _context(cfg)
+    data = _load_inputs(cfg, ("alignment",))
+    kg1, kg2, alignments = data.kg1, data.kg2, data.pairs["alignment"]
     h = int(cfg["h"])
     expl_triples = {
-        pair: explanation(pair, kg1, kg2, store, alignments, h).triples
+        pair: explanation(pair, kg1, kg2, data.store, alignments, h).triples
         for pair in alignments
     }
     mean, empty = explanation_sparsity_stats(kg1, kg2, expl_triples, h)
@@ -609,19 +547,14 @@ def _eval_sparsity(cfg: dict) -> tuple[EvalReport, dict]:
         empty_explanations=empty,
         config={"mode": "sparsity", "h": h},
     )
-    return report, inputs
+    return report, data.paths
 
 
 def _eval_fidelity(cfg: dict) -> tuple[EvalReport, dict]:
     _require(cfg, "kg1", "kg2", "emb", "seeds", "pred", "gold")
-    kg1, in1 = _load_side(cfg, "1")
-    kg2, in2 = _load_side(cfg, "2")
-    _check_inputs({"emb": cfg["emb"], "seeds": cfg["seeds"],
-                   "pred": cfg["pred"], "gold": cfg["gold"]})
-    store = load_embeddings(cfg["emb"])
-    seeds = _load_pair_file(cfg["seeds"], kg1, kg2)
-    pred = _load_pair_file(cfg["pred"], kg1, kg2)
-    gold = _load_pair_file(cfg["gold"], kg1, kg2)
+    data = _load_inputs(cfg, ("seeds", "pred", "gold"))
+    kg1, kg2, store = data.kg1, data.kg2, data.store
+    seeds, pred, gold = (data.pairs[key] for key in ("seeds", "pred", "gold"))
     h = int(cfg["h"])
     sample = sample_correct_pairs(pred, gold, int(cfg["sample_n"]), int(cfg["rng_seed"]))
     if not sample:
@@ -642,39 +575,27 @@ def _eval_fidelity(cfg: dict) -> tuple[EvalReport, dict]:
         config={"mode": "fidelity", "h": h, "sample_n": int(cfg["sample_n"]),
                 "rng_seed": int(cfg["rng_seed"]), "trainer": asdict(_train_config(cfg))},
     )
-    inputs = {**in1, **in2, "emb": cfg["emb"], "seeds": cfg["seeds"],
-              "pred": cfg["pred"], "gold": cfg["gold"]}
-    return report, inputs
+    return report, data.paths
 
 
 def _eval_ablation(cfg: dict) -> tuple[EvalReport, dict]:
     _require(cfg, "kg1", "kg2", "emb", "seeds", "pred", "gold")
-    kg1, in1 = _load_side(cfg, "1")
-    kg2, in2 = _load_side(cfg, "2")
-    _check_inputs({"emb": cfg["emb"], "seeds": cfg["seeds"],
-                   "pred": cfg["pred"], "gold": cfg["gold"]})
-    store = load_embeddings(cfg["emb"])
-    seeds = _load_pair_file(cfg["seeds"], kg1, kg2)
-    gold = _load_pair_file(cfg["gold"], kg1, kg2)
-    raw = _scored(store, _load_pair_file(cfg["pred"], kg1, kg2))
-    report = ablation(kg1, kg2, store, raw, seeds, gold, _repair_config(cfg))
-    inputs = {**in1, **in2, "emb": cfg["emb"], "seeds": cfg["seeds"],
-              "pred": cfg["pred"], "gold": cfg["gold"]}
-    return report, inputs
+    data = _load_inputs(cfg, ("seeds", "pred", "gold"))
+    raw = _scored(data.store, data.pairs["pred"])
+    report = ablation(data.kg1, data.kg2, data.store, raw, data.pairs["seeds"],
+                      data.pairs["gold"], _repair_config(cfg))
+    return report, data.paths
 
 
 def _cmd_eval(cfg: dict) -> None:
     _require(cfg, "out")
-    mode = cfg["mode"]
     runners = {
         "accuracy": _eval_accuracy,
         "sparsity": _eval_sparsity,
         "fidelity": _eval_fidelity,
         "ablation": _eval_ablation,
     }
-    if mode not in runners:
-        raise ConfigError(f"unknown eval mode {mode!r}")
-    report, inputs = runners[mode](cfg)
+    report, inputs = runners[cfg["mode"]](cfg)
     _write_json(cfg["out"], report.to_json_dict())
     outputs = {"out": cfg["out"]}
     if cfg.get("csv") is not None:
@@ -706,14 +627,31 @@ def _cmd_synth(cfg: dict) -> None:
     _write_manifest("synth", cfg, {}, outputs)
 
 
+# key groups that several subcommands take
+_GRAPHS = ("kg1", "kg2", "ent_ids1", "rel_ids1", "ent_ids2", "rel_ids2")
+_ADG = ("h", "alpha", "weak_weight", "theta", "gamma")
+_REPAIR = _ADG + ("k", "beta", "score_lambda", "triple_budget", "candidate_cap",
+                  "relation_vector_source")
+_TRAIN = ("dim", "epochs", "learning_rate", "negatives", "margin", "rng_seed")
+
+# subcommand -> (help, the keys it takes besides --config, handler)
 _COMMANDS = {
-    "train": _cmd_train,
-    "infer": _cmd_infer,
-    "explain": _cmd_explain,
-    "adg": _cmd_adg,
-    "repair": _cmd_repair,
-    "eval": _cmd_eval,
-    "synth": _cmd_synth,
+    "train": ("fit embeddings for two graphs",
+              _GRAPHS + ("seeds", "out") + _TRAIN, _cmd_train),
+    "infer": ("greedy nearest-neighbor alignment from embeddings",
+              _GRAPHS + ("emb", "seeds", "out"), _cmd_infer),
+    "explain": ("matched-subgraph explanation for one pair",
+                _GRAPHS + ("emb", "alignment", "pair", "out", "h"), _cmd_explain),
+    "adg": ("dependency graph and confidence for one pair",
+            _GRAPHS + ("emb", "alignment", "pair", "out") + _ADG, _cmd_adg),
+    "repair": ("resolve conflicts in a raw alignment",
+               _GRAPHS + ("emb", "seeds", "pred", "out", "report") + _REPAIR, _cmd_repair),
+    "eval": ("accuracy, sparsity, fidelity, or ablation",
+             _GRAPHS + ("emb", "mode", "seeds", "pred", "gold", "alignment", "out", "csv")
+             + _REPAIR + ("sample_n",) + _TRAIN, _cmd_eval),
+    "synth": ("generate a synthetic dataset directory",
+              ("out", "n_entities", "n_relations", "density", "rename_noise", "seed_fraction",
+               "embedding_noise", "conflict_injection", "rng_seed", "dim"), _cmd_synth),
 }
 
 
@@ -728,7 +666,7 @@ def main(argv=None) -> int:
     del args.command
     try:
         cfg = _resolve_config(args)
-        _COMMANDS[command](cfg)
+        _COMMANDS[command][2](cfg)
     except (ConfigError, DegenerateConfig) as exc:
         print(f"exea {command}: config error: {exc}", file=sys.stderr)
         return 1

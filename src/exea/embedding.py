@@ -22,10 +22,9 @@ from .errors import (
     MalformedLine,
     MissingEmbedding,
     NoRelationVectors,
-    UnknownRelation,
     ZeroVector,
 )
-from .kg import Direction, Kg, RelationPath, Side
+from .kg import Kg, RelationPath, Side
 
 ENTITY_KIND = {Side.SOURCE: "source", Side.TARGET: "target"}
 RELATION_KIND = {Side.SOURCE: "source-rel", Side.TARGET: "target-rel"}
@@ -78,7 +77,7 @@ class EmbeddingStore:
         if len(dims) != 1:
             raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
         self.dim = dims.pop()
-        self._derived_relation: dict[Side, np.ndarray] = {}
+        self._derived_relation: dict[Side, tuple[Kg, np.ndarray]] = {}
         self._entity_norms: dict[Side, np.ndarray] = {}
 
     def sides(self) -> list[Side]:
@@ -128,15 +127,24 @@ class EmbeddingStore:
 
     def relation_matrix(self, kg: Kg) -> np.ndarray:
         """Relation vectors for ``kg``'s side: model-supplied when present,
-        otherwise derived by translation over each relation's triples.
-        Relations without triples get zero rows in the derived matrix."""
-        side = kg.side
-        if side in self._relation:
-            return self._relation[side].astype(np.float64)
-        cached = self._derived_relation.get(side)
-        if cached is not None and cached.shape[0] == kg.n_relations:
-            return cached
-        ents = self.entity_matrix(side).astype(np.float64)
+        otherwise ``derived_relation_matrix(kg)``."""
+        if kg.side in self._relation:
+            return self._relation[kg.side].astype(np.float64)
+        return self.derived_relation_matrix(kg)
+
+    def derived_relation_matrix(self, kg: Kg) -> np.ndarray:
+        """Relation vectors for ``kg`` derived by translation, ignoring any
+        model-supplied ones: row r is the mean of (subject - object) entity
+        vectors over r's triples, a zero row when r has none.
+
+        The result is cached per side for the last graph asked for; the cache
+        holds that graph, so a different ``Kg`` on the same side is never
+        served another graph's matrix.
+        """
+        cached = self._derived_relation.get(kg.side)
+        if cached is not None and cached[0] is kg:
+            return cached[1]
+        ents = self.entity_matrix(kg.side).astype(np.float64)
         mat = np.zeros((kg.n_relations, self.dim), dtype=np.float64)
         for r in range(kg.n_relations):
             trs = kg.relation_triples(r)
@@ -147,32 +155,16 @@ class EmbeddingStore:
             if s_idx.max() >= ents.shape[0] or o_idx.max() >= ents.shape[0]:
                 raise MissingEmbedding(f"triples of relation {r} reference entities without vectors")
             mat[r] = (ents[s_idx] - ents[o_idx]).mean(axis=0)
-        self._derived_relation[side] = mat
+        self._derived_relation[kg.side] = (kg, mat)
         return mat
 
 
-def derive_relation_embedding(store: EmbeddingStore, kg: Kg, r) -> np.ndarray:
-    """Vector for relation ``r``: the mean of (subject - object) entity vectors
-    over its triples; when the store already holds model relation vectors for
-    that side, those take precedence and no derivation happens."""
-    idx = r.index if hasattr(r, "index") else int(r)
-    if store.has_relation_vecs(kg.side):
-        mat = store.relation_vecs(kg.side)
-        if not 0 <= idx < mat.shape[0]:
-            raise MissingEmbedding(f"relation {idx} has no vector on side {kg.side.value}")
-        return mat[idx].astype(np.float64)
-    if not kg.relation_triples(idx):
-        raise UnknownRelation(f"relation {idx} has no triples on side {kg.side.value}")
-    return store.relation_matrix(kg)[idx].copy()
-
-
-def path_embedding(store: EmbeddingStore, kg: Kg, path: RelationPath, signed: bool = False) -> np.ndarray:
+def path_embedding(store: EmbeddingStore, kg: Kg, path: RelationPath) -> np.ndarray:
     """Encode a path as ``concat(entity_part, relation_part)`` of length 2*dim.
 
     The entity part averages the anchor entity and the intermediate entities
     (the endpoint is excluded); the relation part averages the step relation
-    vectors. With ``signed=True`` an INCOMING step contributes its relation
-    vector negated.
+    vectors, whatever the step's direction.
     """
     n = path.length
     ent = store.entity_vec(kg.side, path.center.index)
@@ -183,10 +175,7 @@ def path_embedding(store: EmbeddingStore, kg: Kg, path: RelationPath, signed: bo
     for step in path.steps:
         if not 0 <= step.relation.index < rel_mat.shape[0]:
             raise MissingEmbedding(f"relation {step.relation.index} has no vector on side {kg.side.value}")
-        vec = rel_mat[step.relation.index]
-        if signed and step.direction is Direction.INCOMING:
-            vec = -vec
-        rel = rel + vec
+        rel = rel + rel_mat[step.relation.index]
     return np.concatenate([ent / n, rel / n])
 
 

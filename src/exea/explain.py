@@ -28,7 +28,7 @@ objects when it is read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Container, Iterable, Mapping
 
 import numpy as np
 
@@ -115,11 +115,10 @@ class PathIndex:
     can serve many explanation calls.
     """
 
-    def __init__(self, kg: Kg, store: EmbeddingStore, h: int, signed: bool = False):
+    def __init__(self, kg: Kg, store: EmbeddingStore, h: int):
         self.kg = kg
         self.store = store
         self.h = h
-        self.signed = signed
         self._tables: dict[int, PathTable] = {}
         # per-relation weight of an outgoing step (inverse functionality) and
         # of an incoming one (functionality); relations without triples never
@@ -178,10 +177,7 @@ class PathIndex:
             rows = np.flatnonzero(lengths > k)
             incoming = steps[rows, k, 0] == 1
             r = steps[rows, k, 1]
-            vec = rels[r]
-            if self.signed:
-                vec = np.where(incoming[:, None], -vec, vec)
-            unit[rows, dim:] += vec
+            unit[rows, dim:] += rels[r]
             weight[rows] *= np.where(incoming, self._in_weight[r], self._out_weight[r])
             inner = np.flatnonzero(lengths > k + 1)
             unit[inner, :dim] += ents[steps[inner, k, 2]]
@@ -286,17 +282,37 @@ def matched_neighbors(
     """Neighbor pairs already matched by ``alignments`` within h hops of both
     centers, excluding the central pair itself; sorted by source index."""
     e1, e2 = int(pair[0]), int(pair[1])
-    amap = _as_alignment_map(alignments)
-    n2 = set(neighborhood_entities(kg2, e2, h))
-    out = []
-    for n1 in neighborhood_entities(kg1, e1, h):
-        t = amap.get(n1)
-        if t is None or t not in n2:
-            continue
-        if n1 == e1 and t == e2:
-            continue
-        out.append((kg1.entity(n1), kg2.entity(t)))
-    return out
+    return matched_neighbor_pairs(
+        (e1, e2),
+        kg1,
+        kg2,
+        _as_alignment_map(alignments).get,
+        neighborhood_entities(kg1, e1, h),
+        set(neighborhood_entities(kg2, e2, h)),
+    )
+
+
+def matched_neighbor_pairs(
+    pair: tuple[int, int],
+    kg1: Kg,
+    kg2: Kg,
+    target_of: Callable[[int], int | None],
+    hood1: Iterable[int],
+    hood2: Container[int],
+) -> list[tuple[EntityRef, EntityRef]]:
+    """The matched-neighbor rule over given neighborhoods: each ``n1`` of
+    ``hood1`` whose aligned target ``target_of(n1)`` lies in ``hood2``,
+    excluding the central pair, sorted by source index. ``matched_neighbors``
+    computes the neighborhoods; ``PairAnalyzer`` passes its cached ones and
+    the live alignment."""
+    e1, e2 = pair
+    hits = []
+    for n1 in hood1:
+        t = target_of(n1)
+        if t is not None and t in hood2 and (n1, t) != (e1, e2):
+            hits.append((n1, t))
+    hits.sort()
+    return [(kg1.entity(n1), kg2.entity(t)) for n1, t in hits]
 
 
 def match_paths(
@@ -306,7 +322,6 @@ def match_paths(
     kg1: Kg,
     kg2: Kg,
     h: int,
-    signed: bool = False,
     index1: PathIndex | None = None,
     index2: PathIndex | None = None,
 ) -> list[MatchedPathPair]:
@@ -316,8 +331,8 @@ def match_paths(
     Paths whose embedding is all-zero never match. Returns an empty list when
     either side has no path to its neighbor.
     """
-    index1 = index1 or PathIndex(kg1, store, h, signed)
-    index2 = index2 or PathIndex(kg2, store, h, signed)
+    index1 = index1 or PathIndex(kg1, store, h)
+    index2 = index2 or PathIndex(kg2, store, h)
     t1 = index1.table(int(pair[0]))
     t2 = index2.table(int(pair[1]))
     rows1, rows2, sims = _mutual_best(t1, t2, [(int(neighbor_pair[0]), int(neighbor_pair[1]))])
@@ -354,7 +369,6 @@ def explanation(
     store: EmbeddingStore,
     alignments,
     h: int,
-    signed: bool = False,
     index1: PathIndex | None = None,
     index2: PathIndex | None = None,
     neighbor_pairs: Iterable[tuple[EntityRef, EntityRef]] | None = None,
@@ -365,8 +379,8 @@ def explanation(
     is computed from ``alignments``.
     """
     e1, e2 = int(pair[0]), int(pair[1])
-    index1 = index1 or PathIndex(kg1, store, h, signed)
-    index2 = index2 or PathIndex(kg2, store, h, signed)
+    index1 = index1 or PathIndex(kg1, store, h)
+    index2 = index2 or PathIndex(kg2, store, h)
     if neighbor_pairs is None:
         neighbor_pairs = matched_neighbors((e1, e2), kg1, kg2, alignments, h)
     else:

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .adg import Adg, AdgConfig, EdgeClass, build_adg, prune_neighbors, sigmoid
+from .adg import Adg, AdgConfig, EdgeClass, build_adg, sigmoid
 from .embedding import (
     EmbeddingStore,
     SimilarityTopK,
@@ -31,7 +31,7 @@ from .embedding import (
     similarity_topk,
 )
 from .errors import ConfigError, InvariantViolation, NoRelationVectors
-from .explain import Explanation, PathIndex, explanation, matched_neighbors
+from .explain import Explanation, PathIndex, explanation, matched_neighbor_pairs
 from .kg import EntityRef, Kg, RelationRef, Side, Triple, neighborhood_entities
 
 RELATION_VECTOR_SOURCES = ("derived", "native", "name")
@@ -54,8 +54,6 @@ class RepairConfig:
     enable_relation_repair: bool = True
     enable_one_to_many: bool = True
     enable_low_confidence: bool = True
-    deep_chaining: bool = False
-    signed_relation_paths: bool = False
 
     def __post_init__(self):
         if self.h not in (1, 2):
@@ -97,12 +95,6 @@ class RelationAlignment:
             if b.index == target_index:
                 return a.index
         return None
-
-    def aligns(self, r1: RelationRef, r2: RelationRef) -> bool:
-        for a, b, _ in self.pairs:
-            if (a, b) in ((r1, r2), (r2, r1)):
-                return True
-        return False
 
 
 @dataclass(frozen=True)
@@ -201,9 +193,6 @@ class AlignmentState:
     def sources_of(self, t: int) -> tuple[int, ...]:
         return tuple(sorted(self._reverse.get(t, ())))
 
-    def forward_map(self) -> dict[int, int]:
-        return {s: e[0] for s, e in self._forward.items()}
-
     def pairs(self) -> list[tuple[int, int, str, float | None]]:
         return [(s, e[0], e[1], e[2]) for s, e in sorted(self._forward.items())]
 
@@ -268,8 +257,8 @@ class PairAnalyzer:
         self.store = store
         self.state = state
         self.cfg = cfg
-        self.index1 = PathIndex(kg1, store, cfg.h, cfg.signed_relation_paths)
-        self.index2 = PathIndex(kg2, store, cfg.h, cfg.signed_relation_paths)
+        self.index1 = PathIndex(kg1, store, cfg.h)
+        self.index2 = PathIndex(kg2, store, cfg.h)
         self.banned_pairs: set[tuple[int, int]] = set()
         self._hood1: dict[int, frozenset[int]] = {}
         self._hood2: dict[int, frozenset[int]] = {}
@@ -320,7 +309,9 @@ class PairAnalyzer:
             del self._cache[key]
 
     def neighbor_pairs(self, s: int, t: int) -> list[tuple[EntityRef, EntityRef]]:
-        pairs = matched_neighbors((s, t), self.kg1, self.kg2, self.state.forward_map(), self.cfg.h)
+        pairs = matched_neighbor_pairs(
+            (s, t), self.kg1, self.kg2, self.state.target_of, self.hood1(s), self.hood2(t)
+        )
         if self.banned_pairs:
             pairs = [p for p in pairs if (p[0].index, p[1].index) not in self.banned_pairs]
         return pairs
@@ -337,7 +328,6 @@ class PairAnalyzer:
                 self.store,
                 None,
                 self.cfg.h,
-                signed=self.cfg.signed_relation_paths,
                 index1=self.index1,
                 index2=self.index2,
                 neighbor_pairs=self.neighbor_pairs(*key),
@@ -359,25 +349,11 @@ class PairAnalyzer:
         return entity_cosine(self.store, Side.SOURCE, s, Side.TARGET, t)
 
 
-def _derived_relation_matrix(store: EmbeddingStore, kg: Kg) -> np.ndarray:
-    """Translation-derived relation vectors, ignoring any model-native ones.
-    Relations without triples get zero rows."""
-    ents = store.entity_matrix(kg.side).astype(np.float64)
-    mat = np.zeros((kg.n_relations, store.dim), dtype=np.float64)
-    for r in range(kg.n_relations):
-        trs = kg.relation_triples(r)
-        if trs:
-            s_idx = np.fromiter((t[0] for t in trs), dtype=np.int64)
-            o_idx = np.fromiter((t[2] for t in trs), dtype=np.int64)
-            mat[r] = (ents[s_idx] - ents[o_idx]).mean(axis=0)
-    return mat
-
-
 def _relation_vectors(
     store: EmbeddingStore, kg: Kg, source: str
 ) -> np.ndarray:
     if source == "derived":
-        return _derived_relation_matrix(store, kg)
+        return store.derived_relation_matrix(kg)
     if source == "native":
         if not store.has_relation_vecs(kg.side):
             raise NoRelationVectors(
@@ -433,10 +409,13 @@ def mine_relation_alignment(
     return RelationAlignment(pairs=tuple(pairs))
 
 
-def mine_not_same_as_rules(kg: Kg, rel_align: RelationAlignment) -> list[NotSameAsRule]:
-    """Relation pairs of one graph that (a) are distinct and not aligned to
-    each other, (b) never share a (subject, object) pair, and (c) have at
-    least one subject carrying both relations with different objects."""
+def mine_not_same_as_rules(kg: Kg) -> list[NotSameAsRule]:
+    """Relation pairs of one graph that (a) are distinct, (b) never share a
+    (subject, object) pair, and (c) have at least one subject carrying both
+    relations with different objects.
+
+    No relation alignment enters: it pairs a source relation with a target
+    one, while both relations of a rule come from one graph."""
     pair_sets: dict[int, set[tuple[int, int]]] = {}
     subj_objs: dict[int, dict[int, set[int]]] = {}
     for s, r, o in kg.triple_keys:
@@ -446,15 +425,12 @@ def mine_not_same_as_rules(kg: Kg, rel_align: RelationAlignment) -> list[NotSame
     rules = []
     for i, r1 in enumerate(rels):
         for r2 in rels[i + 1 :]:
-            ref1, ref2 = kg.relation(r1), kg.relation(r2)
-            if rel_align.aligns(ref1, ref2):
-                continue
             if pair_sets[r1] & pair_sets[r2]:
                 continue
             # the (subject, object) sets are disjoint here, so any shared
             # subject witnesses two distinct objects
             if subj_objs[r1].keys() & subj_objs[r2].keys():
-                rules.append(NotSameAsRule(kg.side, ref1, ref2))
+                rules.append(NotSameAsRule(kg.side, kg.relation(r1), kg.relation(r2)))
     return rules
 
 
@@ -565,16 +541,14 @@ def _chain_rules(
     cross: Sequence[Triple],
     kg1: Kg,
     kg2: Kg,
-    to_fixpoint: bool = False,
 ) -> set[tuple[int, int]]:
     """Forward-chain the rules over the cross triples plus the original graphs.
 
     Only instantiations touching at least one cross-graph triple can produce a
     fact about a (source, target) pair, so subjects are drawn from the cross
-    triples and their original out-edges join in. With ``to_fixpoint`` the
-    chaining repeats until no fact is new; derived not-same-as facts never
-    match a rule body (bodies reference graph relations only), so the second
-    round is where the repetition stops today.
+    triples and their original out-edges join in. One round reaches the
+    fixpoint: derived not-same-as facts never match a rule body, whose
+    relations are graph relations.
     """
     by_subject: dict[EntityRef, dict[RelationRef, set[EntityRef]]] = {}
 
@@ -591,22 +565,19 @@ def _chain_rules(
                 add(subj, kg.relation(r), kg.entity(o))
 
     derived: set[tuple[int, int]] = set()
-    while True:
-        before = len(derived)
-        for rule in rules:
-            for rel_map in by_subject.values():
-                objs1 = rel_map.get(rule.r1)
-                objs2 = rel_map.get(rule.r2)
-                if not objs1 or not objs2:
-                    continue
-                for a in objs1:
-                    for b in objs2:
-                        if a == b or a.side == b.side:
-                            continue
-                        pair = (a, b) if a.side is Side.SOURCE else (b, a)
-                        derived.add((pair[0].index, pair[1].index))
-        if not to_fixpoint or len(derived) == before:
-            return derived
+    for rule in rules:
+        for rel_map in by_subject.values():
+            objs1 = rel_map.get(rule.r1)
+            objs2 = rel_map.get(rule.r2)
+            if not objs1 or not objs2:
+                continue
+            for a in objs1:
+                for b in objs2:
+                    if a == b or a.side == b.side:
+                        continue
+                    pair = (a, b) if a.side is Side.SOURCE else (b, a)
+                    derived.add((pair[0].index, pair[1].index))
+    return derived
 
 
 def detect_relation_conflicts(
@@ -621,7 +592,7 @@ def detect_relation_conflicts(
     """Chain the rules over this graph's cross triples and report which node
     pairs are contradicted."""
     cross = cross_kg_triples(adg, state, rel_align, kg1, kg2, cfg.triple_budget)
-    derived = _chain_rules(rules, cross, kg1, kg2, to_fixpoint=cfg.deep_chaining)
+    derived = _chain_rules(rules, cross, kg1, kg2)
     node_pairs = {
         (n.pair[0].index, n.pair[1].index) for n in adg.neighbors
     }
@@ -632,16 +603,6 @@ def detect_relation_conflicts(
         pruned_neighbor_pairs=pruned,
         central_flagged=central in derived,
     )
-
-
-def apply_relation_repair(
-    adg: Adg, report: RelationConflictReport, cfg: AdgConfig | None = None
-) -> Adg:
-    """Drop the contradicted neighbor nodes, recompute confidence, and carry
-    the central soft-conflict flag."""
-    pruned = prune_neighbors(adg, set(report.pruned_neighbor_pairs), cfg)
-    pruned.central_conflict = adg.central_conflict or report.central_flagged
-    return pruned
 
 
 def one_to_one(state: AlignmentState, analyzer: PairAnalyzer) -> set[int]:
@@ -807,23 +768,22 @@ def resolve_low_confidence(
 
 def final_fill(state: AlignmentState, store: EmbeddingStore) -> dict:
     """Greedily match the remaining sources to unclaimed targets in descending
-    similarity order. Sources left over when targets run out are reported."""
+    similarity order, ties to the lower source, then the lower target. Sources
+    left over when targets run out are reported."""
     sources = sorted(state.unaligned_sources)
     targets = sorted(state.unaligned_targets)
     stats = {"filled": 0, "unaligned_sources": []}
     if sources and targets:
         sims = similarity_matrix(store, sources, targets)
-        order = sorted(
-            ((float(sims[i, j]), -i, -j) for i in range(len(sources)) for j in range(len(targets))),
-            reverse=True,
-        )
+        # row-major flat indices: a stable sort keeps ties in (source, target) order
+        order = np.argsort(-sims, axis=None, kind="stable")
         used_s: set[int] = set()
         used_t: set[int] = set()
-        for sim, neg_i, neg_j in order:
-            i, j = -neg_i, -neg_j
+        for flat in order.tolist():
+            i, j = divmod(flat, len(targets))
             if i in used_s or j in used_t:
                 continue
-            state.align(sources[i], targets[j], REPAIRED, sim)
+            state.align(sources[i], targets[j], REPAIRED, float(sims[i, j]))
             used_s.add(i)
             used_t.add(j)
             stats["filled"] += 1
@@ -917,7 +877,7 @@ def repair(
     flagged: set[int] = set()
     if cfg.enable_relation_repair:
         rel_align = mine_relation_alignment(store, kg1, kg2, cfg.relation_vector_source)
-        rules = mine_not_same_as_rules(kg1, rel_align) + mine_not_same_as_rules(kg2, rel_align)
+        rules = mine_not_same_as_rules(kg1) + mine_not_same_as_rules(kg2)
         if rules:
             for s, t, prov, _ in state.pairs():
                 if prov == SEED:

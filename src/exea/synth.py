@@ -110,7 +110,8 @@ def _build_source_triples(rng: np.random.Generator, cfg: SynthConfig) -> list[tu
 
     def try_add(s: int, r: int, o: int) -> None:
         # one directed triple per (unordered pair, relation): a reciprocal
-        # copy would encode to the identical unsigned path vector
+        # copy would encode to the identical path vector, since a path's
+        # relation part ignores step direction
         key = (min(s, o), max(s, o), r)
         if s == o or key in occupied:
             return

@@ -29,8 +29,8 @@ from exea.kg import Kg, Side
 def make_isomorphic_pair(rng, n=20, n_rel=3, extra=40):
     """Connected random graph and a relabeled copy under a permutation.
 
-    Reciprocal edges (s,r,o)/(o,r,s) are skipped: under the unsigned path
-    encoding they embed identically and would make matching ambiguous.
+    Reciprocal edges (s,r,o)/(o,r,s) are skipped: under the path encoding,
+    which ignores step direction, they embed identically and would make matching ambiguous.
     Returns (kg1, kg2, perm) with kg2 entity perm[i] mirroring kg1 entity i.
     """
     perm = rng.permutation(n)

@@ -26,12 +26,7 @@ from exea.evaluate import (
 )
 from exea.explain import explanation, match_paths, matched_neighbors
 from exea.kg import Side, neighborhood_entities
-from exea.repair import (
-    RelationAlignment,
-    RepairConfig,
-    mine_not_same_as_rules,
-    repair,
-)
+from exea.repair import RepairConfig, mine_not_same_as_rules, repair
 from exea.synth import SynthConfig, generate_pair, write_dataset
 from exea.trainer import TrainConfig
 
@@ -244,7 +239,6 @@ def test_criterion_6_fidelity_beats_random():
 
 def test_criterion_7_rule_miner_matches_brute_force():
     rng = np.random.default_rng(2024)
-    empty = RelationAlignment(pairs=())
     started = time.perf_counter()
     graphs = mismatches = total_rules = 0
     for g in range(10):
@@ -256,8 +250,8 @@ def test_criterion_7_rule_miner_matches_brute_force():
         side = Side.SOURCE if g % 2 == 0 else Side.TARGET
         kg = make_kg(80, sorted(triples), n_rel=6, side=side)
         mined = {(rule.r1.index, rule.r2.index)
-                 for rule in mine_not_same_as_rules(kg, empty)}
-        expected = brute_force_rules(kg, empty)
+                 for rule in mine_not_same_as_rules(kg)}
+        expected = brute_force_rules(kg)
         graphs += 1
         total_rules += len(expected)
         if mined != expected:
@@ -321,8 +315,7 @@ def test_criterion_8_explanation_oracles():
     assert ok, detail
 
 
-def test_criterion_9_byte_identical_reruns(tmp_path, monkeypatch):
-    monkeypatch.setenv("EXEA_WORKERS", "2")
+def test_criterion_9_byte_identical_reruns(tmp_path):
     data = tmp_path / "data"
     emb2 = tmp_path / "emb2.tsv"
     raw = tmp_path / "raw.tsv"
@@ -375,6 +368,6 @@ def test_criterion_9_byte_identical_reruns(tmp_path, monkeypatch):
             unstable.append(name)
     ok = not unstable
     detail = report(9, ok, f"{len(commands) - len(unstable)}/{len(commands)} "
-                           f"subcommands byte-identical on rerun at workers=2"
+                           f"subcommands byte-identical on rerun"
                            + (f"; unstable: {unstable}" if unstable else ""))
     assert ok, detail

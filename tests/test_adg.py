@@ -18,13 +18,13 @@ from exea.adg import (
     confidence,
     edge_weight,
     path_weight,
-    prune_neighbors,
     sigmoid,
 )
 from exea.embedding import EmbeddingStore
 from exea.errors import ConfigError
 from exea.explain import MatchedPathPair, explanation
 from exea.kg import Side, enumerate_paths
+from exea.repair import AlignmentState, PairAnalyzer, RepairConfig
 
 from test_kg import make_kg
 
@@ -260,17 +260,22 @@ class TestBuildAdg:
         assert adg.confidence == pytest.approx(0.5)
 
     def test_prune_neighbors_recomputes_confidence(self, governor_case):
+        # a banned neighbor pair leaves the graph and the confidence is
+        # recomputed without it; repair() bans contradicted pairs this way
         c = governor_case
-        expl = explanation((0, 0), c["kg1"], c["kg2"], c["store"], c["alignments"], h=2)
-        adg = build_adg(expl, c["kg1"], c["kg2"], c["store"])
-        pruned = prune_neighbors(adg, {(1, 1)})
+        state = AlignmentState(c["seeds"], [(0, 0, 1.0)], n_sources=c["kg1"].n_entities,
+                               n_targets=c["kg2"].n_entities)
+        analyzer = PairAnalyzer(c["kg1"], c["kg2"], c["store"], state, RepairConfig(h=2))
+        assert len(analyzer.adg(0, 0).neighbors) == 2
+        analyzer.ban([(1, 1)])
+        pruned = analyzer.adg(0, 0)
         assert len(pruned.neighbors) == 1
         assert len(pruned.edges) == 1
         assert pruned.c_s == pytest.approx(0.937 * 0.757, abs=1e-5)
         assert pruned.confidence == pytest.approx(sigmoid(pruned.c_s))
-        # pruning everything leaves the floor
-        empty = prune_neighbors(adg, {(1, 1), (2, 2)})
-        assert empty.confidence == pytest.approx(0.5)
+        # banning every neighbor leaves the floor
+        analyzer.ban([(2, 2)])
+        assert analyzer.adg(0, 0).confidence == pytest.approx(0.5)
 
     def test_confidence_function_matches_stored_value(self, governor_case):
         c = governor_case

@@ -98,7 +98,6 @@ class TestDefaults:
         assert DEFAULTS["triple_budget"] == repair_cfg.triple_budget
         assert DEFAULTS["candidate_cap"] == repair_cfg.candidate_cap
         assert DEFAULTS["relation_vector_source"] == repair_cfg.relation_vector_source
-        assert DEFAULTS["deep_chaining"] == repair_cfg.deep_chaining
         assert DEFAULTS["alpha"] == adg_cfg.alpha
         assert DEFAULTS["weak_weight"] == adg_cfg.weak_weight
         assert DEFAULTS["theta"] == adg_cfg.theta
@@ -141,7 +140,7 @@ class TestDefaults:
         options = self.subcommand_options("repair")
         for key in ("h", "k", "alpha", "weak_weight", "theta", "gamma", "beta",
                     "score_lambda", "triple_budget", "candidate_cap",
-                    "relation_vector_source", "deep_chaining", "workers"):
+                    "relation_vector_source"):
             assert key in options, key
 
 
@@ -178,23 +177,41 @@ class TestConfigFile:
         assert main(["synth", "--config", str(bad),
                      "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("entry", [
+        {"h": "two"}, {"beta": "x"}, {"thetta": 9}, {"workers": 2},
+        {"deep_chaining": True}, {"h": 2.5}, {"dim": True}, {"theta": None},
+        {"mode": "vibes"}, {"pair": [1]}, {"kg1": 3},
+    ])
+    def test_unknown_key_or_wrong_type_is_config_error(self, tmp_path, capsys, entry):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(entry))
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert repr(next(iter(entry))) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_each_value_type_accepted(self, tmp_path):
+        good = tmp_path / "cfg.json"
+        good.write_text(json.dumps({
+            "beta": None, "h": 1, "density": 2, "theta": 0.6, "mode": "accuracy",
+            "pair": [0, 1], "relation_vector_source": "native", "kg1": "unused",
+        }))
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(good), "--out", str(out),
+                     "--n-entities", "10"]) == 0
+        resolved = json.loads((out / "manifest.json").read_text())["config"]
+        assert resolved["beta"] is None
+        assert resolved["density"] == 2
+        assert resolved["pair"] == [0, 1]
+
 
 class TestWorkers:
-    def test_env_overrides_flag(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EXEA_WORKERS", "4")
-        out = tmp_path / "out"
-        rc = main(["synth", "--out", str(out), "--n-entities", "10",
-                   "--workers", "2"])
-        assert rc == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["workers"] == 4
-
-    def test_bad_env_value_is_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("EXEA_WORKERS", "many")
-        assert main(["synth", "--out", str(tmp_path / "o")]) == 1
-        assert "EXEA_WORKERS" in capsys.readouterr().err
-
     def test_zero_workers_is_config_error(self, tmp_path, capsys):
+        # --workers changed nothing and was removed; naming it is now an
+        # unknown-flag configuration error, whatever the value
         assert main(["synth", "--out", str(tmp_path / "o"),
                      "--workers", "0"]) == 1
 

@@ -7,7 +7,6 @@ import pytest
 from exea.embedding import (
     EmbeddingStore,
     cosine,
-    derive_relation_embedding,
     entity_cosine,
     greedy_align,
     load_embeddings,
@@ -58,12 +57,12 @@ class TestDeriveRelationEmbedding:
     def test_single_triple_translation(self):
         kg = make_kg(2, [(0, 0, 1)])
         st = store_from([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(derive_relation_embedding(st, kg, 0), [1.0, -1.0])
+        np.testing.assert_allclose(st.relation_matrix(kg)[0], [1.0, -1.0])
 
     def test_average_over_triples(self):
         kg = make_kg(4, [(0, 0, 1), (2, 0, 3)])
         st = store_from([[2.0, 0.0], [0.0, 0.0], [0.0, 4.0], [0.0, 0.0]])
-        np.testing.assert_allclose(derive_relation_embedding(st, kg, 0), [1.0, 2.0])
+        np.testing.assert_allclose(st.relation_matrix(kg)[0], [1.0, 2.0])
 
     def test_model_vectors_take_precedence(self):
         kg = make_kg(2, [(0, 0, 1)])
@@ -71,15 +70,23 @@ class TestDeriveRelationEmbedding:
             [[1.0, 0.0], [0.0, 1.0]],
             relation_vecs={Side.SOURCE: [[5.0, 5.0]]},
         )
-        np.testing.assert_allclose(derive_relation_embedding(st, kg, 0), [5.0, 5.0])
+        np.testing.assert_allclose(st.relation_matrix(kg)[0], [5.0, 5.0])
+        np.testing.assert_allclose(st.derived_relation_matrix(kg)[0], [1.0, -1.0])
 
     def test_relation_without_triples(self):
         kg = make_kg(2, [(0, 0, 1)], n_rel=2)
         st = store_from([[1.0, 0.0], [0.0, 1.0]])
-        from exea.errors import UnknownRelation
+        np.testing.assert_array_equal(st.relation_matrix(kg)[1], [0.0, 0.0])
 
-        with pytest.raises(UnknownRelation):
-            derive_relation_embedding(st, kg, 1)
+    def test_each_graph_gets_its_own_matrix(self):
+        # two source-side graphs with one relation each share a store; the
+        # second must not be served the first one's cached matrix
+        st = store_from([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        first = make_kg(3, [(0, 0, 1)], n_rel=1, side=Side.SOURCE)
+        second = make_kg(3, [(2, 0, 0)], n_rel=1, side=Side.SOURCE)
+        np.testing.assert_array_equal(st.relation_matrix(first)[0], [1.0, -1.0])
+        np.testing.assert_array_equal(st.relation_matrix(second)[0], [0.0, 1.0])
+        np.testing.assert_array_equal(st.relation_matrix(first)[0], [1.0, -1.0])
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(3)
@@ -95,7 +102,7 @@ class TestDeriveRelationEmbedding:
                     if rr == r:
                         acc += ents[s] - ents[o]
                 np.testing.assert_allclose(
-                    derive_relation_embedding(st, kg, r), acc / count, atol=1e-12
+                    st.relation_matrix(kg)[r], acc / count, atol=1e-12
                 )
 
 
@@ -108,7 +115,7 @@ class TestPathEmbedding:
     def test_length_one_concatenates_center_and_relation(self):
         st = store_from(self.ents)
         path = enumerate_paths(self.kg, 0, 1)[0]
-        rel = derive_relation_embedding(st, self.kg, 0)
+        rel = st.relation_matrix(self.kg)[0]
         got = path_embedding(st, self.kg, path)
         np.testing.assert_allclose(got, np.concatenate([[1.0, 0.0], rel]))
         assert got.shape == (2 * st.dim,)
@@ -116,8 +123,7 @@ class TestPathEmbedding:
     def test_length_two_excludes_endpoint_entity(self):
         st = store_from(self.ents)
         path = [p for p in enumerate_paths(self.kg, 0, 2) if p.length == 2][0]
-        r0 = derive_relation_embedding(st, self.kg, 0)
-        r1 = derive_relation_embedding(st, self.kg, 1)
+        r0, r1 = st.relation_matrix(self.kg)
         expected = np.concatenate([(self.ents[0] + self.ents[1]) / 2, (r0 + r1) / 2])
         np.testing.assert_allclose(path_embedding(st, self.kg, path), expected, rtol=1e-6)
 
@@ -126,18 +132,6 @@ class TestPathEmbedding:
         path = [p for p in enumerate_paths(self.kg, 0, 2) if p.length == 2][0]
         expected = np.concatenate([(self.ents[0] + self.ents[1]) / 2, [0.0, 0.0]])
         np.testing.assert_allclose(path_embedding(st, self.kg, path), expected, rtol=1e-6)
-
-    def test_signed_variant_negates_incoming(self):
-        st = store_from(self.ents)
-        path = [
-            p for p in enumerate_paths(self.kg, 1, 1) if p.steps[0].direction.value == "in"
-        ][0]  # incoming step from 0 via r0
-        rel = derive_relation_embedding(st, self.kg, 0)
-        unsigned = path_embedding(st, self.kg, path)
-        signed = path_embedding(st, self.kg, path, signed=True)
-        np.testing.assert_allclose(unsigned[2:], rel)
-        np.testing.assert_allclose(signed[2:], -rel)
-        np.testing.assert_allclose(unsigned[:2], signed[:2])
 
 
 class TestCosine:

@@ -111,7 +111,7 @@ def oracle_mutual_best(store, kg1, kg2, pair, neighbor_pair, h):
     return out
 
 
-def reference_match_paths(store, kg1, kg2, pair, neighbor_pair, h, signed=False, stats=None):
+def reference_match_paths(store, kg1, kg2, pair, neighbor_pair, h, stats=None):
     """The per-pair matcher the batched tables replaced, kept as the exact
     reference: unit path embeddings one path at a time, similarities by
     ``float(np.dot(a, b))``, -2.0 for all-zero paths, argmax both ways.
@@ -123,7 +123,7 @@ def reference_match_paths(store, kg1, kg2, pair, neighbor_pair, h, signed=False,
         return []
 
     def unit(kg, path):
-        vec = path_embedding(store, kg, path, signed=signed)
+        vec = path_embedding(store, kg, path)
         norm = float(np.linalg.norm(vec))
         return None if norm == 0.0 else vec / norm
 
@@ -154,8 +154,9 @@ def reference_match_paths(store, kg1, kg2, pair, neighbor_pair, h, signed=False,
 
 def tied_pair(rng, n_ent, n_rel, n_triples, h, integer):
     """Two graphs and a store built to stress the batched core: reciprocal
-    triples (the same relation both ways, so unsigned paths tie exactly) and
-    some all-zero entity and relation rows (all-zero paths). ``integer``
+    triples (the same relation both ways; the path encoding ignores step
+    direction, so such paths tie exactly) and some all-zero entity and
+    relation rows (all-zero paths). ``integer``
     picks small integer vectors, which tie more often; otherwise the vectors
     are wide enough that a sum in another order (a matrix product, an
     einsum) changes last bits."""
@@ -191,25 +192,24 @@ class TestBatchedCoreIsExact:
     per-pair computation bit for bit: keys, order and similarity, with ``==``."""
 
     @pytest.mark.parametrize("h", [1, 2])
-    @pytest.mark.parametrize("signed", [False, True])
-    def test_match_paths_equals_reference(self, h, signed):
-        rng = np.random.default_rng(1000 + 10 * h + signed)
+    def test_match_paths_equals_reference(self, h):
+        rng = np.random.default_rng(1000 + 10 * h)
         compared = 0
         stats = {"ties": 0}
         for trial in range(12):
             kg1, kg2, store = tied_pair(rng, 9, 3, 22, h, integer=trial % 2 == 0)
-            idx1 = PathIndex(kg1, store, h, signed)
-            idx2 = PathIndex(kg2, store, h, signed)
+            idx1 = PathIndex(kg1, store, h)
+            idx2 = PathIndex(kg2, store, h)
             for e1, e2 in ((0, 0), (1, 2), (3, 3)):
                 for n1 in range(9):
                     for n2 in range(9):
                         expected = reference_match_paths(
-                            store, kg1, kg2, (e1, e2), (n1, n2), h, signed, stats
+                            store, kg1, kg2, (e1, e2), (n1, n2), h, stats
                         )
                         got = [
                             (mp.source_path.key(), mp.target_path.key(), mp.similarity)
                             for mp in match_paths((e1, e2), (n1, n2), store, kg1, kg2, h,
-                                                  signed=signed, index1=idx1, index2=idx2)
+                                                  index1=idx1, index2=idx2)
                         ]
                         assert got == expected
                         compared += len(expected)
@@ -217,18 +217,17 @@ class TestBatchedCoreIsExact:
         assert stats["ties"] > 0
 
     @pytest.mark.parametrize("h", [1, 2])
-    @pytest.mark.parametrize("signed", [False, True])
-    def test_explanation_equals_reference_over_all_blocks(self, h, signed):
-        rng = np.random.default_rng(2000 + 10 * h + signed)
+    def test_explanation_equals_reference_over_all_blocks(self, h):
+        rng = np.random.default_rng(2000 + 10 * h)
         for trial in range(12):
             kg1, kg2, store = tied_pair(rng, 10, 3, 25, h, integer=trial % 2 == 0)
             alignments = {int(s): int(rng.integers(0, 10)) for s in range(10)}
             for e in range(0, 10, 3):
-                expl = explanation((e, e), kg1, kg2, store, alignments, h, signed=signed)
+                expl = explanation((e, e), kg1, kg2, store, alignments, h)
                 expected = []
                 for n1, n2 in expl.matched_neighbor_pairs:
                     expected += reference_match_paths(
-                        store, kg1, kg2, (e, e), (n1.index, n2.index), h, signed
+                        store, kg1, kg2, (e, e), (n1.index, n2.index), h
                     )
                 got = [
                     (mp.source_path.key(), mp.target_path.key(), mp.similarity)
@@ -246,13 +245,12 @@ class TestBatchedCoreIsExact:
                 assert {(t.subject.side, t.key()) for t in expl.triples} == triples
 
     @pytest.mark.parametrize("h", [1, 2])
-    @pytest.mark.parametrize("signed", [False, True])
-    def test_table_rows_equal_path_embedding_over_norm(self, h, signed):
-        rng = np.random.default_rng(3000 + 10 * h + signed)
+    def test_table_rows_equal_path_embedding_over_norm(self, h):
+        rng = np.random.default_rng(3000 + 10 * h)
         zero_rows = 0
         for trial in range(6):
             kg, _, store = tied_pair(rng, 9, 3, 22, h, integer=trial % 2 == 0)
-            index = PathIndex(kg, store, h, signed)
+            index = PathIndex(kg, store, h)
             for center in range(9):
                 table = index.table(center)
                 by_key = {p.key(): p for p in enumerate_paths(kg, center, h)}
@@ -262,7 +260,7 @@ class TestBatchedCoreIsExact:
                     path = by_key[tuple(map(tuple, steps))]
                     assert index.path(table, row) == path
                     assert table.weight[row] == path_weight(kg, path)
-                    vec = path_embedding(store, kg, path, signed=signed)
+                    vec = path_embedding(store, kg, path)
                     norm = np.linalg.norm(vec)
                     if norm == 0.0:
                         assert table.zero[row]
@@ -352,8 +350,8 @@ class TestExplanation:
         assert expl.path_pairs == []
 
     def test_isomorphic_pair_recovers_full_one_hop_neighborhood(self):
-        # reciprocal edges (s,r,o)+(o,r,s) are avoided: with unsigned relation
-        # halves their path embeddings tie exactly and mutual-best keeps one
+        # reciprocal edges (s,r,o)+(o,r,s) are avoided: the relation half
+        # ignores step direction, so their path embeddings tie exactly and mutual-best keeps one
         rng = np.random.default_rng(77)
         for _ in range(5):
             triples = []

@@ -1,24 +1,31 @@
 """Conflict detection and repair: relation rules, one-to-many resolution,
 low-confidence resolution, and the full pipeline."""
 
+import functools
 import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exea.adg import AdgConfig, sigmoid
-from exea.embedding import EmbeddingStore, cosine, greedy_align, similarity_topk
+from exea.embedding import (
+    EmbeddingStore,
+    cosine,
+    greedy_align,
+    similarity_matrix,
+    similarity_topk,
+)
 from exea.errors import ConfigError, InvariantViolation, NoRelationVectors
-from exea.kg import Kg, Side, Triple
+from exea.kg import Kg, Side, Triple, neighborhood_entities
 from exea.repair import (
+    REPAIRED,
     AlignmentState,
     PairAnalyzer,
-    RelationAlignment,
-    RelationConflictReport,
     RepairConfig,
-    apply_relation_repair,
     cross_kg_triples,
     detect_relation_conflicts,
     final_fill,
@@ -290,14 +297,12 @@ class TestMineRelationAlignment:
             mine_relation_alignment(store, self.kg_with_rels(1, Side.SOURCE), self.kg_with_rels(1, Side.TARGET), "bert")
 
 
-def brute_force_rules(kg, rel_align):
+def brute_force_rules(kg):
     """Literal scan over all relation pairs and triples."""
     out = set()
     trips = kg.triple_keys
     for r1 in range(kg.n_relations):
         for r2 in range(r1 + 1, kg.n_relations):
-            if rel_align.aligns(kg.relation(r1), kg.relation(r2)):
-                continue
             so1 = {(s, o) for s, r, o in trips if r == r1}
             so2 = {(s, o) for s, r, o in trips if r == r2}
             if not so1 or not so2 or so1 & so2:
@@ -308,33 +313,28 @@ def brute_force_rules(kg, rel_align):
 
 
 class TestMineNotSameAsRules:
-    empty_align = RelationAlignment(pairs=())
-
     def test_presidents_rule_emitted(self):
         kg1, kg2, store, seeds, raw, cfg = presidents_case()
-        ra = mine_relation_alignment(store, kg1, kg2, "native")
-        rules = mine_not_same_as_rules(kg2, ra)
+        rules = mine_not_same_as_rules(kg2)
         assert [(r.r1.label, r.r2.label) for r in rules] == [("predecessor", "successor")]
-        assert mine_not_same_as_rules(kg1, ra) == []
+        assert mine_not_same_as_rules(kg1) == []
 
     def test_disjoint_subject_sets_give_no_rule(self):
         kg = make_kg(4, [(0, 0, 1), (2, 1, 3)])
-        assert mine_not_same_as_rules(kg, self.empty_align) == []
+        assert mine_not_same_as_rules(kg) == []
 
     def test_shared_subject_object_pair_blocks_rule(self):
         kg = make_kg(3, [(0, 0, 1), (0, 1, 1), (0, 1, 2)])
-        assert mine_not_same_as_rules(kg, self.empty_align) == []
+        assert mine_not_same_as_rules(kg) == []
 
     def test_aligned_pair_blocks_rule(self):
         kg = make_kg(3, [(0, 0, 1), (0, 1, 2)], side=Side.SOURCE)
-        rules = mine_not_same_as_rules(kg, self.empty_align)
+        rules = mine_not_same_as_rules(kg)
         assert [(r.r1.index, r.r2.index) for r in rules] == [(0, 1)]
-        crossed = RelationAlignment(pairs=((kg.relation(0), kg.relation(1), 1.0),))
-        assert mine_not_same_as_rules(kg, crossed) == []
 
     def test_rule_refs_are_canonical_and_sided(self):
         kg = make_kg(3, [(0, 1, 1), (0, 0, 2)], side=Side.TARGET)
-        (rule,) = mine_not_same_as_rules(kg, self.empty_align)
+        (rule,) = mine_not_same_as_rules(kg)
         assert rule.side is Side.TARGET
         assert rule.r1.index < rule.r2.index
 
@@ -342,8 +342,8 @@ class TestMineNotSameAsRules:
         rng = np.random.default_rng(42)
         for trial in range(5):
             kg = random_kg(rng, 15, 4, 50)
-            mined = {(r.r1.index, r.r2.index) for r in mine_not_same_as_rules(kg, self.empty_align)}
-            assert mined == brute_force_rules(kg, self.empty_align), f"trial {trial}"
+            mined = {(r.r1.index, r.r2.index) for r in mine_not_same_as_rules(kg)}
+            assert mined == brute_force_rules(kg), f"trial {trial}"
 
 
 class TestCrossKgTriples:
@@ -414,7 +414,7 @@ class TestRelationConflictDetection:
         state = AlignmentState(seeds, raw, n_sources=kg1.n_entities, n_targets=kg2.n_entities)
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
         ra = mine_relation_alignment(store, kg1, kg2, "native")
-        rules = mine_not_same_as_rules(kg1, ra) + mine_not_same_as_rules(kg2, ra)
+        rules = mine_not_same_as_rules(kg1) + mine_not_same_as_rules(kg2)
         found = detect_relation_conflicts(analyzer.adg(1, 1), rules, ra, state, kg1, kg2, cfg)
         assert found.central_flagged
         assert (1, 1) in found.derived_pairs
@@ -428,38 +428,21 @@ class TestRelationConflictDetection:
         adg = analyzer.adg(1, 1)
         found = detect_relation_conflicts(adg, [], ra, state, kg1, kg2, cfg)
         assert found.derived_pairs == []
+        assert found.pruned_neighbor_pairs == []
         assert not found.central_flagged
-        repaired = apply_relation_repair(adg, found, cfg.adg)
-        assert repaired.confidence == pytest.approx(adg.confidence)
-        assert len(repaired.neighbors) == len(adg.neighbors)
 
     def test_pruning_neighbor_recomputes_confidence(self):
         kg1, kg2, store, seeds, raw, cfg = presidents_case()
         state = AlignmentState(seeds, raw, n_sources=kg1.n_entities, n_targets=kg2.n_entities)
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
-        adg = analyzer.adg(1, 1)
-        assert adg.confidence == pytest.approx(sigmoid(1.0))
-        report = RelationConflictReport(
-            derived_pairs=[(0, 0)], pruned_neighbor_pairs=[(0, 0)], central_flagged=True
-        )
-        repaired = apply_relation_repair(adg, report, cfg.adg)
+        assert analyzer.adg(1, 1).confidence == pytest.approx(sigmoid(1.0))
+        # a contradicted neighbor pair is banned: it leaves the graph and the
+        # confidence is recomputed without it
+        analyzer.ban([(0, 0)])
+        repaired = analyzer.adg(1, 1)
         assert repaired.neighbors == []
         assert repaired.edges == []
         assert repaired.confidence == pytest.approx(sigmoid(0.0))
-        assert repaired.central_conflict
-
-    def test_deep_chaining_flag_converges_to_same_facts(self):
-        kg1, kg2, store, seeds, raw, _ = presidents_case()
-        state = AlignmentState(seeds, raw, n_sources=kg1.n_entities, n_targets=kg2.n_entities)
-        shallow_cfg = RepairConfig(relation_vector_source="native")
-        deep_cfg = RepairConfig(relation_vector_source="native", deep_chaining=True)
-        analyzer = PairAnalyzer(kg1, kg2, store, state, shallow_cfg)
-        ra = mine_relation_alignment(store, kg1, kg2, "native")
-        rules = mine_not_same_as_rules(kg2, ra)
-        adg = analyzer.adg(1, 1)
-        shallow = detect_relation_conflicts(adg, rules, ra, state, kg1, kg2, shallow_cfg)
-        deep = detect_relation_conflicts(adg, rules, ra, state, kg1, kg2, deep_cfg)
-        assert shallow.derived_pairs == deep.derived_pairs
 
 
 class TestPairAnalyzer:
@@ -486,6 +469,59 @@ class TestPairAnalyzer:
         analyzer.ban([(0, 0)])
         assert analyzer.neighbor_pairs(1, 1) == []
         assert analyzer.confidence(1, 1) == pytest.approx(sigmoid(0.0))
+
+
+@functools.cache
+def small_synth():
+    res = generate_pair(SynthConfig(n_entities=30, conflict_injection=0.2, rng_seed=5))
+    seed_set = {s for s, _ in res.seeds}
+    raw = greedy_align(res.perturbed_store, [i for i in range(30) if i not in seed_set], range(30))
+    return res, raw
+
+
+ids = st.integers(0, 29)
+mutation = st.one_of(
+    st.tuples(st.just("align"), ids, ids),
+    st.tuples(st.just("unalign"), ids, ids),
+    st.tuples(st.just("ban"), ids, ids),
+    st.tuples(st.just("look"), ids, ids),
+)
+
+
+class TestAnalyzerCacheAgainstColdRebuild:
+    """After any sequence of alignment mutations, bans and lookups, the warm
+    analyzer's matched neighbors and cached confidences equal those of an
+    analyzer built cold on the final state with the same banned pairs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.lists(mutation, max_size=25))
+    def test_warm_equals_cold(self, steps):
+        res, raw = small_synth()
+        cfg = RepairConfig()
+        state = AlignmentState(res.seeds, raw, n_sources=30, n_targets=30)
+        warm = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
+        for op, s, t in steps:
+            if op == "align" and not state.is_seed_source(s) and state.target_of(s) is None:
+                state.align(s, t, REPAIRED)
+            elif op == "unalign" and not state.is_seed_source(s) and state.target_of(s) is not None:
+                state.unalign(s)
+            elif op == "ban":
+                warm.ban([(s, t)])
+            warm.confidence(s, t)
+        cold = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
+        cold.ban(warm.banned_pairs)
+        forward = {s: t for s, t, _, _ in state.pairs()}
+        probes = [(s, t) for s, t, _, _ in state.pairs()] + [(s, t) for _, s, t in steps]
+        for s, t in probes:
+            hood2 = set(neighborhood_entities(res.kg2, t, cfg.h))
+            expected = [
+                (a, forward[a]) for a in neighborhood_entities(res.kg1, s, cfg.h)
+                if forward.get(a) in hood2 and (a, forward[a]) != (s, t)
+                and (a, forward[a]) not in warm.banned_pairs
+            ]
+            assert [(a.index, b.index) for a, b in warm.neighbor_pairs(s, t)] == expected
+            assert warm.confidence(s, t) == cold.confidence(s, t)
+            assert warm.adg(s, t) == cold.adg(s, t)
 
 
 class TestOneToOne:
@@ -688,6 +724,63 @@ class TestFinalFill:
         stats = final_fill(state, store)
         assert stats["filled"] == 0
         assert stats["unaligned_sources"] == []
+
+
+def reference_final_fill(state, store):
+    """The Python-sorted final fill that the single numpy sort replaced, kept
+    as the reference: every (similarity, -i, -j) tuple, sorted descending."""
+    sources = sorted(state.unaligned_sources)
+    targets = sorted(state.unaligned_targets)
+    stats = {"filled": 0, "unaligned_sources": []}
+    if sources and targets:
+        sims = similarity_matrix(store, sources, targets)
+        order = sorted(
+            ((float(sims[i, j]), -i, -j) for i in range(len(sources)) for j in range(len(targets))),
+            reverse=True,
+        )
+        used_s, used_t = set(), set()
+        for sim, neg_i, neg_j in order:
+            i, j = -neg_i, -neg_j
+            if i in used_s or j in used_t:
+                continue
+            state.align(sources[i], targets[j], REPAIRED, sim)
+            used_s.add(i)
+            used_t.add(j)
+            stats["filled"] += 1
+            if len(used_s) == len(sources) or len(used_t) == len(targets):
+                break
+    stats["unaligned_sources"] = sorted(state.unaligned_sources)
+    return stats
+
+
+# small integer vectors, so that many similarities tie exactly
+tie_rows = st.lists(
+    st.lists(st.integers(-1, 1), min_size=2, max_size=2).filter(any), min_size=1, max_size=7
+)
+
+
+class TestFinalFillEqualsTupleSort:
+    @settings(max_examples=200, deadline=None)
+    @given(rows1=tie_rows, rows2=tie_rows, data=st.data())
+    def test_same_pairs_and_stats(self, rows1, rows2, data):
+        n1, n2 = len(rows1), len(rows2)
+        store = EmbeddingStore({Side.SOURCE: np.array(rows1, dtype=float),
+                                Side.TARGET: np.array(rows2, dtype=float)})
+        preds = data.draw(st.lists(
+            st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1), st.just(0.0)),
+            unique_by=(lambda p: p[0], lambda p: p[1]),
+        ))
+        got_state = AlignmentState([], preds, n_sources=n1, n_targets=n2)
+        ref_state = AlignmentState([], preds, n_sources=n1, n_targets=n2)
+        assert final_fill(got_state, store) == reference_final_fill(ref_state, store)
+        assert got_state.pairs() == ref_state.pairs()
+
+    def test_all_tied_fills_in_index_order(self):
+        rows = np.ones((3, 2))
+        store = EmbeddingStore({Side.SOURCE: rows, Side.TARGET: rows[:2]})
+        state = AlignmentState([], [], n_sources=3, n_targets=2)
+        assert final_fill(state, store) == {"filled": 2, "unaligned_sources": [2]}
+        assert [(s, t) for s, t, _, _ in state.pairs()] == [(0, 0), (1, 1)]
 
 
 class TestPresidentsPipeline:
