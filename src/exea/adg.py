@@ -15,6 +15,11 @@ Confidence aggregates weight * influence per class into (c_s, c_m, c_w) and
 gates the weaker classes: Moderate mass counts only when c_s < theta, Weak
 mass only when additionally c_m < gamma. The gated sum is squashed through a
 sigmoid.
+
+``build_adg`` reads edge endpoints, lengths and path weights from the
+explanation's path tables and keeps the edges as integer and float arrays;
+``Adg.edges`` builds the ``AdgEdge`` objects, with their path pairs, only
+when it is read.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .embedding import EmbeddingStore, pair_cosines
 from .errors import ConfigError
@@ -70,16 +77,55 @@ class AdgEdge:
     paths: MatchedPathPair
 
 
-@dataclass
+@dataclass(eq=False)
 class Adg:
+    """One pair's dependency graph.
+
+    Edge ``i`` stays as integers until ``edges`` is read: ``edge_neighbor[i]``
+    is the index of its node in ``neighbors``, ``edge_class[i]`` its class as
+    a position in ``EdgeClass`` (0 Strong, 1 Moderate, 2 Weak) and
+    ``edge_weight[i]`` its weight; its path pair is path pair ``i`` of
+    ``explanation``.
+    """
+
     central: AdgNode
     neighbors: list[AdgNode]
-    edges: list[AdgEdge]
+    edge_neighbor: np.ndarray
+    edge_class: np.ndarray
+    edge_weight: np.ndarray
     c_s: float
     c_m: float
     c_w: float
     confidence: float
+    explanation: Explanation = field(repr=False)
     central_conflict: bool = False
+
+    @property
+    def edges(self) -> list[AdgEdge]:
+        return [
+            AdgEdge(n, _CLASSES[c], w, mp)
+            for n, c, w, mp in zip(
+                self.edge_neighbor.tolist(),
+                self.edge_class.tolist(),
+                self.edge_weight.tolist(),
+                self.explanation.path_pairs,
+            )
+        ]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Adg):
+            return NotImplemented
+        return (
+            self.central == other.central
+            and self.neighbors == other.neighbors
+            and self.edges == other.edges
+            and (self.c_s, self.c_m, self.c_w, self.confidence, self.central_conflict)
+            == (other.c_s, other.c_m, other.c_w, other.confidence, other.central_conflict)
+        )
+
+
+_CLASSES = tuple(EdgeClass)
+STRONG = _CLASSES.index(EdgeClass.STRONG)
 
 
 def sigmoid(x: float) -> float:
@@ -109,28 +155,18 @@ def classify_edge(source_len: int, target_len: int) -> EdgeClass:
     return EdgeClass.WEAK
 
 
-def _classed_weight(
-    source_len: int, target_len: int, source_weight: float, target_weight: float, cfg: AdgConfig
-) -> tuple[EdgeClass, float]:
-    cls = classify_edge(source_len, target_len)
-    if cls is EdgeClass.WEAK:
-        return cls, cfg.weak_weight
-    w = min(source_weight, target_weight)
-    if cls is EdgeClass.MODERATE:
-        w *= cfg.alpha
-    return cls, w
-
-
 def edge_weight(
     kg1: Kg, kg2: Kg, matched: MatchedPathPair, cfg: AdgConfig
 ) -> tuple[EdgeClass, float]:
-    return _classed_weight(
-        matched.source_path.length,
-        matched.target_path.length,
-        path_weight(kg1, matched.source_path),
-        path_weight(kg2, matched.target_path),
-        cfg,
-    )
+    """The class and weight of one path pair's edge; ``build_adg`` computes
+    the same for all edges at once."""
+    cls = classify_edge(matched.source_path.length, matched.target_path.length)
+    if cls is EdgeClass.WEAK:
+        return cls, cfg.weak_weight
+    w = min(path_weight(kg1, matched.source_path), path_weight(kg2, matched.target_path))
+    if cls is EdgeClass.MODERATE:
+        w *= cfg.alpha
+    return cls, w
 
 
 def aggregate_confidence(c_s: float, c_m: float, c_w: float, cfg: AdgConfig) -> float:
@@ -144,13 +180,6 @@ def aggregate_confidence(c_s: float, c_m: float, c_w: float, cfg: AdgConfig) -> 
     return sigmoid(x)
 
 
-def _aggregates(neighbors: list[AdgNode], edges: list[AdgEdge]) -> tuple[float, float, float]:
-    sums = {EdgeClass.STRONG: 0.0, EdgeClass.MODERATE: 0.0, EdgeClass.WEAK: 0.0}
-    for edge in edges:
-        sums[edge.edge_class] += edge.weight * neighbors[edge.neighbor].influence
-    return sums[EdgeClass.STRONG], sums[EdgeClass.MODERATE], sums[EdgeClass.WEAK]
-
-
 def build_adg(
     expl: Explanation,
     kg1: Kg,
@@ -160,7 +189,11 @@ def build_adg(
 ) -> Adg:
     """Assemble the dependency graph for one explanation: one node per matched
     neighbor pair, one edge per matched path pair, aggregates and confidence
-    filled in."""
+    filled in.
+
+    Edge endpoints, lengths and weights are read from the explanation's path
+    tables; the class masses add ``weight * influence`` one edge at a time in
+    edge order, so the sums do not depend on a reduction order."""
     cfg = cfg or AdgConfig()
     e1, e2 = expl.pair
     pairs: list[tuple[EntityRef, EntityRef]] = []
@@ -179,22 +212,37 @@ def build_adg(
     influence = [min(1.0, max(0.0, sim)) for sim in sims]
     central = AdgNode((e1, e2), influence[0], is_central=True)
     neighbors = [AdgNode(p, x) for p, x in zip(pairs, influence[1:])]
-    edges: list[AdgEdge] = []
-    for mp, (w1, w2) in zip(expl.path_pairs, expl.path_weights):
-        key = (mp.source_path.endpoint.index, mp.target_path.endpoint.index)
-        if key not in node_of:
-            raise ValueError(f"path pair endpoints {key} have no matched neighbor node")
-        cls, w = _classed_weight(mp.source_path.length, mp.target_path.length, w1, w2, cfg)
-        edges.append(AdgEdge(node_of[key], cls, w, mp))
-    c_s, c_m, c_w = _aggregates(neighbors, edges)
+    nodes: list[int] = []
+    classes = np.zeros(0, dtype=np.int64)
+    weights = np.zeros(0, dtype=np.float64)
+    if expl.tables is not None:
+        (t1, t2), rows1, rows2 = expl.tables, expl.rows1, expl.rows2
+        len1, len2 = t1.lengths[rows1], t2.lengths[rows2]
+        ends = zip(t1.steps[rows1, len1 - 1, 2].tolist(), t2.steps[rows2, len2 - 1, 2].tolist())
+        for key in ends:
+            if key not in node_of:
+                raise ValueError(f"path pair endpoints {key} have no matched neighbor node")
+            nodes.append(node_of[key])
+        # both paths direct: Strong (0); one: Moderate (1); neither: Weak (2)
+        classes = 2 - (len1 == 1) - (len2 == 1)
+        weights = np.minimum(t1.weight[rows1], t2.weight[rows2])
+        weights[classes == 1] *= cfg.alpha
+        weights[classes == 2] = cfg.weak_weight
+    mass = [0.0, 0.0, 0.0]
+    for n, c, w in zip(nodes, classes.tolist(), weights.tolist()):
+        mass[c] += w * influence[n + 1]
+    c_s, c_m, c_w = mass
     return Adg(
         central=central,
         neighbors=neighbors,
-        edges=edges,
+        edge_neighbor=np.array(nodes, dtype=np.int64),
+        edge_class=classes,
+        edge_weight=weights,
         c_s=c_s,
         c_m=c_m,
         c_w=c_w,
         confidence=aggregate_confidence(c_s, c_m, c_w, cfg),
+        explanation=expl,
     )
 
 

@@ -20,7 +20,9 @@ take for one vector, so every value equals the per-pair computation bit for
 bit, where a matrix product or einsum may sum in another order.
 ``TestBatchedCoreIsExact`` in ``tests/test_explain.py`` keeps the per-pair
 matcher as the reference and checks equality with ``==``. ``RelationPath``
-objects are built only for matched paths, and an explanation keeps its
+objects are built only for matched paths, and only when
+``Explanation.path_pairs`` is read: an explanation keeps its matches as rows
+of the two path tables (which ``adg.build_adg`` reads directly) and its
 triples as integer keys; ``Explanation.triples`` builds the ``Triple``
 objects when it is read.
 """
@@ -54,33 +56,6 @@ class MatchedPathPair:
     source_path: RelationPath
     target_path: RelationPath
     similarity: float
-
-
-@dataclass
-class Explanation:
-    """The matched subgraph of one pair.
-
-    ``path_weights`` holds the functionality weight of each matched pair's
-    source and target path. ``triple_keys`` holds the selected triples as
-    (side, subject, relation, object) integers, side 0 for ``kgs[0]`` (the
-    source graph) and 1 for ``kgs[1]``.
-    """
-
-    pair: tuple[EntityRef, EntityRef]
-    matched_neighbor_pairs: list[tuple[EntityRef, EntityRef]]
-    path_pairs: list[MatchedPathPair]
-    path_weights: list[tuple[float, float]]
-    triple_keys: frozenset[tuple[int, int, int, int]]
-    kgs: tuple[Kg, Kg] = field(repr=False, compare=False)
-
-    @property
-    def no_match(self) -> bool:
-        """True when no triple was selected at all."""
-        return not self.triple_keys
-
-    @property
-    def triples(self) -> set[Triple]:
-        return {self.kgs[side].triple(s, r, o) for side, s, r, o in self.triple_keys}
 
 
 @dataclass(eq=False)
@@ -212,6 +187,69 @@ class PathIndex:
         return got
 
 
+@dataclass(eq=False)
+class Explanation:
+    """The matched subgraph of one pair.
+
+    The matched paths stay as rows of the two centers' path tables:
+    ``rows1[i]`` of ``tables[0]`` matched ``rows2[i]`` of ``tables[1]`` with
+    cosine ``sims[i]``. ``tables`` is None when there is no matched neighbor
+    pair. ``path_pairs`` and ``path_weights`` are built from the rows when they
+    are read. ``triple_keys`` holds the selected triples as (side, subject,
+    relation, object) integers, side 0 for the source graph and 1 for the
+    target graph.
+    """
+
+    pair: tuple[EntityRef, EntityRef]
+    matched_neighbor_pairs: list[tuple[EntityRef, EntityRef]]
+    indexes: tuple[PathIndex, PathIndex] = field(repr=False)
+    tables: tuple[PathTable, PathTable] | None = field(repr=False)
+    rows1: np.ndarray
+    rows2: np.ndarray
+    sims: np.ndarray
+    triple_keys: frozenset[tuple[int, int, int, int]]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Explanation):
+            return NotImplemented
+        return (
+            self.pair == other.pair
+            and self.matched_neighbor_pairs == other.matched_neighbor_pairs
+            and self.path_pairs == other.path_pairs
+            and self.path_weights == other.path_weights
+            and self.triple_keys == other.triple_keys
+        )
+
+    @property
+    def no_match(self) -> bool:
+        """True when no triple was selected at all."""
+        return not self.triple_keys
+
+    @property
+    def path_pairs(self) -> list[MatchedPathPair]:
+        if self.tables is None:
+            return []
+        (index1, index2), (t1, t2) = self.indexes, self.tables
+        return [
+            MatchedPathPair(index1.path(t1, i), index2.path(t2, j), sim)
+            for i, j, sim in zip(self.rows1.tolist(), self.rows2.tolist(), self.sims.tolist())
+        ]
+
+    @property
+    def path_weights(self) -> list[tuple[float, float]]:
+        """The functionality weights of each matched pair's source and target
+        path."""
+        if self.tables is None:
+            return []
+        t1, t2 = self.tables
+        return list(zip(t1.weight[self.rows1].tolist(), t2.weight[self.rows2].tolist()))
+
+    @property
+    def triples(self) -> set[Triple]:
+        kgs = (self.indexes[0].kg, self.indexes[1].kg)
+        return {kgs[side].triple(s, r, o) for side, s, r, o in self.triple_keys}
+
+
 def _triple_keys(table: PathTable, rows: np.ndarray, side: int) -> np.ndarray:
     """The triples that the paths in ``rows`` traverse, one (side, s, r, o)
     line each."""
@@ -223,7 +261,7 @@ def _triple_keys(table: PathTable, rows: np.ndarray, side: int) -> np.ndarray:
 def _first_per_group(order: np.ndarray, group: np.ndarray) -> np.ndarray:
     """The first entry of ``order`` for each run of equal ``group[order]``."""
     g = group[order]
-    return order[np.flatnonzero(np.r_[True, g[1:] != g[:-1]])]
+    return order[np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))]
 
 
 def _mutual_best(
@@ -283,7 +321,6 @@ def matched_neighbors(
     centers, excluding the central pair itself; sorted by source index."""
     e1, e2 = int(pair[0]), int(pair[1])
     return matched_neighbor_pairs(
-        (e1, e2),
         kg1,
         kg2,
         _as_alignment_map(alignments).get,
@@ -293,7 +330,6 @@ def matched_neighbors(
 
 
 def matched_neighbor_pairs(
-    pair: tuple[int, int],
     kg1: Kg,
     kg2: Kg,
     target_of: Callable[[int], int | None],
@@ -301,15 +337,15 @@ def matched_neighbor_pairs(
     hood2: Container[int],
 ) -> list[tuple[EntityRef, EntityRef]]:
     """The matched-neighbor rule over given neighborhoods: each ``n1`` of
-    ``hood1`` whose aligned target ``target_of(n1)`` lies in ``hood2``,
-    excluding the central pair, sorted by source index. ``matched_neighbors``
-    computes the neighborhoods; ``PairAnalyzer`` passes its cached ones and
-    the live alignment."""
-    e1, e2 = pair
+    ``hood1`` whose aligned target ``target_of(n1)`` lies in ``hood2``, sorted
+    by source index. A neighborhood never holds its own center, so the
+    central pair is never among them. ``matched_neighbors`` computes the
+    neighborhoods; ``PairAnalyzer`` passes its cached ones and the live
+    alignment."""
     hits = []
     for n1 in hood1:
         t = target_of(n1)
-        if t is not None and t in hood2 and (n1, t) != (e1, e2):
+        if t is not None and t in hood2:
             hits.append((n1, t))
     hits.sort()
     return [(kg1.entity(n1), kg2.entity(t)) for n1, t in hits]
@@ -385,25 +421,23 @@ def explanation(
         neighbor_pairs = matched_neighbors((e1, e2), kg1, kg2, alignments, h)
     else:
         neighbor_pairs = list(neighbor_pairs)
-    path_pairs: list[MatchedPathPair] = []
-    path_weights: list[tuple[float, float]] = []
+    tables = None
+    rows1 = rows2 = np.zeros(0, dtype=np.int64)
+    sims = np.zeros(0, dtype=np.float64)
     triple_keys: set[tuple[int, int, int, int]] = set()
     if neighbor_pairs:
-        t1 = index1.table(e1)
-        t2 = index2.table(e2)
+        tables = (index1.table(e1), index2.table(e2))
+        t1, t2 = tables
         rows1, rows2, sims = _mutual_best(t1, t2, [(a.index, b.index) for a, b in neighbor_pairs])
-        path_pairs = [
-            MatchedPathPair(index1.path(t1, i), index2.path(t2, j), sim)
-            for i, j, sim in zip(rows1.tolist(), rows2.tolist(), sims.tolist())
-        ]
-        path_weights = list(zip(t1.weight[rows1].tolist(), t2.weight[rows2].tolist()))
         both = np.concatenate([_triple_keys(t1, rows1, 0), _triple_keys(t2, rows2, 1)])
         triple_keys = set(map(tuple, both.tolist()))
     return Explanation(
         pair=(kg1.entity(e1), kg2.entity(e2)),
         matched_neighbor_pairs=neighbor_pairs,
-        path_pairs=path_pairs,
-        path_weights=path_weights,
+        indexes=(index1, index2),
+        tables=tables,
+        rows1=rows1,
+        rows2=rows2,
+        sims=sims,
         triple_keys=frozenset(triple_keys),
-        kgs=(kg1, kg2),
     )

@@ -13,26 +13,34 @@ cosine. A final greedy pass fills any leftovers from the unclaimed targets.
 
 Seed pairs are immutable throughout; every loop carries the source-count guard
 that forces termination.
+
+The relation-conflict stage runs on integers: a cross-graph triple is six
+ints, a (side, index) pair for each of its subject, relation and object, side
+0 for the source graph and 1 for the target graph. The counterpart maps
+(``Counterparts``) are built once per stage, which reads the alignment and
+never changes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice, product
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .adg import Adg, AdgConfig, EdgeClass, build_adg, sigmoid
+from .adg import STRONG, Adg, AdgConfig, build_adg, sigmoid
 from .embedding import (
     EmbeddingStore,
     SimilarityTopK,
     entity_cosine,
+    pair_cosines,
     similarity_matrix,
     similarity_topk,
 )
 from .errors import ConfigError, InvariantViolation, NoRelationVectors
 from .explain import Explanation, PathIndex, explanation, matched_neighbor_pairs
-from .kg import EntityRef, Kg, RelationRef, Side, Triple, neighborhood_entities
+from .kg import EntityRef, Kg, RelationRef, Side, neighborhood_entities
 
 RELATION_VECTOR_SOURCES = ("derived", "native", "name")
 
@@ -83,18 +91,6 @@ class RelationAlignment:
     """Mutual-nearest-neighbor relation pairs between the two sides."""
 
     pairs: tuple[tuple[RelationRef, RelationRef, float], ...]
-
-    def target_of(self, source_index: int) -> int | None:
-        for a, b, _ in self.pairs:
-            if a.index == source_index:
-                return b.index
-        return None
-
-    def source_of(self, target_index: int) -> int | None:
-        for a, b, _ in self.pairs:
-            if b.index == target_index:
-                return a.index
-        return None
 
 
 @dataclass(frozen=True)
@@ -310,7 +306,7 @@ class PairAnalyzer:
 
     def neighbor_pairs(self, s: int, t: int) -> list[tuple[EntityRef, EntityRef]]:
         pairs = matched_neighbor_pairs(
-            (s, t), self.kg1, self.kg2, self.state.target_of, self.hood1(s), self.hood2(t)
+            self.kg1, self.kg2, self.state.target_of, self.hood1(s), self.hood2(t)
         )
         if self.banned_pairs:
             pairs = [p for p in pairs if (p[0].index, p[1].index) not in self.banned_pairs]
@@ -434,46 +430,73 @@ def mine_not_same_as_rules(kg: Kg) -> list[NotSameAsRule]:
     return rules
 
 
-def _strong_edge_entities(adg: Adg) -> list[tuple[EntityRef, EntityRef]]:
-    pairs = []
-    strong_nodes = {e.neighbor for e in adg.edges if e.edge_class is EdgeClass.STRONG}
-    if strong_nodes:
-        pairs.append(adg.central.pair)
-        pairs.extend(adg.neighbors[i].pair for i in sorted(strong_nodes))
-    return pairs
+@dataclass(frozen=True)
+class Counterparts:
+    """What each side's entities and relations stand for on the other side,
+    indexed by side (0 source, 1 target). Entities follow the alignment, a
+    target taking the first (lowest) source that claims it; relations follow
+    the mined relation alignment."""
+
+    entities: tuple[dict[int, int], dict[int, int]]
+    relations: tuple[dict[int, int], dict[int, int]]
+
+    @classmethod
+    def of(cls, state: AlignmentState, rel_align: RelationAlignment) -> Counterparts:
+        fwd: dict[int, int] = {}
+        rev: dict[int, int] = {}
+        for s, t, _, _ in state.pairs():
+            fwd[s] = t
+            rev.setdefault(t, s)
+        rel_fwd: dict[int, int] = {}
+        rel_rev: dict[int, int] = {}
+        for a, b, _ in rel_align.pairs:
+            rel_fwd.setdefault(a.index, b.index)
+            rel_rev.setdefault(b.index, a.index)
+        return cls((fwd, rev), (rel_fwd, rel_rev))
+
+
+# a cross-graph triple: (subject side, s, relation side, r, object side, o),
+# side 0 for the source graph and 1 for the target graph
+CrossTriple = tuple[int, int, int, int, int, int]
+
+
+def _strong_edge_entities(adg: Adg) -> list[tuple[int, int]]:
+    """The central pair and, in node order, each neighbor pair on a Strong
+    edge; nothing when there is no Strong edge."""
+    strong = np.unique(adg.edge_neighbor[adg.edge_class == STRONG])
+    if not strong.size:
+        return []
+    nodes = [adg.central] + [adg.neighbors[i] for i in strong.tolist()]
+    return [(a.index, b.index) for a, b in (node.pair for node in nodes)]
 
 
 def cross_kg_triples(
     adg: Adg,
-    state: AlignmentState,
-    rel_align: RelationAlignment,
+    counterparts: Counterparts,
     kg1: Kg,
     kg2: Kg,
     budget: int = 200,
-) -> list[Triple]:
+) -> list[CrossTriple]:
     """Swapped variants of the 1-hop triples of every entity on a Strong edge.
 
-    Each aligned element (subject, object via the current alignment; relation
-    via ``rel_align``) may be substituted by its counterpart; all non-empty
-    substitution combinations are emitted. At most ``budget`` base triples are
-    consulted, in node order, sides interleaved, triples sorted.
+    Each aligned element (subject and object through the alignment, relation
+    through the relation alignment) may be replaced by its counterpart; all
+    non-empty substitution combinations are emitted, distinct and sorted. At
+    most ``budget`` base triples are consulted, in node order, sides
+    interleaved, triples sorted.
     """
     entity_pairs = _strong_edge_entities(adg)
     if not entity_pairs or budget == 0:
         return []
-    fwd = {}
-    rev = {}
-    for s, t, _, _ in state.pairs():
-        fwd[s] = t
-        rev.setdefault(t, s)
-
-    consulted: list[tuple[Side, tuple[int, int, int]]] = []
-    seen_base: set[tuple[Side, tuple[int, int, int]]] = set()
-    for e1, e2 in entity_pairs:
-        for side, kg, ent in ((Side.SOURCE, kg1, e1), (Side.TARGET, kg2, e2)):
+    kgs = (kg1, kg2)
+    consulted: list[tuple[int, tuple[int, int, int]]] = []
+    seen_base: set[tuple[int, tuple[int, int, int]]] = set()
+    for pair in entity_pairs:
+        for side in (0, 1):
+            kg, e = kgs[side], pair[side]
             one_hop = sorted(
-                [(ent.index, r, o) for r, o in kg.out_index.get(ent.index, ())]
-                + [(s, r, ent.index) for r, s in kg.in_index.get(ent.index, ())]
+                [(e, r, o) for r, o in kg.out_index.get(e, ())]
+                + [(s, r, e) for r, s in kg.in_index.get(e, ())]
             )
             for key in one_hop:
                 tagged = (side, key)
@@ -488,44 +511,16 @@ def cross_kg_triples(
         if len(consulted) >= budget:
             break
 
-    out: set[Triple] = set()
+    out: set[CrossTriple] = set()
     for side, (s, r, o) in consulted:
-        if side is Side.SOURCE:
-            subj, rel, obj = kg1.entity(s), kg1.relation(r), kg1.entity(o)
-            subj_alt = kg2.entity(fwd[s]) if s in fwd else None
-            obj_alt = kg2.entity(fwd[o]) if o in fwd else None
-            r_alt = rel_align.target_of(r)
-            rel_alt = kg2.relation(r_alt) if r_alt is not None else None
-        else:
-            subj, rel, obj = kg2.entity(s), kg2.relation(r), kg2.entity(o)
-            subj_alt = kg1.entity(rev[s]) if s in rev else None
-            obj_alt = kg1.entity(rev[o]) if o in rev else None
-            r_alt = rel_align.source_of(r)
-            rel_alt = kg1.relation(r_alt) if r_alt is not None else None
-        for use_s in (False, True):
-            for use_r in (False, True):
-                for use_o in (False, True):
-                    if not (use_s or use_r or use_o):
-                        continue
-                    if (use_s and subj_alt is None) or (use_r and rel_alt is None) or (
-                        use_o and obj_alt is None
-                    ):
-                        continue
-                    out.add(
-                        Triple(
-                            subj_alt if use_s else subj,
-                            rel_alt if use_r else rel,
-                            obj_alt if use_o else obj,
-                        )
-                    )
-    return sorted(
-        out,
-        key=lambda t: (
-            t.subject.side.value, t.subject.index,
-            t.relation.side.value, t.relation.index,
-            t.object.side.value, t.object.index,
-        ),
-    )
+        ents, rels = counterparts.entities[side], counterparts.relations[side]
+        options = []
+        for key, alt in ((s, ents.get(s)), (r, rels.get(r)), (o, ents.get(o))):
+            options.append([(side, key)] if alt is None else [(side, key), (1 - side, alt)])
+        # the first combination is the base triple itself; it is skipped here
+        # and not removed afterwards, since another base's swap may yield it
+        out.update(a + b + c for a, b, c in islice(product(*options), 1, None))
+    return sorted(out)
 
 
 @dataclass
@@ -538,7 +533,7 @@ class RelationConflictReport:
 
 def _chain_rules(
     rules: Sequence[NotSameAsRule],
-    cross: Sequence[Triple],
+    cross: Sequence[CrossTriple],
     kg1: Kg,
     kg2: Kg,
 ) -> set[tuple[int, int]]:
@@ -548,50 +543,47 @@ def _chain_rules(
     fact about a (source, target) pair, so subjects are drawn from the cross
     triples and their original out-edges join in. One round reaches the
     fixpoint: derived not-same-as facts never match a rule body, whose
-    relations are graph relations.
+    relations are graph relations. Entities and relations are (side, index)
+    pairs throughout.
     """
-    by_subject: dict[EntityRef, dict[RelationRef, set[EntityRef]]] = {}
-
-    def add(subj: EntityRef, rel: RelationRef, obj: EntityRef) -> None:
-        by_subject.setdefault(subj, {}).setdefault(rel, set()).add(obj)
-
-    for t in cross:
-        add(t.subject, t.relation, t.object)
-    kgs = {Side.SOURCE: kg1, Side.TARGET: kg2}
-    for subj in list(by_subject):
-        kg = kgs[subj.side]
-        if subj.index < kg.n_entities and kg.entity(subj.index) == subj:
-            for r, o in kg.out_index.get(subj.index, ()):
-                add(subj, kg.relation(r), kg.entity(o))
+    # relation -> subject -> objects
+    index: dict[tuple[int, int], dict[tuple[int, int], set[tuple[int, int]]]] = {}
+    subjects: set[tuple[int, int]] = set()
+    for ss, s, rs, r, os_, o in cross:
+        index.setdefault((rs, r), {}).setdefault((ss, s), set()).add((os_, o))
+        subjects.add((ss, s))
+    kgs = (kg1, kg2)
+    for side, s in subjects:
+        for r, o in kgs[side].out_index.get(s, ()):
+            index.setdefault((side, r), {}).setdefault((side, s), set()).add((side, o))
 
     derived: set[tuple[int, int]] = set()
     for rule in rules:
-        for rel_map in by_subject.values():
-            objs1 = rel_map.get(rule.r1)
-            objs2 = rel_map.get(rule.r2)
-            if not objs1 or not objs2:
-                continue
-            for a in objs1:
-                for b in objs2:
-                    if a == b or a.side == b.side:
-                        continue
-                    pair = (a, b) if a.side is Side.SOURCE else (b, a)
-                    derived.add((pair[0].index, pair[1].index))
+        side = 0 if rule.side is Side.SOURCE else 1
+        by1 = index.get((side, rule.r1.index))
+        by2 = index.get((side, rule.r2.index))
+        if not by1 or not by2:
+            continue
+        for subj in by1.keys() & by2.keys():
+            objs2 = by2[subj]
+            for a_side, a in by1[subj]:
+                for b_side, b in objs2:
+                    if a_side != b_side:
+                        derived.add((a, b) if a_side == 0 else (b, a))
     return derived
 
 
 def detect_relation_conflicts(
     adg: Adg,
     rules: Sequence[NotSameAsRule],
-    rel_align: RelationAlignment,
-    state: AlignmentState,
+    counterparts: Counterparts,
     kg1: Kg,
     kg2: Kg,
     cfg: RepairConfig,
 ) -> RelationConflictReport:
     """Chain the rules over this graph's cross triples and report which node
     pairs are contradicted."""
-    cross = cross_kg_triples(adg, state, rel_align, kg1, kg2, cfg.triple_budget)
+    cross = cross_kg_triples(adg, counterparts, kg1, kg2, cfg.triple_budget)
     derived = _chain_rules(rules, cross, kg1, kg2)
     node_pairs = {
         (n.pair[0].index, n.pair[1].index) for n in adg.neighbors
@@ -693,8 +685,10 @@ def _candidate_targets(
         raw.discard(own)
     if not raw:
         return []
-    ranked = sorted(raw, key=lambda t: (-analyzer.similarity(e1, t), t))[:cap]
-    return [t for t in ranked if analyzer.confidence(e1, t) >= beta]
+    targets = sorted(raw)
+    sims = pair_cosines(analyzer.store, Side.SOURCE, [e1] * len(targets), Side.TARGET, targets)
+    ranked = sorted(zip(targets, sims.tolist()), key=lambda ts: (-ts[1], ts[0]))[:cap]
+    return [t for t, _ in ranked if analyzer.confidence(e1, t) >= beta]
 
 
 def resolve_low_confidence(
@@ -879,11 +873,13 @@ def repair(
         rel_align = mine_relation_alignment(store, kg1, kg2, cfg.relation_vector_source)
         rules = mine_not_same_as_rules(kg1) + mine_not_same_as_rules(kg2)
         if rules:
+            # the stage reads the alignment and never changes it
+            counterparts = Counterparts.of(state, rel_align)
             for s, t, prov, _ in state.pairs():
                 if prov == SEED:
                     continue
                 found = detect_relation_conflicts(
-                    analyzer.adg(s, t), rules, rel_align, state, kg1, kg2, cfg
+                    analyzer.adg(s, t), rules, counterparts, kg1, kg2, cfg
                 )
                 derived_all.update(found.derived_pairs)
                 pruned_all.update(found.pruned_neighbor_pairs)

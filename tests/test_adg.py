@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from exea.adg import (
     Adg,
     AdgConfig,
+    AdgEdge,
     AdgNode,
     EdgeClass,
     aggregate_confidence,
@@ -20,11 +21,12 @@ from exea.adg import (
     path_weight,
     sigmoid,
 )
-from exea.embedding import EmbeddingStore
+from exea.embedding import EmbeddingStore, greedy_align, pair_cosines
 from exea.errors import ConfigError
 from exea.explain import MatchedPathPair, explanation
 from exea.kg import Side, enumerate_paths
 from exea.repair import AlignmentState, PairAnalyzer, RepairConfig
+from exea.synth import SynthConfig, generate_pair
 
 from test_kg import make_kg
 
@@ -282,3 +284,69 @@ class TestBuildAdg:
         expl = explanation((0, 0), c["kg1"], c["kg2"], c["store"], c["alignments"], h=2)
         adg = build_adg(expl, c["kg1"], c["kg2"], c["store"])
         assert confidence(adg) == pytest.approx(adg.confidence)
+
+
+def reference_build_adg(expl, kg1, kg2, store, cfg=None):
+    """The object-level build: one ``MatchedPathPair`` at a time for edge
+    endpoints, lengths and classes; returns the edges and class masses."""
+    cfg = cfg or AdgConfig()
+    e1, e2 = expl.pair
+    pairs = []
+    node_of = {}
+    for n1, n2 in expl.matched_neighbor_pairs:
+        key = (n1.index, n2.index)
+        if key not in node_of:
+            node_of[key] = len(pairs)
+            pairs.append((n1, n2))
+    sims = pair_cosines(
+        store,
+        e1.side, [e1.index] + [a.index for a, _ in pairs],
+        e2.side, [e2.index] + [b.index for _, b in pairs],
+    ).tolist()
+    influence = [min(1.0, max(0.0, sim)) for sim in sims]
+    neighbors = [AdgNode(p, x) for p, x in zip(pairs, influence[1:])]
+    edges = []
+    for mp, (w1, w2) in zip(expl.path_pairs, expl.path_weights):
+        key = (mp.source_path.endpoint.index, mp.target_path.endpoint.index)
+        cls = classify_edge(mp.source_path.length, mp.target_path.length)
+        if cls is EdgeClass.WEAK:
+            w = cfg.weak_weight
+        else:
+            w = min(w1, w2)
+            if cls is EdgeClass.MODERATE:
+                w *= cfg.alpha
+        edges.append(AdgEdge(node_of[key], cls, w, mp))
+    sums = {EdgeClass.STRONG: 0.0, EdgeClass.MODERATE: 0.0, EdgeClass.WEAK: 0.0}
+    for edge in edges:
+        sums[edge.edge_class] += edge.weight * neighbors[edge.neighbor].influence
+    c_s, c_m, c_w = sums[EdgeClass.STRONG], sums[EdgeClass.MODERATE], sums[EdgeClass.WEAK]
+    return edges, c_s, c_m, c_w, aggregate_confidence(c_s, c_m, c_w, cfg)
+
+
+class TestAdgFromTablesIsExact:
+    """``build_adg`` reads edges from the path tables and equals the
+    object-level build exactly (``==``, no tolerance) on every final pair of
+    synth fixtures, under two ADG configurations."""
+
+    @pytest.mark.parametrize("density", [3, 8])
+    def test_equals_reference(self, density):
+        res = generate_pair(
+            SynthConfig(n_entities=200, density=density, conflict_injection=0.2, rng_seed=2)
+        )
+        seed_set = {s for s, _ in res.seeds}
+        raw = greedy_align(res.perturbed_store, [i for i in range(200) if i not in seed_set],
+                           range(200))
+        state = AlignmentState(res.seeds, raw, n_sources=200, n_targets=200)
+        analyzer = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, RepairConfig())
+        seen = set()
+        for s, t, _, _ in state.pairs():
+            expl = analyzer.explanation(s, t)
+            for cfg in (AdgConfig(), AdgConfig(alpha=0.3, weak_weight=0.2, theta=2.0, gamma=2.0)):
+                adg = build_adg(expl, res.kg1, res.kg2, res.perturbed_store, cfg)
+                edges, c_s, c_m, c_w, conf = reference_build_adg(
+                    expl, res.kg1, res.kg2, res.perturbed_store, cfg
+                )
+                assert adg.edges == edges
+                assert (adg.c_s, adg.c_m, adg.c_w, adg.confidence) == (c_s, c_m, c_w, conf)
+                seen.update(e.edge_class for e in edges)
+        assert seen == set(EdgeClass)

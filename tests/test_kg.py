@@ -16,6 +16,7 @@ from exea.kg import (
     neighborhood_entities,
     neighborhood_triples,
 )
+from exea.synth import SynthConfig, generate_pair
 
 
 def make_kg(n_ent, triples, n_rel=None, side=Side.SOURCE):
@@ -190,6 +191,15 @@ class TestNeighborhoods:
         kg = make_kg(4, [(0, 0, 1), (1, 0, 2), (2, 0, 3)])
         assert neighborhood_entities(kg, 0, 1) == [1]
         assert neighborhood_entities(kg, 0, 2) == [1, 2]
+
+    @pytest.mark.parametrize("density", [3, 8])
+    def test_neighbor_entities_never_hold_center_on_synth_fixtures(self, density):
+        # the matched-neighbor rule relies on this to leave out the central pair
+        res = generate_pair(SynthConfig(n_entities=200, density=density, rng_seed=4))
+        for kg in (res.kg1, res.kg2, make_kg(3, [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 2)])):
+            for e in range(kg.n_entities):
+                for h in (1, 2):
+                    assert e not in neighborhood_entities(kg, e, h)
 
     def test_hop_bound_validated(self):
         kg = make_kg(2, [(0, 0, 1)])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exea.adg import AdgConfig, sigmoid
+from exea.adg import AdgConfig, EdgeClass, sigmoid
 from exea.embedding import (
     EmbeddingStore,
     cosine,
@@ -23,9 +23,12 @@ from exea.errors import ConfigError, InvariantViolation, NoRelationVectors
 from exea.kg import Kg, Side, Triple, neighborhood_entities
 from exea.repair import (
     REPAIRED,
+    SEED,
     AlignmentState,
+    Counterparts,
     PairAnalyzer,
     RepairConfig,
+    _chain_rules,
     cross_kg_triples,
     detect_relation_conflicts,
     final_fill,
@@ -346,13 +349,140 @@ class TestMineNotSameAsRules:
             assert mined == brute_force_rules(kg), f"trial {trial}"
 
 
+def reference_strong_edge_entities(adg):
+    pairs = []
+    strong_nodes = {e.neighbor for e in adg.edges if e.edge_class is EdgeClass.STRONG}
+    if strong_nodes:
+        pairs.append(adg.central.pair)
+        pairs.extend(adg.neighbors[i].pair for i in sorted(strong_nodes))
+    return pairs
+
+
+def reference_cross_kg_triples(adg, state, rel_align, kg1, kg2, budget=200):
+    """The object-level swap enumeration: ``Triple`` values, relation
+    counterparts found by scanning ``rel_align`` for every base triple."""
+
+    def rel_target_of(r):
+        for a, b, _ in rel_align.pairs:
+            if a.index == r:
+                return b.index
+        return None
+
+    def rel_source_of(r):
+        for a, b, _ in rel_align.pairs:
+            if b.index == r:
+                return a.index
+        return None
+
+    entity_pairs = reference_strong_edge_entities(adg)
+    if not entity_pairs or budget == 0:
+        return []
+    fwd = {}
+    rev = {}
+    for s, t, _, _ in state.pairs():
+        fwd[s] = t
+        rev.setdefault(t, s)
+    consulted = []
+    seen_base = set()
+    for e1, e2 in entity_pairs:
+        for side, kg, ent in ((Side.SOURCE, kg1, e1), (Side.TARGET, kg2, e2)):
+            one_hop = sorted(
+                [(ent.index, r, o) for r, o in kg.out_index.get(ent.index, ())]
+                + [(s, r, ent.index) for r, s in kg.in_index.get(ent.index, ())]
+            )
+            for key in one_hop:
+                tagged = (side, key)
+                if tagged in seen_base:
+                    continue
+                seen_base.add(tagged)
+                consulted.append(tagged)
+                if len(consulted) >= budget:
+                    break
+            if len(consulted) >= budget:
+                break
+        if len(consulted) >= budget:
+            break
+    out = set()
+    for side, (s, r, o) in consulted:
+        if side is Side.SOURCE:
+            subj, rel, obj = kg1.entity(s), kg1.relation(r), kg1.entity(o)
+            subj_alt = kg2.entity(fwd[s]) if s in fwd else None
+            obj_alt = kg2.entity(fwd[o]) if o in fwd else None
+            r_alt = rel_target_of(r)
+            rel_alt = kg2.relation(r_alt) if r_alt is not None else None
+        else:
+            subj, rel, obj = kg2.entity(s), kg2.relation(r), kg2.entity(o)
+            subj_alt = kg1.entity(rev[s]) if s in rev else None
+            obj_alt = kg1.entity(rev[o]) if o in rev else None
+            r_alt = rel_source_of(r)
+            rel_alt = kg1.relation(r_alt) if r_alt is not None else None
+        for use_s, use_r, use_o in itertools.product((False, True), repeat=3):
+            if not (use_s or use_r or use_o):
+                continue
+            if (use_s and subj_alt is None) or (use_r and rel_alt is None) or (
+                use_o and obj_alt is None
+            ):
+                continue
+            out.add(Triple(subj_alt if use_s else subj, rel_alt if use_r else rel,
+                           obj_alt if use_o else obj))
+    return sorted(out, key=cross_key)
+
+
+def reference_chain_rules(rules, cross, kg1, kg2):
+    """Object-level rule chaining: every rule against every subject's
+    relation map, with ``EntityRef``/``RelationRef`` keys."""
+    by_subject = {}
+
+    def add(subj, rel, obj):
+        by_subject.setdefault(subj, {}).setdefault(rel, set()).add(obj)
+
+    for t in cross:
+        add(t.subject, t.relation, t.object)
+    kgs = {Side.SOURCE: kg1, Side.TARGET: kg2}
+    for subj in list(by_subject):
+        kg = kgs[subj.side]
+        if subj.index < kg.n_entities and kg.entity(subj.index) == subj:
+            for r, o in kg.out_index.get(subj.index, ()):
+                add(subj, kg.relation(r), kg.entity(o))
+    derived = set()
+    for rule in rules:
+        for rel_map in by_subject.values():
+            objs1 = rel_map.get(rule.r1)
+            objs2 = rel_map.get(rule.r2)
+            if not objs1 or not objs2:
+                continue
+            for a in objs1:
+                for b in objs2:
+                    if a == b or a.side == b.side:
+                        continue
+                    pair = (a, b) if a.side is Side.SOURCE else (b, a)
+                    derived.add((pair[0].index, pair[1].index))
+    return derived
+
+
+SIDE_CODE = {Side.SOURCE: 0, Side.TARGET: 1}
+
+
+def cross_key(t):
+    """A ``Triple`` as the (side, index) * 3 tuple ``cross_kg_triples`` returns."""
+    return (
+        SIDE_CODE[t.subject.side], t.subject.index,
+        SIDE_CODE[t.relation.side], t.relation.index,
+        SIDE_CODE[t.object.side], t.object.index,
+    )
+
+
+def cross_keys(triples):
+    return {cross_key(t) for t in triples}
+
+
 class TestCrossKgTriples:
     def build(self):
         kg1, kg2, store, seeds, raw, cfg = presidents_case()
         state = AlignmentState(seeds, raw, n_sources=kg1.n_entities, n_targets=kg2.n_entities)
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
         ra = mine_relation_alignment(store, kg1, kg2, "native")
-        return kg1, kg2, store, state, analyzer, ra
+        return kg1, kg2, store, Counterparts.of(state, ra), analyzer
 
     def expected_variants(self, kg1, kg2):
         djt, jb = kg1.entity(0), kg1.entity(1)
@@ -372,11 +502,11 @@ class TestCrossKgTriples:
         }
 
     def test_hand_enumerated_swap_set(self):
-        kg1, kg2, store, state, analyzer, ra = self.build()
+        kg1, kg2, store, cp, analyzer = self.build()
         adg = analyzer.adg(1, 1)
-        got = cross_kg_triples(adg, state, ra, kg1, kg2)
-        assert set(got) == self.expected_variants(kg1, kg2)
-        assert Triple(kg2.entity(0), kg2.relation(1), kg1.entity(1)) in got
+        got = cross_kg_triples(adg, cp, kg1, kg2)
+        assert set(got) == cross_keys(self.expected_variants(kg1, kg2))
+        assert cross_key(Triple(kg2.entity(0), kg2.relation(1), kg1.entity(1))) in got
 
     def test_no_strong_edges_yields_nothing(self):
         kg1, kg2, store, seeds, raw, cfg = presidents_case()
@@ -385,26 +515,26 @@ class TestCrossKgTriples:
         ra = mine_relation_alignment(store, kg1, kg2, "native")
         adg = analyzer.adg(1, 1)
         assert adg.edges == []
-        assert cross_kg_triples(adg, state, ra, kg1, kg2) == []
+        assert cross_kg_triples(adg, Counterparts.of(state, ra), kg1, kg2) == []
 
     def test_budget_zero_and_budget_cap(self):
-        kg1, kg2, store, state, analyzer, ra = self.build()
+        kg1, kg2, store, cp, analyzer = self.build()
         adg = analyzer.adg(1, 1)
-        assert cross_kg_triples(adg, state, ra, kg1, kg2, budget=0) == []
+        assert cross_kg_triples(adg, cp, kg1, kg2, budget=0) == []
         # budget 1 consults only Joe Biden's single source-side triple
-        capped = cross_kg_triples(adg, state, ra, kg1, kg2, budget=1)
+        capped = cross_kg_triples(adg, cp, kg1, kg2, budget=1)
         base_one = {
             t for t in self.expected_variants(kg1, kg2)
             if t.relation.label in ("followed by", "successor") and t.object.label != "Mike Pence"
         }
-        assert set(capped) == base_one
+        assert set(capped) == cross_keys(base_one)
         assert len(capped) == 7
 
     def test_deterministic_order(self):
-        kg1, kg2, store, state, analyzer, ra = self.build()
+        kg1, kg2, store, cp, analyzer = self.build()
         adg = analyzer.adg(1, 1)
-        a = cross_kg_triples(adg, state, ra, kg1, kg2)
-        b = cross_kg_triples(adg, state, ra, kg1, kg2)
+        a = cross_kg_triples(adg, cp, kg1, kg2)
+        b = cross_kg_triples(adg, cp, kg1, kg2)
         assert a == b
 
 
@@ -413,9 +543,9 @@ class TestRelationConflictDetection:
         kg1, kg2, store, seeds, raw, cfg = presidents_case()
         state = AlignmentState(seeds, raw, n_sources=kg1.n_entities, n_targets=kg2.n_entities)
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
-        ra = mine_relation_alignment(store, kg1, kg2, "native")
+        cp = Counterparts.of(state, mine_relation_alignment(store, kg1, kg2, "native"))
         rules = mine_not_same_as_rules(kg1) + mine_not_same_as_rules(kg2)
-        found = detect_relation_conflicts(analyzer.adg(1, 1), rules, ra, state, kg1, kg2, cfg)
+        found = detect_relation_conflicts(analyzer.adg(1, 1), rules, cp, kg1, kg2, cfg)
         assert found.central_flagged
         assert (1, 1) in found.derived_pairs
         assert found.pruned_neighbor_pairs == []
@@ -424,9 +554,9 @@ class TestRelationConflictDetection:
         kg1, kg2, store, seeds, raw, cfg = presidents_case()
         state = AlignmentState(seeds, raw, n_sources=kg1.n_entities, n_targets=kg2.n_entities)
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
-        ra = mine_relation_alignment(store, kg1, kg2, "native")
+        cp = Counterparts.of(state, mine_relation_alignment(store, kg1, kg2, "native"))
         adg = analyzer.adg(1, 1)
-        found = detect_relation_conflicts(adg, [], ra, state, kg1, kg2, cfg)
+        found = detect_relation_conflicts(adg, [], cp, kg1, kg2, cfg)
         assert found.derived_pairs == []
         assert found.pruned_neighbor_pairs == []
         assert not found.central_flagged
@@ -443,6 +573,60 @@ class TestRelationConflictDetection:
         assert repaired.neighbors == []
         assert repaired.edges == []
         assert repaired.confidence == pytest.approx(sigmoid(0.0))
+
+
+@functools.cache
+def conflict_stage_fixture(density):
+    """An ``exea synth`` fixture (n=200, conflict 0.2) in the state the
+    relation-conflict stage of ``repair()`` sees it."""
+    res = generate_pair(
+        SynthConfig(n_entities=200, density=density, conflict_injection=0.2, rng_seed=1)
+    )
+    seed_set = {s for s, _ in res.seeds}
+    free = [i for i in range(200) if i not in seed_set]
+    raw = greedy_align(res.perturbed_store, free, range(200))
+    state = AlignmentState(res.seeds, raw, n_sources=200, n_targets=200)
+    cfg = RepairConfig()
+    analyzer = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
+    rel_align = mine_relation_alignment(res.perturbed_store, res.kg1, res.kg2)
+    rules = mine_not_same_as_rules(res.kg1) + mine_not_same_as_rules(res.kg2)
+    return res, state, analyzer, rel_align, rules
+
+
+class TestConflictStageIsExact:
+    """The integer conflict stage equals the object-level reference on every
+    non-seed pair: the same cross triples in the same order, and the same
+    derived, pruned and flagged pairs."""
+
+    @pytest.mark.parametrize("density", [3, 8])
+    def test_equals_reference(self, density):
+        res, state, analyzer, rel_align, rules = conflict_stage_fixture(density)
+        kg1, kg2 = res.kg1, res.kg2
+        counterparts = Counterparts.of(state, rel_align)
+        totals = {"cross": 0, "derived": 0, "pruned": 0, "flagged": 0}
+        for s, t, prov, _ in state.pairs():
+            if prov == SEED:
+                continue
+            adg = analyzer.adg(s, t)
+            node_pairs = {(n.pair[0].index, n.pair[1].index) for n in adg.neighbors}
+            for budget in (1, 7, 200):
+                ref_cross = reference_cross_kg_triples(adg, state, rel_align, kg1, kg2, budget)
+                got_cross = cross_kg_triples(adg, counterparts, kg1, kg2, budget)
+                assert got_cross == [cross_key(x) for x in ref_cross]
+                ref_derived = reference_chain_rules(rules, ref_cross, kg1, kg2)
+                assert _chain_rules(rules, got_cross, kg1, kg2) == ref_derived
+                found = detect_relation_conflicts(
+                    adg, rules, counterparts, kg1, kg2, RepairConfig(triple_budget=budget)
+                )
+                assert found.derived_pairs == sorted(ref_derived)
+                assert found.pruned_neighbor_pairs == sorted(ref_derived & node_pairs)
+                assert found.central_flagged == ((s, t) in ref_derived)
+                totals["cross"] += len(got_cross)
+                totals["derived"] += len(ref_derived)
+                totals["pruned"] += len(found.pruned_neighbor_pairs)
+                totals["flagged"] += found.central_flagged
+        assert rules and rel_align.pairs
+        assert all(totals.values()), totals
 
 
 class TestPairAnalyzer:
