@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from exea.adg import AdgConfig, aggregate_confidence, build_adg, sigmoid
+from exea.adg import AdgConfig, EdgeClass, aggregate_confidence, build_adg, sigmoid
 from exea.embedding import EmbeddingStore
 from exea.explain import explanation
 from exea.kg import Kg, Side
@@ -41,39 +41,46 @@ alignments = {0: 0, 1: 1, 2: 2, 4: 4}
 expl = explanation(pair, kg1, kg2, store, alignments, h=2)
 
 
-def fmt_path(path):
-    out = path.center.label
-    for step in path.steps:
-        arrow = "->" if step.direction.value == "out" else "<-"
-        out += f" {arrow}[{step.relation.label}] {step.entity.label}"
+def fmt_path(kg, center, steps):
+    # a step is (0 outgoing / 1 incoming, relation, entity reached)
+    out = kg.entity_labels[center]
+    for rank, r, u in steps:
+        arrow = "->" if rank == 0 else "<-"
+        out += f" {arrow}[{kg.relation_labels[r]}] {kg.entity_labels[u]}"
     return out
 
 
 print(f"explaining the pair ({ent1[0]}, {ent2[0]})")
 print(f"\nmatched neighbor pairs (h=2): {len(expl.matched_neighbor_pairs)}")
 for n1, n2 in expl.matched_neighbor_pairs:
-    print(f"  {n1.label} <-> {n2.label}")
+    print(f"  {ent1[n1]} <-> {ent2[n2]}")
 
-print(f"\nmutual-best path pairs: {len(expl.path_pairs)}")
-for mp in expl.path_pairs:
-    print(f"  {fmt_path(mp.source_path)}")
-    print(f"    <-> {fmt_path(mp.target_path)}  (cos {mp.similarity:.3f})")
-print(f"explanation subgraph: {len(expl.triples)} triples")
+matches = expl.path_matches()
+print(f"\nmutual-best path pairs: {len(matches)}")
+for path1, path2, sim in matches:
+    print(f"  {fmt_path(kg1, pair[0], path1)}")
+    print(f"    <-> {fmt_path(kg2, pair[1], path2)}  (cos {sim:.3f})")
+print(f"explanation subgraph: {len(expl.triple_keys)} triples")
 
 cfg = AdgConfig()
 adg = build_adg(expl, kg1, kg2, store, cfg)
 
 print("\ndependency graph nodes (influence = clamped neighbor cosine):")
 for node in adg.neighbors:
-    print(f"  {node.pair[0].label:<6} <-> {node.pair[1].label:<16} influence {node.influence:.3f}")
+    n1, n2 = node.pair
+    print(f"  {ent1[n1]:<6} <-> {ent2[n2]:<16} influence {node.influence:.3f}")
 
+# edge i of the graph stands for matched path pair i of the explanation
 print("\nedges (class from path lengths, weight from relation functionalities):")
-for edge in adg.edges:
-    nb = adg.neighbors[edge.neighbor]
-    lens = (edge.paths.source_path.length, edge.paths.target_path.length)
+classes = list(EdgeClass)
+for n, c, w, (path1, path2, _) in zip(
+    adg.edge_neighbor.tolist(), adg.edge_class.tolist(), adg.edge_weight.tolist(), matches
+):
+    nb = adg.neighbors[n]
+    lens = (len(path1), len(path2))
     print(
-        f"  -> {nb.pair[1].label:<16} {edge.edge_class.value:<8} "
-        f"weight {edge.weight:.3f}  path lengths {lens}"
+        f"  -> {ent2[nb.pair[1]]:<16} {classes[c].value:<8} "
+        f"weight {w:.3f}  path lengths {lens}"
     )
 
 print(f"\nclass masses: strong {adg.c_s:.3f}, moderate {adg.c_m:.3f}, weak {adg.c_w:.3f}")

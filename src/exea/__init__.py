@@ -10,7 +10,7 @@ generator (``synth``), and the command line front end (``cli``).
 
 __version__ = "0.1.0"
 
-from .adg import Adg, AdgConfig, AdgEdge, AdgNode, EdgeClass, build_adg, confidence, sigmoid
+from .adg import Adg, AdgConfig, AdgNode, EdgeClass, build_adg, confidence, sigmoid
 from .embedding import (
     EmbeddingStore,
     SimilarityTopK,
@@ -49,8 +49,8 @@ from .evaluate import (
     sparsity,
     strip_triples,
 )
-from .explain import Explanation, MatchedPathPair, PathIndex, candidate_triples, explanation, match_paths, matched_neighbors
-from .kg import Direction, EntityRef, Kg, RelationPath, RelationRef, Side, Triple, load_kg
+from .explain import Explanation, PathIndex, candidate_triples, explanation, match_paths, matched_neighbors
+from .kg import Kg, Side, load_kg
 from .repair import (
     AlignmentState,
     NotSameAsRule,
@@ -69,24 +69,20 @@ from .trainer import TrainConfig, train
 __all__ = [
     "Adg",
     "AdgConfig",
-    "AdgEdge",
     "AdgNode",
     "AlignmentState",
     "ConfigError",
     "DegenerateConfig",
-    "Direction",
     "EdgeClass",
     "EmbeddingStore",
     "EmptyCandidates",
     "EmptyKg",
-    "EntityRef",
     "EvalReport",
     "ExeaError",
     "Explanation",
     "InvariantViolation",
     "Kg",
     "MalformedLine",
-    "MatchedPathPair",
     "MissingEmbedding",
     "NoRelationVectors",
     "NoSeedsWarning",
@@ -95,8 +91,6 @@ __all__ = [
     "PairAnalyzer",
     "PathIndex",
     "RelationAlignment",
-    "RelationPath",
-    "RelationRef",
     "RepairConfig",
     "RepairReport",
     "RepairResult",
@@ -106,7 +100,6 @@ __all__ = [
     "SynthResult",
     "TrainConfig",
     "TrainerFailure",
-    "Triple",
     "UnknownId",
     "UnknownRelation",
     "ZeroVector",

@@ -1,10 +1,10 @@
 """Alignment dependency graphs: how much an alignment's matched neighborhood
 supports it.
 
-Nodes are matched entity pairs; the node influence is the pair's embedding
-cosine clamped to [0, 1]. Each matched path pair becomes an edge whose class
-reflects path lengths: both length 1 is Strong, exactly one length 1 is
-Moderate, neither is Weak. Edge weights come from relation functionality: a
+Nodes are matched entity pairs, as (source index, target index); the node
+influence is the pair's embedding cosine clamped to [0, 1]. Each matched path
+pair becomes an edge whose class reflects path lengths: both length 1 is
+Strong, exactly one length 1 is Moderate, neither is Weak. Edge weights come from relation functionality: a
 step leaving its anchor (anchor is subject) weighs the relation's inverse
 functionality, a step entering (anchor is object) weighs its functionality,
 and multi-step paths multiply their step weights. A Strong edge takes the
@@ -18,8 +18,7 @@ sigmoid.
 
 ``build_adg`` reads edge endpoints, lengths and path weights from the
 explanation's path tables and keeps the edges as integer and float arrays;
-``Adg.edges`` builds the ``AdgEdge`` objects, with their path pairs, only
-when it is read.
+edge ``i`` stands for the explanation's matched path pair ``i``.
 """
 
 from __future__ import annotations
@@ -27,13 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .embedding import EmbeddingStore, pair_cosines
 from .errors import ConfigError
-from .explain import Explanation, MatchedPathPair
-from .kg import Direction, EntityRef, Kg, RelationPath, functionality, inverse_functionality
+from .explain import Explanation
+from .kg import Kg, Step, functionality, inverse_functionality
 
 
 class EdgeClass(Enum):
@@ -64,28 +64,19 @@ class AdgConfig:
 
 @dataclass(frozen=True)
 class AdgNode:
-    pair: tuple[EntityRef, EntityRef]
+    pair: tuple[int, int]
     influence: float
     is_central: bool = False
-
-
-@dataclass(frozen=True)
-class AdgEdge:
-    neighbor: int
-    edge_class: EdgeClass
-    weight: float
-    paths: MatchedPathPair
 
 
 @dataclass(eq=False)
 class Adg:
     """One pair's dependency graph.
 
-    Edge ``i`` stays as integers until ``edges`` is read: ``edge_neighbor[i]``
-    is the index of its node in ``neighbors``, ``edge_class[i]`` its class as
-    a position in ``EdgeClass`` (0 Strong, 1 Moderate, 2 Weak) and
-    ``edge_weight[i]`` its weight; its path pair is path pair ``i`` of
-    ``explanation``.
+    Edge ``i``: ``edge_neighbor[i]`` is the index of its node in
+    ``neighbors``, ``edge_class[i]`` its class as a position in ``EdgeClass``
+    (0 Strong, 1 Moderate, 2 Weak) and ``edge_weight[i]`` its weight; its path
+    pair is matched path pair ``i`` of ``explanation``.
     """
 
     central: AdgNode
@@ -98,19 +89,6 @@ class Adg:
     c_w: float
     confidence: float
     explanation: Explanation = field(repr=False)
-    central_conflict: bool = False
-
-    @property
-    def edges(self) -> list[AdgEdge]:
-        return [
-            AdgEdge(n, _CLASSES[c], w, mp)
-            for n, c, w, mp in zip(
-                self.edge_neighbor.tolist(),
-                self.edge_class.tolist(),
-                self.edge_weight.tolist(),
-                self.explanation.path_pairs,
-            )
-        ]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Adg):
@@ -118,14 +96,16 @@ class Adg:
         return (
             self.central == other.central
             and self.neighbors == other.neighbors
-            and self.edges == other.edges
-            and (self.c_s, self.c_m, self.c_w, self.confidence, self.central_conflict)
-            == (other.c_s, other.c_m, other.c_w, other.confidence, other.central_conflict)
+            and self.edge_neighbor.tolist() == other.edge_neighbor.tolist()
+            and self.edge_class.tolist() == other.edge_class.tolist()
+            and self.edge_weight.tolist() == other.edge_weight.tolist()
+            and self.explanation == other.explanation
+            and (self.c_s, self.c_m, self.c_w, self.confidence)
+            == (other.c_s, other.c_m, other.c_w, other.confidence)
         )
 
 
-_CLASSES = tuple(EdgeClass)
-STRONG = _CLASSES.index(EdgeClass.STRONG)
+STRONG = tuple(EdgeClass).index(EdgeClass.STRONG)
 
 
 def sigmoid(x: float) -> float:
@@ -135,38 +115,14 @@ def sigmoid(x: float) -> float:
     return z / (1.0 + z)
 
 
-def path_weight(kg: Kg, path: RelationPath) -> float:
-    """Product of per-step functionality weights along the path."""
+def path_weight(kg: Kg, steps: Sequence[Step]) -> float:
+    """Product of per-step functionality weights along the path ``steps``; the
+    path tables hold the same product for every path. The weight does not
+    depend on where the path starts."""
     w = 1.0
-    for step in path.steps:
-        if step.direction is Direction.OUTGOING:
-            w *= inverse_functionality(kg, step.relation)
-        else:
-            w *= functionality(kg, step.relation)
+    for rank, r, _ in steps:
+        w *= inverse_functionality(kg, r) if rank == 0 else functionality(kg, r)
     return w
-
-
-def classify_edge(source_len: int, target_len: int) -> EdgeClass:
-    direct = (source_len == 1) + (target_len == 1)
-    if direct == 2:
-        return EdgeClass.STRONG
-    if direct == 1:
-        return EdgeClass.MODERATE
-    return EdgeClass.WEAK
-
-
-def edge_weight(
-    kg1: Kg, kg2: Kg, matched: MatchedPathPair, cfg: AdgConfig
-) -> tuple[EdgeClass, float]:
-    """The class and weight of one path pair's edge; ``build_adg`` computes
-    the same for all edges at once."""
-    cls = classify_edge(matched.source_path.length, matched.target_path.length)
-    if cls is EdgeClass.WEAK:
-        return cls, cfg.weak_weight
-    w = min(path_weight(kg1, matched.source_path), path_weight(kg2, matched.target_path))
-    if cls is EdgeClass.MODERATE:
-        w *= cfg.alpha
-    return cls, w
 
 
 def aggregate_confidence(c_s: float, c_m: float, c_w: float, cfg: AdgConfig) -> float:
@@ -196,18 +152,17 @@ def build_adg(
     edge order, so the sums do not depend on a reduction order."""
     cfg = cfg or AdgConfig()
     e1, e2 = expl.pair
-    pairs: list[tuple[EntityRef, EntityRef]] = []
+    pairs: list[tuple[int, int]] = []
     node_of: dict[tuple[int, int], int] = {}
-    for n1, n2 in expl.matched_neighbor_pairs:
-        key = (n1.index, n2.index)
+    for key in expl.matched_neighbor_pairs:
         if key not in node_of:
             node_of[key] = len(pairs)
-            pairs.append((n1, n2))
+            pairs.append(key)
     # influences: embedding cosines clamped to [0, 1], the central pair first
     sims = pair_cosines(
         store,
-        e1.side, [e1.index] + [a.index for a, _ in pairs],
-        e2.side, [e2.index] + [b.index for _, b in pairs],
+        kg1.side, [e1] + [a for a, _ in pairs],
+        kg2.side, [e2] + [b for _, b in pairs],
     ).tolist()
     influence = [min(1.0, max(0.0, sim)) for sim in sims]
     central = AdgNode((e1, e2), influence[0], is_central=True)

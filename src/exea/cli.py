@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .adg import Adg, AdgConfig, build_adg
+from .adg import Adg, AdgConfig, EdgeClass, build_adg
 from .embedding import (
     EmbeddingStore,
     cosine,
@@ -36,6 +36,7 @@ from .errors import (
     ExeaError,
     InvariantViolation,
     MalformedLine,
+    MissingEmbedding,
 )
 from .evaluate import (
     EvalReport,
@@ -46,7 +47,7 @@ from .evaluate import (
     sample_correct_pairs,
 )
 from .explain import Explanation, explanation
-from .kg import Kg, Side, load_kg
+from .kg import SIDES, Kg, Side, Step, load_kg
 from .repair import RepairConfig, repair
 from .synth import SynthConfig, generate_pair, write_dataset
 from .trainer import TrainConfig, train
@@ -284,13 +285,22 @@ class _Inputs(NamedTuple):
 def _load_inputs(cfg: dict, pair_keys: tuple[str, ...] = (), emb: bool = True) -> _Inputs:
     """Both graphs, the embedding file (with ``emb``) and each pair file of
     ``pair_keys`` that the config names, every pair range-checked against the
-    two graphs."""
+    two graphs and every entity of both graphs given a vector."""
     kg1, in1 = _load_side(cfg, "1")
     kg2, in2 = _load_side(cfg, "2")
     named = {key: cfg[key] for key in (("emb",) if emb else ()) + pair_keys
              if cfg.get(key) is not None}
     _check_inputs(named)
-    store = load_embeddings(cfg["emb"]) if emb else None
+    store = None
+    if emb:
+        store = load_embeddings(cfg["emb"])
+        for kg in (kg1, kg2):
+            rows = store.n_entities(kg.side) if kg.side in store.sides() else 0
+            if rows < kg.n_entities:
+                raise MissingEmbedding(
+                    f"{cfg['emb']}: {rows} entity vectors on side {kg.side.value}, "
+                    f"the graph has {kg.n_entities} entities"
+                )
     pairs = {key: _load_pair_file(cfg[key], kg1, kg2) for key in pair_keys if key in named}
     return _Inputs(kg1, kg2, store, pairs, {**in1, **in2, **named})
 
@@ -378,85 +388,84 @@ def _train_config(cfg: dict) -> TrainConfig:
     )
 
 
-def _entity_json(ref) -> dict:
-    return {"side": ref.side.value, "index": ref.index, "label": ref.label}
+def _entity_json(kg: Kg, index: int) -> dict:
+    return {"side": kg.side.value, "index": index, "label": kg.entity_labels[index]}
 
 
-def _path_json(path) -> list[dict]:
+def _path_json(kg: Kg, steps: tuple[Step, ...]) -> list[dict]:
     return [
         {
-            "direction": step.direction.value,
-            "relation": step.relation.index,
-            "relation_label": step.relation.label,
-            "entity": step.entity.index,
-            "entity_label": step.entity.label,
+            "direction": ("out", "in")[rank],
+            "relation": r,
+            "relation_label": kg.relation_labels[r],
+            "entity": u,
+            "entity_label": kg.entity_labels[u],
         }
-        for step in path.steps
+        for rank, r, u in steps
     ]
 
 
-def _triples_json(triples) -> dict:
+def _path_pairs_json(expl: Explanation, kg1: Kg, kg2: Kg) -> list[dict]:
+    return [
+        {
+            "similarity": sim,
+            "source_path": _path_json(kg1, path1),
+            "target_path": _path_json(kg2, path2),
+        }
+        for path1, path2, sim in expl.path_matches()
+    ]
+
+
+def _triples_json(triple_keys) -> dict:
     by_side = {"source": [], "target": []}
-    for t in sorted(triples, key=lambda t: (t.subject.side.value, t.key())):
-        by_side[t.subject.side.value].append(list(t.key()))
+    for side, s, r, o in sorted(triple_keys):
+        by_side[SIDES[side].value].append([s, r, o])
     return by_side
 
 
-def _explanation_json(expl: Explanation, store: EmbeddingStore) -> dict:
+def _explanation_json(expl: Explanation, kg1: Kg, kg2: Kg, store: EmbeddingStore) -> dict:
     neighbors = []
     for a, b in expl.matched_neighbor_pairs:
         sim = float(
-            cosine(store.entity_matrix(a.side)[a.index], store.entity_matrix(b.side)[b.index])
+            cosine(store.entity_matrix(kg1.side)[a], store.entity_matrix(kg2.side)[b])
         )
         neighbors.append(
-            {"source": _entity_json(a), "target": _entity_json(b), "similarity": sim}
+            {"source": _entity_json(kg1, a), "target": _entity_json(kg2, b), "similarity": sim}
         )
+    e1, e2 = expl.pair
     return {
-        "pair": {
-            "source": _entity_json(expl.pair[0]),
-            "target": _entity_json(expl.pair[1]),
-        },
+        "pair": {"source": _entity_json(kg1, e1), "target": _entity_json(kg2, e2)},
         "no_match": expl.no_match,
         "neighbor_pairs": neighbors,
-        "path_pairs": [
-            {
-                "similarity": p.similarity,
-                "source_path": _path_json(p.source_path),
-                "target_path": _path_json(p.target_path),
-            }
-            for p in expl.path_pairs
-        ],
-        "triples": _triples_json(expl.triples),
+        "path_pairs": _path_pairs_json(expl, kg1, kg2),
+        "triples": _triples_json(expl.triple_keys),
     }
 
 
-def _adg_json(adg: Adg) -> dict:
+def _adg_json(adg: Adg, kg1: Kg, kg2: Kg) -> dict:
     def node(n):
         return {
-            "pair": [_entity_json(n.pair[0]), _entity_json(n.pair[1])],
+            "pair": [_entity_json(kg1, n.pair[0]), _entity_json(kg2, n.pair[1])],
             "influence": n.influence,
             "is_central": n.is_central,
         }
 
+    classes = tuple(EdgeClass)
+    edges = zip(
+        adg.edge_neighbor.tolist(),
+        adg.edge_class.tolist(),
+        adg.edge_weight.tolist(),
+        _path_pairs_json(adg.explanation, kg1, kg2),
+    )
     return {
         "central": node(adg.central),
         "neighbors": [node(n) for n in adg.neighbors],
         "edges": [
-            {
-                "neighbor": e.neighbor,
-                "class": e.edge_class.value,
-                "weight": e.weight,
-                "paths": {
-                    "similarity": e.paths.similarity,
-                    "source_path": _path_json(e.paths.source_path),
-                    "target_path": _path_json(e.paths.target_path),
-                },
-            }
-            for e in adg.edges
+            {"neighbor": n, "class": classes[c].value, "weight": w, "paths": paths}
+            for n, c, w, paths in edges
         ],
         "aggregates": {"c_s": adg.c_s, "c_m": adg.c_m, "c_w": adg.c_w},
         "confidence": adg.confidence,
-        "central_conflict": adg.central_conflict,
     }
 
 
@@ -490,14 +499,14 @@ def _pair_explanation(cfg: dict) -> tuple[_Inputs, Explanation]:
 
 def _cmd_explain(cfg: dict) -> None:
     data, expl = _pair_explanation(cfg)
-    _write_json(cfg["out"], _explanation_json(expl, data.store))
+    _write_json(cfg["out"], _explanation_json(expl, data.kg1, data.kg2, data.store))
     _write_manifest("explain", cfg, data.paths, {"out": cfg["out"]})
 
 
 def _cmd_adg(cfg: dict) -> None:
     data, expl = _pair_explanation(cfg)
     adg = build_adg(expl, data.kg1, data.kg2, data.store, _adg_config(cfg))
-    _write_json(cfg["out"], _adg_json(adg))
+    _write_json(cfg["out"], _adg_json(adg, data.kg1, data.kg2))
     _write_manifest("adg", cfg, data.paths, {"out": cfg["out"]})
 
 
@@ -534,7 +543,7 @@ def _eval_sparsity(cfg: dict) -> tuple[EvalReport, dict]:
     kg1, kg2, alignments = data.kg1, data.kg2, data.pairs["alignment"]
     h = int(cfg["h"])
     expl_triples = {
-        pair: explanation(pair, kg1, kg2, data.store, alignments, h).triples
+        pair: explanation(pair, kg1, kg2, data.store, alignments, h).triple_keys
         for pair in alignments
     }
     mean, empty = explanation_sparsity_stats(kg1, kg2, expl_triples, h)
@@ -561,7 +570,7 @@ def _eval_fidelity(cfg: dict) -> tuple[EvalReport, dict]:
         raise ConfigError("no correct predictions to sample for fidelity")
     context = seeds + pred
     expl = {
-        pair: explanation(pair, kg1, kg2, store, context, h).triples
+        pair: explanation(pair, kg1, kg2, store, context, h).triple_keys
         for pair in sample
     }
     fid = fidelity(kg1, kg2, seeds, expl, _train_config(cfg), h)

@@ -24,7 +24,7 @@ from .errors import (
     NoRelationVectors,
     ZeroVector,
 )
-from .kg import Kg, RelationPath, Side
+from .kg import Kg, Side, Step
 
 ENTITY_KIND = {Side.SOURCE: "source", Side.TARGET: "target"}
 RELATION_KIND = {Side.SOURCE: "source-rel", Side.TARGET: "target-rel"}
@@ -159,23 +159,26 @@ class EmbeddingStore:
         return mat
 
 
-def path_embedding(store: EmbeddingStore, kg: Kg, path: RelationPath) -> np.ndarray:
-    """Encode a path as ``concat(entity_part, relation_part)`` of length 2*dim.
+def path_embedding(
+    store: EmbeddingStore, kg: Kg, center: int, steps: Sequence[Step]
+) -> np.ndarray:
+    """Encode the path ``steps`` from ``center`` as ``concat(entity_part,
+    relation_part)`` of length 2*dim.
 
     The entity part averages the anchor entity and the intermediate entities
     (the endpoint is excluded); the relation part averages the step relation
     vectors, whatever the step's direction.
     """
-    n = path.length
-    ent = store.entity_vec(kg.side, path.center.index)
-    for step in path.steps[:-1]:
-        ent = ent + store.entity_vec(kg.side, step.entity.index)
+    n = len(steps)
+    ent = store.entity_vec(kg.side, center)
+    for _, _, u in steps[:-1]:
+        ent = ent + store.entity_vec(kg.side, u)
     rel_mat = store.relation_matrix(kg)
     rel = np.zeros(store.dim, dtype=np.float64)
-    for step in path.steps:
-        if not 0 <= step.relation.index < rel_mat.shape[0]:
-            raise MissingEmbedding(f"relation {step.relation.index} has no vector on side {kg.side.value}")
-        rel = rel + rel_mat[step.relation.index]
+    for _, r, _ in steps:
+        if not 0 <= r < rel_mat.shape[0]:
+            raise MissingEmbedding(f"relation {r} has no vector on side {kg.side.value}")
+        rel = rel + rel_mat[r]
     return np.concatenate([ent / n, rel / n])
 
 

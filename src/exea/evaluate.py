@@ -7,6 +7,10 @@ removed from both graphs, the embeddings are retrained once on the stripped
 dataset, and the surviving fraction of correct greedy predictions is reported.
 A triple inside any sampled explanation is kept even when another sample would
 have removed it.
+
+A set of triples holds (side, subject, relation, object) keys, side 0 for
+the source graph and 1 for the target graph, as in
+``Explanation.triple_keys`` and ``candidate_triples``.
 """
 
 import time
@@ -17,8 +21,8 @@ import numpy as np
 
 from .embedding import EmbeddingStore, greedy_align
 from .errors import ConfigError, EmptyCandidates, NotSubset
-from .explain import candidate_triples
-from .kg import Kg, Triple
+from .explain import TripleKey, candidate_triples
+from .kg import SIDES, Kg
 from .repair import RepairConfig, repair
 from .trainer import TrainConfig, train
 
@@ -68,21 +72,11 @@ def sample_correct_pairs(
     return [correct[i] for i in sorted(picked)]
 
 
-def _triple_key(t: Triple) -> tuple:
-    return (
-        t.subject.side.value, t.subject.index,
-        t.relation.side.value, t.relation.index,
-        t.object.side.value, t.object.index,
-    )
-
-
-def strip_triples(kg: Kg, removed: set[Triple]) -> Kg:
-    """Copy of the graph without the removed triples; labels are untouched."""
-    banned = {
-        (t.subject.index, t.relation.index, t.object.index)
-        for t in removed
-        if t.subject.side is kg.side
-    }
+def strip_triples(kg: Kg, removed: set[TripleKey]) -> Kg:
+    """Copy of the graph without the removed triples of its side; labels are
+    untouched."""
+    side = SIDES.index(kg.side)
+    banned = {(s, r, o) for t_side, s, r, o in removed if t_side == side}
     kept = [trip for trip in kg.triple_keys if trip not in banned]
     return Kg(kg.side, kg.entity_labels, kg.relation_labels, kept)
 
@@ -100,7 +94,7 @@ def random_matched_explanations(
     rng = np.random.default_rng(rng_seed)
     out = {}
     for pair in sorted(explanations):
-        cands = sorted(candidate_triples(kg1, kg2, pair, h), key=_triple_key)
+        cands = sorted(candidate_triples(kg1, kg2, pair, h))
         size = min(len(explanations[pair]), len(cands))
         picked = rng.choice(len(cands), size=size, replace=False) if cands else []
         out[pair] = {cands[i] for i in picked}
@@ -123,8 +117,8 @@ def fidelity(
     pairs = sorted((int(s), int(t)) for s, t in explanations)
     if len({s for s, _ in pairs}) != len(pairs):
         raise ConfigError("sampled pairs must have distinct source entities")
-    keep: set[Triple] = set()
-    all_candidates: set[Triple] = set()
+    keep: set[TripleKey] = set()
+    all_candidates: set[TripleKey] = set()
     for pair in pairs:
         cands = candidate_triples(kg1, kg2, pair, h)
         kept = set(explanations[pair])
@@ -225,7 +219,7 @@ def ablation(
     mean_sparsity, empty = 0.0, 0
     if full_result is not None:
         triples_by_pair = {
-            pair: expl.triples for pair, expl in full_result.explanations.items()
+            pair: expl.triple_keys for pair, expl in full_result.explanations.items()
         }
         mean_sparsity, empty = explanation_sparsity_stats(kg1, kg2, triples_by_pair, cfg.h)
 

@@ -19,12 +19,14 @@ vecdot takes, row by row, the BLAS dot that ``np.dot`` and ``np.linalg.norm``
 take for one vector, so every value equals the per-pair computation bit for
 bit, where a matrix product or einsum may sum in another order.
 ``TestBatchedCoreIsExact`` in ``tests/test_explain.py`` keeps the per-pair
-matcher as the reference and checks equality with ``==``. ``RelationPath``
-objects are built only for matched paths, and only when
-``Explanation.path_pairs`` is read: an explanation keeps its matches as rows
-of the two path tables (which ``adg.build_adg`` reads directly) and its
-triples as integer keys; ``Explanation.triples`` builds the ``Triple``
-objects when it is read.
+matcher as the reference and checks equality with ``==``.
+
+Everything here is ints: a pair is (source index, target index), a path is
+its tuple of step keys (see ``kg``), and a triple is a (side, subject,
+relation, object) key, side 0 for the source graph and 1 for the target
+graph. An explanation keeps its matched paths as rows of the two path tables,
+which ``adg.build_adg`` reads directly; labels are looked up only where
+output is written.
 """
 
 from __future__ import annotations
@@ -38,24 +40,12 @@ import numpy as np
 # importable from this module, where bench/traced_exea.py wraps it
 from .embedding import EmbeddingStore, path_embedding  # noqa: F401
 from .errors import MissingEmbedding
-from .kg import (
-    Direction,
-    EntityRef,
-    Kg,
-    PathStep,
-    RelationPath,
-    Triple,
-    enumerate_path_keys,
-    neighborhood_entities,
-    neighborhood_triples,
-)
+from .kg import Kg, Step, enumerate_paths, neighborhood_entities, neighborhood_triples
 
-
-@dataclass(frozen=True)
-class MatchedPathPair:
-    source_path: RelationPath
-    target_path: RelationPath
-    similarity: float
+# a triple of either graph: (side, subject, relation, object)
+TripleKey = tuple[int, int, int, int]
+# two matched paths, as step keys, and their cosine
+PathMatch = tuple[tuple[Step, ...], tuple[Step, ...], float]
 
 
 @dataclass(eq=False)
@@ -69,7 +59,7 @@ class PathTable:
     rows where ``zero`` marks an all-zero embedding; ``weight`` holds the
     product of per-step functionality weights. ``triples[p, k]`` is the
     (subject, relation, object) triple step k traverses, -1 past the path's
-    length. ``paths`` keeps the ``RelationPath`` of each row ever matched.
+    length.
     """
 
     center: int
@@ -80,7 +70,10 @@ class PathTable:
     zero: np.ndarray
     weight: np.ndarray
     triples: np.ndarray
-    paths: dict[int, RelationPath] = field(default_factory=dict)
+
+    def key(self, row: int) -> tuple[Step, ...]:
+        """The path in ``row`` as ``enumerate_paths`` gives it."""
+        return tuple(map(tuple, self.steps[row, : self.lengths[row]].tolist()))
 
 
 class PathIndex:
@@ -104,9 +97,6 @@ class PathIndex:
             self._out_weight[r] = v
         for r, v in kg.func_table.items():
             self._in_weight[r] = v
-        # one PathStep per (direction, relation, entity), shared by every
-        # matched path that takes that step
-        self._path_steps: dict[tuple[int, int, int], PathStep] = {}
 
     def table(self, center: int) -> PathTable:
         got = self._tables.get(center)
@@ -117,7 +107,7 @@ class PathIndex:
 
     def _build(self, center: int) -> PathTable:
         kg, h = self.kg, self.h
-        keys = enumerate_path_keys(kg, center, h)
+        keys = enumerate_paths(kg, center, h)
         n = len(keys)
         lengths = np.fromiter(map(len, keys), dtype=np.int64, count=n)
         steps = np.full((n, h, 3), -1, dtype=np.int64)
@@ -168,24 +158,6 @@ class PathIndex:
         unit /= np.where(zero, 1.0, norms)[:, None]
         return PathTable(center, steps, lengths, groups, unit, zero, weight, triples)
 
-    def path(self, table: PathTable, row: int) -> RelationPath:
-        """The path in ``row`` of ``table``, built on first request."""
-        got = table.paths.get(row)
-        if got is None:
-            steps = table.steps[row, : table.lengths[row]].tolist()
-            got = RelationPath(self.kg.entity(table.center), tuple(self._step(*s) for s in steps))
-            table.paths[row] = got
-        return got
-
-    def _step(self, rank: int, r: int, u: int) -> PathStep:
-        key = (rank, r, u)
-        got = self._path_steps.get(key)
-        if got is None:
-            direction = Direction.OUTGOING if rank == 0 else Direction.INCOMING
-            got = PathStep(direction, self.kg.relation(r), self.kg.entity(u))
-            self._path_steps[key] = got
-        return got
-
 
 @dataclass(eq=False)
 class Explanation:
@@ -194,20 +166,17 @@ class Explanation:
     The matched paths stay as rows of the two centers' path tables:
     ``rows1[i]`` of ``tables[0]`` matched ``rows2[i]`` of ``tables[1]`` with
     cosine ``sims[i]``. ``tables`` is None when there is no matched neighbor
-    pair. ``path_pairs`` and ``path_weights`` are built from the rows when they
-    are read. ``triple_keys`` holds the selected triples as (side, subject,
-    relation, object) integers, side 0 for the source graph and 1 for the
-    target graph.
+    pair. ``triple_keys`` holds the selected triples as (side, subject,
+    relation, object) keys.
     """
 
-    pair: tuple[EntityRef, EntityRef]
-    matched_neighbor_pairs: list[tuple[EntityRef, EntityRef]]
-    indexes: tuple[PathIndex, PathIndex] = field(repr=False)
+    pair: tuple[int, int]
+    matched_neighbor_pairs: list[tuple[int, int]]
     tables: tuple[PathTable, PathTable] | None = field(repr=False)
     rows1: np.ndarray
     rows2: np.ndarray
     sims: np.ndarray
-    triple_keys: frozenset[tuple[int, int, int, int]]
+    triple_keys: frozenset[TripleKey]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Explanation):
@@ -215,8 +184,7 @@ class Explanation:
         return (
             self.pair == other.pair
             and self.matched_neighbor_pairs == other.matched_neighbor_pairs
-            and self.path_pairs == other.path_pairs
-            and self.path_weights == other.path_weights
+            and self.path_matches() == other.path_matches()
             and self.triple_keys == other.triple_keys
         )
 
@@ -225,29 +193,21 @@ class Explanation:
         """True when no triple was selected at all."""
         return not self.triple_keys
 
-    @property
-    def path_pairs(self) -> list[MatchedPathPair]:
+    def path_matches(self) -> list[PathMatch]:
+        """Each matched path pair as step keys read from the table rows, with
+        its cosine, in match order."""
         if self.tables is None:
             return []
-        (index1, index2), (t1, t2) = self.indexes, self.tables
-        return [
-            MatchedPathPair(index1.path(t1, i), index2.path(t2, j), sim)
-            for i, j, sim in zip(self.rows1.tolist(), self.rows2.tolist(), self.sims.tolist())
-        ]
+        return _path_matches(*self.tables, self.rows1, self.rows2, self.sims)
 
-    @property
-    def path_weights(self) -> list[tuple[float, float]]:
-        """The functionality weights of each matched pair's source and target
-        path."""
-        if self.tables is None:
-            return []
-        t1, t2 = self.tables
-        return list(zip(t1.weight[self.rows1].tolist(), t2.weight[self.rows2].tolist()))
 
-    @property
-    def triples(self) -> set[Triple]:
-        kgs = (self.indexes[0].kg, self.indexes[1].kg)
-        return {kgs[side].triple(s, r, o) for side, s, r, o in self.triple_keys}
+def _path_matches(
+    t1: PathTable, t2: PathTable, rows1: np.ndarray, rows2: np.ndarray, sims: np.ndarray
+) -> list[PathMatch]:
+    return [
+        (t1.key(i), t2.key(j), sim)
+        for i, j, sim in zip(rows1.tolist(), rows2.tolist(), sims.tolist())
+    ]
 
 
 def _triple_keys(table: PathTable, rows: np.ndarray, side: int) -> np.ndarray:
@@ -316,13 +276,11 @@ def matched_neighbors(
     kg2: Kg,
     alignments,
     h: int,
-) -> list[tuple[EntityRef, EntityRef]]:
+) -> list[tuple[int, int]]:
     """Neighbor pairs already matched by ``alignments`` within h hops of both
     centers, excluding the central pair itself; sorted by source index."""
     e1, e2 = int(pair[0]), int(pair[1])
     return matched_neighbor_pairs(
-        kg1,
-        kg2,
         _as_alignment_map(alignments).get,
         neighborhood_entities(kg1, e1, h),
         set(neighborhood_entities(kg2, e2, h)),
@@ -330,12 +288,10 @@ def matched_neighbors(
 
 
 def matched_neighbor_pairs(
-    kg1: Kg,
-    kg2: Kg,
     target_of: Callable[[int], int | None],
     hood1: Iterable[int],
     hood2: Container[int],
-) -> list[tuple[EntityRef, EntityRef]]:
+) -> list[tuple[int, int]]:
     """The matched-neighbor rule over given neighborhoods: each ``n1`` of
     ``hood1`` whose aligned target ``target_of(n1)`` lies in ``hood2``, sorted
     by source index. A neighborhood never holds its own center, so the
@@ -348,7 +304,7 @@ def matched_neighbor_pairs(
         if t is not None and t in hood2:
             hits.append((n1, t))
     hits.sort()
-    return [(kg1.entity(n1), kg2.entity(t)) for n1, t in hits]
+    return hits
 
 
 def match_paths(
@@ -360,8 +316,9 @@ def match_paths(
     h: int,
     index1: PathIndex | None = None,
     index2: PathIndex | None = None,
-) -> list[MatchedPathPair]:
-    """Mutual-best path matching between the two sides of one neighbor pair.
+) -> list[PathMatch]:
+    """Mutual-best path matching between the two sides of one neighbor pair,
+    as (source path, target path, cosine) with paths as step keys.
 
     Ties resolve toward the lexicographically first path (enumeration order).
     Paths whose embedding is all-zero never match. Returns an empty list when
@@ -372,29 +329,14 @@ def match_paths(
     t1 = index1.table(int(pair[0]))
     t2 = index2.table(int(pair[1]))
     rows1, rows2, sims = _mutual_best(t1, t2, [(int(neighbor_pair[0]), int(neighbor_pair[1]))])
-    return [
-        MatchedPathPair(index1.path(t1, i), index2.path(t2, j), sim)
-        for i, j, sim in zip(rows1.tolist(), rows2.tolist(), sims.tolist())
-    ]
+    return _path_matches(t1, t2, rows1, rows2, sims)
 
 
-def path_triples(kg: Kg, path: RelationPath) -> list[Triple]:
-    """The triples traversed by a path, in step order."""
-    anchor = path.center.index
-    out = []
-    for step in path.steps:
-        if step.direction is Direction.OUTGOING:
-            out.append(kg.triple(anchor, step.relation.index, step.entity.index))
-        else:
-            out.append(kg.triple(step.entity.index, step.relation.index, anchor))
-        anchor = step.entity.index
-    return out
-
-
-def candidate_triples(kg1: Kg, kg2: Kg, pair: tuple[int, int], h: int) -> set[Triple]:
-    """All triples within h hops of either center: the explanation's search space."""
-    cand = set(neighborhood_triples(kg1, int(pair[0]), h))
-    cand.update(neighborhood_triples(kg2, int(pair[1]), h))
+def candidate_triples(kg1: Kg, kg2: Kg, pair: tuple[int, int], h: int) -> set[TripleKey]:
+    """All triples within h hops of either center, as (side, subject,
+    relation, object) keys: the explanation's search space."""
+    cand = {(0, *key) for key in neighborhood_triples(kg1, int(pair[0]), h)}
+    cand.update((1, *key) for key in neighborhood_triples(kg2, int(pair[1]), h))
     return cand
 
 
@@ -407,14 +349,14 @@ def explanation(
     h: int,
     index1: PathIndex | None = None,
     index2: PathIndex | None = None,
-    neighbor_pairs: Iterable[tuple[EntityRef, EntityRef]] | None = None,
+    neighbor_pairs: Iterable[tuple[int, int]] | None = None,
 ) -> Explanation:
     """Build the matched subgraph explanation for one pair.
 
     ``neighbor_pairs`` can inject a pre-filtered neighbor list; by default it
     is computed from ``alignments``.
     """
-    e1, e2 = int(pair[0]), int(pair[1])
+    e1, e2 = kg1.check_entity(int(pair[0])), kg2.check_entity(int(pair[1]))
     index1 = index1 or PathIndex(kg1, store, h)
     index2 = index2 or PathIndex(kg2, store, h)
     if neighbor_pairs is None:
@@ -424,17 +366,16 @@ def explanation(
     tables = None
     rows1 = rows2 = np.zeros(0, dtype=np.int64)
     sims = np.zeros(0, dtype=np.float64)
-    triple_keys: set[tuple[int, int, int, int]] = set()
+    triple_keys: set[TripleKey] = set()
     if neighbor_pairs:
         tables = (index1.table(e1), index2.table(e2))
         t1, t2 = tables
-        rows1, rows2, sims = _mutual_best(t1, t2, [(a.index, b.index) for a, b in neighbor_pairs])
+        rows1, rows2, sims = _mutual_best(t1, t2, neighbor_pairs)
         both = np.concatenate([_triple_keys(t1, rows1, 0), _triple_keys(t2, rows2, 1)])
         triple_keys = set(map(tuple, both.tolist()))
     return Explanation(
-        pair=(kg1.entity(e1), kg2.entity(e2)),
+        pair=(e1, e2),
         matched_neighbor_pairs=neighbor_pairs,
-        indexes=(index1, index2),
         tables=tables,
         rows1=rows1,
         rows2=rows2,

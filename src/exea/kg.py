@@ -1,15 +1,22 @@
 """Indexed knowledge-graph triple stores.
 
 A graph lives on one side of an alignment task (source or target). Entities
-and relations are dense integer indices with human-readable labels; triples
-are stored deduplicated together with adjacency indexes and per-relation
-functionality statistics used as edge weights elsewhere.
+and relations are dense integer indices; their human-readable labels sit in
+``Kg.entity_labels`` and ``Kg.relation_labels`` and are read only where output
+is written. Triples are stored deduplicated as (subject, relation, object)
+ints together with adjacency indexes and per-relation functionality
+statistics used as edge weights elsewhere.
+
+A path from a center is a tuple of step keys, one per traversed edge: (0
+outgoing / 1 incoming, relation, entity reached). Outgoing means the anchor of
+the step was the triple's subject. Where both sides meet (explanation
+triples, cross-graph triples, mined rules), a side is the int 0 for the
+source graph and 1 for the target graph, its position in ``SIDES``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -24,69 +31,11 @@ class Side(Enum):
     TARGET = "target"
 
 
-class Direction(Enum):
-    OUTGOING = "out"
-    INCOMING = "in"
+# a side's int tag is its position here: 0 source, 1 target
+SIDES = tuple(Side)
 
-
-@dataclass(frozen=True)
-class EntityRef:
-    side: Side
-    index: int
-    label: str
-
-
-@dataclass(frozen=True)
-class RelationRef:
-    side: Side
-    index: int
-    label: str
-
-
-@dataclass(frozen=True)
-class Triple:
-    subject: EntityRef
-    relation: RelationRef
-    object: EntityRef
-
-    def key(self) -> tuple[int, int, int]:
-        return (self.subject.index, self.relation.index, self.object.index)
-
-
-@dataclass(frozen=True)
-class PathStep:
-    """One traversed edge: OUTGOING means the anchor was the subject."""
-
-    direction: Direction
-    relation: RelationRef
-    entity: EntityRef
-
-    def key(self) -> tuple[int, int, int]:
-        rank = 0 if self.direction is Direction.OUTGOING else 1
-        return (rank, self.relation.index, self.entity.index)
-
-
-@dataclass(frozen=True)
-class RelationPath:
-    """A simple path anchored at ``center``; each step records the entity reached."""
-
-    center: EntityRef
-    steps: tuple[PathStep, ...]
-
-    def __post_init__(self):
-        if not self.steps:
-            raise ValueError("a relation path needs at least one step")
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
-    @property
-    def endpoint(self) -> EntityRef:
-        return self.steps[-1].entity
-
-    def key(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(step.key() for step in self.steps)
+# one step of a path: (0 outgoing / 1 incoming, relation, entity reached)
+Step = tuple[int, int, int]
 
 
 def _validate_hops(h: int) -> None:
@@ -151,9 +100,6 @@ class Kg:
             self.func_table[r] = len(subjects) / len(trs)
             self.ifunc_table[r] = len(objects) / len(trs)
 
-        self._entity_refs: list[EntityRef | None] = [None] * n_ent
-        self._relation_refs: list[RelationRef | None] = [None] * n_rel
-
     @property
     def n_entities(self) -> int:
         return len(self.entity_labels)
@@ -166,33 +112,14 @@ class Kg:
     def triple_keys(self) -> tuple[tuple[int, int, int], ...]:
         return self._triple_keys
 
-    @property
-    def triples(self) -> tuple[Triple, ...]:
-        return tuple(self.triple(s, r, o) for s, r, o in self._triple_keys)
-
     def has_triple(self, s: int, r: int, o: int) -> bool:
         return (s, r, o) in self._triple_key_set
 
-    def entity(self, index: int) -> EntityRef:
+    def check_entity(self, index: int) -> int:
+        """``index`` itself; UnknownId when it is outside the graph."""
         if not 0 <= index < self.n_entities:
             raise UnknownId(f"entity id {index} outside [0, {self.n_entities}) on side {self.side.value}")
-        ref = self._entity_refs[index]
-        if ref is None:
-            ref = EntityRef(self.side, index, self.entity_labels[index])
-            self._entity_refs[index] = ref
-        return ref
-
-    def relation(self, index: int) -> RelationRef:
-        if not 0 <= index < self.n_relations:
-            raise UnknownId(f"relation id {index} outside [0, {self.n_relations}) on side {self.side.value}")
-        ref = self._relation_refs[index]
-        if ref is None:
-            ref = RelationRef(self.side, index, self.relation_labels[index])
-            self._relation_refs[index] = ref
-        return ref
-
-    def triple(self, s: int, r: int, o: int) -> Triple:
-        return Triple(self.entity(s), self.relation(r), self.entity(o))
+        return index
 
     def relation_triples(self, r: int) -> tuple[tuple[int, int, int], ...]:
         return self._triples_by_relation.get(r, ())
@@ -217,24 +144,18 @@ class Kg:
         )
 
 
-def _resolve_relation_index(kg: Kg, r: RelationRef | int) -> int:
-    return r.index if isinstance(r, RelationRef) else int(r)
-
-
-def functionality(kg: Kg, r: RelationRef | int) -> float:
+def functionality(kg: Kg, r: int) -> float:
     """|distinct subjects| / |triples| for relation ``r``."""
-    idx = _resolve_relation_index(kg, r)
-    if idx not in kg.func_table:
-        raise UnknownRelation(f"relation {idx} has no triples on side {kg.side.value}")
-    return kg.func_table[idx]
+    if r not in kg.func_table:
+        raise UnknownRelation(f"relation {r} has no triples on side {kg.side.value}")
+    return kg.func_table[r]
 
 
-def inverse_functionality(kg: Kg, r: RelationRef | int) -> float:
+def inverse_functionality(kg: Kg, r: int) -> float:
     """|distinct objects| / |triples| for relation ``r``."""
-    idx = _resolve_relation_index(kg, r)
-    if idx not in kg.ifunc_table:
-        raise UnknownRelation(f"relation {idx} has no triples on side {kg.side.value}")
-    return kg.ifunc_table[idx]
+    if r not in kg.ifunc_table:
+        raise UnknownRelation(f"relation {r} has no triples on side {kg.side.value}")
+    return kg.ifunc_table[r]
 
 
 def _undirected_neighbors(kg: Kg, v: int) -> set[int]:
@@ -258,25 +179,23 @@ def _hop_distances(kg: Kg, start: int, cutoff: int) -> dict[int, int]:
     return dist
 
 
-def neighborhood_entities(kg: Kg, e: EntityRef | int, h: int) -> list[int]:
+def neighborhood_entities(kg: Kg, e: int, h: int) -> list[int]:
     """Entity indices within ``h`` undirected hops of ``e``, excluding ``e`` itself."""
     _validate_hops(h)
-    start = e.index if isinstance(e, EntityRef) else int(e)
-    kg.entity(start)
+    start = kg.check_entity(int(e))
     dist = _hop_distances(kg, start, h)
     return sorted(v for v in dist if v != start)
 
 
-def neighborhood_triples(kg: Kg, e: EntityRef | int, h: int) -> list[Triple]:
+def neighborhood_triples(kg: Kg, e: int, h: int) -> list[tuple[int, int, int]]:
     """Triples reachable by an undirected breadth-first expansion of at most ``h`` edges.
 
     A triple belongs to the neighborhood when one of its endpoints lies within
     ``h - 1`` hops of ``e``, i.e. the triple's own edge is the at-most-h-th
-    traversed edge. Returned sorted by (subject, relation, object) indices.
+    traversed edge. Returned as (subject, relation, object) keys, sorted.
     """
     _validate_hops(h)
-    start = e.index if isinstance(e, EntityRef) else int(e)
-    kg.entity(start)
+    start = kg.check_entity(int(e))
     inner = _hop_distances(kg, start, h - 1)
     keys: set[tuple[int, int, int]] = set()
     for v in inner:
@@ -284,27 +203,28 @@ def neighborhood_triples(kg: Kg, e: EntityRef | int, h: int) -> list[Triple]:
             keys.add((v, r, o))
         for r, s in kg.in_index.get(v, ()):
             keys.add((s, r, v))
-    return [kg.triple(*k) for k in sorted(keys)]
+    return sorted(keys)
 
 
-def enumerate_path_keys(
-    kg: Kg, e: EntityRef | int, h: int
-) -> list[tuple[tuple[int, int, int], ...]]:
-    """The ``key()`` of every path ``enumerate_paths`` yields, in the same order,
-    built from integers alone: each step is (0 outgoing / 1 incoming,
-    relation, entity reached)."""
+def enumerate_paths(kg: Kg, e: int, h: int) -> list[tuple[Step, ...]]:
+    """All simple paths of length 1..h starting at ``e``, in lexicographic step
+    order, each as its tuple of step keys.
+
+    Both edge directions are traversed; an outgoing step (0) follows a triple
+    whose subject is the current anchor, an incoming step (1) one whose object
+    is. Paths never revisit an entity.
+    """
     _validate_hops(h)
-    start = e.index if isinstance(e, EntityRef) else int(e)
-    kg.entity(start)  # UnknownId for an entity outside the graph
-    keys: list[tuple[tuple[int, int, int], ...]] = []
+    start = kg.check_entity(int(e))
+    keys: list[tuple[Step, ...]] = []
 
-    def incident_steps(v: int) -> list[tuple[int, int, int]]:
+    def incident_steps(v: int) -> list[Step]:
         steps = [(0, r, o) for r, o in kg.out_index.get(v, ())]
         steps.extend((1, r, s) for r, s in kg.in_index.get(v, ()))
         steps.sort()
         return steps
 
-    def walk(v: int, visited: set[int], prefix: tuple[tuple[int, int, int], ...]) -> None:
+    def walk(v: int, visited: set[int], prefix: tuple[Step, ...]) -> None:
         for step in incident_steps(v):
             u = step[2]
             if u in visited:
@@ -316,26 +236,6 @@ def enumerate_path_keys(
 
     walk(start, {start}, ())
     return keys
-
-
-def enumerate_paths(kg: Kg, e: EntityRef | int, h: int) -> list[RelationPath]:
-    """All simple paths of length 1..h starting at ``e``, in lexicographic step order.
-
-    Both edge directions are traversed; an OUTGOING step follows a triple whose
-    subject is the current anchor, an INCOMING step one whose object is. Paths
-    never revisit an entity.
-    """
-    start = e.index if isinstance(e, EntityRef) else int(e)
-    keys = enumerate_path_keys(kg, start, h)
-    center = kg.entity(start)
-    directions = (Direction.OUTGOING, Direction.INCOMING)
-    return [
-        RelationPath(
-            center,
-            tuple(PathStep(directions[rank], kg.relation(r), kg.entity(u)) for rank, r, u in key),
-        )
-        for key in keys
-    ]
 
 
 def _read_label_file(path: str | Path, what: str) -> list[str]:
@@ -360,7 +260,9 @@ def _read_label_file(path: str | Path, what: str) -> list[str]:
     return [labels[i] for i in range(len(labels))]
 
 
-def _read_triple_file(path: str | Path) -> list[tuple[int, int, int]]:
+def _read_triple_file(path: str | Path, n_ent: int, n_rel: int) -> list[tuple[int, int, int]]:
+    """The triples of ``path``; an id outside its label file's range is a
+    malformed line."""
     triples = []
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -371,9 +273,13 @@ def _read_triple_file(path: str | Path) -> list[tuple[int, int, int]]:
             if len(parts) != 3:
                 raise MalformedLine(path, line_no, f"expected 3 tab-separated columns, got {len(parts)}")
             try:
-                triples.append((int(parts[0]), int(parts[1]), int(parts[2])))
+                s, r, o = int(parts[0]), int(parts[1]), int(parts[2])
             except ValueError:
                 raise MalformedLine(path, line_no, "non-integer id in triple") from None
+            for what, x, n in (("subject", s, n_ent), ("relation", r, n_rel), ("object", o, n_ent)):
+                if not 0 <= x < n:
+                    raise MalformedLine(path, line_no, f"{what} id {x} outside [0, {n})")
+            triples.append((s, r, o))
     return triples
 
 
@@ -387,7 +293,7 @@ def load_kg(
     """Load one side from TSV files: triples (3 int columns) plus id/label maps."""
     entity_labels = _read_label_file(entity_labels_path, "entity")
     relation_labels = _read_label_file(relation_labels_path, "relation")
-    triples = _read_triple_file(triples_path)
+    triples = _read_triple_file(triples_path, len(entity_labels), len(relation_labels))
     if not triples and not allow_empty:
         raise EmptyKg(f"no triples in {triples_path}")
     return Kg(side, entity_labels, relation_labels, triples)

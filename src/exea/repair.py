@@ -40,7 +40,7 @@ from .embedding import (
 )
 from .errors import ConfigError, InvariantViolation, NoRelationVectors
 from .explain import Explanation, PathIndex, explanation, matched_neighbor_pairs
-from .kg import EntityRef, Kg, RelationRef, Side, neighborhood_entities
+from .kg import SIDES, Kg, Side, neighborhood_entities
 
 RELATION_VECTOR_SOURCES = ("derived", "native", "name")
 
@@ -88,19 +88,21 @@ class RepairConfig:
 
 @dataclass(frozen=True)
 class RelationAlignment:
-    """Mutual-nearest-neighbor relation pairs between the two sides."""
+    """Mutual-nearest-neighbor relation pairs between the two sides, as
+    (source relation, target relation, cosine)."""
 
-    pairs: tuple[tuple[RelationRef, RelationRef, float], ...]
+    pairs: tuple[tuple[int, int, float], ...]
 
 
 @dataclass(frozen=True)
 class NotSameAsRule:
     """Two relations of one graph that never share a (subject, object) pair:
-    a subject carrying both relations has provably distinct objects."""
+    a subject carrying both relations has provably distinct objects. ``side``
+    is 0 for the source graph and 1 for the target graph."""
 
-    side: Side
-    r1: RelationRef
-    r2: RelationRef
+    side: int
+    r1: int
+    r2: int
 
 
 class AlignmentState:
@@ -304,12 +306,10 @@ class PairAnalyzer:
         for key in stale:
             del self._cache[key]
 
-    def neighbor_pairs(self, s: int, t: int) -> list[tuple[EntityRef, EntityRef]]:
-        pairs = matched_neighbor_pairs(
-            self.kg1, self.kg2, self.state.target_of, self.hood1(s), self.hood2(t)
-        )
+    def neighbor_pairs(self, s: int, t: int) -> list[tuple[int, int]]:
+        pairs = matched_neighbor_pairs(self.state.target_of, self.hood1(s), self.hood2(t))
         if self.banned_pairs:
-            pairs = [p for p in pairs if (p[0].index, p[1].index) not in self.banned_pairs]
+            pairs = [p for p in pairs if p not in self.banned_pairs]
         return pairs
 
     def _entry(self, s: int, t: int) -> tuple[Explanation, Adg]:
@@ -395,13 +395,7 @@ def mine_relation_alignment(
     pairs = []
     for i, j in enumerate(best1):
         if best2[j] == i:
-            pairs.append(
-                (
-                    kg1.relation(int(rows1[i])),
-                    kg2.relation(int(rows2[j])),
-                    float(sims[i, j]),
-                )
-            )
+            pairs.append((int(rows1[i]), int(rows2[j]), float(sims[i, j])))
     return RelationAlignment(pairs=tuple(pairs))
 
 
@@ -418,6 +412,7 @@ def mine_not_same_as_rules(kg: Kg) -> list[NotSameAsRule]:
         pair_sets.setdefault(r, set()).add((s, o))
         subj_objs.setdefault(r, {}).setdefault(s, set()).add(o)
     rels = sorted(pair_sets)
+    side = SIDES.index(kg.side)
     rules = []
     for i, r1 in enumerate(rels):
         for r2 in rels[i + 1 :]:
@@ -426,7 +421,7 @@ def mine_not_same_as_rules(kg: Kg) -> list[NotSameAsRule]:
             # the (subject, object) sets are disjoint here, so any shared
             # subject witnesses two distinct objects
             if subj_objs[r1].keys() & subj_objs[r2].keys():
-                rules.append(NotSameAsRule(kg.side, kg.relation(r1), kg.relation(r2)))
+                rules.append(NotSameAsRule(side, r1, r2))
     return rules
 
 
@@ -450,8 +445,8 @@ class Counterparts:
         rel_fwd: dict[int, int] = {}
         rel_rev: dict[int, int] = {}
         for a, b, _ in rel_align.pairs:
-            rel_fwd.setdefault(a.index, b.index)
-            rel_rev.setdefault(b.index, a.index)
+            rel_fwd.setdefault(a, b)
+            rel_rev.setdefault(b, a)
         return cls((fwd, rev), (rel_fwd, rel_rev))
 
 
@@ -466,8 +461,7 @@ def _strong_edge_entities(adg: Adg) -> list[tuple[int, int]]:
     strong = np.unique(adg.edge_neighbor[adg.edge_class == STRONG])
     if not strong.size:
         return []
-    nodes = [adg.central] + [adg.neighbors[i] for i in strong.tolist()]
-    return [(a.index, b.index) for a, b in (node.pair for node in nodes)]
+    return [adg.central.pair] + [adg.neighbors[i].pair for i in strong.tolist()]
 
 
 def cross_kg_triples(
@@ -559,9 +553,8 @@ def _chain_rules(
 
     derived: set[tuple[int, int]] = set()
     for rule in rules:
-        side = 0 if rule.side is Side.SOURCE else 1
-        by1 = index.get((side, rule.r1.index))
-        by2 = index.get((side, rule.r2.index))
+        by1 = index.get((rule.side, rule.r1))
+        by2 = index.get((rule.side, rule.r2))
         if not by1 or not by2:
             continue
         for subj in by1.keys() & by2.keys():
@@ -585,15 +578,11 @@ def detect_relation_conflicts(
     pairs are contradicted."""
     cross = cross_kg_triples(adg, counterparts, kg1, kg2, cfg.triple_budget)
     derived = _chain_rules(rules, cross, kg1, kg2)
-    node_pairs = {
-        (n.pair[0].index, n.pair[1].index) for n in adg.neighbors
-    }
-    central = (adg.central.pair[0].index, adg.central.pair[1].index)
-    pruned = sorted(derived & node_pairs)
+    node_pairs = {n.pair for n in adg.neighbors}
     return RelationConflictReport(
         derived_pairs=sorted(derived),
-        pruned_neighbor_pairs=pruned,
-        central_flagged=central in derived,
+        pruned_neighbor_pairs=sorted(derived & node_pairs),
+        central_flagged=adg.central.pair in derived,
     )
 
 
@@ -933,21 +922,21 @@ def repair(
         },
         relation_alignment=[
             {
-                "source": a.index,
-                "target": b.index,
-                "source_label": a.label,
-                "target_label": b.label,
+                "source": a,
+                "target": b,
+                "source_label": kg1.relation_labels[a],
+                "target_label": kg2.relation_labels[b],
                 "similarity": sim,
             }
             for a, b, sim in rel_align.pairs
         ],
         rules=[
             {
-                "side": rule.side.value,
-                "r1": rule.r1.index,
-                "r2": rule.r2.index,
-                "r1_label": rule.r1.label,
-                "r2_label": rule.r2.label,
+                "side": SIDES[rule.side].value,
+                "r1": rule.r1,
+                "r2": rule.r2,
+                "r1_label": (kg1, kg2)[rule.side].relation_labels[rule.r1],
+                "r2_label": (kg1, kg2)[rule.side].relation_labels[rule.r2],
             }
             for rule in rules
         ],

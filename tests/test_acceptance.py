@@ -217,7 +217,7 @@ def test_criterion_6_fidelity_beats_random():
     context = list(result.seeds) + raw
     expl = {
         pair: explanation(pair, result.kg1, result.kg2,
-                          result.perturbed_store, context, 2).triples
+                          result.perturbed_store, context, 2).triple_keys
         for pair in sample
     }
     rand = random_matched_explanations(result.kg1, result.kg2, expl, h=2, rng_seed=0)
@@ -249,8 +249,7 @@ def test_criterion_7_rule_miner_matches_brute_force():
                 triples.add((s, int(rng.integers(0, 6)), o))
         side = Side.SOURCE if g % 2 == 0 else Side.TARGET
         kg = make_kg(80, sorted(triples), n_rel=6, side=side)
-        mined = {(rule.r1.index, rule.r2.index)
-                 for rule in mine_not_same_as_rules(kg)}
+        mined = {(rule.r1, rule.r2) for rule in mine_not_same_as_rules(kg)}
         expected = brute_force_rules(kg)
         graphs += 1
         total_rules += len(expected)
@@ -288,8 +287,7 @@ def test_criterion_8_explanation_oracles():
         alignments = {int(s): int(rng.integers(0, n2)) for s in aligned_sources}
         e1, e2 = int(rng.integers(0, n1)), int(rng.integers(0, n2))
 
-        got = {(a.index, b.index)
-               for a, b in matched_neighbors((e1, e2), kg1, kg2, alignments, 2)}
+        got = set(matched_neighbors((e1, e2), kg1, kg2, alignments, 2))
         hood1 = set(neighborhood_entities(kg1, e1, 2))
         hood2 = set(neighborhood_entities(kg2, e2, 2))
         expected = {
@@ -300,10 +298,7 @@ def test_criterion_8_explanation_oracles():
         neighbor_checks += 1
 
         for pair in sorted(expected)[:3]:
-            got_paths = [
-                (mp.source_path.key(), mp.target_path.key(), mp.similarity)
-                for mp in match_paths((e1, e2), pair, store, kg1, kg2, 2)
-            ]
+            got_paths = match_paths((e1, e2), pair, store, kg1, kg2, 2)
             oracle = oracle_mutual_best(store, kg1, kg2, (e1, e2), pair, 2)
             assert [(a, b) for a, b, _ in got_paths] == [(a, b) for a, b, _ in oracle]
             for (_, _, s_got), (_, _, s_exp) in zip(got_paths, oracle):

@@ -8,22 +8,18 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from exea.adg import (
-    Adg,
     AdgConfig,
-    AdgEdge,
     AdgNode,
     EdgeClass,
     aggregate_confidence,
     build_adg,
-    classify_edge,
     confidence,
-    edge_weight,
     path_weight,
     sigmoid,
 )
 from exea.embedding import EmbeddingStore, greedy_align, pair_cosines
 from exea.errors import ConfigError
-from exea.explain import MatchedPathPair, explanation
+from exea.explain import explanation
 from exea.kg import Side, enumerate_paths
 from exea.repair import AlignmentState, PairAnalyzer, RepairConfig
 from exea.synth import SynthConfig, generate_pair
@@ -48,23 +44,22 @@ class TestPathWeight:
         self.kg = make_kg(6, [(0, 0, 1), (2, 0, 1), (3, 0, 4), (5, 1, 0), (5, 1, 0)])
         self.kg = make_kg(6, [(0, 0, 1), (2, 0, 1), (3, 0, 4), (5, 1, 0), (5, 1, 4), (0, 1, 4), (3, 1, 4)])
 
+    # a step is (0 outgoing / 1 incoming, relation, entity reached)
     def test_outgoing_single_step_uses_inverse_functionality(self):
         path = [p for p in enumerate_paths(self.kg, 0, 1)
-                if p.length == 1 and p.steps[0].direction.value == "out" and p.steps[0].relation.index == 0][0]
+                if len(p) == 1 and p[0][0] == 0 and p[0][1] == 0][0]
         assert path_weight(self.kg, path) == pytest.approx(self.kg.ifunc_table[0])
 
     def test_incoming_single_step_uses_functionality(self):
-        path = [p for p in enumerate_paths(self.kg, 1, 1)
-                if p.steps[0].direction.value == "in" and p.steps[0].relation.index == 0][0]
+        path = [p for p in enumerate_paths(self.kg, 1, 1) if p[0][0] == 1 and p[0][1] == 0][0]
         assert path_weight(self.kg, path) == pytest.approx(self.kg.func_table[0])
 
     def test_two_step_path_multiplies_step_weights(self):
         # 1 <-r0- 0 -r1-> 4 seen from 1: incoming r0 then outgoing r1
-        paths = [p for p in enumerate_paths(self.kg, 1, 2) if p.length == 2]
+        paths = [p for p in enumerate_paths(self.kg, 1, 2) if len(p) == 2]
         target = [
             p for p in paths
-            if p.steps[0].direction.value == "in" and p.steps[0].entity.index == 0
-            and p.steps[1].direction.value == "out" and p.steps[1].relation.index == 1
+            if p[0][0] == 1 and p[0][2] == 0 and p[1][0] == 0 and p[1][1] == 1
         ]
         assert target
         expected = self.kg.func_table[0] * self.kg.ifunc_table[1]
@@ -72,55 +67,56 @@ class TestPathWeight:
 
 
 class TestEdgeWeight:
+    """Edge classes and weights as ``build_adg`` gives them, on the chain
+    0 -r0-> 1 -r0-> 2 copied to both sides. Each case leaves one source and
+    one target path of the chosen lengths (from center 0 to entity 1 or 2),
+    matched through one aligned neighbor pair."""
+
     def setup_method(self):
         self.kg1 = make_kg(3, [(0, 0, 1), (1, 0, 2)])
         self.kg2 = make_kg(3, [(0, 0, 1), (1, 0, 2)], side=Side.TARGET)
-        self.cfg = AdgConfig()
+        rows = [[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]]
+        self.store = EmbeddingStore({Side.SOURCE: rows, Side.TARGET: rows})
 
-    def paths(self, kg, center, length, endpoint):
-        return [
-            p for p in enumerate_paths(kg, center, 2)
-            if p.length == length and p.endpoint.index == endpoint
-        ][0]
+    def edge(self, len1, len2, cfg=None):
+        """The class, weight and path pair of the one edge between centers
+        (0, 0) whose only matched neighbor pair is (len1, len2)."""
+        expl = explanation((0, 0), self.kg1, self.kg2, self.store, {len1: len2}, h=2)
+        adg = build_adg(expl, self.kg1, self.kg2, self.store, cfg)
+        (path1, path2, _), = expl.path_matches()
+        assert (len(path1), len(path2)) == (len1, len2)
+        assert adg.edge_neighbor.tolist() == [0]
+        (c,), (w,) = adg.edge_class.tolist(), adg.edge_weight.tolist()
+        return list(EdgeClass)[c], w, path1, path2
 
     def test_classification_covers_all_length_combinations(self):
-        assert classify_edge(1, 1) is EdgeClass.STRONG
-        assert classify_edge(1, 2) is EdgeClass.MODERATE
-        assert classify_edge(2, 1) is EdgeClass.MODERATE
-        assert classify_edge(2, 2) is EdgeClass.WEAK
+        assert self.edge(1, 1)[0] is EdgeClass.STRONG
+        assert self.edge(1, 2)[0] is EdgeClass.MODERATE
+        assert self.edge(2, 1)[0] is EdgeClass.MODERATE
+        assert self.edge(2, 2)[0] is EdgeClass.WEAK
 
     def test_strong_takes_min_of_path_weights(self):
-        mp = MatchedPathPair(self.paths(self.kg1, 0, 1, 1), self.paths(self.kg2, 0, 1, 1), 1.0)
-        cls, w = edge_weight(self.kg1, self.kg2, mp, self.cfg)
+        cls, w, path1, path2 = self.edge(1, 1)
         assert cls is EdgeClass.STRONG
-        expected = min(path_weight(self.kg1, mp.source_path), path_weight(self.kg2, mp.target_path))
+        expected = min(path_weight(self.kg1, path1), path_weight(self.kg2, path2))
         assert w == pytest.approx(expected)
 
     def test_moderate_scales_by_alpha(self):
-        mp = MatchedPathPair(self.paths(self.kg1, 0, 1, 1), self.paths(self.kg2, 0, 2, 2), 1.0)
         for alpha in (0.25, 0.5, 1.0):
             cfg = AdgConfig(alpha=alpha, weak_weight=min(0.1, alpha))
-            cls, w = edge_weight(self.kg1, self.kg2, mp, cfg)
+            cls, w, path1, path2 = self.edge(1, 2, cfg)
             assert cls is EdgeClass.MODERATE
-            expected = alpha * min(
-                path_weight(self.kg1, mp.source_path), path_weight(self.kg2, mp.target_path)
-            )
+            expected = alpha * min(path_weight(self.kg1, path1), path_weight(self.kg2, path2))
             assert w == pytest.approx(expected)
 
     def test_weak_uses_configured_floor(self):
-        mp = MatchedPathPair(self.paths(self.kg1, 0, 2, 2), self.paths(self.kg2, 0, 2, 2), 1.0)
-        cls, w = edge_weight(self.kg1, self.kg2, mp, AdgConfig(weak_weight=0.07))
+        cls, w, _, _ = self.edge(2, 2, AdgConfig(weak_weight=0.07))
         assert cls is EdgeClass.WEAK
         assert w == 0.07
 
     def test_weights_bounded_by_one(self):
-        for pair in ((1, 1), (1, 2), (2, 2)):
-            mp = MatchedPathPair(
-                self.paths(self.kg1, 0, pair[0], pair[0]),
-                self.paths(self.kg2, 0, pair[1], pair[1]),
-                1.0,
-            )
-            _, w = edge_weight(self.kg1, self.kg2, mp, self.cfg)
+        for lengths in ((1, 1), (1, 2), (2, 2)):
+            _, w, _, _ = self.edge(*lengths)
             assert 0.0 <= w <= 1.0
 
 
@@ -211,9 +207,8 @@ class TestBuildAdg:
         expl = explanation((0, 0), c["kg1"], c["kg2"], c["store"], c["alignments"], h=2)
         adg = build_adg(expl, c["kg1"], c["kg2"], c["store"])
         assert len(adg.neighbors) == 2
-        assert len(adg.edges) == 2
-        assert all(e.edge_class is EdgeClass.STRONG for e in adg.edges)
-        weights = sorted(e.weight for e in adg.edges)
+        assert adg.edge_class.tolist() == [0, 0]  # both Strong
+        weights = sorted(adg.edge_weight.tolist())
         assert weights == pytest.approx([0.757, 0.759], abs=1e-9)
         influences = sorted(n.influence for n in adg.neighbors)
         assert influences == pytest.approx([0.937, 0.96], abs=1e-6)
@@ -247,8 +242,7 @@ class TestBuildAdg:
         expl = explanation((0, 0), kg1, kg2, store, {1: 1}, h=1)
         adg = build_adg(expl, kg1, kg2, store)
         assert len(adg.neighbors) == 1
-        assert len(adg.edges) == 2
-        assert {e.neighbor for e in adg.edges} == {0}
+        assert adg.edge_neighbor.tolist() == [0, 0]
 
     def test_empty_explanation_gives_floor_confidence(self):
         kg1 = make_kg(2, [(0, 0, 1)])
@@ -272,7 +266,7 @@ class TestBuildAdg:
         analyzer.ban([(1, 1)])
         pruned = analyzer.adg(0, 0)
         assert len(pruned.neighbors) == 1
-        assert len(pruned.edges) == 1
+        assert len(pruned.edge_neighbor) == 1
         assert pruned.c_s == pytest.approx(0.937 * 0.757, abs=1e-5)
         assert pruned.confidence == pytest.approx(sigmoid(pruned.c_s))
         # banning every neighbor leaves the floor
@@ -287,45 +281,46 @@ class TestBuildAdg:
 
 
 def reference_build_adg(expl, kg1, kg2, store, cfg=None):
-    """The object-level build: one ``MatchedPathPair`` at a time for edge
-    endpoints, lengths and classes; returns the edges and class masses."""
+    """The per-path build: one matched path pair at a time for edge
+    endpoints, lengths, weights and classes; returns the edges as
+    (node, class, weight) and the class masses."""
     cfg = cfg or AdgConfig()
     e1, e2 = expl.pair
     pairs = []
     node_of = {}
-    for n1, n2 in expl.matched_neighbor_pairs:
-        key = (n1.index, n2.index)
+    for key in expl.matched_neighbor_pairs:
         if key not in node_of:
             node_of[key] = len(pairs)
-            pairs.append((n1, n2))
+            pairs.append(key)
     sims = pair_cosines(
         store,
-        e1.side, [e1.index] + [a.index for a, _ in pairs],
-        e2.side, [e2.index] + [b.index for _, b in pairs],
+        Side.SOURCE, [e1] + [a for a, _ in pairs],
+        Side.TARGET, [e2] + [b for _, b in pairs],
     ).tolist()
     influence = [min(1.0, max(0.0, sim)) for sim in sims]
     neighbors = [AdgNode(p, x) for p, x in zip(pairs, influence[1:])]
     edges = []
-    for mp, (w1, w2) in zip(expl.path_pairs, expl.path_weights):
-        key = (mp.source_path.endpoint.index, mp.target_path.endpoint.index)
-        cls = classify_edge(mp.source_path.length, mp.target_path.length)
+    for path1, path2, _ in expl.path_matches():
+        key = (path1[-1][2], path2[-1][2])
+        direct = (len(path1) == 1) + (len(path2) == 1)
+        cls = {2: EdgeClass.STRONG, 1: EdgeClass.MODERATE, 0: EdgeClass.WEAK}[direct]
         if cls is EdgeClass.WEAK:
             w = cfg.weak_weight
         else:
-            w = min(w1, w2)
+            w = min(path_weight(kg1, path1), path_weight(kg2, path2))
             if cls is EdgeClass.MODERATE:
                 w *= cfg.alpha
-        edges.append(AdgEdge(node_of[key], cls, w, mp))
+        edges.append((node_of[key], cls, w))
     sums = {EdgeClass.STRONG: 0.0, EdgeClass.MODERATE: 0.0, EdgeClass.WEAK: 0.0}
-    for edge in edges:
-        sums[edge.edge_class] += edge.weight * neighbors[edge.neighbor].influence
+    for node, cls, w in edges:
+        sums[cls] += w * neighbors[node].influence
     c_s, c_m, c_w = sums[EdgeClass.STRONG], sums[EdgeClass.MODERATE], sums[EdgeClass.WEAK]
     return edges, c_s, c_m, c_w, aggregate_confidence(c_s, c_m, c_w, cfg)
 
 
 class TestAdgFromTablesIsExact:
     """``build_adg`` reads edges from the path tables and equals the
-    object-level build exactly (``==``, no tolerance) on every final pair of
+    per-path build exactly (``==``, no tolerance) on every final pair of
     synth fixtures, under two ADG configurations."""
 
     @pytest.mark.parametrize("density", [3, 8])
@@ -346,7 +341,10 @@ class TestAdgFromTablesIsExact:
                 edges, c_s, c_m, c_w, conf = reference_build_adg(
                     expl, res.kg1, res.kg2, res.perturbed_store, cfg
                 )
-                assert adg.edges == edges
+                classes = list(EdgeClass)
+                got = zip(adg.edge_neighbor.tolist(), adg.edge_class.tolist(),
+                          adg.edge_weight.tolist())
+                assert [(n, classes[c], w) for n, c, w in got] == edges
                 assert (adg.c_s, adg.c_m, adg.c_w, adg.confidence) == (c_s, c_m, c_w, conf)
-                seen.update(e.edge_class for e in edges)
+                seen.update(cls for _, cls, _ in edges)
         assert seen == set(EdgeClass)

@@ -8,6 +8,7 @@ entry point behaves the same way.
 import argparse
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 
@@ -15,8 +16,10 @@ import pytest
 
 from exea.adg import AdgConfig
 from exea.cli import DEFAULTS, build_parser, main
+from exea.embedding import EmbeddingStore, load_embeddings, save_embeddings
 from exea.errors import InvariantViolation
 from exea.evaluate import accuracy
+from exea.kg import Side
 from exea.repair import RepairConfig
 from exea.synth import SynthConfig
 from exea.trainer import TrainConfig
@@ -411,7 +414,7 @@ class TestExplainAdg:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert set(doc) == {"central", "neighbors", "edges", "aggregates",
-                            "confidence", "central_conflict"}
+                            "confidence"}
         assert doc["central"]["is_central"] is True
         assert 0.0 <= doc["confidence"] <= 1.0
         assert set(doc["aggregates"]) == {"c_s", "c_m", "c_w"}
@@ -519,9 +522,6 @@ class TestTrain:
             "--out", str(out), "--dim", "8", "--epochs", "30",
         ])
         assert rc == 0
-        from exea.embedding import load_embeddings
-        from exea.kg import Side
-
         store = load_embeddings(out)
         assert store.entity_matrix(Side.SOURCE).shape == (30, 8)
         assert store.entity_matrix(Side.TARGET).shape == (30, 8)
@@ -588,3 +588,81 @@ class TestPairFileRanges:
         ])
         assert rc == 2
         assert f"{bad}:1: target id 999 outside [0, 30)" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def synth40(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synth40")
+    rc = main(["synth", "--out", str(out), "--n-entities", "40", "--rng-seed", "2"])
+    assert rc == 0
+    return out
+
+
+def _truncated_binary_embeddings(data, tmp_path):
+    emb = tmp_path / "emb.bin"
+    save_embeddings(emb, load_embeddings(data / "embeddings.tsv"), binary=True)
+    emb.write_bytes(emb.read_bytes()[:-7])
+    return {"emb": emb}, emb
+
+
+def _triple_id_outside_labels(data, tmp_path):
+    triples = tmp_path / "triples_1"
+    triples.write_text((data / "triples_1").read_text() + "999\t0\t1\n")
+    return {"kg1": triples}, triples
+
+
+def _empty_target_graph(data, tmp_path):
+    triples = tmp_path / "triples_2"
+    triples.write_text("")
+    return {"kg2": triples}, triples
+
+
+def _short_target_embeddings(data, tmp_path):
+    store = load_embeddings(data / "embeddings.tsv")
+    emb = tmp_path / "emb.tsv"
+    save_embeddings(emb, EmbeddingStore({
+        Side.SOURCE: store.entity_matrix(Side.SOURCE),
+        Side.TARGET: store.entity_matrix(Side.TARGET)[:30],
+    }))
+    return {"emb": emb}, emb
+
+
+def _no_target_embeddings(data, tmp_path):
+    store = load_embeddings(data / "embeddings.tsv")
+    emb = tmp_path / "emb.tsv"
+    save_embeddings(emb, EmbeddingStore({Side.SOURCE: store.entity_matrix(Side.SOURCE)}))
+    return {"emb": emb}, emb
+
+
+class TestFaultInjection:
+    """Broken inputs built from an ``exea synth --n-entities 40`` fixture:
+    each run exits 2, names the offending file and prints no traceback."""
+
+    @pytest.mark.parametrize("breaker", [
+        _truncated_binary_embeddings,
+        _triple_id_outside_labels,
+        _empty_target_graph,
+        _short_target_embeddings,
+        _no_target_embeddings,
+    ])
+    def test_exits_2_naming_the_file(self, synth40, tmp_path, breaker):
+        for name in ("triples_1", "ent_ids_1", "rel_ids_1", "triples_2", "ent_ids_2",
+                     "rel_ids_2", "embeddings.tsv", "train_links"):
+            shutil.copy(synth40 / name, tmp_path / name)
+        files = {
+            "kg1": tmp_path / "triples_1",
+            "kg2": tmp_path / "triples_2",
+            "emb": tmp_path / "embeddings.tsv",
+        }
+        broken, culprit = breaker(synth40, tmp_path)
+        files.update(broken)
+        proc = subprocess.run(
+            [sys.executable, "-m", "exea.cli", "infer",
+             *(arg for key, path in files.items() for arg in (f"--{key}", str(path))),
+             "--seeds", str(tmp_path / "train_links"), "--out", str(tmp_path / "o.tsv")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert str(culprit) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o.tsv").exists()

@@ -114,24 +114,24 @@ class TestPathEmbedding:
 
     def test_length_one_concatenates_center_and_relation(self):
         st = store_from(self.ents)
-        path = enumerate_paths(self.kg, 0, 1)[0]
+        steps = enumerate_paths(self.kg, 0, 1)[0]
         rel = st.relation_matrix(self.kg)[0]
-        got = path_embedding(st, self.kg, path)
+        got = path_embedding(st, self.kg, 0, steps)
         np.testing.assert_allclose(got, np.concatenate([[1.0, 0.0], rel]))
         assert got.shape == (2 * st.dim,)
 
     def test_length_two_excludes_endpoint_entity(self):
         st = store_from(self.ents)
-        path = [p for p in enumerate_paths(self.kg, 0, 2) if p.length == 2][0]
+        steps = [p for p in enumerate_paths(self.kg, 0, 2) if len(p) == 2][0]
         r0, r1 = st.relation_matrix(self.kg)
         expected = np.concatenate([(self.ents[0] + self.ents[1]) / 2, (r0 + r1) / 2])
-        np.testing.assert_allclose(path_embedding(st, self.kg, path), expected, rtol=1e-6)
+        np.testing.assert_allclose(path_embedding(st, self.kg, 0, steps), expected, rtol=1e-6)
 
     def test_zero_relation_vectors_leave_entity_half(self):
         st = store_from(self.ents, relation_vecs={Side.SOURCE: np.zeros((2, 2))})
-        path = [p for p in enumerate_paths(self.kg, 0, 2) if p.length == 2][0]
+        steps = [p for p in enumerate_paths(self.kg, 0, 2) if len(p) == 2][0]
         expected = np.concatenate([(self.ents[0] + self.ents[1]) / 2, [0.0, 0.0]])
-        np.testing.assert_allclose(path_embedding(st, self.kg, path), expected, rtol=1e-6)
+        np.testing.assert_allclose(path_embedding(st, self.kg, 0, steps), expected, rtol=1e-6)
 
 
 class TestCosine:

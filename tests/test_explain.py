@@ -11,7 +11,6 @@ from exea.explain import (
     explanation,
     match_paths,
     matched_neighbors,
-    path_triples,
 )
 from exea.kg import Kg, Side, enumerate_paths, neighborhood_entities, neighborhood_triples
 
@@ -28,13 +27,28 @@ def paired_store(rng, n1, n2, dim=4):
     )
 
 
+def paths_to(kg, center, end, h):
+    """The paths from ``center`` that end at ``end``, in enumeration order."""
+    return [p for p in enumerate_paths(kg, center, h) if p[-1][2] == end]
+
+
+def path_triples(center, steps):
+    """The (subject, relation, object) triples a path traverses, in step order."""
+    out = []
+    anchor = center
+    for rank, r, u in steps:
+        out.append((anchor, r, u) if rank == 0 else (u, r, anchor))
+        anchor = u
+    return out
+
+
 class TestMatchedNeighbors:
     def test_governor_neighbors(self, governor_case):
         c = governor_case
         got = matched_neighbors((0, 0), c["kg1"], c["kg2"], c["alignments"], h=2)
-        assert [(a.index, b.index) for a, b in got] == [(1, 1), (2, 2)]
-        assert got[0][0].label == "杰里·布朗"
-        assert got[0][1].label == "Jerry Brown"
+        assert got == [(1, 1), (2, 2)]
+        assert c["kg1"].entity_labels[got[0][0]] == "杰里·布朗"
+        assert c["kg2"].entity_labels[got[0][1]] == "Jerry Brown"
 
     def test_no_alignments_no_pairs(self):
         kg1 = make_kg(2, [(0, 0, 1)])
@@ -46,8 +60,7 @@ class TestMatchedNeighbors:
         kg2 = tgt_kg(3, [(0, 0, 1), (1, 0, 2)])
         alignments = {2: 2}
         assert matched_neighbors((0, 0), kg1, kg2, alignments, h=1) == []
-        got = matched_neighbors((0, 0), kg1, kg2, alignments, h=2)
-        assert [(a.index, b.index) for a, b in got] == [(2, 2)]
+        assert matched_neighbors((0, 0), kg1, kg2, alignments, h=2) == [(2, 2)]
 
     def test_neighbor_aligned_to_center_is_excluded(self):
         kg1 = make_kg(2, [(1, 0, 0)])
@@ -66,10 +79,7 @@ class TestMatchedNeighbors:
             }
             for h in (1, 2):
                 e1, e2 = int(rng.integers(0, 9)), int(rng.integers(0, 9))
-                got = {
-                    (a.index, b.index)
-                    for a, b in matched_neighbors((e1, e2), kg1, kg2, alignments, h)
-                }
+                got = set(matched_neighbors((e1, e2), kg1, kg2, alignments, h))
                 n1s = set(neighborhood_entities(kg1, e1, h))
                 n2s = set(neighborhood_entities(kg2, e2, h))
                 expected = {
@@ -86,28 +96,28 @@ class TestMatchedNeighbors:
         kg2 = random_kg(rng, 10, 2, 25, side=Side.TARGET)
         base = {0: 0, 3: 3}
         bigger = {**base, 5: 5, 7: 2}
-        small = set(
-            (a.index, b.index) for a, b in matched_neighbors((1, 1), kg1, kg2, base, 2)
-        )
-        large = set(
-            (a.index, b.index) for a, b in matched_neighbors((1, 1), kg1, kg2, bigger, 2)
-        )
+        small = set(matched_neighbors((1, 1), kg1, kg2, base, 2))
+        large = set(matched_neighbors((1, 1), kg1, kg2, bigger, 2))
         assert small <= large
 
 
 def oracle_mutual_best(store, kg1, kg2, pair, neighbor_pair, h):
     """Recompute mutual-best matching with plain loops over raw cosines."""
-    p1 = [p for p in enumerate_paths(kg1, pair[0], h) if p.endpoint.index == neighbor_pair[0]]
-    p2 = [p for p in enumerate_paths(kg2, pair[1], h) if p.endpoint.index == neighbor_pair[1]]
+    p1 = paths_to(kg1, pair[0], neighbor_pair[0], h)
+    p2 = paths_to(kg2, pair[1], neighbor_pair[1], h)
     if not p1 or not p2:
         return []
-    sims = [[cosine(path_embedding(store, kg1, a), path_embedding(store, kg2, b)) for b in p2] for a in p1]
+    sims = [
+        [cosine(path_embedding(store, kg1, pair[0], a), path_embedding(store, kg2, pair[1], b))
+         for b in p2]
+        for a in p1
+    ]
     out = []
     for i in range(len(p1)):
         j = max(range(len(p2)), key=lambda jj: (sims[i][jj], -jj))
         i_back = max(range(len(p1)), key=lambda ii: (sims[ii][j], -ii))
         if i_back == i:
-            out.append((p1[i].key(), p2[j].key(), sims[i][j]))
+            out.append((p1[i], p2[j], sims[i][j]))
     return out
 
 
@@ -117,18 +127,18 @@ def reference_match_paths(store, kg1, kg2, pair, neighbor_pair, h, stats=None):
     ``float(np.dot(a, b))``, -2.0 for all-zero paths, argmax both ways.
     ``stats["ties"]``, when given, counts rows and columns whose best
     similarity occurs more than once, where the lowest-index rule decides."""
-    p1 = [p for p in enumerate_paths(kg1, pair[0], h) if p.endpoint.index == neighbor_pair[0]]
-    p2 = [p for p in enumerate_paths(kg2, pair[1], h) if p.endpoint.index == neighbor_pair[1]]
+    p1 = paths_to(kg1, pair[0], neighbor_pair[0], h)
+    p2 = paths_to(kg2, pair[1], neighbor_pair[1], h)
     if not p1 or not p2:
         return []
 
-    def unit(kg, path):
-        vec = path_embedding(store, kg, path)
+    def unit(kg, center, path):
+        vec = path_embedding(store, kg, center, path)
         norm = float(np.linalg.norm(vec))
         return None if norm == 0.0 else vec / norm
 
-    u1 = [unit(kg1, p) for p in p1]
-    u2 = [unit(kg2, p) for p in p2]
+    u1 = [unit(kg1, pair[0], p) for p in p1]
+    u2 = [unit(kg2, pair[1], p) for p in p2]
     sims = np.full((len(p1), len(p2)), -2.0, dtype=np.float64)
     for i, a in enumerate(u1):
         if a is None:
@@ -148,7 +158,7 @@ def reference_match_paths(store, kg1, kg2, pair, neighbor_pair, h, stats=None):
         if sims[i, j] <= -2.0:
             continue
         if best2[j] == i:
-            out.append((p1[i].key(), p2[int(j)].key(), float(sims[i, j])))
+            out.append((p1[i], p2[int(j)], float(sims[i, j])))
     return out
 
 
@@ -206,11 +216,8 @@ class TestBatchedCoreIsExact:
                         expected = reference_match_paths(
                             store, kg1, kg2, (e1, e2), (n1, n2), h, stats
                         )
-                        got = [
-                            (mp.source_path.key(), mp.target_path.key(), mp.similarity)
-                            for mp in match_paths((e1, e2), (n1, n2), store, kg1, kg2, h,
-                                                  index1=idx1, index2=idx2)
-                        ]
+                        got = match_paths((e1, e2), (n1, n2), store, kg1, kg2, h,
+                                          index1=idx1, index2=idx2)
                         assert got == expected
                         compared += len(expected)
         assert compared > 100
@@ -225,24 +232,19 @@ class TestBatchedCoreIsExact:
             for e in range(0, 10, 3):
                 expl = explanation((e, e), kg1, kg2, store, alignments, h)
                 expected = []
-                for n1, n2 in expl.matched_neighbor_pairs:
-                    expected += reference_match_paths(
-                        store, kg1, kg2, (e, e), (n1.index, n2.index), h
-                    )
-                got = [
-                    (mp.source_path.key(), mp.target_path.key(), mp.similarity)
-                    for mp in expl.path_pairs
-                ]
+                for neighbor_pair in expl.matched_neighbor_pairs:
+                    expected += reference_match_paths(store, kg1, kg2, (e, e), neighbor_pair, h)
+                got = expl.path_matches()
                 assert got == expected
-                assert expl.path_weights == [
-                    (path_weight(kg1, mp.source_path), path_weight(kg2, mp.target_path))
-                    for mp in expl.path_pairs
-                ]
-                triples = {(Side.SOURCE, t.key()) for mp in expl.path_pairs
-                           for t in path_triples(kg1, mp.source_path)}
-                triples |= {(Side.TARGET, t.key()) for mp in expl.path_pairs
-                            for t in path_triples(kg2, mp.target_path)}
-                assert {(t.subject.side, t.key()) for t in expl.triples} == triples
+                if expl.tables is not None:
+                    t1, t2 = expl.tables
+                    weights = zip(t1.weight[expl.rows1].tolist(), t2.weight[expl.rows2].tolist())
+                    assert list(weights) == [
+                        (path_weight(kg1, a), path_weight(kg2, b)) for a, b, _ in got
+                    ]
+                triples = {(0, *t) for a, _, _ in got for t in path_triples(e, a)}
+                triples |= {(1, *t) for _, b, _ in got for t in path_triples(e, b)}
+                assert expl.triple_keys == triples
 
     @pytest.mark.parametrize("h", [1, 2])
     def test_table_rows_equal_path_embedding_over_norm(self, h):
@@ -253,14 +255,16 @@ class TestBatchedCoreIsExact:
             index = PathIndex(kg, store, h)
             for center in range(9):
                 table = index.table(center)
-                by_key = {p.key(): p for p in enumerate_paths(kg, center, h)}
-                assert table.steps.shape[0] == len(by_key)
-                for row in range(table.steps.shape[0]):
-                    steps = table.steps[row, : table.lengths[row]].tolist()
-                    path = by_key[tuple(map(tuple, steps))]
-                    assert index.path(table, row) == path
+                paths = enumerate_paths(kg, center, h)
+                rows = range(table.steps.shape[0])
+                assert sorted(table.key(row) for row in rows) == paths
+                for row in rows:
+                    path = table.key(row)
                     assert table.weight[row] == path_weight(kg, path)
-                    vec = path_embedding(store, kg, path)
+                    assert table.triples[row, : len(path)].tolist() == [
+                        list(t) for t in path_triples(center, path)
+                    ]
+                    vec = path_embedding(store, kg, center, path)
                     norm = np.linalg.norm(vec)
                     if norm == 0.0:
                         assert table.zero[row]
@@ -283,19 +287,17 @@ class TestMatchPaths:
         rows = rng.normal(size=(3, 5))
         store = EmbeddingStore({Side.SOURCE: rows, Side.TARGET: rows})
         got = match_paths((0, 0), (1, 1), store, kg1, kg2, h=2)
-        assert len(got) == len(
-            [p for p in enumerate_paths(kg1, 0, 2) if p.endpoint.index == 1]
-        )
-        for mp in got:
-            assert mp.source_path.key() == mp.target_path.key()
-            assert mp.similarity == pytest.approx(1.0)
+        assert len(got) == len(paths_to(kg1, 0, 1, 2))
+        for path1, path2, sim in got:
+            assert path1 == path2
+            assert sim == pytest.approx(1.0)
 
     def test_single_paths_forced(self, governor_case):
         c = governor_case
         got = match_paths((0, 0), (1, 1), c["store"], c["kg1"], c["kg2"], h=2)
         assert len(got) == 1
-        assert got[0].source_path.length == 1
-        assert got[0].target_path.length == 1
+        assert len(got[0][0]) == 1
+        assert len(got[0][1]) == 1
 
     def test_empty_when_no_connecting_path(self):
         kg1 = make_kg(3, [(0, 0, 1)])
@@ -315,10 +317,7 @@ class TestMatchPaths:
             n1, n2 = int(rng.integers(0, 8)), int(rng.integers(0, 8))
             if n1 == e1 or n2 == e2:
                 continue
-            got = [
-                (mp.source_path.key(), mp.target_path.key(), mp.similarity)
-                for mp in match_paths((e1, e2), (n1, n2), store, kg1, kg2, h=2)
-            ]
+            got = match_paths((e1, e2), (n1, n2), store, kg1, kg2, h=2)
             expected = oracle_mutual_best(store, kg1, kg2, (e1, e2), (n1, n2), 2)
             assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in expected]
             for (_, _, s_got), (_, _, s_exp) in zip(got, expected):
@@ -332,13 +331,13 @@ class TestExplanation:
         c = governor_case
         expl = explanation((0, 0), c["kg1"], c["kg2"], c["store"], c["alignments"], h=2)
         assert not expl.no_match
-        keys = {(t.subject.side, t.key()) for t in expl.triples}
-        assert (Side.SOURCE, (0, 0, 1)) in keys  # 加文·纽森 前任 杰里·布朗
-        assert (Side.TARGET, (1, 0, 0)) in keys  # Jerry Brown predecessor Gavin Newsom
-        assert (Side.SOURCE, (0, 1, 2)) in keys
-        assert (Side.TARGET, (0, 1, 2)) in keys
+        keys = expl.triple_keys
+        assert (0, 0, 0, 1) in keys  # 加文·纽森 前任 杰里·布朗
+        assert (1, 1, 0, 0) in keys  # Jerry Brown predecessor Gavin Newsom
+        assert (0, 0, 1, 2) in keys
+        assert (1, 0, 1, 2) in keys
         assert len(expl.matched_neighbor_pairs) == 2
-        assert len(expl.path_pairs) == 2
+        assert len(expl.path_matches()) == 2
 
     def test_no_aligned_neighbors_flags_no_match(self):
         kg1 = make_kg(2, [(0, 0, 1)])
@@ -346,8 +345,8 @@ class TestExplanation:
         store = paired_store(np.random.default_rng(3), 2, 2)
         expl = explanation((0, 0), kg1, kg2, store, {}, h=2)
         assert expl.no_match
-        assert expl.triples == set()
-        assert expl.path_pairs == []
+        assert expl.triple_keys == frozenset()
+        assert expl.path_matches() == []
 
     def test_isomorphic_pair_recovers_full_one_hop_neighborhood(self):
         # reciprocal edges (s,r,o)+(o,r,s) are avoided: the relation half
@@ -372,9 +371,9 @@ class TestExplanation:
             if not neighborhood_entities(kg1, center, 1):
                 continue
             expl = explanation((center, center), kg1, kg2, store, identity, h=1)
-            expected = {(Side.SOURCE, t.key()) for t in neighborhood_triples(kg1, center, 1)}
-            expected |= {(Side.TARGET, t.key()) for t in neighborhood_triples(kg2, center, 1)}
-            assert {(t.subject.side, t.key()) for t in expl.triples} == expected
+            expected = {(0, *t) for t in neighborhood_triples(kg1, center, 1)}
+            expected |= {(1, *t) for t in neighborhood_triples(kg2, center, 1)}
+            assert expl.triple_keys == expected
 
     def test_triples_stay_inside_candidate_set(self):
         rng = np.random.default_rng(19)
@@ -386,14 +385,17 @@ class TestExplanation:
             e = int(rng.integers(0, 9))
             for h in (1, 2):
                 expl = explanation((e, e), kg1, kg2, store, alignments, h=h)
-                assert expl.triples <= candidate_triples(kg1, kg2, (e, e), h)
+                assert expl.triple_keys <= candidate_triples(kg1, kg2, (e, e), h)
 
     def test_path_triples_follow_steps(self):
+        # 0 -r0-> 1 <-r1- 2: the table row of the two-step path from 0 holds
+        # the triples it traverses, in step order
         kg = make_kg(3, [(0, 0, 1), (2, 1, 1)])
-        paths = [p for p in enumerate_paths(kg, 0, 2) if p.length == 2]
-        assert len(paths) == 1
-        keys = [t.key() for t in path_triples(kg, paths[0])]
-        assert keys == [(0, 0, 1), (2, 1, 1)]
+        store = EmbeddingStore({Side.SOURCE: np.random.default_rng(2).normal(size=(3, 4))})
+        table = PathIndex(kg, store, 2).table(0)
+        rows = np.flatnonzero(table.lengths == 2).tolist()
+        assert [table.key(row) for row in rows] == [((0, 0, 1), (1, 1, 2))]
+        assert table.triples[rows[0]].tolist() == [[0, 0, 1], [2, 1, 1]]
 
     def test_shared_path_index_reuse(self, governor_case):
         c = governor_case
@@ -402,4 +404,5 @@ class TestExplanation:
         a = explanation((0, 0), c["kg1"], c["kg2"], c["store"], c["alignments"], 2,
                         index1=idx1, index2=idx2)
         b = explanation((0, 0), c["kg1"], c["kg2"], c["store"], c["alignments"], 2)
-        assert {t.key() for t in a.triples} == {t.key() for t in b.triples}
+        assert a.triple_keys == b.triple_keys
+        assert a == b

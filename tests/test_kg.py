@@ -5,9 +5,7 @@ import pytest
 
 from exea.errors import EmptyKg, MalformedLine, UnknownId, UnknownRelation
 from exea.kg import (
-    Direction,
     Kg,
-    RelationPath,
     Side,
     enumerate_paths,
     functionality,
@@ -70,14 +68,18 @@ class TestConstructionAndIndexes:
         with pytest.raises(UnknownId):
             make_kg(2, [(0, 7, 1)], n_rel=1)
 
-    def test_ref_accessors(self):
+    def test_labels_and_entity_range_check(self):
         kg = make_kg(2, [(0, 0, 1)])
-        e = kg.entity(1)
-        assert (e.side, e.index, e.label) == (Side.SOURCE, 1, "e1")
-        t = kg.triples[0]
-        assert t.key() == (0, 0, 1)
-        with pytest.raises(UnknownId):
-            kg.entity(9)
+        assert (kg.side, kg.entity_labels[1], kg.relation_labels[0]) == (Side.SOURCE, "e1", "r0")
+        assert kg.triple_keys[0] == (0, 0, 1)
+        assert kg.check_entity(1) == 1
+        for bad in (9, -1):
+            with pytest.raises(UnknownId):
+                kg.check_entity(bad)
+            with pytest.raises(UnknownId):
+                neighborhood_entities(kg, bad, 1)
+            with pytest.raises(UnknownId):
+                enumerate_paths(kg, bad, 1)
 
 
 class TestFunctionality:
@@ -160,14 +162,12 @@ class TestNeighborhoods:
     def test_chain_two_hops(self):
         # a-b-c-d chain: from a with h=2 only the first two edges are reached
         kg = make_kg(4, [(0, 0, 1), (1, 0, 2), (2, 0, 3)])
-        got = {t.key() for t in neighborhood_triples(kg, 0, 2)}
-        assert got == {(0, 0, 1), (1, 0, 2)}
-        assert {t.key() for t in neighborhood_triples(kg, 0, 1)} == {(0, 0, 1)}
+        assert neighborhood_triples(kg, 0, 2) == [(0, 0, 1), (1, 0, 2)]
+        assert neighborhood_triples(kg, 0, 1) == [(0, 0, 1)]
 
     def test_direction_ignored_for_reachability(self):
         kg = make_kg(3, [(1, 0, 0), (2, 0, 1)])
-        got = {t.key() for t in neighborhood_triples(kg, 0, 2)}
-        assert got == {(1, 0, 0), (2, 0, 1)}
+        assert set(neighborhood_triples(kg, 0, 2)) == {(1, 0, 0), (2, 0, 1)}
 
     def test_matches_oracle_on_random_graphs(self):
         rng = np.random.default_rng(23)
@@ -175,16 +175,17 @@ class TestNeighborhoods:
             kg = random_kg(rng, 14, 3, 35)
             e = int(rng.integers(0, 14))
             for h in (1, 2):
-                got = {t.key() for t in neighborhood_triples(kg, e, h)}
-                assert got == oracle_neighborhood(kg, e, h)
+                got = neighborhood_triples(kg, e, h)
+                assert set(got) == oracle_neighborhood(kg, e, h)
+                assert got == sorted(got)
 
     def test_one_hop_subset_of_two_hop(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             kg = random_kg(rng, 10, 2, 25)
             e = int(rng.integers(0, 10))
-            one = {t.key() for t in neighborhood_triples(kg, e, 1)}
-            two = {t.key() for t in neighborhood_triples(kg, e, 2)}
+            one = set(neighborhood_triples(kg, e, 1))
+            two = set(neighborhood_triples(kg, e, 2))
             assert one <= two
 
     def test_neighbor_entities_exclude_center(self):
@@ -213,21 +214,16 @@ class TestNeighborhoods:
 class TestPaths:
     def test_single_triple_both_perspectives(self):
         kg = make_kg(2, [(0, 0, 1)])
-        out_paths = enumerate_paths(kg, 0, 1)
-        assert len(out_paths) == 1
-        assert out_paths[0].steps[0].direction is Direction.OUTGOING
-        assert out_paths[0].endpoint.index == 1
-        in_paths = enumerate_paths(kg, 1, 1)
-        assert len(in_paths) == 1
-        assert in_paths[0].steps[0].direction is Direction.INCOMING
-        assert in_paths[0].endpoint.index == 0
+        # a step is (0 outgoing / 1 incoming, relation, entity reached)
+        assert enumerate_paths(kg, 0, 1) == [((0, 0, 1),)]
+        assert enumerate_paths(kg, 1, 1) == [((1, 0, 0),)]
 
     def test_no_entity_revisited(self):
         kg = make_kg(2, [(0, 0, 1), (1, 0, 0)])
         paths = enumerate_paths(kg, 0, 2)
-        for p in paths:
-            seen = {p.center.index} | {st.entity.index for st in p.steps}
-            assert len(seen) == 1 + len(p.steps)
+        for steps in paths:
+            seen = {0} | {u for _, _, u in steps}
+            assert len(seen) == 1 + len(steps)
 
     def test_matches_oracle_on_random_graphs(self):
         rng = np.random.default_rng(31)
@@ -235,14 +231,7 @@ class TestPaths:
             kg = random_kg(rng, 10, 3, 22)
             e = int(rng.integers(0, 10))
             for h in (1, 2):
-                got = [
-                    tuple(
-                        (0 if st.direction is Direction.OUTGOING else 1,
-                         st.relation.index, st.entity.index)
-                        for st in p.steps
-                    )
-                    for p in enumerate_paths(kg, e, h)
-                ]
+                got = enumerate_paths(kg, e, h)
                 assert got == oracle_paths(kg, e, h)
                 assert got == sorted(got)
 
@@ -250,19 +239,14 @@ class TestPaths:
         rng = np.random.default_rng(41)
         kg = random_kg(rng, 12, 3, 30)
         for e in range(12):
-            for p in enumerate_paths(kg, e, 2):
-                anchor = p.center.index
-                for st in p.steps:
-                    if st.direction is Direction.OUTGOING:
-                        assert kg.has_triple(anchor, st.relation.index, st.entity.index)
+            for steps in enumerate_paths(kg, e, 2):
+                anchor = e
+                for rank, r, u in steps:
+                    if rank == 0:
+                        assert kg.has_triple(anchor, r, u)
                     else:
-                        assert kg.has_triple(st.entity.index, st.relation.index, anchor)
-                    anchor = st.entity.index
-
-    def test_path_requires_steps(self):
-        kg = make_kg(2, [(0, 0, 1)])
-        with pytest.raises(ValueError):
-            RelationPath(kg.entity(0), ())
+                        assert kg.has_triple(u, r, anchor)
+                    anchor = u
 
 
 class TestLoading:
@@ -296,10 +280,14 @@ class TestLoading:
         assert err.value.line_no == 2
 
     def test_unknown_id_in_triples(self, tmp_path):
+        # an id outside the label files is a malformed line of the triples
+        # file; Kg() itself still raises UnknownId for programmatic input
         _, e, r = self.make_files(tmp_path)
-        t = self.write(tmp_path, "triples_bad", "0\t0\t9\n")
-        with pytest.raises(UnknownId):
-            load_kg(t, e, r, Side.SOURCE)
+        for line_no, text in ((1, "0\t0\t9\n"), (2, "0\t0\t1\n-1\t0\t1\n"), (1, "0\t1\t1\n")):
+            t = self.write(tmp_path, "triples_bad", text)
+            with pytest.raises(MalformedLine) as err:
+                load_kg(t, e, r, Side.SOURCE)
+            assert (err.value.path, err.value.line_no) == (str(t), line_no)
 
     def test_sparse_label_ids_rejected(self, tmp_path):
         t, _, r = self.make_files(tmp_path)

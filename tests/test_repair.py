@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from exea.embedding import (
     similarity_topk,
 )
 from exea.errors import ConfigError, InvariantViolation, NoRelationVectors
-from exea.kg import Kg, Side, Triple, neighborhood_entities
+from exea.kg import Kg, Side, neighborhood_entities
 from exea.repair import (
     REPAIRED,
     SEED,
@@ -229,7 +230,7 @@ class TestMineRelationAlignment:
         ra = mine_relation_alignment(
             store, self.kg_with_rels(3, Side.SOURCE), self.kg_with_rels(3, Side.TARGET), "native"
         )
-        assert [(a.index, b.index) for a, b, _ in ra.pairs] == [(0, 0), (1, 1), (2, 2)]
+        assert [(a, b) for a, b, _ in ra.pairs] == [(0, 0), (1, 1), (2, 2)]
         assert all(sim == pytest.approx(1.0) for _, _, sim in ra.pairs)
 
     def test_single_relation_per_side(self):
@@ -237,7 +238,7 @@ class TestMineRelationAlignment:
         ra = mine_relation_alignment(
             store, self.kg_with_rels(1, Side.SOURCE), self.kg_with_rels(1, Side.TARGET), "native"
         )
-        assert [(a.index, b.index) for a, b, _ in ra.pairs] == [(0, 0)]
+        assert [(a, b) for a, b, _ in ra.pairs] == [(0, 0)]
 
     def test_mutual_best_only(self):
         # nearest-neighbor structure by angle: 0<->0 and 2<->2 are mutual,
@@ -249,7 +250,7 @@ class TestMineRelationAlignment:
         ra = mine_relation_alignment(
             store, self.kg_with_rels(4, Side.SOURCE), self.kg_with_rels(4, Side.TARGET), "native"
         )
-        assert [(a.index, b.index) for a, b, _ in ra.pairs] == [(0, 0), (2, 2)]
+        assert [(a, b) for a, b, _ in ra.pairs] == [(0, 0), (2, 2)]
 
     def test_zero_rows_never_participate(self):
         v1 = [[1.0, 0.0], [0.0, 0.0]]
@@ -258,7 +259,7 @@ class TestMineRelationAlignment:
         ra = mine_relation_alignment(
             store, self.kg_with_rels(2, Side.SOURCE), self.kg_with_rels(2, Side.TARGET), "native"
         )
-        assert [(a.index, b.index) for a, b, _ in ra.pairs] == [(0, 0)]
+        assert [(a, b) for a, b, _ in ra.pairs] == [(0, 0)]
 
     def test_derived_source_ignores_native_vectors(self):
         # entity geometry pairs the relations identically, while the planted
@@ -274,8 +275,8 @@ class TestMineRelationAlignment:
         )
         derived = mine_relation_alignment(store, kg1, kg2, "derived")
         native = mine_relation_alignment(store, kg1, kg2, "native")
-        assert [(a.index, b.index) for a, b, _ in derived.pairs] == [(0, 0), (1, 1)]
-        assert [(a.index, b.index) for a, b, _ in native.pairs] == [(0, 1), (1, 0)]
+        assert [(a, b) for a, b, _ in derived.pairs] == [(0, 0), (1, 1)]
+        assert [(a, b) for a, b, _ in native.pairs] == [(0, 1), (1, 0)]
 
     def test_name_source_and_missing_vectors(self):
         ents = np.eye(2)
@@ -291,7 +292,7 @@ class TestMineRelationAlignment:
             name_relation_vecs={Side.SOURCE: angles_to_rows([0, 90]), Side.TARGET: angles_to_rows([5, 85])},
         )
         ra = mine_relation_alignment(named, kg1, kg2, "name")
-        assert [(a.index, b.index) for a, b, _ in ra.pairs] == [(0, 0), (1, 1)]
+        assert [(a, b) for a, b, _ in ra.pairs] == [(0, 0), (1, 1)]
 
     def test_unknown_source_rejected(self):
         ents = np.eye(2)
@@ -319,7 +320,8 @@ class TestMineNotSameAsRules:
     def test_presidents_rule_emitted(self):
         kg1, kg2, store, seeds, raw, cfg = presidents_case()
         rules = mine_not_same_as_rules(kg2)
-        assert [(r.r1.label, r.r2.label) for r in rules] == [("predecessor", "successor")]
+        labels = kg2.relation_labels
+        assert [(labels[r.r1], labels[r.r2]) for r in rules] == [("predecessor", "successor")]
         assert mine_not_same_as_rules(kg1) == []
 
     def test_disjoint_subject_sets_give_no_rule(self):
@@ -333,25 +335,43 @@ class TestMineNotSameAsRules:
     def test_aligned_pair_blocks_rule(self):
         kg = make_kg(3, [(0, 0, 1), (0, 1, 2)], side=Side.SOURCE)
         rules = mine_not_same_as_rules(kg)
-        assert [(r.r1.index, r.r2.index) for r in rules] == [(0, 1)]
+        assert [(r.r1, r.r2) for r in rules] == [(0, 1)]
 
     def test_rule_refs_are_canonical_and_sided(self):
         kg = make_kg(3, [(0, 1, 1), (0, 0, 2)], side=Side.TARGET)
         (rule,) = mine_not_same_as_rules(kg)
-        assert rule.side is Side.TARGET
-        assert rule.r1.index < rule.r2.index
+        assert rule.side == 1
+        assert rule.r1 < rule.r2
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(42)
         for trial in range(5):
             kg = random_kg(rng, 15, 4, 50)
-            mined = {(r.r1.index, r.r2.index) for r in mine_not_same_as_rules(kg)}
+            mined = {(r.r1, r.r2) for r in mine_not_same_as_rules(kg)}
             assert mined == brute_force_rules(kg), f"trial {trial}"
+
+
+class Ref(NamedTuple):
+    """An entity or relation of one side (0 source, 1 target): the value type
+    of the reference enumeration and chaining below."""
+
+    side: int
+    index: int
+
+
+class Trip(NamedTuple):
+    subject: Ref
+    relation: Ref
+    object: Ref
 
 
 def reference_strong_edge_entities(adg):
     pairs = []
-    strong_nodes = {e.neighbor for e in adg.edges if e.edge_class is EdgeClass.STRONG}
+    classes = list(EdgeClass)
+    strong_nodes = {
+        n for n, c in zip(adg.edge_neighbor.tolist(), adg.edge_class.tolist())
+        if classes[c] is EdgeClass.STRONG
+    }
     if strong_nodes:
         pairs.append(adg.central.pair)
         pairs.extend(adg.neighbors[i].pair for i in sorted(strong_nodes))
@@ -359,19 +379,19 @@ def reference_strong_edge_entities(adg):
 
 
 def reference_cross_kg_triples(adg, state, rel_align, kg1, kg2, budget=200):
-    """The object-level swap enumeration: ``Triple`` values, relation
+    """The per-triple swap enumeration: ``Trip`` values, relation
     counterparts found by scanning ``rel_align`` for every base triple."""
 
     def rel_target_of(r):
         for a, b, _ in rel_align.pairs:
-            if a.index == r:
-                return b.index
+            if a == r:
+                return b
         return None
 
     def rel_source_of(r):
         for a, b, _ in rel_align.pairs:
-            if b.index == r:
-                return a.index
+            if b == r:
+                return a
         return None
 
     entity_pairs = reference_strong_edge_entities(adg)
@@ -385,10 +405,10 @@ def reference_cross_kg_triples(adg, state, rel_align, kg1, kg2, budget=200):
     consulted = []
     seen_base = set()
     for e1, e2 in entity_pairs:
-        for side, kg, ent in ((Side.SOURCE, kg1, e1), (Side.TARGET, kg2, e2)):
+        for side, kg, ent in ((0, kg1, e1), (1, kg2, e2)):
             one_hop = sorted(
-                [(ent.index, r, o) for r, o in kg.out_index.get(ent.index, ())]
-                + [(s, r, ent.index) for r, s in kg.in_index.get(ent.index, ())]
+                [(ent, r, o) for r, o in kg.out_index.get(ent, ())]
+                + [(s, r, ent) for r, s in kg.in_index.get(ent, ())]
             )
             for key in one_hop:
                 tagged = (side, key)
@@ -404,18 +424,12 @@ def reference_cross_kg_triples(adg, state, rel_align, kg1, kg2, budget=200):
             break
     out = set()
     for side, (s, r, o) in consulted:
-        if side is Side.SOURCE:
-            subj, rel, obj = kg1.entity(s), kg1.relation(r), kg1.entity(o)
-            subj_alt = kg2.entity(fwd[s]) if s in fwd else None
-            obj_alt = kg2.entity(fwd[o]) if o in fwd else None
-            r_alt = rel_target_of(r)
-            rel_alt = kg2.relation(r_alt) if r_alt is not None else None
-        else:
-            subj, rel, obj = kg2.entity(s), kg2.relation(r), kg2.entity(o)
-            subj_alt = kg1.entity(rev[s]) if s in rev else None
-            obj_alt = kg1.entity(rev[o]) if o in rev else None
-            r_alt = rel_source_of(r)
-            rel_alt = kg1.relation(r_alt) if r_alt is not None else None
+        subj, rel, obj = Ref(side, s), Ref(side, r), Ref(side, o)
+        ents, rel_alt_of = (fwd, rel_target_of) if side == 0 else (rev, rel_source_of)
+        subj_alt = Ref(1 - side, ents[s]) if s in ents else None
+        obj_alt = Ref(1 - side, ents[o]) if o in ents else None
+        r_alt = rel_alt_of(r)
+        rel_alt = Ref(1 - side, r_alt) if r_alt is not None else None
         for use_s, use_r, use_o in itertools.product((False, True), repeat=3):
             if not (use_s or use_r or use_o):
                 continue
@@ -423,14 +437,14 @@ def reference_cross_kg_triples(adg, state, rel_align, kg1, kg2, budget=200):
                 use_o and obj_alt is None
             ):
                 continue
-            out.add(Triple(subj_alt if use_s else subj, rel_alt if use_r else rel,
-                           obj_alt if use_o else obj))
+            out.add(Trip(subj_alt if use_s else subj, rel_alt if use_r else rel,
+                         obj_alt if use_o else obj))
     return sorted(out, key=cross_key)
 
 
 def reference_chain_rules(rules, cross, kg1, kg2):
-    """Object-level rule chaining: every rule against every subject's
-    relation map, with ``EntityRef``/``RelationRef`` keys."""
+    """Per-rule chaining: every rule against every subject's relation map,
+    with ``Ref`` keys."""
     by_subject = {}
 
     def add(subj, rel, obj):
@@ -438,38 +452,32 @@ def reference_chain_rules(rules, cross, kg1, kg2):
 
     for t in cross:
         add(t.subject, t.relation, t.object)
-    kgs = {Side.SOURCE: kg1, Side.TARGET: kg2}
+    kgs = (kg1, kg2)
     for subj in list(by_subject):
         kg = kgs[subj.side]
-        if subj.index < kg.n_entities and kg.entity(subj.index) == subj:
+        if subj.index < kg.n_entities:
             for r, o in kg.out_index.get(subj.index, ()):
-                add(subj, kg.relation(r), kg.entity(o))
+                add(subj, Ref(subj.side, r), Ref(subj.side, o))
     derived = set()
     for rule in rules:
+        r1, r2 = Ref(rule.side, rule.r1), Ref(rule.side, rule.r2)
         for rel_map in by_subject.values():
-            objs1 = rel_map.get(rule.r1)
-            objs2 = rel_map.get(rule.r2)
+            objs1 = rel_map.get(r1)
+            objs2 = rel_map.get(r2)
             if not objs1 or not objs2:
                 continue
             for a in objs1:
                 for b in objs2:
                     if a == b or a.side == b.side:
                         continue
-                    pair = (a, b) if a.side is Side.SOURCE else (b, a)
+                    pair = (a, b) if a.side == 0 else (b, a)
                     derived.add((pair[0].index, pair[1].index))
     return derived
 
 
-SIDE_CODE = {Side.SOURCE: 0, Side.TARGET: 1}
-
-
 def cross_key(t):
-    """A ``Triple`` as the (side, index) * 3 tuple ``cross_kg_triples`` returns."""
-    return (
-        SIDE_CODE[t.subject.side], t.subject.index,
-        SIDE_CODE[t.relation.side], t.relation.index,
-        SIDE_CODE[t.object.side], t.object.index,
-    )
+    """A ``Trip`` as the (side, index) * 3 tuple ``cross_kg_triples`` returns."""
+    return (*t.subject, *t.relation, *t.object)
 
 
 def cross_keys(triples):
@@ -484,29 +492,30 @@ class TestCrossKgTriples:
         ra = mine_relation_alignment(store, kg1, kg2, "native")
         return kg1, kg2, store, Counterparts.of(state, ra), analyzer
 
-    def expected_variants(self, kg1, kg2):
-        djt, jb = kg1.entity(0), kg1.entity(1)
-        fb = kg1.relation(0)
-        dt, bo, mp = kg2.entity(0), kg2.entity(1), kg2.entity(2)
-        pred, succ = kg2.relation(0), kg2.relation(1)
+    def expected_variants(self):
+        djt, jb = Ref(0, 0), Ref(0, 1)
+        fb = Ref(0, 0)
+        dt, bo, mp = Ref(1, 0), Ref(1, 1), Ref(1, 2)
+        pred, succ = Ref(1, 0), Ref(1, 1)
         return {
             # from (Donald John Trump, followed by, Joe Biden)
-            Triple(dt, fb, jb), Triple(djt, succ, jb), Triple(djt, fb, bo),
-            Triple(dt, succ, jb), Triple(dt, fb, bo), Triple(djt, succ, bo),
-            Triple(dt, succ, bo),
+            Trip(dt, fb, jb), Trip(djt, succ, jb), Trip(djt, fb, bo),
+            Trip(dt, succ, jb), Trip(dt, fb, bo), Trip(djt, succ, bo),
+            Trip(dt, succ, bo),
             # from (Donald Trump, predecessor, Barack Obama); predecessor has
             # no aligned relation, so only entity swaps
-            Triple(djt, pred, bo), Triple(dt, pred, jb), Triple(djt, pred, jb),
+            Trip(djt, pred, bo), Trip(dt, pred, jb), Trip(djt, pred, jb),
             # from (Donald Trump, successor, Mike Pence); Mike Pence unaligned
-            Triple(djt, succ, mp), Triple(dt, fb, mp), Triple(djt, fb, mp),
+            Trip(djt, succ, mp), Trip(dt, fb, mp), Trip(djt, fb, mp),
         }
 
     def test_hand_enumerated_swap_set(self):
         kg1, kg2, store, cp, analyzer = self.build()
         adg = analyzer.adg(1, 1)
         got = cross_kg_triples(adg, cp, kg1, kg2)
-        assert set(got) == cross_keys(self.expected_variants(kg1, kg2))
-        assert cross_key(Triple(kg2.entity(0), kg2.relation(1), kg1.entity(1))) in got
+        assert set(got) == cross_keys(self.expected_variants())
+        # (Donald Trump, successor, Joe Biden)
+        assert cross_key(Trip(Ref(1, 0), Ref(1, 1), Ref(0, 1))) in got
 
     def test_no_strong_edges_yields_nothing(self):
         kg1, kg2, store, seeds, raw, cfg = presidents_case()
@@ -514,7 +523,7 @@ class TestCrossKgTriples:
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
         ra = mine_relation_alignment(store, kg1, kg2, "native")
         adg = analyzer.adg(1, 1)
-        assert adg.edges == []
+        assert len(adg.edge_neighbor) == 0
         assert cross_kg_triples(adg, Counterparts.of(state, ra), kg1, kg2) == []
 
     def test_budget_zero_and_budget_cap(self):
@@ -523,9 +532,11 @@ class TestCrossKgTriples:
         assert cross_kg_triples(adg, cp, kg1, kg2, budget=0) == []
         # budget 1 consults only Joe Biden's single source-side triple
         capped = cross_kg_triples(adg, cp, kg1, kg2, budget=1)
+        kgs = (kg1, kg2)
         base_one = {
-            t for t in self.expected_variants(kg1, kg2)
-            if t.relation.label in ("followed by", "successor") and t.object.label != "Mike Pence"
+            t for t in self.expected_variants()
+            if kgs[t.relation.side].relation_labels[t.relation.index] in ("followed by", "successor")
+            and kgs[t.object.side].entity_labels[t.object.index] != "Mike Pence"
         }
         assert set(capped) == cross_keys(base_one)
         assert len(capped) == 7
@@ -571,7 +582,7 @@ class TestRelationConflictDetection:
         analyzer.ban([(0, 0)])
         repaired = analyzer.adg(1, 1)
         assert repaired.neighbors == []
-        assert repaired.edges == []
+        assert len(repaired.edge_neighbor) == 0
         assert repaired.confidence == pytest.approx(sigmoid(0.0))
 
 
@@ -608,7 +619,7 @@ class TestConflictStageIsExact:
             if prov == SEED:
                 continue
             adg = analyzer.adg(s, t)
-            node_pairs = {(n.pair[0].index, n.pair[1].index) for n in adg.neighbors}
+            node_pairs = {n.pair for n in adg.neighbors}
             for budget in (1, 7, 200):
                 ref_cross = reference_cross_kg_triples(adg, state, rel_align, kg1, kg2, budget)
                 got_cross = cross_kg_triples(adg, counterparts, kg1, kg2, budget)
@@ -703,7 +714,7 @@ class TestAnalyzerCacheAgainstColdRebuild:
                 if forward.get(a) in hood2 and (a, forward[a]) != (s, t)
                 and (a, forward[a]) not in warm.banned_pairs
             ]
-            assert [(a.index, b.index) for a, b in warm.neighbor_pairs(s, t)] == expected
+            assert warm.neighbor_pairs(s, t) == expected
             assert warm.confidence(s, t) == cold.confidence(s, t)
             assert warm.adg(s, t) == cold.adg(s, t)
 
@@ -1099,8 +1110,8 @@ class TestCachedExplanations:
         assert len(out.pairs) == 200
         for s, t in out.pairs:
             cached, fresh = out.explanations[(s, t)], cold.explanation(s, t)
-            assert cached.path_pairs == fresh.path_pairs
+            assert cached.path_matches() == fresh.path_matches()
             assert cached.triple_keys == fresh.triple_keys
-            assert cached.triples == fresh.triples
+            assert cached == fresh
             assert out.adgs[(s, t)].confidence == cold.adg(s, t).confidence
             assert out.adgs[(s, t)] == cold.adg(s, t)
