@@ -26,7 +26,7 @@ raw = [(s, t) for s, t, _ in greedy_align(store, free, range(kg2.n_entities))]
 sample = sample_correct_pairs(raw, data.gold, 25, rng_seed=0)
 print(f"sampled {len(sample)} correctly predicted pairs to explain")
 
-context = list(data.seeds) + raw
+context = dict(list(data.seeds) + raw)
 expl = {p: explanation(p, kg1, kg2, store, context, 2).triple_keys for p in sample}
 rand = random_matched_explanations(kg1, kg2, expl, h=2, rng_seed=0)
 

@@ -492,7 +492,7 @@ def _pair_explanation(cfg: dict) -> tuple[_Inputs, Explanation]:
     data = _load_inputs(cfg, ("alignment",))
     pair = tuple(int(x) for x in cfg["pair"])
     expl = explanation(
-        pair, data.kg1, data.kg2, data.store, data.pairs["alignment"], int(cfg["h"])
+        pair, data.kg1, data.kg2, data.store, dict(data.pairs["alignment"]), int(cfg["h"])
     )
     return data, expl
 
@@ -542,8 +542,9 @@ def _eval_sparsity(cfg: dict) -> tuple[EvalReport, dict]:
     data = _load_inputs(cfg, ("alignment",))
     kg1, kg2, alignments = data.kg1, data.kg2, data.pairs["alignment"]
     h = int(cfg["h"])
+    mapping = dict(alignments)
     expl_triples = {
-        pair: explanation(pair, kg1, kg2, data.store, alignments, h).triple_keys
+        pair: explanation(pair, kg1, kg2, data.store, mapping, h).triple_keys
         for pair in alignments
     }
     mean, empty = explanation_sparsity_stats(kg1, kg2, expl_triples, h)
@@ -568,7 +569,7 @@ def _eval_fidelity(cfg: dict) -> tuple[EvalReport, dict]:
     sample = sample_correct_pairs(pred, gold, int(cfg["sample_n"]), int(cfg["rng_seed"]))
     if not sample:
         raise ConfigError("no correct predictions to sample for fidelity")
-    context = seeds + pred
+    context = dict(seeds + pred)
     expl = {
         pair: explanation(pair, kg1, kg2, store, context, h).triple_keys
         for pair in sample

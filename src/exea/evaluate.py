@@ -219,7 +219,7 @@ def ablation(
     mean_sparsity, empty = 0.0, 0
     if full_result is not None:
         triples_by_pair = {
-            pair: expl.triple_keys for pair, expl in full_result.explanations.items()
+            pair: adg.explanation.triple_keys for pair, adg in full_result.adgs.items()
         }
         mean_sparsity, empty = explanation_sparsity_stats(kg1, kg2, triples_by_pair, cfg.h)
 

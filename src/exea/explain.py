@@ -24,8 +24,9 @@ matcher as the reference and checks equality with ``==``.
 Everything here is ints: a pair is (source index, target index), a path is
 its tuple of step keys (see ``kg``), and a triple is a (side, subject,
 relation, object) key, side 0 for the source graph and 1 for the target
-graph. An explanation keeps its matched paths as rows of the two path tables,
-which ``adg.build_adg`` reads directly; labels are looked up only where
+graph. An explanation keeps only its matched paths, as rows of the two path
+tables, which ``adg.build_adg`` reads directly; its triple keys and path step
+keys are derived from those rows on read, and labels are looked up only where
 output is written.
 """
 
@@ -166,8 +167,8 @@ class Explanation:
     The matched paths stay as rows of the two centers' path tables:
     ``rows1[i]`` of ``tables[0]`` matched ``rows2[i]`` of ``tables[1]`` with
     cosine ``sims[i]``. ``tables`` is None when there is no matched neighbor
-    pair. ``triple_keys`` holds the selected triples as (side, subject,
-    relation, object) keys.
+    pair. Everything else is derived from these rows on read, so a cached
+    explanation costs little more than its row arrays.
     """
 
     pair: tuple[int, int]
@@ -176,7 +177,6 @@ class Explanation:
     rows1: np.ndarray
     rows2: np.ndarray
     sims: np.ndarray
-    triple_keys: frozenset[TripleKey]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Explanation):
@@ -191,7 +191,17 @@ class Explanation:
     @property
     def no_match(self) -> bool:
         """True when no triple was selected at all."""
-        return not self.triple_keys
+        return not self.rows1.size
+
+    @property
+    def triple_keys(self) -> frozenset[TripleKey]:
+        """The triples the matched paths traverse, as (side, subject,
+        relation, object) keys."""
+        if self.tables is None:
+            return frozenset()
+        t1, t2 = self.tables
+        both = np.concatenate([_triple_keys(t1, self.rows1, 0), _triple_keys(t2, self.rows2, 1)])
+        return frozenset(map(tuple, both.tolist()))
 
     def path_matches(self) -> list[PathMatch]:
         """Each matched path pair as step keys read from the table rows, with
@@ -264,24 +274,19 @@ def _mutual_best(
     return rows1[keep], rows2[keep], sims[keep]
 
 
-def _as_alignment_map(alignments) -> Mapping[int, int]:
-    if isinstance(alignments, Mapping):
-        return alignments
-    return {int(s): int(t) for s, t in alignments}
-
-
 def matched_neighbors(
     pair: tuple[int, int],
     kg1: Kg,
     kg2: Kg,
-    alignments,
+    alignments: Mapping[int, int],
     h: int,
 ) -> list[tuple[int, int]]:
-    """Neighbor pairs already matched by ``alignments`` within h hops of both
-    centers, excluding the central pair itself; sorted by source index."""
+    """Neighbor pairs already matched by ``alignments`` (source -> target)
+    within h hops of both centers, excluding the central pair itself; sorted
+    by source index."""
     e1, e2 = int(pair[0]), int(pair[1])
     return matched_neighbor_pairs(
-        _as_alignment_map(alignments).get,
+        alignments.get,
         neighborhood_entities(kg1, e1, h),
         set(neighborhood_entities(kg2, e2, h)),
     )
@@ -345,7 +350,7 @@ def explanation(
     kg1: Kg,
     kg2: Kg,
     store: EmbeddingStore,
-    alignments,
+    alignments: Mapping[int, int] | None,
     h: int,
     index1: PathIndex | None = None,
     index2: PathIndex | None = None,
@@ -353,8 +358,9 @@ def explanation(
 ) -> Explanation:
     """Build the matched subgraph explanation for one pair.
 
-    ``neighbor_pairs`` can inject a pre-filtered neighbor list; by default it
-    is computed from ``alignments``.
+    ``alignments`` maps source to target; callers holding a pair list build
+    the mapping once, not per call. ``neighbor_pairs`` can inject a
+    pre-filtered neighbor list instead, and ``alignments`` is then unread.
     """
     e1, e2 = kg1.check_entity(int(pair[0])), kg2.check_entity(int(pair[1]))
     index1 = index1 or PathIndex(kg1, store, h)
@@ -366,13 +372,9 @@ def explanation(
     tables = None
     rows1 = rows2 = np.zeros(0, dtype=np.int64)
     sims = np.zeros(0, dtype=np.float64)
-    triple_keys: set[TripleKey] = set()
     if neighbor_pairs:
         tables = (index1.table(e1), index2.table(e2))
-        t1, t2 = tables
-        rows1, rows2, sims = _mutual_best(t1, t2, neighbor_pairs)
-        both = np.concatenate([_triple_keys(t1, rows1, 0), _triple_keys(t2, rows2, 1)])
-        triple_keys = set(map(tuple, both.tolist()))
+        rows1, rows2, sims = _mutual_best(*tables, neighbor_pairs)
     return Explanation(
         pair=(e1, e2),
         matched_neighbor_pairs=neighbor_pairs,
@@ -380,5 +382,4 @@ def explanation(
         rows1=rows1,
         rows2=rows2,
         sims=sims,
-        triple_keys=frozenset(triple_keys),
     )

@@ -78,7 +78,6 @@ class Kg:
             if not 0 <= r < n_rel:
                 raise UnknownId(f"relation id {r} outside [0, {n_rel}) on side {side.value}")
         self._triple_keys = tuple(keys)
-        self._triple_key_set = frozenset(keys)
 
         out: dict[int, list[tuple[int, int]]] = {}
         inc: dict[int, list[tuple[int, int]]] = {}
@@ -111,9 +110,6 @@ class Kg:
     @property
     def triple_keys(self) -> tuple[tuple[int, int, int], ...]:
         return self._triple_keys
-
-    def has_triple(self, s: int, r: int, o: int) -> bool:
-        return (s, r, o) in self._triple_key_set
 
     def check_entity(self, index: int) -> int:
         """``index`` itself; UnknownId when it is outside the graph."""

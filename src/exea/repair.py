@@ -39,7 +39,7 @@ from .embedding import (
     similarity_topk,
 )
 from .errors import ConfigError, InvariantViolation, NoRelationVectors
-from .explain import Explanation, PathIndex, explanation, matched_neighbor_pairs
+from .explain import PathIndex, explanation, matched_neighbor_pairs
 from .kg import SIDES, Kg, Side, neighborhood_entities
 
 RELATION_VECTOR_SOURCES = ("derived", "native", "name")
@@ -111,7 +111,8 @@ class AlignmentState:
     The forward map is always a function source -> target; the reverse map may
     hold several sources per target until one-to-many resolution has run.
     Seeds can never be realigned or removed. Every mutation is appended to
-    ``mutations`` so confidence caches can invalidate affected neighborhoods.
+    ``mutations``, a record of what a run did; nothing in the library reads
+    it back (the benchmark's trace reports its length).
     """
 
     def __init__(
@@ -162,10 +163,6 @@ class AlignmentState:
             targets.update(range(n_targets))
         self.source_universe = frozenset(sources)
         self.target_universe = frozenset(targets)
-
-    @property
-    def version(self) -> int:
-        return len(self.mutations)
 
     def is_seed_source(self, s: int) -> bool:
         return s in self._seed_forward
@@ -233,13 +230,15 @@ class AlignmentState:
 
 
 class PairAnalyzer:
-    """Explanation, dependency-graph, and confidence services for one repair
-    run, with caching keyed to the alignment state.
+    """Dependency graphs (each holding its explanation) and confidences for
+    one repair run, with a cache that validates itself on every read.
 
-    A cached entry for (s, t) stays valid until some mutation touches the
-    h-hop neighborhood of s or of t; undirected BFS is symmetric, so the
-    affected pairs are exactly the neighborhoods of the mutated entities.
-    Banned pairs are filtered out of every matched-neighbor list.
+    The explanation of (s, t), and so its dependency graph, is a function of
+    its matched-neighbor list: the path tables of s and t never change. A
+    cached graph is reused while ``neighbor_pairs(s, t)``, recomputed from the
+    cached neighborhoods, the live alignment and the banned pairs, equals the
+    list it was built from, and rebuilt when it differs. Entries are never
+    evicted.
     """
 
     def __init__(
@@ -260,9 +259,7 @@ class PairAnalyzer:
         self.banned_pairs: set[tuple[int, int]] = set()
         self._hood1: dict[int, frozenset[int]] = {}
         self._hood2: dict[int, frozenset[int]] = {}
-        # (s, t) -> its explanation and the dependency graph built from it
-        self._cache: dict[tuple[int, int], tuple[Explanation, Adg]] = {}
-        self._replayed = 0
+        self._cache: dict[tuple[int, int], Adg] = {}
 
     def hood1(self, e: int) -> frozenset[int]:
         got = self._hood1.get(e)
@@ -278,33 +275,8 @@ class PairAnalyzer:
             self._hood2[e] = got
         return got
 
-    def _replay_mutations(self) -> None:
-        log = self.state.mutations
-        while self._replayed < len(log):
-            src, tgt = log[self._replayed]
-            self._replayed += 1
-            touched_s = self.hood1(src) | {src}
-            touched_t = self.hood2(tgt) | {tgt}
-            stale = [
-                key
-                for key in self._cache
-                if key[0] in touched_s or key[1] in touched_t
-            ]
-            for key in stale:
-                del self._cache[key]
-
     def ban(self, pairs: Iterable[tuple[int, int]]) -> None:
-        fresh = set(pairs) - self.banned_pairs
-        if not fresh:
-            return
-        self.banned_pairs |= fresh
-        stale = [
-            (s, t)
-            for s, t in self._cache
-            if any(bs in self.hood1(s) or bt in self.hood2(t) for bs, bt in fresh)
-        ]
-        for key in stale:
-            del self._cache[key]
+        self.banned_pairs.update(pairs)
 
     def neighbor_pairs(self, s: int, t: int) -> list[tuple[int, int]]:
         pairs = matched_neighbor_pairs(self.state.target_of, self.hood1(s), self.hood2(t))
@@ -312,11 +284,11 @@ class PairAnalyzer:
             pairs = [p for p in pairs if p not in self.banned_pairs]
         return pairs
 
-    def _entry(self, s: int, t: int) -> tuple[Explanation, Adg]:
-        self._replay_mutations()
+    def adg(self, s: int, t: int) -> Adg:
         key = (int(s), int(t))
+        neighbors = self.neighbor_pairs(*key)
         got = self._cache.get(key)
-        if got is None:
+        if got is None or got.explanation.matched_neighbor_pairs != neighbors:
             expl = explanation(
                 key,
                 self.kg1,
@@ -326,17 +298,11 @@ class PairAnalyzer:
                 self.cfg.h,
                 index1=self.index1,
                 index2=self.index2,
-                neighbor_pairs=self.neighbor_pairs(*key),
+                neighbor_pairs=neighbors,
             )
-            got = (expl, build_adg(expl, self.kg1, self.kg2, self.store, self.cfg.adg))
+            got = build_adg(expl, self.kg1, self.kg2, self.store, self.cfg.adg)
             self._cache[key] = got
         return got
-
-    def explanation(self, s: int, t: int) -> Explanation:
-        return self._entry(s, t)[0]
-
-    def adg(self, s: int, t: int) -> Adg:
-        return self._entry(s, t)[1]
 
     def confidence(self, s: int, t: int) -> float:
         return self.adg(s, t).confidence
@@ -810,7 +776,6 @@ class RepairReport:
 class RepairResult:
     pairs: tuple[tuple[int, int], ...]
     state: AlignmentState
-    explanations: dict[tuple[int, int], Explanation]
     adgs: dict[tuple[int, int], Adg]
     report: RepairReport
 
@@ -899,11 +864,7 @@ def repair(
             raise InvariantViolation("seed-immutability", f"seed pair ({s}, {t}) was altered")
 
     final_pairs = tuple((s, t) for s, t, _, _ in state.pairs())
-    explanations = {}
-    adgs = {}
-    for s, t in final_pairs:
-        adgs[(s, t)] = analyzer.adg(s, t)
-        explanations[(s, t)] = analyzer.explanation(s, t)
+    adgs = {(s, t): analyzer.adg(s, t) for s, t in final_pairs}
     confidence_after = [
         {
             "source": s,
@@ -952,7 +913,6 @@ def repair(
     return RepairResult(
         pairs=final_pairs,
         state=state,
-        explanations=explanations,
         adgs=adgs,
         report=report,
     )

@@ -214,7 +214,7 @@ def test_criterion_6_fidelity_beats_random():
     free = [s for s in range(n) if s not in {a for a, _ in result.seeds}]
     raw = [(s, t) for s, t, _ in greedy_align(result.perturbed_store, free, range(n))]
     sample = sample_correct_pairs(raw, result.gold, 100, rng_seed=0)
-    context = list(result.seeds) + raw
+    context = dict(list(result.seeds) + raw)
     expl = {
         pair: explanation(pair, result.kg1, result.kg2,
                           result.perturbed_store, context, 2).triple_keys

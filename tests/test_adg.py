@@ -335,7 +335,7 @@ class TestAdgFromTablesIsExact:
         analyzer = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, RepairConfig())
         seen = set()
         for s, t, _, _ in state.pairs():
-            expl = analyzer.explanation(s, t)
+            expl = analyzer.adg(s, t).explanation
             for cfg in (AdgConfig(), AdgConfig(alpha=0.3, weak_weight=0.2, theta=2.0, gamma=2.0)):
                 adg = build_adg(expl, res.kg1, res.kg2, res.perturbed_store, cfg)
                 edges, c_s, c_m, c_w, conf = reference_build_adg(

@@ -238,14 +238,15 @@ class TestPaths:
     def test_steps_are_backed_by_triples(self):
         rng = np.random.default_rng(41)
         kg = random_kg(rng, 12, 3, 30)
+        triples = set(kg.triple_keys)
         for e in range(12):
             for steps in enumerate_paths(kg, e, 2):
                 anchor = e
                 for rank, r, u in steps:
                     if rank == 0:
-                        assert kg.has_triple(anchor, r, u)
+                        assert (anchor, r, u) in triples
                     else:
-                        assert kg.has_triple(u, r, anchor)
+                        assert (u, r, anchor) in triples
                     anchor = u
 
 

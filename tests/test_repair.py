@@ -190,13 +190,12 @@ class TestAlignmentState:
         with pytest.raises(InvariantViolation):
             state.unalign(3)
 
-    def test_mutation_log_and_version(self):
+    def test_mutation_log(self):
         state = AlignmentState([], [(1, 1, 0.9)])
-        assert state.version == 0
+        assert state.mutations == []
         state.unalign(1)
         state.align(1, 2, "repaired", 0.7)
         assert state.mutations == [(1, 1), (1, 2)]
-        assert state.version == 2
 
     def test_universe_and_unaligned_sets(self):
         state = AlignmentState([(0, 0)], [(1, 1, 0.9)], n_sources=4, n_targets=3)
@@ -665,6 +664,34 @@ class TestPairAnalyzer:
         assert analyzer.neighbor_pairs(1, 1) == []
         assert analyzer.confidence(1, 1) == pytest.approx(sigmoid(0.0))
 
+    def test_cached_graph_lives_as_long_as_its_neighbor_list(self):
+        state, analyzer = self.build()
+        first = analyzer.adg(1, 1)
+        assert first.explanation.matched_neighbor_pairs == [(0, 0)]
+        # source 2 lies in hood1(1), but its target 1 is the center of the
+        # target side, so the matched-neighbor list of (1, 1) stays the same
+        state.align(2, 1, REPAIRED)
+        assert analyzer.adg(1, 1) is first
+        state.unalign(2)
+        assert analyzer.adg(1, 1) is first
+
+        def cold():
+            fresh = PairAnalyzer(analyzer.kg1, analyzer.kg2, analyzer.store, state, analyzer.cfg)
+            fresh.ban(analyzer.banned_pairs)
+            return fresh.adg(1, 1)
+
+        state.align(2, 2, REPAIRED)
+        grown = analyzer.adg(1, 1)
+        assert grown is not first
+        assert grown.explanation.matched_neighbor_pairs == [(0, 0), (2, 2)]
+        assert grown == cold()
+        analyzer.ban([(0, 0)])
+        banned = analyzer.adg(1, 1)
+        assert banned is not grown
+        assert banned.explanation.matched_neighbor_pairs == [(2, 2)]
+        assert banned == cold()
+        assert analyzer.adg(1, 1) is banned
+
 
 @functools.cache
 def small_synth():
@@ -1089,7 +1116,6 @@ class TestRepairPipeline:
         assert len(parsed["confidence_after"]) == 200
         for row in parsed["confidence_after"]:
             assert 0.0 <= row["confidence"] <= 1.0
-        assert len(out.explanations) == 200
         assert len(out.adgs) == 200
 
 
@@ -1109,7 +1135,7 @@ class TestCachedExplanations:
         cold.ban(tuple(p) for p in out.report.derived_not_same_as)
         assert len(out.pairs) == 200
         for s, t in out.pairs:
-            cached, fresh = out.explanations[(s, t)], cold.explanation(s, t)
+            cached, fresh = out.adgs[(s, t)].explanation, cold.adg(s, t).explanation
             assert cached.path_matches() == fresh.path_matches()
             assert cached.triple_keys == fresh.triple_keys
             assert cached == fresh
