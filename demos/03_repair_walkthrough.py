@@ -23,7 +23,7 @@ acc_raw = accuracy(list(data.seeds) + raw_pairs, data.gold)
 dupes = len(raw_pairs) - len({t for _, t in raw_pairs})
 print(f"\ngreedy inference: accuracy {acc_raw:.3f}, {dupes} targets claimed twice or more")
 
-result = repair(kg1, kg2, store, raw, data.seeds, RepairConfig())
+result = repair(kg1, kg2, store, raw_pairs, data.seeds, RepairConfig())
 rep = result.report
 
 print("\nrepair stages:")

@@ -10,7 +10,7 @@ generator (``synth``), and the command line front end (``cli``).
 
 __version__ = "0.1.0"
 
-from .adg import Adg, AdgConfig, AdgNode, EdgeClass, build_adg, confidence, sigmoid
+from .adg import Adg, AdgConfig, AdgNode, EdgeClass, build_adg, sigmoid
 from .embedding import (
     EmbeddingStore,
     SimilarityTopK,
@@ -107,7 +107,6 @@ __all__ = [
     "accuracy",
     "build_adg",
     "candidate_triples",
-    "confidence",
     "cosine",
     "explanation",
     "explanation_sparsity_stats",

@@ -26,14 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 from .embedding import EmbeddingStore, pair_cosines
 from .errors import ConfigError
 from .explain import Explanation
-from .kg import Kg, Step, functionality, inverse_functionality
+from .kg import Kg
 
 
 class EdgeClass(Enum):
@@ -115,16 +114,6 @@ def sigmoid(x: float) -> float:
     return z / (1.0 + z)
 
 
-def path_weight(kg: Kg, steps: Sequence[Step]) -> float:
-    """Product of per-step functionality weights along the path ``steps``; the
-    path tables hold the same product for every path. The weight does not
-    depend on where the path starts."""
-    w = 1.0
-    for rank, r, _ in steps:
-        w *= inverse_functionality(kg, r) if rank == 0 else functionality(kg, r)
-    return w
-
-
 def aggregate_confidence(c_s: float, c_m: float, c_w: float, cfg: AdgConfig) -> float:
     """Gate the class masses and squash: weaker classes only count while the
     stronger ones stay under their thresholds."""
@@ -199,9 +188,3 @@ def build_adg(
         confidence=aggregate_confidence(c_s, c_m, c_w, cfg),
         explanation=expl,
     )
-
-
-def confidence(adg: Adg, cfg: AdgConfig | None = None) -> float:
-    """Recompute the gated confidence from the graph's aggregates."""
-    cfg = cfg or AdgConfig()
-    return aggregate_confidence(adg.c_s, adg.c_m, adg.c_w, cfg)

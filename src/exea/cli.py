@@ -27,7 +27,6 @@ from .embedding import (
     cosine,
     greedy_align,
     load_embeddings,
-    pair_cosines,
     save_embeddings,
 )
 from .errors import (
@@ -305,14 +304,6 @@ def _load_inputs(cfg: dict, pair_keys: tuple[str, ...] = (), emb: bool = True) -
     return _Inputs(kg1, kg2, store, pairs, {**in1, **in2, **named})
 
 
-def _scored(store: EmbeddingStore, pairs: list[tuple[int, int]]) -> list[tuple[int, int, float]]:
-    """Each pair with the cosine of its two entity vectors."""
-    sims = pair_cosines(
-        store, Side.SOURCE, [s for s, _ in pairs], Side.TARGET, [t for _, t in pairs]
-    )
-    return [(s, t, sim) for (s, t), sim in zip(pairs, sims.tolist())]
-
-
 def _sha256(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -513,8 +504,8 @@ def _cmd_adg(cfg: dict) -> None:
 def _cmd_repair(cfg: dict) -> None:
     _require(cfg, "kg1", "kg2", "emb", "seeds", "pred", "out", "report")
     data = _load_inputs(cfg, ("seeds", "pred"))
-    raw = _scored(data.store, data.pairs["pred"])
-    result = repair(data.kg1, data.kg2, data.store, raw, data.pairs["seeds"], _repair_config(cfg))
+    result = repair(data.kg1, data.kg2, data.store, data.pairs["pred"], data.pairs["seeds"],
+                    _repair_config(cfg))
     _write_pairs(cfg["out"], result.pairs)
     _write_json(cfg["report"], result.report.to_json_dict())
     _write_manifest("repair", cfg, data.paths, {"out": cfg["out"], "report": cfg["report"]})
@@ -591,8 +582,7 @@ def _eval_fidelity(cfg: dict) -> tuple[EvalReport, dict]:
 def _eval_ablation(cfg: dict) -> tuple[EvalReport, dict]:
     _require(cfg, "kg1", "kg2", "emb", "seeds", "pred", "gold")
     data = _load_inputs(cfg, ("seeds", "pred", "gold"))
-    raw = _scored(data.store, data.pairs["pred"])
-    report = ablation(data.kg1, data.kg2, data.store, raw, data.pairs["seeds"],
+    report = ablation(data.kg1, data.kg2, data.store, data.pairs["pred"], data.pairs["seeds"],
                       data.pairs["gold"], _repair_config(cfg))
     return report, data.paths
 

@@ -15,7 +15,7 @@ the source graph and 1 for the target graph, as in
 
 import time
 from collections.abc import Iterable, Mapping
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -149,15 +149,7 @@ class EvalReport:
 
     def to_json_dict(self) -> dict:
         # timings stay out: written artifacts must be identical across reruns
-        return {
-            "accuracy": self.accuracy,
-            "mean_sparsity": self.mean_sparsity,
-            "fidelity": self.fidelity,
-            "per_stage_accuracy": self.per_stage_accuracy,
-            "sample_size": self.sample_size,
-            "empty_explanations": self.empty_explanations,
-            "config": self.config,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "timings"}
 
 
 def explanation_sparsity_stats(
@@ -182,7 +174,7 @@ def ablation(
     kg1: Kg,
     kg2: Kg,
     store: EmbeddingStore,
-    raw_alignment: Iterable[tuple[int, int, float]],
+    raw_alignment: Iterable[tuple[int, int]],
     seeds: Iterable[tuple[int, int]],
     gold: Iterable[tuple[int, int]],
     cfg: RepairConfig | None = None,
@@ -191,7 +183,7 @@ def ablation(
     """Repair once per requested stage combination and report the accuracy of
     each run, plus sparsity stats for the fully repaired explanations."""
     cfg = cfg or RepairConfig()
-    raw = [(int(s), int(t), float(sim)) for s, t, sim in raw_alignment]
+    raw = [(int(s), int(t)) for s, t in raw_alignment]
     gold_pairs = [(int(s), int(t)) for s, t in gold]
     stages = list(stages)
     unknown = [s for s in stages if s not in _STAGE_TOGGLES]

@@ -6,10 +6,15 @@ triples; a derived not-same-as fact against a matched neighbor pair bans that
 pair from future dependency graphs, one against a central pair flags it for
 re-examination. One-to-many conflicts: targets claimed by several sources keep
 the claimant with the highest dependency-graph confidence, and displaced
-sources walk their top-k candidates, evicting weaker incumbents. Low-confidence
-conflicts: pairs under the confidence floor are stripped and re-matched against
-targets that share a matched neighbor, scored by confidence plus weighted
-cosine. A final greedy pass fills any leftovers from the unclaimed targets.
+sources walk their top-k candidates, evicting incumbents of lower confidence.
+Low-confidence conflicts: pairs under the confidence floor are stripped and
+re-matched against targets that share a matched neighbor, ranked and compared
+by confidence plus weighted cosine. Both stages share one rematch walk
+(``_rematch``) and differ only in the ranking and the comparison they pass it.
+A final greedy pass fills any leftovers from the unclaimed targets.
+
+The alignment state holds a target and a provenance per source; no stage
+reads a pair's similarity once it is aligned, so none is stored.
 
 Seed pairs are immutable throughout; every loop carries the source-count guard
 that forces termination.
@@ -23,9 +28,9 @@ never changes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice, product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,7 +43,7 @@ from .embedding import (
     similarity_matrix,
     similarity_topk,
 )
-from .errors import ConfigError, InvariantViolation, NoRelationVectors
+from .errors import ConfigError, InvariantViolation
 from .explain import PathIndex, explanation, matched_neighbor_pairs
 from .kg import SIDES, Kg, Side, neighborhood_entities
 
@@ -108,8 +113,9 @@ class NotSameAsRule:
 class AlignmentState:
     """Seed pairs plus the evolving predicted mapping.
 
-    The forward map is always a function source -> target; the reverse map may
-    hold several sources per target until one-to-many resolution has run.
+    The forward map is always a function source -> (target, provenance); the
+    reverse map may hold several sources per target until one-to-many
+    resolution has run.
     Seeds can never be realigned or removed. Every mutation is appended to
     ``mutations``, a record of what a run did; nothing in the library reads
     it back (the benchmark's trace reports its length).
@@ -118,7 +124,7 @@ class AlignmentState:
     def __init__(
         self,
         seeds: Iterable[tuple[int, int]],
-        predictions: Iterable[tuple[int, int, float]] = (),
+        predictions: Iterable[tuple[int, int]] = (),
         n_sources: int | None = None,
         n_targets: int | None = None,
     ):
@@ -137,8 +143,8 @@ class AlignmentState:
                 raise ConfigError(f"seed pairs are not one-to-one at ({s}, {t})")
             self._seed_forward[s] = t
             self._seed_reverse[t] = s
-        self._forward: dict[int, tuple[int, str, float | None]] = {
-            s: (t, SEED, None) for s, t in self._seed_forward.items()
+        self._forward: dict[int, tuple[int, str]] = {
+            s: (t, SEED) for s, t in self._seed_forward.items()
         }
         self._reverse: dict[int, set[int]] = {
             t: {s} for s, t in self._seed_forward.items()
@@ -146,7 +152,7 @@ class AlignmentState:
         self.mutations: list[tuple[int, int]] = []
         sources = set(self._seed_forward)
         targets = set(self._seed_reverse)
-        for s, t, sim in predictions:
+        for s, t in predictions:
             s, t = int(s), int(t)
             check_range(s, t, "predicted")
             sources.add(s)
@@ -155,7 +161,7 @@ class AlignmentState:
                 continue
             if s in self._forward:
                 raise ConfigError(f"source {s} appears twice in the predictions")
-            self._forward[s] = (t, PREDICTED, float(sim))
+            self._forward[s] = (t, PREDICTED)
             self._reverse.setdefault(t, set()).add(s)
         if n_sources is not None:
             sources.update(range(n_sources))
@@ -164,12 +170,6 @@ class AlignmentState:
         self.source_universe = frozenset(sources)
         self.target_universe = frozenset(targets)
 
-    def is_seed_source(self, s: int) -> bool:
-        return s in self._seed_forward
-
-    def is_seed_target(self, t: int) -> bool:
-        return t in self._seed_reverse
-
     def is_seed_pair(self, s: int, t: int) -> bool:
         return self._seed_forward.get(s) == t
 
@@ -177,19 +177,11 @@ class AlignmentState:
         entry = self._forward.get(s)
         return entry[0] if entry else None
 
-    def provenance_of(self, s: int) -> str | None:
-        entry = self._forward.get(s)
-        return entry[1] if entry else None
-
-    def similarity_of(self, s: int) -> float | None:
-        entry = self._forward.get(s)
-        return entry[2] if entry else None
-
     def sources_of(self, t: int) -> tuple[int, ...]:
         return tuple(sorted(self._reverse.get(t, ())))
 
-    def pairs(self) -> list[tuple[int, int, str, float | None]]:
-        return [(s, e[0], e[1], e[2]) for s, e in sorted(self._forward.items())]
+    def pairs(self) -> list[tuple[int, int, str]]:
+        return [(s, t, prov) for s, (t, prov) in sorted(self._forward.items())]
 
     @property
     def unaligned_sources(self) -> set[int]:
@@ -199,12 +191,12 @@ class AlignmentState:
     def unaligned_targets(self) -> set[int]:
         return {t for t in self.target_universe if not self._reverse.get(t)}
 
-    def align(self, s: int, t: int, provenance: str, sim: float | None = None) -> None:
+    def align(self, s: int, t: int, provenance: str) -> None:
         if s in self._seed_forward:
             raise InvariantViolation("seed-immutability", f"cannot realign seed source {s}")
         if s in self._forward:
             raise InvariantViolation("single-claim", f"source {s} is already aligned")
-        self._forward[s] = (t, provenance, sim)
+        self._forward[s] = (t, provenance)
         self._reverse.setdefault(t, set()).add(s)
         self.mutations.append((s, t))
 
@@ -317,15 +309,7 @@ def _relation_vectors(
     if source == "derived":
         return store.derived_relation_matrix(kg)
     if source == "native":
-        if not store.has_relation_vecs(kg.side):
-            raise NoRelationVectors(
-                f"no model relation vectors for side {kg.side.value}"
-            )
         return store.relation_vecs(kg.side).astype(np.float64)
-    if not store.has_name_relation_vecs(kg.side):
-        raise NoRelationVectors(
-            f"no relation-name vectors for side {kg.side.value}"
-        )
     return store.name_relation_vecs(kg.side).astype(np.float64)
 
 
@@ -405,7 +389,7 @@ class Counterparts:
     def of(cls, state: AlignmentState, rel_align: RelationAlignment) -> Counterparts:
         fwd: dict[int, int] = {}
         rev: dict[int, int] = {}
-        for s, t, _, _ in state.pairs():
+        for s, t, _ in state.pairs():
             fwd[s] = t
             rev.setdefault(t, s)
         rel_fwd: dict[int, int] = {}
@@ -574,6 +558,36 @@ def one_to_one(state: AlignmentState, analyzer: PairAnalyzer) -> set[int]:
     return displaced
 
 
+def _rematch(
+    state: AlignmentState,
+    queue: Iterable[int],
+    ranked: Callable[[int], Sequence[tuple[int, float]]],
+    better: Callable[[int, int, float, int], bool],
+) -> tuple[set[int], int]:
+    """Walk each queued source, lowest first, through ``ranked(e1)``, its
+    (target, score) candidates best first: take the first unclaimed target,
+    or evict a non-seed incumbent that ``better(e1, e2, score, incumbent)``
+    ranks below ``e1``. Returns the sources left unaligned (evicted
+    incumbents included) and the number of evictions."""
+    fresh: set[int] = set()
+    evictions = 0
+    for e1 in sorted(queue):
+        for e2, score in ranked(e1):
+            holders = state.sources_of(e2)
+            if holders:
+                incumbent = holders[0]
+                if state.is_seed_pair(incumbent, e2) or not better(e1, e2, score, incumbent):
+                    continue
+                state.unalign(incumbent)
+                fresh.add(incumbent)
+                evictions += 1
+            state.align(e1, e2, REPAIRED)
+            break
+        else:
+            fresh.add(e1)
+    return fresh, evictions
+
+
 def resolve_one_to_many(
     state: AlignmentState,
     analyzer: PairAnalyzer,
@@ -586,31 +600,18 @@ def resolve_one_to_many(
     displaced = one_to_one(state, analyzer)
     queue = displaced | state.unaligned_sources
     stats = {"initial_unaligned": len(queue), "iterations": 0, "evictions": 0}
+
+    def ranked(e1: int) -> list[tuple[int, float]]:
+        return topk.candidates(e1)[:k]
+
+    def better(e1: int, e2: int, score: float, incumbent: int) -> bool:
+        return analyzer.confidence(e1, e2) > analyzer.confidence(incumbent, e2)
+
     while len(queue) > 0:
         last_len = len(queue)
         stats["iterations"] += 1
-        fresh: set[int] = set()
-        for e1 in sorted(queue):
-            aligned = False
-            for e2, sim in topk.candidates(e1)[:k]:
-                holders = state.sources_of(e2)
-                if not holders:
-                    state.align(e1, e2, REPAIRED, sim)
-                    aligned = True
-                    break
-                incumbent = holders[0]
-                if state.is_seed_pair(incumbent, e2):
-                    continue
-                if analyzer.confidence(e1, e2) > analyzer.confidence(incumbent, e2):
-                    state.unalign(incumbent)
-                    state.align(e1, e2, REPAIRED, sim)
-                    fresh.add(incumbent)
-                    stats["evictions"] += 1
-                    aligned = True
-                    break
-            if not aligned:
-                fresh.add(e1)
-        queue = fresh
+        queue, evictions = _rematch(state, queue, ranked, better)
+        stats["evictions"] += evictions
         if len(queue) >= last_len:
             break
     stats["leftover"] = len(queue)
@@ -660,10 +661,23 @@ def resolve_low_confidence(
     queue = set(unaligned)
     flags = set(flagged)
     stats = {"stripped": 0, "iterations": 0, "swaps": 0}
+
+    def score(s: int, t: int) -> float:
+        return analyzer.confidence(s, t) + cfg.score_lambda * analyzer.similarity(s, t)
+
+    def ranked(e1: int) -> list[tuple[int, float]]:
+        candidates = _candidate_targets(e1, state, analyzer, beta, cfg.candidate_cap)
+        # best score first, ties to the lower target index
+        scored = sorted(((score(e1, t), -t) for t in candidates), reverse=True)
+        return [(-neg_t, sc) for sc, neg_t in scored[: cfg.k]]
+
+    def better(e1: int, e2: int, e1_score: float, incumbent: int) -> bool:
+        return e1_score > score(incumbent, e2)
+
     last_len = -1
     while True:
         low = []
-        for s, t, prov, _ in state.pairs():
+        for s, t, prov in state.pairs():
             if prov == SEED:
                 continue
             if s in flags or analyzer.confidence(s, t) < beta:
@@ -677,40 +691,8 @@ def resolve_low_confidence(
             break
         last_len = len(queue)
         stats["iterations"] += 1
-        fresh: set[int] = set()
-        for e1 in sorted(queue):
-            candidates = _candidate_targets(e1, state, analyzer, beta, cfg.candidate_cap)
-            scored = sorted(
-                (
-                    (analyzer.confidence(e1, t) + cfg.score_lambda * analyzer.similarity(e1, t), -t)
-                    for t in candidates
-                ),
-                reverse=True,
-            )
-            aligned = False
-            for score, neg_t in scored[: cfg.k]:
-                e2 = -neg_t
-                holders = state.sources_of(e2)
-                if not holders:
-                    state.align(e1, e2, REPAIRED, analyzer.similarity(e1, e2))
-                    aligned = True
-                    break
-                incumbent = holders[0]
-                if state.is_seed_pair(incumbent, e2):
-                    continue
-                incumbent_score = analyzer.confidence(incumbent, e2) + (
-                    cfg.score_lambda * analyzer.similarity(incumbent, e2)
-                )
-                if score > incumbent_score:
-                    state.unalign(incumbent)
-                    state.align(e1, e2, REPAIRED, analyzer.similarity(e1, e2))
-                    fresh.add(incumbent)
-                    stats["swaps"] += 1
-                    aligned = True
-                    break
-            if not aligned:
-                fresh.add(e1)
-        queue = fresh
+        queue, swaps = _rematch(state, queue, ranked, better)
+        stats["swaps"] += swaps
     stats["leftover"] = len(queue)
     return queue, stats
 
@@ -732,7 +714,7 @@ def final_fill(state: AlignmentState, store: EmbeddingStore) -> dict:
             i, j = divmod(flat, len(targets))
             if i in used_s or j in used_t:
                 continue
-            state.align(sources[i], targets[j], REPAIRED, float(sims[i, j]))
+            state.align(sources[i], targets[j], REPAIRED)
             used_s.add(i)
             used_t.add(j)
             stats["filled"] += 1
@@ -757,19 +739,8 @@ class RepairReport:
     confidence_after: list[dict]
 
     def to_json_dict(self) -> dict:
-        return {
-            "stages_enabled": self.stages_enabled,
-            "relation_alignment": self.relation_alignment,
-            "rules": self.rules,
-            "derived_not_same_as": self.derived_not_same_as,
-            "pruned_neighbor_pairs": self.pruned_neighbor_pairs,
-            "flagged_sources": self.flagged_sources,
-            "one_to_many": self.one_to_many,
-            "low_confidence": self.low_confidence,
-            "final_fill": self.final_fill,
-            "confidence_before": self.confidence_before,
-            "confidence_after": self.confidence_after,
-        }
+        # the fields themselves: ``asdict`` would deep-copy every snapshot row
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -780,15 +751,12 @@ class RepairResult:
     report: RepairReport
 
 
-def _confidence_snapshot(analyzer: PairAnalyzer, state: AlignmentState) -> list[dict]:
+def _confidence_snapshot(
+    state: AlignmentState, confidence: Callable[[int, int], float]
+) -> list[dict]:
     return [
-        {
-            "source": s,
-            "target": t,
-            "provenance": prov,
-            "confidence": analyzer.confidence(s, t),
-        }
-        for s, t, prov, _ in state.pairs()
+        {"source": s, "target": t, "provenance": prov, "confidence": confidence(s, t)}
+        for s, t, prov in state.pairs()
     ]
 
 
@@ -796,7 +764,7 @@ def repair(
     kg1: Kg,
     kg2: Kg,
     store: EmbeddingStore,
-    raw_alignment: Iterable[tuple[int, int, float]],
+    raw_alignment: Iterable[tuple[int, int]],
     seeds: Iterable[tuple[int, int]],
     cfg: RepairConfig | None = None,
 ) -> RepairResult:
@@ -808,15 +776,14 @@ def repair(
     one-to-many resolution is on.
     """
     cfg = cfg or RepairConfig()
-    predictions = [(int(s), int(t), float(sim)) for s, t, sim in raw_alignment]
     state = AlignmentState(
         seeds,
-        predictions,
+        raw_alignment,
         n_sources=kg1.n_entities,
         n_targets=kg2.n_entities,
     )
     analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
-    confidence_before = _confidence_snapshot(analyzer, state)
+    confidence_before = _confidence_snapshot(state, analyzer.confidence)
 
     rel_align = RelationAlignment(pairs=())
     rules: list[NotSameAsRule] = []
@@ -829,7 +796,7 @@ def repair(
         if rules:
             # the stage reads the alignment and never changes it
             counterparts = Counterparts.of(state, rel_align)
-            for s, t, prov, _ in state.pairs():
+            for s, t, prov in state.pairs():
                 if prov == SEED:
                     continue
                 found = detect_relation_conflicts(
@@ -859,21 +826,13 @@ def repair(
 
     if cfg.enable_one_to_many:
         state.check_injective()
-    for s, t in ((s, t) for s, t, p, _ in state.pairs() if p == SEED):
+    for s, t in ((s, t) for s, t, p in state.pairs() if p == SEED):
         if not state.is_seed_pair(s, t):
             raise InvariantViolation("seed-immutability", f"seed pair ({s}, {t}) was altered")
 
-    final_pairs = tuple((s, t) for s, t, _, _ in state.pairs())
+    final_pairs = tuple((s, t) for s, t, _ in state.pairs())
     adgs = {(s, t): analyzer.adg(s, t) for s, t in final_pairs}
-    confidence_after = [
-        {
-            "source": s,
-            "target": t,
-            "provenance": prov,
-            "confidence": adgs[(s, t)].confidence,
-        }
-        for s, t, prov, _ in state.pairs()
-    ]
+    confidence_after = _confidence_snapshot(state, lambda s, t: adgs[(s, t)].confidence)
 
     report = RepairReport(
         stages_enabled={

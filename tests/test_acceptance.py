@@ -97,11 +97,11 @@ def run_grid_cell(seed: int, conflict: float, workdir) -> GridRun:
 
     stage_costs = None
     if conflict == 0.2:
-        raw_sims = greedy_align(
+        raw_pairs = [(s, t) for s, t, _ in greedy_align(
             result.perturbed_store,
             [s for s in range(200) if s not in {a for a, _ in result.seeds}],
             range(200),
-        )
+        )]
         stage_costs = {}
         for name, flags in (
             ("no_cr1", (False, True, True)),
@@ -115,7 +115,7 @@ def run_grid_cell(seed: int, conflict: float, workdir) -> GridRun:
                 enable_low_confidence=flags[2],
             )
             out = repair(result.kg1, result.kg2, result.perturbed_store,
-                         raw_sims, result.seeds, cfg)
+                         raw_pairs, result.seeds, cfg)
             stage_costs[name] = acc_repaired - accuracy(out.pairs, gold)
 
     return GridRun(seed, conflict, injective, acc_raw, acc_repaired,

@@ -13,18 +13,27 @@ from exea.adg import (
     EdgeClass,
     aggregate_confidence,
     build_adg,
-    confidence,
-    path_weight,
     sigmoid,
 )
 from exea.embedding import EmbeddingStore, greedy_align, pair_cosines
 from exea.errors import ConfigError
 from exea.explain import explanation
-from exea.kg import Side, enumerate_paths
+from exea.kg import Side, enumerate_paths, functionality, inverse_functionality
 from exea.repair import AlignmentState, PairAnalyzer, RepairConfig
 from exea.synth import SynthConfig, generate_pair
 
 from test_kg import make_kg
+
+
+def path_weight(kg, steps):
+    """Product of per-step functionality weights along the path ``steps``:
+    an outgoing step weighs its relation's inverse functionality, an
+    incoming one its functionality. The per-path reference for the weights
+    that the path tables hold in bulk."""
+    w = 1.0
+    for rank, r, _ in steps:
+        w *= inverse_functionality(kg, r) if rank == 0 else functionality(kg, r)
+    return w
 
 
 class TestSigmoid:
@@ -259,7 +268,7 @@ class TestBuildAdg:
         # a banned neighbor pair leaves the graph and the confidence is
         # recomputed without it; repair() bans contradicted pairs this way
         c = governor_case
-        state = AlignmentState(c["seeds"], [(0, 0, 1.0)], n_sources=c["kg1"].n_entities,
+        state = AlignmentState(c["seeds"], [(0, 0)], n_sources=c["kg1"].n_entities,
                                n_targets=c["kg2"].n_entities)
         analyzer = PairAnalyzer(c["kg1"], c["kg2"], c["store"], state, RepairConfig(h=2))
         assert len(analyzer.adg(0, 0).neighbors) == 2
@@ -277,7 +286,9 @@ class TestBuildAdg:
         c = governor_case
         expl = explanation((0, 0), c["kg1"], c["kg2"], c["store"], c["alignments"], h=2)
         adg = build_adg(expl, c["kg1"], c["kg2"], c["store"])
-        assert confidence(adg) == pytest.approx(adg.confidence)
+        assert aggregate_confidence(adg.c_s, adg.c_m, adg.c_w, AdgConfig()) == pytest.approx(
+            adg.confidence
+        )
 
 
 def reference_build_adg(expl, kg1, kg2, store, cfg=None):
@@ -329,12 +340,12 @@ class TestAdgFromTablesIsExact:
             SynthConfig(n_entities=200, density=density, conflict_injection=0.2, rng_seed=2)
         )
         seed_set = {s for s, _ in res.seeds}
-        raw = greedy_align(res.perturbed_store, [i for i in range(200) if i not in seed_set],
-                           range(200))
+        free = [i for i in range(200) if i not in seed_set]
+        raw = [(s, t) for s, t, _ in greedy_align(res.perturbed_store, free, range(200))]
         state = AlignmentState(res.seeds, raw, n_sources=200, n_targets=200)
         analyzer = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, RepairConfig())
         seen = set()
-        for s, t, _, _ in state.pairs():
+        for s, t, _ in state.pairs():
             expl = analyzer.adg(s, t).explanation
             for cfg in (AdgConfig(), AdgConfig(alpha=0.3, weak_weight=0.2, theta=2.0, gamma=2.0)):
                 adg = build_adg(expl, res.kg1, res.kg2, res.perturbed_store, cfg)

@@ -666,3 +666,36 @@ class TestFaultInjection:
         assert str(culprit) in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o.tsv").exists()
+
+
+class TestZeroVectorPrediction:
+    """A ``--pred`` source whose embedding row is all zeros has no cosine:
+    ``exea repair`` exits 2 with the cosine error, prints no traceback and
+    writes no output."""
+
+    def test_repair_exits_2(self, synth40, tmp_path):
+        kgs = ["--kg1", str(synth40 / "triples_1"), "--kg2", str(synth40 / "triples_2")]
+        seeds = ["--seeds", str(synth40 / "train_links")]
+        pred = tmp_path / "raw.tsv"
+        rc = main(["infer", *kgs, "--emb", str(synth40 / "embeddings.tsv"), *seeds,
+                   "--out", str(pred)])
+        assert rc == 0
+        source = read_pairs(pred)[0][0]
+        store = load_embeddings(synth40 / "embeddings.tsv")
+        rows = store.entity_matrix(Side.SOURCE).copy()
+        rows[source] = 0.0
+        emb = tmp_path / "emb.tsv"
+        save_embeddings(emb, EmbeddingStore({
+            Side.SOURCE: rows, Side.TARGET: store.entity_matrix(Side.TARGET),
+        }))
+        proc = subprocess.run(
+            [sys.executable, "-m", "exea.cli", "repair", *kgs, "--emb", str(emb), *seeds,
+             "--pred", str(pred), "--out", str(tmp_path / "a.tsv"),
+             "--report", str(tmp_path / "r.json")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "cosine is undefined for a zero vector" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "a.tsv").exists()
+        assert not (tmp_path / "r.json").exists()

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from exea.adg import path_weight
 from exea.embedding import EmbeddingStore, cosine, path_embedding
 from exea.explain import (
     PathIndex,
@@ -14,6 +13,7 @@ from exea.explain import (
 )
 from exea.kg import Kg, Side, enumerate_paths, neighborhood_entities, neighborhood_triples
 
+from test_adg import path_weight
 from test_kg import make_kg, random_kg
 
 
