@@ -5,7 +5,9 @@ Each side's triples are fit with a margin loss on squared translation error
 seed alignment pairs are pulled together by a quadratic penalty so the two
 spaces share coordinates. Everything is plain numpy full-batch gradient
 descent with seeded negative sampling: the same config always produces the
-same store, bit for bit.
+same store, bit for bit. Sampling redraws a corruption that happens to be a
+true triple at most 4 times, so on a small or dense graph an accidental
+positive can survive into the batch.
 """
 
 from __future__ import annotations
@@ -56,11 +58,28 @@ def _normalize_rows(mat: np.ndarray) -> None:
     mat /= norms
 
 
-def _init_side(rng: np.random.Generator, n_ent: int, n_rel: int, dim: int):
+def _init_side(rng: np.random.Generator, n_ent: int, n_rel: int, dim: int) -> np.ndarray:
+    """One side's parameters: ``n_ent`` entity rows, then ``n_rel`` relation rows."""
     ents = rng.standard_normal((n_ent, dim)) / np.sqrt(dim)
     _normalize_rows(ents)
     rels = rng.standard_normal((max(n_rel, 1), dim)) / np.sqrt(dim)
-    return ents, rels[:n_rel] if n_rel else np.zeros((0, dim))
+    return np.concatenate([ents, rels[:n_rel]])
+
+
+def _flat_rows(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Flat indices of ``rows`` in a C-ordered matrix with ``cols.size`` columns.
+
+    ``ufunc.at`` with them on the flattened matrix takes numpy's fast 1-D path
+    and applies each element's updates in the order of ``rows``, as the 2-D
+    call on the matrix would.
+    """
+    return (rows[:, None] * cols.size + cols).ravel()
+
+
+def _gather(mat: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``mat[rows]`` into the head of ``out``. The rows are in range, so mode
+    "clip" changes none; it spares ``take`` the copy of ``out`` "raise" makes."""
+    return np.take(mat, rows, axis=0, out=out[: rows.size], mode="clip")
 
 
 class _SideData:
@@ -72,56 +91,91 @@ class _SideData:
         arr = np.asarray(kg.triple_keys, dtype=np.int64)
         self.s, self.r, self.o = arr[:, 0], arr[:, 1], arr[:, 2]
         self.m = arr.shape[0]
-        self.true_keys = np.sort((self.s * self.n_rel + self.r) * self.n_ent + self.o)
+        self.r_row = self.r + self.n_ent  # relation rows of the side's parameters
+        # the parts of a key (s * n_rel + r) * n_ent + o a corrupted head or tail keeps
+        self.head_kept = self.r * self.n_ent + self.o
+        self.tail_kept = (self.s * self.n_rel + self.r) * self.n_ent
+        self.true_keys = np.sort(self.tail_kept + self.o)
+
+    def _positive(self, neg, corrupt_head, head_kept, tail_kept) -> np.ndarray:
+        """Whether each corruption is a true triple."""
+        keys = np.where(corrupt_head, neg * (self.n_rel * self.n_ent) + head_kept, tail_kept + neg)
+        idx = np.minimum(np.searchsorted(self.true_keys, keys), self.true_keys.size - 1)
+        return self.true_keys[idx] == keys
 
     def sample_negatives(self, rng: np.random.Generator, k: int):
-        """Corrupt head or tail uniformly; redraw accidental positives."""
+        """Corrupt head or tail uniformly; redraw accidental positives.
+
+        A redraw round draws a full ``(m, k)`` block from ``rng``. After the
+        fourth round a slot that is still a true triple is returned as it is.
+        """
         neg = rng.integers(0, self.n_ent, size=(self.m, k))
         corrupt_head = rng.integers(0, 2, size=(self.m, k)).astype(bool)
-        s_pos = self.s[:, None]
-        o_pos = self.o[:, None]
-        r_pos = self.r[:, None]
+        flat_neg, flat_head = neg.reshape(-1), corrupt_head.reshape(-1)
+        bad = self._positive(neg, corrupt_head, self.head_kept[:, None], self.tail_kept[:, None])
+        slots = np.flatnonzero(bad)
         for _ in range(4):
-            s_neg = np.where(corrupt_head, neg, s_pos)
-            o_neg = np.where(corrupt_head, o_pos, neg)
-            keys = (s_neg * self.n_rel + r_pos) * self.n_ent + o_neg
-            idx = np.searchsorted(self.true_keys, keys)
-            idx = np.minimum(idx, self.true_keys.size - 1)
-            bad = self.true_keys[idx] == keys
-            if not bad.any():
+            if not slots.size:
                 break
-            neg = np.where(bad, rng.integers(0, self.n_ent, size=(self.m, k)), neg)
-        s_neg = np.where(corrupt_head, neg, s_pos)
-        o_neg = np.where(corrupt_head, o_pos, neg)
+            flat_neg[slots] = rng.integers(0, self.n_ent, size=(self.m, k)).reshape(-1)[slots]
+            # only a redrawn slot can have turned into a positive
+            rows = slots // k
+            bad = self._positive(
+                flat_neg[slots], flat_head[slots], self.head_kept[rows], self.tail_kept[rows]
+            )
+            slots = slots[bad]
+        s_neg = np.where(corrupt_head, neg, self.s[:, None])
+        o_neg = np.where(corrupt_head, self.o[:, None], neg)
         return s_neg, o_neg
 
 
-def _margin_step(E, R, data: _SideData, s_neg, o_neg, lr: float, margin: float) -> float:
-    s, r, o = data.s, data.r, data.o
-    pos_d = E[s] + R[r] - E[o]
-    pos_sq = np.einsum("ij,ij->i", pos_d, pos_d)
+def _distances(P, heads, rels, tails, out, tmp) -> np.ndarray:
+    """``P[heads] + rels - P[tails]``, evaluated left to right, into ``out``."""
+    d = _gather(P, heads, out)
+    d += rels
+    d -= _gather(P, tails, tmp)
+    return d
+
+
+def _margin_step(P, data: _SideData, s_neg, o_neg, lr: float, margin: float, work) -> float:
+    """One gradient step on one side's margin loss, which it returns.
+
+    ``work`` is ``(4, >= m, dim)`` float scratch shared by both sides, so the
+    step's large arrays reuse memory instead of faulting in fresh pages.
+    """
+    flat, cols = P.reshape(-1), np.arange(P.shape[1])
+    rel_buf, pos_buf, neg_buf, tmp = work
+    s, o = data.s, data.o
     loss = 0.0
+    stale = True  # pos_d is unset or P has changed since it was computed
     for j in range(s_neg.shape[1]):
         sj = s_neg[:, j]
         oj = o_neg[:, j]
-        neg_d = E[sj] + R[r] - E[oj]
+        rels = _gather(P, data.r_row, rel_buf)
+        if stale:
+            pos_d = _distances(P, s, rels, o, pos_buf, tmp)
+            pos_sq = np.einsum("ij,ij->i", pos_d, pos_d)
+        neg_d = _distances(P, sj, rels, oj, neg_buf, tmp)
         neg_sq = np.einsum("ij,ij->i", neg_d, neg_d)
         viol = margin + pos_sq - neg_sq
-        act = viol > 0
-        if not act.any():
+        act = np.flatnonzero(viol > 0)
+        stale = act.size > 0
+        if not stale:
             continue
         loss += float(viol[act].sum())
-        g_pos = (2.0 * lr) * pos_d[act]
-        g_neg = (2.0 * lr) * neg_d[act]
-        np.add.at(E, s[act], -g_pos)
-        np.add.at(E, o[act], g_pos)
-        np.add.at(R, r[act], -g_pos)
-        np.add.at(E, sj[act], g_neg)
-        np.add.at(E, oj[act], -g_neg)
-        np.add.at(R, r[act], g_neg)
-        # keep the positive gradient fresh for the next negative column
-        pos_d = E[s] + R[r] - E[o]
-        pos_sq = np.einsum("ij,ij->i", pos_d, pos_d)
+        # tmp and rels are free again until the next column
+        g_pos = _gather(pos_d, act, tmp).reshape(-1)
+        g_pos *= 2.0 * lr
+        g_neg = _gather(neg_d, act, rel_buf).reshape(-1)
+        g_neg *= 2.0 * lr
+        # subtracting g adds -g bit for bit; the order per element is s, o, r, sj, oj, r
+        r_idx = _flat_rows(data.r_row[act], cols)
+        np.subtract.at(flat, _flat_rows(s[act], cols), g_pos)
+        np.add.at(flat, _flat_rows(o[act], cols), g_pos)
+        np.subtract.at(flat, r_idx, g_pos)
+        np.add.at(flat, _flat_rows(sj[act], cols), g_neg)
+        np.subtract.at(flat, _flat_rows(oj[act], cols), g_neg)
+        np.add.at(flat, r_idx, g_neg)
     return loss
 
 
@@ -140,6 +194,8 @@ def train(
     d1 = _SideData(kg1)
     d2 = _SideData(kg2)
     seeds = [(int(a), int(b)) for a, b in seed_alignment]
+    if not all(0 <= a < d1.n_ent and 0 <= b < d2.n_ent for a, b in seeds):
+        raise ConfigError("seed alignment references entities outside the graphs")
     if not seeds:
         warnings.warn(
             "training without seed pairs: the two embedding spaces are not aligned",
@@ -147,29 +203,33 @@ def train(
             stacklevel=2,
         )
     rng = np.random.default_rng(cfg.seed)
-    E1, R1 = _init_side(rng, d1.n_ent, d1.n_rel, cfg.dim)
-    E2, R2 = _init_side(rng, d2.n_ent, d2.n_rel, cfg.dim)
+    P1 = _init_side(rng, d1.n_ent, d1.n_rel, cfg.dim)
+    P2 = _init_side(rng, d2.n_ent, d2.n_rel, cfg.dim)
+    E1, R1 = P1[: d1.n_ent], P1[d1.n_ent :]
+    E2, R2 = P2[: d2.n_ent], P2[d2.n_ent :]
     if seeds:
         s1 = np.asarray([a for a, _ in seeds], dtype=np.int64)
         s2 = np.asarray([b for _, b in seeds], dtype=np.int64)
-        if s1.max() >= d1.n_ent or s2.max() >= d2.n_ent:
-            raise ConfigError("seed alignment references entities outside the graphs")
+        cols = np.arange(cfg.dim)
+        seed_at1, seed_at2 = _flat_rows(s1, cols), _flat_rows(s2, cols)
 
+    m = max(d1.m, d2.m)
+    work = np.empty((4, m, cfg.dim))
     losses = []
     # divergence shows up as non-finite parameters, checked below, so the
     # intermediate overflow warnings carry no extra information
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
             total = 0.0
-            for E, R, data in ((E1, R1, d1), (E2, R2, d2)):
+            for P, data in ((P1, d1), (P2, d2)):
                 s_neg, o_neg = data.sample_negatives(rng, cfg.negatives_per_positive)
-                total += _margin_step(E, R, data, s_neg, o_neg, cfg.learning_rate, cfg.margin)
+                total += _margin_step(P, data, s_neg, o_neg, cfg.learning_rate, cfg.margin, work)
             if seeds:
                 diff = E1[s1] - E2[s2]
                 total += float(np.einsum("ij,ij->i", diff, diff).sum())
-                step = _ALIGN_RATE * diff
-                np.add.at(E1, s1, -step)
-                np.add.at(E2, s2, step)
+                step = (_ALIGN_RATE * diff).ravel()
+                np.subtract.at(P1.reshape(-1), seed_at1, step)
+                np.add.at(P2.reshape(-1), seed_at2, step)
             _normalize_rows(E1)
             _normalize_rows(E2)
             losses.append(total)

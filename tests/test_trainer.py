@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exea.embedding import greedy_align
+from exea import trainer
+from exea.embedding import EmbeddingStore, greedy_align
 from exea.errors import ConfigError, EmptyKg, NoSeedsWarning, TrainerFailure
 from exea.kg import Kg, Side
 from exea.trainer import TrainConfig, train
@@ -67,8 +72,11 @@ class TestValidation:
 
     def test_out_of_range_seed_pair(self):
         kg1, kg2, _ = small_pair()
-        with pytest.raises(ConfigError):
-            train(kg1, kg2, [(0, 99)], TrainConfig(epochs=1))
+        # a negative id must not wrap around to the last entity, nor an id
+        # past int64 escape as an OverflowError
+        for pair in [(0, 99), (99, 0), (-1, 0), (0, -5), (2**70, 0)]:
+            with pytest.raises(ConfigError, match="outside the graphs"):
+                train(kg1, kg2, [pair], TrainConfig(epochs=1))
 
     def test_divergence_reported(self):
         kg1, kg2, perm = small_pair()
@@ -160,3 +168,218 @@ class TestQuality:
         assert store.has_relation_vecs(Side.SOURCE)
         assert store.relation_vecs(Side.SOURCE).shape == (kg1.n_relations, 32)
         assert store.relation_vecs(Side.TARGET).shape == (kg2.n_relations, 32)
+
+
+# ---------------------------------------------------------------- exactness
+# The reference trainer: one 2-D ``np.add.at`` per block, a full recheck of
+# every slot in each redraw round and a ``pos_d`` refresh after every column.
+# ``train`` must equal it bit for bit.
+
+_REFERENCE_ALIGN_RATE = 0.5
+
+
+def _reference_normalize_rows(mat):
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    np.maximum(norms, 1e-12, out=norms)
+    mat /= norms
+
+
+def _reference_init_side(rng, n_ent, n_rel, dim):
+    ents = rng.standard_normal((n_ent, dim)) / np.sqrt(dim)
+    _reference_normalize_rows(ents)
+    rels = rng.standard_normal((max(n_rel, 1), dim)) / np.sqrt(dim)
+    return ents, rels[:n_rel] if n_rel else np.zeros((0, dim))
+
+
+class _ReferenceSideData:
+    def __init__(self, kg):
+        self.n_ent = kg.n_entities
+        self.n_rel = kg.n_relations
+        arr = np.asarray(kg.triple_keys, dtype=np.int64)
+        self.s, self.r, self.o = arr[:, 0], arr[:, 1], arr[:, 2]
+        self.m = arr.shape[0]
+        self.true_keys = np.sort((self.s * self.n_rel + self.r) * self.n_ent + self.o)
+
+    def sample_negatives(self, rng, k):
+        neg = rng.integers(0, self.n_ent, size=(self.m, k))
+        corrupt_head = rng.integers(0, 2, size=(self.m, k)).astype(bool)
+        s_pos = self.s[:, None]
+        o_pos = self.o[:, None]
+        r_pos = self.r[:, None]
+        for _ in range(4):
+            s_neg = np.where(corrupt_head, neg, s_pos)
+            o_neg = np.where(corrupt_head, o_pos, neg)
+            keys = (s_neg * self.n_rel + r_pos) * self.n_ent + o_neg
+            idx = np.searchsorted(self.true_keys, keys)
+            idx = np.minimum(idx, self.true_keys.size - 1)
+            bad = self.true_keys[idx] == keys
+            if not bad.any():
+                break
+            neg = np.where(bad, rng.integers(0, self.n_ent, size=(self.m, k)), neg)
+        s_neg = np.where(corrupt_head, neg, s_pos)
+        o_neg = np.where(corrupt_head, o_pos, neg)
+        return s_neg, o_neg
+
+
+def reference_margin_step(E, R, data, s_neg, o_neg, lr, margin):
+    s, r, o = data.s, data.r, data.o
+    pos_d = E[s] + R[r] - E[o]
+    pos_sq = np.einsum("ij,ij->i", pos_d, pos_d)
+    loss = 0.0
+    for j in range(s_neg.shape[1]):
+        sj = s_neg[:, j]
+        oj = o_neg[:, j]
+        neg_d = E[sj] + R[r] - E[oj]
+        neg_sq = np.einsum("ij,ij->i", neg_d, neg_d)
+        viol = margin + pos_sq - neg_sq
+        act = viol > 0
+        if not act.any():
+            continue
+        loss += float(viol[act].sum())
+        g_pos = (2.0 * lr) * pos_d[act]
+        g_neg = (2.0 * lr) * neg_d[act]
+        np.add.at(E, s[act], -g_pos)
+        np.add.at(E, o[act], g_pos)
+        np.add.at(R, r[act], -g_pos)
+        np.add.at(E, sj[act], g_neg)
+        np.add.at(E, oj[act], -g_neg)
+        np.add.at(R, r[act], g_neg)
+        pos_d = E[s] + R[r] - E[o]
+        pos_sq = np.einsum("ij,ij->i", pos_d, pos_d)
+    return loss
+
+
+def reference_train(kg1, kg2, seed_alignment, cfg):
+    """The float64 ``(E1, E2, R1, R2)`` and the per-epoch losses."""
+    d1 = _ReferenceSideData(kg1)
+    d2 = _ReferenceSideData(kg2)
+    seeds = [(int(a), int(b)) for a, b in seed_alignment]
+    rng = np.random.default_rng(cfg.seed)
+    E1, R1 = _reference_init_side(rng, d1.n_ent, d1.n_rel, cfg.dim)
+    E2, R2 = _reference_init_side(rng, d2.n_ent, d2.n_rel, cfg.dim)
+    if seeds:
+        s1 = np.asarray([a for a, _ in seeds], dtype=np.int64)
+        s2 = np.asarray([b for _, b in seeds], dtype=np.int64)
+    losses = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            total = 0.0
+            for E, R, data in ((E1, R1, d1), (E2, R2, d2)):
+                s_neg, o_neg = data.sample_negatives(rng, cfg.negatives_per_positive)
+                total += reference_margin_step(
+                    E, R, data, s_neg, o_neg, cfg.learning_rate, cfg.margin
+                )
+            if seeds:
+                diff = E1[s1] - E2[s2]
+                total += float(np.einsum("ij,ij->i", diff, diff).sum())
+                step = _REFERENCE_ALIGN_RATE * diff
+                np.add.at(E1, s1, -step)
+                np.add.at(E2, s2, step)
+            _reference_normalize_rows(E1)
+            _reference_normalize_rows(E2)
+            losses.append(total)
+    return (E1, E2, R1, R2), losses
+
+
+def _train_float64(monkeypatch, kg1, kg2, seeds, cfg):
+    """``train``'s float64 matrices, read before the store narrows them to float32."""
+    captured = {}
+
+    def store(entity_vecs, relation_vecs=None):
+        captured["mats"] = (
+            entity_vecs[Side.SOURCE].copy(), entity_vecs[Side.TARGET].copy(),
+            relation_vecs[Side.SOURCE].copy(), relation_vecs[Side.TARGET].copy(),
+        )
+        return EmbeddingStore(entity_vecs, relation_vecs=relation_vecs)
+
+    monkeypatch.setattr(trainer, "EmbeddingStore", store)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NoSeedsWarning)
+        _, losses = train(kg1, kg2, seeds, cfg, return_losses=True)
+    return captured["mats"], losses
+
+
+def _graph(side, n_ent, n_rel, triples):
+    return Kg(side, [f"e{i}" for i in range(n_ent)], [f"r{i}" for i in range(n_rel)], triples)
+
+
+def _hub_pair():
+    # entity 0 is the subject or object of most triples, so it repeats many
+    # times inside one scatter block
+    t1 = [(0, i % 2, i) for i in range(1, 12)] + [(i, 1, 0) for i in range(2, 12, 3)]
+    t2 = [(i, i % 2, 0) for i in range(1, 12)] + [(0, 0, i) for i in range(3, 12, 4)]
+    return _graph(Side.SOURCE, 12, 2, t1), _graph(Side.TARGET, 12, 2, t2)
+
+
+def _single_relation_pair():
+    rng = np.random.default_rng(9)
+    return make_isomorphic_pair(rng, n=10, n_rel=1, extra=12)[:2]
+
+
+def _complete_pair():
+    # every (s, r, o) over 3 entities and 1 relation is a triple, so every
+    # corruption is a positive and each slot is redrawn 4 times
+    full = [(s, 0, o) for s in range(3) for o in range(3)]
+    return _graph(Side.SOURCE, 3, 1, full), _graph(Side.TARGET, 3, 1, full)
+
+
+class TestTrainerIsExact:
+    def assert_exact(self, monkeypatch, kg1, kg2, seeds, cfg):
+        mats, losses = _train_float64(monkeypatch, kg1, kg2, seeds, cfg)
+        ref_mats, ref_losses = reference_train(kg1, kg2, seeds, cfg)
+        for got, want in zip(mats, ref_mats):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert losses == ref_losses
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("epochs", [0, 1, 60])
+    def test_hub_entity(self, monkeypatch, k, epochs):
+        kg1, kg2 = _hub_pair()
+        cfg = TrainConfig(dim=8, epochs=epochs, negatives_per_positive=k, seed=3)
+        self.assert_exact(monkeypatch, kg1, kg2, [(0, 0), (1, 1), (5, 5)], cfg)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_single_relation(self, monkeypatch, k):
+        kg1, kg2 = _single_relation_pair()
+        cfg = TrainConfig(dim=6, epochs=60, negatives_per_positive=k, seed=4)
+        self.assert_exact(monkeypatch, kg1, kg2, [(0, 1), (2, 3)], cfg)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_corruption_a_positive(self, monkeypatch, k):
+        kg1, kg2 = _complete_pair()
+        cfg = TrainConfig(dim=4, epochs=60, negatives_per_positive=k, seed=5)
+        self.assert_exact(monkeypatch, kg1, kg2, [(0, 2)], cfg)
+
+    @pytest.mark.parametrize("seeds", [[], [(0, 3), (0, 4), (2, 2), (0, 3)]])
+    def test_no_and_duplicated_seeds(self, monkeypatch, seeds):
+        kg1, kg2 = _hub_pair()
+        cfg = TrainConfig(dim=8, epochs=60, negatives_per_positive=2, seed=6)
+        self.assert_exact(monkeypatch, kg1, kg2, seeds, cfg)
+
+    def test_regression_fixture(self, monkeypatch):
+        kg1, kg2, seeds, _ = fixture_20()
+        self.assert_exact(monkeypatch, kg1, kg2, seeds, TrainConfig(epochs=60, seed=7))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_small_graphs(self, data):
+        def side_graph(side):
+            n_ent = data.draw(st.integers(2, 9))
+            n_rel = data.draw(st.integers(1, 3))
+            triple = st.tuples(
+                st.integers(0, n_ent - 1), st.integers(0, n_rel - 1), st.integers(0, n_ent - 1)
+            )
+            return _graph(side, n_ent, n_rel, data.draw(st.lists(triple, min_size=1, max_size=25)))
+
+        kg1, kg2 = side_graph(Side.SOURCE), side_graph(Side.TARGET)
+        pair = st.tuples(st.integers(0, kg1.n_entities - 1), st.integers(0, kg2.n_entities - 1))
+        seeds = data.draw(st.lists(pair, max_size=4))
+        cfg = TrainConfig(
+            dim=data.draw(st.integers(1, 6)),
+            epochs=data.draw(st.integers(0, 12)),
+            negatives_per_positive=data.draw(st.integers(1, 3)),
+            seed=data.draw(st.integers(0, 2**16)),
+        )
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.assert_exact(monkeypatch, kg1, kg2, seeds, cfg)
