@@ -14,7 +14,6 @@ from .adg import Adg, AdgConfig, AdgNode, EdgeClass, build_adg, sigmoid
 from .embedding import (
     EmbeddingStore,
     SimilarityTopK,
-    cosine,
     greedy_align,
     load_embeddings,
     save_embeddings,
@@ -107,7 +106,6 @@ __all__ = [
     "accuracy",
     "build_adg",
     "candidate_triples",
-    "cosine",
     "explanation",
     "explanation_sparsity_stats",
     "fidelity",

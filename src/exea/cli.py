@@ -24,9 +24,9 @@ from . import __version__
 from .adg import Adg, AdgConfig, EdgeClass, build_adg
 from .embedding import (
     EmbeddingStore,
-    cosine,
     greedy_align,
     load_embeddings,
+    pair_cosines,
     save_embeddings,
 )
 from .errors import (
@@ -415,14 +415,12 @@ def _triples_json(triple_keys) -> dict:
 
 
 def _explanation_json(expl: Explanation, kg1: Kg, kg2: Kg, store: EmbeddingStore) -> dict:
-    neighbors = []
-    for a, b in expl.matched_neighbor_pairs:
-        sim = float(
-            cosine(store.entity_matrix(kg1.side)[a], store.entity_matrix(kg2.side)[b])
-        )
-        neighbors.append(
-            {"source": _entity_json(kg1, a), "target": _entity_json(kg2, b), "similarity": sim}
-        )
+    pairs = expl.matched_neighbor_pairs
+    sims = pair_cosines(store, kg1.side, [a for a, _ in pairs], kg2.side, [b for _, b in pairs])
+    neighbors = [
+        {"source": _entity_json(kg1, a), "target": _entity_json(kg2, b), "similarity": sim}
+        for (a, b), sim in zip(pairs, sims.tolist())
+    ]
     e1, e2 = expl.pair
     return {
         "pair": {"source": _entity_json(kg1, e1), "target": _entity_json(kg2, e2)},
@@ -553,6 +551,8 @@ def _eval_sparsity(cfg: dict) -> tuple[EvalReport, dict]:
 
 def _eval_fidelity(cfg: dict) -> tuple[EvalReport, dict]:
     _require(cfg, "kg1", "kg2", "emb", "seeds", "pred", "gold")
+    if int(cfg["sample_n"]) < 1:
+        raise ConfigError(f"sample_n must be >= 1, got {cfg['sample_n']}")
     data = _load_inputs(cfg, ("seeds", "pred", "gold"))
     kg1, kg2, store = data.kg1, data.kg2, data.store
     seeds, pred, gold = (data.pairs[key] for key in ("seeds", "pred", "gold"))

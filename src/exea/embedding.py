@@ -182,25 +182,16 @@ def path_embedding(
     return np.concatenate([ent / n, rel / n])
 
 
-def cosine(u, v) -> float:
-    """Cosine similarity in 64-bit; zero-norm inputs are an error."""
-    a = np.asarray(u, dtype=np.float64).ravel()
-    b = np.asarray(v, dtype=np.float64).ravel()
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("cosine is undefined for a zero vector")
-    return float(np.dot(a, b) / (na * nb))
-
-
 def pair_cosines(
     store: EmbeddingStore, side1: Side, rows1: Sequence[int], side2: Side, rows2: Sequence[int]
 ) -> np.ndarray:
-    """Cosine of each pair (``rows1[i]`` on ``side1``, ``rows2[i]`` on ``side2``).
+    """Cosine of each pair (``rows1[i]`` on ``side1``, ``rows2[i]`` on ``side2``),
+    in 64-bit; a zero-norm vector is an error.
 
-    Equal bit for bit to ``cosine`` of the two entity vectors: the dot is the
-    same BLAS dot, taken by ``np.vecdot`` row by row (a matrix product or an
-    einsum may sum in another order), over norms from ``entity_norms``.
+    Equal bit for bit to ``np.dot`` of the two float64 entity vectors over the
+    product of their ``np.linalg.norm``: the dot is the same BLAS dot, taken by
+    ``np.vecdot`` row by row (a matrix product or an einsum may sum in another
+    order), over norms from ``entity_norms``.
     """
     a, b = store.entity_matrix(side1), store.entity_matrix(side2)
     i = np.asarray(rows1, dtype=np.int64)
@@ -212,15 +203,6 @@ def pair_cosines(
     if not (np.all(na) and np.all(nb)):
         raise ZeroVector("cosine is undefined for a zero vector")
     return np.vecdot(a[i].astype(np.float64), b[j].astype(np.float64)) / (na * nb)
-
-
-def entity_cosine(store: EmbeddingStore, side1: Side, i: int, side2: Side, j: int) -> float:
-    """``pair_cosines`` for a single pair, without the array set-up."""
-    u, v = store.entity_vec(side1, i), store.entity_vec(side2, j)
-    nu, nv = store.entity_norms(side1)[i], store.entity_norms(side2)[j]
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroVector("cosine is undefined for a zero vector")
-    return float(np.dot(u, v) / (nu * nv))
 
 
 def _normalized_rows(store: EmbeddingStore, side: Side, indices) -> np.ndarray:

@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import EmptyKg, MalformedLine, UnknownId, UnknownRelation
+from .errors import ConfigError, EmptyKg, MalformedLine, UnknownId, UnknownRelation
 
 MAX_HOPS = 2
 
@@ -38,9 +38,10 @@ SIDES = tuple(Side)
 Step = tuple[int, int, int]
 
 
-def _validate_hops(h: int) -> None:
+def check_hops(h: int) -> None:
+    """The one hop-bound rule: ``h`` is an integer in [1, MAX_HOPS]."""
     if not isinstance(h, int) or not 1 <= h <= MAX_HOPS:
-        raise ValueError(f"hop bound must be an integer in [1, {MAX_HOPS}], got {h!r}")
+        raise ConfigError(f"h must be an integer in [1, {MAX_HOPS}], got {h!r}")
 
 
 class Kg:
@@ -177,7 +178,7 @@ def _hop_distances(kg: Kg, start: int, cutoff: int) -> dict[int, int]:
 
 def neighborhood_entities(kg: Kg, e: int, h: int) -> list[int]:
     """Entity indices within ``h`` undirected hops of ``e``, excluding ``e`` itself."""
-    _validate_hops(h)
+    check_hops(h)
     start = kg.check_entity(int(e))
     dist = _hop_distances(kg, start, h)
     return sorted(v for v in dist if v != start)
@@ -190,7 +191,7 @@ def neighborhood_triples(kg: Kg, e: int, h: int) -> list[tuple[int, int, int]]:
     ``h - 1`` hops of ``e``, i.e. the triple's own edge is the at-most-h-th
     traversed edge. Returned as (subject, relation, object) keys, sorted.
     """
-    _validate_hops(h)
+    check_hops(h)
     start = kg.check_entity(int(e))
     inner = _hop_distances(kg, start, h - 1)
     keys: set[tuple[int, int, int]] = set()
@@ -210,7 +211,7 @@ def enumerate_paths(kg: Kg, e: int, h: int) -> list[tuple[Step, ...]]:
     whose subject is the current anchor, an incoming step (1) one whose object
     is. Paths never revisit an entity.
     """
-    _validate_hops(h)
+    check_hops(h)
     start = kg.check_entity(int(e))
     keys: list[tuple[Step, ...]] = []
 
@@ -284,12 +285,11 @@ def load_kg(
     entity_labels_path: str | Path,
     relation_labels_path: str | Path,
     side: Side,
-    allow_empty: bool = False,
 ) -> Kg:
     """Load one side from TSV files: triples (3 int columns) plus id/label maps."""
     entity_labels = _read_label_file(entity_labels_path, "entity")
     relation_labels = _read_label_file(relation_labels_path, "relation")
     triples = _read_triple_file(triples_path, len(entity_labels), len(relation_labels))
-    if not triples and not allow_empty:
+    if not triples:
         raise EmptyKg(f"no triples in {triples_path}")
     return Kg(side, entity_labels, relation_labels, triples)

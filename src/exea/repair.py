@@ -9,8 +9,10 @@ the claimant with the highest dependency-graph confidence, and displaced
 sources walk their top-k candidates, evicting incumbents of lower confidence.
 Low-confidence conflicts: pairs under the confidence floor are stripped and
 re-matched against targets that share a matched neighbor, ranked and compared
-by confidence plus weighted cosine. Both stages share one rematch walk
-(``_rematch``) and differ only in the ranking and the comparison they pass it.
+by confidence plus weighted cosine; each candidate is scored once, from the
+cosines that rank it and the confidences that filter it. Both stages share one
+rematch walk (``_rematch``) and differ only in the ranking and the comparison
+they pass it.
 A final greedy pass fills any leftovers from the unclaimed targets.
 
 The alignment state holds a target and a provenance per source; no stage
@@ -38,14 +40,13 @@ from .adg import STRONG, Adg, AdgConfig, build_adg, sigmoid
 from .embedding import (
     EmbeddingStore,
     SimilarityTopK,
-    entity_cosine,
     pair_cosines,
     similarity_matrix,
     similarity_topk,
 )
 from .errors import ConfigError, InvariantViolation
 from .explain import PathIndex, explanation, matched_neighbor_pairs
-from .kg import SIDES, Kg, Side, neighborhood_entities
+from .kg import SIDES, Kg, Side, check_hops, neighborhood_entities
 
 RELATION_VECTOR_SOURCES = ("derived", "native", "name")
 
@@ -69,8 +70,7 @@ class RepairConfig:
     enable_low_confidence: bool = True
 
     def __post_init__(self):
-        if self.h not in (1, 2):
-            raise ConfigError(f"h must be 1 or 2, got {self.h}")
+        check_hops(self.h)
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.beta is not None and not 0.0 <= self.beta <= 1.0:
@@ -298,9 +298,6 @@ class PairAnalyzer:
 
     def confidence(self, s: int, t: int) -> float:
         return self.adg(s, t).confidence
-
-    def similarity(self, s: int, t: int) -> float:
-        return entity_cosine(self.store, Side.SOURCE, s, Side.TARGET, t)
 
 
 def _relation_vectors(
@@ -623,11 +620,12 @@ def _candidate_targets(
     state: AlignmentState,
     analyzer: PairAnalyzer,
     beta: float,
-    cap: int,
-) -> list[int]:
+    cfg: RepairConfig,
+) -> list[tuple[int, float]]:
     """Targets sharing at least one matched neighbor with ``e1`` through the
-    current alignment, nearest first, capped, then filtered by pairwise
-    confidence >= beta."""
+    current alignment, nearest first, capped at ``cfg.candidate_cap``, kept
+    when their pairwise confidence is >= beta, each with its score confidence
+    + lambda * cosine: best score first, ties to the lower target."""
     matched_targets = set()
     for u in analyzer.hood1(e1):
         t = state.target_of(u)
@@ -643,8 +641,13 @@ def _candidate_targets(
         return []
     targets = sorted(raw)
     sims = pair_cosines(analyzer.store, Side.SOURCE, [e1] * len(targets), Side.TARGET, targets)
-    ranked = sorted(zip(targets, sims.tolist()), key=lambda ts: (-ts[1], ts[0]))[:cap]
-    return [t for t, _ in ranked if analyzer.confidence(e1, t) >= beta]
+    nearest = sorted(zip(targets, sims.tolist()), key=lambda ts: (-ts[1], ts[0]))
+    scored = []
+    for t, sim in nearest[: cfg.candidate_cap]:
+        conf = analyzer.confidence(e1, t)
+        if conf >= beta:
+            scored.append((t, conf + cfg.score_lambda * sim))
+    return sorted(scored, key=lambda ts: (-ts[1], ts[0]))
 
 
 def resolve_low_confidence(
@@ -656,23 +659,19 @@ def resolve_low_confidence(
 ) -> tuple[set[int], dict]:
     """Strip pairs under the confidence floor (plus soft-flagged ones, once),
     then rematch them against neighbor-sharing candidates scored by
-    confidence + lambda * similarity. Returns leftover sources and stats."""
+    confidence + lambda * cosine. Returns leftover sources and stats."""
     beta = cfg.effective_beta()
     queue = set(unaligned)
     flags = set(flagged)
     stats = {"stripped": 0, "iterations": 0, "swaps": 0}
 
-    def score(s: int, t: int) -> float:
-        return analyzer.confidence(s, t) + cfg.score_lambda * analyzer.similarity(s, t)
-
     def ranked(e1: int) -> list[tuple[int, float]]:
-        candidates = _candidate_targets(e1, state, analyzer, beta, cfg.candidate_cap)
-        # best score first, ties to the lower target index
-        scored = sorted(((score(e1, t), -t) for t in candidates), reverse=True)
-        return [(-neg_t, sc) for sc, neg_t in scored[: cfg.k]]
+        return _candidate_targets(e1, state, analyzer, beta, cfg)[: cfg.k]
 
     def better(e1: int, e2: int, e1_score: float, incumbent: int) -> bool:
-        return e1_score > score(incumbent, e2)
+        conf = analyzer.confidence(incumbent, e2)
+        sim = pair_cosines(analyzer.store, Side.SOURCE, [incumbent], Side.TARGET, [e2]).item()
+        return e1_score > conf + cfg.score_lambda * sim
 
     last_len = -1
     while True:

@@ -19,7 +19,8 @@ from exea.cli import DEFAULTS, build_parser, main
 from exea.embedding import EmbeddingStore, load_embeddings, save_embeddings
 from exea.errors import InvariantViolation
 from exea.evaluate import accuracy
-from exea.kg import Side
+from exea.explain import matched_neighbors
+from exea.kg import Side, load_kg
 from exea.repair import RepairConfig
 from exea.synth import SynthConfig
 from exea.trainer import TrainConfig
@@ -699,3 +700,72 @@ class TestZeroVectorPrediction:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "a.tsv").exists()
         assert not (tmp_path / "r.json").exists()
+
+
+class TestZeroVectorNeighbor:
+    """A matched neighbor whose embedding row is all zeros has no cosine:
+    ``exea explain`` exits 2 with the cosine error from ``pair_cosines``,
+    prints no traceback and writes no output."""
+
+    def test_explain_exits_2(self, synth40, tmp_path):
+        kg1 = load_kg(synth40 / "triples_1", synth40 / "ent_ids_1", synth40 / "rel_ids_1",
+                      Side.SOURCE)
+        kg2 = load_kg(synth40 / "triples_2", synth40 / "ent_ids_2", synth40 / "rel_ids_2",
+                      Side.TARGET)
+        gold = read_pairs(synth40 / "ent_links")
+        pair, neighbors = next(
+            (p, n) for p in gold if (n := matched_neighbors(p, kg1, kg2, dict(gold), 2))
+        )
+        store = load_embeddings(synth40 / "embeddings.tsv")
+        rows = store.entity_matrix(Side.SOURCE).copy()
+        rows[neighbors[0][0]] = 0.0
+        emb = tmp_path / "emb.tsv"
+        save_embeddings(emb, EmbeddingStore({
+            Side.SOURCE: rows, Side.TARGET: store.entity_matrix(Side.TARGET),
+        }))
+        out = tmp_path / "expl.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "exea.cli", "explain",
+             "--kg1", str(synth40 / "triples_1"), "--kg2", str(synth40 / "triples_2"),
+             "--emb", str(emb), "--alignment", str(synth40 / "ent_links"),
+             "--pair", str(pair[0]), str(pair[1]), "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "cosine is undefined for a zero vector" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+class TestBadTunables:
+    """A hop bound outside {1, 2} or a fidelity sample size below 1 is a
+    config error naming the key: exit 1, no traceback, no output file."""
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["adg", "--h", "3"], "h must be", id="adg-h3"),
+        pytest.param(["explain", "--h", "0"], "h must be", id="explain-h0"),
+        pytest.param(["eval", "--mode", "sparsity", "--h", "0"], "h must be", id="sparsity-h0"),
+        pytest.param(["eval", "--mode", "fidelity", "--h", "3"], "h must be", id="fidelity-h3"),
+        pytest.param(["eval", "--mode", "fidelity", "--sample-n", "-1"], "sample_n must be",
+                     id="fidelity-sample-n-minus-1"),
+        pytest.param(["eval", "--mode", "fidelity", "--sample-n", "0"], "sample_n must be",
+                     id="fidelity-sample-n-0"),
+    ])
+    def test_config_error(self, dataset, kg_flags, repaired, tmp_path, capsys, argv, message):
+        a_star = repaired / "a_star.tsv"
+        s, t = read_pairs(a_star)[0]
+        out = tmp_path / "o.json"
+        inputs = {
+            "adg": ["--alignment", str(a_star), "--pair", str(s), str(t)],
+            "explain": ["--alignment", str(a_star), "--pair", str(s), str(t)],
+            "eval": ["--alignment", str(a_star), "--seeds", str(dataset / "train_links"),
+                     "--pred", str(a_star), "--gold", str(dataset / "ent_links"),
+                     "--dim", "8", "--epochs", "5"],
+        }[argv[0]]
+        rc = main([*argv, *kg_flags, *inputs, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error" in err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()

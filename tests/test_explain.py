@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from exea.embedding import EmbeddingStore, cosine, path_embedding
+from exea.embedding import EmbeddingStore, path_embedding
 from exea.explain import (
     PathIndex,
     candidate_triples,
@@ -14,6 +14,7 @@ from exea.explain import (
 from exea.kg import Kg, Side, enumerate_paths, neighborhood_entities, neighborhood_triples
 
 from test_adg import path_weight
+from test_embedding import reference_cosine
 from test_kg import make_kg, random_kg
 
 
@@ -108,8 +109,12 @@ def oracle_mutual_best(store, kg1, kg2, pair, neighbor_pair, h):
     if not p1 or not p2:
         return []
     sims = [
-        [cosine(path_embedding(store, kg1, pair[0], a), path_embedding(store, kg2, pair[1], b))
-         for b in p2]
+        [
+            reference_cosine(
+                path_embedding(store, kg1, pair[0], a), path_embedding(store, kg2, pair[1], b)
+            )
+            for b in p2
+        ]
         for a in p1
     ]
     out = []

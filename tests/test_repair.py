@@ -17,6 +17,7 @@ from exea.adg import AdgConfig, EdgeClass, sigmoid
 from exea.embedding import (
     EmbeddingStore,
     greedy_align,
+    pair_cosines,
     similarity_matrix,
     similarity_topk,
 )
@@ -29,7 +30,6 @@ from exea.repair import (
     Counterparts,
     PairAnalyzer,
     RepairConfig,
-    _candidate_targets,
     _chain_rules,
     cross_kg_triples,
     detect_relation_conflicts,
@@ -43,6 +43,7 @@ from exea.repair import (
 )
 from exea.synth import SynthConfig, generate_pair
 
+from test_embedding import reference_cosine
 from test_kg import make_kg, random_kg
 
 
@@ -891,8 +892,7 @@ class TestResolveLowConfidence:
         state, analyzer, cfg, flags = self.build_star(
             [50, 42], [45, 90], [(1, 1), (2, 2)], flagged={1, 2}
         )
-        sim11 = analyzer.similarity(1, 1)
-        sim21 = analyzer.similarity(2, 1)
+        sim11, sim21 = pair_cosines(analyzer.store, Side.SOURCE, [1, 2], Side.TARGET, [1, 1])
         assert sim21 > sim11
         leftover, stats = resolve_low_confidence(state, analyzer, cfg, set(), flags)
         assert stats["swaps"] == 1
@@ -907,11 +907,11 @@ class TestResolveLowConfidence:
             spokes1, spokes2,
             [(1, 1), (2, 2), (3, 3)], flagged={1, 2, 3},
         )
-        score = {
-            (s, t): analyzer.confidence(s, t) + analyzer.similarity(s, t)
-            for s in (1, 2, 3)
-            for t in (1, 2, 3)
-        }
+        pairs = list(itertools.product((1, 2, 3), repeat=2))
+        sims = pair_cosines(
+            analyzer.store, Side.SOURCE, [s for s, _ in pairs], Side.TARGET, [t for _, t in pairs]
+        )
+        score = {(s, t): analyzer.confidence(s, t) + sim for (s, t), sim in zip(pairs, sims)}
         best = max(
             itertools.permutations((1, 2, 3)),
             key=lambda perm: sum(score[(s, t)] for s, t in zip((1, 2, 3), perm)),
@@ -959,9 +959,40 @@ def reference_resolve_one_to_many(state, analyzer, topk, k):
     return queue, stats
 
 
-def reference_resolve_low_confidence(state, analyzer, cfg, unaligned, flagged):
+def reference_similarity(store, s, t):
+    """The per-pair ``np.dot`` cosine the low-confidence stage used to score
+    with, before ``pair_cosines`` became the only one."""
+    return reference_cosine(store.entity_vec(Side.SOURCE, s), store.entity_vec(Side.TARGET, t))
+
+
+def reference_candidate_targets(e1, state, analyzer, beta, cap):
+    """Candidate targets as the stage used to collect them: nearest first,
+    capped, filtered by confidence >= beta, with the cosines and confidences
+    that ranked and filtered them thrown away."""
+    matched_targets = set()
+    for u in analyzer.hood1(e1):
+        t = state.target_of(u)
+        if t is not None:
+            matched_targets.add(t)
+    raw = set()
+    for t_prime in matched_targets:
+        raw |= analyzer.hood2(t_prime)
+    own = state.target_of(e1)
+    if own is not None:
+        raw.discard(own)
+    if not raw:
+        return []
+    targets = sorted(raw)
+    sims = pair_cosines(analyzer.store, Side.SOURCE, [e1] * len(targets), Side.TARGET, targets)
+    ranked = sorted(zip(targets, sims.tolist()), key=lambda ts: (-ts[1], ts[0]))[:cap]
+    return [t for t, _ in ranked if analyzer.confidence(e1, t) >= beta]
+
+
+def reference_resolve_low_confidence(state, analyzer, cfg, unaligned, flagged, rescored):
     """The low-confidence stage with its own rematch loop, as it was written
-    before it shared ``_rematch`` with the one-to-many stage."""
+    before it shared ``_rematch`` with the one-to-many stage, and before it
+    scored each candidate once. ``rescored[0]`` counts the confidence
+    lookups its ranking repeats after ``reference_candidate_targets``."""
     beta = cfg.effective_beta()
     queue = set(unaligned)
     flags = set(flagged)
@@ -985,10 +1016,15 @@ def reference_resolve_low_confidence(state, analyzer, cfg, unaligned, flagged):
         stats["iterations"] += 1
         fresh = set()
         for e1 in sorted(queue):
-            candidates = _candidate_targets(e1, state, analyzer, beta, cfg.candidate_cap)
+            candidates = reference_candidate_targets(e1, state, analyzer, beta, cfg.candidate_cap)
+            rescored[0] += len(candidates)
             scored = sorted(
                 (
-                    (analyzer.confidence(e1, t) + cfg.score_lambda * analyzer.similarity(e1, t), -t)
+                    (
+                        analyzer.confidence(e1, t)
+                        + cfg.score_lambda * reference_similarity(analyzer.store, e1, t),
+                        -t,
+                    )
                     for t in candidates
                 ),
                 reverse=True,
@@ -1005,7 +1041,7 @@ def reference_resolve_low_confidence(state, analyzer, cfg, unaligned, flagged):
                 if state.is_seed_pair(incumbent, e2):
                     continue
                 incumbent_score = analyzer.confidence(incumbent, e2) + (
-                    cfg.score_lambda * analyzer.similarity(incumbent, e2)
+                    cfg.score_lambda * reference_similarity(analyzer.store, incumbent, e2)
                 )
                 if score > incumbent_score:
                     state.unalign(incumbent)
@@ -1031,13 +1067,16 @@ def rematch_fixture(rng_seed):
 
 class TestRematchIsExact:
     """Both stages on the shared ``_rematch`` walk equal their separate
-    loops: the same final pairs, stats, mutation sequence and number of
-    dependency-graph lookups, over whole ``repair()`` runs on ``exea synth``
-    fixtures (n=200, conflict 0.2) at k = 1 and k = 10."""
+    loops: the same final pairs, stats and mutation sequence, over whole
+    ``repair()`` runs on ``exea synth`` fixtures (n=200, conflict 0.2) at
+    k = 1 and k = 10. The low-confidence stage scores each candidate once,
+    so it makes exactly the reference's dependency-graph lookups minus the
+    confidences the reference's ranking looks up a second time."""
 
     def run(self, monkeypatch, res, raw, cfg, reference):
         repair_module = importlib.import_module("exea.repair")
         lookups = [0]
+        rescored = [0]
         adg = PairAnalyzer.adg
 
         def counted(analyzer, s, t):
@@ -1048,26 +1087,35 @@ class TestRematchIsExact:
             m.setattr(PairAnalyzer, "adg", counted)
             if reference:
                 m.setattr(repair_module, "resolve_one_to_many", reference_resolve_one_to_many)
-                m.setattr(repair_module, "resolve_low_confidence", reference_resolve_low_confidence)
+                m.setattr(
+                    repair_module,
+                    "resolve_low_confidence",
+                    functools.partial(reference_resolve_low_confidence, rescored=rescored),
+                )
             out = repair(res.kg1, res.kg2, res.perturbed_store, raw, res.seeds, cfg)
-        return out, lookups[0]
+        return out, lookups[0], rescored[0]
 
     @pytest.mark.parametrize("k", [1, 10])
     def test_equals_separate_loops(self, monkeypatch, k):
         cfg = RepairConfig(k=k)
         moved = 0
+        rescored_total = 0
         for rng_seed in (1, 2, 3):
             res, raw = rematch_fixture(rng_seed)
-            got, got_lookups = self.run(monkeypatch, res, raw, cfg, reference=False)
-            ref, ref_lookups = self.run(monkeypatch, res, raw, cfg, reference=True)
+            got, got_lookups, _ = self.run(monkeypatch, res, raw, cfg, reference=False)
+            ref, ref_lookups, rescored = self.run(monkeypatch, res, raw, cfg, reference=True)
             assert got.pairs == ref.pairs
             assert got.report.one_to_many == ref.report.one_to_many
             assert got.report.low_confidence == ref.report.low_confidence
             assert got.report.to_json_dict() == ref.report.to_json_dict()
             assert got.state.mutations == ref.state.mutations
-            assert got_lookups == ref_lookups
+            assert got_lookups == ref_lookups - rescored
             moved += got.report.one_to_many["evictions"] + got.report.low_confidence["swaps"]
+            rescored_total += rescored
         assert moved > 0
+        # the fixtures reach the stage's ranking, so a second scoring pass
+        # would show up in the lookup count
+        assert rescored_total > 0
 
 
 class TestFinalFill:
