@@ -63,12 +63,12 @@ for path1, path2, sim in matches:
 print(f"explanation subgraph: {len(expl.triple_keys)} triples")
 
 cfg = AdgConfig()
-adg = build_adg(expl, kg1, kg2, store, cfg)
+adg = build_adg(expl, store, cfg)
 
+# node 0 is the central pair; node 1 + n is matched neighbor pair n
 print("\ndependency graph nodes (influence = clamped neighbor cosine):")
-for node in adg.neighbors:
-    n1, n2 = node.pair
-    print(f"  {ent1[n1]:<6} <-> {ent2[n2]:<16} influence {node.influence:.3f}")
+for (n1, n2), influence in zip(expl.matched_neighbor_pairs, adg.influence[1:]):
+    print(f"  {ent1[n1]:<6} <-> {ent2[n2]:<16} influence {influence:.3f}")
 
 # edge i of the graph stands for matched path pair i of the explanation
 print("\nedges (class from path lengths, weight from relation functionalities):")
@@ -76,10 +76,10 @@ classes = list(EdgeClass)
 for n, c, w, (path1, path2, _) in zip(
     adg.edge_neighbor.tolist(), adg.edge_class.tolist(), adg.edge_weight.tolist(), matches
 ):
-    nb = adg.neighbors[n]
+    _, n2 = expl.matched_neighbor_pairs[n]
     lens = (len(path1), len(path2))
     print(
-        f"  -> {ent2[nb.pair[1]]:<16} {classes[c].value:<8} "
+        f"  -> {ent2[n2]:<16} {classes[c].value:<8} "
         f"weight {w:.3f}  path lengths {lens}"
     )
 

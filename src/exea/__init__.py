@@ -10,7 +10,7 @@ generator (``synth``), and the command line front end (``cli``).
 
 __version__ = "0.1.0"
 
-from .adg import Adg, AdgConfig, AdgNode, EdgeClass, build_adg, sigmoid
+from .adg import Adg, AdgConfig, EdgeClass, build_adg, sigmoid
 from .embedding import (
     EmbeddingStore,
     SimilarityTopK,
@@ -68,7 +68,6 @@ from .trainer import TrainConfig, train
 __all__ = [
     "Adg",
     "AdgConfig",
-    "AdgNode",
     "AlignmentState",
     "ConfigError",
     "DegenerateConfig",

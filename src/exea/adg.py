@@ -16,9 +16,8 @@ gates the weaker classes: Moderate mass counts only when c_s < theta, Weak
 mass only when additionally c_m < gamma. The gated sum is squashed through a
 sigmoid.
 
-``build_adg`` reads edge endpoints, lengths and path weights from the
-explanation's path tables and keeps the edges as integer and float arrays;
-edge ``i`` stands for the explanation's matched path pair ``i``.
+``build_adg`` reads the graph off one explanation: edge ``i`` is matched path
+pair ``i``, on the node of the neighbor pair the matcher found it for.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 from .embedding import EmbeddingStore, pair_cosines
 from .errors import ConfigError
 from .explain import Explanation
-from .kg import Kg
+from .kg import Side
 
 
 class EdgeClass(Enum):
@@ -61,25 +60,17 @@ class AdgConfig:
                 raise ConfigError(f"{name} must be finite, got {v}")
 
 
-@dataclass(frozen=True)
-class AdgNode:
-    pair: tuple[int, int]
-    influence: float
-    is_central: bool = False
-
-
 @dataclass(eq=False)
 class Adg:
-    """One pair's dependency graph.
+    """One pair's dependency graph, read off ``explanation``.
 
-    Edge ``i``: ``edge_neighbor[i]`` is the index of its node in
-    ``neighbors``, ``edge_class[i]`` its class as a position in ``EdgeClass``
-    (0 Strong, 1 Moderate, 2 Weak) and ``edge_weight[i]`` its weight; its path
-    pair is matched path pair ``i`` of ``explanation``.
+    ``influence`` holds the central pair's influence, then each matched
+    neighbor pair's. Edge ``i`` is matched path pair ``i``: ``edge_neighbor``
+    is ``explanation.neighbor``, ``edge_class[i]`` a position in ``EdgeClass``
+    (0 Strong, 1 Moderate, 2 Weak) and ``edge_weight[i]`` its weight.
     """
 
-    central: AdgNode
-    neighbors: list[AdgNode]
+    influence: list[float]
     edge_neighbor: np.ndarray
     edge_class: np.ndarray
     edge_weight: np.ndarray
@@ -93,8 +84,7 @@ class Adg:
         if not isinstance(other, Adg):
             return NotImplemented
         return (
-            self.central == other.central
-            and self.neighbors == other.neighbors
+            self.influence == other.influence
             and self.edge_neighbor.tolist() == other.edge_neighbor.tolist()
             and self.edge_class.tolist() == other.edge_class.tolist()
             and self.edge_weight.tolist() == other.edge_weight.tolist()
@@ -125,61 +115,41 @@ def aggregate_confidence(c_s: float, c_m: float, c_w: float, cfg: AdgConfig) -> 
     return sigmoid(x)
 
 
-def build_adg(
-    expl: Explanation,
-    kg1: Kg,
-    kg2: Kg,
-    store: EmbeddingStore,
-    cfg: AdgConfig | None = None,
-) -> Adg:
+def build_adg(expl: Explanation, store: EmbeddingStore, cfg: AdgConfig | None = None) -> Adg:
     """Assemble the dependency graph for one explanation: one node per matched
     neighbor pair, one edge per matched path pair, aggregates and confidence
     filled in.
 
-    Edge endpoints, lengths and weights are read from the explanation's path
-    tables; the class masses add ``weight * influence`` one edge at a time in
-    edge order, so the sums do not depend on a reduction order."""
+    Each edge's node is the neighbor pair its match was found for; lengths and
+    weights are read from the explanation's path tables. The class masses add
+    ``weight * influence`` one edge at a time in edge order, so the sums do
+    not depend on a reduction order."""
     cfg = cfg or AdgConfig()
-    e1, e2 = expl.pair
-    pairs: list[tuple[int, int]] = []
-    node_of: dict[tuple[int, int], int] = {}
-    for key in expl.matched_neighbor_pairs:
-        if key not in node_of:
-            node_of[key] = len(pairs)
-            pairs.append(key)
+    (e1, e2), pairs = expl.pair, expl.matched_neighbor_pairs
     # influences: embedding cosines clamped to [0, 1], the central pair first
     sims = pair_cosines(
         store,
-        kg1.side, [e1] + [a for a, _ in pairs],
-        kg2.side, [e2] + [b for _, b in pairs],
+        Side.SOURCE, [e1] + [a for a, _ in pairs],
+        Side.TARGET, [e2] + [b for _, b in pairs],
     ).tolist()
     influence = [min(1.0, max(0.0, sim)) for sim in sims]
-    central = AdgNode((e1, e2), influence[0], is_central=True)
-    neighbors = [AdgNode(p, x) for p, x in zip(pairs, influence[1:])]
-    nodes: list[int] = []
     classes = np.zeros(0, dtype=np.int64)
     weights = np.zeros(0, dtype=np.float64)
     if expl.tables is not None:
         (t1, t2), rows1, rows2 = expl.tables, expl.rows1, expl.rows2
         len1, len2 = t1.lengths[rows1], t2.lengths[rows2]
-        ends = zip(t1.steps[rows1, len1 - 1, 2].tolist(), t2.steps[rows2, len2 - 1, 2].tolist())
-        for key in ends:
-            if key not in node_of:
-                raise ValueError(f"path pair endpoints {key} have no matched neighbor node")
-            nodes.append(node_of[key])
         # both paths direct: Strong (0); one: Moderate (1); neither: Weak (2)
         classes = 2 - (len1 == 1) - (len2 == 1)
         weights = np.minimum(t1.weight[rows1], t2.weight[rows2])
         weights[classes == 1] *= cfg.alpha
         weights[classes == 2] = cfg.weak_weight
     mass = [0.0, 0.0, 0.0]
-    for n, c, w in zip(nodes, classes.tolist(), weights.tolist()):
+    for n, c, w in zip(expl.neighbor.tolist(), classes.tolist(), weights.tolist()):
         mass[c] += w * influence[n + 1]
     c_s, c_m, c_w = mass
     return Adg(
-        central=central,
-        neighbors=neighbors,
-        edge_neighbor=np.array(nodes, dtype=np.int64),
+        influence=influence,
+        edge_neighbor=expl.neighbor,
         edge_class=classes,
         edge_weight=weights,
         c_s=c_s,

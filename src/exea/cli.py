@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .adg import Adg, AdgConfig, EdgeClass, build_adg
@@ -46,7 +46,7 @@ from .evaluate import (
     sample_correct_pairs,
 )
 from .explain import Explanation, explanation
-from .kg import SIDES, Kg, Side, Step, load_kg
+from .kg import SIDES, Kg, Side, Step, check_hops, load_kg
 from .repair import RepairConfig, repair
 from .synth import SynthConfig, generate_pair, write_dataset
 from .trainer import TrainConfig, train
@@ -316,12 +316,17 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _atomic_write_text(path: str | Path, text: str) -> None:
+def _atomic_write(path: str | Path, write: Callable[[Path], None]) -> None:
+    """Let ``write`` fill a temp file next to ``path``, then rename it there."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    write(tmp)
     os.replace(tmp, path)
+
+
+def _atomic_write_text(path: str | Path, text: str) -> None:
+    _atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def _write_json(path: str | Path, obj) -> None:
@@ -432,12 +437,16 @@ def _explanation_json(expl: Explanation, kg1: Kg, kg2: Kg, store: EmbeddingStore
 
 
 def _adg_json(adg: Adg, kg1: Kg, kg2: Kg) -> dict:
-    def node(n):
-        return {
-            "pair": [_entity_json(kg1, n.pair[0]), _entity_json(kg2, n.pair[1])],
-            "influence": n.influence,
-            "is_central": n.is_central,
+    # node 0 is the central pair, then one node per matched neighbor pair
+    pairs = [adg.explanation.pair] + adg.explanation.matched_neighbor_pairs
+    nodes = [
+        {
+            "pair": [_entity_json(kg1, a), _entity_json(kg2, b)],
+            "influence": x,
+            "is_central": i == 0,
         }
+        for i, ((a, b), x) in enumerate(zip(pairs, adg.influence))
+    ]
 
     classes = tuple(EdgeClass)
     edges = zip(
@@ -447,8 +456,8 @@ def _adg_json(adg: Adg, kg1: Kg, kg2: Kg) -> dict:
         _path_pairs_json(adg.explanation, kg1, kg2),
     )
     return {
-        "central": node(adg.central),
-        "neighbors": [node(n) for n in adg.neighbors],
+        "central": nodes[0],
+        "neighbors": nodes[1:],
         "edges": [
             {"neighbor": n, "class": classes[c].value, "weight": w, "paths": paths}
             for n, c, w, paths in edges
@@ -462,7 +471,7 @@ def _cmd_train(cfg: dict) -> None:
     _require(cfg, "kg1", "kg2", "seeds", "out")
     data = _load_inputs(cfg, ("seeds",), emb=False)
     store = train(data.kg1, data.kg2, data.pairs["seeds"], _train_config(cfg))
-    save_embeddings(cfg["out"], store)
+    _atomic_write(cfg["out"], lambda tmp: save_embeddings(tmp, store))
     _write_manifest("train", cfg, data.paths, {"out": cfg["out"]})
 
 
@@ -494,7 +503,7 @@ def _cmd_explain(cfg: dict) -> None:
 
 def _cmd_adg(cfg: dict) -> None:
     data, expl = _pair_explanation(cfg)
-    adg = build_adg(expl, data.kg1, data.kg2, data.store, _adg_config(cfg))
+    adg = build_adg(expl, data.store, _adg_config(cfg))
     _write_json(cfg["out"], _adg_json(adg, data.kg1, data.kg2))
     _write_manifest("adg", cfg, data.paths, {"out": cfg["out"]})
 
@@ -528,9 +537,12 @@ def _eval_accuracy(cfg: dict) -> tuple[EvalReport, dict]:
 
 def _eval_sparsity(cfg: dict) -> tuple[EvalReport, dict]:
     _require(cfg, "kg1", "kg2", "emb", "alignment")
+    h = int(cfg["h"])
+    check_hops(h)
     data = _load_inputs(cfg, ("alignment",))
     kg1, kg2, alignments = data.kg1, data.kg2, data.pairs["alignment"]
-    h = int(cfg["h"])
+    if not alignments:
+        raise ConfigError(f"alignment file {cfg['alignment']} holds no pairs")
     mapping = dict(alignments)
     expl_triples = {
         pair: explanation(pair, kg1, kg2, data.store, mapping, h).triple_keys

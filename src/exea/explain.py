@@ -25,9 +25,10 @@ Everything here is ints: a pair is (source index, target index), a path is
 its tuple of step keys (see ``kg``), and a triple is a (side, subject,
 relation, object) key, side 0 for the source graph and 1 for the target
 graph. An explanation keeps only its matched paths, as rows of the two path
-tables, which ``adg.build_adg`` reads directly; its triple keys and path step
-keys are derived from those rows on read, and labels are looked up only where
-output is written.
+tables, and for each match the position of its neighbor pair;
+``adg.build_adg`` reads both directly. Its triple keys and path step keys are
+derived from those rows on read, and labels are looked up only where output is
+written.
 """
 
 from __future__ import annotations
@@ -166,9 +167,10 @@ class Explanation:
 
     The matched paths stay as rows of the two centers' path tables:
     ``rows1[i]`` of ``tables[0]`` matched ``rows2[i]`` of ``tables[1]`` with
-    cosine ``sims[i]``. ``tables`` is None when there is no matched neighbor
-    pair. Everything else is derived from these rows on read, so a cached
-    explanation costs little more than its row arrays.
+    cosine ``sims[i]``, both paths leading to the neighbor pair
+    ``matched_neighbor_pairs[neighbor[i]]``. ``tables`` is None when there is
+    no matched neighbor pair. Everything else is derived from these rows on
+    read, so a cached explanation costs little more than its row arrays.
     """
 
     pair: tuple[int, int]
@@ -177,6 +179,7 @@ class Explanation:
     rows1: np.ndarray
     rows2: np.ndarray
     sims: np.ndarray
+    neighbor: np.ndarray
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Explanation):
@@ -236,26 +239,27 @@ def _first_per_group(order: np.ndarray, group: np.ndarray) -> np.ndarray:
 
 def _mutual_best(
     t1: PathTable, t2: PathTable, neighbor_pairs: Iterable[tuple[int, int]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mutual-best path matching for every neighbor pair at once.
 
     Each neighbor pair is a block: the paths of ``t1`` to its source entity
     against the paths of ``t2`` to its target entity. Within a block a path
     takes the other side's path of highest cosine, the lowest row on ties, and
     a pair is kept when each side is the other's choice. All-zero paths score
-    -2.0 and never match. Returns the matched rows of ``t1`` and ``t2`` and
-    their similarities, ordered by block, then by ``t1`` row.
+    -2.0 and never match. Returns the matched rows of ``t1`` and ``t2``, their
+    similarities, and the position in ``neighbor_pairs`` of the pair each
+    match was found for, ordered by block, then by ``t1`` row.
     """
     blocks = []
-    for n1, n2 in neighbor_pairs:
+    for pos, (n1, n2) in enumerate(neighbor_pairs):
         g1 = t1.groups.get(n1)
         g2 = t2.groups.get(n2)
         if g1 is not None and g2 is not None:
-            blocks.append((g1[0], g1[1] - g1[0], g2[0], g2[1] - g2[0]))
+            blocks.append((g1[0], g1[1] - g1[0], g2[0], g2[1] - g2[0], pos))
     if not blocks:
         empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, np.zeros(0, dtype=np.float64)
-    start1, len1, start2, len2 = np.array(blocks, dtype=np.int64).T
+        return empty, empty, np.zeros(0, dtype=np.float64), empty
+    start1, len1, start2, len2, pos = np.array(blocks, dtype=np.int64).T
     sizes = len1 * len2
     block = np.repeat(np.arange(len(blocks)), sizes)
     offset = np.arange(block.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -271,7 +275,7 @@ def _mutual_best(
     row_best = _first_per_group(np.lexsort((j, neg, row_id)), row_id)
     col_best = _first_per_group(np.lexsort((i, neg, col_id)), col_id)
     keep = row_best[(col_best[col_id[row_best]] == row_best) & (sims[row_best] > -2.0)]
-    return rows1[keep], rows2[keep], sims[keep]
+    return rows1[keep], rows2[keep], sims[keep], pos[block[keep]]
 
 
 def matched_neighbors(
@@ -333,7 +337,9 @@ def match_paths(
     index2 = index2 or PathIndex(kg2, store, h)
     t1 = index1.table(int(pair[0]))
     t2 = index2.table(int(pair[1]))
-    rows1, rows2, sims = _mutual_best(t1, t2, [(int(neighbor_pair[0]), int(neighbor_pair[1]))])
+    rows1, rows2, sims, _ = _mutual_best(
+        t1, t2, [(int(neighbor_pair[0]), int(neighbor_pair[1]))]
+    )
     return _path_matches(t1, t2, rows1, rows2, sims)
 
 
@@ -360,7 +366,8 @@ def explanation(
 
     ``alignments`` maps source to target; callers holding a pair list build
     the mapping once, not per call. ``neighbor_pairs`` can inject a
-    pre-filtered neighbor list instead, and ``alignments`` is then unread.
+    pre-filtered neighbor list of distinct pairs instead, and ``alignments``
+    is then unread.
     """
     e1, e2 = kg1.check_entity(int(pair[0])), kg2.check_entity(int(pair[1]))
     index1 = index1 or PathIndex(kg1, store, h)
@@ -370,11 +377,11 @@ def explanation(
     else:
         neighbor_pairs = list(neighbor_pairs)
     tables = None
-    rows1 = rows2 = np.zeros(0, dtype=np.int64)
+    rows1 = rows2 = neighbor = np.zeros(0, dtype=np.int64)
     sims = np.zeros(0, dtype=np.float64)
     if neighbor_pairs:
         tables = (index1.table(e1), index2.table(e2))
-        rows1, rows2, sims = _mutual_best(*tables, neighbor_pairs)
+        rows1, rows2, sims, neighbor = _mutual_best(*tables, neighbor_pairs)
     return Explanation(
         pair=(e1, e2),
         matched_neighbor_pairs=neighbor_pairs,
@@ -382,4 +389,5 @@ def explanation(
         rows1=rows1,
         rows2=rows2,
         sims=sims,
+        neighbor=neighbor,
     )

@@ -30,6 +30,7 @@ never changes it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from itertools import islice, product
 from typing import Callable, Iterable, Sequence
@@ -75,8 +76,8 @@ class RepairConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.beta is not None and not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
-        if self.score_lambda < 0:
-            raise ConfigError(f"score_lambda must be >= 0, got {self.score_lambda}")
+        if not (math.isfinite(self.score_lambda) and self.score_lambda >= 0):
+            raise ConfigError(f"score_lambda must be finite and >= 0, got {self.score_lambda}")
         if self.triple_budget < 0:
             raise ConfigError(f"triple_budget must be >= 0, got {self.triple_budget}")
         if self.candidate_cap < 1:
@@ -292,7 +293,7 @@ class PairAnalyzer:
                 index2=self.index2,
                 neighbor_pairs=neighbors,
             )
-            got = build_adg(expl, self.kg1, self.kg2, self.store, self.cfg.adg)
+            got = build_adg(expl, self.store, self.cfg.adg)
             self._cache[key] = got
         return got
 
@@ -408,7 +409,8 @@ def _strong_edge_entities(adg: Adg) -> list[tuple[int, int]]:
     strong = np.unique(adg.edge_neighbor[adg.edge_class == STRONG])
     if not strong.size:
         return []
-    return [adg.central.pair] + [adg.neighbors[i].pair for i in strong.tolist()]
+    expl = adg.explanation
+    return [expl.pair] + [expl.matched_neighbor_pairs[i] for i in strong.tolist()]
 
 
 def cross_kg_triples(
@@ -525,11 +527,11 @@ def detect_relation_conflicts(
     pairs are contradicted."""
     cross = cross_kg_triples(adg, counterparts, kg1, kg2, cfg.triple_budget)
     derived = _chain_rules(rules, cross, kg1, kg2)
-    node_pairs = {n.pair for n in adg.neighbors}
+    expl = adg.explanation
     return RelationConflictReport(
         derived_pairs=sorted(derived),
-        pruned_neighbor_pairs=sorted(derived & node_pairs),
-        central_flagged=adg.central.pair in derived,
+        pruned_neighbor_pairs=sorted(derived.intersection(expl.matched_neighbor_pairs)),
+        central_flagged=expl.pair in derived,
     )
 
 

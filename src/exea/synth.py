@@ -12,6 +12,7 @@ determines the output.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,18 +48,16 @@ class SynthConfig:
             raise DegenerateConfig(f"n_entities must be >= 2, got {self.n_entities}")
         if self.n_relations < 1:
             raise DegenerateConfig(f"n_relations must be >= 1, got {self.n_relations}")
-        if self.density < 0:
-            raise DegenerateConfig(f"density must be >= 0, got {self.density}")
+        for name in ("density", "embedding_noise"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise DegenerateConfig(f"{name} must be finite and >= 0, got {value}")
         if self.dim < 1:
             raise DegenerateConfig(f"dim must be >= 1, got {self.dim}")
         for name in ("rename_noise", "seed_fraction", "conflict_injection"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise DegenerateConfig(f"{name} must be in [0, 1], got {value}")
-        if self.embedding_noise < 0:
-            raise DegenerateConfig(
-                f"embedding_noise must be >= 0, got {self.embedding_noise}"
-            )
         if self.density == 0 and self.conflict_injection > 0:
             raise DegenerateConfig(
                 "conflict injection needs triples: density 0 leaves no neighborhoods"

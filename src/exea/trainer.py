@@ -12,6 +12,7 @@ positive can survive into the batch.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -42,14 +43,14 @@ class TrainConfig:
             raise ConfigError(f"dim must be positive, got {self.dim}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.negatives_per_positive < 1:
             raise ConfigError(
                 f"negatives_per_positive must be >= 1, got {self.negatives_per_positive}"
             )
-        if self.margin <= 0:
-            raise ConfigError(f"margin must be positive, got {self.margin}")
+        for name in ("learning_rate", "margin"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
 
 
 def _normalize_rows(mat: np.ndarray) -> None:

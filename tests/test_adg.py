@@ -1,6 +1,7 @@
 """Dependency-graph construction, edge weights, and gated confidence."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from exea.adg import (
     AdgConfig,
-    AdgNode,
     EdgeClass,
     aggregate_confidence,
     build_adg,
@@ -91,7 +91,7 @@ class TestEdgeWeight:
         """The class, weight and path pair of the one edge between centers
         (0, 0) whose only matched neighbor pair is (len1, len2)."""
         expl = explanation((0, 0), self.kg1, self.kg2, self.store, {len1: len2}, h=2)
-        adg = build_adg(expl, self.kg1, self.kg2, self.store, cfg)
+        adg = build_adg(expl, self.store, cfg)
         (path1, path2, _), = expl.path_matches()
         assert (len(path1), len(path2)) == (len1, len2)
         assert adg.edge_neighbor.tolist() == [0]
@@ -214,12 +214,13 @@ class TestBuildAdg:
     def test_governor_graph(self, governor_case):
         c = governor_case
         expl = explanation((0, 0), c["kg1"], c["kg2"], c["store"], c["alignments"], h=2)
-        adg = build_adg(expl, c["kg1"], c["kg2"], c["store"])
-        assert len(adg.neighbors) == 2
+        adg = build_adg(expl, c["store"])
+        assert len(expl.matched_neighbor_pairs) == 2
+        assert len(adg.influence) == 3
         assert adg.edge_class.tolist() == [0, 0]  # both Strong
         weights = sorted(adg.edge_weight.tolist())
         assert weights == pytest.approx([0.757, 0.759], abs=1e-9)
-        influences = sorted(n.influence for n in adg.neighbors)
+        influences = sorted(adg.influence[1:])
         assert influences == pytest.approx([0.937, 0.96], abs=1e-6)
         assert adg.c_s == pytest.approx(c["expected_c_s"], abs=1e-5)
         assert adg.c_m == 0.0 and adg.c_w == 0.0
@@ -233,9 +234,8 @@ class TestBuildAdg:
             {Side.SOURCE: [[1.0, 0.0], [1.0, 0.0]], Side.TARGET: [[-1.0, 0.0], [-1.0, 0.0]]}
         )
         expl = explanation((0, 0), kg1, kg2, store, {1: 1}, h=1)
-        adg = build_adg(expl, kg1, kg2, store)
-        assert adg.neighbors[0].influence == 0.0
-        assert adg.central.influence == 0.0
+        adg = build_adg(expl, store)
+        assert adg.influence == [0.0, 0.0]
 
     def test_repeated_neighbor_pair_keeps_one_node_many_edges(self):
         triples = [(0, 0, 1), (0, 1, 1)]
@@ -249,8 +249,8 @@ class TestBuildAdg:
             relation_vecs={Side.SOURCE: rels, Side.TARGET: rels},
         )
         expl = explanation((0, 0), kg1, kg2, store, {1: 1}, h=1)
-        adg = build_adg(expl, kg1, kg2, store)
-        assert len(adg.neighbors) == 1
+        adg = build_adg(expl, store)
+        assert expl.matched_neighbor_pairs == [(1, 1)]
         assert adg.edge_neighbor.tolist() == [0, 0]
 
     def test_empty_explanation_gives_floor_confidence(self):
@@ -260,7 +260,7 @@ class TestBuildAdg:
             {Side.SOURCE: [[1.0, 0.0], [0.0, 1.0]], Side.TARGET: [[1.0, 0.0], [0.0, 1.0]]}
         )
         expl = explanation((0, 0), kg1, kg2, store, {}, h=1)
-        adg = build_adg(expl, kg1, kg2, store)
+        adg = build_adg(expl, store)
         assert adg.c_s == adg.c_m == adg.c_w == 0.0
         assert adg.confidence == pytest.approx(0.5)
 
@@ -271,10 +271,10 @@ class TestBuildAdg:
         state = AlignmentState(c["seeds"], [(0, 0)], n_sources=c["kg1"].n_entities,
                                n_targets=c["kg2"].n_entities)
         analyzer = PairAnalyzer(c["kg1"], c["kg2"], c["store"], state, RepairConfig(h=2))
-        assert len(analyzer.adg(0, 0).neighbors) == 2
+        assert len(analyzer.adg(0, 0).explanation.matched_neighbor_pairs) == 2
         analyzer.ban([(1, 1)])
         pruned = analyzer.adg(0, 0)
-        assert len(pruned.neighbors) == 1
+        assert pruned.explanation.matched_neighbor_pairs == [(2, 2)]
         assert len(pruned.edge_neighbor) == 1
         assert pruned.c_s == pytest.approx(0.937 * 0.757, abs=1e-5)
         assert pruned.confidence == pytest.approx(sigmoid(pruned.c_s))
@@ -285,15 +285,23 @@ class TestBuildAdg:
     def test_confidence_function_matches_stored_value(self, governor_case):
         c = governor_case
         expl = explanation((0, 0), c["kg1"], c["kg2"], c["store"], c["alignments"], h=2)
-        adg = build_adg(expl, c["kg1"], c["kg2"], c["store"])
+        adg = build_adg(expl, c["store"])
         assert aggregate_confidence(adg.c_s, adg.c_m, adg.c_w, AdgConfig()) == pytest.approx(
             adg.confidence
         )
 
 
+class Node(NamedTuple):
+    """A node of the reference build: a matched pair and its influence."""
+
+    pair: tuple[int, int]
+    influence: float
+
+
 def reference_build_adg(expl, kg1, kg2, store, cfg=None):
     """The per-path build: one matched path pair at a time for edge
-    endpoints, lengths, weights and classes; returns the edges as
+    endpoints, lengths, weights and classes, each edge's node found from its
+    path endpoints; returns the influences (central pair first), the edges as
     (node, class, weight) and the class masses."""
     cfg = cfg or AdgConfig()
     e1, e2 = expl.pair
@@ -309,7 +317,7 @@ def reference_build_adg(expl, kg1, kg2, store, cfg=None):
         Side.TARGET, [e2] + [b for _, b in pairs],
     ).tolist()
     influence = [min(1.0, max(0.0, sim)) for sim in sims]
-    neighbors = [AdgNode(p, x) for p, x in zip(pairs, influence[1:])]
+    neighbors = [Node(p, x) for p, x in zip(pairs, influence[1:])]
     edges = []
     for path1, path2, _ in expl.path_matches():
         key = (path1[-1][2], path2[-1][2])
@@ -326,7 +334,21 @@ def reference_build_adg(expl, kg1, kg2, store, cfg=None):
     for node, cls, w in edges:
         sums[cls] += w * neighbors[node].influence
     c_s, c_m, c_w = sums[EdgeClass.STRONG], sums[EdgeClass.MODERATE], sums[EdgeClass.WEAK]
-    return edges, c_s, c_m, c_w, aggregate_confidence(c_s, c_m, c_w, cfg)
+    return influence, edges, c_s, c_m, c_w, aggregate_confidence(c_s, c_m, c_w, cfg)
+
+
+def assert_equals_reference(adg, kg1, kg2, store, cfg=None):
+    """``adg`` equals the per-path build of its explanation with ``==``;
+    returns the reference edges."""
+    influence, edges, c_s, c_m, c_w, conf = reference_build_adg(
+        adg.explanation, kg1, kg2, store, cfg
+    )
+    classes = list(EdgeClass)
+    got = zip(adg.edge_neighbor.tolist(), adg.edge_class.tolist(), adg.edge_weight.tolist())
+    assert [(n, classes[c], w) for n, c, w in got] == edges
+    assert adg.influence == influence
+    assert (adg.c_s, adg.c_m, adg.c_w, adg.confidence) == (c_s, c_m, c_w, conf)
+    return edges
 
 
 class TestAdgFromTablesIsExact:
@@ -348,14 +370,32 @@ class TestAdgFromTablesIsExact:
         for s, t, _ in state.pairs():
             expl = analyzer.adg(s, t).explanation
             for cfg in (AdgConfig(), AdgConfig(alpha=0.3, weak_weight=0.2, theta=2.0, gamma=2.0)):
-                adg = build_adg(expl, res.kg1, res.kg2, res.perturbed_store, cfg)
-                edges, c_s, c_m, c_w, conf = reference_build_adg(
-                    expl, res.kg1, res.kg2, res.perturbed_store, cfg
-                )
-                classes = list(EdgeClass)
-                got = zip(adg.edge_neighbor.tolist(), adg.edge_class.tolist(),
-                          adg.edge_weight.tolist())
-                assert [(n, classes[c], w) for n, c, w in got] == edges
-                assert (adg.c_s, adg.c_m, adg.c_w, adg.confidence) == (c_s, c_m, c_w, conf)
+                adg = build_adg(expl, res.perturbed_store, cfg)
+                edges = assert_equals_reference(adg, res.kg1, res.kg2, res.perturbed_store, cfg)
                 seen.update(cls for _, cls, _ in edges)
         assert seen == set(EdgeClass)
+
+    def test_neighbor_without_paths_keeps_its_position(self):
+        # an injected neighbor pair whose source has no path from the center
+        # gets a node but no block, so every later block sits one place
+        # before its neighbor position; each edge must still take the node
+        # its path endpoints name
+        res = generate_pair(SynthConfig(n_entities=200, density=3, rng_seed=2))
+        kg1, kg2, store = res.kg1, res.kg2, res.perturbed_store
+        gold = dict(res.gold)
+        checked = 0
+        for e1, e2 in res.gold[:40]:
+            expl = explanation((e1, e2), kg1, kg2, store, gold, h=2)
+            if expl.no_match:
+                continue
+            far = next(x for x in range(kg1.n_entities)
+                       if x != e1 and x not in expl.tables[0].groups)
+            injected = [(far, gold[far])] + expl.matched_neighbor_pairs
+            shifted = explanation((e1, e2), kg1, kg2, store, None, h=2,
+                                  neighbor_pairs=injected)
+            adg = build_adg(shifted, store)
+            assert_equals_reference(adg, kg1, kg2, store)
+            assert adg.edge_neighbor is shifted.neighbor
+            assert adg.edge_neighbor.tolist() == (expl.neighbor + 1).tolist()
+            checked += 1
+        assert checked >= 10

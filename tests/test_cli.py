@@ -527,6 +527,18 @@ class TestTrain:
         assert store.entity_matrix(Side.SOURCE).shape == (30, 8)
         assert store.entity_matrix(Side.TARGET).shape == (30, 8)
 
+    def test_makes_output_directory(self, dataset, tmp_path):
+        # the embedding file goes through the same temp-file-and-rename
+        # write as every other single-file output, with the same bytes
+        argv = ["train", "--kg1", str(dataset / "triples_1"),
+                "--kg2", str(dataset / "triples_2"),
+                "--seeds", str(dataset / "train_links"), "--dim", "8", "--epochs", "5"]
+        flat, nested = tmp_path / "emb.tsv", tmp_path / "new" / "sub" / "emb.tsv"
+        assert main([*argv, "--out", str(flat)]) == 0
+        assert main([*argv, "--out", str(nested)]) == 0
+        assert nested.read_bytes() == flat.read_bytes()
+        assert sorted(p.name for p in nested.parent.iterdir()) == ["emb.tsv", "manifest.json"]
+
 
 class TestConsoleScript:
     def test_module_invocation_matches_entry_point(self):
@@ -738,8 +750,9 @@ class TestZeroVectorNeighbor:
 
 
 class TestBadTunables:
-    """A hop bound outside {1, 2} or a fidelity sample size below 1 is a
-    config error naming the key: exit 1, no traceback, no output file."""
+    """A hop bound outside {1, 2}, a fidelity sample size below 1, a
+    non-finite tunable or an empty alignment to grade is a config error
+    naming the key or file: exit 1, no traceback, no output file."""
 
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["adg", "--h", "3"], "h must be", id="adg-h3"),
@@ -750,22 +763,59 @@ class TestBadTunables:
                      id="fidelity-sample-n-minus-1"),
         pytest.param(["eval", "--mode", "fidelity", "--sample-n", "0"], "sample_n must be",
                      id="fidelity-sample-n-0"),
+        pytest.param(["synth", "--density", "nan"], "density must be finite",
+                     id="synth-density-nan"),
+        pytest.param(["synth", "--density", "inf"], "density must be finite",
+                     id="synth-density-inf"),
+        pytest.param(["synth", "--embedding-noise", "nan"], "embedding_noise must be finite",
+                     id="synth-embedding-noise-nan"),
+        pytest.param(["synth", "--embedding-noise", "inf"], "embedding_noise must be finite",
+                     id="synth-embedding-noise-inf"),
+        pytest.param(["train", "--margin", "nan"], "margin must be finite",
+                     id="train-margin-nan"),
+        pytest.param(["train", "--learning-rate", "nan"], "learning_rate must be finite",
+                     id="train-learning-rate-nan"),
+        pytest.param(["repair", "--score-lambda", "nan"], "score_lambda must be finite",
+                     id="repair-score-lambda-nan"),
+        pytest.param(["repair", "--score-lambda", "inf"], "score_lambda must be finite",
+                     id="repair-score-lambda-inf"),
     ])
     def test_config_error(self, dataset, kg_flags, repaired, tmp_path, capsys, argv, message):
         a_star = repaired / "a_star.tsv"
         s, t = read_pairs(a_star)[0]
-        out = tmp_path / "o.json"
+        out = tmp_path / "out" / "o.json"
+        seeds = ["--seeds", str(dataset / "train_links")]
         inputs = {
-            "adg": ["--alignment", str(a_star), "--pair", str(s), str(t)],
-            "explain": ["--alignment", str(a_star), "--pair", str(s), str(t)],
-            "eval": ["--alignment", str(a_star), "--seeds", str(dataset / "train_links"),
-                     "--pred", str(a_star), "--gold", str(dataset / "ent_links"),
-                     "--dim", "8", "--epochs", "5"],
+            "adg": [*kg_flags, "--alignment", str(a_star), "--pair", str(s), str(t)],
+            "explain": [*kg_flags, "--alignment", str(a_star), "--pair", str(s), str(t)],
+            "eval": [*kg_flags, "--alignment", str(a_star), *seeds, "--pred", str(a_star),
+                     "--gold", str(dataset / "ent_links"), "--dim", "8", "--epochs", "5"],
+            "synth": [],
+            "train": [*kg_flags[:4], *seeds, "--dim", "8", "--epochs", "5"],
+            "repair": [*kg_flags, *seeds, "--pred", str(a_star),
+                       "--report", str(out.parent / "report.json")],
         }[argv[0]]
-        rc = main([*argv, *kg_flags, *inputs, "--out", str(out)])
+        rc = main([*argv, *inputs, "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
         assert "config error" in err
         assert message in err
         assert "Traceback" not in err
-        assert not out.exists()
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("h, message", [
+        pytest.param("0", "h must be", id="h0"),
+        pytest.param("2", "empty.tsv holds no pairs", id="h2"),
+    ])
+    def test_sparsity_over_empty_alignment(self, kg_flags, tmp_path, capsys, h, message):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        out = tmp_path / "out" / "o.json"
+        rc = main(["eval", "--mode", "sparsity", *kg_flags, "--alignment", str(empty),
+                   "--h", h, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error" in err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.parent.exists()

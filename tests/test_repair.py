@@ -378,8 +378,9 @@ def reference_strong_edge_entities(adg):
         if classes[c] is EdgeClass.STRONG
     }
     if strong_nodes:
-        pairs.append(adg.central.pair)
-        pairs.extend(adg.neighbors[i].pair for i in sorted(strong_nodes))
+        expl = adg.explanation
+        pairs.append(expl.pair)
+        pairs.extend(expl.matched_neighbor_pairs[i] for i in sorted(strong_nodes))
     return pairs
 
 
@@ -586,7 +587,7 @@ class TestRelationConflictDetection:
         # confidence is recomputed without it
         analyzer.ban([(0, 0)])
         repaired = analyzer.adg(1, 1)
-        assert repaired.neighbors == []
+        assert repaired.explanation.matched_neighbor_pairs == []
         assert len(repaired.edge_neighbor) == 0
         assert repaired.confidence == pytest.approx(sigmoid(0.0))
 
@@ -624,7 +625,7 @@ class TestConflictStageIsExact:
             if prov == SEED:
                 continue
             adg = analyzer.adg(s, t)
-            node_pairs = {n.pair for n in adg.neighbors}
+            node_pairs = set(adg.explanation.matched_neighbor_pairs)
             for budget in (1, 7, 200):
                 ref_cross = reference_cross_kg_triples(adg, state, rel_align, kg1, kg2, budget)
                 got_cross = cross_kg_triples(adg, counterparts, kg1, kg2, budget)
