@@ -133,16 +133,13 @@ def build_adg(expl: Explanation, store: EmbeddingStore, cfg: AdgConfig | None = 
         Side.TARGET, [e2] + [b for _, b in pairs],
     ).tolist()
     influence = [min(1.0, max(0.0, sim)) for sim in sims]
-    classes = np.zeros(0, dtype=np.int64)
-    weights = np.zeros(0, dtype=np.float64)
-    if expl.tables is not None:
-        (t1, t2), rows1, rows2 = expl.tables, expl.rows1, expl.rows2
-        len1, len2 = t1.lengths[rows1], t2.lengths[rows2]
-        # both paths direct: Strong (0); one: Moderate (1); neither: Weak (2)
-        classes = 2 - (len1 == 1) - (len2 == 1)
-        weights = np.minimum(t1.weight[rows1], t2.weight[rows2])
-        weights[classes == 1] *= cfg.alpha
-        weights[classes == 2] = cfg.weak_weight
+    (t1, t2), rows1, rows2 = expl.tables, expl.rows1, expl.rows2
+    len1, len2 = t1.lengths[rows1], t2.lengths[rows2]
+    # both paths direct: Strong (0); one: Moderate (1); neither: Weak (2)
+    classes = 2 - (len1 == 1) - (len2 == 1)
+    weights = np.minimum(t1.weight[rows1], t2.weight[rows2])
+    weights[classes == 1] *= cfg.alpha
+    weights[classes == 2] = cfg.weak_weight
     mass = [0.0, 0.0, 0.0]
     for n, c, w in zip(expl.neighbor.tolist(), classes.tolist(), weights.tolist()):
         mass[c] += w * influence[n + 1]

@@ -565,6 +565,7 @@ def _eval_fidelity(cfg: dict) -> tuple[EvalReport, dict]:
     _require(cfg, "kg1", "kg2", "emb", "seeds", "pred", "gold")
     if int(cfg["sample_n"]) < 1:
         raise ConfigError(f"sample_n must be >= 1, got {cfg['sample_n']}")
+    trainer = _train_config(cfg)
     data = _load_inputs(cfg, ("seeds", "pred", "gold"))
     kg1, kg2, store = data.kg1, data.kg2, data.store
     seeds, pred, gold = (data.pairs[key] for key in ("seeds", "pred", "gold"))
@@ -577,7 +578,7 @@ def _eval_fidelity(cfg: dict) -> tuple[EvalReport, dict]:
         pair: explanation(pair, kg1, kg2, store, context, h).triple_keys
         for pair in sample
     }
-    fid = fidelity(kg1, kg2, seeds, expl, _train_config(cfg), h)
+    fid = fidelity(kg1, kg2, seeds, expl, trainer, h)
     report = EvalReport(
         accuracy=accuracy(pred, gold),
         mean_sparsity=explanation_sparsity_stats(kg1, kg2, expl, h)[0],
@@ -586,7 +587,7 @@ def _eval_fidelity(cfg: dict) -> tuple[EvalReport, dict]:
         sample_size=len(sample),
         empty_explanations=sum(1 for t in expl.values() if not t),
         config={"mode": "fidelity", "h": h, "sample_n": int(cfg["sample_n"]),
-                "rng_seed": int(cfg["rng_seed"]), "trainer": asdict(_train_config(cfg))},
+                "rng_seed": int(cfg["rng_seed"]), "trainer": asdict(trainer)},
     )
     return report, data.paths
 

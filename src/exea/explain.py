@@ -2,10 +2,11 @@
 
 An explanation for a pair (e1, e2) is built in two moves: find neighbor pairs
 that the current alignment already matches within h hops of both centers, then
-match the paths leading from each center to its matched neighbor. Two paths
-are matched when each is the other's best choice by cosine over path
-embeddings (mutual best). The union of triples along matched paths is the
-explanation subgraph.
+match the paths leading from each center to its matched neighbor. Both moves
+read the centers' path tables: the endpoints of a center's paths are its h-hop
+neighborhood. Two paths are matched when each is the other's best choice by
+cosine over path embeddings (mutual best). The union of triples along matched
+paths is the explanation subgraph.
 
 Performance notes. ``PathIndex`` keeps one table per center, built on first
 use: the center's paths as integer step arrays grouped by endpoint, their unit
@@ -57,11 +58,13 @@ class PathTable:
 
     ``steps[p, k]`` is step k of path p as (0 outgoing / 1 incoming, relation,
     entity reached), -1 past the path's length. ``groups`` maps an endpoint to
-    its ``(start, stop)`` rows. ``unit`` holds unit path embeddings, with zero
-    rows where ``zero`` marks an all-zero embedding; ``weight`` holds the
-    product of per-step functionality weights. ``triples[p, k]`` is the
-    (subject, relation, object) triple step k traverses, -1 past the path's
-    length.
+    its ``(start, stop)`` rows; its keys are the center's h-hop neighborhood,
+    the entities ``neighborhood_entities`` finds, since every entity within h
+    undirected hops ends some simple path of length <= h. ``unit`` holds unit
+    path embeddings, with zero rows where ``zero`` marks an all-zero
+    embedding; ``weight`` holds the product of per-step functionality weights.
+    ``triples[p, k]`` is the (subject, relation, object) triple step k
+    traverses, -1 past the path's length.
     """
 
     center: int
@@ -168,14 +171,14 @@ class Explanation:
     The matched paths stay as rows of the two centers' path tables:
     ``rows1[i]`` of ``tables[0]`` matched ``rows2[i]`` of ``tables[1]`` with
     cosine ``sims[i]``, both paths leading to the neighbor pair
-    ``matched_neighbor_pairs[neighbor[i]]``. ``tables`` is None when there is
-    no matched neighbor pair. Everything else is derived from these rows on
-    read, so a cached explanation costs little more than its row arrays.
+    ``matched_neighbor_pairs[neighbor[i]]``. Everything else is derived from
+    these rows on read, so a cached explanation costs little more than its row
+    arrays.
     """
 
     pair: tuple[int, int]
     matched_neighbor_pairs: list[tuple[int, int]]
-    tables: tuple[PathTable, PathTable] | None = field(repr=False)
+    tables: tuple[PathTable, PathTable] = field(repr=False)
     rows1: np.ndarray
     rows2: np.ndarray
     sims: np.ndarray
@@ -200,8 +203,6 @@ class Explanation:
     def triple_keys(self) -> frozenset[TripleKey]:
         """The triples the matched paths traverse, as (side, subject,
         relation, object) keys."""
-        if self.tables is None:
-            return frozenset()
         t1, t2 = self.tables
         both = np.concatenate([_triple_keys(t1, self.rows1, 0), _triple_keys(t2, self.rows2, 1)])
         return frozenset(map(tuple, both.tolist()))
@@ -209,8 +210,6 @@ class Explanation:
     def path_matches(self) -> list[PathMatch]:
         """Each matched path pair as step keys read from the table rows, with
         its cosine, in match order."""
-        if self.tables is None:
-            return []
         return _path_matches(*self.tables, self.rows1, self.rows2, self.sims)
 
 
@@ -287,7 +286,9 @@ def matched_neighbors(
 ) -> list[tuple[int, int]]:
     """Neighbor pairs already matched by ``alignments`` (source -> target)
     within h hops of both centers, excluding the central pair itself; sorted
-    by source index."""
+    by source index. The neighborhoods come from a breadth-first search, so
+    no embedding store is needed; ``explanation`` reads the same pairs off
+    the path tables."""
     e1, e2 = int(pair[0]), int(pair[1])
     return matched_neighbor_pairs(
         alignments.get,
@@ -305,8 +306,8 @@ def matched_neighbor_pairs(
     ``hood1`` whose aligned target ``target_of(n1)`` lies in ``hood2``, sorted
     by source index. A neighborhood never holds its own center, so the
     central pair is never among them. ``matched_neighbors`` computes the
-    neighborhoods; ``PairAnalyzer`` passes its cached ones and the live
-    alignment."""
+    neighborhoods by breadth-first search; ``explanation`` and
+    ``PairAnalyzer`` pass the endpoint groups of the centers' path tables."""
     hits = []
     for n1 in hood1:
         t = target_of(n1)
@@ -364,28 +365,24 @@ def explanation(
 ) -> Explanation:
     """Build the matched subgraph explanation for one pair.
 
-    ``alignments`` maps source to target; callers holding a pair list build
-    the mapping once, not per call. ``neighbor_pairs`` can inject a
-    pre-filtered neighbor list of distinct pairs instead, and ``alignments``
-    is then unread.
+    Both centers' path tables are built first. ``alignments`` maps source to
+    target, and the matched neighbors are read off the tables' endpoints;
+    callers holding a pair list build the mapping once, not per call.
+    ``neighbor_pairs`` can inject a pre-filtered neighbor list of distinct
+    pairs instead, and ``alignments`` is then unread.
     """
     e1, e2 = kg1.check_entity(int(pair[0])), kg2.check_entity(int(pair[1]))
-    index1 = index1 or PathIndex(kg1, store, h)
-    index2 = index2 or PathIndex(kg2, store, h)
+    t1 = (index1 or PathIndex(kg1, store, h)).table(e1)
+    t2 = (index2 or PathIndex(kg2, store, h)).table(e2)
     if neighbor_pairs is None:
-        neighbor_pairs = matched_neighbors((e1, e2), kg1, kg2, alignments, h)
+        neighbor_pairs = matched_neighbor_pairs(alignments.get, t1.groups, t2.groups)
     else:
         neighbor_pairs = list(neighbor_pairs)
-    tables = None
-    rows1 = rows2 = neighbor = np.zeros(0, dtype=np.int64)
-    sims = np.zeros(0, dtype=np.float64)
-    if neighbor_pairs:
-        tables = (index1.table(e1), index2.table(e2))
-        rows1, rows2, sims, neighbor = _mutual_best(*tables, neighbor_pairs)
+    rows1, rows2, sims, neighbor = _mutual_best(t1, t2, neighbor_pairs)
     return Explanation(
         pair=(e1, e2),
         matched_neighbor_pairs=neighbor_pairs,
-        tables=tables,
+        tables=(t1, t2),
         rows1=rows1,
         rows2=rows2,
         sims=sims,

@@ -47,7 +47,10 @@ from .embedding import (
 )
 from .errors import ConfigError, InvariantViolation
 from .explain import PathIndex, explanation, matched_neighbor_pairs
-from .kg import SIDES, Kg, Side, check_hops, neighborhood_entities
+# neighborhood_entities has no caller here: a center's neighborhood is read
+# off its path table; it stays importable from this module, where
+# bench/traced_exea.py wraps it
+from .kg import SIDES, Kg, Side, check_hops, neighborhood_entities  # noqa: F401
 
 RELATION_VECTOR_SOURCES = ("derived", "native", "name")
 
@@ -114,7 +117,9 @@ class NotSameAsRule:
 class AlignmentState:
     """Seed pairs plus the evolving predicted mapping.
 
-    The forward map is always a function source -> (target, provenance); the
+    Sources are ``range(n_sources)`` and targets ``range(n_targets)``, the two
+    graphs' entity counts; a pair outside them is a config error. The forward
+    map is always a function source -> (target, provenance); the
     reverse map may hold several sources per target until one-to-many
     resolution has run.
     Seeds can never be realigned or removed. Every mutation is appended to
@@ -125,14 +130,14 @@ class AlignmentState:
     def __init__(
         self,
         seeds: Iterable[tuple[int, int]],
-        predictions: Iterable[tuple[int, int]] = (),
-        n_sources: int | None = None,
-        n_targets: int | None = None,
+        predictions: Iterable[tuple[int, int]],
+        n_sources: int,
+        n_targets: int,
     ):
         def check_range(s: int, t: int, what: str) -> None:
-            if s < 0 or (n_sources is not None and s >= n_sources):
+            if not 0 <= s < n_sources:
                 raise ConfigError(f"{what} source {s} is out of range")
-            if t < 0 or (n_targets is not None and t >= n_targets):
+            if not 0 <= t < n_targets:
                 raise ConfigError(f"{what} target {t} is out of range")
 
         self._seed_forward: dict[int, int] = {}
@@ -151,25 +156,17 @@ class AlignmentState:
             t: {s} for s, t in self._seed_forward.items()
         }
         self.mutations: list[tuple[int, int]] = []
-        sources = set(self._seed_forward)
-        targets = set(self._seed_reverse)
         for s, t in predictions:
             s, t = int(s), int(t)
             check_range(s, t, "predicted")
-            sources.add(s)
-            targets.add(t)
             if s in self._seed_forward:
                 continue
             if s in self._forward:
                 raise ConfigError(f"source {s} appears twice in the predictions")
             self._forward[s] = (t, PREDICTED)
             self._reverse.setdefault(t, set()).add(s)
-        if n_sources is not None:
-            sources.update(range(n_sources))
-        if n_targets is not None:
-            targets.update(range(n_targets))
-        self.source_universe = frozenset(sources)
-        self.target_universe = frozenset(targets)
+        self.source_universe = frozenset(range(n_sources))
+        self.target_universe = frozenset(range(n_targets))
 
     def is_seed_pair(self, s: int, t: int) -> bool:
         return self._seed_forward.get(s) == t
@@ -229,8 +226,8 @@ class PairAnalyzer:
     The explanation of (s, t), and so its dependency graph, is a function of
     its matched-neighbor list: the path tables of s and t never change. A
     cached graph is reused while ``neighbor_pairs(s, t)``, recomputed from the
-    cached neighborhoods, the live alignment and the banned pairs, equals the
-    list it was built from, and rebuilt when it differs. Entries are never
+    endpoints of those tables, the live alignment and the banned pairs, equals
+    the list it was built from, and rebuilt when it differs. Entries are never
     evicted.
     """
 
@@ -250,29 +247,15 @@ class PairAnalyzer:
         self.index1 = PathIndex(kg1, store, cfg.h)
         self.index2 = PathIndex(kg2, store, cfg.h)
         self.banned_pairs: set[tuple[int, int]] = set()
-        self._hood1: dict[int, frozenset[int]] = {}
-        self._hood2: dict[int, frozenset[int]] = {}
         self._cache: dict[tuple[int, int], Adg] = {}
-
-    def hood1(self, e: int) -> frozenset[int]:
-        got = self._hood1.get(e)
-        if got is None:
-            got = frozenset(neighborhood_entities(self.kg1, e, self.cfg.h))
-            self._hood1[e] = got
-        return got
-
-    def hood2(self, e: int) -> frozenset[int]:
-        got = self._hood2.get(e)
-        if got is None:
-            got = frozenset(neighborhood_entities(self.kg2, e, self.cfg.h))
-            self._hood2[e] = got
-        return got
 
     def ban(self, pairs: Iterable[tuple[int, int]]) -> None:
         self.banned_pairs.update(pairs)
 
     def neighbor_pairs(self, s: int, t: int) -> list[tuple[int, int]]:
-        pairs = matched_neighbor_pairs(self.state.target_of, self.hood1(s), self.hood2(t))
+        pairs = matched_neighbor_pairs(
+            self.state.target_of, self.index1.table(s).groups, self.index2.table(t).groups
+        )
         if self.banned_pairs:
             pairs = [p for p in pairs if p not in self.banned_pairs]
         return pairs
@@ -629,13 +612,13 @@ def _candidate_targets(
     when their pairwise confidence is >= beta, each with its score confidence
     + lambda * cosine: best score first, ties to the lower target."""
     matched_targets = set()
-    for u in analyzer.hood1(e1):
+    for u in analyzer.index1.table(e1).groups:
         t = state.target_of(u)
         if t is not None:
             matched_targets.add(t)
     raw: set[int] = set()
     for t_prime in matched_targets:
-        raw |= analyzer.hood2(t_prime)
+        raw.update(analyzer.index2.table(t_prime).groups)
     own = state.target_of(e1)
     if own is not None:
         raw.discard(own)

@@ -54,6 +54,8 @@ class SynthConfig:
                 raise DegenerateConfig(f"{name} must be finite and >= 0, got {value}")
         if self.dim < 1:
             raise DegenerateConfig(f"dim must be >= 1, got {self.dim}")
+        if self.rng_seed < 0:
+            raise DegenerateConfig(f"rng_seed must be >= 0, got {self.rng_seed}")
         for name in ("rename_noise", "seed_fraction", "conflict_injection"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -751,8 +751,9 @@ class TestZeroVectorNeighbor:
 
 class TestBadTunables:
     """A hop bound outside {1, 2}, a fidelity sample size below 1, a
-    non-finite tunable or an empty alignment to grade is a config error
-    naming the key or file: exit 1, no traceback, no output file."""
+    negative random seed, a non-finite tunable or an empty alignment to grade
+    is a config error naming the key or file: exit 1, no traceback, no output
+    file."""
 
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["adg", "--h", "3"], "h must be", id="adg-h3"),
@@ -775,6 +776,12 @@ class TestBadTunables:
                      id="train-margin-nan"),
         pytest.param(["train", "--learning-rate", "nan"], "learning_rate must be finite",
                      id="train-learning-rate-nan"),
+        pytest.param(["synth", "--rng-seed", "-1"], "rng_seed must be >= 0",
+                     id="synth-rng-seed-minus-1"),
+        pytest.param(["train", "--rng-seed", "-1"], "seed must be >= 0",
+                     id="train-rng-seed-minus-1"),
+        pytest.param(["eval", "--mode", "fidelity", "--rng-seed", "-1"], "seed must be >= 0",
+                     id="fidelity-rng-seed-minus-1"),
         pytest.param(["repair", "--score-lambda", "nan"], "score_lambda must be finite",
                      id="repair-score-lambda-nan"),
         pytest.param(["repair", "--score-lambda", "inf"], "score_lambda must be finite",

@@ -241,12 +241,11 @@ class TestBatchedCoreIsExact:
                     expected += reference_match_paths(store, kg1, kg2, (e, e), neighbor_pair, h)
                 got = expl.path_matches()
                 assert got == expected
-                if expl.tables is not None:
-                    t1, t2 = expl.tables
-                    weights = zip(t1.weight[expl.rows1].tolist(), t2.weight[expl.rows2].tolist())
-                    assert list(weights) == [
-                        (path_weight(kg1, a), path_weight(kg2, b)) for a, b, _ in got
-                    ]
+                t1, t2 = expl.tables
+                weights = zip(t1.weight[expl.rows1].tolist(), t2.weight[expl.rows2].tolist())
+                assert list(weights) == [
+                    (path_weight(kg1, a), path_weight(kg2, b)) for a, b, _ in got
+                ]
                 triples = {(0, *t) for a, _, _ in got for t in path_triples(e, a)}
                 triples |= {(1, *t) for _, b, _ in got for t in path_triples(e, b)}
                 assert expl.triple_keys == triples
@@ -281,6 +280,63 @@ class TestBatchedCoreIsExact:
                     ends = table.steps[np.arange(start, stop), table.lengths[start:stop] - 1, 2]
                     assert (ends == end).all()
         assert zero_rows > 0
+
+
+def rough_kg(rng, n_ent, n_rel, n_triples, side):
+    """A graph with self-loops, reciprocal triples (o, r, s) beside (s, r, o),
+    parallel triples (s, r', o) under a second relation, and two isolated
+    entities, the last two indices."""
+    linked = n_ent - 2
+    triples = set()
+    for _ in range(n_triples):
+        s, o = (int(x) for x in rng.integers(0, linked, size=2))
+        r = int(rng.integers(0, n_rel))
+        triples.add((s, r, o))
+        if rng.random() < 0.3:
+            triples.add((o, r, s))
+        if rng.random() < 0.3:
+            triples.add((s, (r + 1) % n_rel, o))
+    for _ in range(2):
+        e = int(rng.integers(0, linked))
+        triples.add((e, int(rng.integers(0, n_rel)), e))
+    return make_kg(n_ent, sorted(triples), n_rel=n_rel, side=side)
+
+
+class TestNeighborhoodIsTableEndpoints:
+    """A center's h-hop neighborhood is read off its path table: every entity
+    within h undirected hops ends some simple path of length <= h, and every
+    path endpoint lies within h hops. Checked against the breadth-first
+    search of ``neighborhood_entities`` and ``matched_neighbors``."""
+
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_endpoints_equal_breadth_first_neighborhood(self, h):
+        rng = np.random.default_rng(4000 + h)
+        for _ in range(10):
+            kg = rough_kg(rng, 10, 3, 14, Side.SOURCE)
+            store = paired_store(rng, 10, 10)
+            index = PathIndex(kg, store, h)
+            for e in range(kg.n_entities):
+                assert set(index.table(e).groups) == set(neighborhood_entities(kg, e, h))
+
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_explanation_neighbors_equal_matched_neighbors(self, h):
+        rng = np.random.default_rng(5000 + h)
+        found = 0
+        for _ in range(6):
+            kg1 = rough_kg(rng, 9, 3, 12, Side.SOURCE)
+            kg2 = rough_kg(rng, 9, 3, 12, Side.TARGET)
+            store = paired_store(rng, 9, 9)
+            alignments = {int(s): int(rng.integers(0, 9)) for s in range(9) if rng.random() < 0.7}
+            idx1 = PathIndex(kg1, store, h)
+            idx2 = PathIndex(kg2, store, h)
+            for e1 in range(9):
+                for e2 in range(9):
+                    expected = matched_neighbors((e1, e2), kg1, kg2, alignments, h)
+                    expl = explanation((e1, e2), kg1, kg2, store, alignments, h,
+                                       index1=idx1, index2=idx2)
+                    assert expl.matched_neighbor_pairs == expected
+                    found += len(expected)
+        assert found > 0
 
 
 class TestMatchPaths:

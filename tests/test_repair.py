@@ -147,7 +147,7 @@ class TestRepairConfig:
 
 class TestAlignmentState:
     def test_seed_and_prediction_bookkeeping(self):
-        state = AlignmentState([(0, 0)], [(1, 1), (2, 1)])
+        state = AlignmentState([(0, 0)], [(1, 1), (2, 1)], n_sources=3, n_targets=2)
         assert state.is_seed_pair(0, 0)
         assert state.target_of(1) == 1
         assert provenance_of(state, 0) == "seed"
@@ -157,19 +157,19 @@ class TestAlignmentState:
 
     def test_non_injective_seeds_rejected(self):
         with pytest.raises(ConfigError):
-            AlignmentState([(0, 0), (1, 0)])
+            AlignmentState([(0, 0), (1, 0)], [], n_sources=2, n_targets=2)
         with pytest.raises(ConfigError):
-            AlignmentState([(0, 0), (0, 1)])
+            AlignmentState([(0, 0), (0, 1)], [], n_sources=2, n_targets=2)
 
     def test_duplicate_prediction_source_rejected(self):
         with pytest.raises(ConfigError):
-            AlignmentState([], [(1, 1), (1, 2)])
+            AlignmentState([], [(1, 1), (1, 2)], n_sources=2, n_targets=3)
 
     def test_prediction_for_seed_source_is_dropped(self):
-        state = AlignmentState([(0, 0)], [(0, 5)])
+        state = AlignmentState([(0, 0)], [(0, 5)], n_sources=1, n_targets=6)
         assert state.target_of(0) == 0
         assert provenance_of(state, 0) == "seed"
-        assert 5 in state.target_universe
+        assert 5 in state.unaligned_targets
 
     @pytest.mark.parametrize("seeds,preds", [
         ([(7, 0)], []),
@@ -183,21 +183,21 @@ class TestAlignmentState:
             AlignmentState(seeds, preds, n_sources=5, n_targets=5)
 
     def test_seed_immutability(self):
-        state = AlignmentState([(0, 0)], [(1, 1)])
+        state = AlignmentState([(0, 0)], [(1, 1)], n_sources=2, n_targets=3)
         with pytest.raises(InvariantViolation):
             state.unalign(0)
         with pytest.raises(InvariantViolation):
             state.align(0, 2, "repaired")
 
     def test_double_align_and_missing_unalign_rejected(self):
-        state = AlignmentState([], [(1, 1)])
+        state = AlignmentState([], [(1, 1)], n_sources=4, n_targets=3)
         with pytest.raises(InvariantViolation):
             state.align(1, 2, "repaired")
         with pytest.raises(InvariantViolation):
             state.unalign(3)
 
     def test_mutation_log(self):
-        state = AlignmentState([], [(1, 1)])
+        state = AlignmentState([], [(1, 1)], n_sources=2, n_targets=3)
         assert state.mutations == []
         state.unalign(1)
         state.align(1, 2, "repaired")
@@ -209,7 +209,7 @@ class TestAlignmentState:
         assert state.unaligned_targets == {2}
 
     def test_check_injective(self):
-        state = AlignmentState([], [(1, 0), (2, 0)])
+        state = AlignmentState([], [(1, 0), (2, 0)], n_sources=3, n_targets=1)
         with pytest.raises(InvariantViolation):
             state.check_injective()
         state.unalign(2)
@@ -675,8 +675,8 @@ class TestPairAnalyzer:
         state, analyzer = self.build()
         first = analyzer.adg(1, 1)
         assert first.explanation.matched_neighbor_pairs == [(0, 0)]
-        # source 2 lies in hood1(1), but its target 1 is the center of the
-        # target side, so the matched-neighbor list of (1, 1) stays the same
+        # source 2 lies within h hops of source 1, but its target 1 is the
+        # center of the target side, so the matched-neighbor list of (1, 1) stays the same
         state.align(2, 1, REPAIRED)
         assert analyzer.adg(1, 1) is first
         state.unalign(2)
@@ -765,7 +765,10 @@ class TestOneToOne:
         e1 = angles_to_rows([0, 53.13, 50, 15])
         e2 = angles_to_rows([0, 53.13, 36.87, 90])
         store = EmbeddingStore({Side.SOURCE: e1, Side.TARGET: e2})
-        state = AlignmentState([(0, 0)], predictions)
+        # the sources the pairs name: isolated source 3 takes part only where
+        # a prediction names it
+        n_sources = 1 + max(s for s, _ in [(0, 0), *predictions])
+        state = AlignmentState([(0, 0)], predictions, n_sources=n_sources, n_targets=4)
         analyzer = PairAnalyzer(kg1, kg2, store, state, RepairConfig(k=k))
         sources = sorted(state.source_universe - {0})
         topk = similarity_topk(store, sources, range(4), k)
@@ -845,7 +848,7 @@ class TestResolveLowConfidence:
     def build_star(self, spoke_angles1, spoke_angles2, predictions, flagged=frozenset(), **cfg_kwargs):
         n = len(spoke_angles1)
         kg1, kg2, store = star_pair(n, spoke_angles1=spoke_angles1, spoke_angles2=spoke_angles2)
-        state = AlignmentState([(0, 0)], predictions)
+        state = AlignmentState([(0, 0)], predictions, n_sources=n + 1, n_targets=n + 1)
         cfg = RepairConfig(**cfg_kwargs)
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
         return state, analyzer, cfg, set(flagged)
@@ -878,7 +881,7 @@ class TestResolveLowConfidence:
         kg2 = make_kg(5, [(0, 0, 1), (0, 1, 2)], n_rel=2, side=Side.TARGET)
         store = EmbeddingStore({Side.SOURCE: angles_to_rows([0, 53.13, 50]),
                                 Side.TARGET: angles_to_rows([0, 53.13, 45, 90, 170])})
-        state = AlignmentState([(0, 0)], [(1, 1), (2, 3)])
+        state = AlignmentState([(0, 0)], [(1, 1), (2, 3)], n_sources=3, n_targets=5)
         cfg = RepairConfig()
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
         assert analyzer.confidence(2, 3) < cfg.effective_beta()
@@ -971,13 +974,14 @@ def reference_candidate_targets(e1, state, analyzer, beta, cap):
     capped, filtered by confidence >= beta, with the cosines and confidences
     that ranked and filtered them thrown away."""
     matched_targets = set()
-    for u in analyzer.hood1(e1):
+    h = analyzer.cfg.h
+    for u in neighborhood_entities(analyzer.kg1, e1, h):
         t = state.target_of(u)
         if t is not None:
             matched_targets.add(t)
     raw = set()
     for t_prime in matched_targets:
-        raw |= analyzer.hood2(t_prime)
+        raw |= set(neighborhood_entities(analyzer.kg2, t_prime, h))
     own = state.target_of(e1)
     if own is not None:
         raw.discard(own)
