@@ -121,7 +121,7 @@ def build_adg(expl: Explanation, store: EmbeddingStore, cfg: AdgConfig | None = 
     filled in.
 
     Each edge's node is the neighbor pair its match was found for; lengths and
-    weights are read from the explanation's path tables. The class masses add
+    weights are read from the explanation's path indexes. The class masses add
     ``weight * influence`` one edge at a time in edge order, so the sums do
     not depend on a reduction order."""
     cfg = cfg or AdgConfig()
@@ -133,11 +133,11 @@ def build_adg(expl: Explanation, store: EmbeddingStore, cfg: AdgConfig | None = 
         Side.TARGET, [e2] + [b for _, b in pairs],
     ).tolist()
     influence = [min(1.0, max(0.0, sim)) for sim in sims]
-    (t1, t2), rows1, rows2 = expl.tables, expl.rows1, expl.rows2
-    len1, len2 = t1.lengths[rows1], t2.lengths[rows2]
+    (i1, i2), rows1, rows2 = expl.indexes, expl.rows1, expl.rows2
+    len1, len2 = i1.lengths[rows1], i2.lengths[rows2]
     # both paths direct: Strong (0); one: Moderate (1); neither: Weak (2)
     classes = 2 - (len1 == 1) - (len2 == 1)
-    weights = np.minimum(t1.weight[rows1], t2.weight[rows2])
+    weights = np.minimum(i1.weight[rows1], i2.weight[rows2])
     weights[classes == 1] *= cfg.alpha
     weights[classes == 2] = cfg.weak_weight
     mass = [0.0, 0.0, 0.0]

@@ -210,6 +210,17 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _check_outputs(cfg: dict, keys: tuple[str, ...]) -> None:
+    """No output of a command may resolve to the file of another of its
+    outputs or of one of its inputs: writing it would destroy that file."""
+    seen: dict[Path, str] = {}
+    for key in (k for k in _INPUTS + _OUTPUTS if k in keys and cfg.get(k) is not None):
+        path = Path(cfg[key]).resolve()
+        if key in _OUTPUTS and path in seen:
+            raise ConfigError(f"--{seen[path].replace('_', '-')} and --{key} both name {path}")
+        seen.setdefault(path, key)
+
+
 def _require(cfg: dict, *keys: str) -> None:
     missing = [k for k in keys if cfg.get(k) is None]
     if missing:
@@ -642,6 +653,9 @@ def _cmd_synth(cfg: dict) -> None:
 
 # key groups that several subcommands take
 _GRAPHS = ("kg1", "kg2", "ent_ids1", "rel_ids1", "ent_ids2", "rel_ids2")
+# the keys naming files a command reads, and those naming files it writes
+_INPUTS = _GRAPHS + ("emb", "seeds", "pred", "gold", "alignment")
+_OUTPUTS = ("out", "report", "csv")
 _ADG = ("h", "alpha", "weak_weight", "theta", "gamma")
 _REPAIR = _ADG + ("k", "beta", "score_lambda", "triple_budget", "candidate_cap",
                   "relation_vector_source")
@@ -679,6 +693,7 @@ def main(argv=None) -> int:
     del args.command
     try:
         cfg = _resolve_config(args)
+        _check_outputs(cfg, _COMMANDS[command][1])
         _COMMANDS[command][2](cfg)
     except (ConfigError, DegenerateConfig) as exc:
         print(f"exea {command}: config error: {exc}", file=sys.stderr)

@@ -415,4 +415,7 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     names = {side: m for (fam, side), m in sections.items() if fam == "name"}
     if not entity:
         raise MalformedLine(path, 0, "file contains no entity sections")
-    return EmbeddingStore(entity, relation or None, names or None)
+    try:
+        return EmbeddingStore(entity, relation or None, names or None)
+    except ValueError as exc:  # non-finite or out-of-range values, mixed dimensions
+        raise MalformedLine(path, 0, str(exc)) from None

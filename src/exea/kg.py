@@ -21,6 +21,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, EmptyKg, MalformedLine, UnknownId, UnknownRelation
 
 MAX_HOPS = 2
@@ -55,6 +57,9 @@ class Kg:
     func_table / ifunc_table : per-relation functionality statistics; a
         relation is functional (value 1.0) when no subject repeats, and
         inverse-functional when no object repeats.
+    step_keys / step_start : the steps a path can take, as int64 (0 out / 1 in,
+        relation, entity reached) rows; entity v's, without self-loops, are
+        ``step_keys[step_start[v]:step_start[v + 1]]``, in walk order.
     """
 
     def __init__(
@@ -79,6 +84,14 @@ class Kg:
             if not 0 <= r < n_rel:
                 raise UnknownId(f"relation id {r} outside [0, {n_rel}) on side {side.value}")
         self._triple_keys = tuple(keys)
+
+        # a triple is an outgoing step from its subject, an incoming one from its object
+        s, r, o = np.array([k for k in keys if k[0] != k[2]], dtype=np.int64).reshape(-1, 3).T
+        anchor = np.concatenate([s, o])
+        steps = np.stack([np.repeat([0, 1], s.size), np.concatenate([r, r]), np.concatenate([o, s])], axis=1)
+        order = np.lexsort((steps[:, 2], steps[:, 1], steps[:, 0], anchor))
+        self.step_keys = steps[order]
+        self.step_start = np.searchsorted(anchor[order], np.arange(n_ent + 1))
 
         out: dict[int, list[tuple[int, int]]] = {}
         inc: dict[int, list[tuple[int, int]]] = {}

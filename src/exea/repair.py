@@ -48,7 +48,7 @@ from .embedding import (
 from .errors import ConfigError, InvariantViolation
 from .explain import PathIndex, explanation, matched_neighbor_pairs
 # neighborhood_entities has no caller here: a center's neighborhood is read
-# off its path table; it stays importable from this module, where
+# off its path index; it stays importable from this module, where
 # bench/traced_exea.py wraps it
 from .kg import SIDES, Kg, Side, check_hops, neighborhood_entities  # noqa: F401
 
@@ -223,12 +223,12 @@ class PairAnalyzer:
     """Dependency graphs (each holding its explanation) and confidences for
     one repair run, with a cache that validates itself on every read.
 
-    The explanation of (s, t), and so its dependency graph, is a function of
-    its matched-neighbor list: the path tables of s and t never change. A
-    cached graph is reused while ``neighbor_pairs(s, t)``, recomputed from the
-    endpoints of those tables, the live alignment and the banned pairs, equals
-    the list it was built from, and rebuilt when it differs. Entries are never
-    evicted.
+    Both path indexes are built once, over every entity: the paths of s and t
+    never change, and the explanation of (s, t), so its dependency graph, is a
+    function of its matched-neighbor list. A cached graph is reused while
+    ``neighbor_pairs(s, t)``, recomputed from the endpoints of those paths,
+    the live alignment and the banned pairs, equals the list it was built
+    from, and rebuilt when it differs. Entries are never evicted.
     """
 
     def __init__(
@@ -254,7 +254,7 @@ class PairAnalyzer:
 
     def neighbor_pairs(self, s: int, t: int) -> list[tuple[int, int]]:
         pairs = matched_neighbor_pairs(
-            self.state.target_of, self.index1.table(s).groups, self.index2.table(t).groups
+            self.state.target_of, self.index1.groups[s], self.index2.groups[t]
         )
         if self.banned_pairs:
             pairs = [p for p in pairs if p not in self.banned_pairs]
@@ -612,13 +612,13 @@ def _candidate_targets(
     when their pairwise confidence is >= beta, each with its score confidence
     + lambda * cosine: best score first, ties to the lower target."""
     matched_targets = set()
-    for u in analyzer.index1.table(e1).groups:
+    for u in analyzer.index1.groups[e1]:
         t = state.target_of(u)
         if t is not None:
             matched_targets.add(t)
     raw: set[int] = set()
     for t_prime in matched_targets:
-        raw.update(analyzer.index2.table(t_prime).groups)
+        raw.update(analyzer.index2.groups[t_prime])
     own = state.target_of(e1)
     if own is not None:
         raw.discard(own)

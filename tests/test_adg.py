@@ -389,7 +389,7 @@ class TestAdgFromTablesIsExact:
             if expl.no_match:
                 continue
             far = next(x for x in range(kg1.n_entities)
-                       if x != e1 and x not in expl.tables[0].groups)
+                       if x != e1 and x not in expl.indexes[0].groups[e1])
             injected = [(far, gold[far])] + expl.matched_neighbor_pairs
             shifted = explanation((e1, e2), kg1, kg2, store, None, h=2,
                                   neighbor_pairs=injected)

@@ -283,6 +283,30 @@ class TestInfer:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("target_rows", [
+        "0\tnan 1\n1\t0 1\n",
+        "0\t1e39 1\n1\t0 1\n",
+        "0\t1 0 0\n1\t0 1 0\n",
+    ], ids=["nan", "past-float32", "mixed-dimensions"])
+    def test_bad_embedding_values_exit_2(self, dataset, tmp_path, capsys, target_rows):
+        dim = len(target_rows.split("\n")[0].split("\t")[1].split())
+        emb = tmp_path / "emb.tsv"
+        emb.write_text(
+            "exea-emb v1 source 2 2\n0\t1 0\n1\t0 1\n"
+            f"exea-emb v1 target 2 {dim}\n{target_rows}"
+        )
+        rc = main([
+            "infer", "--kg1", str(dataset / "triples_1"),
+            "--kg2", str(dataset / "triples_2"),
+            "--emb", str(emb), "--out", str(tmp_path / "o.tsv"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and str(emb) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.tsv").exists()
+
+
 class TestLabelDerivation:
     def test_underivable_name_is_config_error(self, dataset, tmp_path, capsys):
         odd = tmp_path / "graph_one.tsv"
@@ -538,6 +562,41 @@ class TestTrain:
         assert main([*argv, "--out", str(nested)]) == 0
         assert nested.read_bytes() == flat.read_bytes()
         assert sorted(p.name for p in nested.parent.iterdir()) == ["emb.tsv", "manifest.json"]
+
+
+class TestOutputCollisions:
+    """An output naming the file of another output or of an input is a
+    config error before any work: nothing is written, the input survives."""
+
+    @pytest.mark.parametrize("case", ["repair-out-report", "repair-out-pred",
+                                      "eval-out-csv", "train-out-seeds"])
+    def test_rejected_naming_both_keys(
+        self, dataset, kg_flags, raw_alignment, tmp_path, capsys, case
+    ):
+        pred = tmp_path / "pred.tsv"
+        seeds = tmp_path / "seeds.tsv"
+        shutil.copy(raw_alignment, pred)
+        shutil.copy(dataset / "train_links", seeds)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        same = tmp_path / "same"
+        common = [*kg_flags, "--seeds", str(seeds), "--pred", str(pred)]
+        argv, keys = {
+            "repair-out-report": (["repair", *common, "--out", str(same),
+                                   "--report", str(same)], ("--out", "--report")),
+            "repair-out-pred": (["repair", *common, "--out", str(pred),
+                                 "--report", str(tmp_path / "report.json")],
+                                ("--pred", "--out")),
+            "eval-out-csv": (["eval", "--mode", "ablation", *common,
+                              "--gold", str(dataset / "ent_links"),
+                              "--out", str(same), "--csv", str(same)], ("--out", "--csv")),
+            "train-out-seeds": (["train", *kg_flags[:4], "--seeds", str(seeds),
+                                 "--out", str(seeds)], ("--seeds", "--out")),
+        }[case]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error" in err and f"{keys[0]} and {keys[1]}" in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestConsoleScript:

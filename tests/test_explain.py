@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from exea.embedding import EmbeddingStore, path_embedding
+from exea.errors import MissingEmbedding
 from exea.explain import (
     PathIndex,
     candidate_triples,
@@ -241,8 +242,8 @@ class TestBatchedCoreIsExact:
                     expected += reference_match_paths(store, kg1, kg2, (e, e), neighbor_pair, h)
                 got = expl.path_matches()
                 assert got == expected
-                t1, t2 = expl.tables
-                weights = zip(t1.weight[expl.rows1].tolist(), t2.weight[expl.rows2].tolist())
+                i1, i2 = expl.indexes
+                weights = zip(i1.weight[expl.rows1].tolist(), i2.weight[expl.rows2].tolist())
                 assert list(weights) == [
                     (path_weight(kg1, a), path_weight(kg2, b)) for a, b, _ in got
                 ]
@@ -258,26 +259,25 @@ class TestBatchedCoreIsExact:
             kg, _, store = tied_pair(rng, 9, 3, 22, h, integer=trial % 2 == 0)
             index = PathIndex(kg, store, h)
             for center in range(9):
-                table = index.table(center)
                 paths = enumerate_paths(kg, center, h)
-                rows = range(table.steps.shape[0])
-                assert sorted(table.key(row) for row in rows) == paths
+                rows = [row for a, b in index.groups[center].values() for row in range(a, b)]
+                assert sorted(index.key(row) for row in rows) == paths
                 for row in rows:
-                    path = table.key(row)
-                    assert table.weight[row] == path_weight(kg, path)
-                    assert table.triples[row, : len(path)].tolist() == [
+                    path = index.key(row)
+                    assert index.weight[row] == path_weight(kg, path)
+                    assert index.triples[row, : len(path)].tolist() == [
                         list(t) for t in path_triples(center, path)
                     ]
                     vec = path_embedding(store, kg, center, path)
                     norm = np.linalg.norm(vec)
                     if norm == 0.0:
-                        assert table.zero[row]
+                        assert index.zero[row]
                         zero_rows += 1
                     else:
-                        assert not table.zero[row]
-                        assert np.array_equal(table.unit[row], vec / norm)
-                for end, (start, stop) in table.groups.items():
-                    ends = table.steps[np.arange(start, stop), table.lengths[start:stop] - 1, 2]
+                        assert not index.zero[row]
+                        assert np.array_equal(index.unit[row], vec / norm)
+                for end, (start, stop) in index.groups[center].items():
+                    ends = index.steps[np.arange(start, stop), index.lengths[start:stop] - 1, 2]
                     assert (ends == end).all()
         assert zero_rows > 0
 
@@ -316,7 +316,7 @@ class TestNeighborhoodIsTableEndpoints:
             store = paired_store(rng, 10, 10)
             index = PathIndex(kg, store, h)
             for e in range(kg.n_entities):
-                assert set(index.table(e).groups) == set(neighborhood_entities(kg, e, h))
+                assert set(index.groups[e]) == set(neighborhood_entities(kg, e, h))
 
     @pytest.mark.parametrize("h", [1, 2])
     def test_explanation_neighbors_equal_matched_neighbors(self, h):
@@ -337,6 +337,152 @@ class TestNeighborhoodIsTableEndpoints:
                     assert expl.matched_neighbor_pairs == expected
                     found += len(expected)
         assert found > 0
+
+
+def reference_table(kg, store, h, center):
+    """One center's paths as the per-center build made them, kept as the
+    exact reference for ``PathIndex``: ``enumerate_paths`` order, sorted
+    stably by endpoint, each row summed as ``path_embedding`` adds. Returns
+    the fields by name, ``groups`` with rows counted from 0."""
+    out_weight = np.full(kg.n_relations, np.nan)
+    in_weight = np.full(kg.n_relations, np.nan)
+    for r, v in kg.ifunc_table.items():
+        out_weight[r] = v
+    for r, v in kg.func_table.items():
+        in_weight[r] = v
+    keys = enumerate_paths(kg, center, h)
+    n = len(keys)
+    lengths = np.fromiter(map(len, keys), dtype=np.int64, count=n)
+    steps = np.full((n, h, 3), -1, dtype=np.int64)
+    for k in range(h):
+        rows = np.flatnonzero(lengths > k)
+        if rows.size:
+            steps[rows, k] = [keys[p][k] for p in rows.tolist()]
+    order = np.argsort(steps[np.arange(n), lengths - 1, 2], kind="stable")
+    steps, lengths = steps[order], lengths[order]
+    ends = steps[np.arange(n), lengths - 1, 2].tolist()
+    groups = {}
+    for row, end in enumerate(ends):
+        start, _ = groups.get(end, (row, row))
+        groups[end] = (start, row + 1)
+
+    ents = store.entity_matrix(kg.side)
+    rels = store.relation_matrix(kg)
+    dim = rels.shape[1]
+    unit = np.zeros((n, 2 * dim), dtype=np.float64)
+    unit[:, :dim] = ents[center]
+    weight = np.ones(n, dtype=np.float64)
+    triples = np.full((n, h, 3), -1, dtype=np.int64)
+    anchor = np.full(n, center, dtype=np.int64)
+    for k in range(h):
+        rows = np.flatnonzero(lengths > k)
+        incoming = steps[rows, k, 0] == 1
+        r = steps[rows, k, 1]
+        unit[rows, dim:] += rels[r]
+        weight[rows] *= np.where(incoming, in_weight[r], out_weight[r])
+        inner = np.flatnonzero(lengths > k + 1)
+        unit[inner, :dim] += ents[steps[inner, k, 2]]
+        u = steps[rows, k, 2]
+        at = anchor[rows]
+        triples[rows, k] = np.where(
+            incoming[:, None], np.stack([u, r, at], axis=1), np.stack([at, r, u], axis=1)
+        )
+        anchor[rows] = u
+    unit /= lengths[:, None]
+    norms = np.sqrt(np.vecdot(unit, unit))
+    zero = norms == 0.0
+    unit /= np.where(zero, 1.0, norms)[:, None]
+    return {"steps": steps, "lengths": lengths, "unit": unit, "zero": zero,
+            "weight": weight, "triples": triples, "groups": groups}
+
+
+ROW_FIELDS = ("steps", "lengths", "unit", "zero", "weight", "triples")
+
+
+def center_rows(index, center):
+    """Center ``center``'s rows of ``index`` by field, ``groups`` with rows
+    counted from the center's first row."""
+    spans = index.groups[center].values()
+    lo = min((a for a, _ in spans), default=0)
+    hi = max((b for _, b in spans), default=0)
+    got = {name: getattr(index, name)[lo:hi] for name in ROW_FIELDS}
+    got["groups"] = {e: (a - lo, b - lo) for e, (a, b) in index.groups[center].items()}
+    return got
+
+
+def assert_same_rows(got, expected):
+    assert got["groups"] == expected["groups"]
+    for name in ROW_FIELDS:
+        assert got[name].dtype == expected[name].dtype, name
+        assert got[name].shape == expected[name].shape, name
+        assert (got[name] == expected[name]).all(), name
+
+
+def rough_store(rng, kg, integer):
+    """Vectors for ``kg``'s side with two all-zero entity rows and one
+    all-zero relation row; small integers (tie-heavy) or wide normals, and
+    native relation vectors half the time."""
+    if integer:
+        ents = rng.integers(-1, 2, size=(kg.n_entities, 3)).astype(float)
+        rels = rng.integers(-1, 2, size=(kg.n_relations, 3)).astype(float)
+    else:
+        ents = rng.normal(size=(kg.n_entities, 24))
+        rels = rng.normal(size=(kg.n_relations, 24))
+    ents[rng.choice(kg.n_entities, size=2, replace=False)] = 0.0
+    rels[int(rng.integers(0, kg.n_relations))] = 0.0
+    native = {kg.side: rels} if rng.random() < 0.5 else None
+    return EmbeddingStore({kg.side: ents}, native)
+
+
+class TestPathIndexIsExact:
+    """The side-wide index equals the per-center build row for row: every
+    field with ``==``, and each center's groups after its row offset. Graphs
+    have self-loops, reciprocal and parallel triples and isolated entities;
+    stores have all-zero rows and, every other trial, small integer vectors."""
+
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_every_center_equals_reference_build(self, h):
+        rng = np.random.default_rng(6000 + h)
+        paths = zero = 0
+        for trial in range(12):
+            side = (Side.SOURCE, Side.TARGET)[trial % 2]
+            kg = rough_kg(rng, 12, 3, 20, side)
+            store = rough_store(rng, kg, integer=trial % 3 == 0)
+            index = PathIndex(kg, store, h)
+            for center in range(kg.n_entities):
+                expected = reference_table(kg, store, h, center)
+                assert_same_rows(center_rows(index, center), expected)
+                paths += len(expected["lengths"])
+                zero += int(expected["zero"].sum())
+        assert paths > 300 * h
+        assert zero > 0
+
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_center_subsets_give_the_same_rows(self, h):
+        rng = np.random.default_rng(7000 + h)
+        for trial in range(10):
+            kg = rough_kg(rng, 12, 3, 20, Side.SOURCE)
+            store = rough_store(rng, kg, integer=trial % 2 == 0)
+            full = PathIndex(kg, store, h)
+            centers = rng.choice(kg.n_entities, size=int(rng.integers(1, 6)), replace=False)
+            part = PathIndex(kg, store, h, centers.tolist())
+            assert sorted(part.groups) == sorted(centers.tolist())
+            for c in centers.tolist():
+                assert_same_rows(center_rows(part, c), center_rows(full, c))
+
+
+class TestPathIndexMissingVectors:
+    def test_entity_matrix_shorter_than_graph(self):
+        kg = tgt_kg(4, [(0, 0, 1), (1, 0, 3)])
+        store = EmbeddingStore({Side.TARGET: np.ones((3, 4))}, {Side.TARGET: np.ones((1, 4))})
+        with pytest.raises(MissingEmbedding, match="side target reach entities without vectors"):
+            PathIndex(kg, store, 2)
+
+    def test_native_relation_vectors_shorter_than_relations(self):
+        kg = make_kg(3, [(0, 0, 1), (1, 1, 2)], n_rel=2)
+        store = EmbeddingStore({Side.SOURCE: np.ones((3, 4))}, {Side.SOURCE: np.ones((1, 4))})
+        with pytest.raises(MissingEmbedding, match="side source use relations without vectors"):
+            PathIndex(kg, store, 1)
 
 
 class TestMatchPaths:
@@ -453,10 +599,10 @@ class TestExplanation:
         # the triples it traverses, in step order
         kg = make_kg(3, [(0, 0, 1), (2, 1, 1)])
         store = EmbeddingStore({Side.SOURCE: np.random.default_rng(2).normal(size=(3, 4))})
-        table = PathIndex(kg, store, 2).table(0)
-        rows = np.flatnonzero(table.lengths == 2).tolist()
-        assert [table.key(row) for row in rows] == [((0, 0, 1), (1, 1, 2))]
-        assert table.triples[rows[0]].tolist() == [[0, 0, 1], [2, 1, 1]]
+        index = PathIndex(kg, store, 2, [0])
+        rows = np.flatnonzero(index.lengths == 2).tolist()
+        assert [index.key(row) for row in rows] == [((0, 0, 1), (1, 1, 2))]
+        assert index.triples[rows[0]].tolist() == [[0, 0, 1], [2, 1, 1]]
 
     def test_shared_path_index_reuse(self, governor_case):
         c = governor_case

@@ -62,6 +62,25 @@ class TestConstructionAndIndexes:
             )
             assert listed == sorted(kg.triple_keys)
 
+    def test_step_index_lists_each_entitys_steps_in_walk_order(self):
+        # self-loops and reciprocal triples included; an entity's steps are
+        # the incident triples minus self-loops, sorted as enumerate_paths
+        # walks them
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            triples = {tuple(int(x) for x in rng.integers(0, (9, 3, 9))) for _ in range(25)}
+            triples |= {(o, r, s) for s, r, o in list(triples)[:5]}
+            kg = make_kg(10, sorted(triples), n_rel=3)
+            assert kg.step_keys.dtype == kg.step_start.dtype == np.int64
+            assert kg.step_start[0] == 0 and kg.step_start[-1] == len(kg.step_keys)
+            for v in range(kg.n_entities):
+                expected = sorted(
+                    [(0, r, o) for r, o in kg.out_index.get(v, ()) if o != v]
+                    + [(1, r, s) for r, s in kg.in_index.get(v, ()) if s != v]
+                )
+                got = kg.step_keys[kg.step_start[v]:kg.step_start[v + 1]]
+                assert list(map(tuple, got.tolist())) == expected
+
     def test_out_of_range_ids_rejected(self):
         with pytest.raises(UnknownId):
             make_kg(2, [(0, 0, 5)])
