@@ -210,15 +210,34 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _check_outputs(cfg: dict, keys: tuple[str, ...]) -> None:
+def _check_outputs(command: str, cfg: dict) -> None:
     """No output of a command may resolve to the file of another of its
-    outputs or of one of its inputs: writing it would destroy that file."""
-    seen: dict[Path, str] = {}
-    for key in (k for k in _INPUTS + _OUTPUTS if k in keys and cfg.get(k) is not None):
-        path = Path(cfg[key]).resolve()
-        if key in _OUTPUTS and path in seen:
-            raise ConfigError(f"--{seen[path].replace('_', '-')} and --{key} both name {path}")
-        seen.setdefault(path, key)
+    outputs or of one of its inputs: writing it would destroy that file.
+    The inputs include the label files derived from --kg1 and --kg2, and
+    the outputs the manifest written beside --out."""
+    keys = _COMMANDS[command][1]
+    # what each file is called in messages -> (path, whether it is written)
+    files = {
+        "--" + k.replace("_", "-"): (cfg[k], k in _OUTPUTS)
+        for k in _INPUTS + _OUTPUTS
+        if k in keys and cfg.get(k) is not None
+    }
+    for which in "12":
+        triples = cfg.get(f"kg{which}")
+        if f"kg{which}" not in keys or triples is None or "triples" not in Path(triples).name:
+            continue
+        for kind, what in (("ent_ids", "entity"), ("rel_ids", "relation")):
+            if cfg.get(f"{kind}{which}") is None:
+                derived = _derive_labels(triples, kind, None)
+                files[f"the {what} labels derived from --kg{which}"] = (derived, False)
+    if cfg.get("out") is not None:
+        files["the manifest written beside --out"] = (_manifest_path(command, cfg), True)
+    seen: dict[Path, tuple[str, bool]] = {}
+    for name, (p, written) in files.items():
+        path = Path(p).resolve()
+        first, first_written = seen.setdefault(path, (name, written))
+        if first != name and (written or first_written):
+            raise ConfigError(f"{first} and {name} both name {path}")
 
 
 def _require(cfg: dict, *keys: str) -> None:
@@ -348,8 +367,14 @@ def _write_pairs(path: str | Path, pairs) -> None:
     _atomic_write_text(path, "".join(f"{s}\t{t}\n" for s, t in pairs))
 
 
+def _manifest_path(command: str, cfg: dict) -> Path:
+    """Where a command writes its manifest: beside --out, or inside it for
+    synth, whose --out is a directory."""
+    out = Path(cfg["out"])
+    return out / "manifest.json" if command == "synth" else out.parent / "manifest.json"
+
+
 def _write_manifest(command: str, cfg: dict, inputs: dict, outputs: dict) -> None:
-    primary = next(iter(outputs.values()))
     manifest = {
         "command": command,
         "version": __version__,
@@ -358,7 +383,7 @@ def _write_manifest(command: str, cfg: dict, inputs: dict, outputs: dict) -> Non
         "input_hashes": {name: _sha256(p) for name, p in sorted(inputs.items())},
         "output_hashes": {name: _sha256(p) for name, p in sorted(outputs.items())},
     }
-    _write_json(Path(primary).parent / "manifest.json", manifest)
+    _write_json(_manifest_path(command, cfg), manifest)
 
 
 def _adg_config(cfg: dict) -> AdgConfig:
@@ -693,7 +718,7 @@ def main(argv=None) -> int:
     del args.command
     try:
         cfg = _resolve_config(args)
-        _check_outputs(cfg, _COMMANDS[command][1])
+        _check_outputs(command, cfg)
         _COMMANDS[command][2](cfg)
     except (ConfigError, DegenerateConfig) as exc:
         print(f"exea {command}: config error: {exc}", file=sys.stderr)

@@ -21,18 +21,24 @@ reads a pair's similarity once it is aligned, so none is stored.
 Seed pairs are immutable throughout; every loop carries the source-count guard
 that forces termination.
 
-The relation-conflict stage runs on integers: a cross-graph triple is six
-ints, a (side, index) pair for each of its subject, relation and object, side
-0 for the source graph and 1 for the target graph. The counterpart maps
-(``Counterparts``) are built once per stage, which reads the alignment and
-never changes it.
+The relation-conflict stage runs as array passes over chunks of dependency
+graphs. ``ConflictTables``, built once per stage (which reads the alignment
+and never changes it), numbers both sides' entities and relations in one id
+space, source ids first, and holds each entity's sorted 1-hop triples and
+out-triples as index tables and every counterpart as an int array (-1 for
+none). Per chunk, each graph's position is a key column: its Strong-edge
+entities' base triples are gathered and cut to its budget, their swap
+variants emitted, its subjects' out-edges added, and rows joined on (graph,
+subject, rule) into derived facts. Rows are deduplicated by sorting packed
+int64 keys (``_pack``) and masking adjacent repeats; the stage's result is
+the union of its chunks', so it does not depend on where chunks end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from itertools import islice, product
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -46,7 +52,7 @@ from .embedding import (
     similarity_topk,
 )
 from .errors import ConfigError, InvariantViolation
-from .explain import PathIndex, explanation, matched_neighbor_pairs
+from .explain import PathIndex, _ranges, explanation, matched_neighbor_pairs
 # neighborhood_entities has no caller here: a center's neighborhood is read
 # off its path index; it stays importable from this module, where
 # bench/traced_exea.py wraps it
@@ -356,165 +362,291 @@ def mine_not_same_as_rules(kg: Kg) -> list[NotSameAsRule]:
     return rules
 
 
-@dataclass(frozen=True)
-class Counterparts:
-    """What each side's entities and relations stand for on the other side,
-    indexed by side (0 source, 1 target). Entities follow the alignment, a
-    target taking the first (lowest) source that claims it; relations follow
-    the mined relation alignment."""
-
-    entities: tuple[dict[int, int], dict[int, int]]
-    relations: tuple[dict[int, int], dict[int, int]]
-
-    @classmethod
-    def of(cls, state: AlignmentState, rel_align: RelationAlignment) -> Counterparts:
-        fwd: dict[int, int] = {}
-        rev: dict[int, int] = {}
-        for s, t, _ in state.pairs():
-            fwd[s] = t
-            rev.setdefault(t, s)
-        rel_fwd: dict[int, int] = {}
-        rel_rev: dict[int, int] = {}
-        for a, b, _ in rel_align.pairs:
-            rel_fwd.setdefault(a, b)
-            rel_rev.setdefault(b, a)
-        return cls((fwd, rev), (rel_fwd, rel_rev))
+# a chunk of dependency graphs in the relation-conflict stage gathers fewer
+# 1-hop base rows than this, or holds one graph; the stage's temporaries
+# (swap variants, out-edges, rule joins) grow with a chunk, so this bounds
+# its memory
+_CONFLICT_ROWS = 2048
+# a packed key holds any product of radices up to this
+_KEY_RANGE = 1 << 63
 
 
-# a cross-graph triple: (subject side, s, relation side, r, object side, o),
-# side 0 for the source graph and 1 for the target graph
-CrossTriple = tuple[int, int, int, int, int, int]
+def _pack(columns: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndarray:
+    """One int64 key per row of the int ``columns``, column i in [0,
+    radices[i]) and the first column most significant, so keys order as the
+    rows do. Radices whose product does not fit an int64 raise."""
+    if math.prod(radices) > _KEY_RANGE:
+        raise InvariantViolation("int64-key", f"radices {list(radices)} overflow an int64 key")
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for column, radix in zip(columns, radices):
+        key = key * radix + column
+    return key
 
 
-def _strong_edge_entities(adg: Adg) -> list[tuple[int, int]]:
-    """The central pair and, in node order, each neighbor pair on a Strong
-    edge; nothing when there is no Strong edge."""
-    strong = np.unique(adg.edge_neighbor[adg.edge_class == STRONG])
-    if not strong.size:
-        return []
-    expl = adg.explanation
-    return [expl.pair] + [expl.matched_neighbor_pairs[i] for i in strong.tolist()]
+def _unpack(key: np.ndarray, radices: Sequence[int]) -> list[np.ndarray]:
+    """The columns that ``_pack(columns, radices)`` made ``key`` from."""
+    columns = []
+    for radix in reversed(radices[1:]):
+        key, column = np.divmod(key, radix)
+        columns.append(column)
+    return [key, *reversed(columns)]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """A mask of where each run of equal values starts."""
+    starts = np.ones(values.size, dtype=bool)
+    starts[1:] = values[1:] != values[:-1]
+    return starts
+
+
+def _distinct(key: np.ndarray) -> np.ndarray:
+    """The distinct keys, sorted."""
+    key = np.sort(key)
+    return key[_run_starts(key)]
+
+
+class ConflictTables:
+    """The two graphs, the alignment and the relation alignment as the
+    relation-conflict stage reads them: int arrays built once per stage,
+    which reads the alignment and never changes it.
+
+    Both sides share one numbering: source entity e is e and target entity e
+    is ``entity_offset + e``, relations likewise with ``relation_offset``, so
+    ids order as (side, index) pairs do. ``triples`` holds both graphs'
+    (subject, relation, object) rows in these ids, each side's sorted; the
+    triple ids of entity g's 1-hop triples (g as subject or object, a
+    self-loop once) are ``hop_triples[hop_start[g]:hop_start[g + 1]]``,
+    ascending, and its out-triples are rows ``out_start[g]:out_start[g +
+    1]``. ``entity_counterparts[g]`` is g's counterpart on the other side,
+    -1 for none: a source's target, a target's first (lowest) claimant.
+    ``relation_counterparts`` follows the mined relation alignment.
+    """
+
+    def __init__(
+        self, kg1: Kg, kg2: Kg, state: AlignmentState, rel_align: RelationAlignment
+    ):
+        n1, r1 = kg1.n_entities, kg1.n_relations
+        self.entity_offset, self.relation_offset = n1, r1
+        self.n_entities = n1 + kg2.n_entities
+        self.n_relations = r1 + kg2.n_relations
+        # the widest key a chunk packs is (graph, subject, relation, object)
+        self.max_chunk = _KEY_RANGE // max(self.n_entities**2 * self.n_relations, 1)
+        if self.max_chunk < 1:
+            raise ConfigError("the graphs are too large for the relation-conflict stage's int64 keys")
+        self.triples = np.array(
+            [(s, r, o) for s, r, o in kg1.triple_keys]
+            + [(s + n1, r + r1, o + n1) for s, r, o in kg2.triple_keys],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        subject, _, obj = self.triples.T
+        ids = np.arange(len(self.triples))
+        loop = subject == obj
+        anchor = np.concatenate([subject, obj[~loop]])
+        hop = np.concatenate([ids, ids[~loop]])
+        order = np.lexsort((hop, anchor))
+        self.hop_triples = hop[order]
+        self.hop_start = np.searchsorted(anchor[order], np.arange(self.n_entities + 1))
+        self.out_start = np.searchsorted(subject, np.arange(self.n_entities + 1))
+        self.entity_counterparts = np.full(self.n_entities, -1)
+        # in reverse, so that a target keeps its lowest claimant
+        for s, t, _ in reversed(state.pairs()):
+            self.entity_counterparts[s] = t + n1
+            self.entity_counterparts[t + n1] = s
+        self.relation_counterparts = np.full(self.n_relations, -1)
+        for a, b, _ in reversed(rel_align.pairs):
+            self.relation_counterparts[a] = b + r1
+            self.relation_counterparts[b + r1] = a
+
+    def visits(self, adg: Adg) -> np.ndarray:
+        """The entities whose 1-hop triples ``adg``'s swaps start from: the
+        central pair and, in node order, each neighbor pair on a Strong edge,
+        source entity first; none when there is no Strong edge."""
+        strong = sorted(set(adg.edge_neighbor[adg.edge_class == STRONG].tolist()))
+        if not strong:
+            return np.zeros(0, dtype=np.int64)
+        expl = adg.explanation
+        pairs = [expl.pair] + [expl.matched_neighbor_pairs[i] for i in strong]
+        return (np.array(pairs, dtype=np.int64) + [0, self.entity_offset]).ravel()
+
+    def chunks(self, adgs: Sequence[Adg], rows: int) -> Iterable[list[Adg]]:
+        """``adgs`` in order, in runs that gather fewer than ``rows`` 1-hop
+        base rows between them, or hold one graph."""
+        hop_count = np.diff(self.hop_start)
+        chunk: list[Adg] = []
+        held = 0
+        for adg in adgs:
+            count = int(hop_count[self.visits(adg)].sum())
+            if chunk and (held + count >= rows or len(chunk) == self.max_chunk):
+                yield chunk
+                chunk, held = [], 0
+            chunk.append(adg)
+            held += count
+        if chunk:
+            yield chunk
+
+
+# the seven non-empty (subject, relation, object) substitutions, as masks
+_SWAPS = np.array(list(product((False, True), repeat=3))[1:])
 
 
 def cross_kg_triples(
-    adg: Adg,
-    counterparts: Counterparts,
-    kg1: Kg,
-    kg2: Kg,
-    budget: int = 200,
-) -> list[CrossTriple]:
-    """Swapped variants of the 1-hop triples of every entity on a Strong edge.
+    adgs: Sequence[Adg], tables: ConflictTables, budget: int = 200
+) -> np.ndarray:
+    """Swapped variants of the 1-hop triples of every entity on a Strong
+    edge, for each graph in ``adgs``.
 
     Each aligned element (subject and object through the alignment, relation
     through the relation alignment) may be replaced by its counterpart; all
-    non-empty substitution combinations are emitted, distinct and sorted. At
-    most ``budget`` base triples are consulted, in node order, sides
-    interleaved, triples sorted.
+    non-empty substitution combinations are emitted. At most ``budget`` base
+    triples are consulted per graph: its first distinct ones in node order,
+    sides interleaved, each entity's triples sorted. Returns the distinct
+    (graph, subject, relation, object) rows, sorted, with the graph as its
+    position in ``adgs`` and the rest as ``tables`` ids.
     """
-    entity_pairs = _strong_edge_entities(adg)
-    if not entity_pairs or budget == 0:
-        return []
-    kgs = (kg1, kg2)
-    consulted: list[tuple[int, tuple[int, int, int]]] = []
-    seen_base: set[tuple[int, tuple[int, int, int]]] = set()
-    for pair in entity_pairs:
-        for side in (0, 1):
-            kg, e = kgs[side], pair[side]
-            one_hop = sorted(
-                [(e, r, o) for r, o in kg.out_index.get(e, ())]
-                + [(s, r, e) for r, s in kg.in_index.get(e, ())]
-            )
-            for key in one_hop:
-                tagged = (side, key)
-                if tagged in seen_base:
-                    continue
-                seen_base.add(tagged)
-                consulted.append(tagged)
-                if len(consulted) >= budget:
-                    break
-            if len(consulted) >= budget:
-                break
-        if len(consulted) >= budget:
-            break
-
-    out: set[CrossTriple] = set()
-    for side, (s, r, o) in consulted:
-        ents, rels = counterparts.entities[side], counterparts.relations[side]
-        options = []
-        for key, alt in ((s, ents.get(s)), (r, rels.get(r)), (o, ents.get(o))):
-            options.append([(side, key)] if alt is None else [(side, key), (1 - side, alt)])
-        # the first combination is the base triple itself; it is skipped here
-        # and not removed afterwards, since another base's swap may yield it
-        out.update(a + b + c for a, b, c in islice(product(*options), 1, None))
-    return sorted(out)
+    visits = [tables.visits(adg) for adg in adgs]
+    entity = np.concatenate([np.zeros(0, dtype=np.int64), *visits])
+    count = tables.hop_start[entity + 1] - tables.hop_start[entity]
+    graph = np.repeat(np.repeat(np.arange(len(adgs)), [v.size for v in visits]), count)
+    hop = tables.hop_triples[_ranges(tables.hop_start[entity], count)]
+    # a stable sort keeps each repeated base triple's first visit first
+    key = _pack([graph, hop], [len(adgs), len(tables.triples)])
+    order = np.argsort(key, kind="stable")
+    first = np.zeros(key.size, dtype=bool)
+    first[order[_run_starts(key[order])]] = True
+    graph, hop = graph[first], hop[first]
+    # a base's rank among its graph's distinct bases, in walk order
+    consulted = np.arange(graph.size) - np.searchsorted(graph, graph) < budget
+    graph, base = graph[consulted], tables.triples[hop[consulted]]
+    alt = np.stack(
+        [
+            tables.entity_counterparts[base[:, 0]],
+            tables.relation_counterparts[base[:, 1]],
+            tables.entity_counterparts[base[:, 2]],
+        ],
+        axis=1,
+    )
+    # the base triple itself is not emitted here and not removed afterwards,
+    # since another base's swap may yield it
+    variant = np.where(_SWAPS[:, None, :], alt, base)
+    ok = (variant >= 0).all(axis=2)
+    radices = [len(adgs), tables.n_entities, tables.n_relations, tables.n_entities]
+    key = _pack([np.broadcast_to(graph, ok.shape)[ok], *variant[ok].T], radices)
+    return np.stack(_unpack(_distinct(key), radices), axis=1)
 
 
 @dataclass
 class RelationConflictReport:
-    # derived cross-side not-same-as facts as (source index, target index)
+    """What the rules derive over the cross triples of some dependency
+    graphs: the distinct (source index, target index) not-same-as facts, the
+    matched neighbor pairs a graph's own facts contradict, and the central
+    pairs so contradicted, in graph order."""
+
     derived_pairs: list[tuple[int, int]]
     pruned_neighbor_pairs: list[tuple[int, int]]
-    central_flagged: bool
+    flagged_pairs: list[tuple[int, int]]
 
 
 def _chain_rules(
     rules: Sequence[NotSameAsRule],
-    cross: Sequence[CrossTriple],
-    kg1: Kg,
-    kg2: Kg,
-) -> set[tuple[int, int]]:
-    """Forward-chain the rules over the cross triples plus the original graphs.
+    cross: np.ndarray,
+    tables: ConflictTables,
+    n_graphs: int,
+) -> np.ndarray:
+    """Forward-chain the rules over each graph's cross triples plus the
+    original graphs.
 
     Only instantiations touching at least one cross-graph triple can produce a
     fact about a (source, target) pair, so subjects are drawn from the cross
     triples and their original out-edges join in. One round reaches the
     fixpoint: derived not-same-as facts never match a rule body, whose
-    relations are graph relations. Entities and relations are (side, index)
-    pairs throughout.
+    relations are graph relations. Rows of one graph and subject (a slot)
+    pair an object of a rule's first relation with one of its second on the
+    other side. Returns the distinct (graph, source, target) facts, sorted.
     """
-    # relation -> subject -> objects
-    index: dict[tuple[int, int], dict[tuple[int, int], set[tuple[int, int]]]] = {}
-    subjects: set[tuple[int, int]] = set()
-    for ss, s, rs, r, os_, o in cross:
-        index.setdefault((rs, r), {}).setdefault((ss, s), set()).add((os_, o))
-        subjects.add((ss, s))
-    kgs = (kg1, kg2)
-    for side, s in subjects:
-        for r, o in kgs[side].out_index.get(s, ()):
-            index.setdefault((side, r), {}).setdefault((side, s), set()).add((side, o))
+    if not rules or not cross.size:
+        return np.zeros((0, 3), dtype=np.int64)
+    graph, subject, relation, obj = cross.T
+    # cross rows are sorted, so each slot is a run of them
+    new = _run_starts(graph) | _run_starts(subject)
+    slot = np.cumsum(new) - 1
+    graph, subject = graph[new], subject[new]
+    n_slots = graph.size
+    count = tables.out_start[subject + 1] - tables.out_start[subject]
+    out = tables.triples[_ranges(tables.out_start[subject], count)]
+    slot_radices = [n_slots, tables.n_relations, tables.n_entities]
+    slot, relation, obj = _unpack(
+        _distinct(
+            _pack(
+                [
+                    np.concatenate([slot, np.repeat(np.arange(n_slots), count)]),
+                    np.concatenate([relation, out[:, 1]]),
+                    np.concatenate([obj, out[:, 2]]),
+                ],
+                slot_radices,
+            )
+        ),
+        slot_radices,
+    )
+    obj_side = (obj >= tables.entity_offset).astype(np.int64)
+    side, r1, r2 = np.array(
+        [(rule.side, rule.r1, rule.r2) for rule in rules], dtype=np.int64
+    ).T
+    join_radices = [n_slots, len(rules), 2]
 
-    derived: set[tuple[int, int]] = set()
-    for rule in rules:
-        by1 = index.get((rule.side, rule.r1))
-        by2 = index.get((rule.side, rule.r2))
-        if not by1 or not by2:
-            continue
-        for subj in by1.keys() & by2.keys():
-            objs2 = by2[subj]
-            for a_side, a in by1[subj]:
-                for b_side, b in objs2:
-                    if a_side != b_side:
-                        derived.add((a, b) if a_side == 0 else (b, a))
-    return derived
+    def role(rule_relation: np.ndarray, join_side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row once per rule with the row's relation in this role: the
+        rows and their (slot, rule, join_side) keys."""
+        by_relation = np.argsort(rule_relation, kind="stable")
+        start = np.searchsorted(rule_relation[by_relation], np.arange(tables.n_relations + 1))
+        n_rules = start[relation + 1] - start[relation]
+        row = np.repeat(np.arange(relation.size), n_rules)
+        rule = by_relation[_ranges(start[relation], n_rules)]
+        return row, _pack([slot[row], rule, join_side[row]], join_radices)
+
+    offset = side * tables.relation_offset
+    # keys match where the first object and the second lie on different sides
+    row1, key1 = role(r1 + offset, obj_side)
+    row2, key2 = role(r2 + offset, 1 - obj_side)
+    order = np.argsort(key2, kind="stable")
+    row2, key2 = row2[order], key2[order]
+    lo = np.searchsorted(key2, key1, "left")
+    count = np.searchsorted(key2, key1, "right") - lo
+    a = np.repeat(obj[row1], count)
+    b = obj[row2[_ranges(lo, count)]]
+    n1 = tables.entity_offset
+    radices = [n_graphs, n1, tables.n_entities - n1]
+    fact = _pack(
+        [np.repeat(graph[slot[row1]], count), np.minimum(a, b), np.maximum(a, b) - n1], radices
+    )
+    return np.stack(_unpack(_distinct(fact), radices), axis=1)
 
 
 def detect_relation_conflicts(
-    adg: Adg,
+    adgs: Sequence[Adg],
     rules: Sequence[NotSameAsRule],
-    counterparts: Counterparts,
-    kg1: Kg,
-    kg2: Kg,
+    tables: ConflictTables,
     cfg: RepairConfig,
 ) -> RelationConflictReport:
-    """Chain the rules over this graph's cross triples and report which node
+    """Chain the rules over each graph's cross triples and report which node
     pairs are contradicted."""
-    cross = cross_kg_triples(adg, counterparts, kg1, kg2, cfg.triple_budget)
-    derived = _chain_rules(rules, cross, kg1, kg2)
-    expl = adg.explanation
+    cross = cross_kg_triples(adgs, tables, cfg.triple_budget)
+    derived = _chain_rules(rules, cross, tables, len(adgs))
+    n1 = tables.entity_offset
+    radices = [len(adgs), n1, tables.n_entities - n1]
+    facts = _pack(derived.T, radices)
+    expls = [adg.explanation for adg in adgs]
+    neighbors = np.array(
+        [p for expl in expls for p in expl.matched_neighbor_pairs], dtype=np.int64
+    ).reshape(-1, 2)
+    graph = np.repeat(np.arange(len(adgs)), [len(e.matched_neighbor_pairs) for e in expls])
+    pruned = neighbors[np.isin(_pack([graph, *neighbors.T], radices), facts)]
+    central = np.array([expl.pair for expl in expls], dtype=np.int64).reshape(-1, 2)
+    flagged = np.isin(_pack([np.arange(len(adgs)), *central.T], radices), facts)
+    distinct = _unpack(_distinct(_pack(derived[:, 1:].T, radices[1:])), radices[1:])
     return RelationConflictReport(
-        derived_pairs=sorted(derived),
-        pruned_neighbor_pairs=sorted(derived.intersection(expl.matched_neighbor_pairs)),
-        central_flagged=expl.pair in derived,
+        derived_pairs=list(zip(*(c.tolist() for c in distinct))),
+        pruned_neighbor_pairs=sorted(set(map(tuple, pruned.tolist()))),
+        flagged_pairs=list(map(tuple, central[flagged].tolist())),
     )
 
 
@@ -778,18 +910,16 @@ def repair(
         rel_align = mine_relation_alignment(store, kg1, kg2, cfg.relation_vector_source)
         rules = mine_not_same_as_rules(kg1) + mine_not_same_as_rules(kg2)
         if rules:
-            # the stage reads the alignment and never changes it
-            counterparts = Counterparts.of(state, rel_align)
-            for s, t, prov in state.pairs():
-                if prov == SEED:
-                    continue
-                found = detect_relation_conflicts(
-                    analyzer.adg(s, t), rules, counterparts, kg1, kg2, cfg
-                )
+            tables = ConflictTables(kg1, kg2, state, rel_align)
+            # each chunk's facts are folded in and dropped before the next;
+            # the graphs are streamed into chunks, not listed, so one that a
+            # later stage rebuilds can be freed
+            adgs = (analyzer.adg(s, t) for s, t, prov in state.pairs() if prov != SEED)
+            for chunk in tables.chunks(adgs, _CONFLICT_ROWS):
+                found = detect_relation_conflicts(chunk, rules, tables, cfg)
                 derived_all.update(found.derived_pairs)
                 pruned_all.update(found.pruned_neighbor_pairs)
-                if found.central_flagged:
-                    flagged.add(s)
+                flagged.update(s for s, _ in found.flagged_pairs)
         # a derived fact bans its pair from matched neighborhoods everywhere,
         # not only in the graph where it surfaced
         analyzer.ban(derived_all)

@@ -598,6 +598,40 @@ class TestOutputCollisions:
         assert "config error" in err and f"{keys[0]} and {keys[1]}" in err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_report_naming_the_manifest_is_rejected(
+        self, dataset, kg_flags, raw_alignment, tmp_path, capsys
+    ):
+        # the manifest written beside --out would replace the report
+        out = tmp_path / "o"
+        rc = main(["repair", *kg_flags, "--seeds", str(dataset / "train_links"),
+                   "--pred", str(raw_alignment), "--out", str(out / "a.tsv"),
+                   "--report", str(out / "manifest.json")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error" in err
+        assert "--report and the manifest written beside --out" in err
+        assert str((out / "manifest.json").resolve()) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["ent_ids_1", "rel_ids_2"])
+    def test_out_naming_a_derived_label_file_is_rejected(
+        self, dataset, tmp_path, capsys, label
+    ):
+        # --kg1 d/triples_1 reads d/ent_ids_1 and d/rel_ids_1 (likewise for
+        # --kg2), though neither is named on the command line
+        d = tmp_path / "d"
+        shutil.copytree(dataset, d)
+        before = {p.name: p.read_bytes() for p in d.iterdir()}
+        rc = main(["infer", "--kg1", str(d / "triples_1"), "--kg2", str(d / "triples_2"),
+                   "--emb", str(d / "embeddings.tsv"), "--seeds", str(d / "train_links"),
+                   "--out", str(d / label)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        what = "entity" if label.startswith("ent") else "relation"
+        assert f"the {what} labels derived from --kg{label[-1]}" in err
+        assert str((d / label).resolve()) in err
+        assert {p.name: p.read_bytes() for p in d.iterdir()} == before
+
 
 class TestConsoleScript:
     def test_module_invocation_matches_entry_point(self):

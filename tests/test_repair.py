@@ -6,6 +6,7 @@ import importlib
 import itertools
 import json
 import math
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -27,10 +28,14 @@ from exea.repair import (
     REPAIRED,
     SEED,
     AlignmentState,
-    Counterparts,
+    ConflictTables,
+    NotSameAsRule,
     PairAnalyzer,
+    RelationAlignment,
     RepairConfig,
     _chain_rules,
+    _pack,
+    _unpack,
     cross_kg_triples,
     detect_relation_conflicts,
     final_fill,
@@ -482,12 +487,35 @@ def reference_chain_rules(rules, cross, kg1, kg2):
 
 
 def cross_key(t):
-    """A ``Trip`` as the (side, index) * 3 tuple ``cross_kg_triples`` returns."""
+    """A ``Trip`` as a (side, index) * 3 tuple."""
     return (*t.subject, *t.relation, *t.object)
 
 
 def cross_keys(triples):
     return {cross_key(t) for t in triples}
+
+
+def side_index(x, offset):
+    """A ``ConflictTables`` id as its (side, index) pair."""
+    return (0, x) if x < offset else (1, x - offset)
+
+
+def cross_by_graph(rows, tables, n_graphs):
+    """``cross_kg_triples`` rows as one list of (side, index) * 3 tuples per
+    graph, in row order."""
+    n1, r1 = tables.entity_offset, tables.relation_offset
+    out = [[] for _ in range(n_graphs)]
+    for g, s, r, o in rows.tolist():
+        out[g].append((*side_index(s, n1), *side_index(r, r1), *side_index(o, n1)))
+    return out
+
+
+def derived_by_graph(rows, n_graphs):
+    """``_chain_rules`` rows as one set of (source, target) facts per graph."""
+    out = [set() for _ in range(n_graphs)]
+    for g, s, t in rows.tolist():
+        out[g].add((s, t))
+    return out
 
 
 class TestCrossKgTriples:
@@ -496,7 +524,7 @@ class TestCrossKgTriples:
         state = AlignmentState(seeds, raw, n_sources=kg1.n_entities, n_targets=kg2.n_entities)
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
         ra = mine_relation_alignment(store, kg1, kg2, "native")
-        return kg1, kg2, store, Counterparts.of(state, ra), analyzer
+        return ConflictTables(kg1, kg2, state, ra), analyzer
 
     def expected_variants(self):
         djt, jb = Ref(0, 0), Ref(0, 1)
@@ -515,11 +543,14 @@ class TestCrossKgTriples:
             Trip(djt, succ, mp), Trip(dt, fb, mp), Trip(djt, fb, mp),
         }
 
+    def cross(self, tables, adg, budget=200):
+        return cross_by_graph(cross_kg_triples([adg], tables, budget), tables, 1)[0]
+
     def test_hand_enumerated_swap_set(self):
-        kg1, kg2, store, cp, analyzer = self.build()
-        adg = analyzer.adg(1, 1)
-        got = cross_kg_triples(adg, cp, kg1, kg2)
+        tables, analyzer = self.build()
+        got = self.cross(tables, analyzer.adg(1, 1))
         assert set(got) == cross_keys(self.expected_variants())
+        assert len(got) == len(self.expected_variants())
         # (Donald Trump, successor, Joe Biden)
         assert cross_key(Trip(Ref(1, 0), Ref(1, 1), Ref(0, 1))) in got
 
@@ -530,14 +561,15 @@ class TestCrossKgTriples:
         ra = mine_relation_alignment(store, kg1, kg2, "native")
         adg = analyzer.adg(1, 1)
         assert len(adg.edge_neighbor) == 0
-        assert cross_kg_triples(adg, Counterparts.of(state, ra), kg1, kg2) == []
+        assert self.cross(ConflictTables(kg1, kg2, state, ra), adg) == []
 
     def test_budget_zero_and_budget_cap(self):
-        kg1, kg2, store, cp, analyzer = self.build()
+        tables, analyzer = self.build()
         adg = analyzer.adg(1, 1)
-        assert cross_kg_triples(adg, cp, kg1, kg2, budget=0) == []
+        assert self.cross(tables, adg, budget=0) == []
         # budget 1 consults only Joe Biden's single source-side triple
-        capped = cross_kg_triples(adg, cp, kg1, kg2, budget=1)
+        capped = self.cross(tables, adg, budget=1)
+        kg1, kg2 = presidents_case()[:2]
         kgs = (kg1, kg2)
         base_one = {
             t for t in self.expected_variants()
@@ -548,11 +580,13 @@ class TestCrossKgTriples:
         assert len(capped) == 7
 
     def test_deterministic_order(self):
-        kg1, kg2, store, cp, analyzer = self.build()
+        tables, analyzer = self.build()
         adg = analyzer.adg(1, 1)
-        a = cross_kg_triples(adg, cp, kg1, kg2)
-        b = cross_kg_triples(adg, cp, kg1, kg2)
-        assert a == b
+        a = cross_kg_triples([adg], tables)
+        b = cross_kg_triples([adg, adg], tables)
+        assert a.tolist() == b[b[:, 0] == 0].tolist()
+        assert a[:, 1:].tolist() == b[b[:, 0] == 1][:, 1:].tolist()
+        assert self.cross(tables, adg) == sorted(self.cross(tables, adg))
 
 
 class TestRelationConflictDetection:
@@ -560,10 +594,10 @@ class TestRelationConflictDetection:
         kg1, kg2, store, seeds, raw, cfg = presidents_case()
         state = AlignmentState(seeds, raw, n_sources=kg1.n_entities, n_targets=kg2.n_entities)
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
-        cp = Counterparts.of(state, mine_relation_alignment(store, kg1, kg2, "native"))
+        tables = ConflictTables(kg1, kg2, state, mine_relation_alignment(store, kg1, kg2, "native"))
         rules = mine_not_same_as_rules(kg1) + mine_not_same_as_rules(kg2)
-        found = detect_relation_conflicts(analyzer.adg(1, 1), rules, cp, kg1, kg2, cfg)
-        assert found.central_flagged
+        found = detect_relation_conflicts([analyzer.adg(1, 1)], rules, tables, cfg)
+        assert found.flagged_pairs == [(1, 1)]
         assert (1, 1) in found.derived_pairs
         assert found.pruned_neighbor_pairs == []
 
@@ -571,12 +605,12 @@ class TestRelationConflictDetection:
         kg1, kg2, store, seeds, raw, cfg = presidents_case()
         state = AlignmentState(seeds, raw, n_sources=kg1.n_entities, n_targets=kg2.n_entities)
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
-        cp = Counterparts.of(state, mine_relation_alignment(store, kg1, kg2, "native"))
+        tables = ConflictTables(kg1, kg2, state, mine_relation_alignment(store, kg1, kg2, "native"))
         adg = analyzer.adg(1, 1)
-        found = detect_relation_conflicts(adg, [], cp, kg1, kg2, cfg)
+        found = detect_relation_conflicts([adg], [], tables, cfg)
         assert found.derived_pairs == []
         assert found.pruned_neighbor_pairs == []
-        assert not found.central_flagged
+        assert found.flagged_pairs == []
 
     def test_pruning_neighbor_recomputes_confidence(self):
         kg1, kg2, store, seeds, raw, cfg = presidents_case()
@@ -611,39 +645,223 @@ def conflict_stage_fixture(density):
 
 
 class TestConflictStageIsExact:
-    """The integer conflict stage equals the object-level reference on every
+    """The array conflict stage equals the object-level reference on every
     non-seed pair: the same cross triples in the same order, and the same
-    derived, pruned and flagged pairs."""
+    derived, pruned and flagged pairs; and a graph's rows in a call over all
+    of them equal its rows in a call of its own."""
 
     @pytest.mark.parametrize("density", [3, 8])
     def test_equals_reference(self, density):
         res, state, analyzer, rel_align, rules = conflict_stage_fixture(density)
         kg1, kg2 = res.kg1, res.kg2
-        counterparts = Counterparts.of(state, rel_align)
+        tables = ConflictTables(kg1, kg2, state, rel_align)
+        adgs = [analyzer.adg(s, t) for s, t, prov in state.pairs() if prov != SEED]
         totals = {"cross": 0, "derived": 0, "pruned": 0, "flagged": 0}
-        for s, t, prov in state.pairs():
-            if prov == SEED:
-                continue
-            adg = analyzer.adg(s, t)
-            node_pairs = set(adg.explanation.matched_neighbor_pairs)
-            for budget in (1, 7, 200):
+        for budget in (1, 7, 200):
+            all_cross = cross_kg_triples(adgs, tables, budget)
+            all_cross_by_graph = cross_by_graph(all_cross, tables, len(adgs))
+            all_derived = derived_by_graph(_chain_rules(rules, all_cross, tables, len(adgs)), len(adgs))
+            for i, adg in enumerate(adgs):
+                s, t = adg.explanation.pair
+                node_pairs = set(adg.explanation.matched_neighbor_pairs)
                 ref_cross = reference_cross_kg_triples(adg, state, rel_align, kg1, kg2, budget)
-                got_cross = cross_kg_triples(adg, counterparts, kg1, kg2, budget)
+                own_cross = cross_kg_triples([adg], tables, budget)
+                got_cross = cross_by_graph(own_cross, tables, 1)[0]
                 assert got_cross == [cross_key(x) for x in ref_cross]
+                assert all_cross_by_graph[i] == got_cross
                 ref_derived = reference_chain_rules(rules, ref_cross, kg1, kg2)
-                assert _chain_rules(rules, got_cross, kg1, kg2) == ref_derived
+                assert derived_by_graph(_chain_rules(rules, own_cross, tables, 1), 1)[0] == ref_derived
+                assert all_derived[i] == ref_derived
                 found = detect_relation_conflicts(
-                    adg, rules, counterparts, kg1, kg2, RepairConfig(triple_budget=budget)
+                    [adg], rules, tables, RepairConfig(triple_budget=budget)
                 )
                 assert found.derived_pairs == sorted(ref_derived)
                 assert found.pruned_neighbor_pairs == sorted(ref_derived & node_pairs)
-                assert found.central_flagged == ((s, t) in ref_derived)
+                assert found.flagged_pairs == ([(s, t)] if (s, t) in ref_derived else [])
                 totals["cross"] += len(got_cross)
                 totals["derived"] += len(ref_derived)
                 totals["pruned"] += len(found.pruned_neighbor_pairs)
-                totals["flagged"] += found.central_flagged
+                totals["flagged"] += len(found.flagged_pairs)
+            found = detect_relation_conflicts(adgs, rules, tables, RepairConfig(triple_budget=budget))
+            assert found.derived_pairs == sorted(set().union(*all_derived))
+            assert found.pruned_neighbor_pairs == sorted(
+                set().union(*(d & set(a.explanation.matched_neighbor_pairs) for d, a in zip(all_derived, adgs)))
+            )
+            assert found.flagged_pairs == [
+                a.explanation.pair for d, a in zip(all_derived, adgs) if a.explanation.pair in d
+            ]
         assert rules and rel_align.pairs
         assert all(totals.values()), totals
+
+
+def stub_adg(pair, neighbor_pairs, strong):
+    """What the conflict stage reads of a dependency graph: its pair, its
+    matched neighbor pairs and one Strong or Weak edge per neighbor."""
+    classes = list(EdgeClass)
+    return SimpleNamespace(
+        explanation=SimpleNamespace(pair=pair, matched_neighbor_pairs=list(neighbor_pairs)),
+        edge_neighbor=np.arange(len(neighbor_pairs)),
+        edge_class=np.array(
+            [classes.index(EdgeClass.STRONG if s else EdgeClass.WEAK) for s in strong], dtype=np.int64
+        ),
+    )
+
+
+@st.composite
+def conflict_cases(draw):
+    """Small graphs with self-loops, an alignment with multi-claimed targets,
+    a relation alignment that leaves relations without counterparts, rules
+    of both sides and a few dependency graphs, some without Strong edges."""
+    n1, n2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    nr1, nr2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def triples(n, nr):
+        return draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, nr - 1), st.integers(0, n - 1)), max_size=12))
+
+    kg1 = make_kg(n1, triples(n1, nr1), n_rel=nr1, side=Side.SOURCE)
+    kg2 = make_kg(n2, triples(n2, nr2), n_rel=nr2, side=Side.TARGET)
+    pred = draw(st.dictionaries(st.integers(0, n1 - 1), st.integers(0, n2 - 1)))
+    state = AlignmentState([], sorted(pred.items()), n_sources=n1, n_targets=n2)
+    rel_align = RelationAlignment(pairs=tuple(
+        (a, b, 1.0) for a, b in draw(st.lists(st.tuples(st.integers(0, nr1 - 1), st.integers(0, nr2 - 1)), max_size=3))
+    ))
+    rules = [
+        NotSameAsRule(side, a, b)
+        for side, a, b in draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 2)), max_size=4))
+        if a != b and max(a, b) < (nr1, nr2)[side]
+    ]
+    pair = st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1))
+    adgs = [
+        stub_adg(draw(pair), [p for p, _ in nbrs], [s for _, s in nbrs])
+        for nbrs in draw(st.lists(st.lists(st.tuples(pair, st.booleans()), max_size=3), min_size=1, max_size=4))
+    ]
+    return kg1, kg2, state, rel_align, rules, adgs
+
+
+class TestConflictStageEdges:
+    """Self-loops, relations and entities without counterparts, graphs
+    without Strong edges, rule-less and budget-0 calls: every graph of a
+    many-graph call still equals the reference."""
+
+    @given(conflict_cases(), st.sampled_from([0, 1, 3, 200]))
+    @settings(max_examples=150, deadline=None)
+    def test_many_graph_call_equals_reference(self, case, budget):
+        kg1, kg2, state, rel_align, rules, adgs = case
+        tables = ConflictTables(kg1, kg2, state, rel_align)
+        cross = cross_kg_triples(adgs, tables, budget)
+        derived = derived_by_graph(_chain_rules(rules, cross, tables, len(adgs)), len(adgs))
+        for adg, got_cross, got_derived in zip(adgs, cross_by_graph(cross, tables, len(adgs)), derived):
+            ref_cross = reference_cross_kg_triples(adg, state, rel_align, kg1, kg2, budget)
+            assert got_cross == [cross_key(x) for x in ref_cross]
+            assert got_derived == reference_chain_rules(rules, ref_cross, kg1, kg2)
+        found = detect_relation_conflicts(adgs, rules, tables, RepairConfig(triple_budget=budget))
+        assert found.derived_pairs == sorted(set().union(*derived))
+
+    def test_self_loop_is_one_base_triple(self):
+        # entity 0 carries a self-loop and one more triple on each side
+        kg1 = make_kg(2, [(0, 0, 0), (0, 1, 1)], side=Side.SOURCE)
+        kg2 = make_kg(2, [(0, 0, 0), (0, 1, 1)], side=Side.TARGET)
+        state = AlignmentState([], [(0, 0), (1, 1)], n_sources=2, n_targets=2)
+        tables = ConflictTables(kg1, kg2, state, RelationAlignment(pairs=()))
+        assert tables.hop_triples[tables.hop_start[0]:tables.hop_start[1]].tolist() == [0, 1]
+        adg = stub_adg((0, 0), [(1, 1)], [True])
+        # the budget of 1 is spent on the self-loop, whose two swaps are emitted
+        got = cross_by_graph(cross_kg_triples([adg], tables, budget=1), tables, 1)[0]
+        assert got == [(0, 0, 0, 0, 1, 0), (1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 0)]
+
+    def test_budget_zero_and_no_rules_derive_nothing(self):
+        res, state, analyzer, rel_align, rules = conflict_stage_fixture(3)
+        tables = ConflictTables(res.kg1, res.kg2, state, rel_align)
+        adgs = [analyzer.adg(s, t) for s, t, prov in state.pairs() if prov != SEED]
+        assert cross_kg_triples(adgs, tables, budget=0).shape == (0, 4)
+        assert len(cross_kg_triples(adgs, tables))
+        for found in (
+            detect_relation_conflicts(adgs, rules, tables, RepairConfig(triple_budget=0)),
+            detect_relation_conflicts(adgs, [], tables, RepairConfig()),
+        ):
+            assert found.derived_pairs == found.pruned_neighbor_pairs == found.flagged_pairs == []
+
+
+class TestKeyPacking:
+    """Packed keys stay exact and ordered up to the largest radices an int64
+    holds, and larger ones raise instead of wrapping around."""
+
+    @pytest.mark.parametrize(
+        "radices",
+        [
+            [2, 2**31, 2**31],  # the product is exactly 2**63
+            [1, 2**62 + 1],
+            [3, 3_037_000_499, 1_000_000_007],
+            [3, 5, 1 << 20, 1 << 20, 1 << 19],
+            # a chunk's (graph, subject, relation, object) key at the
+            # largest graph positions ConflictTables allows for 2**28
+            # entity and 2**6 relation ids
+            [2, 2**28, 2**6, 2**28],
+        ],
+    )
+    def test_round_trip_and_order_at_the_largest_ranges(self, radices):
+        rng = np.random.default_rng(0)
+        assert math.prod(radices) <= 2**63
+        extremes = [np.array([0, r - 1, r - 1, 0, r // 2], dtype=np.int64) for r in radices]
+        drawn = [rng.integers(0, r, size=200, dtype=np.int64) for r in radices]
+        columns = [np.concatenate([e, d]) for e, d in zip(extremes, drawn)]
+        key = _pack(columns, radices)
+        assert key.dtype == np.int64
+        assert all((a == b).all() for a, b in zip(_unpack(key, radices), columns))
+        rows = list(zip(*(c.tolist() for c in columns)))
+        assert [rows[i] for i in np.argsort(key, kind="stable")] == sorted(rows)
+        assert int(_pack([[r - 1] for r in radices], radices)[0]) == math.prod(radices) - 1
+
+    @pytest.mark.parametrize("radices", [[2, 2**31, 2**31 + 1], [2**32, 2**32], [3, 2**62]])
+    def test_overflowing_radices_raise(self, radices):
+        with pytest.raises(InvariantViolation, match="int64-key"):
+            _pack([np.zeros(1, dtype=np.int64)] * len(radices), radices)
+
+    def test_graphs_too_large_for_a_chunk_key_raise(self):
+        # (n1 + n2)**2 * (r1 + r2) entity and relation ids exceed 2**63
+        class Huge:
+            n_entities = 2**30
+            n_relations = 2**4
+            triple_keys = ()
+
+        state = AlignmentState([], [], n_sources=0, n_targets=0)
+        with pytest.raises(ConfigError, match="too large"):
+            ConflictTables(Huge, Huge, state, RelationAlignment(pairs=()))
+
+
+class TestConflictChunks:
+    """The folded stage (derived, pruned and flagged pairs) and every other
+    output of ``repair()`` do not depend on how the graphs are chunked."""
+
+    def test_chunk_bound_changes_nothing(self, monkeypatch):
+        repair_module = importlib.import_module("exea.repair")
+        res = generate_pair(SynthConfig(n_entities=80, density=6, conflict_injection=0.2, rng_seed=3))
+        seed_set = {s for s, _ in res.seeds}
+        free = [i for i in range(80) if i not in seed_set]
+        raw = [(s, t) for s, t, _ in greedy_align(res.perturbed_store, free, range(80))]
+        chunk_sizes = {}
+        reports = {}
+        detect = repair_module.detect_relation_conflicts
+        for rows in (0, repair_module._CONFLICT_ROWS, 10**9):
+            sizes = []
+
+            def counted(adgs, *args):
+                sizes.append(len(adgs))
+                return detect(adgs, *args)
+
+            with monkeypatch.context() as m:
+                m.setattr(repair_module, "_CONFLICT_ROWS", rows)
+                m.setattr(repair_module, "detect_relation_conflicts", counted)
+                out = repair(res.kg1, res.kg2, res.perturbed_store, raw, res.seeds)
+            chunk_sizes[rows] = sizes
+            reports[rows] = (out.pairs, json.dumps(out.report.to_json_dict(), sort_keys=True))
+        n_graphs = sum(chunk_sizes[0])
+        assert chunk_sizes[0] == [1] * n_graphs
+        assert chunk_sizes[10**9] == [n_graphs]
+        assert 1 < len(chunk_sizes[repair_module._CONFLICT_ROWS]) < n_graphs
+        assert reports[0] == reports[repair_module._CONFLICT_ROWS] == reports[10**9]
+        report = out.report
+        assert report.derived_not_same_as and report.pruned_neighbor_pairs and report.flagged_sources
 
 
 class TestPairAnalyzer:
