@@ -15,16 +15,23 @@ unit path embeddings as one float64 matrix (gathered, summed and divided by
 length in the order ``path_embedding`` adds, in fixed-size row chunks), a mask
 of all-zero embeddings, and each path's functionality weight. Every row is
 summed element by element and normed by its own ``np.vecdot``, so its bits do
-not depend on which centers share the index. ``explanation`` scores the path
-pairs of all its neighbor pairs with one ``np.vecdot`` and picks row and
-column bests with lexsorts that keep the lowest-index tie rule. Similarities
-and norms go through ``np.vecdot`` and never through a matrix product or an
-einsum: vecdot takes, row by row, the BLAS dot that ``np.dot`` and
-``np.linalg.norm`` take for one vector, so every value equals the per-pair
-computation bit for bit, where a matrix product or einsum may sum in another
-order. In ``tests/test_explain.py``, ``TestBatchedCoreIsExact`` keeps the
-per-pair matcher as the reference and ``TestPathIndexIsExact`` the per-center
-path build, and both check equality with ``==``.
+not depend on which centers share the index. ``explanations`` scores the path
+pairs of many pairs' neighbor pairs together, each neighbor pair a block, with
+one ``np.vecdot`` per pass, and picks row and column bests with lexsorts per
+block that keep the lowest-index tie rule; ``explanation`` is its one-pair
+case. A pass takes whole pairs up to ``_PASS_PAIRS`` scored path pairs (a
+larger pair gets a pass of its own). That bound is a constant, not a setting:
+it caps the pass's temporaries, two gathered unit rows per path pair, and no
+output depends on it, since every value is computed per row and per block.
+Dependency graphs are still built one per explanation by ``adg.build_adg``,
+whose calls the benchmark's trace counts per graph. Similarities and norms go
+through ``np.vecdot`` and never through a matrix product or an einsum: vecdot
+takes, row by row, the BLAS dot that ``np.dot`` and ``np.linalg.norm`` take
+for one vector, so every value equals the per-pair computation bit for bit,
+where a matrix product or einsum may sum in another order. In
+``tests/test_explain.py``, ``TestBatchedCoreIsExact`` keeps the per-pair
+matcher as the reference and ``TestPathIndexIsExact`` the per-center path
+build, and both check equality with ``==``.
 
 Everything here is ints: a pair is (source index, target index), a path is
 its tuple of step keys (see ``kg``), and a triple is a (side, subject,
@@ -39,7 +46,7 @@ written.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Mapping
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,6 +63,10 @@ PathMatch = tuple[tuple[Step, ...], tuple[Step, ...], float]
 
 
 _CHUNK = 4096  # rows per pass of the float work, which keeps its temporaries small
+# scored path pairs per matcher pass: each gathers two unit rows of 2 * dim
+# float64 values, so this bounds the matcher's temporaries however many pairs
+# a caller hands it at once
+_PASS_PAIRS = 2048
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -72,13 +83,14 @@ class PathIndex:
 
     ``steps[p, k]`` is step k of path p as (0 outgoing / 1 incoming, relation,
     entity reached), -1 past the path's length. ``groups[c]`` maps each
-    endpoint of center c's paths to its ``(start, stop)`` rows; its keys are
-    c's h-hop neighborhood, the entities ``neighborhood_entities`` finds,
-    since every entity within h undirected hops ends some simple path of
-    length <= h. ``unit`` holds unit path embeddings, with zero rows where
-    ``zero`` marks an all-zero embedding; ``weight`` holds the product of
-    per-step functionality weights. ``triples[p, k]`` is the (subject,
-    relation, object) triple step k traverses, -1 past the path's length.
+    endpoint of center c's paths, ascending, to its ``(start, stop)`` rows;
+    its keys are c's h-hop neighborhood, the entities
+    ``neighborhood_entities`` finds, since every entity within h undirected
+    hops ends some simple path of length <= h. ``unit`` holds unit path
+    embeddings, with zero rows where ``zero`` marks an all-zero embedding;
+    ``weight`` holds the product of per-step functionality weights.
+    ``triples[p, k]`` is the (subject, relation, object) triple step k
+    traverses, -1 past the path's length.
 
     Paths and embeddings depend only on the graph, the store and h, so one
     index serves every explanation call on its side.
@@ -237,31 +249,57 @@ def _first_per_group(order: np.ndarray, group: np.ndarray) -> np.ndarray:
 def _mutual_best(
     i1: PathIndex,
     i2: PathIndex,
-    pair: tuple[int, int],
-    neighbor_pairs: Iterable[tuple[int, int]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Mutual-best path matching for every neighbor pair of ``pair`` at once.
+    items: Sequence[tuple[tuple[int, int], Sequence[tuple[int, int]]]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Mutual-best path matching for every neighbor pair of every item, an
+    item being a (pair, neighbor pairs) couple.
 
-    Each neighbor pair is a block: the paths in ``i1`` from ``pair[0]`` to
-    its source entity against the paths in ``i2`` from ``pair[1]`` to its
-    target entity. Within a block a path takes the other side's path of
-    highest cosine, the lowest row on ties, and a pair is kept when each side
-    is the other's choice. All-zero paths score -2.0 and never match. Returns
-    the matched rows of ``i1`` and ``i2``, their similarities, and the
-    position in ``neighbor_pairs`` of the pair each match was found for,
-    ordered by block, then by ``i1`` row.
+    Each neighbor pair of an item is a block: the paths in ``i1`` from the
+    item's source center to the neighbor's source entity against the paths
+    in ``i2`` from its target center to the neighbor's target entity. Within
+    a block a path takes the other side's path of highest cosine, the lowest
+    row on ties, and a pair is kept when each side is the other's choice.
+    All-zero paths score -2.0 and never match. The blocks are scored in
+    passes of at most ``_PASS_PAIRS`` path pairs, cut between items; an item
+    with more gets a pass of its own. Returns the matched rows of ``i1`` and
+    ``i2``, their similarities, the position in its item's neighbor pairs of
+    the pair each match was found for, and the position of that item,
+    ordered by item, then by block, then by ``i1`` row.
     """
-    groups1, groups2 = i1.groups[pair[0]], i2.groups[pair[1]]
-    blocks = []
-    for pos, (n1, n2) in enumerate(neighbor_pairs):
-        g1 = groups1.get(n1)
-        g2 = groups2.get(n2)
-        if g1 is not None and g2 is not None:
-            blocks.append((g1[0], g1[1] - g1[0], g2[0], g2[1] - g2[0], pos))
-    if not blocks:
+    passes = []
+    blocks: list[tuple[int, int, int, int, int, int]] = []
+    held = 0
+    for item, ((e1, e2), neighbor_pairs) in enumerate(items):
+        groups1, groups2 = i1.groups[e1], i2.groups[e2]
+        own = []
+        size = 0
+        for pos, (n1, n2) in enumerate(neighbor_pairs):
+            g1 = groups1.get(n1)
+            g2 = groups2.get(n2)
+            if g1 is not None and g2 is not None:
+                own.append((g1[0], g1[1] - g1[0], g2[0], g2[1] - g2[0], pos, item))
+                size += (g1[1] - g1[0]) * (g2[1] - g2[0])
+        if blocks and held + size > _PASS_PAIRS:
+            passes.append(_match_blocks(i1, i2, blocks))
+            blocks, held = [], 0
+        blocks += own
+        held += size
+    if blocks:
+        passes.append(_match_blocks(i1, i2, blocks))
+    if not passes:
         empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, np.zeros(0, dtype=np.float64), empty
-    start1, len1, start2, len2, pos = np.array(blocks, dtype=np.int64).T
+        return empty, empty, np.zeros(0, dtype=np.float64), empty, empty
+    if len(passes) == 1:
+        return passes[0]
+    return tuple(np.concatenate(column) for column in zip(*passes))
+
+
+def _match_blocks(
+    i1: PathIndex, i2: PathIndex, blocks: list[tuple[int, int, int, int, int, int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One pass of ``_mutual_best`` over (start1, len1, start2, len2,
+    neighbor position, item) blocks."""
+    start1, len1, start2, len2, pos, item = np.array(blocks, dtype=np.int64).T
     sizes = len1 * len2
     block = np.repeat(np.arange(len(blocks)), sizes)
     i, j = np.divmod(_ranges(np.zeros_like(sizes), sizes), len2[block])
@@ -276,7 +314,7 @@ def _mutual_best(
     row_best = _first_per_group(np.lexsort((j, neg, row_id)), row_id)
     col_best = _first_per_group(np.lexsort((i, neg, col_id)), col_id)
     keep = row_best[(col_best[col_id[row_best]] == row_best) & (sims[row_best] > -2.0)]
-    return rows1[keep], rows2[keep], sims[keep], pos[block[keep]]
+    return rows1[keep], rows2[keep], sims[keep], pos[block[keep]], item[block[keep]]
 
 
 def matched_neighbors(
@@ -308,8 +346,8 @@ def matched_neighbor_pairs(
     ``hood1`` whose aligned target ``target_of(n1)`` lies in ``hood2``, sorted
     by source index. A neighborhood never holds its own center, so the
     central pair is never among them. ``matched_neighbors`` computes the
-    neighborhoods by breadth-first search; ``explanation`` and
-    ``PairAnalyzer`` pass the endpoint groups of the centers' paths."""
+    neighborhoods by breadth-first search; ``explanation`` passes the
+    endpoint groups of the centers' paths."""
     hits = []
     for n1 in hood1:
         t = target_of(n1)
@@ -339,8 +377,8 @@ def match_paths(
     e1, e2 = kg1.check_entity(int(pair[0])), kg2.check_entity(int(pair[1]))
     index1 = index1 or PathIndex(kg1, store, h, [e1])
     index2 = index2 or PathIndex(kg2, store, h, [e2])
-    rows1, rows2, sims, _ = _mutual_best(
-        index1, index2, (e1, e2), [(int(neighbor_pair[0]), int(neighbor_pair[1]))]
+    rows1, rows2, sims, _, _ = _mutual_best(
+        index1, index2, [((e1, e2), [(int(neighbor_pair[0]), int(neighbor_pair[1]))])]
     )
     return _path_matches(index1, index2, rows1, rows2, sims)
 
@@ -378,15 +416,33 @@ def explanation(
     index2 = index2 or PathIndex(kg2, store, h, [e2])
     if neighbor_pairs is None:
         neighbor_pairs = matched_neighbor_pairs(alignments.get, index1.groups[e1], index2.groups[e2])
-    else:
-        neighbor_pairs = list(neighbor_pairs)
-    rows1, rows2, sims, neighbor = _mutual_best(index1, index2, (e1, e2), neighbor_pairs)
-    return Explanation(
-        pair=(e1, e2),
-        matched_neighbor_pairs=neighbor_pairs,
-        indexes=(index1, index2),
-        rows1=rows1,
-        rows2=rows2,
-        sims=sims,
-        neighbor=neighbor,
-    )
+    return explanations([(e1, e2)], [neighbor_pairs], index1, index2)[0]
+
+
+def explanations(
+    pairs: Sequence[tuple[int, int]],
+    neighbor_lists: Sequence[Iterable[tuple[int, int]]],
+    index1: PathIndex,
+    index2: PathIndex,
+) -> list[Explanation]:
+    """The explanation of each pair from its list of distinct neighbor
+    pairs, over indexes that hold every pair's centers, with the paths of all
+    pairs matched together. Each is the one ``explanation`` builds for its
+    pair alone: a pass keeps every block's rows and tie rule to itself."""
+    items = [
+        ((int(e1), int(e2)), list(n)) for (e1, e2), n in zip(pairs, neighbor_lists, strict=True)
+    ]
+    rows1, rows2, sims, neighbor, item = _mutual_best(index1, index2, items)
+    bounds = np.searchsorted(item, np.arange(len(items) + 1)).tolist()
+    return [
+        Explanation(
+            pair=pair,
+            matched_neighbor_pairs=neighbor_pairs,
+            indexes=(index1, index2),
+            rows1=rows1[a:b],
+            rows2=rows2[a:b],
+            sims=sims[a:b],
+            neighbor=neighbor[a:b],
+        )
+        for (pair, neighbor_pairs), a, b in zip(items, bounds, bounds[1:])
+    ]

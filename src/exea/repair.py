@@ -52,7 +52,7 @@ from .embedding import (
     similarity_topk,
 )
 from .errors import ConfigError, InvariantViolation
-from .explain import PathIndex, _ranges, explanation, matched_neighbor_pairs
+from .explain import PathIndex, _ranges, explanation, explanations
 # neighborhood_entities has no caller here: a center's neighborhood is read
 # off its path index; it stays importable from this module, where
 # bench/traced_exea.py wraps it
@@ -235,6 +235,19 @@ class PairAnalyzer:
     ``neighbor_pairs(s, t)``, recomputed from the endpoints of those paths,
     the live alignment and the banned pairs, equals the list it was built
     from, and rebuilt when it differs. Entries are never evicted.
+
+    ``adgs`` reads many graphs under one alignment state: it walks each
+    distinct source's aligned neighbors once, and matches the paths of every
+    stale graph in shared passes of ``explanations``, each pass bounded by a
+    fixed count of scored path pairs that caps its memory and changes no
+    output. The stages read through it wherever the state holds still: the
+    confidence snapshots, the claimants in one-to-many resolution, the
+    low-confidence scan and each stripped source's candidates. The rematch
+    comparison reads one graph at a time, as the alignment moves between its
+    reads. ``build_adg`` still runs once per graph and every key still goes
+    through ``adg``, where it finds a fresh entry, so a batched read builds
+    and counts exactly what the same lookups one by one would; the
+    benchmark's trace counts both by those names.
     """
 
     def __init__(
@@ -258,17 +271,28 @@ class PairAnalyzer:
     def ban(self, pairs: Iterable[tuple[int, int]]) -> None:
         self.banned_pairs.update(pairs)
 
-    def neighbor_pairs(self, s: int, t: int) -> list[tuple[int, int]]:
-        pairs = matched_neighbor_pairs(
-            self.state.target_of, self.index1.groups[s], self.index2.groups[t]
-        )
-        if self.banned_pairs:
-            pairs = [p for p in pairs if p not in self.banned_pairs]
-        return pairs
+    def aligned_neighbors(self, s: int) -> list[tuple[int, int]]:
+        """(n, target of n) for every aligned n within h hops of source s,
+        sorted by n."""
+        target_of = self.state.target_of
+        # the endpoints of s's paths are its h-hop neighborhood, ascending
+        return [(n, t) for n in self.index1.groups[s] if (t := target_of(n)) is not None]
 
-    def adg(self, s: int, t: int) -> Adg:
+    def _within(self, aligned: list[tuple[int, int]], t: int) -> list[tuple[int, int]]:
+        """The pairs of ``aligned`` whose target lies within h hops of t and
+        that are not banned."""
+        hood2, banned = self.index2.groups[t], self.banned_pairs
+        return [p for p in aligned if p[1] in hood2 and p not in banned]
+
+    def neighbor_pairs(self, s: int, t: int) -> list[tuple[int, int]]:
+        return self._within(self.aligned_neighbors(s), t)
+
+    def adg(self, s: int, t: int, neighbors: list[tuple[int, int]] | None = None) -> Adg:
+        """The graph of (s, t); ``neighbors``, when given, is
+        ``neighbor_pairs(s, t)`` already computed."""
         key = (int(s), int(t))
-        neighbors = self.neighbor_pairs(*key)
+        if neighbors is None:
+            neighbors = self.neighbor_pairs(*key)
         got = self._cache.get(key)
         if got is None or got.explanation.matched_neighbor_pairs != neighbors:
             expl = explanation(
@@ -285,6 +309,25 @@ class PairAnalyzer:
             got = build_adg(expl, self.store, self.cfg.adg)
             self._cache[key] = got
         return got
+
+    def adgs(self, keys: Iterable[tuple[int, int]]) -> list[Adg]:
+        """``[self.adg(s, t) for s, t in keys]``, with the paths of every
+        stale or missing graph matched in shared ``explanations`` passes."""
+        keys = [(int(s), int(t)) for s, t in keys]
+        aligned = {s: self.aligned_neighbors(s) for s in dict.fromkeys(s for s, _ in keys)}
+        neighbors: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        stale = []
+        for key in keys:
+            if key in neighbors:
+                continue
+            neighbors[key] = self._within(aligned[key[0]], key[1])
+            got = self._cache.get(key)
+            if got is None or got.explanation.matched_neighbor_pairs != neighbors[key]:
+                stale.append(key)
+        expls = explanations(stale, [neighbors[key] for key in stale], self.index1, self.index2)
+        for key, expl in zip(stale, expls):
+            self._cache[key] = build_adg(expl, self.store, self.cfg.adg)
+        return [self.adg(s, t, neighbors[(s, t)]) for s, t in keys]
 
     def confidence(self, s: int, t: int) -> float:
         return self.adg(s, t).confidence
@@ -656,13 +699,19 @@ def one_to_one(state: AlignmentState, analyzer: PairAnalyzer) -> set[int]:
     displaced sources."""
     contested = state.multi_claimed_targets()
     winners: dict[int, int] = {}
+    # the claimants of the targets that no seed holds, scored together
+    scored: list[tuple[int, tuple[int, ...]]] = []
     for t in contested:
         claimants = state.sources_of(t)
         seed_claimants = [s for s in claimants if state.is_seed_pair(s, t)]
         if seed_claimants:
             winners[t] = seed_claimants[0]
-            continue
-        winners[t] = max(claimants, key=lambda s: (analyzer.confidence(s, t), -s))
+        else:
+            scored.append((t, claimants))
+    keys = [(s, t) for t, claimants in scored for s in claimants]
+    confidence = {key: adg.confidence for key, adg in zip(keys, analyzer.adgs(keys))}
+    for t, claimants in scored:
+        winners[t] = max(claimants, key=lambda s: (confidence[(s, t)], -s))
     displaced = set()
     for t in contested:
         for s in state.sources_of(t):
@@ -743,11 +792,7 @@ def _candidate_targets(
     current alignment, nearest first, capped at ``cfg.candidate_cap``, kept
     when their pairwise confidence is >= beta, each with its score confidence
     + lambda * cosine: best score first, ties to the lower target."""
-    matched_targets = set()
-    for u in analyzer.index1.groups[e1]:
-        t = state.target_of(u)
-        if t is not None:
-            matched_targets.add(t)
+    matched_targets = {t for _, t in analyzer.aligned_neighbors(e1)}
     raw: set[int] = set()
     for t_prime in matched_targets:
         raw.update(analyzer.index2.groups[t_prime])
@@ -759,9 +804,10 @@ def _candidate_targets(
     targets = sorted(raw)
     sims = pair_cosines(analyzer.store, Side.SOURCE, [e1] * len(targets), Side.TARGET, targets)
     nearest = sorted(zip(targets, sims.tolist()), key=lambda ts: (-ts[1], ts[0]))
+    nearest = nearest[: cfg.candidate_cap]
     scored = []
-    for t, sim in nearest[: cfg.candidate_cap]:
-        conf = analyzer.confidence(e1, t)
+    for (t, sim), adg in zip(nearest, analyzer.adgs((e1, t) for t, _ in nearest)):
+        conf = adg.confidence
         if conf >= beta:
             scored.append((t, conf + cfg.score_lambda * sim))
     return sorted(scored, key=lambda ts: (-ts[1], ts[0]))
@@ -792,12 +838,11 @@ def resolve_low_confidence(
 
     last_len = -1
     while True:
-        low = []
-        for s, t, prov in state.pairs():
-            if prov == SEED:
-                continue
-            if s in flags or analyzer.confidence(s, t) < beta:
-                low.append(s)
+        pairs = [(s, t) for s, t, prov in state.pairs() if prov != SEED]
+        # a flagged pair is stripped unscored
+        keys = [(s, t) for s, t in pairs if s not in flags]
+        confidence = {key: adg.confidence for key, adg in zip(keys, analyzer.adgs(keys))}
+        low = [s for s, t in pairs if s in flags or confidence[(s, t)] < beta]
         for s in low:
             state.unalign(s)
             queue.add(s)
@@ -867,12 +912,12 @@ class RepairResult:
     report: RepairReport
 
 
-def _confidence_snapshot(
-    state: AlignmentState, confidence: Callable[[int, int], float]
-) -> list[dict]:
+def _confidence_snapshot(state: AlignmentState, adgs: Iterable[Adg]) -> list[dict]:
+    """Each pair of ``state`` with the confidence of its graph in ``adgs``,
+    which follows ``state.pairs()``."""
     return [
-        {"source": s, "target": t, "provenance": prov, "confidence": confidence(s, t)}
-        for s, t, prov in state.pairs()
+        {"source": s, "target": t, "provenance": prov, "confidence": adg.confidence}
+        for (s, t, prov), adg in zip(state.pairs(), adgs)
     ]
 
 
@@ -899,7 +944,7 @@ def repair(
         n_targets=kg2.n_entities,
     )
     analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
-    confidence_before = _confidence_snapshot(state, analyzer.confidence)
+    confidence_before = _confidence_snapshot(state, analyzer.adgs(p[:2] for p in state.pairs()))
 
     rel_align = RelationAlignment(pairs=())
     rules: list[NotSameAsRule] = []
@@ -945,8 +990,8 @@ def repair(
             raise InvariantViolation("seed-immutability", f"seed pair ({s}, {t}) was altered")
 
     final_pairs = tuple((s, t) for s, t, _ in state.pairs())
-    adgs = {(s, t): analyzer.adg(s, t) for s, t in final_pairs}
-    confidence_after = _confidence_snapshot(state, lambda s, t: adgs[(s, t)].confidence)
+    adgs = dict(zip(final_pairs, analyzer.adgs(final_pairs)))
+    confidence_after = _confidence_snapshot(state, adgs.values())
 
     report = RepairReport(
         stages_enabled={

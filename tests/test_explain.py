@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import exea.explain as explain_module
 from exea.embedding import EmbeddingStore, path_embedding
 from exea.errors import MissingEmbedding
 from exea.explain import (
     PathIndex,
     candidate_triples,
     explanation,
+    explanations,
     match_paths,
     matched_neighbors,
 )
@@ -250,6 +252,73 @@ class TestBatchedCoreIsExact:
                 triples = {(0, *t) for a, _, _ in got for t in path_triples(e, a)}
                 triples |= {(1, *t) for _, b, _ in got for t in path_triples(e, b)}
                 assert expl.triple_keys == triples
+
+    @pytest.mark.parametrize("budget", ["each", "largest", "default", "all"])
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_many_pairs_in_one_call_equal_reference(self, monkeypatch, h, budget):
+        """One ``explanations`` call over many pairs equals the per-pair
+        reference, items without blocks (no neighbor pairs, or none that a
+        path reaches) included, whether the pass budget gives each item a pass
+        (0), packs items under the largest one's size, stays at its default or
+        takes all items in one pass."""
+        passes = []
+        match_blocks = explain_module._match_blocks
+
+        def counted(i1, i2, blocks):
+            passes.append({item for *_, item in blocks})
+            return match_blocks(i1, i2, blocks)
+
+        monkeypatch.setattr(explain_module, "_match_blocks", counted)
+        rng = np.random.default_rng(4000 + 10 * h)
+        boundaries = shared = 0
+        for trial in range(8):
+            kg1, kg2, store = tied_pair(rng, 10, 3, 25, h, integer=trial % 2 == 0)
+            idx1, idx2 = PathIndex(kg1, store, h), PathIndex(kg2, store, h)
+            alignments = {int(s): int(rng.integers(0, 10)) for s in range(10)}
+            pairs = [(int(a), int(b)) for a, b in rng.integers(0, 10, size=(12, 2))]
+            lists = [
+                explanation(pair, kg1, kg2, store, alignments, h, idx1, idx2).matched_neighbor_pairs
+                for pair in pairs
+            ]
+            # no neighbor pairs at all, and a neighbor pair no path reaches
+            pairs += [(0, 0), (1, 1)]
+            lists += [[], [(1, 1)]]
+            sizes = []
+            for (e1, e2), neighbor_pairs in zip(pairs, lists):
+                g1, g2 = idx1.groups[e1], idx2.groups[e2]
+                sizes.append(sum(
+                    (g1[n1][1] - g1[n1][0]) * (g2[n2][1] - g2[n2][0])
+                    for n1, n2 in neighbor_pairs if n1 in g1 and n2 in g2
+                ))
+            limit = {"each": 0, "largest": max(sizes), "default": explain_module._PASS_PAIRS,
+                     "all": 10**9}[budget]
+            monkeypatch.setattr(explain_module, "_PASS_PAIRS", limit)
+            passes.clear()
+            got = explanations(pairs, lists, idx1, idx2)
+            batch = passes[:]
+            assert [(e.pair, e.matched_neighbor_pairs) for e in got] == list(zip(pairs, lists))
+            for expl, pair, neighbor_pairs in zip(got, pairs, lists):
+                expected, positions = [], []
+                for pos, neighbor_pair in enumerate(neighbor_pairs):
+                    found = reference_match_paths(store, kg1, kg2, pair, neighbor_pair, h)
+                    expected += found
+                    positions += [pos] * len(found)
+                assert expl.path_matches() == expected
+                assert expl.neighbor.tolist() == positions
+                alone = explanation(pair, kg1, kg2, store, None, h, idx1, idx2, neighbor_pairs)
+                assert expl == alone
+                assert expl.neighbor.tolist() == alone.neighbor.tolist()
+            assert got[-2].no_match and got[-1].no_match
+            # an item's blocks share one pass, and a pass of several items
+            # stays within the budget
+            owners = [item for items in batch for item in items]
+            assert len(owners) == len(set(owners))
+            assert all(len(items) == 1 or sum(sizes[i] for i in items) <= limit for items in batch)
+            assert len(batch) == 1 or budget != "all"
+            boundaries += len(batch) - 1
+            shared += sum(len(items) > 1 for items in batch)
+        assert (boundaries > 0) == (budget in ("each", "largest"))
+        assert (shared > 0) == (budget != "each")
 
     @pytest.mark.parametrize("h", [1, 2])
     def test_table_rows_equal_path_embedding_over_norm(self, h):

@@ -973,6 +973,116 @@ class TestAnalyzerCacheAgainstColdRebuild:
             assert warm.adg(s, t) == cold.adg(s, t)
 
 
+@functools.cache
+def lookup_fixture(density):
+    res = generate_pair(
+        SynthConfig(n_entities=60, density=density, conflict_injection=0.2, rng_seed=6)
+    )
+    seed_set = {s for s, _ in res.seeds}
+    free = [i for i in range(60) if i not in seed_set]
+    return res, [(s, t) for s, t, _ in greedy_align(res.perturbed_store, free, range(60))]
+
+
+class TestBatchedLookupIsExact:
+    """``PairAnalyzer.adgs(keys)`` returns what one ``adg`` lookup per key
+    returns, equal to a cold analyzer's graphs, and builds exactly the graphs
+    those lookups build: over duplicate keys, keys without a matched
+    neighbor, banned pairs and entries that alignment mutations made stale.
+    A repair does not depend on where the matcher's passes are cut."""
+
+    @pytest.mark.parametrize("density", [3, 8])
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_equals_per_key_lookups(self, monkeypatch, density, h):
+        repair_module = importlib.import_module("exea.repair")
+        res, raw = lookup_fixture(density)
+        cfg = RepairConfig(h=h)
+        state = AlignmentState(res.seeds, raw, n_sources=60, n_targets=60)
+        batched = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
+        single = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
+        # graphs built per analyzer, told apart by the index they were matched over
+        builds = {id(batched.index1): 0, id(single.index1): 0}
+        build_adg = repair_module.build_adg
+
+        def counted(expl, *args):
+            key = id(expl.indexes[0])
+            builds[key] = builds.get(key, 0) + 1
+            return build_adg(expl, *args)
+
+        monkeypatch.setattr(repair_module, "build_adg", counted)
+        # one-pair builds, which a batched lookup should leave to no key
+        alone = [0]
+        explanation = repair_module.explanation
+
+        def one_pair(*args, **kwargs):
+            alone[0] += 1
+            return explanation(*args, **kwargs)
+
+        monkeypatch.setattr(repair_module, "explanation", one_pair)
+        rng = np.random.default_rng(100 * density + h)
+        seed_sources = {s for s, _ in res.seeds}
+        empty = stale = banned = 0
+        hollow = []  # keys whose matched neighbors were all banned
+        for _ in range(5):
+            pairs = [(s, t) for s, t, _ in state.pairs()]
+            keys = pairs + [tuple(map(int, k)) for k in rng.integers(0, 60, size=(40, 2))]
+            keys += hollow
+            keys += [keys[int(i)] for i in rng.integers(0, len(keys), size=20)]
+            before = [single._cache.get(key) for key in keys]
+            alone[0] = 0
+            got = batched.adgs(keys)
+            assert alone[0] == 0
+            expected = [single.adg(s, t) for s, t in keys]
+            assert got == expected
+            assert builds[id(batched.index1)] == builds[id(single.index1)]
+            # the cache is left as the lookups leave it
+            assert all(batched.adg(s, t) is adg for (s, t), adg in zip(keys, got))
+            cold = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
+            cold.ban(batched.banned_pairs)
+            assert got == [cold.adg(s, t) for s, t in keys]
+            empty += sum(not adg.explanation.matched_neighbor_pairs for adg in got)
+            stale += sum(
+                old is not None and old is not new for old, new in zip(before, expected)
+            )
+            banned += sum(
+                p in batched.banned_pairs for key in keys for p in single.aligned_neighbors(key[0])
+            )
+            # move the alignment and ban some matched neighbors before the next round
+            for s, t in pairs[::7]:
+                if s not in seed_sources:
+                    state.unalign(s)
+            for s in sorted(state.unaligned_sources)[::3]:
+                state.align(s, int(rng.integers(0, 60)), REPAIRED)
+            matched = sorted({p for key in keys for p in batched.neighbor_pairs(*key)})
+            ban = [matched[int(i)] for i in rng.integers(0, len(matched), size=3)]
+            hollow.append(keys[int(rng.integers(0, len(keys)))])
+            ban += batched.neighbor_pairs(*hollow[-1])
+            batched.ban(ban)
+            single.ban(ban)
+        assert empty > 0 and stale > 0 and banned > 0
+
+    def test_pass_budget_changes_nothing(self, monkeypatch):
+        explain_module = importlib.import_module("exea.explain")
+        res, raw = lookup_fixture(8)
+        passes = {}
+        outputs = {}
+        match_blocks = explain_module._match_blocks
+        for budget in (0, explain_module._PASS_PAIRS, 10**9):
+            calls = [0]
+
+            def counted(*args):
+                calls[0] += 1
+                return match_blocks(*args)
+
+            with monkeypatch.context() as m:
+                m.setattr(explain_module, "_PASS_PAIRS", budget)
+                m.setattr(explain_module, "_match_blocks", counted)
+                out = repair(res.kg1, res.kg2, res.perturbed_store, raw, res.seeds)
+            passes[budget] = calls[0]
+            outputs[budget] = (out.pairs, json.dumps(out.report.to_json_dict(), sort_keys=True))
+        assert passes[0] > passes[explain_module._PASS_PAIRS] > passes[10**9]
+        assert outputs[0] == outputs[explain_module._PASS_PAIRS] == outputs[10**9]
+
+
 class TestOneToOne:
     def build_town(self, predictions, k=3):
         """Seeded hub pair, two spokes per side, and an isolated entity 3 on
@@ -1302,9 +1412,9 @@ class TestRematchIsExact:
         rescored = [0]
         adg = PairAnalyzer.adg
 
-        def counted(analyzer, s, t):
+        def counted(analyzer, s, t, *rest):
             lookups[0] += 1
-            return adg(analyzer, s, t)
+            return adg(analyzer, s, t, *rest)
 
         with monkeypatch.context() as m:
             m.setattr(PairAnalyzer, "adg", counted)
