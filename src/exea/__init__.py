@@ -48,7 +48,7 @@ from .evaluate import (
     sparsity,
     strip_triples,
 )
-from .explain import Explanation, PathIndex, candidate_triples, explanation, match_paths, matched_neighbors
+from .explain import Explanation, PathIndex, candidate_triples, explanation, match_paths
 from .kg import Kg, Side, load_kg
 from .repair import (
     AlignmentState,
@@ -113,7 +113,6 @@ __all__ = [
     "load_embeddings",
     "load_kg",
     "match_paths",
-    "matched_neighbors",
     "mine_not_same_as_rules",
     "mine_relation_alignment",
     "random_matched_explanations",

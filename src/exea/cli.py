@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import __version__
 from .adg import Adg, AdgConfig, EdgeClass, build_adg
@@ -276,14 +276,13 @@ def _load_side(cfg: dict, which: str) -> tuple[Kg, dict[str, str]]:
     return kg, {f"kg{which}": triples, f"ent_ids{which}": ents, f"rel_ids{which}": rels}
 
 
-def _load_pair_file(
+def _pair_lines(
     path: str, kg1: Kg | None = None, kg2: Kg | None = None
-) -> list[tuple[int, int]]:
-    """Read a two-column integer pair file. With the two graphs given, a
-    source id outside ``[0, kg1.n_entities)`` or a target id outside
-    ``[0, kg2.n_entities)`` is a malformed line."""
+) -> Iterator[tuple[int, tuple[int, int]]]:
+    """Each line number and pair of a two-column integer pair file. With the
+    two graphs given, a source id outside ``[0, kg1.n_entities)`` or a target
+    id outside ``[0, kg2.n_entities)`` is a malformed line."""
     bounds = () if kg1 is None else (("source", kg1.n_entities), ("target", kg2.n_entities))
-    pairs = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -299,15 +298,35 @@ def _load_pair_file(
             for (what, n), x in zip(bounds, pair):
                 if not 0 <= x < n:
                     raise MalformedLine(path, line_no, f"{what} id {x} outside [0, {n})")
-            pairs.append(pair)
-    return pairs
+            yield line_no, pair
+
+
+def _load_pair_file(
+    path: str, kg1: Kg | None = None, kg2: Kg | None = None
+) -> list[tuple[int, int]]:
+    """The pairs of a pair file, in file order (see ``_pair_lines``)."""
+    return [pair for _, pair in _pair_lines(path, kg1, kg2)]
+
+
+def _load_context(path: str, kg1: Kg, kg2: Kg) -> dict[int, int]:
+    """An ``--alignment`` file as the matched context, source -> target in
+    file order. The context holds one target per source, so a source listed
+    twice is a malformed line rather than a silent overwrite."""
+    context: dict[int, int] = {}
+    first: dict[int, int] = {}
+    for line_no, (s, t) in _pair_lines(path, kg1, kg2):
+        if s in context:
+            raise MalformedLine(path, line_no, f"source {s} is already aligned on line {first[s]}")
+        context[s], first[s] = t, line_no
+    return context
 
 
 class _Inputs(NamedTuple):
     kg1: Kg
     kg2: Kg
     store: EmbeddingStore | None
-    pairs: dict[str, list[tuple[int, int]]]  # by key, for each pair file read
+    # by key, for each pair file read; the alignment file as its context map
+    pairs: dict[str, list[tuple[int, int]] | dict[int, int]]
     paths: dict[str, str]  # every file read, by key, for the manifest
 
 
@@ -330,7 +349,10 @@ def _load_inputs(cfg: dict, pair_keys: tuple[str, ...] = (), emb: bool = True) -
                     f"{cfg['emb']}: {rows} entity vectors on side {kg.side.value}, "
                     f"the graph has {kg.n_entities} entities"
                 )
-    pairs = {key: _load_pair_file(cfg[key], kg1, kg2) for key in pair_keys if key in named}
+    pairs = {
+        key: (_load_context if key == "alignment" else _load_pair_file)(cfg[key], kg1, kg2)
+        for key in pair_keys if key in named
+    }
     return _Inputs(kg1, kg2, store, pairs, {**in1, **in2, **named})
 
 
@@ -525,9 +547,7 @@ def _pair_explanation(cfg: dict) -> tuple[_Inputs, Explanation]:
     _require(cfg, "kg1", "kg2", "emb", "alignment", "pair", "out")
     data = _load_inputs(cfg, ("alignment",))
     pair = tuple(int(x) for x in cfg["pair"])
-    expl = explanation(
-        pair, data.kg1, data.kg2, data.store, dict(data.pairs["alignment"]), int(cfg["h"])
-    )
+    expl = explanation(pair, data.kg1, data.kg2, data.store, data.pairs["alignment"], int(cfg["h"]))
     return data, expl
 
 
@@ -576,13 +596,12 @@ def _eval_sparsity(cfg: dict) -> tuple[EvalReport, dict]:
     h = int(cfg["h"])
     check_hops(h)
     data = _load_inputs(cfg, ("alignment",))
-    kg1, kg2, alignments = data.kg1, data.kg2, data.pairs["alignment"]
-    if not alignments:
+    kg1, kg2, context = data.kg1, data.kg2, data.pairs["alignment"]
+    if not context:
         raise ConfigError(f"alignment file {cfg['alignment']} holds no pairs")
-    mapping = dict(alignments)
     expl_triples = {
-        pair: explanation(pair, kg1, kg2, data.store, mapping, h).triple_keys
-        for pair in alignments
+        pair: explanation(pair, kg1, kg2, data.store, context, h).triple_keys
+        for pair in context.items()
     }
     mean, empty = explanation_sparsity_stats(kg1, kg2, expl_triples, h)
     report = EvalReport(
@@ -590,7 +609,7 @@ def _eval_sparsity(cfg: dict) -> tuple[EvalReport, dict]:
         mean_sparsity=mean,
         fidelity=None,
         per_stage_accuracy={},
-        sample_size=len(alignments),
+        sample_size=len(context),
         empty_explanations=empty,
         config={"mode": "sparsity", "h": h},
     )
@@ -609,7 +628,9 @@ def _eval_fidelity(cfg: dict) -> tuple[EvalReport, dict]:
     sample = sample_correct_pairs(pred, gold, int(cfg["sample_n"]), int(cfg["rng_seed"]))
     if not sample:
         raise ConfigError("no correct predictions to sample for fidelity")
-    context = dict(seeds + pred)
+    # a seed is never replaced: as in repair, a prediction for a seed source
+    # is dropped
+    context = dict(pred + seeds)
     expl = {
         pair: explanation(pair, kg1, kg2, store, context, h).triple_keys
         for pair in sample

@@ -15,14 +15,20 @@ unit path embeddings as one float64 matrix (gathered, summed and divided by
 length in the order ``path_embedding`` adds, in fixed-size row chunks), a mask
 of all-zero embeddings, and each path's functionality weight. Every row is
 summed element by element and normed by its own ``np.vecdot``, so its bits do
-not depend on which centers share the index. ``explanations`` scores the path
-pairs of many pairs' neighbor pairs together, each neighbor pair a block, with
-one ``np.vecdot`` per pass, and picks row and column bests with lexsorts per
-block that keep the lowest-index tie rule; ``explanation`` is its one-pair
-case. A pass takes whole pairs up to ``_PASS_PAIRS`` scored path pairs (a
-larger pair gets a pass of its own). That bound is a constant, not a setting:
-it caps the pass's temporaries, two gathered unit rows per path pair, and no
-output depends on it, since every value is computed per row and per block.
+not depend on which centers share the index. ``explanations`` is the one
+explanation builder: given each pair's neighbor list and indexes that hold
+every pair's centers, it scores the path pairs of many pairs' neighbor pairs
+together, each neighbor pair a block, with one ``np.vecdot`` per pass, and
+picks row and column bests with lexsorts per block that keep the lowest-index
+tie rule. The repair's ``PairAnalyzer`` builds every graph through it, over
+one index per side. ``explanation`` (one pair, its neighbors read off a
+mapping) and ``match_paths`` (one neighbor pair) build indexes over the
+pair's own centers and call the same matcher; they take no indexes and no
+neighbor list. A pass takes whole pairs up to ``_PASS_PAIRS`` scored path
+pairs (a larger pair gets a pass of its own). That bound is a constant, not
+a setting: it caps the pass's temporaries, two gathered unit rows per path
+pair, and no output depends on it, since every value is computed per row and
+per block.
 Dependency graphs are still built one per explanation by ``adg.build_adg``,
 whose calls the benchmark's trace counts per graph. Similarities and norms go
 through ``np.vecdot`` and never through a matrix product or an einsum: vecdot
@@ -50,11 +56,14 @@ from typing import Callable, Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
-# path_embedding is the single-path encoding the index reproduces; it stays
-# importable from this module, where bench/traced_exea.py wraps it
+# path_embedding is the single-path encoding the index reproduces, and
+# neighborhood_entities the breadth-first search its endpoint groups
+# reproduce; neither has a caller here, and both stay importable from this
+# module, where bench/traced_exea.py wraps them
 from .embedding import EmbeddingStore, path_embedding  # noqa: F401
 from .errors import MissingEmbedding
-from .kg import Kg, Step, check_hops, neighborhood_entities, neighborhood_triples
+from .kg import Kg, Step, check_hops, neighborhood_triples
+from .kg import neighborhood_entities  # noqa: F401
 
 # a triple of either graph: (side, subject, relation, object)
 TripleKey = tuple[int, int, int, int]
@@ -317,26 +326,6 @@ def _match_blocks(
     return rows1[keep], rows2[keep], sims[keep], pos[block[keep]], item[block[keep]]
 
 
-def matched_neighbors(
-    pair: tuple[int, int],
-    kg1: Kg,
-    kg2: Kg,
-    alignments: Mapping[int, int],
-    h: int,
-) -> list[tuple[int, int]]:
-    """Neighbor pairs already matched by ``alignments`` (source -> target)
-    within h hops of both centers, excluding the central pair itself; sorted
-    by source index. The neighborhoods come from a breadth-first search, so
-    no embedding store is needed; ``explanation`` reads the same pairs off
-    the path indexes."""
-    e1, e2 = int(pair[0]), int(pair[1])
-    return matched_neighbor_pairs(
-        alignments.get,
-        neighborhood_entities(kg1, e1, h),
-        set(neighborhood_entities(kg2, e2, h)),
-    )
-
-
 def matched_neighbor_pairs(
     target_of: Callable[[int], int | None],
     hood1: Iterable[int],
@@ -345,9 +334,8 @@ def matched_neighbor_pairs(
     """The matched-neighbor rule over given neighborhoods: each ``n1`` of
     ``hood1`` whose aligned target ``target_of(n1)`` lies in ``hood2``, sorted
     by source index. A neighborhood never holds its own center, so the
-    central pair is never among them. ``matched_neighbors`` computes the
-    neighborhoods by breadth-first search; ``explanation`` passes the
-    endpoint groups of the centers' paths."""
+    central pair is never among them. Callers pass the endpoint groups of
+    the centers' paths."""
     hits = []
     for n1 in hood1:
         t = target_of(n1)
@@ -364,19 +352,17 @@ def match_paths(
     kg1: Kg,
     kg2: Kg,
     h: int,
-    index1: PathIndex | None = None,
-    index2: PathIndex | None = None,
 ) -> list[PathMatch]:
     """Mutual-best path matching between the two sides of one neighbor pair,
-    as (source path, target path, cosine) with paths as step keys.
+    as (source path, target path, cosine) with paths as step keys, over path
+    indexes of the pair's own centers.
 
     Ties resolve toward the lexicographically first path (enumeration order).
     Paths whose embedding is all-zero never match. Returns an empty list when
     either side has no path to its neighbor.
     """
     e1, e2 = kg1.check_entity(int(pair[0])), kg2.check_entity(int(pair[1]))
-    index1 = index1 or PathIndex(kg1, store, h, [e1])
-    index2 = index2 or PathIndex(kg2, store, h, [e2])
+    index1, index2 = PathIndex(kg1, store, h, [e1]), PathIndex(kg2, store, h, [e2])
     rows1, rows2, sims, _, _ = _mutual_best(
         index1, index2, [((e1, e2), [(int(neighbor_pair[0]), int(neighbor_pair[1]))])]
     )
@@ -396,26 +382,17 @@ def explanation(
     kg1: Kg,
     kg2: Kg,
     store: EmbeddingStore,
-    alignments: Mapping[int, int] | None,
+    alignments: Mapping[int, int],
     h: int,
-    index1: PathIndex | None = None,
-    index2: PathIndex | None = None,
-    neighbor_pairs: Iterable[tuple[int, int]] | None = None,
 ) -> Explanation:
-    """Build the matched subgraph explanation for one pair.
-
-    Without an index given, one is built over the pair's own center on that
-    side. ``alignments`` maps source to target, and the matched neighbors are
-    read off the endpoints of the centers' paths;
-    callers holding a pair list build the mapping once, not per call.
-    ``neighbor_pairs`` can inject a pre-filtered neighbor list of distinct
-    pairs instead, and ``alignments`` is then unread.
+    """Build the matched subgraph explanation for one pair, over path indexes
+    of its own centers. ``alignments`` maps source to target, and the matched
+    neighbors are read off the endpoints of the centers' paths; callers
+    holding a pair list build the mapping once, not per call.
     """
     e1, e2 = kg1.check_entity(int(pair[0])), kg2.check_entity(int(pair[1]))
-    index1 = index1 or PathIndex(kg1, store, h, [e1])
-    index2 = index2 or PathIndex(kg2, store, h, [e2])
-    if neighbor_pairs is None:
-        neighbor_pairs = matched_neighbor_pairs(alignments.get, index1.groups[e1], index2.groups[e2])
+    index1, index2 = PathIndex(kg1, store, h, [e1]), PathIndex(kg2, store, h, [e2])
+    neighbor_pairs = matched_neighbor_pairs(alignments.get, index1.groups[e1], index2.groups[e2])
     return explanations([(e1, e2)], [neighbor_pairs], index1, index2)[0]
 
 
@@ -427,8 +404,8 @@ def explanations(
 ) -> list[Explanation]:
     """The explanation of each pair from its list of distinct neighbor
     pairs, over indexes that hold every pair's centers, with the paths of all
-    pairs matched together. Each is the one ``explanation`` builds for its
-    pair alone: a pass keeps every block's rows and tie rule to itself."""
+    pairs matched together. Each equals what a call over its pair alone
+    builds: a pass keeps every block's rows and tie rule to itself."""
     items = [
         ((int(e1), int(e2)), list(n)) for (e1, e2), n in zip(pairs, neighbor_lists, strict=True)
     ]

@@ -52,10 +52,12 @@ from .embedding import (
     similarity_topk,
 )
 from .errors import ConfigError, InvariantViolation
-from .explain import PathIndex, _ranges, explanation, explanations
-# neighborhood_entities has no caller here: a center's neighborhood is read
-# off its path index; it stays importable from this module, where
-# bench/traced_exea.py wraps it
+from .explain import PathIndex, _ranges, explanations
+# explanation and neighborhood_entities have no caller here: every graph is
+# built through explanations, and a center's neighborhood is read off its
+# path index; both stay importable from this module, where
+# bench/traced_exea.py wraps them
+from .explain import explanation  # noqa: F401
 from .kg import SIDES, Kg, Side, check_hops, neighborhood_entities  # noqa: F401
 
 RELATION_VECTOR_SOURCES = ("derived", "native", "name")
@@ -236,18 +238,21 @@ class PairAnalyzer:
     the live alignment and the banned pairs, equals the list it was built
     from, and rebuilt when it differs. Entries are never evicted.
 
+    Every graph is built through ``explanations`` over the two indexes:
+    ``adg`` hands it one stale key, ``adgs`` every stale key of a read.
     ``adgs`` reads many graphs under one alignment state: it walks each
     distinct source's aligned neighbors once, and matches the paths of every
-    stale graph in shared passes of ``explanations``, each pass bounded by a
-    fixed count of scored path pairs that caps its memory and changes no
-    output. The stages read through it wherever the state holds still: the
-    confidence snapshots, the claimants in one-to-many resolution, the
-    low-confidence scan and each stripped source's candidates. The rematch
-    comparison reads one graph at a time, as the alignment moves between its
-    reads. ``build_adg`` still runs once per graph and every key still goes
-    through ``adg``, where it finds a fresh entry, so a batched read builds
-    and counts exactly what the same lookups one by one would; the
-    benchmark's trace counts both by those names.
+    stale graph in shared passes, each pass bounded by a fixed count of
+    scored path pairs that caps its memory and changes no output. The stages
+    read through it wherever the state holds still: the confidence
+    snapshots, the relation-conflict stage's non-seed graphs, the claimants
+    in one-to-many resolution, the low-confidence scan and each stripped
+    source's candidates. Only the rematch comparison reads one graph at a
+    time, as the alignment moves between its reads. ``build_adg`` still runs
+    once per graph and every key still goes through ``adg``, where it finds a
+    fresh entry, so a batched read builds and counts exactly what the same
+    lookups one by one would; the benchmark's trace counts both by those
+    names.
     """
 
     def __init__(
@@ -295,17 +300,7 @@ class PairAnalyzer:
             neighbors = self.neighbor_pairs(*key)
         got = self._cache.get(key)
         if got is None or got.explanation.matched_neighbor_pairs != neighbors:
-            expl = explanation(
-                key,
-                self.kg1,
-                self.kg2,
-                self.store,
-                None,
-                self.cfg.h,
-                index1=self.index1,
-                index2=self.index2,
-                neighbor_pairs=neighbors,
-            )
+            [expl] = explanations([key], [neighbors], self.index1, self.index2)
             got = build_adg(expl, self.store, self.cfg.adg)
             self._cache[key] = got
         return got
@@ -957,10 +952,11 @@ def repair(
         if rules:
             tables = ConflictTables(kg1, kg2, state, rel_align)
             # each chunk's facts are folded in and dropped before the next;
-            # the graphs are streamed into chunks, not listed, so one that a
-            # later stage rebuilds can be freed
-            adgs = (analyzer.adg(s, t) for s, t, prov in state.pairs() if prov != SEED)
-            for chunk in tables.chunks(adgs, _CONFLICT_ROWS):
+            # the graphs' list is handed straight to the chunk loop and no
+            # name holds it, so a graph that a later stage rebuilds can be
+            # freed once the loop ends
+            keys = ((s, t) for s, t, prov in state.pairs() if prov != SEED)
+            for chunk in tables.chunks(analyzer.adgs(keys), _CONFLICT_ROWS):
                 found = detect_relation_conflicts(chunk, rules, tables, cfg)
                 derived_all.update(found.derived_pairs)
                 pruned_all.update(found.pruned_neighbor_pairs)

@@ -24,13 +24,13 @@ from exea.evaluate import (
     random_matched_explanations,
     sample_correct_pairs,
 )
-from exea.explain import explanation, match_paths, matched_neighbors
+from exea.explain import explanation, match_paths
 from exea.kg import Side, neighborhood_entities
 from exea.repair import RepairConfig, mine_not_same_as_rules, repair
 from exea.synth import SynthConfig, generate_pair, write_dataset
 from exea.trainer import TrainConfig
 
-from test_explain import oracle_mutual_best
+from test_explain import matched_neighbors, oracle_mutual_best
 from test_kg import make_kg
 from test_repair import brute_force_rules
 
@@ -295,6 +295,9 @@ def test_criterion_8_explanation_oracles():
             if alignments.get(a) == b and (a, b) != (e1, e2)
         }
         assert got == expected, (e1, e2)
+        # the library reads the same pairs off its path indexes
+        expl = explanation((e1, e2), kg1, kg2, store, alignments, 2)
+        assert expl.matched_neighbor_pairs == sorted(expected), (e1, e2)
         neighbor_checks += 1
 
         for pair in sorted(expected)[:3]:

@@ -17,7 +17,7 @@ from exea.adg import (
 )
 from exea.embedding import EmbeddingStore, greedy_align, pair_cosines
 from exea.errors import ConfigError
-from exea.explain import explanation
+from exea.explain import explanation, explanations
 from exea.kg import Side, enumerate_paths, functionality, inverse_functionality
 from exea.repair import AlignmentState, PairAnalyzer, RepairConfig
 from exea.synth import SynthConfig, generate_pair
@@ -391,8 +391,7 @@ class TestAdgFromTablesIsExact:
             far = next(x for x in range(kg1.n_entities)
                        if x != e1 and x not in expl.indexes[0].groups[e1])
             injected = [(far, gold[far])] + expl.matched_neighbor_pairs
-            shifted = explanation((e1, e2), kg1, kg2, store, None, h=2,
-                                  neighbor_pairs=injected)
+            [shifted] = explanations([(e1, e2)], [injected], *expl.indexes)
             adg = build_adg(shifted, store)
             assert_equals_reference(adg, kg1, kg2, store)
             assert adg.edge_neighbor is shifted.neighbor

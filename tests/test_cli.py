@@ -14,16 +14,18 @@ import sys
 
 import pytest
 
+import exea.cli
 from exea.adg import AdgConfig
 from exea.cli import DEFAULTS, build_parser, main
 from exea.embedding import EmbeddingStore, load_embeddings, save_embeddings
 from exea.errors import InvariantViolation
 from exea.evaluate import accuracy
-from exea.explain import matched_neighbors
 from exea.kg import Side, load_kg
 from exea.repair import RepairConfig
 from exea.synth import SynthConfig
 from exea.trainer import TrainConfig
+
+from test_explain import matched_neighbors
 
 
 @pytest.fixture(scope="module")
@@ -694,6 +696,60 @@ class TestPairFileRanges:
         ])
         assert rc == 2
         assert f"{bad}:1: target id 999 outside [0, 30)" in capsys.readouterr().err
+
+
+class TestMatchedContext:
+    """The matched context holds one target per source. A source listed twice
+    in ``--alignment`` exits 2 naming the file and both lines; in ``eval
+    --mode fidelity`` a prediction for a seed source is dropped, as repair
+    drops it, and the seed stays in the context."""
+
+    @pytest.mark.parametrize("command", [
+        ["explain", "--pair", "0", "0"], ["adg", "--pair", "0", "0"], ["eval", "--mode", "sparsity"],
+    ], ids=["explain", "adg", "sparsity"])
+    def test_a_repeated_source_is_a_data_error(
+        self, kg_flags, repaired, tmp_path, capsys, command
+    ):
+        lines = (repaired / "a_star.tsv").read_text().splitlines()
+        s, t = (int(x) for x in lines[0].split("\t"))
+        bad = tmp_path / "repeated.tsv"
+        bad.write_text("".join(line + "\n" for line in lines) + f"{s}\t{(t + 1) % 30}\n")
+        out = tmp_path / "o.json"
+        rc = main([*command, *kg_flags, "--alignment", str(bad), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{bad}:{len(lines) + 1}: source {s} is already aligned on line 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_fidelity_keeps_the_seeds(self, dataset, kg_flags, repaired, tmp_path, monkeypatch):
+        seeds = read_pairs(dataset / "train_links")
+        pred = repaired / "a_star.tsv"
+        moved = tmp_path / "moved.tsv"
+        moved.write_text(pred.read_text() + "".join(f"{s}\t{(t + 1) % 30}\n" for s, t in seeds))
+        captured = []
+        fidelity = exea.cli.fidelity
+
+        def capture(kg1, kg2, seeds, expl, *args):
+            captured.append(expl)
+            return fidelity(kg1, kg2, seeds, expl, *args)
+
+        monkeypatch.setattr(exea.cli, "fidelity", capture)
+        docs = []
+        for path in (pred, moved):
+            out = tmp_path / f"fid_{path.stem}.json"
+            rc = main([
+                "eval", *kg_flags, "--mode", "fidelity",
+                "--seeds", str(dataset / "train_links"), "--pred", str(path),
+                "--gold", str(dataset / "ent_links"), "--out", str(out),
+                "--sample-n", "30", "--dim", "8", "--epochs", "20",
+            ])
+            assert rc == 0
+            docs.append(json.loads(out.read_text()))
+        kept, dropped = captured
+        assert dropped == kept
+        assert any(kept.values())
+        assert docs[1] == docs[0]
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ from exea.explain import (
     explanation,
     explanations,
     match_paths,
-    matched_neighbors,
+    matched_neighbor_pairs,
 )
 from exea.kg import Kg, Side, enumerate_paths, neighborhood_entities, neighborhood_triples
 
@@ -44,6 +44,26 @@ def path_triples(center, steps):
         out.append((anchor, r, u) if rank == 0 else (u, r, anchor))
         anchor = u
     return out
+
+
+def matched_neighbors(pair, kg1, kg2, alignments, h):
+    """Reference for the matched-neighbor rule: neighbor pairs already matched
+    by ``alignments`` (source -> target) within h hops of both centers,
+    excluding the central pair itself; sorted by source index. The
+    neighborhoods come from a breadth-first search, so no embedding store is
+    needed; the library reads the same pairs off the path indexes."""
+    e1, e2 = int(pair[0]), int(pair[1])
+    return matched_neighbor_pairs(
+        alignments.get,
+        neighborhood_entities(kg1, e1, h),
+        set(neighborhood_entities(kg2, e2, h)),
+    )
+
+
+def indexed_neighbors(pair, idx1, idx2, alignments):
+    """The matched neighbors of ``pair`` read off shared path indexes, as
+    ``explanation`` reads them off its own."""
+    return matched_neighbor_pairs(alignments.get, idx1.groups[pair[0]], idx2.groups[pair[1]])
 
 
 class TestMatchedNeighbors:
@@ -224,9 +244,11 @@ class TestBatchedCoreIsExact:
                         expected = reference_match_paths(
                             store, kg1, kg2, (e1, e2), (n1, n2), h, stats
                         )
-                        got = match_paths((e1, e2), (n1, n2), store, kg1, kg2, h,
-                                          index1=idx1, index2=idx2)
-                        assert got == expected
+                        [expl] = explanations([(e1, e2)], [[(n1, n2)]], idx1, idx2)
+                        assert expl.path_matches() == expected
+                        if n1 == n2:
+                            got = match_paths((e1, e2), (n1, n2), store, kg1, kg2, h)
+                            assert got == expected
                         compared += len(expected)
         assert compared > 100
         assert stats["ties"] > 0
@@ -276,10 +298,7 @@ class TestBatchedCoreIsExact:
             idx1, idx2 = PathIndex(kg1, store, h), PathIndex(kg2, store, h)
             alignments = {int(s): int(rng.integers(0, 10)) for s in range(10)}
             pairs = [(int(a), int(b)) for a, b in rng.integers(0, 10, size=(12, 2))]
-            lists = [
-                explanation(pair, kg1, kg2, store, alignments, h, idx1, idx2).matched_neighbor_pairs
-                for pair in pairs
-            ]
+            lists = [indexed_neighbors(pair, idx1, idx2, alignments) for pair in pairs]
             # no neighbor pairs at all, and a neighbor pair no path reaches
             pairs += [(0, 0), (1, 1)]
             lists += [[], [(1, 1)]]
@@ -305,7 +324,7 @@ class TestBatchedCoreIsExact:
                     positions += [pos] * len(found)
                 assert expl.path_matches() == expected
                 assert expl.neighbor.tolist() == positions
-                alone = explanation(pair, kg1, kg2, store, None, h, idx1, idx2, neighbor_pairs)
+                [alone] = explanations([pair], [neighbor_pairs], idx1, idx2)
                 assert expl == alone
                 assert expl.neighbor.tolist() == alone.neighbor.tolist()
             assert got[-2].no_match and got[-1].no_match
@@ -401,9 +420,11 @@ class TestNeighborhoodIsTableEndpoints:
             for e1 in range(9):
                 for e2 in range(9):
                     expected = matched_neighbors((e1, e2), kg1, kg2, alignments, h)
-                    expl = explanation((e1, e2), kg1, kg2, store, alignments, h,
-                                       index1=idx1, index2=idx2)
-                    assert expl.matched_neighbor_pairs == expected
+                    got = indexed_neighbors((e1, e2), idx1, idx2, alignments)
+                    assert got == expected
+                    if e1 == e2:
+                        expl = explanation((e1, e2), kg1, kg2, store, alignments, h)
+                        assert expl.matched_neighbor_pairs == expected
                     found += len(expected)
         assert found > 0
 
@@ -677,8 +698,9 @@ class TestExplanation:
         c = governor_case
         idx1 = PathIndex(c["kg1"], c["store"], 2)
         idx2 = PathIndex(c["kg2"], c["store"], 2)
-        a = explanation((0, 0), c["kg1"], c["kg2"], c["store"], c["alignments"], 2,
-                        index1=idx1, index2=idx2)
+        [a] = explanations(
+            [(0, 0)], [indexed_neighbors((0, 0), idx1, idx2, c["alignments"])], idx1, idx2
+        )
         b = explanation((0, 0), c["kg1"], c["kg2"], c["store"], c["alignments"], 2)
         assert a.triple_keys == b.triple_keys
         assert a == b

@@ -1009,15 +1009,17 @@ class TestBatchedLookupIsExact:
             return build_adg(expl, *args)
 
         monkeypatch.setattr(repair_module, "build_adg", counted)
-        # one-pair builds, which a batched lookup should leave to no key
-        alone = [0]
-        explanation = repair_module.explanation
+        # calls of the one explanation builder, per analyzer: one per batched
+        # read that builds anything, none from the per-key lookups it ends
+        # with; one per graph a single lookup builds
+        cores = {id(batched.index1): 0, id(single.index1): 0}
+        explanations = repair_module.explanations
 
-        def one_pair(*args, **kwargs):
-            alone[0] += 1
-            return explanation(*args, **kwargs)
+        def core(pairs, neighbor_lists, index1, index2):
+            cores[id(index1)] = cores.get(id(index1), 0) + 1
+            return explanations(pairs, neighbor_lists, index1, index2)
 
-        monkeypatch.setattr(repair_module, "explanation", one_pair)
+        monkeypatch.setattr(repair_module, "explanations", core)
         rng = np.random.default_rng(100 * density + h)
         seed_sources = {s for s, _ in res.seeds}
         empty = stale = banned = 0
@@ -1028,12 +1030,14 @@ class TestBatchedLookupIsExact:
             keys += hollow
             keys += [keys[int(i)] for i in rng.integers(0, len(keys), size=20)]
             before = [single._cache.get(key) for key in keys]
-            alone[0] = 0
+            calls, built = cores[id(batched.index1)], builds[id(batched.index1)]
             got = batched.adgs(keys)
-            assert alone[0] == 0
+            assert builds[id(batched.index1)] > built
+            assert cores[id(batched.index1)] == calls + 1
             expected = [single.adg(s, t) for s, t in keys]
             assert got == expected
             assert builds[id(batched.index1)] == builds[id(single.index1)]
+            assert cores[id(single.index1)] == builds[id(single.index1)]
             # the cache is left as the lookups leave it
             assert all(batched.adg(s, t) is adg for (s, t), adg in zip(keys, got))
             cold = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
