@@ -308,16 +308,18 @@ def _load_pair_file(
     return [pair for _, pair in _pair_lines(path, kg1, kg2)]
 
 
-def _load_context(path: str, kg1: Kg, kg2: Kg) -> dict[int, int]:
-    """An ``--alignment`` file as the matched context, source -> target in
-    file order. The context holds one target per source, so a source listed
-    twice is a malformed line rather than a silent overwrite."""
-    context: dict[int, int] = {}
-    first: dict[int, int] = {}
-    for line_no, (s, t) in _pair_lines(path, kg1, kg2):
-        if s in context:
-            raise MalformedLine(path, line_no, f"source {s} is already aligned on line {first[s]}")
-        context[s], first[s] = t, line_no
+def _context(path: str, pairs: list[tuple[int, int]]) -> dict[int, int]:
+    """The pairs of the ``--alignment`` file ``path`` as the matched context,
+    source -> target. The context holds one target per source, so a source
+    listed twice is a malformed line rather than a silent overwrite."""
+    context = dict(pairs)
+    if len(context) < len(pairs):
+        first: dict[int, int] = {}
+        for line_no, (s, _) in _pair_lines(path):
+            if s in first:
+                reason = f"source {s} is already aligned on line {first[s]}"
+                raise MalformedLine(path, line_no, reason)
+            first[s] = line_no
     return context
 
 
@@ -325,8 +327,7 @@ class _Inputs(NamedTuple):
     kg1: Kg
     kg2: Kg
     store: EmbeddingStore | None
-    # by key, for each pair file read; the alignment file as its context map
-    pairs: dict[str, list[tuple[int, int]] | dict[int, int]]
+    pairs: dict[str, list[tuple[int, int]]]  # by key, for each pair file read
     paths: dict[str, str]  # every file read, by key, for the manifest
 
 
@@ -349,10 +350,7 @@ def _load_inputs(cfg: dict, pair_keys: tuple[str, ...] = (), emb: bool = True) -
                     f"{cfg['emb']}: {rows} entity vectors on side {kg.side.value}, "
                     f"the graph has {kg.n_entities} entities"
                 )
-    pairs = {
-        key: (_load_context if key == "alignment" else _load_pair_file)(cfg[key], kg1, kg2)
-        for key in pair_keys if key in named
-    }
+    pairs = {key: _load_pair_file(cfg[key], kg1, kg2) for key in pair_keys if key in named}
     return _Inputs(kg1, kg2, store, pairs, {**in1, **in2, **named})
 
 
@@ -547,7 +545,8 @@ def _pair_explanation(cfg: dict) -> tuple[_Inputs, Explanation]:
     _require(cfg, "kg1", "kg2", "emb", "alignment", "pair", "out")
     data = _load_inputs(cfg, ("alignment",))
     pair = tuple(int(x) for x in cfg["pair"])
-    expl = explanation(pair, data.kg1, data.kg2, data.store, data.pairs["alignment"], int(cfg["h"]))
+    context = _context(cfg["alignment"], data.pairs["alignment"])
+    expl = explanation(pair, data.kg1, data.kg2, data.store, context, int(cfg["h"]))
     return data, expl
 
 
@@ -596,7 +595,8 @@ def _eval_sparsity(cfg: dict) -> tuple[EvalReport, dict]:
     h = int(cfg["h"])
     check_hops(h)
     data = _load_inputs(cfg, ("alignment",))
-    kg1, kg2, context = data.kg1, data.kg2, data.pairs["alignment"]
+    kg1, kg2 = data.kg1, data.kg2
+    context = _context(cfg["alignment"], data.pairs["alignment"])
     if not context:
         raise ConfigError(f"alignment file {cfg['alignment']} holds no pairs")
     expl_triples = {
@@ -628,8 +628,7 @@ def _eval_fidelity(cfg: dict) -> tuple[EvalReport, dict]:
     sample = sample_correct_pairs(pred, gold, int(cfg["sample_n"]), int(cfg["rng_seed"]))
     if not sample:
         raise ConfigError("no correct predictions to sample for fidelity")
-    # a seed is never replaced: as in repair, a prediction for a seed source
-    # is dropped
+    # a seed wins over a prediction for its source, as in repair
     context = dict(pred + seeds)
     expl = {
         pair: explanation(pair, kg1, kg2, store, context, h).triple_keys

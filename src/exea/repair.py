@@ -52,12 +52,9 @@ from .embedding import (
     similarity_topk,
 )
 from .errors import ConfigError, InvariantViolation
-from .explain import PathIndex, _ranges, explanations
-# explanation and neighborhood_entities have no caller here: every graph is
-# built through explanations, and a center's neighborhood is read off its
-# path index; both stay importable from this module, where
-# bench/traced_exea.py wraps them
-from .explain import explanation  # noqa: F401
+from .explain import Explanation, PathIndex, _ranges, explanations
+# no caller here (a center's neighborhood is read off its path index), but
+# bench/traced_exea.py wraps this module's neighborhood_entities
 from .kg import SIDES, Kg, Side, check_hops, neighborhood_entities  # noqa: F401
 
 RELATION_VECTOR_SOURCES = ("derived", "native", "name")
@@ -227,6 +224,14 @@ class AlignmentState:
                 )
 
 
+def explanation(
+    pair: tuple[int, int], neighbors: list[tuple[int, int]], index1: PathIndex, index2: PathIndex
+) -> Explanation:
+    """One pair's explanation through the batched core: the single graph a
+    lookup rebuilds. bench/traced_exea.py counts these builds by this name."""
+    return explanations([pair], [neighbors], index1, index2)[0]
+
+
 class PairAnalyzer:
     """Dependency graphs (each holding its explanation) and confidences for
     one repair run, with a cache that validates itself on every read.
@@ -239,7 +244,8 @@ class PairAnalyzer:
     from, and rebuilt when it differs. Entries are never evicted.
 
     Every graph is built through ``explanations`` over the two indexes:
-    ``adg`` hands it one stale key, ``adgs`` every stale key of a read.
+    ``adg`` hands it one stale key (through this module's ``explanation``),
+    ``adgs`` every stale key of a read.
     ``adgs`` reads many graphs under one alignment state: it walks each
     distinct source's aligned neighbors once, and matches the paths of every
     stale graph in shared passes, each pass bounded by a fixed count of
@@ -300,7 +306,7 @@ class PairAnalyzer:
             neighbors = self.neighbor_pairs(*key)
         got = self._cache.get(key)
         if got is None or got.explanation.matched_neighbor_pairs != neighbors:
-            [expl] = explanations([key], [neighbors], self.index1, self.index2)
+            expl = explanation(key, neighbors, self.index1, self.index2)
             got = build_adg(expl, self.store, self.cfg.adg)
             self._cache[key] = got
         return got

@@ -15,6 +15,7 @@ from exea.explain import (
     matched_neighbor_pairs,
 )
 from exea.kg import Kg, Side, enumerate_paths, neighborhood_entities, neighborhood_triples
+from exea.repair import AlignmentState, PairAnalyzer, RepairConfig
 
 from test_adg import path_weight
 from test_embedding import reference_cosine
@@ -246,9 +247,8 @@ class TestBatchedCoreIsExact:
                         )
                         [expl] = explanations([(e1, e2)], [[(n1, n2)]], idx1, idx2)
                         assert expl.path_matches() == expected
-                        if n1 == n2:
-                            got = match_paths((e1, e2), (n1, n2), store, kg1, kg2, h)
-                            assert got == expected
+                        got = match_paths((e1, e2), (n1, n2), store, kg1, kg2, h)
+                        assert got == expected
                         compared += len(expected)
         assert compared > 100
         assert stats["ties"] > 0
@@ -394,7 +394,8 @@ class TestNeighborhoodIsTableEndpoints:
     """A center's h-hop neighborhood is read off its path table: every entity
     within h undirected hops ends some simple path of length <= h, and every
     path endpoint lies within h hops. Checked against the breadth-first
-    search of ``neighborhood_entities`` and ``matched_neighbors``."""
+    search of ``neighborhood_entities`` and ``matched_neighbors``, for the
+    neighbors ``explanation`` and the repair's ``PairAnalyzer`` read."""
 
     @pytest.mark.parametrize("h", [1, 2])
     def test_endpoints_equal_breadth_first_neighborhood(self, h):
@@ -415,16 +416,14 @@ class TestNeighborhoodIsTableEndpoints:
             kg2 = rough_kg(rng, 9, 3, 12, Side.TARGET)
             store = paired_store(rng, 9, 9)
             alignments = {int(s): int(rng.integers(0, 9)) for s in range(9) if rng.random() < 0.7}
-            idx1 = PathIndex(kg1, store, h)
-            idx2 = PathIndex(kg2, store, h)
+            state = AlignmentState([], alignments.items(), n_sources=9, n_targets=9)
+            analyzer = PairAnalyzer(kg1, kg2, store, state, RepairConfig(h=h))
             for e1 in range(9):
                 for e2 in range(9):
                     expected = matched_neighbors((e1, e2), kg1, kg2, alignments, h)
-                    got = indexed_neighbors((e1, e2), idx1, idx2, alignments)
-                    assert got == expected
-                    if e1 == e2:
-                        expl = explanation((e1, e2), kg1, kg2, store, alignments, h)
-                        assert expl.matched_neighbor_pairs == expected
+                    expl = explanation((e1, e2), kg1, kg2, store, alignments, h)
+                    assert expl.matched_neighbor_pairs == expected
+                    assert analyzer.neighbor_pairs(e1, e2) == expected
                     found += len(expected)
         assert found > 0
 
