@@ -63,7 +63,7 @@ for path1, path2, sim in matches:
 print(f"explanation subgraph: {len(expl.triple_keys)} triples")
 
 cfg = AdgConfig()
-adg = build_adg(expl, store, cfg)
+[adg] = build_adg([expl], store, cfg)
 
 # node 0 is the central pair; node 1 + n is matched neighbor pair n
 print("\ndependency graph nodes (influence = clamped neighbor cosine):")

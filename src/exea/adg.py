@@ -16,8 +16,13 @@ gates the weaker classes: Moderate mass counts only when c_s < theta, Weak
 mass only when additionally c_m < gamma. The gated sum is squashed through a
 sigmoid.
 
-``build_adg`` reads the graph off one explanation: edge ``i`` is matched path
-pair ``i``, on the node of the neighbor pair the matcher found it for.
+``build_adg`` reads each graph off its explanation: edge ``i`` is matched path
+pair ``i``, on the node of the neighbor pair the matcher found it for. It
+builds a list of graphs in array passes, and each graph equals, bit for bit,
+what a call over its explanation alone builds;
+``tests/test_adg.py::TestAdgFromTablesIsExact`` keeps a per-path and a
+per-graph build as references and compares with ``==``. The benchmark's
+``adg.build_calls`` counts ``build_adg`` calls, so build passes, not graphs.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -115,43 +121,87 @@ def aggregate_confidence(c_s: float, c_m: float, c_w: float, cfg: AdgConfig) -> 
     return sigmoid(x)
 
 
-def build_adg(expl: Explanation, store: EmbeddingStore, cfg: AdgConfig | None = None) -> Adg:
-    """Assemble the dependency graph for one explanation: one node per matched
-    neighbor pair, one edge per matched path pair, aggregates and confidence
-    filled in.
+# nodes per build pass: a pass gathers two float64 entity rows per node, so
+# this bounds its temporaries however many graphs a caller hands over; no
+# output depends on it, since every value is computed per node or per edge
+_PASS_NODES = 4096
+
+
+def build_adg(
+    expls: Sequence[Explanation], store: EmbeddingStore, cfg: AdgConfig | None = None
+) -> list[Adg]:
+    """Assemble the dependency graph of each explanation: one node per
+    matched neighbor pair, one edge per matched path pair, aggregates and
+    confidence filled in.
 
     Each edge's node is the neighbor pair its match was found for; lengths and
-    weights are read from the explanation's path indexes. The class masses add
-    ``weight * influence`` one edge at a time in edge order, so the sums do
-    not depend on a reduction order."""
+    weights are read from the explanations' path indexes. The graphs are
+    built in passes over runs of explanations that share their indexes, each
+    pass holding at most ``_PASS_NODES`` nodes or one graph: one
+    ``pair_cosines`` call over the pass's nodes (``np.vecdot``, row by row),
+    classes and weights over its concatenated edges. The class masses add
+    ``weight * influence`` one edge at a time in edge order through
+    ``np.add.at``, which applies repeated indices in order, so the sums do
+    not depend on a reduction order. The confidence stays one ``math.exp``
+    per graph, since ``np.exp`` may differ in the last bit."""
     cfg = cfg or AdgConfig()
-    (e1, e2), pairs = expl.pair, expl.matched_neighbor_pairs
-    # influences: embedding cosines clamped to [0, 1], the central pair first
-    sims = pair_cosines(
-        store,
-        Side.SOURCE, [e1] + [a for a, _ in pairs],
-        Side.TARGET, [e2] + [b for _, b in pairs],
-    ).tolist()
-    influence = [min(1.0, max(0.0, sim)) for sim in sims]
-    (i1, i2), rows1, rows2 = expl.indexes, expl.rows1, expl.rows2
+    graphs: list[Adg] = []
+    run: list[Explanation] = []
+    held = 0
+    for expl in expls:
+        size = 1 + len(expl.matched_neighbor_pairs)
+        if run and (held + size > _PASS_NODES or expl.indexes != run[0].indexes):
+            graphs += _build_pass(run, store, cfg)
+            run, held = [], 0
+        run.append(expl)
+        held += size
+    if run:
+        graphs += _build_pass(run, store, cfg)
+    return graphs
+
+
+def _build_pass(expls: list[Explanation], store: EmbeddingStore, cfg: AdgConfig) -> list[Adg]:
+    """The graphs of explanations over the same indexes, built together."""
+    nodes = np.array(
+        [p for expl in expls for p in (expl.pair, *expl.matched_neighbor_pairs)], dtype=np.int64
+    )
+    sims = pair_cosines(store, Side.SOURCE, nodes[:, 0], Side.TARGET, nodes[:, 1])
+    # influences: embedding cosines clamped to [0, 1], each central pair
+    # first; min(1.0, max(0.0, sim)) element by element
+    influence = np.where(sims > 0.0, np.minimum(sims, 1.0), 0.0)
+    first = np.cumsum([0] + [1 + len(expl.matched_neighbor_pairs) for expl in expls])
+    edges = np.cumsum([0] + [expl.rows1.size for expl in expls])
+    graph = np.repeat(np.arange(len(expls)), np.diff(edges))
+    i1, i2 = expls[0].indexes
+    rows1 = np.concatenate([expl.rows1 for expl in expls])
+    rows2 = np.concatenate([expl.rows2 for expl in expls])
+    neighbor = np.concatenate([expl.neighbor for expl in expls])
     len1, len2 = i1.lengths[rows1], i2.lengths[rows2]
     # both paths direct: Strong (0); one: Moderate (1); neither: Weak (2)
     classes = 2 - (len1 == 1) - (len2 == 1)
     weights = np.minimum(i1.weight[rows1], i2.weight[rows2])
     weights[classes == 1] *= cfg.alpha
     weights[classes == 2] = cfg.weak_weight
-    mass = [0.0, 0.0, 0.0]
-    for n, c, w in zip(expl.neighbor.tolist(), classes.tolist(), weights.tolist()):
-        mass[c] += w * influence[n + 1]
-    c_s, c_m, c_w = mass
-    return Adg(
-        influence=influence,
-        edge_neighbor=expl.neighbor,
-        edge_class=classes,
-        edge_weight=weights,
-        c_s=c_s,
-        c_m=c_m,
-        c_w=c_w,
-        confidence=aggregate_confidence(c_s, c_m, c_w, cfg),
-        explanation=expl,
-    )
+    mass = np.zeros(3 * len(expls))
+    np.add.at(mass, graph * 3 + classes, weights * influence[first[graph] + neighbor + 1])
+    influence, mass = influence.tolist(), mass.tolist()
+    first, edges = first.tolist(), edges.tolist()
+    graphs = []
+    for g, expl in enumerate(expls):
+        c_s, c_m, c_w = mass[3 * g : 3 * g + 3]
+        a, b = edges[g], edges[g + 1]
+        graphs.append(
+            Adg(
+                influence=influence[first[g] : first[g + 1]],
+                edge_neighbor=expl.neighbor,
+                # copies, so that a kept graph does not hold the pass's arrays
+                edge_class=classes[a:b].copy(),
+                edge_weight=weights[a:b].copy(),
+                c_s=c_s,
+                c_m=c_m,
+                c_w=c_w,
+                confidence=aggregate_confidence(c_s, c_m, c_w, cfg),
+                explanation=expl,
+            )
+        )
+    return graphs

@@ -47,7 +47,7 @@ from .evaluate import (
 )
 from .explain import Explanation, explanation
 from .kg import SIDES, Kg, Side, Step, check_hops, load_kg
-from .repair import RepairConfig, repair
+from .repair import AlignmentState, RepairConfig, repair
 from .synth import SynthConfig, generate_pair, write_dataset
 from .trainer import TrainConfig, train
 
@@ -558,7 +558,7 @@ def _cmd_explain(cfg: dict) -> None:
 
 def _cmd_adg(cfg: dict) -> None:
     data, expl = _pair_explanation(cfg)
-    adg = build_adg(expl, data.store, _adg_config(cfg))
+    adg = build_adg([expl], data.store, _adg_config(cfg))[0]
     _write_json(cfg["out"], _adg_json(adg, data.kg1, data.kg2))
     _write_manifest("adg", cfg, data.paths, {"out": cfg["out"]})
 
@@ -624,12 +624,15 @@ def _eval_fidelity(cfg: dict) -> tuple[EvalReport, dict]:
     data = _load_inputs(cfg, ("seeds", "pred", "gold"))
     kg1, kg2, store = data.kg1, data.kg2, data.store
     seeds, pred, gold = (data.pairs[key] for key in ("seeds", "pred", "gold"))
+    # the checks repair makes: seeds one-to-one, a source predicted once; a
+    # seed wins over a prediction for its source
+    state = AlignmentState(seeds, pred, kg1.n_entities, kg2.n_entities)
+    context = {s: t for s, t, _ in state.pairs()}
+    del state  # its sets would stay resident through the retraining
     h = int(cfg["h"])
     sample = sample_correct_pairs(pred, gold, int(cfg["sample_n"]), int(cfg["rng_seed"]))
     if not sample:
         raise ConfigError("no correct predictions to sample for fidelity")
-    # a seed wins over a prediction for its source, as in repair
-    context = dict(pred + seeds)
     expl = {
         pair: explanation(pair, kg1, kg2, store, context, h).triple_keys
         for pair in sample

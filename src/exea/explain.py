@@ -13,28 +13,31 @@ pass over the graph's step index (``Kg.step_keys``) for every center it is
 given: the paths as integer step arrays sorted by center and endpoint, their
 unit path embeddings as one float64 matrix (gathered, summed and divided by
 length in the order ``path_embedding`` adds, in fixed-size row chunks), a mask
-of all-zero embeddings, and each path's functionality weight. Every row is
-summed element by element and normed by its own ``np.vecdot``, so its bits do
-not depend on which centers share the index. ``explanations`` is the one
-explanation builder: given each pair's neighbor list and indexes that hold
-every pair's centers, it scores the path pairs of many pairs' neighbor pairs
-together, each neighbor pair a block, with one ``np.vecdot`` per pass, and
-picks row and column bests with lexsorts per block that keep the lowest-index
-tie rule. The repair's ``PairAnalyzer`` builds every graph through it, over
-one index per side. ``explanation`` (one pair, its neighbors read off a
-mapping) and ``match_paths`` (one neighbor pair) build indexes over the
-pair's own centers and call the same matcher; they take no indexes and no
-neighbor list. A pass takes whole pairs up to ``_PASS_PAIRS`` scored path
-pairs (a larger pair gets a pass of its own). That bound is a constant, not
-a setting: it caps the pass's temporaries, two gathered unit rows per path
-pair, and no output depends on it, since every value is computed per row and
-per block.
-Dependency graphs are still built one per explanation by ``adg.build_adg``,
-whose calls the benchmark's trace counts per graph. Similarities and norms go
-through ``np.vecdot`` and never through a matrix product or an einsum: vecdot
-takes, row by row, the BLAS dot that ``np.dot`` and ``np.linalg.norm`` take
-for one vector, so every value equals the per-pair computation bit for bit,
-where a matrix product or einsum may sum in another order. In
+of all-zero embeddings, and each path's functionality weight. Its endpoints
+are sorted CSR arrays (``hood_key``, ``run_start``, ``hood_start``), so a
+neighborhood is a slice, a membership test is one ``np.searchsorted`` over
+packed int64 keys, and a block's rows are found for many neighbor pairs at
+once. Every row is summed element by element and normed by its own
+``np.vecdot``, so its bits do not depend on which centers share the index.
+``explanations`` is the one explanation builder: given each pair's neighbor
+list and indexes that hold every pair's centers, it scores the path pairs of
+many pairs' neighbor pairs together, each neighbor pair a block, with one
+``np.vecdot`` per pass, and picks row and column bests with lexsorts per
+block that keep the lowest-index tie rule. The repair's ``PairAnalyzer``
+builds every graph through it, over one index per side. ``explanation`` (one
+pair, its neighbors read off a mapping) and ``match_paths`` (one neighbor
+pair) build indexes over the pair's own centers and call the same matcher;
+they take no indexes and no neighbor list. A pass takes whole pairs up to
+``_PASS_PAIRS`` scored path pairs (a larger pair gets a pass of its own).
+That bound is a constant, not a setting: it caps the pass's temporaries, two
+gathered unit rows per path pair, and no output depends on it, since every
+value is computed per row and per block. ``adg.build_adg`` builds the
+dependency graphs of many explanations at once. Similarities and norms go
+through ``np.vecdot`` and never through a matrix product or an einsum:
+vecdot takes, row by row, the BLAS dot that ``np.dot`` and
+``np.linalg.norm`` take for one vector, so every value equals the per-pair
+computation bit for bit, where a matrix product or einsum may sum in another
+order. In
 ``tests/test_explain.py``, ``TestBatchedCoreIsExact`` keeps the per-pair
 matcher as the reference and ``TestPathIndexIsExact`` the per-center path
 build, and both check equality with ``==``.
@@ -57,7 +60,7 @@ from typing import Callable, Container, Iterable, Mapping, Sequence
 import numpy as np
 
 # path_embedding is the single-path encoding the index reproduces, and
-# neighborhood_entities the breadth-first search its endpoint groups
+# neighborhood_entities the breadth-first search its endpoint runs
 # reproduce; neither has a caller here, and both stay importable from this
 # module, where bench/traced_exea.py wraps them
 from .embedding import EmbeddingStore, path_embedding  # noqa: F401
@@ -84,6 +87,15 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
 
 
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``keys`` would sit in ``sorted_keys``, and whether it is
+    there."""
+    at = np.searchsorted(sorted_keys, keys)
+    if not sorted_keys.size:
+        return at, np.zeros(at.shape, dtype=bool)
+    return at, sorted_keys.take(at, mode="clip") == keys
+
+
 class PathIndex:
     """Every simple path of length <= h from the given centers (every entity
     by default) on one side, as arrays whose rows are sorted by (center,
@@ -91,9 +103,12 @@ class PathIndex:
     order in which ``enumerate_paths`` walks them.
 
     ``steps[p, k]`` is step k of path p as (0 outgoing / 1 incoming, relation,
-    entity reached), -1 past the path's length. ``groups[c]`` maps each
-    endpoint of center c's paths, ascending, to its ``(start, stop)`` rows;
-    its keys are c's h-hop neighborhood, the entities
+    entity reached), -1 past the path's length. The endpoints are a sorted
+    CSR array: ``hood_key`` holds one packed ``center * n_entities +
+    endpoint`` key per run of rows that share a center and an endpoint,
+    ascending; run i's rows are ``run_start[i]:run_start[i + 1]`` and center
+    c's runs are ``hood_start[c]:hood_start[c + 1]``. A center's endpoints
+    are its h-hop neighborhood, the entities
     ``neighborhood_entities`` finds, since every entity within h undirected
     hops ends some simple path of length <= h. ``unit`` holds unit path
     embeddings, with zero rows where ``zero`` marks an all-zero embedding;
@@ -132,12 +147,13 @@ class PathIndex:
         self.lengths = np.where(second < 0, 1, 2)
         self.steps = keys[np.stack([first, second], axis=1)[:, :h]]
         self.steps[:, 1:][second < 0] = -1  # past a one-step path's length
-        # one (start, stop) run of rows per (center, endpoint)
-        run = np.unique(center * kg.n_entities + end, return_index=True)[1]
-        stop = np.append(run[1:], n)
-        self.groups: dict[int, dict[int, tuple[int, int]]] = {c: {} for c in centers.tolist()}
-        for c, e, a, b in zip(center[run].tolist(), end[run].tolist(), run.tolist(), stop.tolist()):
-            self.groups[c][e] = (a, b)
+        # one run of rows per (center, endpoint), keyed center * n + endpoint
+        self.n_entities = n_ent = kg.n_entities
+        key = center * n_ent + end
+        run = np.flatnonzero(np.diff(key, prepend=-1))
+        self.hood_key = key[run]
+        self.run_start = np.append(run, n)
+        self.hood_start = np.searchsorted(self.hood_key, np.arange(n_ent + 1) * n_ent)
         ents = store.entity_matrix(kg.side)
         if max(centers.max(initial=-1), self.steps[:, :, 2].max(initial=-1)) >= ents.shape[0]:
             raise MissingEmbedding(f"paths on side {kg.side.value} reach entities without vectors")
@@ -177,6 +193,19 @@ class PathIndex:
             norms = np.sqrt(np.vecdot(unit, unit))
             self.zero[rows] = norms == 0.0
             unit /= np.where(norms == 0.0, 1.0, norms)[:, None]
+
+    def hood(self, center: int) -> np.ndarray:
+        """The endpoints of ``center``'s paths, ascending: its h-hop
+        neighborhood."""
+        runs = slice(self.hood_start[center], self.hood_start[center + 1])
+        return self.hood_key[runs] % self.n_entities
+
+    def runs(self, centers: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The first row and the row count of the paths from each of
+        ``centers`` to the matching entry of ``ends``; count 0 where none."""
+        at, found = _lookup(self.hood_key, centers * self.n_entities + ends)
+        start = self.run_start[at]
+        return start, self.run_start[at + found] - start
 
     def key(self, row: int) -> tuple[Step, ...]:
         """The path in ``row`` as ``enumerate_paths`` gives it."""
@@ -275,26 +304,29 @@ def _mutual_best(
     the pair each match was found for, and the position of that item,
     ordered by item, then by block, then by ``i1`` row.
     """
-    passes = []
-    blocks: list[tuple[int, int, int, int, int, int]] = []
+    pairs = np.array([pair for pair, _ in items], dtype=np.int64).reshape(-1, 2)
+    counts = np.array([len(neighbor_pairs) for _, neighbor_pairs in items], dtype=np.int64)
+    neighbors = np.array(
+        [n for _, neighbor_pairs in items for n in neighbor_pairs], dtype=np.int64
+    ).reshape(-1, 2)
+    item = np.repeat(np.arange(len(items)), counts)
+    pos = np.arange(item.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    start1, len1 = i1.runs(pairs[item, 0], neighbors[:, 0])
+    start2, len2 = i2.runs(pairs[item, 1], neighbors[:, 1])
+    blocks = np.stack([start1, len1, start2, len2, pos, item], axis=1)[(len1 > 0) & (len2 > 0)]
+    sizes = np.zeros(len(items), dtype=np.int64)
+    np.add.at(sizes, blocks[:, 5], blocks[:, 1] * blocks[:, 3])
+    # cut between items: a pass ends before the item that would take it past
+    # the budget, so an item over the budget gets a pass of its own
+    cuts = [0]
     held = 0
-    for item, ((e1, e2), neighbor_pairs) in enumerate(items):
-        groups1, groups2 = i1.groups[e1], i2.groups[e2]
-        own = []
-        size = 0
-        for pos, (n1, n2) in enumerate(neighbor_pairs):
-            g1 = groups1.get(n1)
-            g2 = groups2.get(n2)
-            if g1 is not None and g2 is not None:
-                own.append((g1[0], g1[1] - g1[0], g2[0], g2[1] - g2[0], pos, item))
-                size += (g1[1] - g1[0]) * (g2[1] - g2[0])
-        if blocks and held + size > _PASS_PAIRS:
-            passes.append(_match_blocks(i1, i2, blocks))
-            blocks, held = [], 0
-        blocks += own
+    for i, size in enumerate(sizes.tolist()):
+        if held and held + size > _PASS_PAIRS:
+            cuts.append(i)
+            held = 0
         held += size
-    if blocks:
-        passes.append(_match_blocks(i1, i2, blocks))
+    bounds = np.searchsorted(blocks[:, 5], cuts + [len(items)]).tolist()
+    passes = [_match_blocks(i1, i2, blocks[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b]
     if not passes:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, np.zeros(0, dtype=np.float64), empty, empty
@@ -304,11 +336,11 @@ def _mutual_best(
 
 
 def _match_blocks(
-    i1: PathIndex, i2: PathIndex, blocks: list[tuple[int, int, int, int, int, int]]
+    i1: PathIndex, i2: PathIndex, blocks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One pass of ``_mutual_best`` over (start1, len1, start2, len2,
-    neighbor position, item) blocks."""
-    start1, len1, start2, len2, pos, item = np.array(blocks, dtype=np.int64).T
+    """One pass of ``_mutual_best`` over blocks, one (start1, len1, start2,
+    len2, neighbor position, item) row each."""
+    start1, len1, start2, len2, pos, item = blocks.T
     sizes = len1 * len2
     block = np.repeat(np.arange(len(blocks)), sizes)
     i, j = np.divmod(_ranges(np.zeros_like(sizes), sizes), len2[block])
@@ -334,7 +366,7 @@ def matched_neighbor_pairs(
     """The matched-neighbor rule over given neighborhoods: each ``n1`` of
     ``hood1`` whose aligned target ``target_of(n1)`` lies in ``hood2``, sorted
     by source index. A neighborhood never holds its own center, so the
-    central pair is never among them. Callers pass the endpoint groups of
+    central pair is never among them. Callers pass the endpoints of
     the centers' paths."""
     hits = []
     for n1 in hood1:
@@ -392,7 +424,9 @@ def explanation(
     """
     e1, e2 = kg1.check_entity(int(pair[0])), kg2.check_entity(int(pair[1]))
     index1, index2 = PathIndex(kg1, store, h, [e1]), PathIndex(kg2, store, h, [e2])
-    neighbor_pairs = matched_neighbor_pairs(alignments.get, index1.groups[e1], index2.groups[e2])
+    neighbor_pairs = matched_neighbor_pairs(
+        alignments.get, index1.hood(e1).tolist(), set(index2.hood(e2).tolist())
+    )
     return explanations([(e1, e2)], [neighbor_pairs], index1, index2)[0]
 
 

@@ -52,7 +52,7 @@ from .embedding import (
     similarity_topk,
 )
 from .errors import ConfigError, InvariantViolation
-from .explain import Explanation, PathIndex, _ranges, explanations
+from .explain import Explanation, PathIndex, _lookup, _ranges, explanations
 # no caller here (a center's neighborhood is read off its path index), but
 # bench/traced_exea.py wraps this module's neighborhood_entities
 from .kg import SIDES, Kg, Side, check_hops, neighborhood_entities  # noqa: F401
@@ -124,9 +124,10 @@ class AlignmentState:
 
     Sources are ``range(n_sources)`` and targets ``range(n_targets)``, the two
     graphs' entity counts; a pair outside them is a config error. The forward
-    map is always a function source -> (target, provenance); the
-    reverse map may hold several sources per target until one-to-many
-    resolution has run.
+    map is always a function source -> (target, provenance), kept also as
+    the int array ``forward`` (``forward[s]`` the target of s, -1 for none)
+    for array reads; the reverse map may hold several sources per target
+    until one-to-many resolution has run.
     Seeds can never be realigned or removed. Every mutation is appended to
     ``mutations``, a record of what a run did; nothing in the library reads
     it back (the benchmark's trace reports its length).
@@ -160,6 +161,7 @@ class AlignmentState:
         self._reverse: dict[int, set[int]] = {
             t: {s} for s, t in self._seed_forward.items()
         }
+        self.forward = np.full(n_sources, -1, dtype=np.int64)
         self.mutations: list[tuple[int, int]] = []
         for s, t in predictions:
             s, t = int(s), int(t)
@@ -170,6 +172,8 @@ class AlignmentState:
                 raise ConfigError(f"source {s} appears twice in the predictions")
             self._forward[s] = (t, PREDICTED)
             self._reverse.setdefault(t, set()).add(s)
+        for s, (t, _) in self._forward.items():
+            self.forward[s] = t
         self.source_universe = frozenset(range(n_sources))
         self.target_universe = frozenset(range(n_targets))
 
@@ -201,6 +205,7 @@ class AlignmentState:
             raise InvariantViolation("single-claim", f"source {s} is already aligned")
         self._forward[s] = (t, provenance)
         self._reverse.setdefault(t, set()).add(s)
+        self.forward[s] = t
         self.mutations.append((s, t))
 
     def unalign(self, s: int) -> int:
@@ -210,6 +215,7 @@ class AlignmentState:
             raise InvariantViolation("single-claim", f"source {s} is not aligned")
         t = self._forward.pop(s)[0]
         self._reverse[t].discard(s)
+        self.forward[s] = -1
         self.mutations.append((s, t))
         return t
 
@@ -246,19 +252,24 @@ class PairAnalyzer:
     Every graph is built through ``explanations`` over the two indexes:
     ``adg`` hands it one stale key (through this module's ``explanation``),
     ``adgs`` every stale key of a read.
-    ``adgs`` reads many graphs under one alignment state: it walks each
-    distinct source's aligned neighbors once, and matches the paths of every
-    stale graph in shared passes, each pass bounded by a fixed count of
-    scored path pairs that caps its memory and changes no output. The stages
-    read through it wherever the state holds still: the confidence
-    snapshots, the relation-conflict stage's non-seed graphs, the claimants
-    in one-to-many resolution, the low-confidence scan and each stripped
-    source's candidates. Only the rematch comparison reads one graph at a
-    time, as the alignment moves between its reads. ``build_adg`` still runs
-    once per graph and every key still goes through ``adg``, where it finds a
-    fresh entry, so a batched read builds and counts exactly what the same
-    lookups one by one would; the benchmark's trace counts both by those
-    names.
+    ``adgs`` reads many graphs under one alignment state as array passes. It
+    computes every key's matched-neighbor list in one gather: the endpoints
+    of s's paths (its runs in ``index1.hood_key``), their targets from the
+    state's ``forward`` array, a sorted membership test against
+    ``index2.hood_key`` for t's neighborhood and one against the sorted
+    packed keys of the banned pairs, which ``ban`` keeps. It then matches the
+    paths of every stale graph in shared ``explanations`` passes and builds
+    them in shared ``build_adg`` passes, each pass bounded by a fixed count
+    (of scored path pairs, of nodes) that caps its memory and changes no
+    output. The stages read through it wherever the state holds still: the
+    confidence snapshots, the relation-conflict stage's non-seed graphs, the
+    claimants in one-to-many resolution, the low-confidence scan and each
+    stripped source's candidates. The rematch comparisons read one or two
+    graphs per call, as the alignment moves between their calls. Every key of
+    a batched read still goes through ``adg``, where it finds a fresh entry,
+    so a batched read builds the graphs and makes the lookups that the same
+    lookups one by one would. The benchmark's trace counts the lookups by
+    that name, and ``build_adg`` calls (build passes, not graphs) by theirs.
     """
 
     def __init__(
@@ -277,26 +288,41 @@ class PairAnalyzer:
         self.index1 = PathIndex(kg1, store, cfg.h)
         self.index2 = PathIndex(kg2, store, cfg.h)
         self.banned_pairs: set[tuple[int, int]] = set()
+        # the banned pairs as sorted n * n_targets + t keys
+        self._banned = np.zeros(0, dtype=np.int64)
         self._cache: dict[tuple[int, int], Adg] = {}
 
     def ban(self, pairs: Iterable[tuple[int, int]]) -> None:
+        pairs = list(pairs)
         self.banned_pairs.update(pairs)
+        n, t = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        # a pair outside the graphs is never a matched neighbor
+        ok = (n >= 0) & (n < self.kg1.n_entities) & (t >= 0) & (t < self.kg2.n_entities)
+        self._banned = np.union1d(self._banned, n[ok] * self.kg2.n_entities + t[ok])
 
-    def aligned_neighbors(self, s: int) -> list[tuple[int, int]]:
-        """(n, target of n) for every aligned n within h hops of source s,
-        sorted by n."""
-        target_of = self.state.target_of
-        # the endpoints of s's paths are its h-hop neighborhood, ascending
-        return [(n, t) for n in self.index1.groups[s] if (t := target_of(n)) is not None]
-
-    def _within(self, aligned: list[tuple[int, int]], t: int) -> list[tuple[int, int]]:
-        """The pairs of ``aligned`` whose target lies within h hops of t and
-        that are not banned."""
-        hood2, banned = self.index2.groups[t], self.banned_pairs
-        return [p for p in aligned if p[1] in hood2 and p not in banned]
+    def _neighbor_lists(self, keys: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+        """``neighbor_pairs(s, t)`` of each (s, t) of ``keys``, read in one
+        gather: the endpoints of s's paths, ascending, their live targets,
+        kept where the target ends a path of t and the pair is not banned."""
+        i1, i2 = self.index1, self.index2
+        s, t = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+        lo, hi = i1.hood_start[s], i1.hood_start[s + 1]
+        # each endpoint n of a key's source, the key's position, n's target
+        which = np.repeat(np.arange(len(keys)), hi - lo)
+        n = i1.hood_key[_ranges(lo, hi - lo)] % i1.n_entities
+        n_target = self.state.forward[n]
+        keep = n_target >= 0
+        which, n, n_target = which[keep], n[keep], n_target[keep]
+        keep = _lookup(i2.hood_key, t[which] * i2.n_entities + n_target)[1]
+        keep &= ~_lookup(self._banned, n * self.kg2.n_entities + n_target)[1]
+        bounds = np.searchsorted(which[keep], np.arange(len(keys) + 1)).tolist()
+        pairs = list(zip(n[keep].tolist(), n_target[keep].tolist()))
+        return [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def neighbor_pairs(self, s: int, t: int) -> list[tuple[int, int]]:
-        return self._within(self.aligned_neighbors(s), t)
+        """(n, target of n) for every aligned n within h hops of s whose
+        target lies within h hops of t, the pair not banned; sorted by n."""
+        return self._neighbor_lists([(s, t)])[0]
 
     def adg(self, s: int, t: int, neighbors: list[tuple[int, int]] | None = None) -> Adg:
         """The graph of (s, t); ``neighbors``, when given, is
@@ -307,27 +333,25 @@ class PairAnalyzer:
         got = self._cache.get(key)
         if got is None or got.explanation.matched_neighbor_pairs != neighbors:
             expl = explanation(key, neighbors, self.index1, self.index2)
-            got = build_adg(expl, self.store, self.cfg.adg)
+            got = build_adg([expl], self.store, self.cfg.adg)[0]
             self._cache[key] = got
         return got
 
     def adgs(self, keys: Iterable[tuple[int, int]]) -> list[Adg]:
-        """``[self.adg(s, t) for s, t in keys]``, with the paths of every
-        stale or missing graph matched in shared ``explanations`` passes."""
+        """``[self.adg(s, t) for s, t in keys]``, with every stale or missing
+        graph matched in shared ``explanations`` passes and built in shared
+        ``build_adg`` passes."""
         keys = [(int(s), int(t)) for s, t in keys]
-        aligned = {s: self.aligned_neighbors(s) for s in dict.fromkeys(s for s, _ in keys)}
-        neighbors: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        stale = []
-        for key in keys:
-            if key in neighbors:
-                continue
-            neighbors[key] = self._within(aligned[key[0]], key[1])
-            got = self._cache.get(key)
-            if got is None or got.explanation.matched_neighbor_pairs != neighbors[key]:
-                stale.append(key)
-        expls = explanations(stale, [neighbors[key] for key in stale], self.index1, self.index2)
-        for key, expl in zip(stale, expls):
-            self._cache[key] = build_adg(expl, self.store, self.cfg.adg)
+        distinct = list(dict.fromkeys(keys))
+        neighbors = dict(zip(distinct, self._neighbor_lists(distinct)))
+        stale = [
+            key for key in distinct
+            if (got := self._cache.get(key)) is None
+            or got.explanation.matched_neighbor_pairs != neighbors[key]
+        ]
+        if stale:
+            expls = explanations(stale, [neighbors[key] for key in stale], self.index1, self.index2)
+            self._cache.update(zip(stale, build_adg(expls, self.store, self.cfg.adg)))
         return [self.adg(s, t, neighbors[(s, t)]) for s, t in keys]
 
     def confidence(self, s: int, t: int) -> float:
@@ -769,7 +793,8 @@ def resolve_one_to_many(
         return topk.candidates(e1)[:k]
 
     def better(e1: int, e2: int, score: float, incumbent: int) -> bool:
-        return analyzer.confidence(e1, e2) > analyzer.confidence(incumbent, e2)
+        challenger, held = analyzer.adgs([(e1, e2), (incumbent, e2)])
+        return challenger.confidence > held.confidence
 
     while len(queue) > 0:
         last_len = len(queue)
@@ -793,19 +818,19 @@ def _candidate_targets(
     current alignment, nearest first, capped at ``cfg.candidate_cap``, kept
     when their pairwise confidence is >= beta, each with its score confidence
     + lambda * cosine: best score first, ties to the lower target."""
-    matched_targets = {t for _, t in analyzer.aligned_neighbors(e1)}
-    raw: set[int] = set()
-    for t_prime in matched_targets:
-        raw.update(analyzer.index2.groups[t_prime])
-    own = state.target_of(e1)
-    if own is not None:
-        raw.discard(own)
-    if not raw:
+    i1, i2 = analyzer.index1, analyzer.index2
+    matched = np.unique(state.forward[i1.hood(e1)])
+    matched = matched[matched >= 0]
+    lo, hi = i2.hood_start[matched], i2.hood_start[matched + 1]
+    targets = np.unique(i2.hood_key[_ranges(lo, hi - lo)] % i2.n_entities)
+    targets = targets[targets != state.forward[e1]]
+    if not targets.size:
         return []
-    targets = sorted(raw)
-    sims = pair_cosines(analyzer.store, Side.SOURCE, [e1] * len(targets), Side.TARGET, targets)
-    nearest = sorted(zip(targets, sims.tolist()), key=lambda ts: (-ts[1], ts[0]))
-    nearest = nearest[: cfg.candidate_cap]
+    sims = pair_cosines(
+        analyzer.store, Side.SOURCE, np.full_like(targets, e1), Side.TARGET, targets
+    )
+    order = np.lexsort((targets, -sims))[: cfg.candidate_cap]
+    nearest = list(zip(targets[order].tolist(), sims[order].tolist()))
     scored = []
     for (t, sim), adg in zip(nearest, analyzer.adgs((e1, t) for t, _ in nearest)):
         conf = adg.confidence

@@ -137,7 +137,7 @@ def test_criterion_1_reference_confidence(governor_case):
     c = governor_case
     started = time.perf_counter()
     expl = explanation((0, 0), c["kg1"], c["kg2"], c["store"], c["alignments"], h=2)
-    adg = build_adg(expl, c["store"])
+    [adg] = build_adg([expl], c["store"])
     elapsed = time.perf_counter() - started
     ok = abs(adg.confidence - 0.808) <= 1e-3 and elapsed < 1.0
     detail = report(1, ok, f"confidence {adg.confidence:.5f} "

@@ -1,5 +1,6 @@
 """Dependency-graph construction, edge weights, and gated confidence."""
 
+import importlib
 import math
 from typing import NamedTuple
 
@@ -9,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from exea.adg import (
+    Adg,
     AdgConfig,
     EdgeClass,
     aggregate_confidence,
@@ -91,7 +93,7 @@ class TestEdgeWeight:
         """The class, weight and path pair of the one edge between centers
         (0, 0) whose only matched neighbor pair is (len1, len2)."""
         expl = explanation((0, 0), self.kg1, self.kg2, self.store, {len1: len2}, h=2)
-        adg = build_adg(expl, self.store, cfg)
+        [adg] = build_adg([expl], self.store, cfg)
         (path1, path2, _), = expl.path_matches()
         assert (len(path1), len(path2)) == (len1, len2)
         assert adg.edge_neighbor.tolist() == [0]
@@ -214,7 +216,7 @@ class TestBuildAdg:
     def test_governor_graph(self, governor_case):
         c = governor_case
         expl = explanation((0, 0), c["kg1"], c["kg2"], c["store"], c["alignments"], h=2)
-        adg = build_adg(expl, c["store"])
+        [adg] = build_adg([expl], c["store"])
         assert len(expl.matched_neighbor_pairs) == 2
         assert len(adg.influence) == 3
         assert adg.edge_class.tolist() == [0, 0]  # both Strong
@@ -234,7 +236,7 @@ class TestBuildAdg:
             {Side.SOURCE: [[1.0, 0.0], [1.0, 0.0]], Side.TARGET: [[-1.0, 0.0], [-1.0, 0.0]]}
         )
         expl = explanation((0, 0), kg1, kg2, store, {1: 1}, h=1)
-        adg = build_adg(expl, store)
+        [adg] = build_adg([expl], store)
         assert adg.influence == [0.0, 0.0]
 
     def test_repeated_neighbor_pair_keeps_one_node_many_edges(self):
@@ -249,7 +251,7 @@ class TestBuildAdg:
             relation_vecs={Side.SOURCE: rels, Side.TARGET: rels},
         )
         expl = explanation((0, 0), kg1, kg2, store, {1: 1}, h=1)
-        adg = build_adg(expl, store)
+        [adg] = build_adg([expl], store)
         assert expl.matched_neighbor_pairs == [(1, 1)]
         assert adg.edge_neighbor.tolist() == [0, 0]
 
@@ -260,7 +262,7 @@ class TestBuildAdg:
             {Side.SOURCE: [[1.0, 0.0], [0.0, 1.0]], Side.TARGET: [[1.0, 0.0], [0.0, 1.0]]}
         )
         expl = explanation((0, 0), kg1, kg2, store, {}, h=1)
-        adg = build_adg(expl, store)
+        [adg] = build_adg([expl], store)
         assert adg.c_s == adg.c_m == adg.c_w == 0.0
         assert adg.confidence == pytest.approx(0.5)
 
@@ -285,7 +287,7 @@ class TestBuildAdg:
     def test_confidence_function_matches_stored_value(self, governor_case):
         c = governor_case
         expl = explanation((0, 0), c["kg1"], c["kg2"], c["store"], c["alignments"], h=2)
-        adg = build_adg(expl, c["store"])
+        [adg] = build_adg([expl], c["store"])
         assert aggregate_confidence(adg.c_s, adg.c_m, adg.c_w, AdgConfig()) == pytest.approx(
             adg.confidence
         )
@@ -351,10 +353,104 @@ def assert_equals_reference(adg, kg1, kg2, store, cfg=None):
     return edges
 
 
+def per_graph_build_adg(expl, store, cfg=None):
+    """The one-graph build ``build_adg`` batches: one ``pair_cosines`` call
+    over the graph's nodes, and the class masses added one edge at a time in
+    a Python loop."""
+    cfg = cfg or AdgConfig()
+    (e1, e2), pairs = expl.pair, expl.matched_neighbor_pairs
+    sims = pair_cosines(
+        store,
+        Side.SOURCE, [e1] + [a for a, _ in pairs],
+        Side.TARGET, [e2] + [b for _, b in pairs],
+    ).tolist()
+    influence = [min(1.0, max(0.0, sim)) for sim in sims]
+    (i1, i2), rows1, rows2 = expl.indexes, expl.rows1, expl.rows2
+    len1, len2 = i1.lengths[rows1], i2.lengths[rows2]
+    classes = 2 - (len1 == 1) - (len2 == 1)
+    weights = np.minimum(i1.weight[rows1], i2.weight[rows2])
+    weights[classes == 1] *= cfg.alpha
+    weights[classes == 2] = cfg.weak_weight
+    mass = [0.0, 0.0, 0.0]
+    for n, c, w in zip(expl.neighbor.tolist(), classes.tolist(), weights.tolist()):
+        mass[c] += w * influence[n + 1]
+    c_s, c_m, c_w = mass
+    return Adg(
+        influence=influence,
+        edge_neighbor=expl.neighbor,
+        edge_class=classes,
+        edge_weight=weights,
+        c_s=c_s,
+        c_m=c_m,
+        c_w=c_w,
+        confidence=aggregate_confidence(c_s, c_m, c_w, cfg),
+        explanation=expl,
+    )
+
+
 class TestAdgFromTablesIsExact:
     """``build_adg`` reads edges from the path tables and equals the
     per-path build exactly (``==``, no tolerance) on every final pair of
-    synth fixtures, under two ADG configurations."""
+    synth fixtures, under two ADG configurations, whether it builds one
+    graph per call or many."""
+
+    @pytest.mark.parametrize("pass_nodes", [1, "default", 10**9])
+    def test_many_graphs_in_one_call_equal_references(self, monkeypatch, pass_nodes):
+        adg_module = importlib.import_module("exea.adg")
+        if pass_nodes != "default":
+            monkeypatch.setattr(adg_module, "_PASS_NODES", pass_nodes)
+        passes = []
+        build_pass = adg_module._build_pass
+
+        def counted(expls, *args):
+            passes.append((len(expls), sum(1 + len(e.matched_neighbor_pairs) for e in expls)))
+            return build_pass(expls, *args)
+
+        monkeypatch.setattr(adg_module, "_build_pass", counted)
+        res = generate_pair(
+            SynthConfig(n_entities=200, density=8, conflict_injection=0.2, rng_seed=2)
+        )
+        kg1, kg2, store = res.kg1, res.kg2, res.perturbed_store
+        seed_set = {s for s, _ in res.seeds}
+        free = [i for i in range(200) if i not in seed_set]
+        raw = [(s, t) for s, t, _ in greedy_align(store, free, range(200))]
+        state = AlignmentState(res.seeds, raw, n_sources=200, n_targets=200)
+        analyzer = PairAnalyzer(kg1, kg2, store, state, RepairConfig())
+        rng = np.random.default_rng(8)
+        keys = [(s, t) for s, t, _ in state.pairs()]
+        keys += [tuple(map(int, k)) for k in rng.integers(0, 200, size=(100, 2))]
+        lists = [analyzer.neighbor_pairs(s, t) for s, t in keys]
+        # empty neighbor lists, and neighbor pairs that no path reaches: nodes
+        # without edges
+        keys += keys[:20]
+        lists += [[] for _ in range(10)] + [[(s, t)] for s, t in keys[10:20]]
+        expls = explanations(keys, lists, analyzer.index1, analyzer.index2)
+        # explanations over their own indexes start a pass of their own
+        gold = dict(res.gold)
+        own = [explanation(pair, kg1, kg2, store, gold, h=2) for pair in res.gold[:5]]
+        expls = expls[:50] + own + expls[50:]
+        assert sum(not e.matched_neighbor_pairs for e in expls) >= 10
+        assert sum(e.no_match for e in expls if e.matched_neighbor_pairs) >= 10
+        for cfg in (AdgConfig(), AdgConfig(alpha=0.3, weak_weight=0.2, theta=2.0, gamma=2.0)):
+            passes.clear()
+            got = build_adg(expls, store, cfg)
+            assert len(got) == len(expls)
+            for adg, expl in zip(got, expls):
+                assert adg.explanation is expl
+                assert adg.edge_neighbor is expl.neighbor
+                assert adg.edge_class.base is None and adg.edge_weight.base is None
+                assert adg == per_graph_build_adg(expl, store, cfg)
+                assert_equals_reference(adg, kg1, kg2, store, cfg)
+            assert sum(graphs for graphs, _ in passes) == len(expls)
+            limit = adg_module._PASS_NODES
+            assert all(graphs == 1 or nodes <= limit for graphs, nodes in passes)
+            if pass_nodes == 1:
+                assert len(passes) == len(expls)
+            elif pass_nodes == 10**9:
+                # one pass before the five own-index explanations, one each, one after
+                assert len(passes) == 7
+            else:
+                assert len(passes) > 7
 
     @pytest.mark.parametrize("density", [3, 8])
     def test_equals_reference(self, density):
@@ -370,12 +466,15 @@ class TestAdgFromTablesIsExact:
         for s, t, _ in state.pairs():
             expl = analyzer.adg(s, t).explanation
             for cfg in (AdgConfig(), AdgConfig(alpha=0.3, weak_weight=0.2, theta=2.0, gamma=2.0)):
-                adg = build_adg(expl, res.perturbed_store, cfg)
+                [adg] = build_adg([expl], res.perturbed_store, cfg)
                 edges = assert_equals_reference(adg, res.kg1, res.kg2, res.perturbed_store, cfg)
                 seen.update(cls for _, cls, _ in edges)
         assert seen == set(EdgeClass)
 
     def test_neighbor_without_paths_keeps_its_position(self):
+        # test_explain imports this module
+        from test_explain import endpoint_runs
+
         # an injected neighbor pair whose source has no path from the center
         # gets a node but no block, so every later block sits one place
         # before its neighbor position; each edge must still take the node
@@ -388,11 +487,11 @@ class TestAdgFromTablesIsExact:
             expl = explanation((e1, e2), kg1, kg2, store, gold, h=2)
             if expl.no_match:
                 continue
-            far = next(x for x in range(kg1.n_entities)
-                       if x != e1 and x not in expl.indexes[0].groups[e1])
+            hood = endpoint_runs(expl.indexes[0]).get(e1, {})
+            far = next(x for x in range(kg1.n_entities) if x != e1 and x not in hood)
             injected = [(far, gold[far])] + expl.matched_neighbor_pairs
             [shifted] = explanations([(e1, e2)], [injected], *expl.indexes)
-            adg = build_adg(shifted, store)
+            [adg] = build_adg([shifted], store)
             assert_equals_reference(adg, kg1, kg2, store)
             assert adg.edge_neighbor is shifted.neighbor
             assert adg.edge_neighbor.tolist() == (expl.neighbor + 1).tolist()

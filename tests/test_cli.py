@@ -702,7 +702,8 @@ class TestMatchedContext:
     """The matched context holds one target per source. A source listed twice
     in ``--alignment`` exits 2 naming the file and both lines; in ``eval
     --mode fidelity`` a prediction for a seed source is dropped, as repair
-    drops it, and the seed stays in the context."""
+    drops it, and the seed stays in the context, while seeds that are not
+    one-to-one or a source predicted twice exit 1 as they do in repair."""
 
     @pytest.mark.parametrize("command", [
         ["explain", "--pair", "0", "0"], ["adg", "--pair", "0", "0"], ["eval", "--mode", "sparsity"],
@@ -721,6 +722,38 @@ class TestMatchedContext:
         assert f"{bad}:{len(lines) + 1}: source {s} is already aligned on line 1" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["pred", "seeds"])
+    def test_fidelity_refuses_what_repair_refuses(
+        self, dataset, kg_flags, raw_alignment, tmp_path, capsys, which
+    ):
+        files = {"seeds": dataset / "train_links", "pred": raw_alignment}
+        rows = read_pairs(files[which])
+        # the first predicted source is no seed: infer skips the seed sources
+        s, t = rows[0]
+        other = (t + 1) % 30
+        files[which] = tmp_path / f"repeated_{which}.tsv"
+        files[which].write_text("".join(f"{a}\t{b}\n" for a, b in rows + [(s, other)]))
+        outputs = {
+            "repair": ["--out", str(tmp_path / "a.tsv"), "--report", str(tmp_path / "r.json")],
+            "eval": ["--mode", "fidelity", "--gold", str(dataset / "ent_links"),
+                     "--out", str(tmp_path / "fid.json"), "--dim", "8", "--epochs", "2"],
+        }
+        errors = {}
+        for command, extra in outputs.items():
+            rc = main([command, *kg_flags, "--seeds", str(files["seeds"]),
+                       "--pred", str(files["pred"]), *extra])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert "Traceback" not in err
+            errors[command] = err.split(": config error: ", 1)[1]
+        assert errors["eval"] == errors["repair"]
+        expected = {
+            "pred": f"source {s} appears twice in the predictions",
+            "seeds": f"seed pairs are not one-to-one at ({s}, {other})",
+        }[which]
+        assert expected in errors["eval"]
+        assert not (tmp_path / "fid.json").exists()
 
     def test_fidelity_keeps_the_seeds(self, dataset, kg_flags, repaired, tmp_path, monkeypatch):
         seeds = read_pairs(dataset / "train_links")

@@ -61,10 +61,26 @@ def matched_neighbors(pair, kg1, kg2, alignments, h):
     )
 
 
+def endpoint_runs(index):
+    """The endpoint runs of ``index`` read off its CSR arrays: for each
+    center with paths, its endpoints, ascending, each mapped to its (start,
+    stop) rows."""
+    out = {}
+    bounds = index.run_start.tolist()
+    for i, key in enumerate(index.hood_key.tolist()):
+        center, end = divmod(key, index.n_entities)
+        out.setdefault(center, {})[end] = (bounds[i], bounds[i + 1])
+    return out
+
+
 def indexed_neighbors(pair, idx1, idx2, alignments):
     """The matched neighbors of ``pair`` read off shared path indexes, as
     ``explanation`` reads them off its own."""
-    return matched_neighbor_pairs(alignments.get, idx1.groups[pair[0]], idx2.groups[pair[1]])
+    return matched_neighbor_pairs(
+        alignments.get,
+        endpoint_runs(idx1).get(pair[0], {}),
+        endpoint_runs(idx2).get(pair[1], {}),
+    )
 
 
 class TestMatchedNeighbors:
@@ -304,7 +320,7 @@ class TestBatchedCoreIsExact:
             lists += [[], [(1, 1)]]
             sizes = []
             for (e1, e2), neighbor_pairs in zip(pairs, lists):
-                g1, g2 = idx1.groups[e1], idx2.groups[e2]
+                g1, g2 = endpoint_runs(idx1).get(e1, {}), endpoint_runs(idx2).get(e2, {})
                 sizes.append(sum(
                     (g1[n1][1] - g1[n1][0]) * (g2[n2][1] - g2[n2][0])
                     for n1, n2 in neighbor_pairs if n1 in g1 and n2 in g2
@@ -348,7 +364,8 @@ class TestBatchedCoreIsExact:
             index = PathIndex(kg, store, h)
             for center in range(9):
                 paths = enumerate_paths(kg, center, h)
-                rows = [row for a, b in index.groups[center].values() for row in range(a, b)]
+                runs = endpoint_runs(index).get(center, {})
+                rows = [row for a, b in runs.values() for row in range(a, b)]
                 assert sorted(index.key(row) for row in rows) == paths
                 for row in rows:
                     path = index.key(row)
@@ -364,7 +381,7 @@ class TestBatchedCoreIsExact:
                     else:
                         assert not index.zero[row]
                         assert np.array_equal(index.unit[row], vec / norm)
-                for end, (start, stop) in index.groups[center].items():
+                for end, (start, stop) in runs.items():
                     ends = index.steps[np.arange(start, stop), index.lengths[start:stop] - 1, 2]
                     assert (ends == end).all()
         assert zero_rows > 0
@@ -404,8 +421,11 @@ class TestNeighborhoodIsTableEndpoints:
             kg = rough_kg(rng, 10, 3, 14, Side.SOURCE)
             store = paired_store(rng, 10, 10)
             index = PathIndex(kg, store, h)
+            runs = endpoint_runs(index)
             for e in range(kg.n_entities):
-                assert set(index.groups[e]) == set(neighborhood_entities(kg, e, h))
+                hood = sorted(neighborhood_entities(kg, e, h))
+                assert sorted(runs.get(e, {})) == hood
+                assert index.hood(e).tolist() == hood
 
     @pytest.mark.parametrize("h", [1, 2])
     def test_explanation_neighbors_equal_matched_neighbors(self, h):
@@ -491,11 +511,11 @@ ROW_FIELDS = ("steps", "lengths", "unit", "zero", "weight", "triples")
 def center_rows(index, center):
     """Center ``center``'s rows of ``index`` by field, ``groups`` with rows
     counted from the center's first row."""
-    spans = index.groups[center].values()
-    lo = min((a for a, _ in spans), default=0)
-    hi = max((b for _, b in spans), default=0)
+    runs = endpoint_runs(index).get(center, {})
+    lo = min((a for a, _ in runs.values()), default=0)
+    hi = max((b for _, b in runs.values()), default=0)
     got = {name: getattr(index, name)[lo:hi] for name in ROW_FIELDS}
-    got["groups"] = {e: (a - lo, b - lo) for e, (a, b) in index.groups[center].items()}
+    got["groups"] = {e: (a - lo, b - lo) for e, (a, b) in runs.items()}
     return got
 
 
@@ -555,7 +575,9 @@ class TestPathIndexIsExact:
             full = PathIndex(kg, store, h)
             centers = rng.choice(kg.n_entities, size=int(rng.integers(1, 6)), replace=False)
             part = PathIndex(kg, store, h, centers.tolist())
-            assert sorted(part.groups) == sorted(centers.tolist())
+            # the part's runs are exactly the given centers' runs
+            with_paths = [c for c in centers.tolist() if c in endpoint_runs(full)]
+            assert sorted(endpoint_runs(part)) == sorted(with_paths)
             for c in centers.tolist():
                 assert_same_rows(center_rows(part, c), center_rows(full, c))
 

@@ -213,6 +213,22 @@ class TestAlignmentState:
         assert state.unaligned_sources == {2, 3}
         assert state.unaligned_targets == {2}
 
+    def test_forward_array_follows_target_of(self):
+        state = AlignmentState([(0, 0)], [(1, 1), (2, 1), (3, 0)], n_sources=6, n_targets=4)
+
+        def check():
+            assert state.forward.dtype == np.int64
+            assert state.forward.tolist() == [
+                -1 if (t := state.target_of(s)) is None else t for s in range(6)
+            ]
+
+        check()
+        for op, *args in [("unalign", 2), ("align", 2, 3), ("unalign", 1), ("align", 5, 1),
+                          ("unalign", 3), ("align", 1, 0), ("align", 3, 2)]:
+            getattr(state, op)(*args, *(("repaired",) if op == "align" else ()))
+            check()
+        assert state.forward.tolist() == [0, 0, 3, 2, -1, 1]
+
     def test_check_injective(self):
         state = AlignmentState([], [(1, 0), (2, 0)], n_sources=3, n_targets=1)
         with pytest.raises(InvariantViolation):
@@ -983,6 +999,13 @@ def lookup_fixture(density):
     return res, [(s, t) for s, t, _ in greedy_align(res.perturbed_store, free, range(60))]
 
 
+def aligned_neighbors(analyzer, s):
+    """(n, target of n) for every aligned n within h hops of source s,
+    sorted by n."""
+    target_of = analyzer.state.target_of
+    return [(n, t) for n in analyzer.index1.hood(s).tolist() if (t := target_of(n)) is not None]
+
+
 class TestBatchedLookupIsExact:
     """``PairAnalyzer.adgs(keys)`` returns what one ``adg`` lookup per key
     returns, equal to a cold analyzer's graphs, and builds exactly the graphs
@@ -1003,10 +1026,11 @@ class TestBatchedLookupIsExact:
         builds = {id(batched.index1): 0, id(single.index1): 0}
         build_adg = repair_module.build_adg
 
-        def counted(expl, *args):
-            key = id(expl.indexes[0])
-            builds[key] = builds.get(key, 0) + 1
-            return build_adg(expl, *args)
+        def counted(expls, *args):
+            for expl in expls:
+                key = id(expl.indexes[0])
+                builds[key] = builds.get(key, 0) + 1
+            return build_adg(expls, *args)
 
         monkeypatch.setattr(repair_module, "build_adg", counted)
         # calls of the one explanation builder, per analyzer: one per batched
@@ -1048,7 +1072,7 @@ class TestBatchedLookupIsExact:
                 old is not None and old is not new for old, new in zip(before, expected)
             )
             banned += sum(
-                p in batched.banned_pairs for key in keys for p in single.aligned_neighbors(key[0])
+                p in batched.banned_pairs for key in keys for p in aligned_neighbors(single, key[0])
             )
             # move the alignment and ban some matched neighbors before the next round
             for s, t in pairs[::7]:
