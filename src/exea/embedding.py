@@ -248,15 +248,25 @@ class SimilarityTopK:
         ]
 
 
+# bytes of one similarity_topk block's score matrix: a block takes as many
+# source rows as fit, at least one, which bounds its temporaries (the scores,
+# their negation and the sort order) however many sources and targets there
+# are; no output depends on it, since every score is its own np.vecdot
+_TOPK_BLOCK_BYTES = 8 << 20
+
+
 def similarity_topk(
     store: EmbeddingStore,
     sources: Sequence[int],
     targets: Sequence[int],
     k: int,
-    block_size: int = 4096,
 ) -> SimilarityTopK:
-    """Exact top-k by cosine. Sources are processed in blocks; the result does
-    not depend on the block partitioning."""
+    """Exact top-k by cosine. Sources are processed in blocks of as many rows
+    as ``_TOPK_BLOCK_BYTES`` holds scores for. Each score is one
+    ``np.vecdot`` of a source row and a target row, the BLAS dot ``np.dot``
+    takes, so the result does not depend on the blocks; a matrix product
+    would pick its kernel, and with it the order of its sums, by the block's
+    row count."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     sources = [int(s) for s in sources]
@@ -268,10 +278,11 @@ def similarity_topk(
     tgt_arr = np.asarray(targets, dtype=np.int64)
     out_idx = np.empty((len(sources), width), dtype=np.int64)
     out_scores = np.empty((len(sources), width), dtype=np.float64)
-    for start in range(0, len(sources), block_size):
-        chunk = sources[start : start + block_size]
+    block = max(1, _TOPK_BLOCK_BYTES // (8 * len(targets)))
+    for start in range(0, len(sources), block):
+        chunk = sources[start : start + block]
         a = _normalized_rows(store, Side.SOURCE, chunk)
-        sims = a @ b.T
+        sims = np.vecdot(a[:, None, :], b)
         order = np.argsort(-sims, axis=1, kind="stable")[:, :width]
         out_idx[start : start + len(chunk)] = tgt_arr[order]
         out_scores[start : start + len(chunk)] = np.take_along_axis(sims, order, axis=1)

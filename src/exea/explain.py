@@ -10,28 +10,40 @@ along matched paths is the explanation subgraph.
 
 Performance notes. ``PathIndex`` is one table per side, built in one array
 pass over the graph's step index (``Kg.step_keys``) for every center it is
-given: the paths as integer step arrays sorted by center and endpoint, their
-unit path embeddings as one float64 matrix (gathered, summed and divided by
-length in the order ``path_embedding`` adds, in fixed-size row chunks), a mask
-of all-zero embeddings, and each path's functionality weight. Its endpoints
-are sorted CSR arrays (``hood_key``, ``run_start``, ``hood_start``), so a
-neighborhood is a slice, a membership test is one ``np.searchsorted`` over
-packed int64 keys, and a block's rows are found for many neighbor pairs at
-once. Every row is summed element by element and normed by its own
-``np.vecdot``, so its bits do not depend on which centers share the index.
-``explanations`` is the one explanation builder: given each pair's neighbor
-list and indexes that hold every pair's centers, it scores the path pairs of
-many pairs' neighbor pairs together, each neighbor pair a block, with one
-``np.vecdot`` per pass, and picks row and column bests with lexsorts per
-block that keep the lowest-index tie rule. The repair's ``PairAnalyzer``
-builds every graph through it, over one index per side. ``explanation`` (one
-pair, its neighbors read off a mapping) and ``match_paths`` (one neighbor
-pair) build indexes over the pair's own centers and call the same matcher;
-they take no indexes and no neighbor list. A pass takes whole pairs up to
-``_PASS_PAIRS`` scored path pairs (a larger pair gets a pass of its own).
-That bound is a constant, not a setting: it caps the pass's temporaries, two
-gathered unit rows per path pair, and no output depends on it, since every
-value is computed per row and per block. ``adg.build_adg`` builds the
+given. A path row holds no embedding: it is two int32 step ids into the
+graph's step index, an int8 length, a float64 functionality weight, an int32
+entity-half id, an int32 relation-half id, a float64 norm and an all-zero
+flag. The halves are two small float64 tables sized by the index's own paths:
+one entity row per center and per first step of a two-step path (the mean of
+the center and the entity it reaches), one relation row per relation
+combination its paths use (keyed by packed ints through ``np.unique``). Each
+is summed and divided by the length in the order ``path_embedding`` adds,
+and each norm is one ``np.vecdot`` over a path's halves side by side. The
+rows are sorted by center and endpoint, and the endpoints are sorted CSR
+arrays (``hood_key``, ``run_start``, ``hood_start``), so a neighborhood is a
+slice, a membership test is one ``np.searchsorted`` over packed int64 keys,
+a block's rows are found for many neighbor pairs at once, and a row's center
+is a search over the runs. On the repair fixtures an index holds 3.3 MB per
+side on repair-dense (53,946 paths, 60 bytes each) and 3.2 MB on repair-wide
+(31,908 paths, 99 bytes each); with a unit matrix, a triple array and int64
+steps it held 34.2 and 20.4 MB. No value depends on which centers share the
+index. ``explanations`` is the one explanation builder: given each
+pair's neighbor list and indexes that hold every pair's centers, it scores
+the path pairs of many pairs' neighbor pairs together, each neighbor pair a
+block, with one ``np.vecdot`` per pass, and picks row and column bests with
+lexsorts per block that keep the lowest-index tie rule. A pass rebuilds unit
+rows only for its blocks' rows: two gathers of halves and one divide by the
+stored norm, the operations of ``path_embedding`` over its norm in the same
+order, so every score equals the per-path computation bit for bit. The repair's
+``PairAnalyzer`` builds every graph through it, over one index per side.
+``explanation`` (one pair, its neighbors read off a mapping) and
+``match_paths`` (one neighbor pair) build indexes over the pair's own centers
+and call the same matcher; they take no indexes and no neighbor list. A pass
+takes whole pairs up to ``_PASS_PAIRS`` scored path pairs (a larger pair
+gets a pass of its own). That bound is a constant, not a setting: it caps
+the pass's temporaries, two gathered unit rows per path pair, and no output
+depends on it, since every value is computed per row and per block.
+``adg.build_adg`` builds the
 dependency graphs of many explanations at once. Similarities and norms go
 through ``np.vecdot`` and never through a matrix product or an einsum:
 vecdot takes, row by row, the BLAS dot that ``np.dot`` and
@@ -39,8 +51,9 @@ vecdot takes, row by row, the BLAS dot that ``np.dot`` and
 computation bit for bit, where a matrix product or einsum may sum in another
 order. In
 ``tests/test_explain.py``, ``TestBatchedCoreIsExact`` keeps the per-pair
-matcher as the reference and ``TestPathIndexIsExact`` the per-center path
-build, and both check equality with ``==``.
+matcher as the reference, ``TestPathIndexIsExact`` the per-center path
+build and ``TestUnitRowsAreRebuiltExactly`` the whole unit matrix, and all
+check equality with ``==``.
 
 Everything here is ints: a pair is (source index, target index), a path is
 its tuple of step keys (see ``kg``), and a triple is a (side, subject,
@@ -76,8 +89,8 @@ PathMatch = tuple[tuple[Step, ...], tuple[Step, ...], float]
 
 _CHUNK = 4096  # rows per pass of the float work, which keeps its temporaries small
 # scored path pairs per matcher pass: each gathers two unit rows of 2 * dim
-# float64 values, so this bounds the matcher's temporaries however many pairs
-# a caller hands it at once
+# float64 values, rebuilt for the pass's rows, so this bounds the matcher's
+# temporaries however many pairs a caller hands it at once
 _PASS_PAIRS = 2048
 
 
@@ -102,19 +115,25 @@ class PathIndex:
     endpoint, first step, second step): within a center and an endpoint, the
     order in which ``enumerate_paths`` walks them.
 
-    ``steps[p, k]`` is step k of path p as (0 outgoing / 1 incoming, relation,
-    entity reached), -1 past the path's length. The endpoints are a sorted
-    CSR array: ``hood_key`` holds one packed ``center * n_entities +
-    endpoint`` key per run of rows that share a center and an endpoint,
-    ascending; run i's rows are ``run_start[i]:run_start[i + 1]`` and center
-    c's runs are ``hood_start[c]:hood_start[c + 1]``. A center's endpoints
-    are its h-hop neighborhood, the entities
-    ``neighborhood_entities`` finds, since every entity within h undirected
-    hops ends some simple path of length <= h. ``unit`` holds unit path
-    embeddings, with zero rows where ``zero`` marks an all-zero embedding;
-    ``weight`` holds the product of per-step functionality weights.
-    ``triples[p, k]`` is the (subject, relation, object) triple step k
-    traverses, -1 past the path's length.
+    ``step_ids[p, k]`` is step k of path p as a row of ``step_keys``, the
+    graph's step index (shared, not copied), -1 past the path's length;
+    ``lengths[p]`` is its step count. The endpoints are a sorted CSR array:
+    ``hood_key`` holds one packed ``center * n_entities + endpoint`` key per
+    run of rows that share a center and an endpoint, ascending; run i's rows
+    are ``run_start[i]:run_start[i + 1]`` and center c's runs are
+    ``hood_start[c]:hood_start[c + 1]``. A center's endpoints are its h-hop
+    neighborhood, the entities ``neighborhood_entities`` finds, since every
+    entity within h undirected hops ends some simple path of length <= h.
+
+    A path's embedding is kept as two halves by id and one norm, not as a
+    row: ``ent_half[eid[p]]`` is the mean of its center and intermediate
+    entity vectors (the center's vector for a one-step path, one row per
+    first step for the two-step ones), ``rel_half[rid[p]]`` the mean of its
+    relation vectors (one row per relation combination the index's paths
+    use), ``norm[p]`` the Euclidean norm of the two halves side by side, 1.0
+    where ``zero`` marks an all-zero embedding. ``unit_rows`` rebuilds unit
+    path embeddings for the rows asked for. ``weight`` holds the product of
+    per-step functionality weights.
 
     Paths and embeddings depend only on the graph, the store and h, so one
     index serves every explanation call on its side.
@@ -144,9 +163,10 @@ class PathIndex:
         order = np.lexsort((second, first, end, center))
         center, first, second, end = center[order], first[order], second[order], end[order]
         n = center.size
-        self.lengths = np.where(second < 0, 1, 2)
-        self.steps = keys[np.stack([first, second], axis=1)[:, :h]]
-        self.steps[:, 1:][second < 0] = -1  # past a one-step path's length
+        two = second >= 0
+        self.lengths = (1 + two).astype(np.int8)
+        self.step_keys = keys
+        self.step_ids = np.stack([first, second], axis=1)[:, :h].astype(np.int32)
         # one run of rows per (center, endpoint), keyed center * n + endpoint
         self.n_entities = n_ent = kg.n_entities
         key = center * n_ent + end
@@ -155,10 +175,13 @@ class PathIndex:
         self.run_start = np.append(run, n)
         self.hood_start = np.searchsorted(self.hood_key, np.arange(n_ent + 1) * n_ent)
         ents = store.entity_matrix(kg.side)
-        if max(centers.max(initial=-1), self.steps[:, :, 2].max(initial=-1)) >= ents.shape[0]:
+        middle = keys[first[two], 2]
+        if max(centers.max(initial=-1), end.max(initial=-1), middle.max(initial=-1)) >= ents.shape[0]:
             raise MissingEmbedding(f"paths on side {kg.side.value} reach entities without vectors")
         rels = store.relation_matrix(kg)
-        if self.steps[:, :, 1].max(initial=-1) >= rels.shape[0]:
+        incoming1, r1 = keys[first, :2].T
+        incoming2, r2 = keys[second[two], :2].T
+        if max(r1.max(initial=-1), r2.max(initial=-1)) >= rels.shape[0]:
             raise MissingEmbedding(f"paths on side {kg.side.value} use relations without vectors")
         # per-relation weight of an outgoing step (inverse functionality) and
         # of an incoming one (functionality); relations without triples never
@@ -166,33 +189,48 @@ class PathIndex:
         step_weight = np.full((2, kg.n_relations), np.nan)
         for direction, table in enumerate((kg.ifunc_table, kg.func_table)):
             step_weight[direction, list(table)] = list(table.values())
-        dim = rels.shape[1]
-        self.unit = np.zeros((n, 2 * dim), dtype=np.float64)
-        self.zero = np.empty(n, dtype=bool)
-        self.weight = np.ones(n, dtype=np.float64)
-        self.triples = np.full((n, h, 3), -1)
+        self.weight = step_weight[incoming1, r1]
+        self.weight[two] *= step_weight[incoming2, r2]
+        # the halves, with the same additions in the same order as
+        # path_embedding: the center plus the intermediate entity, and 0.0
+        # plus each step relation, each divided by the length
+        ent_keys, at, eid = np.unique(
+            np.where(two, n_ent + first, center), return_index=True, return_inverse=True
+        )
+        self.ent_half = ents[center[at]].astype(np.float64)
+        inner = ent_keys >= n_ent
+        self.ent_half[inner] += ents[keys[ent_keys[inner] - n_ent, 2]]
+        self.ent_half[inner] /= 2
+        # a relation combination is keyed r1 * base + r2 + 1, base being the
+        # relation count + 1 and r2 = -1 for a one-step path
+        base = rels.shape[0] + 1
+        rel_key = r1 * base
+        rel_key[two] += r2 + 1
+        rel_keys, rid = np.unique(rel_key, return_inverse=True)
+        combo1, combo2 = np.divmod(rel_keys, base)
+        self.rel_half = 0.0 + rels[combo1]
+        inner = combo2 > 0
+        self.rel_half[inner] += rels[combo2[inner] - 1]
+        self.rel_half[inner] /= 2
+        self.eid, self.rid = eid.astype(np.int32), rid.astype(np.int32)
+        self.norm = np.empty(n, dtype=np.float64)
         for lo in range(0, n, _CHUNK):
-            rows = slice(lo, lo + _CHUNK)
-            steps, lengths, anchor = self.steps[rows], self.lengths[rows], center[rows]
-            unit, weight, triples = self.unit[rows], self.weight[rows], self.triples[rows]
-            # the same additions, in the same order, as path_embedding: the
-            # anchor plus each intermediate entity in the first half, the step
-            # relations in the second, then both halves divided by the length
-            unit[:, :dim] = ents[anchor]
-            for k in range(h):
-                at = np.flatnonzero(lengths > k)
-                incoming, r, u = steps[at, k].T
-                unit[at, dim:] += rels[r]
-                weight[at] *= step_weight[incoming, r]
-                inner = np.flatnonzero(lengths > k + 1)
-                unit[inner, :dim] += ents[steps[inner, k, 2]]
-                a = anchor[at]
-                triples[at, k] = np.where(incoming[:, None] == 1, np.c_[u, r, a], np.c_[a, r, u])
-                anchor = steps[:, k, 2]
-            unit /= lengths[:, None]
-            norms = np.sqrt(np.vecdot(unit, unit))
-            self.zero[rows] = norms == 0.0
-            unit /= np.where(norms == 0.0, 1.0, norms)[:, None]
+            halves = self._halves(slice(lo, lo + _CHUNK))
+            self.norm[lo : lo + _CHUNK] = np.sqrt(np.vecdot(halves, halves))
+        self.zero = self.norm == 0.0
+        self.norm[self.zero] = 1.0
+
+    def _halves(self, rows) -> np.ndarray:
+        """The entity and relation halves of ``rows``, side by side."""
+        return np.concatenate([self.ent_half[self.eid[rows]], self.rel_half[self.rid[rows]]], axis=1)
+
+    def unit_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The unit path embeddings of ``rows``, all-zero where ``zero`` is
+        set: the halves divided by the norm, as ``path_embedding(...) /
+        norm`` computes them, bit for bit."""
+        unit = self._halves(rows)
+        unit /= self.norm[rows, None]
+        return unit
 
     def hood(self, center: int) -> np.ndarray:
         """The endpoints of ``center``'s paths, ascending: its h-hop
@@ -209,7 +247,7 @@ class PathIndex:
 
     def key(self, row: int) -> tuple[Step, ...]:
         """The path in ``row`` as ``enumerate_paths`` gives it."""
-        return tuple(map(tuple, self.steps[row, : self.lengths[row]].tolist()))
+        return tuple(map(tuple, self.step_keys[self.step_ids[row, : self.lengths[row]]].tolist()))
 
 
 @dataclass(eq=False)
@@ -272,10 +310,18 @@ def _path_matches(
 
 def _triple_keys(index: PathIndex, rows: np.ndarray, side: int) -> np.ndarray:
     """The triples that the paths in ``rows`` traverse, one (side, s, r, o)
-    line each."""
-    keys = index.triples[rows].reshape(-1, 3)
-    keys = keys[keys[:, 0] >= 0]
-    return np.concatenate([np.full((len(keys), 1), side), keys], axis=1)
+    line each: step k leaves its anchor, the center for k = 0 and otherwise
+    the entity step k - 1 reached."""
+    ids = index.step_ids[rows]
+    center = index.hood_key[np.searchsorted(index.run_start, rows, side="right") - 1]
+    anchor = np.concatenate(
+        [center[:, None] // index.n_entities, index.step_keys[ids[:, :-1], 2]], axis=1
+    )
+    taken = ids >= 0
+    incoming, r, u = index.step_keys[ids[taken]].T
+    a = anchor[taken]
+    subject, obj = np.where(incoming == 1, u, a), np.where(incoming == 1, a, u)
+    return np.stack([np.full(r.size, side), subject, r, obj], axis=1)
 
 
 def _first_per_group(order: np.ndarray, group: np.ndarray) -> np.ndarray:
@@ -346,11 +392,14 @@ def _match_blocks(
     i, j = np.divmod(_ranges(np.zeros_like(sizes), sizes), len2[block])
     rows1 = start1[block] + i
     rows2 = start2[block] + j
-    sims = np.vecdot(i1.unit[rows1], i2.unit[rows2])
-    sims[i1.zero[rows1] | i2.zero[rows2]] = -2.0
-    # one id per (block, source path) and per (block, target path)
+    # one id per (block, source path) and per (block, target path): the
+    # positions of rows1 and rows2 in the blocks' concatenated row runs, so
+    # unit rows are rebuilt once per block row, not once per path pair
     row_id = (np.cumsum(len1) - len1)[block] + i
     col_id = (np.cumsum(len2) - len2)[block] + j
+    u1, u2 = i1.unit_rows(_ranges(start1, len1)), i2.unit_rows(_ranges(start2, len2))
+    sims = np.vecdot(u1[row_id], u2[col_id])
+    sims[i1.zero[rows1] | i2.zero[rows2]] = -2.0
     neg = -sims
     row_best = _first_per_group(np.lexsort((j, neg, row_id)), row_id)
     col_best = _first_per_group(np.lexsort((i, neg, col_id)), col_id)

@@ -4,6 +4,7 @@ similarity search, and the on-disk embedding format."""
 import numpy as np
 import pytest
 
+import exea.embedding as embedding_module
 from exea.embedding import (
     EmbeddingStore,
     greedy_align,
@@ -215,13 +216,26 @@ class TestSimilaritySearch:
         topk = similarity_topk(st, [0], [0, 1, 2], k=3)
         assert list(topk.target_indices[0]) == [0, 1, 2]
 
-    def test_block_partitioning_does_not_change_results(self):
+    def test_block_partitioning_does_not_change_results(self, monkeypatch):
+        """Blocks of 1 to 17 rows (where BLAS matrix kernels switch), of
+        nearly all rows and of all rows, and a budget under one row's scores
+        (one row per block), give the same top-k at several widths; every
+        score equals the per-pair ``np.dot`` of the normalized rows."""
         rng = np.random.default_rng(29)
-        st = store_from(rng.normal(size=(40, 6)), rng.normal(size=(25, 6)))
-        a = similarity_topk(st, range(40), range(25), k=4, block_size=7)
-        b = similarity_topk(st, range(40), range(25), k=4, block_size=4096)
-        np.testing.assert_array_equal(a.target_indices, b.target_indices)
-        np.testing.assert_array_equal(a.scores, b.scores)
+        for dim in (6, 32, 64):
+            st = store_from(rng.normal(size=(40, dim)), rng.normal(size=(25, dim)))
+            monkeypatch.setattr(embedding_module, "_TOPK_BLOCK_BYTES", 8 * 25 * 4096)
+            whole = similarity_topk(st, range(40), range(25), k=4)
+            a, b = (st.entity_matrix(side).astype(np.float64) for side in (Side.SOURCE, Side.TARGET))
+            a, b = a / np.linalg.norm(a, axis=1)[:, None], b / np.linalg.norm(b, axis=1)[:, None]
+            for i in range(40):
+                expected = [float(np.dot(a[i], b[j])) for j in whole.target_indices[i]]
+                assert whole.scores[i].tolist() == expected
+            for budget in [8 * 25 * rows for rows in [*range(1, 18), 39]] + [8 * 25 - 1, 0]:
+                monkeypatch.setattr(embedding_module, "_TOPK_BLOCK_BYTES", budget)
+                got = similarity_topk(st, range(40), range(25), k=4)
+                np.testing.assert_array_equal(got.target_indices, whole.target_indices)
+                np.testing.assert_array_equal(got.scores, whole.scores)
 
     def test_k_wider_than_targets(self):
         st = store_from([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])

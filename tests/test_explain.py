@@ -16,6 +16,7 @@ from exea.explain import (
 )
 from exea.kg import Kg, Side, enumerate_paths, neighborhood_entities, neighborhood_triples
 from exea.repair import AlignmentState, PairAnalyzer, RepairConfig
+from exea.synth import SynthConfig, generate_pair
 
 from test_adg import path_weight
 from test_embedding import reference_cosine
@@ -71,6 +72,19 @@ def endpoint_runs(index):
         center, end = divmod(key, index.n_entities)
         out.setdefault(center, {})[end] = (bounds[i], bounds[i + 1])
     return out
+
+
+def index_steps(index, rows):
+    """The paths in ``rows`` as (direction, relation, entity reached) steps,
+    -1 past each path's length: the step keys their step ids point to."""
+    ids = index.step_ids[rows]
+    return np.where(ids[..., None] >= 0, index.step_keys[ids], -1)
+
+
+def row_triples(index, row):
+    """The (subject, relation, object) triples the path in ``row`` traverses,
+    in step order, as the library derives them for ``Explanation.triple_keys``."""
+    return explain_module._triple_keys(index, np.array([row]), 0)[:, 1:].tolist()
 
 
 def indexed_neighbors(pair, idx1, idx2, alignments):
@@ -370,7 +384,7 @@ class TestBatchedCoreIsExact:
                 for row in rows:
                     path = index.key(row)
                     assert index.weight[row] == path_weight(kg, path)
-                    assert index.triples[row, : len(path)].tolist() == [
+                    assert row_triples(index, row) == [
                         list(t) for t in path_triples(center, path)
                     ]
                     vec = path_embedding(store, kg, center, path)
@@ -380,9 +394,10 @@ class TestBatchedCoreIsExact:
                         zero_rows += 1
                     else:
                         assert not index.zero[row]
-                        assert np.array_equal(index.unit[row], vec / norm)
+                        assert np.array_equal(index.unit_rows(np.array([row]))[0], vec / norm)
                 for end, (start, stop) in runs.items():
-                    ends = index.steps[np.arange(start, stop), index.lengths[start:stop] - 1, 2]
+                    steps = index_steps(index, np.arange(start, stop))
+                    ends = steps[np.arange(stop - start), index.lengths[start:stop] - 1, 2]
                     assert (ends == end).all()
         assert zero_rows > 0
 
@@ -509,12 +524,25 @@ ROW_FIELDS = ("steps", "lengths", "unit", "zero", "weight", "triples")
 
 
 def center_rows(index, center):
-    """Center ``center``'s rows of ``index`` by field, ``groups`` with rows
-    counted from the center's first row."""
+    """Center ``center``'s rows of ``index`` by field, as the per-center
+    build lays them out: steps and triples derived from the step ids, unit
+    rows rebuilt from the halves, ``groups`` with rows counted from the
+    center's first row."""
     runs = endpoint_runs(index).get(center, {})
     lo = min((a for a, _ in runs.values()), default=0)
     hi = max((b for _, b in runs.values()), default=0)
-    got = {name: getattr(index, name)[lo:hi] for name in ROW_FIELDS}
+    rows = np.arange(lo, hi)
+    triples = np.full((rows.size, index.step_ids.shape[1], 3), -1)
+    taken = index.step_ids[rows] >= 0
+    triples[taken] = explain_module._triple_keys(index, rows, 0)[:, 1:]
+    got = {
+        "steps": index_steps(index, rows),
+        "lengths": index.lengths[rows].astype(np.int64),
+        "unit": index.unit_rows(rows),
+        "zero": index.zero[rows],
+        "weight": index.weight[rows],
+        "triples": triples,
+    }
     got["groups"] = {e: (a - lo, b - lo) for e, (a, b) in runs.items()}
     return got
 
@@ -580,6 +608,101 @@ class TestPathIndexIsExact:
             assert sorted(endpoint_runs(part)) == sorted(with_paths)
             for c in centers.tolist():
                 assert_same_rows(center_rows(part, c), center_rows(full, c))
+
+
+def whole_matrix_unit(kg, store, h, index):
+    """The unit path embeddings of every row of ``index`` as the index once
+    stored them, kept as the exact reference for ``PathIndex.unit_rows``:
+    one float64 matrix, the center plus each intermediate entity in the first
+    half and each step relation in the second (in ``path_embedding``'s
+    order), both divided by the length, then each row by its norm (1.0 for an
+    all-zero row), in row chunks of 4096."""
+    n = index.lengths.size
+    center = np.repeat(index.hood_key // index.n_entities, np.diff(index.run_start))
+    steps, lengths = index_steps(index, np.arange(n)), index.lengths.astype(np.int64)
+    ents, rels = store.entity_matrix(kg.side), store.relation_matrix(kg)
+    dim = rels.shape[1]
+    unit = np.zeros((n, 2 * dim), dtype=np.float64)
+    for lo in range(0, n, 4096):
+        rows = slice(lo, lo + 4096)
+        chunk, chunk_steps, chunk_lengths = unit[rows], steps[rows], lengths[rows]
+        chunk[:, :dim] = ents[center[rows]]
+        for k in range(h):
+            at = np.flatnonzero(chunk_lengths > k)
+            chunk[at, dim:] += rels[chunk_steps[at, k, 1]]
+            inner = np.flatnonzero(chunk_lengths > k + 1)
+            chunk[inner, :dim] += ents[chunk_steps[inner, k, 2]]
+        chunk /= chunk_lengths[:, None]
+        norms = np.sqrt(np.vecdot(chunk, chunk))
+        chunk /= np.where(norms == 0.0, 1.0, norms)[:, None]
+    return unit
+
+
+class TestUnitRowsAreRebuiltExactly:
+    """``PathIndex`` keeps each path's embedding as two half ids and a norm;
+    the rows it rebuilds equal the whole unit matrix it used to store, with
+    ``==`` on every row (all-zero rows included), whichever rows a caller
+    asks for and in whatever order, and the matcher picks the same matches
+    however its passes are cut."""
+
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_every_row_equals_whole_matrix_build(self, h):
+        rng = np.random.default_rng(8000 + h)
+        zero = 0
+        for trial in range(8):
+            kg, _, store = tied_pair(rng, 10, 3, 24, h, integer=trial % 2 == 0)
+            if trial % 4 == 3:
+                kg = rough_kg(rng, 12, 3, 20, Side.SOURCE)
+                store = rough_store(rng, kg, integer=True)
+            centers = None if trial % 3 else rng.choice(kg.n_entities, size=4, replace=False)
+            index = PathIndex(kg, store, h, centers)
+            expected = whole_matrix_unit(kg, store, h, index)
+            n = index.lengths.size
+            assert (index.unit_rows(np.arange(n)) == expected).all()
+            assert (index.zero == ~expected.any(axis=1)).all()
+            picked = rng.integers(0, n, size=3 * n)
+            assert (index.unit_rows(picked) == expected[picked]).all()
+            zero += int(index.zero.sum())
+        assert zero > 0
+
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_matcher_output_does_not_depend_on_pass_size(self, monkeypatch, h):
+        rng = np.random.default_rng(8100 + h)
+        matches = 0
+        for trial in range(6):
+            kg1, kg2, store = tied_pair(rng, 10, 3, 25, h, integer=trial % 2 == 0)
+            idx1, idx2 = PathIndex(kg1, store, h), PathIndex(kg2, store, h)
+            unit1 = whole_matrix_unit(kg1, store, h, idx1)
+            unit2 = whole_matrix_unit(kg2, store, h, idx2)
+            alignments = {int(s): int(rng.integers(0, 10)) for s in range(10)}
+            pairs = [(int(a), int(b)) for a, b in rng.integers(0, 10, size=(15, 2))]
+            items = [(pair, indexed_neighbors(pair, idx1, idx2, alignments)) for pair in pairs]
+            got = {}
+            for budget in (1, explain_module._PASS_PAIRS, 10**9):
+                monkeypatch.setattr(explain_module, "_PASS_PAIRS", budget)
+                got[budget] = explain_module._mutual_best(idx1, idx2, items)
+            first, *others = got.values()
+            for other in others:
+                for a, b in zip(first, other):
+                    assert a.dtype == b.dtype and a.tolist() == b.tolist()
+            rows1, rows2, sims = first[:3]
+            assert sims.tolist() == np.vecdot(unit1[rows1], unit2[rows2]).tolist()
+            matches += sims.size
+        assert matches > 50
+
+
+class TestPathIndexMemory:
+    def test_array_bytes_per_path(self):
+        """A path row holds ids, a norm, a weight and flags, not an embedding:
+        every array the index holds, the half tables and the graph's shared
+        step index included, comes to at most 64 bytes per path on a dense
+        graph (the unit matrix alone took 2 * 32 * 8 = 512)."""
+        result = generate_pair(SynthConfig(n_entities=200, density=8.0))
+        for kg in (result.kg1, result.kg2):
+            index = PathIndex(kg, result.perturbed_store, 2)
+            held = sum(v.nbytes for v in vars(index).values() if isinstance(v, np.ndarray))
+            assert index.lengths.size > 40_000
+            assert held / index.lengths.size <= 64
 
 
 class TestPathIndexMissingVectors:
@@ -713,7 +836,7 @@ class TestExplanation:
         index = PathIndex(kg, store, 2, [0])
         rows = np.flatnonzero(index.lengths == 2).tolist()
         assert [index.key(row) for row in rows] == [((0, 0, 1), (1, 1, 2))]
-        assert index.triples[rows[0]].tolist() == [[0, 0, 1], [2, 1, 1]]
+        assert row_triples(index, rows[0]) == [[0, 0, 1], [2, 1, 1]]
 
     def test_shared_path_index_reuse(self, governor_case):
         c = governor_case
