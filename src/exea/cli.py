@@ -526,6 +526,9 @@ def _adg_json(adg: Adg, kg1: Kg, kg2: Kg) -> dict:
 def _cmd_train(cfg: dict) -> None:
     _require(cfg, "kg1", "kg2", "seeds", "out")
     data = _load_inputs(cfg, ("seeds",), emb=False)
+    # seeds that are not one-to-one fail here as in fidelity, before any
+    # training; the library train() accepts them
+    AlignmentState(data.pairs["seeds"], (), data.kg1.n_entities, data.kg2.n_entities)
     store = train(data.kg1, data.kg2, data.pairs["seeds"], _train_config(cfg))
     _atomic_write(cfg["out"], lambda tmp: save_embeddings(tmp, store))
     _write_manifest("train", cfg, data.paths, {"out": cfg["out"]})
@@ -630,7 +633,11 @@ def _eval_fidelity(cfg: dict) -> tuple[EvalReport, dict]:
     context = {s: t for s, t, _ in state.pairs()}
     del state  # its sets would stay resident through the retraining
     h = int(cfg["h"])
-    sample = sample_correct_pairs(pred, gold, int(cfg["sample_n"]), int(cfg["rng_seed"]))
+    # retraining pulls a seed pair together whatever its explanation says, so
+    # a seed pair repeated in the predictions is no sample
+    seed_sources = {s for s, _ in seeds}
+    candidates = [(s, t) for s, t in pred if s not in seed_sources]
+    sample = sample_correct_pairs(candidates, gold, int(cfg["sample_n"]), int(cfg["rng_seed"]))
     if not sample:
         raise ConfigError("no correct predictions to sample for fidelity")
     expl = {

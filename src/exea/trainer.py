@@ -8,6 +8,12 @@ descent with seeded negative sampling: the same config always produces the
 same store, bit for bit. Sampling redraws a corruption that happens to be a
 true triple at most 4 times, so on a small or dense graph an accidental
 positive can survive into the batch.
+
+Whether a corruption is a true triple is decided by a binary search over the
+sorted true keys, but only for the keys that a residue table marks: every true
+key's residue is marked, so the table never hides a true triple, and with
+``_SLOTS_PER_TRIPLE`` slots per triple about one false key in that many is
+searched at all.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ from .kg import Kg, Side
 # epoch moves both members of a seed pair to their midpoint, the exact
 # minimizer of that epoch's alignment term.
 _ALIGN_RATE = 0.5
+
+# Slots of the residue table per true triple: about one false key in this
+# many shares a residue with a true key and goes on to the exact search.
+_SLOTS_PER_TRIPLE = 16
 
 
 @dataclass(frozen=True)
@@ -99,12 +109,24 @@ class _SideData:
         self.head_kept = self.r * self.n_ent + self.o
         self.tail_kept = (self.s * self.n_rel + self.r) * self.n_ent
         self.true_keys = np.sort(self.tail_kept + self.o)
+        # marks[key % marks.size] is set for every true key. The size is odd,
+        # so a power-of-two entity count does not fold keys onto few residues.
+        self.marks = np.zeros(_SLOTS_PER_TRIPLE * self.m - 1, dtype=bool)
+        self.marks[self.true_keys % self.marks.size] = True
 
     def _positive(self, neg, corrupt_head, head_kept, tail_kept) -> np.ndarray:
-        """Whether each corruption is a true triple."""
-        keys = np.where(corrupt_head, neg * (self.n_rel * self.n_ent) + head_kept, tail_kept + neg)
-        idx = np.minimum(np.searchsorted(self.true_keys, keys), self.true_keys.size - 1)
-        return self.true_keys[idx] == keys
+        """The flat positions of the corruptions that are true triples.
+
+        Only a key whose residue is marked can be one; the binary search over
+        the true keys decides for those.
+        """
+        keys = np.where(
+            corrupt_head, neg * (self.n_rel * self.n_ent) + head_kept, tail_kept + neg
+        ).reshape(-1)
+        hit = np.flatnonzero(self.marks[keys % self.marks.size])
+        cand = keys[hit]
+        idx = np.minimum(np.searchsorted(self.true_keys, cand), self.true_keys.size - 1)
+        return hit[self.true_keys[idx] == cand]
 
     def sample_negatives(self, rng: np.random.Generator, k: int):
         """Corrupt head or tail uniformly; redraw accidental positives.
@@ -115,18 +137,16 @@ class _SideData:
         neg = rng.integers(0, self.n_ent, size=(self.m, k))
         corrupt_head = rng.integers(0, 2, size=(self.m, k)).astype(bool)
         flat_neg, flat_head = neg.reshape(-1), corrupt_head.reshape(-1)
-        bad = self._positive(neg, corrupt_head, self.head_kept[:, None], self.tail_kept[:, None])
-        slots = np.flatnonzero(bad)
+        slots = self._positive(neg, corrupt_head, self.head_kept[:, None], self.tail_kept[:, None])
         for _ in range(4):
             if not slots.size:
                 break
             flat_neg[slots] = rng.integers(0, self.n_ent, size=(self.m, k)).reshape(-1)[slots]
             # only a redrawn slot can have turned into a positive
             rows = slots // k
-            bad = self._positive(
+            slots = slots[self._positive(
                 flat_neg[slots], flat_head[slots], self.head_kept[rows], self.tail_kept[rows]
-            )
-            slots = slots[bad]
+            )]
         s_neg = np.where(corrupt_head, neg, self.s[:, None])
         o_neg = np.where(corrupt_head, self.o[:, None], neg)
         return s_neg, o_neg

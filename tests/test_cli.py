@@ -565,6 +565,24 @@ class TestTrain:
         assert nested.read_bytes() == flat.read_bytes()
         assert sorted(p.name for p in nested.parent.iterdir()) == ["emb.tsv", "manifest.json"]
 
+    def test_refuses_seeds_that_are_not_one_to_one(self, dataset, tmp_path, capsys, monkeypatch):
+        # the same refusal as eval --mode fidelity's, before any training
+        rows = read_pairs(dataset / "train_links")
+        s, t = rows[0]
+        other = (t + 1) % 30
+        seeds = tmp_path / "seeds.tsv"
+        seeds.write_text("".join(f"{a}\t{b}\n" for a, b in rows + [(s, other)]))
+        monkeypatch.setattr(exea.cli, "train", lambda *args: pytest.fail("trained"))
+        out = tmp_path / "emb.tsv"
+        rc = main(["train", "--kg1", str(dataset / "triples_1"),
+                   "--kg2", str(dataset / "triples_2"),
+                   "--seeds", str(seeds), "--out", str(out), "--dim", "8", "--epochs", "2"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"config error: seed pairs are not one-to-one at ({s}, {other})" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestOutputCollisions:
     """An output naming the file of another output or of an input is a
@@ -782,6 +800,29 @@ class TestMatchedContext:
         kept, dropped = captured
         assert dropped == kept
         assert any(kept.values())
+        assert docs[1] == docs[0]
+
+    def test_fidelity_samples_no_seed_pair(self, dataset, kg_flags, raw_alignment, tmp_path):
+        # retraining pulls a seed pair together whatever its explanation says,
+        # so seed rows in --pred change only the accuracy
+        seeds = read_pairs(dataset / "train_links")
+        with_seeds = tmp_path / "with_seeds.tsv"
+        with_seeds.write_text(
+            raw_alignment.read_text() + "".join(f"{s}\t{t}\n" for s, t in seeds)
+        )
+        docs = []
+        for path in (raw_alignment, with_seeds):
+            out = tmp_path / f"fid_{path.stem}.json"
+            rc = main([
+                "eval", *kg_flags, "--mode", "fidelity",
+                "--seeds", str(dataset / "train_links"), "--pred", str(path),
+                "--gold", str(dataset / "ent_links"), "--out", str(out),
+                "--sample-n", "30", "--dim", "8", "--epochs", "20",
+            ])
+            assert rc == 0
+            docs.append(json.loads(out.read_text()))
+        assert docs[1]["accuracy"] > docs[0]["accuracy"]
+        del docs[0]["accuracy"], docs[1]["accuracy"]
         assert docs[1] == docs[0]
 
 

@@ -9,6 +9,7 @@ from exea import trainer
 from exea.embedding import EmbeddingStore, greedy_align
 from exea.errors import ConfigError, EmptyKg, NoSeedsWarning, TrainerFailure
 from exea.kg import Kg, Side
+from exea.synth import SynthConfig, generate_pair
 from exea.trainer import TrainConfig, train
 
 from conftest import make_isomorphic_pair
@@ -383,3 +384,95 @@ class TestTrainerIsExact:
         )
         with pytest.MonkeyPatch.context() as monkeypatch:
             self.assert_exact(monkeypatch, kg1, kg2, seeds, cfg)
+
+    def test_synth_graph(self, monkeypatch):
+        # a generated graph fills the residue table at its real load, and
+        # some corruptions are true triples, so the redraw rounds run
+        result = generate_pair(SynthConfig(n_entities=200, rng_seed=2))
+        positives = []
+        positive = trainer._SideData._positive
+
+        def count(self, *args):
+            slots = positive(self, *args)
+            positives.append(slots.size)
+            return slots
+
+        monkeypatch.setattr(trainer._SideData, "_positive", count)
+        cfg = TrainConfig(dim=8, epochs=6, seed=8)
+        self.assert_exact(monkeypatch, result.kg1, result.kg2, result.seeds, cfg)
+        assert sum(positives) > 0
+
+
+def _power_of_two_graph():
+    # 16 entities and 2 relations: every key's low bits are its object's, so
+    # a table of a power-of-two size would fold keys onto few residues
+    rng = np.random.default_rng(21)
+    triples = rng.integers(0, [16, 2, 16], size=(60, 3))
+    return _graph(Side.SOURCE, 16, 2, [tuple(t) for t in triples])
+
+
+def _all_corruptions(data):
+    """Every head corruption of every triple, then every tail one, as the
+    ``(neg, corrupt_head)`` blocks ``sample_negatives`` makes, one row per
+    triple."""
+    width = 2 * data.n_ent
+    neg = np.tile(np.arange(data.n_ent), (data.m, 2))
+    corrupt_head = np.broadcast_to(np.arange(width) < data.n_ent, (data.m, width))
+    return neg, corrupt_head
+
+
+class TestResidueCheck:
+    """``_SideData._positive`` finds exactly the corruptions that a Python set
+    of the true triples holds, however many false keys share a residue with a
+    true one."""
+
+    @pytest.mark.parametrize("slots", [1, 2, trainer._SLOTS_PER_TRIPLE])
+    @pytest.mark.parametrize("graph", [
+        lambda: _complete_pair()[0], lambda: _hub_pair()[0], lambda: _hub_pair()[1],
+        _power_of_two_graph,
+    ], ids=["complete", "hub-source", "hub-target", "power-of-two"])
+    def test_equals_set_membership(self, monkeypatch, slots, graph):
+        monkeypatch.setattr(trainer, "_SLOTS_PER_TRIPLE", slots)
+        kg = graph()
+        data = trainer._SideData(kg)
+        assert data.marks.size == slots * data.m - 1
+        truth = set(kg.triple_keys)
+        neg, corrupt_head = _all_corruptions(data)
+        want = [
+            i * neg.shape[1] + j
+            for i, (s, r, o) in enumerate(kg.triple_keys)
+            for j, (e, head) in enumerate(zip(neg[i].tolist(), corrupt_head[i].tolist()))
+            if ((e, r, o) if head else (s, r, e)) in truth
+        ]
+        whole = data._positive(neg, corrupt_head, data.head_kept[:, None], data.tail_kept[:, None])
+        assert whole.tolist() == want
+        # the redraw rounds pass flat slots with each slot's row
+        rows = np.arange(neg.size) // neg.shape[1]
+        flat = data._positive(
+            neg.reshape(-1), corrupt_head.reshape(-1), data.head_kept[rows], data.tail_kept[rows]
+        )
+        assert flat.tolist() == want
+
+    def test_small_table_lets_false_keys_through(self, monkeypatch):
+        # with one slot per triple the residues of the true keys collide and
+        # false keys reach the exact search, which must refuse them
+        monkeypatch.setattr(trainer, "_SLOTS_PER_TRIPLE", 1)
+        kg = _power_of_two_graph()
+        data = trainer._SideData(kg)
+        assert np.count_nonzero(data.marks) < data.m
+        neg, corrupt_head = _all_corruptions(data)
+        keys = np.where(corrupt_head, neg * (data.n_rel * data.n_ent) + data.head_kept[:, None],
+                        data.tail_kept[:, None] + neg)
+        marked = np.count_nonzero(data.marks[keys % data.marks.size])
+        found = data._positive(neg, corrupt_head, data.head_kept[:, None], data.tail_kept[:, None])
+        assert marked > found.size
+
+
+class TestResidueTableMemory:
+    def test_bytes_per_triple(self):
+        """The table is one bool per slot, at most 16 bytes per true triple."""
+        result = generate_pair(SynthConfig(n_entities=200, density=8.0))
+        for kg in (result.kg1, result.kg2):
+            data = trainer._SideData(kg)
+            assert data.m > 1000
+            assert data.marks.nbytes <= 16 * data.m
