@@ -219,10 +219,15 @@ def _normalized_rows(store: EmbeddingStore, side: Side, indices) -> np.ndarray:
 
 
 def similarity_matrix(store: EmbeddingStore, sources: Sequence[int], targets: Sequence[int]) -> np.ndarray:
-    """Dense cosine matrix between source-side rows and target-side rows."""
+    """Dense cosine matrix between source-side rows and target-side rows.
+
+    Each entry is one ``np.vecdot`` of a normalized source row and a
+    normalized target row, as in ``similarity_topk``, so a source's row does
+    not depend on which other sources are scored with it; a matrix product
+    picks its kernel, and with it the order of its sums, by the row count."""
     a = _normalized_rows(store, Side.SOURCE, sources)
     b = _normalized_rows(store, Side.TARGET, targets)
-    return a @ b.T
+    return np.vecdot(a[:, None, :], b)
 
 
 @dataclass

@@ -10,7 +10,9 @@ sources walk their top-k candidates, evicting incumbents of lower confidence.
 Low-confidence conflicts: pairs under the confidence floor are stripped and
 re-matched against targets that share a matched neighbor, ranked and compared
 by confidence plus weighted cosine; each candidate is scored once, from the
-cosines that rank it and the confidences that filter it. Both stages share one
+cosines that rank it and the confidences that filter it, and a lazy ranking
+builds only the candidates that a confidence in [0.5, 1] leaves able to
+beat the ones already built. Both stages share one
 rematch walk (``_rematch``) and differ only in the ranking and the comparison
 they pass it.
 A final greedy pass fills any leftovers from the unclaimed targets.
@@ -36,10 +38,12 @@ the union of its chunks', so it does not depend on where chunks end.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 from dataclasses import dataclass, field, fields
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -263,9 +267,11 @@ class PairAnalyzer:
     (of scored path pairs, of nodes) that caps its memory and changes no
     output. The stages read through it wherever the state holds still: the
     confidence snapshots, the relation-conflict stage's non-seed graphs, the
-    claimants in one-to-many resolution, the low-confidence scan and each
-    stripped source's candidates. The rematch comparisons read one or two
-    graphs per call, as the alignment moves between their calls. Every key of
+    claimants in one-to-many resolution, the low-confidence scan and the
+    windows of each stripped source's lazy candidate ranking
+    (``_candidate_targets``). The rematch comparisons read one or two graphs
+    per call, as the alignment moves between their calls; the low-confidence
+    one reads none when the confidence bounds settle it. Every key of
     a batched read still goes through ``adg``, where it finds a fresh entry,
     so a batched read builds the graphs and makes the lookups that the same
     lookups one by one would. The benchmark's trace counts the lookups by
@@ -749,7 +755,7 @@ def one_to_one(state: AlignmentState, analyzer: PairAnalyzer) -> set[int]:
 def _rematch(
     state: AlignmentState,
     queue: Iterable[int],
-    ranked: Callable[[int], Sequence[tuple[int, float]]],
+    ranked: Callable[[int], Iterable[tuple[int, float]]],
     better: Callable[[int, int, float, int], bool],
 ) -> tuple[set[int], int]:
     """Walk each queued source, lowest first, through ``ranked(e1)``, its
@@ -813,11 +819,24 @@ def _candidate_targets(
     analyzer: PairAnalyzer,
     beta: float,
     cfg: RepairConfig,
-) -> list[tuple[int, float]]:
+) -> Iterator[tuple[int, float]]:
     """Targets sharing at least one matched neighbor with ``e1`` through the
     current alignment, nearest first, capped at ``cfg.candidate_cap``, kept
     when their pairwise confidence is >= beta, each with its score confidence
-    + lambda * cosine: best score first, ties to the lower target."""
+    + lambda * cosine: the first ``cfg.k`` by best score, ties to the lower
+    target.
+
+    The ranking is lazy and builds only the graphs it needs. A confidence
+    lies in [0.5, 1] (a sigmoid of non-negative class masses), so an unbuilt
+    candidate scores at most 1 + lambda * cosine, and the nearest unbuilt one
+    bounds them all. The best kept candidate is yielded once its score is
+    strictly above that bound, so no tie is decided by a bound. Otherwise one
+    ``adgs`` call reads every unbuilt candidate whose bound reaches the best
+    kept score, or, with none kept, beta + lambda * cosine of the nearest
+    unbuilt one, the least that one scores if kept. With lambda = 0 the first
+    read takes every candidate. The alignment does not move while the
+    rematch walks a ranking, so each graph is what an eager read would build.
+    """
     i1, i2 = analyzer.index1, analyzer.index2
     matched = np.unique(state.forward[i1.hood(e1)])
     matched = matched[matched >= 0]
@@ -825,18 +844,49 @@ def _candidate_targets(
     targets = np.unique(i2.hood_key[_ranges(lo, hi - lo)] % i2.n_entities)
     targets = targets[targets != state.forward[e1]]
     if not targets.size:
-        return []
+        return
     sims = pair_cosines(
         analyzer.store, Side.SOURCE, np.full_like(targets, e1), Side.TARGET, targets
     )
     order = np.lexsort((targets, -sims))[: cfg.candidate_cap]
-    nearest = list(zip(targets[order].tolist(), sims[order].tolist()))
-    scored = []
-    for (t, sim), adg in zip(nearest, analyzer.adgs((e1, t) for t, _ in nearest)):
-        conf = adg.confidence
-        if conf >= beta:
-            scored.append((t, conf + cfg.score_lambda * sim))
-    return sorted(scored, key=lambda ts: (-ts[1], ts[0]))
+    nearest = targets[order].tolist()
+    weighted = [cfg.score_lambda * sim for sim in sims[order].tolist()]
+    # built candidates kept and not yet yielded, as (-score, target)
+    kept: list[tuple[float, int]] = []
+    built = yielded = 0
+    while yielded < cfg.k:
+        bound = 1.0 + weighted[built] if built < len(nearest) else -math.inf
+        if kept and -kept[0][0] > bound:
+            neg_score, t = heapq.heappop(kept)
+            yield t, -neg_score
+            yielded += 1
+            continue
+        if built == len(nearest):
+            return
+        floor = -kept[0][0] if kept else beta + weighted[built]
+        end = built + 1
+        while end < len(nearest) and 1.0 + weighted[end] >= floor:
+            end += 1
+        window = range(built, end)
+        for i, adg in zip(window, analyzer.adgs((e1, nearest[i]) for i in window)):
+            if adg.confidence >= beta:
+                heapq.heappush(kept, (-(adg.confidence + weighted[i]), nearest[i]))
+        built = end
+
+
+def _outscores(
+    analyzer: PairAnalyzer, cfg: RepairConfig, e1: int, e2: int, e1_score: float, incumbent: int
+) -> bool:
+    """Whether ``e1_score`` beats the incumbent's score for ``e2``, its
+    confidence + lambda * cosine. The confidence lies in [0.5, 1], so the
+    incumbent's graph is read only when those bounds leave it open."""
+    sim = pair_cosines(analyzer.store, Side.SOURCE, [incumbent], Side.TARGET, [e2]).item()
+    weighted = cfg.score_lambda * sim
+    if e1_score > 1.0 + weighted:
+        return True
+    if e1_score <= 0.5 + weighted:
+        return False
+    return e1_score > analyzer.confidence(incumbent, e2) + weighted
 
 
 def resolve_low_confidence(
@@ -848,19 +898,21 @@ def resolve_low_confidence(
 ) -> tuple[set[int], dict]:
     """Strip pairs under the confidence floor (plus soft-flagged ones, once),
     then rematch them against neighbor-sharing candidates scored by
-    confidence + lambda * cosine. Returns leftover sources and stats."""
+    confidence + lambda * cosine. Returns leftover sources and stats.
+
+    Each source's candidates come from the lazy ``_candidate_targets`` and
+    each incumbent is compared by ``_outscores``, both of which bound a
+    confidence by [0.5, 1] before reading a graph, so the walk builds only
+    the graphs its comparisons need."""
     beta = cfg.effective_beta()
     queue = set(unaligned)
     flags = set(flagged)
     stats = {"stripped": 0, "iterations": 0, "swaps": 0}
 
-    def ranked(e1: int) -> list[tuple[int, float]]:
-        return _candidate_targets(e1, state, analyzer, beta, cfg)[: cfg.k]
+    def ranked(e1: int) -> Iterator[tuple[int, float]]:
+        return _candidate_targets(e1, state, analyzer, beta, cfg)
 
-    def better(e1: int, e2: int, e1_score: float, incumbent: int) -> bool:
-        conf = analyzer.confidence(incumbent, e2)
-        sim = pair_cosines(analyzer.store, Side.SOURCE, [incumbent], Side.TARGET, [e2]).item()
-        return e1_score > conf + cfg.score_lambda * sim
+    better = functools.partial(_outscores, analyzer, cfg)
 
     last_len = -1
     while True:

@@ -1,12 +1,13 @@
 """Dependency-graph construction, edge weights, and gated confidence."""
 
+import functools
 import importlib
 import math
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exea.adg import (
@@ -210,6 +211,65 @@ class TestGatedConfidenceProperties:
         with_weak = aggregate_confidence(c_s, c_m, c_w, cfg)
         without_weak = aggregate_confidence(c_s, c_m, 0.0, cfg)
         assert with_weak == pytest.approx(without_weak)
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def adg_configs(draw):
+    """Any configuration ``AdgConfig`` accepts."""
+    alpha = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    weak_weight = draw(st.floats(min_value=0.0, max_value=alpha))
+    return AdgConfig(alpha=alpha, weak_weight=weak_weight, theta=draw(finite), gamma=draw(finite))
+
+
+@functools.cache
+def bound_fixture():
+    res = generate_pair(SynthConfig(n_entities=40, density=4, rng_seed=5))
+    rng = np.random.default_rng(5)
+    keys = [tuple(map(int, key)) for key in rng.integers(0, 40, size=(60, 2))]
+    return res, keys + list(res.gold)
+
+
+class TestConfidenceBounds:
+    """Every confidence lies in [0.5, 1.0]: class masses are sums of
+    non-negative weight * influence products, so the gated sum is >= 0 and
+    its sigmoid is >= 0.5, and float64 saturates at exactly 1.0. The
+    low-confidence ranking's early stop and its swap shortcut rest on this
+    bound."""
+
+    @given(
+        cfg=adg_configs(),
+        edges=st.lists(st.tuples(st.integers(0, 2), unit, unit), max_size=200),
+    )
+    def test_masses_of_any_weights_and_influences(self, cfg, edges):
+        # weights as build_adg derives them: Strong the path weight,
+        # Moderate alpha times it, Weak the floor; influences in [0, 1]
+        mass = [0.0, 0.0, 0.0]
+        for cls, w, influence in edges:
+            mass[cls] += (w, cfg.alpha * w, cfg.weak_weight)[cls] * influence
+        assert 0.5 <= aggregate_confidence(*mass, cfg) <= 1.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=adg_configs(), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 100.0))
+    def test_built_graphs(self, cfg, seed, scale):
+        res, keys = bound_fixture()
+        rng = np.random.default_rng(seed)
+        store = EmbeddingStore(
+            {side: scale * rng.normal(size=(40, 8)) for side in (Side.SOURCE, Side.TARGET)}
+        )
+        state = AlignmentState(res.seeds, [], n_sources=40, n_targets=40)
+        analyzer = PairAnalyzer(res.kg1, res.kg2, store, state, RepairConfig(h=2, adg=cfg))
+        for adg in analyzer.adgs(keys):
+            assert 0.5 <= adg.confidence <= 1.0
+
+    def test_saturation(self):
+        assert sigmoid(0.0) == 0.5
+        assert sigmoid(40.0) == 1.0
+        assert aggregate_confidence(40.0, 0.0, 0.0, AdgConfig()) == 1.0
+        assert aggregate_confidence(0.0, 0.0, 0.0, AdgConfig()) == 0.5
 
 
 class TestBuildAdg:

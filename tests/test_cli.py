@@ -8,6 +8,7 @@ entry point behaves the same way.
 import argparse
 import hashlib
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -405,6 +406,49 @@ class TestRepair:
         ])
         assert rc == 3
         assert "injectivity" in capsys.readouterr().err
+
+
+def shuffle_lines(path, rng):
+    lines = path.read_text().splitlines()
+    shuffled = rng.sample(lines, len(lines))
+    assert shuffled != lines
+    path.write_text("\n".join(shuffled) + "\n")
+
+
+class TestShuffledInputs:
+    """``exea repair`` writes the same bytes whatever the line order of its
+    triples, seeds and predictions, on an ``exea synth`` fixture with
+    injected conflicts whose low-confidence stage strips pairs, so the
+    stage's candidate ranking runs."""
+
+    def test_repair_bytes_do_not_depend_on_line_order(self, tmp_path):
+        data = tmp_path / "data"
+        assert main([
+            "synth", "--out", str(data), "--n-entities", "200",
+            "--conflict-injection", "0.2", "--rng-seed", "2",
+        ]) == 0
+        assert main([
+            "infer", "--kg1", str(data / "triples_1"), "--kg2", str(data / "triples_2"),
+            "--emb", str(data / "embeddings.tsv"), "--seeds", str(data / "train_links"),
+            "--out", str(data / "raw.tsv"),
+        ]) == 0
+        shuffled = tmp_path / "shuffled"
+        shutil.copytree(data, shuffled)
+        rng = random.Random(11)
+        for name in ("triples_1", "triples_2", "train_links", "raw.tsv"):
+            shuffle_lines(shuffled / name, rng)
+        outputs = []
+        for d in (data, shuffled):
+            out = tmp_path / f"out_{d.name}"
+            assert main([
+                "repair", "--kg1", str(d / "triples_1"), "--kg2", str(d / "triples_2"),
+                "--emb", str(d / "embeddings.tsv"), "--seeds", str(d / "train_links"),
+                "--pred", str(d / "raw.tsv"),
+                "--out", str(out / "aligned.tsv"), "--report", str(out / "report.json"),
+            ]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("aligned.tsv", "report.json")])
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][1])["low_confidence"]["stripped"] > 0
 
 
 class TestExplainAdg:

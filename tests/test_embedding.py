@@ -237,6 +237,24 @@ class TestSimilaritySearch:
                 np.testing.assert_array_equal(got.target_indices, whole.target_indices)
                 np.testing.assert_array_equal(got.scores, whole.scores)
 
+    def test_matrix_rows_do_not_depend_on_the_rows_scored_with_them(self):
+        """A subset of 1 to 17 sources (where BLAS matrix kernels switch)
+        gets, with ``==``, the rows the full matrix gives them, so
+        ``greedy_align`` over a sampled subset picks what it picks over all
+        sources; every entry equals the per-pair ``np.dot`` of the
+        normalized rows."""
+        rng = np.random.default_rng(31)
+        for dim in (3, 32, 64):
+            st = store_from(rng.normal(size=(40, dim)), rng.normal(size=(25, dim)))
+            whole = similarity_matrix(st, range(40), range(25))
+            a, b = (st.entity_matrix(side).astype(np.float64) for side in (Side.SOURCE, Side.TARGET))
+            a, b = a / np.linalg.norm(a, axis=1)[:, None], b / np.linalg.norm(b, axis=1)[:, None]
+            assert whole.tolist() == [[float(np.dot(u, v)) for v in b] for u in a]
+            for rows in range(1, 18):
+                for start in (0, 40 - rows):
+                    got = similarity_matrix(st, range(start, start + rows), range(25))
+                    assert got.tolist() == whole[start : start + rows].tolist()
+
     def test_k_wider_than_targets(self):
         st = store_from([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
         topk = similarity_topk(st, [0], [0, 1], k=10)

@@ -23,6 +23,7 @@ from exea.embedding import (
     similarity_topk,
 )
 from exea.errors import ConfigError, InvariantViolation, NoRelationVectors
+from exea.explain import _ranges
 from exea.kg import Kg, Side, neighborhood_entities
 from exea.repair import (
     REPAIRED,
@@ -33,7 +34,9 @@ from exea.repair import (
     PairAnalyzer,
     RelationAlignment,
     RepairConfig,
+    _candidate_targets,
     _chain_rules,
+    _outscores,
     _pack,
     _unpack,
     cross_kg_triples,
@@ -1430,9 +1433,12 @@ class TestRematchIsExact:
     """Both stages on the shared ``_rematch`` walk equal their separate
     loops: the same final pairs, stats and mutation sequence, over whole
     ``repair()`` runs on ``exea synth`` fixtures (n=200, conflict 0.2) at
-    k = 1 and k = 10. The low-confidence stage scores each candidate once,
-    so it makes exactly the reference's dependency-graph lookups minus the
-    confidences the reference's ranking looks up a second time."""
+    k = 1 and k = 10. The low-confidence stage scores each candidate once and
+    builds only the candidates its lazy ranking needs, and reads the
+    incumbent's graph only when the confidence bounds leave a comparison
+    open, so it makes at most the reference's dependency-graph lookups minus
+    the confidences the reference's ranking looks up a second time, and
+    fewer over the fixtures."""
 
     def run(self, monkeypatch, res, raw, cfg, reference):
         repair_module = importlib.import_module("exea.repair")
@@ -1461,6 +1467,7 @@ class TestRematchIsExact:
         cfg = RepairConfig(k=k)
         moved = 0
         rescored_total = 0
+        got_total = ref_total = 0
         for rng_seed in (1, 2, 3):
             res, raw = rematch_fixture(rng_seed)
             got, got_lookups, _ = self.run(monkeypatch, res, raw, cfg, reference=False)
@@ -1470,13 +1477,184 @@ class TestRematchIsExact:
             assert got.report.low_confidence == ref.report.low_confidence
             assert got.report.to_json_dict() == ref.report.to_json_dict()
             assert got.state.mutations == ref.state.mutations
-            assert got_lookups == ref_lookups - rescored
+            assert got_lookups <= ref_lookups - rescored
+            got_total += got_lookups
+            ref_total += ref_lookups - rescored
             moved += got.report.one_to_many["evictions"] + got.report.low_confidence["swaps"]
             rescored_total += rescored
         assert moved > 0
         # the fixtures reach the stage's ranking, so a second scoring pass
-        # would show up in the lookup count
+        # would show up in the lookup count, and an eager ranking would read
+        # as many graphs as the reference
         assert rescored_total > 0
+        assert got_total < ref_total
+
+
+def nearest_candidates(e1, state, analyzer, cap):
+    """The capped neighbor-sharing targets of ``e1``, nearest first, ties to
+    the lower target, with their cosines."""
+    i1, i2 = analyzer.index1, analyzer.index2
+    matched = np.unique(state.forward[i1.hood(e1)])
+    matched = matched[matched >= 0]
+    lo, hi = i2.hood_start[matched], i2.hood_start[matched + 1]
+    targets = np.unique(i2.hood_key[_ranges(lo, hi - lo)] % i2.n_entities)
+    targets = targets[targets != state.forward[e1]]
+    if not targets.size:
+        return []
+    sims = pair_cosines(
+        analyzer.store, Side.SOURCE, np.full_like(targets, e1), Side.TARGET, targets
+    )
+    order = np.lexsort((targets, -sims))[:cap]
+    return list(zip(targets[order].tolist(), sims[order].tolist()))
+
+
+def reference_ranked_candidates(e1, state, analyzer, beta, cfg):
+    """The low-confidence ranking as it was before it turned lazy: every
+    capped candidate's graph read in one ``adgs`` call, the kept ones sorted
+    by (-score, target), uncut."""
+    nearest = nearest_candidates(e1, state, analyzer, cfg.candidate_cap)
+    scored = []
+    for (t, sim), adg in zip(nearest, analyzer.adgs((e1, t) for t, _ in nearest)):
+        conf = adg.confidence
+        if conf >= beta:
+            scored.append((t, conf + cfg.score_lambda * sim))
+    return sorted(scored, key=lambda ts: (-ts[1], ts[0]))
+
+
+class TestLazyRankingIsExact:
+    """On every call of whole ``repair()`` runs on ``exea synth`` fixtures
+    (n=200, conflict 0.2), the lazy ranking, read to its end, yields the
+    eager reference's sorted list cut at k, and reads only keys the
+    reference reads. Read to its end it reads fewer only where the cosine
+    bounds separate the candidates within k yields (k = 1 at lambda = 1, and
+    lambda = 5); at k = 10 with lambda = 1, or lambda = 0.1, it reads them
+    all, and the rematch walk, which stops at its first taken target, is
+    where it saves (``TestRematchIsExact``). With lambda = 0 no bound
+    separates candidates, so it reads every candidate in one ``adgs`` call."""
+
+    @pytest.mark.parametrize(
+        "k, score_lambda, fewer",
+        [(1, 1.0, True), (10, 5.0, True), (10, 1.0, False), (1, 0.1, False), (10, 0.0, False)],
+    )
+    def test_every_call_equals_reference(self, monkeypatch, k, score_lambda, fewer):
+        repair_module = importlib.import_module("exea.repair")
+        lazy = repair_module._candidate_targets
+        calls = lazy_reads = ref_reads = 0
+
+        def checked(e1, state, analyzer, beta, cfg):
+            nonlocal calls, lazy_reads, ref_reads
+            reads = []
+            adgs = analyzer.adgs
+
+            def recording(keys):
+                keys = list(keys)
+                reads.append(keys)
+                return adgs(keys)
+
+            analyzer.adgs = recording
+            try:
+                got = list(lazy(e1, state, analyzer, beta, cfg))
+                lazy_keys = [key for keys in reads for key in keys]
+                lazy_calls = len(reads)
+                reads.clear()
+                ref = reference_ranked_candidates(e1, state, analyzer, beta, cfg)
+                ref_keys = [key for keys in reads for key in keys]
+            finally:
+                del analyzer.adgs
+            assert got == ref[: cfg.k]
+            assert len(set(lazy_keys)) == len(lazy_keys)
+            assert set(lazy_keys) <= set(ref_keys)
+            if cfg.score_lambda == 0:
+                assert lazy_keys == ref_keys and lazy_calls == min(len(ref_keys), 1)
+            calls += 1
+            lazy_reads += len(lazy_keys)
+            ref_reads += len(ref_keys)
+            return iter(got)
+
+        monkeypatch.setattr(repair_module, "_candidate_targets", checked)
+        cfg = RepairConfig(k=k, score_lambda=score_lambda)
+        for rng_seed in (1, 2, 3):
+            res, raw = rematch_fixture(rng_seed)
+            repair(res.kg1, res.kg2, res.perturbed_store, raw, res.seeds, cfg)
+        assert calls > 0
+        assert (lazy_reads < ref_reads) == fewer
+
+
+class TestRankingBounds:
+    """The bounds behind the lazy ranking and the swap shortcut, on graphs
+    whose confidences are set by hand, so that ties at a bound happen."""
+
+    def setup_method(self):
+        res, raw = rematch_fixture(1)
+        self.state = AlignmentState(res.seeds, raw, n_sources=200, n_targets=200)
+        self.analyzer = PairAnalyzer(
+            res.kg1, res.kg2, res.perturbed_store, self.state, RepairConfig()
+        )
+
+    def test_a_tie_at_the_bound_goes_to_the_lower_target(self, monkeypatch):
+        """A kept candidate i of the first read scores exactly the bound of
+        the nearest unbuilt one, j, a lower target of confidence 1.0; every
+        other candidate falls under the floor. j ranks first, and a ranking
+        that yielded at a score equal to the bound would put i first."""
+        cfg = RepairConfig(k=10, score_lambda=5.0)
+        beta = cfg.effective_beta()
+        confidence = {}
+
+        def adgs(keys):
+            return [SimpleNamespace(confidence=confidence.get(t, 0.5)) for _, t in keys]
+
+        monkeypatch.setattr(self.analyzer, "adgs", adgs)
+        ties = 0
+        for e1 in range(200):
+            nearest = nearest_candidates(e1, self.state, self.analyzer, cfg.candidate_cap)
+            w = [cfg.score_lambda * sim for _, sim in nearest]
+            # j: the first candidate outside the first read's window
+            j = next((p for p in range(1, len(w)) if 1.0 + w[p] < beta + w[0]), None)
+            if j is None:
+                continue
+            tie = 1.0 + w[j]
+            i = next(
+                (
+                    i for i in range(1, j)
+                    if nearest[j][0] < nearest[i][0]
+                    and beta <= tie - w[i] <= 1.0
+                    and (tie - w[i]) + w[i] == tie
+                ),
+                None,
+            )
+            if i is None:
+                continue
+            confidence.clear()
+            confidence.update({nearest[i][0]: tie - w[i], nearest[j][0]: 1.0})
+            got = list(_candidate_targets(e1, self.state, self.analyzer, beta, cfg))
+            assert got == reference_ranked_candidates(e1, self.state, self.analyzer, beta, cfg)
+            assert got == [(nearest[j][0], tie), (nearest[i][0], tie)]
+            ties += 1
+        assert ties > 0
+
+    def test_swap_shortcut_equals_the_full_comparison(self, monkeypatch):
+        """``_outscores`` decides as the incumbent's confidence + lambda *
+        cosine does, at scores on and next to both bounds and the incumbent's
+        own score, and reads no graph when a bound settles it. Incumbents are
+        the fixture's aligned pairs and random pairs."""
+        rng = np.random.default_rng(3)
+        keys = [(s, t) for s, t, _ in self.state.pairs()][::4]
+        keys += rng.integers(0, 200, size=(40, 2)).tolist()
+        lookups = []
+        adg = self.analyzer.adg
+        monkeypatch.setattr(self.analyzer, "adg", lambda *key: lookups.append(key) or adg(*key))
+        for score_lambda in (0.0, 1.0, 5.0):
+            cfg = RepairConfig(score_lambda=score_lambda)
+            for incumbent, e2 in keys:
+                w = score_lambda * reference_similarity(self.analyzer.store, incumbent, e2)
+                held = adg(incumbent, e2).confidence + w
+                for edge in (0.5 + w, held, 1.0 + w):
+                    below, above = math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)
+                    for score in (below, edge, above):
+                        lookups.clear()
+                        got = _outscores(self.analyzer, cfg, 0, e2, score, incumbent)
+                        assert got == (score > held)
+                        assert (not lookups) == (score > 1.0 + w or score <= 0.5 + w)
 
 
 class TestFinalFill:
