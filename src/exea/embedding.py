@@ -146,15 +146,18 @@ class EmbeddingStore:
             return cached[1]
         ents = self.entity_matrix(kg.side).astype(np.float64)
         mat = np.zeros((kg.n_relations, self.dim), dtype=np.float64)
-        for r in range(kg.n_relations):
-            trs = kg.relation_triples(r)
-            if not trs:
-                continue
-            s_idx = np.fromiter((t[0] for t in trs), dtype=np.int64)
-            o_idx = np.fromiter((t[2] for t in trs), dtype=np.int64)
-            if s_idx.max() >= ents.shape[0] or o_idx.max() >= ents.shape[0]:
-                raise MissingEmbedding(f"triples of relation {r} reference entities without vectors")
-            mat[r] = (ents[s_idx] - ents[o_idx]).mean(axis=0)
+        # the triples grouped by relation, each group in its sorted order, so
+        # each mean adds its rows in that order
+        triples = np.array(kg.triple_keys, dtype=np.int64).reshape(-1, 3)
+        s_idx, rel, o_idx = triples[np.argsort(triples[:, 1], kind="stable")].T
+        bad = np.maximum(s_idx, o_idx) >= ents.shape[0]
+        if bad.any():
+            raise MissingEmbedding(f"triples of relation {rel[bad.argmax()]} reference entities without vectors")
+        diff = ents[s_idx] - ents[o_idx]
+        bounds = np.searchsorted(rel, np.arange(kg.n_relations + 1)).tolist()
+        for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if lo < hi:
+                mat[r] = diff[lo:hi].mean(axis=0)
         self._derived_relation[kg.side] = (kg, mat)
         return mat
 

@@ -25,8 +25,7 @@ slice, a membership test is one ``np.searchsorted`` over packed int64 keys,
 a block's rows are found for many neighbor pairs at once, and a row's center
 is a search over the runs. On the repair fixtures an index holds 3.3 MB per
 side on repair-dense (53,946 paths, 60 bytes each) and 3.2 MB on repair-wide
-(31,908 paths, 99 bytes each); with a unit matrix, a triple array and int64
-steps it held 34.2 and 20.4 MB. No value depends on which centers share the
+(31,908 paths, 99 bytes each). No value depends on which centers share the
 index. ``explanations`` is the one explanation builder: given each
 pair's neighbor list and indexes that hold every pair's centers, it scores
 the path pairs of many pairs' neighbor pairs together, each neighbor pair a
@@ -183,12 +182,10 @@ class PathIndex:
         incoming2, r2 = keys[second[two], :2].T
         if max(r1.max(initial=-1), r2.max(initial=-1)) >= rels.shape[0]:
             raise MissingEmbedding(f"paths on side {kg.side.value} use relations without vectors")
-        # per-relation weight of an outgoing step (inverse functionality) and
-        # of an incoming one (functionality); relations without triples never
-        # appear on a path
-        step_weight = np.full((2, kg.n_relations), np.nan)
-        for direction, table in enumerate((kg.ifunc_table, kg.func_table)):
-            step_weight[direction, list(table)] = list(table.values())
+        # row 0 weighs an outgoing step (inverse functionality), row 1 an
+        # incoming one (functionality); a relation without triples is NaN
+        # there and never appears on a path
+        step_weight = np.stack([kg.ifunc, kg.func])
         self.weight = step_weight[incoming1, r1]
         self.weight[two] *= step_weight[incoming2, r2]
         # the halves, with the same additions in the same order as

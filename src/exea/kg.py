@@ -3,9 +3,12 @@
 A graph lives on one side of an alignment task (source or target). Entities
 and relations are dense integer indices; their human-readable labels sit in
 ``Kg.entity_labels`` and ``Kg.relation_labels`` and are read only where output
-is written. Triples are stored deduplicated as (subject, relation, object)
-ints together with adjacency indexes and per-relation functionality
-statistics used as edge weights elsewhere.
+is written. A graph keeps two stores: ``triple_keys``, its distinct
+(subject, relation, object) triples sorted, the only store that holds
+self-loops; and the step index ``step_keys``/``step_start``, every entity's
+steps in walk order, which ``Kg.steps`` reads and every graph walk goes
+through. Per-relation functionality statistics, used as edge weights
+elsewhere, sit in the arrays ``func`` and ``ifunc``.
 
 A path from a center is a tuple of step keys, one per traversed edge: (0
 outgoing / 1 incoming, relation, entity reached). Outgoing means the anchor of
@@ -16,6 +19,7 @@ source graph and 1 for the target graph, its position in ``SIDES``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from enum import Enum
 from pathlib import Path
@@ -51,15 +55,16 @@ class Kg:
 
     Attributes
     ----------
-    out_index : dict mapping subject index to a sorted tuple of (relation, object)
-    in_index : dict mapping object index to a sorted tuple of (relation, subject)
-    rel_triples : dict mapping relation index to its triple count
-    func_table / ifunc_table : per-relation functionality statistics; a
-        relation is functional (value 1.0) when no subject repeats, and
-        inverse-functional when no object repeats.
+    triple_keys : the distinct (subject, relation, object) triples, sorted;
+        self-loops are kept here only.
     step_keys / step_start : the steps a path can take, as int64 (0 out / 1 in,
         relation, entity reached) rows; entity v's, without self-loops, are
-        ``step_keys[step_start[v]:step_start[v + 1]]``, in walk order.
+        ``step_keys[step_start[v]:step_start[v + 1]]``, in walk order, which
+        ``steps(v)`` returns.
+    func / ifunc : float64 per-relation functionality statistics, |distinct
+        subjects| / |triples| and |distinct objects| / |triples|, NaN for a
+        relation without triples; a relation is functional (value 1.0) when
+        no subject repeats, and inverse-functional when no object repeats.
     """
 
     def __init__(
@@ -84,34 +89,28 @@ class Kg:
             if not 0 <= r < n_rel:
                 raise UnknownId(f"relation id {r} outside [0, {n_rel}) on side {side.value}")
         self._triple_keys = tuple(keys)
+        s, r, o = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+
+        # distinct subjects (objects) per relation over its triple count; the
+        # distinct keys come from np.sort, since np.unique's first call in a
+        # process imports numpy.ma, about 10 ms
+        count = np.bincount(r, minlength=n_rel)
+        used = count > 0
+        self.func = np.full(n_rel, np.nan)
+        self.ifunc = np.full(n_rel, np.nan)
+        for table, end in ((self.func, s), (self.ifunc, o)):
+            key = np.sort(r * n_ent + end)
+            distinct = np.bincount(key[np.diff(key, prepend=-1) != 0] // n_ent, minlength=n_rel)
+            table[used] = distinct[used] / count[used]
 
         # a triple is an outgoing step from its subject, an incoming one from its object
-        s, r, o = np.array([k for k in keys if k[0] != k[2]], dtype=np.int64).reshape(-1, 3).T
+        loop = s == o
+        s, r, o = s[~loop], r[~loop], o[~loop]
         anchor = np.concatenate([s, o])
         steps = np.stack([np.repeat([0, 1], s.size), np.concatenate([r, r]), np.concatenate([o, s])], axis=1)
         order = np.lexsort((steps[:, 2], steps[:, 1], steps[:, 0], anchor))
         self.step_keys = steps[order]
         self.step_start = np.searchsorted(anchor[order], np.arange(n_ent + 1))
-
-        out: dict[int, list[tuple[int, int]]] = {}
-        inc: dict[int, list[tuple[int, int]]] = {}
-        by_rel: dict[int, list[tuple[int, int, int]]] = {}
-        for s, r, o in keys:
-            out.setdefault(s, []).append((r, o))
-            inc.setdefault(o, []).append((r, s))
-            by_rel.setdefault(r, []).append((s, r, o))
-        self.out_index = {s: tuple(sorted(v)) for s, v in out.items()}
-        self.in_index = {o: tuple(sorted(v)) for o, v in inc.items()}
-        self._triples_by_relation = {r: tuple(v) for r, v in by_rel.items()}
-
-        self.rel_triples = {r: len(v) for r, v in self._triples_by_relation.items()}
-        self.func_table = {}
-        self.ifunc_table = {}
-        for r, trs in self._triples_by_relation.items():
-            subjects = {s for s, _, _ in trs}
-            objects = {o for _, _, o in trs}
-            self.func_table[r] = len(subjects) / len(trs)
-            self.ifunc_table[r] = len(objects) / len(trs)
 
     @property
     def n_entities(self) -> int:
@@ -131,8 +130,9 @@ class Kg:
             raise UnknownId(f"entity id {index} outside [0, {self.n_entities}) on side {self.side.value}")
         return index
 
-    def relation_triples(self, r: int) -> tuple[tuple[int, int, int], ...]:
-        return self._triples_by_relation.get(r, ())
+    def steps(self, v: int) -> np.ndarray:
+        """Entity ``v``'s step rows, in walk order."""
+        return self.step_keys[self.step_start[v] : self.step_start[v + 1]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Kg):
@@ -154,24 +154,20 @@ class Kg:
         )
 
 
+def _relation_stat(kg: Kg, table: np.ndarray, r: int) -> float:
+    if not 0 <= r < kg.n_relations or np.isnan(table[r]):
+        raise UnknownRelation(f"relation {r} has no triples on side {kg.side.value}")
+    return float(table[r])
+
+
 def functionality(kg: Kg, r: int) -> float:
     """|distinct subjects| / |triples| for relation ``r``."""
-    if r not in kg.func_table:
-        raise UnknownRelation(f"relation {r} has no triples on side {kg.side.value}")
-    return kg.func_table[r]
+    return _relation_stat(kg, kg.func, r)
 
 
 def inverse_functionality(kg: Kg, r: int) -> float:
     """|distinct objects| / |triples| for relation ``r``."""
-    if r not in kg.ifunc_table:
-        raise UnknownRelation(f"relation {r} has no triples on side {kg.side.value}")
-    return kg.ifunc_table[r]
-
-
-def _undirected_neighbors(kg: Kg, v: int) -> set[int]:
-    nbrs = {o for _, o in kg.out_index.get(v, ())}
-    nbrs.update(s for _, s in kg.in_index.get(v, ()))
-    return nbrs
+    return _relation_stat(kg, kg.ifunc, r)
 
 
 def _hop_distances(kg: Kg, start: int, cutoff: int) -> dict[int, int]:
@@ -182,7 +178,7 @@ def _hop_distances(kg: Kg, start: int, cutoff: int) -> dict[int, int]:
         v = queue.popleft()
         if dist[v] == cutoff:
             continue
-        for u in _undirected_neighbors(kg, v):
+        for u in kg.steps(v)[:, 2].tolist():
             if u not in dist:
                 dist[u] = dist[v] + 1
                 queue.append(u)
@@ -206,13 +202,14 @@ def neighborhood_triples(kg: Kg, e: int, h: int) -> list[tuple[int, int, int]]:
     """
     check_hops(h)
     start = kg.check_entity(int(e))
-    inner = _hop_distances(kg, start, h - 1)
+    triples = kg.triple_keys
     keys: set[tuple[int, int, int]] = set()
-    for v in inner:
-        for r, o in kg.out_index.get(v, ()):
-            keys.add((v, r, o))
-        for r, s in kg.in_index.get(v, ()):
-            keys.add((s, r, v))
+    for v in _hop_distances(kg, start, h - 1):
+        # v's out-triples, self-loops included, are its run of the sorted
+        # triples; its in-triples are its incoming steps
+        lo = bisect_left(triples, (v,))
+        keys.update(triples[lo : bisect_left(triples, (v + 1,), lo)])
+        keys.update((u, r, v) for incoming, r, u in kg.steps(v).tolist() if incoming)
     return sorted(keys)
 
 
@@ -228,14 +225,8 @@ def enumerate_paths(kg: Kg, e: int, h: int) -> list[tuple[Step, ...]]:
     start = kg.check_entity(int(e))
     keys: list[tuple[Step, ...]] = []
 
-    def incident_steps(v: int) -> list[Step]:
-        steps = [(0, r, o) for r, o in kg.out_index.get(v, ())]
-        steps.extend((1, r, s) for r, s in kg.in_index.get(v, ()))
-        steps.sort()
-        return steps
-
     def walk(v: int, visited: set[int], prefix: tuple[Step, ...]) -> None:
-        for step in incident_steps(v):
+        for step in map(tuple, kg.steps(v).tolist()):
             u = step[2]
             if u in visited:
                 continue

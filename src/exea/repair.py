@@ -507,11 +507,10 @@ class ConflictTables:
         self.max_chunk = _KEY_RANGE // max(self.n_entities**2 * self.n_relations, 1)
         if self.max_chunk < 1:
             raise ConfigError("the graphs are too large for the relation-conflict stage's int64 keys")
-        self.triples = np.array(
-            [(s, r, o) for s, r, o in kg1.triple_keys]
-            + [(s + n1, r + r1, o + n1) for s, r, o in kg2.triple_keys],
-            dtype=np.int64,
-        ).reshape(-1, 3)
+        self.triples = np.concatenate([
+            np.array(kg1.triple_keys, dtype=np.int64).reshape(-1, 3),
+            np.array(kg2.triple_keys, dtype=np.int64).reshape(-1, 3) + (n1, r1, n1),
+        ])
         subject, _, obj = self.triples.T
         ids = np.arange(len(self.triples))
         loop = subject == obj

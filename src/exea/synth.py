@@ -179,10 +179,8 @@ def _pick_conflicts(
     n_conflicts = int(round(cfg.conflict_injection * cfg.n_entities))
     if n_conflicts == 0:
         return []
-    neighbors: dict[int, set[int]] = {i: set() for i in range(cfg.n_entities)}
-    for s, _, o in kg1.triple_keys:
-        neighbors[s].add(o)
-        neighbors[o].add(s)
+    # the step rows leave self-loops out, and the generator makes none
+    neighbors = {i: set(kg1.steps(i)[:, 2].tolist()) for i in range(cfg.n_entities)}
     conflicted: set[int] = set()
     protected: set[int] = set()
     chosen: list[tuple[int, int, int]] = []

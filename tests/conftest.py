@@ -17,6 +17,7 @@ min(0.759, 0.86) = 0.759 and min(0.757, 0.9) = 0.757, and the expected
 confidence is sigmoid(0.96 * 0.759 + 0.937 * 0.757) = 0.8081...
 """
 
+import functools
 import math
 
 import numpy as np
@@ -24,6 +25,21 @@ import pytest
 
 from exea.embedding import EmbeddingStore
 from exea.kg import Kg, Side
+
+
+@functools.cache
+def adjacency(kg):
+    """``kg``'s adjacency built from its triples alone, a reference apart from
+    its step index: (subject -> sorted (relation, object) pairs, object ->
+    sorted (relation, subject) pairs), a self-loop in both."""
+    out, inc = {}, {}
+    for s, r, o in kg.triple_keys:
+        out.setdefault(s, []).append((r, o))
+        inc.setdefault(o, []).append((r, s))
+    return (
+        {s: tuple(sorted(v)) for s, v in out.items()},
+        {o: tuple(sorted(v)) for o, v in inc.items()},
+    )
 
 
 def make_isomorphic_pair(rng, n=20, n_rel=3, extra=40):

@@ -60,11 +60,11 @@ class TestPathWeight:
     def test_outgoing_single_step_uses_inverse_functionality(self):
         path = [p for p in enumerate_paths(self.kg, 0, 1)
                 if len(p) == 1 and p[0][0] == 0 and p[0][1] == 0][0]
-        assert path_weight(self.kg, path) == pytest.approx(self.kg.ifunc_table[0])
+        assert path_weight(self.kg, path) == pytest.approx(self.kg.ifunc[0])
 
     def test_incoming_single_step_uses_functionality(self):
         path = [p for p in enumerate_paths(self.kg, 1, 1) if p[0][0] == 1 and p[0][1] == 0][0]
-        assert path_weight(self.kg, path) == pytest.approx(self.kg.func_table[0])
+        assert path_weight(self.kg, path) == pytest.approx(self.kg.func[0])
 
     def test_two_step_path_multiplies_step_weights(self):
         # 1 <-r0- 0 -r1-> 4 seen from 1: incoming r0 then outgoing r1
@@ -74,7 +74,7 @@ class TestPathWeight:
             if p[0][0] == 1 and p[0][2] == 0 and p[1][0] == 0 and p[1][1] == 1
         ]
         assert target
-        expected = self.kg.func_table[0] * self.kg.ifunc_table[1]
+        expected = self.kg.func[0] * self.kg.ifunc[1]
         assert path_weight(self.kg, target[0]) == pytest.approx(expected)
 
 

@@ -468,12 +468,7 @@ def reference_table(kg, store, h, center):
     exact reference for ``PathIndex``: ``enumerate_paths`` order, sorted
     stably by endpoint, each row summed as ``path_embedding`` adds. Returns
     the fields by name, ``groups`` with rows counted from 0."""
-    out_weight = np.full(kg.n_relations, np.nan)
-    in_weight = np.full(kg.n_relations, np.nan)
-    for r, v in kg.ifunc_table.items():
-        out_weight[r] = v
-    for r, v in kg.func_table.items():
-        in_weight[r] = v
+    out_weight, in_weight = kg.ifunc, kg.func
     keys = enumerate_paths(kg, center, h)
     n = len(keys)
     lengths = np.fromiter(map(len, keys), dtype=np.int64, count=n)

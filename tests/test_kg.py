@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import adjacency
 from exea.errors import ConfigError, EmptyKg, MalformedLine, UnknownId, UnknownRelation
+from exea.explain import candidate_triples
 from exea.kg import (
     Kg,
     Side,
@@ -36,31 +38,47 @@ def random_kg(rng, n_ent, n_rel, n_triples, side=Side.SOURCE):
     return make_kg(n_ent, sorted(triples), n_rel=n_rel, side=side)
 
 
+def loop_kg(rng, n_ent, n_rel, n_triples, side=Side.SOURCE):
+    """A random graph that keeps self-loops and adds the reciprocal (o, r, s)
+    of some of its triples."""
+    triples = {tuple(int(x) for x in rng.integers(0, (n_ent, n_rel, n_ent))) for _ in range(n_triples)}
+    triples |= {(s, r, s) for s, r, _ in list(triples)[:2]}
+    triples |= {(o, r, s) for s, r, o in list(triples)[:5]}
+    return make_kg(n_ent, sorted(triples), n_rel=n_rel, side=side)
+
+
+def steps_of(kg, v):
+    return list(map(tuple, kg.steps(v).tolist()))
+
+
 class TestConstructionAndIndexes:
     def test_small_graph_indexes(self):
         kg = make_kg(3, [(0, 0, 1), (1, 0, 2)])
-        assert kg.out_index[0] == ((0, 1),)
-        assert kg.out_index[1] == ((0, 2),)
-        assert kg.in_index[1] == ((0, 0),)
-        assert kg.in_index[2] == ((0, 1),)
-        assert kg.rel_triples == {0: 2}
+        assert steps_of(kg, 0) == [(0, 0, 1)]
+        assert steps_of(kg, 1) == [(0, 0, 2), (1, 0, 0)]
+        assert steps_of(kg, 2) == [(1, 0, 1)]
+        assert kg.func.tolist() == kg.ifunc.tolist() == [1.0]
 
     def test_duplicate_triples_collapse(self):
         kg = make_kg(2, [(0, 0, 1), (0, 0, 1)])
         assert len(kg.triple_keys) == 1
-        assert kg.rel_triples[0] == 1
+        assert steps_of(kg, 0) == [(0, 0, 1)] and steps_of(kg, 1) == [(1, 0, 0)]
 
     def test_indexes_agree_with_brute_force(self):
+        # every triple that is no self-loop is one step from each end, and
+        # the step index holds nothing else
         rng = np.random.default_rng(11)
         for _ in range(20):
-            kg = random_kg(rng, 12, 3, 30)
-            for s, r, o in kg.triple_keys:
-                assert (r, o) in kg.out_index[s]
-                assert (r, s) in kg.in_index[o]
-            listed = sorted(
-                (s, r, o) for s, pairs in kg.out_index.items() for r, o in pairs
-            )
-            assert listed == sorted(kg.triple_keys)
+            kg = loop_kg(rng, 12, 3, 30)
+            listed = [
+                (v, r, u) if incoming == 0 else (u, r, v)
+                for v in range(kg.n_entities)
+                for incoming, r, u in steps_of(kg, v)
+            ]
+            edges = [t for t in kg.triple_keys if t[0] != t[2]]
+            assert sorted(listed) == sorted(edges + edges)
+            assert len(edges) < len(kg.triple_keys)
+            assert list(kg.triple_keys) == sorted(set(kg.triple_keys))
 
     def test_step_index_lists_each_entitys_steps_in_walk_order(self):
         # self-loops and reciprocal triples included; an entity's steps are
@@ -68,18 +86,17 @@ class TestConstructionAndIndexes:
         # walks them
         rng = np.random.default_rng(12)
         for _ in range(20):
-            triples = {tuple(int(x) for x in rng.integers(0, (9, 3, 9))) for _ in range(25)}
-            triples |= {(o, r, s) for s, r, o in list(triples)[:5]}
-            kg = make_kg(10, sorted(triples), n_rel=3)
+            kg = loop_kg(rng, 10, 3, 25)
+            out_index, in_index = adjacency(kg)
             assert kg.step_keys.dtype == kg.step_start.dtype == np.int64
             assert kg.step_start[0] == 0 and kg.step_start[-1] == len(kg.step_keys)
             for v in range(kg.n_entities):
                 expected = sorted(
-                    [(0, r, o) for r, o in kg.out_index.get(v, ()) if o != v]
-                    + [(1, r, s) for r, s in kg.in_index.get(v, ()) if s != v]
+                    [(0, r, o) for r, o in out_index.get(v, ()) if o != v]
+                    + [(1, r, s) for r, s in in_index.get(v, ()) if s != v]
                 )
                 got = kg.step_keys[kg.step_start[v]:kg.step_start[v + 1]]
-                assert list(map(tuple, got.tolist())) == expected
+                assert list(map(tuple, got.tolist())) == expected == steps_of(kg, v)
 
     def test_out_of_range_ids_rejected(self):
         with pytest.raises(UnknownId):
@@ -118,7 +135,10 @@ class TestFunctionality:
         rng = np.random.default_rng(7)
         for _ in range(20):
             kg = random_kg(rng, 10, 4, 40)
-            for r, count in kg.rel_triples.items():
+            counts = {}
+            for _, r, _ in kg.triple_keys:
+                counts[r] = counts.get(r, 0) + 1
+            for r, count in counts.items():
                 f = functionality(kg, r) * count
                 inv = inverse_functionality(kg, r) * count
                 assert abs(f - round(f)) < 1e-9
@@ -133,15 +153,42 @@ class TestFunctionality:
         with pytest.raises(UnknownRelation):
             inverse_functionality(kg, 1)
 
+    @pytest.mark.parametrize("r", [3, -1], ids=["n_relations", "minus-one"])
+    def test_relation_out_of_range(self, r):
+        # -1 would index the last relation of the arrays, which has triples
+        kg = make_kg(2, [(0, 0, 1), (1, 2, 0)], n_rel=3)
+        with pytest.raises(UnknownRelation):
+            functionality(kg, r)
+        with pytest.raises(UnknownRelation):
+            inverse_functionality(kg, r)
+
+    def test_arrays_equal_set_counts(self):
+        # distinct subjects (objects) over triples per relation, from Python
+        # sets; NaN exactly where a relation has no triples
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            kg = loop_kg(rng, 9, 6, 15)
+            assert kg.func.dtype == kg.ifunc.dtype == np.float64
+            assert kg.func.shape == kg.ifunc.shape == (6,)
+            for r in range(6):
+                trs = [t for t in kg.triple_keys if t[1] == r]
+                if not trs:
+                    assert np.isnan(kg.func[r]) and np.isnan(kg.ifunc[r])
+                    continue
+                assert kg.func[r] == len({s for s, _, _ in trs}) / len(trs) == functionality(kg, r)
+                assert kg.ifunc[r] == len({o for _, _, o in trs}) / len(trs) == inverse_functionality(kg, r)
+
 
 def oracle_distances(kg, start):
+    """Undirected breadth-first distances from ``start``, read off the
+    triples alone."""
     dist = {start: 0}
     frontier = [start]
     while frontier:
         nxt = []
         for v in frontier:
-            nbrs = {o for _, o in kg.out_index.get(v, ())}
-            nbrs |= {s for _, s in kg.in_index.get(v, ())}
+            nbrs = {o for s, _, o in kg.triple_keys if s == v}
+            nbrs |= {s for s, _, o in kg.triple_keys if o == v}
             for u in nbrs:
                 if u not in dist:
                     dist[u] = dist[v] + 1
@@ -230,6 +277,41 @@ class TestNeighborhoods:
                 enumerate_paths(kg, 0, bad)
 
 
+class TestSelfLoops:
+    """Graphs with self-loops and reciprocal triples: a self-loop is in no
+    step row, so the walks and neighborhoods must equal the oracles, which
+    read the triples alone."""
+
+    def test_walks_equal_oracles(self):
+        rng = np.random.default_rng(43)
+        loops = 0
+        for _ in range(30):
+            kg1 = loop_kg(rng, 9, 3, 20)
+            kg2 = loop_kg(rng, 9, 3, 20, side=Side.TARGET)
+            e1, e2 = (int(x) for x in rng.integers(0, 9, size=2))
+            for h in (1, 2):
+                hood1, hood2 = oracle_neighborhood(kg1, e1, h), oracle_neighborhood(kg2, e2, h)
+                assert neighborhood_triples(kg1, e1, h) == sorted(hood1)
+                assert candidate_triples(kg1, kg2, (e1, e2), h) == (
+                    {(0, *t) for t in hood1} | {(1, *t) for t in hood2}
+                )
+                dist = oracle_distances(kg1, e1)
+                assert neighborhood_entities(kg1, e1, h) == sorted(
+                    v for v, d in dist.items() if 0 < d <= h
+                )
+                assert enumerate_paths(kg1, e1, h) == oracle_paths(kg1, e1, h)
+                loops += sum(s == o for s, _, o in hood1 | hood2)
+        assert loops > 0
+
+    def test_center_self_loop_is_a_candidate(self):
+        kg = make_kg(3, [(0, 0, 0), (0, 1, 1), (2, 0, 2)])
+        assert neighborhood_triples(kg, 0, 1) == [(0, 0, 0), (0, 1, 1)]
+        # at h=2, the self-loop of entity 1 hop away counts too; 2 is unreached
+        kg = make_kg(3, [(0, 1, 1), (1, 0, 1), (2, 0, 2)])
+        assert neighborhood_triples(kg, 0, 2) == [(0, 1, 1), (1, 0, 1)]
+        assert enumerate_paths(kg, 0, 2) == [((0, 1, 1),)]
+
+
 class TestPaths:
     def test_single_triple_both_perspectives(self):
         kg = make_kg(2, [(0, 0, 1)])
@@ -285,8 +367,9 @@ class TestLoading:
         t, e, r = self.make_files(tmp_path)
         kg = load_kg(t, e, r, Side.SOURCE)
         assert kg.entity_labels == ("a", "b", "c")
-        assert kg.out_index[0] == ((0, 1),)
-        assert kg.in_index[2] == ((0, 1),)
+        assert kg.triple_keys == ((0, 0, 1), (1, 0, 2))
+        assert steps_of(kg, 0) == [(0, 0, 1)]
+        assert steps_of(kg, 2) == [(1, 0, 1)]
 
     def test_idempotent(self, tmp_path):
         t, e, r = self.make_files(tmp_path)

@@ -52,6 +52,7 @@ from exea.repair import (
 from exea.synth import SynthConfig, generate_pair
 
 from test_embedding import reference_cosine
+from conftest import adjacency
 from test_kg import make_kg, random_kg
 
 
@@ -436,9 +437,10 @@ def reference_cross_kg_triples(adg, state, rel_align, kg1, kg2, budget=200):
     seen_base = set()
     for e1, e2 in entity_pairs:
         for side, kg, ent in ((0, kg1, e1), (1, kg2, e2)):
+            out_index, in_index = adjacency(kg)
             one_hop = sorted(
-                [(ent, r, o) for r, o in kg.out_index.get(ent, ())]
-                + [(s, r, ent) for r, s in kg.in_index.get(ent, ())]
+                [(ent, r, o) for r, o in out_index.get(ent, ())]
+                + [(s, r, ent) for r, s in in_index.get(ent, ())]
             )
             for key in one_hop:
                 tagged = (side, key)
@@ -486,7 +488,7 @@ def reference_chain_rules(rules, cross, kg1, kg2):
     for subj in list(by_subject):
         kg = kgs[subj.side]
         if subj.index < kg.n_entities:
-            for r, o in kg.out_index.get(subj.index, ()):
+            for r, o in adjacency(kg)[0].get(subj.index, ()):
                 add(subj, Ref(subj.side, r), Ref(subj.side, o))
     derived = set()
     for rule in rules:
