@@ -45,7 +45,7 @@ from .evaluate import (
     fidelity,
     sample_correct_pairs,
 )
-from .explain import Explanation, explanation
+from .explain import Explanation, explain_pairs, explanation
 from .kg import SIDES, Kg, Side, Step, check_hops, load_kg
 from .repair import AlignmentState, RepairConfig, repair
 from .synth import SynthConfig, generate_pair, write_dataset
@@ -602,9 +602,11 @@ def _eval_sparsity(cfg: dict) -> tuple[EvalReport, dict]:
     context = _context(cfg["alignment"], data.pairs["alignment"])
     if not context:
         raise ConfigError(f"alignment file {cfg['alignment']} holds no pairs")
+    pairs = list(context.items())
+    forward = AlignmentState((), pairs, kg1.n_entities, kg2.n_entities).forward
     expl_triples = {
-        pair: explanation(pair, kg1, kg2, data.store, context, h).triple_keys
-        for pair in context.items()
+        pair: expl.triple_keys
+        for pair, expl in zip(pairs, explain_pairs(pairs, kg1, kg2, data.store, forward, h))
     }
     mean, empty = explanation_sparsity_stats(kg1, kg2, expl_triples, h)
     report = EvalReport(
@@ -630,8 +632,6 @@ def _eval_fidelity(cfg: dict) -> tuple[EvalReport, dict]:
     # the checks repair makes: seeds one-to-one, a source predicted once; a
     # seed wins over a prediction for its source
     state = AlignmentState(seeds, pred, kg1.n_entities, kg2.n_entities)
-    context = {s: t for s, t, _ in state.pairs()}
-    del state  # its sets would stay resident through the retraining
     h = int(cfg["h"])
     # retraining pulls a seed pair together whatever its explanation says, so
     # a seed pair repeated in the predictions is no sample
@@ -641,8 +641,8 @@ def _eval_fidelity(cfg: dict) -> tuple[EvalReport, dict]:
     if not sample:
         raise ConfigError("no correct predictions to sample for fidelity")
     expl = {
-        pair: explanation(pair, kg1, kg2, store, context, h).triple_keys
-        for pair in sample
+        pair: e.triple_keys
+        for pair, e in zip(sample, explain_pairs(sample, kg1, kg2, store, state.forward, h))
     }
     fid = fidelity(kg1, kg2, seeds, expl, trainer, h)
     report = EvalReport(

@@ -10,49 +10,39 @@ along matched paths is the explanation subgraph.
 
 Performance notes. ``PathIndex`` is one table per side, built in one array
 pass over the graph's step index (``Kg.step_keys``) for every center it is
-given. A path row holds no embedding: it is two int32 step ids into the
-graph's step index, an int8 length, a float64 functionality weight, an int32
-entity-half id, an int32 relation-half id, a float64 norm and an all-zero
-flag. The halves are two small float64 tables sized by the index's own paths:
-one entity row per center and per first step of a two-step path (the mean of
-the center and the entity it reaches), one relation row per relation
-combination its paths use (keyed by packed ints through ``np.unique``). Each
-is summed and divided by the length in the order ``path_embedding`` adds,
-and each norm is one ``np.vecdot`` over a path's halves side by side. The
-rows are sorted by center and endpoint, and the endpoints are sorted CSR
-arrays (``hood_key``, ``run_start``, ``hood_start``), so a neighborhood is a
-slice, a membership test is one ``np.searchsorted`` over packed int64 keys,
-a block's rows are found for many neighbor pairs at once, and a row's center
-is a search over the runs. On the repair fixtures an index holds 3.3 MB per
-side on repair-dense (53,946 paths, 60 bytes each) and 3.2 MB on repair-wide
-(31,908 paths, 99 bytes each). No value depends on which centers share the
-index. ``explanations`` is the one explanation builder: given each
-pair's neighbor list and indexes that hold every pair's centers, it scores
-the path pairs of many pairs' neighbor pairs together, each neighbor pair a
-block, with one ``np.vecdot`` per pass, and picks row and column bests with
-lexsorts per block that keep the lowest-index tie rule. A pass rebuilds unit
-rows only for its blocks' rows: two gathers of halves and one divide by the
-stored norm, the operations of ``path_embedding`` over its norm in the same
-order, so every score equals the per-path computation bit for bit. The repair's
-``PairAnalyzer`` builds every graph through it, over one index per side.
-``explanation`` (one pair, its neighbors read off a mapping) and
-``match_paths`` (one neighbor pair) build indexes over the pair's own centers
-and call the same matcher; they take no indexes and no neighbor list. A pass
-takes whole pairs up to ``_PASS_PAIRS`` scored path pairs (a larger pair
-gets a pass of its own). That bound is a constant, not a setting: it caps
-the pass's temporaries, two gathered unit rows per path pair, and no output
-depends on it, since every value is computed per row and per block.
-``adg.build_adg`` builds the
-dependency graphs of many explanations at once. Similarities and norms go
-through ``np.vecdot`` and never through a matrix product or an einsum:
-vecdot takes, row by row, the BLAS dot that ``np.dot`` and
-``np.linalg.norm`` take for one vector, so every value equals the per-pair
-computation bit for bit, where a matrix product or einsum may sum in another
-order. In
-``tests/test_explain.py``, ``TestBatchedCoreIsExact`` keeps the per-pair
-matcher as the reference, ``TestPathIndexIsExact`` the per-center path
-build and ``TestUnitRowsAreRebuiltExactly`` the whole unit matrix, and all
-check equality with ``==``.
+given; its docstring gives the row layout. A row holds no embedding, only
+ids of two small half tables and a norm, and its halves are summed in the
+order ``path_embedding`` adds, so no value depends on which centers share
+the index. Distinct keys come from a sort and a run-start mask
+(``_distinct``, ``_distinct_inverse``), since ``np.unique`` imports
+``numpy.ma`` on its first call in a process.
+``neighbor_lists`` is the one matched-neighbor rule: a gather of each
+pair's source endpoints, their targets in a forward array (``forward[s]``
+the target of source s, -1 for none) and sorted membership tests against
+the target's endpoints and the banned pairs. ``explanations`` is the one
+explanation builder: given each pair's neighbor list and indexes that hold
+every pair's centers, it scores the path pairs of many neighbor pairs
+together, each neighbor pair a block, with one ``np.vecdot`` per pass, and
+picks row and column bests with lexsorts per block that keep the
+lowest-index tie rule. A pass rebuilds unit rows only for its blocks' rows,
+with the operations of ``path_embedding`` over its norm in the same order,
+so every score equals the per-path computation bit for bit, and takes whole
+pairs up to ``_PASS_PAIRS`` scored path pairs (a larger pair gets a pass of
+its own): a constant that caps its temporaries and changes no output.
+The repair's ``PairAnalyzer`` reads both over one index per side of every
+entity. ``explain_pairs`` builds one index per side over all its pairs'
+centers and matches one pair per ``explanations`` call; ``explanation``
+(one pair, its neighbors read off a mapping) calls it for one pair, and
+``match_paths`` (one neighbor pair) builds indexes over the pair's own
+centers. ``adg.build_adg`` builds the dependency graphs of many
+explanations at once. Similarities and norms go through ``np.vecdot``,
+never a matrix product or an einsum: vecdot takes, row by row, the BLAS dot
+that ``np.dot`` and ``np.linalg.norm`` take for one vector, where a matrix
+product or einsum may sum in another order. In ``tests/test_explain.py``,
+``TestBatchedCoreIsExact`` keeps the per-pair matcher as the reference,
+``TestPathIndexIsExact`` the per-center path build,
+``TestUnitRowsAreRebuiltExactly`` the whole unit matrix and
+``TestGatherEqualsWalk`` the breadth-first matched-neighbor walk.
 
 Everything here is ints: a pair is (source index, target index), a path is
 its tuple of step keys (see ``kg``), and a triple is a (side, subject,
@@ -67,7 +57,7 @@ written.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -86,7 +76,7 @@ TripleKey = tuple[int, int, int, int]
 PathMatch = tuple[tuple[Step, ...], tuple[Step, ...], float]
 
 
-_CHUNK = 4096  # rows per pass of the float work, which keeps its temporaries small
+_CHUNK = 512  # rows per pass of the norm work, which keeps its temporaries small
 # scored path pairs per matcher pass: each gathers two unit rows of 2 * dim
 # float64 values, rebuilt for the pass's rows, so this bounds the matcher's
 # temporaries however many pairs a caller hands it at once
@@ -106,6 +96,32 @@ def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.n
     if not sorted_keys.size:
         return at, np.zeros(at.shape, dtype=bool)
     return at, sorted_keys.take(at, mode="clip") == keys
+
+
+# distinct values come from a sort and a run-start mask, not np.unique or the
+# set routines built on it, whose first call in a process imports numpy.ma
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """A mask of where each run of equal values starts."""
+    starts = np.ones(values.size, dtype=bool)
+    starts[1:] = values[1:] != values[:-1]
+    return starts
+
+
+def _distinct(key: np.ndarray) -> np.ndarray:
+    """The distinct keys, sorted."""
+    key = np.sort(key)
+    return key[_run_starts(key)]
+
+
+def _distinct_inverse(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct keys, sorted, the position of each one's first
+    occurrence in ``key``, and each key's position among them."""
+    order = np.argsort(key, kind="stable")
+    starts = _run_starts(key[order])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    first = order[starts]
+    return key[first], first, inverse
 
 
 class PathIndex:
@@ -142,7 +158,7 @@ class PathIndex:
         check_hops(h)
         keys, start = kg.step_keys, kg.step_start
         degree = np.diff(start)
-        centers = np.unique(np.arange(kg.n_entities) if centers is None else np.fromiter(centers, np.int64))
+        centers = _distinct(np.arange(kg.n_entities) if centers is None else np.fromiter(centers, np.int64))
         # the one-step paths, then each one extended by a step that does not
         # return to its center
         center = np.repeat(centers, degree[centers])
@@ -169,7 +185,7 @@ class PathIndex:
         # one run of rows per (center, endpoint), keyed center * n + endpoint
         self.n_entities = n_ent = kg.n_entities
         key = center * n_ent + end
-        run = np.flatnonzero(np.diff(key, prepend=-1))
+        run = np.flatnonzero(_run_starts(key))
         self.hood_key = key[run]
         self.run_start = np.append(run, n)
         self.hood_start = np.searchsorted(self.hood_key, np.arange(n_ent + 1) * n_ent)
@@ -191,9 +207,7 @@ class PathIndex:
         # the halves, with the same additions in the same order as
         # path_embedding: the center plus the intermediate entity, and 0.0
         # plus each step relation, each divided by the length
-        ent_keys, at, eid = np.unique(
-            np.where(two, n_ent + first, center), return_index=True, return_inverse=True
-        )
+        ent_keys, at, eid = _distinct_inverse(np.where(two, n_ent + first, center))
         self.ent_half = ents[center[at]].astype(np.float64)
         inner = ent_keys >= n_ent
         self.ent_half[inner] += ents[keys[ent_keys[inner] - n_ent, 2]]
@@ -203,7 +217,7 @@ class PathIndex:
         base = rels.shape[0] + 1
         rel_key = r1 * base
         rel_key[two] += r2 + 1
-        rel_keys, rid = np.unique(rel_key, return_inverse=True)
+        rel_keys, _, rid = _distinct_inverse(rel_key)
         combo1, combo2 = np.divmod(rel_keys, base)
         self.rel_half = 0.0 + rels[combo1]
         inner = combo2 > 0
@@ -321,12 +335,6 @@ def _triple_keys(index: PathIndex, rows: np.ndarray, side: int) -> np.ndarray:
     return np.stack([np.full(r.size, side), subject, r, obj], axis=1)
 
 
-def _first_per_group(order: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """The first entry of ``order`` for each run of equal ``group[order]``."""
-    g = group[order]
-    return order[np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))]
-
-
 def _mutual_best(
     i1: PathIndex,
     i2: PathIndex,
@@ -397,30 +405,42 @@ def _match_blocks(
     u1, u2 = i1.unit_rows(_ranges(start1, len1)), i2.unit_rows(_ranges(start2, len2))
     sims = np.vecdot(u1[row_id], u2[col_id])
     sims[i1.zero[rows1] | i2.zero[rows2]] = -2.0
-    neg = -sims
-    row_best = _first_per_group(np.lexsort((j, neg, row_id)), row_id)
-    col_best = _first_per_group(np.lexsort((i, neg, col_id)), col_id)
+    # each row's and column's best: the first of its run by score, ties to the lower index
+    by_row, by_col = np.lexsort((j, -sims, row_id)), np.lexsort((i, -sims, col_id))
+    row_best = by_row[_run_starts(row_id[by_row])]
+    col_best = by_col[_run_starts(col_id[by_col])]
     keep = row_best[(col_best[col_id[row_best]] == row_best) & (sims[row_best] > -2.0)]
     return rows1[keep], rows2[keep], sims[keep], pos[block[keep]], item[block[keep]]
 
 
-def matched_neighbor_pairs(
-    target_of: Callable[[int], int | None],
-    hood1: Iterable[int],
-    hood2: Container[int],
-) -> list[tuple[int, int]]:
-    """The matched-neighbor rule over given neighborhoods: each ``n1`` of
-    ``hood1`` whose aligned target ``target_of(n1)`` lies in ``hood2``, sorted
-    by source index. A neighborhood never holds its own center, so the
-    central pair is never among them. Callers pass the endpoints of
-    the centers' paths."""
-    hits = []
-    for n1 in hood1:
-        t = target_of(n1)
-        if t is not None and t in hood2:
-            hits.append((n1, t))
-    hits.sort()
-    return hits
+def neighbor_lists(
+    index1: PathIndex,
+    index2: PathIndex,
+    forward: np.ndarray,
+    keys: Sequence[tuple[int, int]],
+    banned: np.ndarray | None = None,
+) -> list[list[tuple[int, int]]]:
+    """The matched-neighbor rule for each (s, t) of ``keys``, in one gather:
+    (n, forward[n]) for each endpoint n of s's paths in ``index1``,
+    ascending, whose target ends a path of t in ``index2``, its packed key
+    ``n * index2.n_entities + forward[n]`` not in the sorted ``banned``. A
+    target outside the target graph is none, and a neighborhood never holds
+    its own center. Both indexes must hold the keys' centers."""
+    s, t = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+    lo, hi = index1.hood_start[s], index1.hood_start[s + 1]
+    # each endpoint n of a key's source, the key's position, n's target
+    which = np.repeat(np.arange(len(keys)), hi - lo)
+    n = index1.hood_key[_ranges(lo, hi - lo)] % index1.n_entities
+    target = forward[n]
+    # a target outside the graph would alias another center's packed key
+    keep = (target >= 0) & (target < index2.n_entities)
+    which, n, target = which[keep], n[keep], target[keep]
+    keep = _lookup(index2.hood_key, t[which] * index2.n_entities + target)[1]
+    if banned is not None:
+        keep &= ~_lookup(banned, n * index2.n_entities + target)[1]
+    bounds = np.searchsorted(which[keep], np.arange(len(keys) + 1)).tolist()
+    pairs = list(zip(n[keep].tolist(), target[keep].tolist()))
+    return [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def match_paths(
@@ -464,21 +484,39 @@ def explanation(
     h: int,
 ) -> Explanation:
     """Build the matched subgraph explanation for one pair, over path indexes
-    of its own centers. ``alignments`` maps source to target, and the matched
-    neighbors are read off the endpoints of the centers' paths; callers
-    holding a pair list build the mapping once, not per call.
+    of its own centers. ``alignments`` maps source to target; a source
+    outside the source graph is never a neighbor, so its entry is dropped.
     """
-    e1, e2 = kg1.check_entity(int(pair[0])), kg2.check_entity(int(pair[1]))
-    index1, index2 = PathIndex(kg1, store, h, [e1]), PathIndex(kg2, store, h, [e2])
-    neighbor_pairs = matched_neighbor_pairs(
-        alignments.get, index1.hood(e1).tolist(), set(index2.hood(e2).tolist())
-    )
-    return explanations([(e1, e2)], [neighbor_pairs], index1, index2)[0]
+    forward = np.full(kg1.n_entities, -1, dtype=np.int64)
+    for s, t in alignments.items():
+        if 0 <= s < kg1.n_entities:
+            forward[s] = t
+    return next(explain_pairs([pair], kg1, kg2, store, forward, h))
+
+
+def explain_pairs(
+    pairs: Sequence[tuple[int, int]],
+    kg1: Kg,
+    kg2: Kg,
+    store: EmbeddingStore,
+    forward: np.ndarray,
+    h: int,
+) -> Iterator[Explanation]:
+    """The explanation of each of ``pairs`` in turn, under the alignment
+    ``forward`` (``forward[s]`` the target of source s, -1 for none), over
+    one path index per side that holds every pair's centers. Each pair is
+    matched in its own ``explanations`` call, which keeps the matcher's
+    temporaries to one pair's, and equals its ``explanation``."""
+    pairs = [(kg1.check_entity(int(e1)), kg2.check_entity(int(e2))) for e1, e2 in pairs]
+    index1 = PathIndex(kg1, store, h, [e1 for e1, _ in pairs])
+    index2 = PathIndex(kg2, store, h, [e2 for _, e2 in pairs])
+    for pair, neighbors in zip(pairs, neighbor_lists(index1, index2, forward, pairs)):
+        yield explanations([pair], [neighbors], index1, index2)[0]
 
 
 def explanations(
     pairs: Sequence[tuple[int, int]],
-    neighbor_lists: Sequence[Iterable[tuple[int, int]]],
+    neighbors: Sequence[Iterable[tuple[int, int]]],
     index1: PathIndex,
     index2: PathIndex,
 ) -> list[Explanation]:
@@ -487,7 +525,7 @@ def explanations(
     pairs matched together. Each equals what a call over its pair alone
     builds: a pass keeps every block's rows and tie rule to itself."""
     items = [
-        ((int(e1), int(e2)), list(n)) for (e1, e2), n in zip(pairs, neighbor_lists, strict=True)
+        ((int(e1), int(e2)), list(n)) for (e1, e2), n in zip(pairs, neighbors, strict=True)
     ]
     rows1, rows2, sims, neighbor, item = _mutual_best(index1, index2, items)
     bounds = np.searchsorted(item, np.arange(len(items) + 1)).tolist()

@@ -56,7 +56,8 @@ from .embedding import (
     similarity_topk,
 )
 from .errors import ConfigError, InvariantViolation
-from .explain import Explanation, PathIndex, _lookup, _ranges, explanations
+from .explain import Explanation, PathIndex, explanations, neighbor_lists
+from .explain import _distinct, _distinct_inverse, _lookup, _ranges, _run_starts
 # no caller here (a center's neighborhood is read off its path index), but
 # bench/traced_exea.py wraps this module's neighborhood_entities
 from .kg import SIDES, Kg, Side, check_hops, neighborhood_entities  # noqa: F401
@@ -124,17 +125,18 @@ class NotSameAsRule:
 
 
 class AlignmentState:
-    """Seed pairs plus the evolving predicted mapping.
+    """Seed pairs plus the evolving predicted mapping, as one int array.
 
     Sources are ``range(n_sources)`` and targets ``range(n_targets)``, the two
-    graphs' entity counts; a pair outside them is a config error. The forward
-    map is always a function source -> (target, provenance), kept also as
-    the int array ``forward`` (``forward[s]`` the target of s, -1 for none)
-    for array reads; the reverse map may hold several sources per target
-    until one-to-many resolution has run.
-    Seeds can never be realigned or removed. Every mutation is appended to
-    ``mutations``, a record of what a run did; nothing in the library reads
-    it back (the benchmark's trace reports its length).
+    graphs' entity counts; a pair outside them is a config error. The state
+    holds ``forward`` (``forward[s]`` the target of s, -1 for none) and
+    ``provenance`` (``provenance[s]`` how s got its target, None for none),
+    so the forward map is a function; a target may have several sources
+    until one-to-many resolution has run. The pairs, a target's sources, the
+    unaligned and multi-claimed entities and the seed checks are all read off
+    these two. Seeds can never be realigned or removed. Every mutation is
+    appended to ``mutations``, a record of what a run did; nothing in the
+    library reads it back (the benchmark's trace reports its length).
     """
 
     def __init__(
@@ -150,88 +152,82 @@ class AlignmentState:
             if not 0 <= t < n_targets:
                 raise ConfigError(f"{what} target {t} is out of range")
 
-        self._seed_forward: dict[int, int] = {}
-        self._seed_reverse: dict[int, int] = {}
+        forward = [-1] * n_sources
+        self.provenance: list[str | None] = [None] * n_sources
+        seed_source = [-1] * n_targets
         for s, t in seeds:
             s, t = int(s), int(t)
             check_range(s, t, "seed")
-            if self._seed_forward.get(s, t) != t or self._seed_reverse.get(t, s) != s:
+            if forward[s] not in (-1, t) or seed_source[t] not in (-1, s):
                 raise ConfigError(f"seed pairs are not one-to-one at ({s}, {t})")
-            self._seed_forward[s] = t
-            self._seed_reverse[t] = s
-        self._forward: dict[int, tuple[int, str]] = {
-            s: (t, SEED) for s, t in self._seed_forward.items()
-        }
-        self._reverse: dict[int, set[int]] = {
-            t: {s} for s, t in self._seed_forward.items()
-        }
-        self.forward = np.full(n_sources, -1, dtype=np.int64)
-        self.mutations: list[tuple[int, int]] = []
+            forward[s], seed_source[t], self.provenance[s] = t, s, SEED
         for s, t in predictions:
             s, t = int(s), int(t)
             check_range(s, t, "predicted")
-            if s in self._seed_forward:
+            if self.provenance[s] == SEED:
                 continue
-            if s in self._forward:
+            if forward[s] >= 0:
                 raise ConfigError(f"source {s} appears twice in the predictions")
-            self._forward[s] = (t, PREDICTED)
-            self._reverse.setdefault(t, set()).add(s)
-        for s, (t, _) in self._forward.items():
-            self.forward[s] = t
-        self.source_universe = frozenset(range(n_sources))
-        self.target_universe = frozenset(range(n_targets))
+            forward[s], self.provenance[s] = t, PREDICTED
+        self.forward = np.array(forward, dtype=np.int64)
+        self.n_targets = n_targets
+        self.mutations: list[tuple[int, int]] = []
 
     def is_seed_pair(self, s: int, t: int) -> bool:
-        return self._seed_forward.get(s) == t
+        return 0 <= s < self.forward.size and self.provenance[s] == SEED and int(self.forward[s]) == t
 
     def target_of(self, s: int) -> int | None:
-        entry = self._forward.get(s)
-        return entry[0] if entry else None
+        t = int(self.forward[s]) if 0 <= s < self.forward.size else -1
+        return t if t >= 0 else None
 
     def sources_of(self, t: int) -> tuple[int, ...]:
-        return tuple(sorted(self._reverse.get(t, ())))
+        # -1 marks an unaligned source, not a target
+        return tuple(np.flatnonzero(self.forward == t).tolist()) if t >= 0 else ()
 
     def pairs(self) -> list[tuple[int, int, str]]:
-        return [(s, t, prov) for s, (t, prov) in sorted(self._forward.items())]
+        sources = np.flatnonzero(self.forward >= 0).tolist()
+        return [(s, t, self.provenance[s]) for s, t in zip(sources, self.forward[sources].tolist())]
+
+    def _claims(self) -> np.ndarray:
+        """The number of sources aligned to each target."""
+        return np.bincount(self.forward[self.forward >= 0], minlength=self.n_targets)
 
     @property
     def unaligned_sources(self) -> set[int]:
-        return set(self.source_universe) - set(self._forward)
+        return set(np.flatnonzero(self.forward < 0).tolist())
 
     @property
     def unaligned_targets(self) -> set[int]:
-        return {t for t in self.target_universe if not self._reverse.get(t)}
+        return set(np.flatnonzero(self._claims() == 0).tolist())
 
     def align(self, s: int, t: int, provenance: str) -> None:
-        if s in self._seed_forward:
+        if self.provenance[s] == SEED:
             raise InvariantViolation("seed-immutability", f"cannot realign seed source {s}")
-        if s in self._forward:
+        if self.forward[s] >= 0:
             raise InvariantViolation("single-claim", f"source {s} is already aligned")
-        self._forward[s] = (t, provenance)
-        self._reverse.setdefault(t, set()).add(s)
         self.forward[s] = t
+        self.provenance[s] = provenance
         self.mutations.append((s, t))
 
     def unalign(self, s: int) -> int:
-        if s in self._seed_forward:
+        if self.provenance[s] == SEED:
             raise InvariantViolation("seed-immutability", f"cannot remove seed source {s}")
-        if s not in self._forward:
+        t = int(self.forward[s])
+        if t < 0:
             raise InvariantViolation("single-claim", f"source {s} is not aligned")
-        t = self._forward.pop(s)[0]
-        self._reverse[t].discard(s)
         self.forward[s] = -1
+        self.provenance[s] = None
         self.mutations.append((s, t))
         return t
 
     def multi_claimed_targets(self) -> list[int]:
-        return sorted(t for t, ss in self._reverse.items() if len(ss) > 1)
+        return np.flatnonzero(self._claims() > 1).tolist()
 
     def check_injective(self) -> None:
-        for t, ss in self._reverse.items():
-            if len(ss) > 1:
-                raise InvariantViolation(
-                    "injectivity", f"target {t} is claimed by sources {sorted(ss)}"
-                )
+        for t in self.multi_claimed_targets():
+            raise InvariantViolation(
+                "injectivity", f"target {t} is claimed by sources {list(self.sources_of(t))}"
+            )
 
 
 def explanation(
@@ -255,20 +251,14 @@ class PairAnalyzer:
 
     Every graph is built through ``explanations`` over the two indexes:
     ``adg`` hands it one stale key (through this module's ``explanation``),
-    ``adgs`` every stale key of a read.
-    ``adgs`` reads many graphs under one alignment state as array passes. It
-    computes every key's matched-neighbor list in one gather: the endpoints
-    of s's paths (its runs in ``index1.hood_key``), their targets from the
-    state's ``forward`` array, a sorted membership test against
-    ``index2.hood_key`` for t's neighborhood and one against the sorted
-    packed keys of the banned pairs, which ``ban`` keeps. It then matches the
-    paths of every stale graph in shared ``explanations`` passes and builds
-    them in shared ``build_adg`` passes, each pass bounded by a fixed count
-    (of scored path pairs, of nodes) that caps its memory and changes no
-    output. The stages read through it wherever the state holds still: the
-    confidence snapshots, the relation-conflict stage's non-seed graphs, the
-    claimants in one-to-many resolution, the low-confidence scan and the
-    windows of each stripped source's lazy candidate ranking
+    ``adgs`` every stale key of a read, after one ``neighbor_lists`` gather
+    of every key's list from the state's ``forward`` array and the sorted
+    packed keys of the banned pairs that ``ban`` keeps; its matcher and
+    ``build_adg`` passes are bounded by fixed counts (of scored path pairs,
+    of nodes) that cap memory and change no output. The stages read through
+    ``adgs`` wherever the state holds still: the confidence snapshots, the
+    relation-conflict stage, the one-to-many claimants, the low-confidence
+    scan and the windows of each lazy candidate ranking
     (``_candidate_targets``). The rematch comparisons read one or two graphs
     per call, as the alignment moves between their calls; the low-confidence
     one reads none when the confidence bounds settle it. Every key of
@@ -304,31 +294,15 @@ class PairAnalyzer:
         n, t = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
         # a pair outside the graphs is never a matched neighbor
         ok = (n >= 0) & (n < self.kg1.n_entities) & (t >= 0) & (t < self.kg2.n_entities)
-        self._banned = np.union1d(self._banned, n[ok] * self.kg2.n_entities + t[ok])
-
-    def _neighbor_lists(self, keys: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-        """``neighbor_pairs(s, t)`` of each (s, t) of ``keys``, read in one
-        gather: the endpoints of s's paths, ascending, their live targets,
-        kept where the target ends a path of t and the pair is not banned."""
-        i1, i2 = self.index1, self.index2
-        s, t = np.array(keys, dtype=np.int64).reshape(-1, 2).T
-        lo, hi = i1.hood_start[s], i1.hood_start[s + 1]
-        # each endpoint n of a key's source, the key's position, n's target
-        which = np.repeat(np.arange(len(keys)), hi - lo)
-        n = i1.hood_key[_ranges(lo, hi - lo)] % i1.n_entities
-        n_target = self.state.forward[n]
-        keep = n_target >= 0
-        which, n, n_target = which[keep], n[keep], n_target[keep]
-        keep = _lookup(i2.hood_key, t[which] * i2.n_entities + n_target)[1]
-        keep &= ~_lookup(self._banned, n * self.kg2.n_entities + n_target)[1]
-        bounds = np.searchsorted(which[keep], np.arange(len(keys) + 1)).tolist()
-        pairs = list(zip(n[keep].tolist(), n_target[keep].tolist()))
-        return [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
+        self._banned = _distinct(np.concatenate([self._banned, n[ok] * self.kg2.n_entities + t[ok]]))
 
     def neighbor_pairs(self, s: int, t: int) -> list[tuple[int, int]]:
         """(n, target of n) for every aligned n within h hops of s whose
         target lies within h hops of t, the pair not banned; sorted by n."""
         return self._neighbor_lists([(s, t)])[0]
+
+    def _neighbor_lists(self, keys: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+        return neighbor_lists(self.index1, self.index2, self.state.forward, keys, self._banned)
 
     def adg(self, s: int, t: int, neighbors: list[tuple[int, int]] | None = None) -> Adg:
         """The graph of (s, t); ``neighbors``, when given, is
@@ -466,19 +440,6 @@ def _unpack(key: np.ndarray, radices: Sequence[int]) -> list[np.ndarray]:
     return [key, *reversed(columns)]
 
 
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """A mask of where each run of equal values starts."""
-    starts = np.ones(values.size, dtype=bool)
-    starts[1:] = values[1:] != values[:-1]
-    return starts
-
-
-def _distinct(key: np.ndarray) -> np.ndarray:
-    """The distinct keys, sorted."""
-    key = np.sort(key)
-    return key[_run_starts(key)]
-
-
 class ConflictTables:
     """The two graphs, the alignment and the relation alignment as the
     relation-conflict stage reads them: int arrays built once per stage,
@@ -581,11 +542,8 @@ def cross_kg_triples(
     count = tables.hop_start[entity + 1] - tables.hop_start[entity]
     graph = np.repeat(np.repeat(np.arange(len(adgs)), [v.size for v in visits]), count)
     hop = tables.hop_triples[_ranges(tables.hop_start[entity], count)]
-    # a stable sort keeps each repeated base triple's first visit first
-    key = _pack([graph, hop], [len(adgs), len(tables.triples)])
-    order = np.argsort(key, kind="stable")
-    first = np.zeros(key.size, dtype=bool)
-    first[order[_run_starts(key[order])]] = True
+    # each repeated base triple's first visit, in walk order
+    first = np.sort(_distinct_inverse(_pack([graph, hop], [len(adgs), len(tables.triples)]))[1])
     graph, hop = graph[first], hop[first]
     # a base's rank among its graph's distinct bases, in walk order
     consulted = np.arange(graph.size) - np.searchsorted(graph, graph) < budget
@@ -712,9 +670,10 @@ def detect_relation_conflicts(
         [p for expl in expls for p in expl.matched_neighbor_pairs], dtype=np.int64
     ).reshape(-1, 2)
     graph = np.repeat(np.arange(len(adgs)), [len(e.matched_neighbor_pairs) for e in expls])
-    pruned = neighbors[np.isin(_pack([graph, *neighbors.T], radices), facts)]
+    # the facts are distinct and sorted, as their rows are
+    pruned = neighbors[_lookup(facts, _pack([graph, *neighbors.T], radices))[1]]
     central = np.array([expl.pair for expl in expls], dtype=np.int64).reshape(-1, 2)
-    flagged = np.isin(_pack([np.arange(len(adgs)), *central.T], radices), facts)
+    flagged = _lookup(facts, _pack([np.arange(len(adgs)), *central.T], radices))[1]
     distinct = _unpack(_distinct(_pack(derived[:, 1:].T, radices[1:])), radices[1:])
     return RelationConflictReport(
         derived_pairs=list(zip(*(c.tolist() for c in distinct))),
@@ -837,10 +796,10 @@ def _candidate_targets(
     rematch walks a ranking, so each graph is what an eager read would build.
     """
     i1, i2 = analyzer.index1, analyzer.index2
-    matched = np.unique(state.forward[i1.hood(e1)])
+    matched = _distinct(state.forward[i1.hood(e1)])
     matched = matched[matched >= 0]
     lo, hi = i2.hood_start[matched], i2.hood_start[matched + 1]
-    targets = np.unique(i2.hood_key[_ranges(lo, hi - lo)] % i2.n_entities)
+    targets = _distinct(i2.hood_key[_ranges(lo, hi - lo)] % i2.n_entities)
     targets = targets[targets != state.forward[e1]]
     if not targets.size:
         return
@@ -1014,6 +973,7 @@ def repair(
     one-to-many resolution is on.
     """
     cfg = cfg or RepairConfig()
+    seeds = list(seeds)
     state = AlignmentState(
         seeds,
         raw_alignment,
@@ -1063,7 +1023,7 @@ def repair(
 
     if cfg.enable_one_to_many:
         state.check_injective()
-    for s, t in ((s, t) for s, t, p in state.pairs() if p == SEED):
+    for s, t in seeds:
         if not state.is_seed_pair(s, t):
             raise InvariantViolation("seed-immutability", f"seed pair ({s}, {t}) was altered")
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exea.explain as explain_module
 from exea.embedding import EmbeddingStore, path_embedding
@@ -12,7 +14,7 @@ from exea.explain import (
     explanation,
     explanations,
     match_paths,
-    matched_neighbor_pairs,
+    neighbor_lists,
 )
 from exea.kg import Kg, Side, enumerate_paths, neighborhood_entities, neighborhood_triples
 from exea.repair import AlignmentState, PairAnalyzer, RepairConfig
@@ -46,6 +48,21 @@ def path_triples(center, steps):
         out.append((anchor, r, u) if rank == 0 else (u, r, anchor))
         anchor = u
     return out
+
+
+def matched_neighbor_pairs(target_of, hood1, hood2):
+    """Reference for the matched-neighbor rule over given neighborhoods, a
+    walk apart from the library's gather: each ``n1`` of ``hood1`` whose
+    aligned target ``target_of(n1)`` lies in ``hood2``, sorted by source
+    index. A neighborhood never holds its own center, so the central pair is
+    never among them."""
+    hits = []
+    for n1 in hood1:
+        t = target_of(n1)
+        if t is not None and t in hood2:
+            hits.append((n1, t))
+    hits.sort()
+    return hits
 
 
 def matched_neighbors(pair, kg1, kg2, alignments, h):
@@ -154,6 +171,48 @@ class TestMatchedNeighbors:
         small = set(matched_neighbors((1, 1), kg1, kg2, base, 2))
         large = set(matched_neighbors((1, 1), kg1, kg2, bigger, 2))
         assert small <= large
+
+
+class TestGatherEqualsWalk:
+    """``neighbor_lists``, the library's one matched-neighbor gather, gives
+    the breadth-first walk's lists (``matched_neighbors``) without the banned
+    pairs, over indexes of every entity or of the keys' centers alone. The
+    alignment may name sources outside the source graph and targets outside
+    the target graph or below 0: the walk never finds those in a
+    neighborhood, and the gather must mask them, since a target past the
+    graph would alias another center's packed endpoint key."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        h=st.sampled_from([1, 2]),
+        restricted=st.booleans(),
+        n_keys=st.integers(1, 6),
+    )
+    def test_gather_equals_walk(self, seed, h, restricted, n_keys):
+        rng = np.random.default_rng(seed)
+        n1, n2 = (int(n) for n in rng.integers(3, 10, size=2))
+        kg1 = rough_kg(rng, n1, 3, int(rng.integers(1, 2 * n1)), Side.SOURCE)
+        kg2 = rough_kg(rng, n2, 3, int(rng.integers(1, 2 * n2)), Side.TARGET)
+        store = paired_store(rng, n1, n2)
+        alignments = {
+            s: int(rng.integers(-3, n2 + 3)) for s in range(-2, n1 + 2) if rng.random() < 0.8
+        }
+        keys = [(int(rng.integers(n1)), int(rng.integers(n2))) for _ in range(n_keys)]
+        centers1, centers2 = zip(*keys) if restricted else (None, None)
+        idx1, idx2 = PathIndex(kg1, store, h, centers1), PathIndex(kg2, store, h, centers2)
+        forward = np.full(n1, -1)
+        for a, b in alignments.items():
+            if 0 <= a < n1:
+                forward[a] = b
+        expected = [matched_neighbors(key, kg1, kg2, alignments, h) for key in keys]
+        assert neighbor_lists(idx1, idx2, forward, keys) == expected
+        banned = sorted({p for hits in expected for p in hits if rng.random() < 0.4})
+        banned_keys = np.array([n * n2 + t for n, t in banned], dtype=np.int64)
+        got = neighbor_lists(idx1, idx2, forward, keys, banned_keys)
+        assert got == [[p for p in hits if p not in banned] for hits in expected]
+        for key, hits in zip(keys, expected):
+            assert explanation(key, kg1, kg2, store, alignments, h).matched_neighbor_pairs == hits
 
 
 def oracle_mutual_best(store, kg1, kg2, pair, neighbor_pair, h):

@@ -241,6 +241,63 @@ class TestAlignmentState:
         state.check_injective()
 
 
+class TestAlignmentStateAgainstDictModel:
+    """``AlignmentState`` reads every answer off its forward array and its
+    provenance; a model holding the alignment as a forward dict gives the
+    same answers after any sequence of aligns and unaligns, refused ones
+    included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_dict_model(self, data):
+        n_s, n_t = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        sources = st.integers(0, n_s - 1)
+        targets = st.integers(0, n_t - 1)
+        pairs = data.draw(st.lists(st.tuples(sources, targets), max_size=n_s))
+        # one-to-one seeds: the first pair for each source and each target
+        seeds: dict[int, int] = {}
+        for s, t in pairs[: data.draw(st.integers(0, len(pairs)))]:
+            if s not in seeds and t not in seeds.values():
+                seeds[s] = t
+        preds = data.draw(st.dictionaries(sources, targets))
+        state = AlignmentState(seeds.items(), preds.items(), n_sources=n_s, n_targets=n_t)
+        model = {s: (t, SEED) for s, t in seeds.items()}
+        model.update((s, (t, "predicted")) for s, t in preds.items() if s not in seeds)
+        log = []
+        ops = st.tuples(st.sampled_from(["align", "unalign"]), sources, targets)
+        for op, s, t in data.draw(st.lists(ops, max_size=30)):
+            if s in seeds or (op == "align") == (s in model):
+                with pytest.raises(InvariantViolation):
+                    state.align(s, t, REPAIRED) if op == "align" else state.unalign(s)
+            elif op == "align":
+                state.align(s, t, REPAIRED)
+                model[s] = (t, REPAIRED)
+                log.append((s, t))
+            else:
+                assert state.unalign(s) == model[s][0]
+                log.append((s, model.pop(s)[0]))
+            claims = {x: sorted(a for a, (b, _) in model.items() if b == x) for x in range(n_t)}
+            assert state.pairs() == [(a, b, p) for a, (b, p) in sorted(model.items())]
+            assert state.forward.tolist() == [model.get(a, (-1,))[0] for a in range(n_s)]
+            assert [state.sources_of(x) for x in range(-1, n_t + 1)] == [
+                tuple(claims.get(x, ())) for x in range(-1, n_t + 1)
+            ]
+            assert state.unaligned_sources == set(range(n_s)) - set(model)
+            assert state.unaligned_targets == {x for x in range(n_t) if not claims[x]}
+            multi = [x for x in range(n_t) if len(claims[x]) > 1]
+            assert state.multi_claimed_targets() == multi
+            if multi:
+                with pytest.raises(InvariantViolation, match=f"target {multi[0]} is claimed"):
+                    state.check_injective()
+            else:
+                state.check_injective()
+            for a in range(-1, n_s + 1):
+                assert state.target_of(a) == model.get(a, (None,))[0]
+                for b in range(n_t):
+                    assert state.is_seed_pair(a, b) is (seeds.get(a) == b)
+            assert state.mutations == log
+
+
 class TestMineRelationAlignment:
     def make_store(self, v1, v2):
         dim = np.asarray(v1).shape[1]
@@ -1131,7 +1188,7 @@ class TestOneToOne:
         n_sources = 1 + max(s for s, _ in [(0, 0), *predictions])
         state = AlignmentState([(0, 0)], predictions, n_sources=n_sources, n_targets=4)
         analyzer = PairAnalyzer(kg1, kg2, store, state, RepairConfig(k=k))
-        sources = sorted(state.source_universe - {0})
+        sources = list(range(1, n_sources))
         topk = similarity_topk(store, sources, range(4), k)
         return state, analyzer, topk
 
