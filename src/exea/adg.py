@@ -21,8 +21,11 @@ pair ``i``, on the node of the neighbor pair the matcher found it for. It
 builds a list of graphs in array passes, and each graph equals, bit for bit,
 what a call over its explanation alone builds;
 ``tests/test_adg.py::TestAdgFromTablesIsExact`` keeps a per-path and a
-per-graph build as references and compares with ``==``. The benchmark's
-``adg.build_calls`` counts ``build_adg`` calls, so build passes, not graphs.
+per-graph build as references and compares with ``==``. ``confidences``
+takes the same passes and arithmetic and returns only each graph's
+confidence, for readers that compare numbers and never a graph's
+structure. The benchmark's ``adg.build_calls`` counts ``build_adg`` calls,
+so full-graph build passes, not graphs and not confidence passes.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -146,30 +149,84 @@ def build_adg(
     per graph, since ``np.exp`` may differ in the last bit."""
     cfg = cfg or AdgConfig()
     graphs: list[Adg] = []
+    for run in _passes(expls):
+        influence, classes, weights, mass, first, edges = _pass_arrays(run, store, cfg)
+        influence, mass = influence.tolist(), mass.tolist()
+        first, edges = first.tolist(), edges.tolist()
+        for g, expl in enumerate(run):
+            c_s, c_m, c_w = mass[3 * g : 3 * g + 3]
+            a, b = edges[g], edges[g + 1]
+            graphs.append(
+                Adg(
+                    influence=influence[first[g] : first[g + 1]],
+                    edge_neighbor=expl.neighbor,
+                    # copies, so that a kept graph does not hold the pass's arrays
+                    edge_class=classes[a:b].copy(),
+                    edge_weight=weights[a:b].copy(),
+                    c_s=c_s,
+                    c_m=c_m,
+                    c_w=c_w,
+                    confidence=aggregate_confidence(c_s, c_m, c_w, cfg),
+                    explanation=expl,
+                )
+            )
+    return graphs
+
+
+def confidences(
+    expls: Sequence[Explanation], store: EmbeddingStore, cfg: AdgConfig | None = None
+) -> list[float]:
+    """The confidence of each explanation's dependency graph, computed in
+    ``build_adg``'s passes with its arithmetic, so each equals that graph's
+    ``confidence``, without building the graphs."""
+    cfg = cfg or AdgConfig()
+    out: list[float] = []
+    for run in _passes(expls):
+        mass = _pass_arrays(run, store, cfg)[3].tolist()
+        out += [aggregate_confidence(*mass[3 * g : 3 * g + 3], cfg) for g in range(len(run))]
+    return out
+
+
+def _passes(expls: Sequence[Explanation]) -> Iterator[list[Explanation]]:
+    """``expls`` in runs that share their indexes and hold at most
+    ``_PASS_NODES`` nodes, or one graph."""
     run: list[Explanation] = []
     held = 0
     for expl in expls:
-        size = 1 + len(expl.matched_neighbor_pairs)
+        size = 1 + expl.neighbor_keys.size
         if run and (held + size > _PASS_NODES or expl.indexes != run[0].indexes):
-            graphs += _build_pass(run, store, cfg)
+            yield run
             run, held = [], 0
         run.append(expl)
         held += size
     if run:
-        graphs += _build_pass(run, store, cfg)
-    return graphs
+        yield run
 
 
-def _build_pass(expls: list[Explanation], store: EmbeddingStore, cfg: AdgConfig) -> list[Adg]:
-    """The graphs of explanations over the same indexes, built together."""
-    nodes = np.array(
-        [p for expl in expls for p in (expl.pair, *expl.matched_neighbor_pairs)], dtype=np.int64
+def _pass_arrays(
+    expls: list[Explanation], store: EmbeddingStore, cfg: AdgConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over explanations that share their indexes: the node
+    influences (each graph's central pair first), the edge classes and
+    weights, the class masses (three per graph) and each graph's first node
+    and first edge."""
+    counts = np.array([expl.neighbor_keys.size for expl in expls], dtype=np.int64)
+    first = np.concatenate([[0], np.cumsum(1 + counts)])
+    central = np.zeros(first[-1], dtype=bool)
+    central[first[:-1]] = True
+    nodes = np.empty((first[-1], 2), dtype=np.int64)
+    nodes[central] = [expl.pair for expl in expls]
+    nodes[~central] = np.stack(
+        np.divmod(
+            np.concatenate([np.zeros(0, dtype=np.int64)] + [expl.neighbor_keys for expl in expls]),
+            expls[0].indexes[1].n_entities,
+        ),
+        axis=1,
     )
     sims = pair_cosines(store, Side.SOURCE, nodes[:, 0], Side.TARGET, nodes[:, 1])
     # influences: embedding cosines clamped to [0, 1], each central pair
     # first; min(1.0, max(0.0, sim)) element by element
     influence = np.where(sims > 0.0, np.minimum(sims, 1.0), 0.0)
-    first = np.cumsum([0] + [1 + len(expl.matched_neighbor_pairs) for expl in expls])
     edges = np.cumsum([0] + [expl.rows1.size for expl in expls])
     graph = np.repeat(np.arange(len(expls)), np.diff(edges))
     i1, i2 = expls[0].indexes
@@ -184,24 +241,4 @@ def _build_pass(expls: list[Explanation], store: EmbeddingStore, cfg: AdgConfig)
     weights[classes == 2] = cfg.weak_weight
     mass = np.zeros(3 * len(expls))
     np.add.at(mass, graph * 3 + classes, weights * influence[first[graph] + neighbor + 1])
-    influence, mass = influence.tolist(), mass.tolist()
-    first, edges = first.tolist(), edges.tolist()
-    graphs = []
-    for g, expl in enumerate(expls):
-        c_s, c_m, c_w = mass[3 * g : 3 * g + 3]
-        a, b = edges[g], edges[g + 1]
-        graphs.append(
-            Adg(
-                influence=influence[first[g] : first[g + 1]],
-                edge_neighbor=expl.neighbor,
-                # copies, so that a kept graph does not hold the pass's arrays
-                edge_class=classes[a:b].copy(),
-                edge_weight=weights[a:b].copy(),
-                c_s=c_s,
-                c_m=c_m,
-                c_w=c_w,
-                confidence=aggregate_confidence(c_s, c_m, c_w, cfg),
-                explanation=expl,
-            )
-        )
-    return graphs
+    return influence, classes, weights, mass, first, edges

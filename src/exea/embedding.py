@@ -260,7 +260,7 @@ class SimilarityTopK:
 # source rows as fit, at least one, which bounds its temporaries (the scores,
 # their negation and the sort order) however many sources and targets there
 # are; no output depends on it, since every score is its own np.vecdot
-_TOPK_BLOCK_BYTES = 8 << 20
+_TOPK_BLOCK_BYTES = 1 << 20
 
 
 def similarity_topk(

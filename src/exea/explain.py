@@ -13,14 +13,20 @@ pass over the graph's step index (``Kg.step_keys``) for every center it is
 given; its docstring gives the row layout. A row holds no embedding, only
 ids of two small half tables and a norm, and its halves are summed in the
 order ``path_embedding`` adds, so no value depends on which centers share
-the index. Distinct keys come from a sort and a run-start mask
-(``_distinct``, ``_distinct_inverse``), since ``np.unique`` imports
-``numpy.ma`` on its first call in a process.
+the index. The build drops each temporary as soon as it is consumed, so
+its peak stays within about twice the finished index. Distinct keys come
+from a sort and a run-start mask (``_distinct``, ``_distinct_inverse``),
+since ``np.unique`` imports ``numpy.ma`` on its first call in a process.
 ``neighbor_lists`` is the one matched-neighbor rule: a gather of each
 pair's source endpoints, their targets in a forward array (``forward[s]``
 the target of source s, -1 for none) and sorted membership tests against
-the target's endpoints and the banned pairs. ``explanations`` is the one
-explanation builder: given each pair's neighbor list and indexes that hold
+the target's endpoints and the banned pairs, which gives each pair's
+matched neighbor pairs (n, t) as sorted packed int64 keys ``n * n_targets +
+t``. Those arrays are what the repair's cache stores and compares, and what
+``explanations``, ``adg.build_adg`` and the relation-conflict stage read;
+the tuple form (``Explanation.matched_neighbor_pairs``) is derived only
+where output is written. ``explanations`` is the one
+explanation builder: given each pair's neighbor keys and indexes that hold
 every pair's centers, it scores the path pairs of many neighbor pairs
 together, each neighbor pair a block, with one ``np.vecdot`` per pass, and
 picks row and column bests with lexsorts per block that keep the
@@ -47,11 +53,11 @@ product or einsum may sum in another order. In ``tests/test_explain.py``,
 Everything here is ints: a pair is (source index, target index), a path is
 its tuple of step keys (see ``kg``), and a triple is a (side, subject,
 relation, object) key, side 0 for the source graph and 1 for the target
-graph. An explanation keeps only its matched paths, as rows of the two path
-indexes, and for each match the position of its neighbor pair;
-``adg.build_adg`` reads both directly. Its triple keys and path step keys are
-derived from those rows on read, and labels are looked up only where output is
-written.
+graph. An explanation keeps only its packed neighbor keys, its matched
+paths as rows of the two path indexes, and for each match the position of
+its neighbor pair; ``adg.build_adg`` reads them directly. Its neighbor
+pairs as tuples, triple keys and path step keys are derived from those
+arrays on read, and labels are looked up only where output is written.
 """
 
 from __future__ import annotations
@@ -156,6 +162,9 @@ class PathIndex:
 
     def __init__(self, kg: Kg, store: EmbeddingStore, h: int, centers: Iterable[int] | None = None):
         check_hops(h)
+        # each temporary is dropped (del, or rebound one array at a time) as
+        # soon as it is consumed: the build's peak stays near the finished
+        # index instead of holding every pre-sort column beside its sorted copy
         keys, start = kg.step_keys, kg.step_start
         degree = np.diff(start)
         centers = _distinct(np.arange(kg.n_entities) if centers is None else np.fromiter(centers, np.int64))
@@ -168,62 +177,87 @@ class PathIndex:
             reached = keys[first, 2]
             parent = np.repeat(np.arange(first.size), degree[reached])
             more = _ranges(start[reached], degree[reached])
+            del reached
             keep = keys[more, 2] != center[parent]
-            parent, more = parent[keep], more[keep]
+            parent = parent[keep]
+            more = more[keep]
+            del keep
             center = np.concatenate([center, center[parent]])
             first = np.concatenate([first, first[parent]])
+            del parent
             second = np.concatenate([second, more])
+            del more
         end = keys[np.where(second < 0, first, second), 2]
         # an anchor's steps are sorted, so step indices order as step keys do
         order = np.lexsort((second, first, end, center))
-        center, first, second, end = center[order], first[order], second[order], end[order]
+        center = center[order]
+        first = first[order]
+        second = second[order]
+        end = end[order]
+        del order
         n = center.size
         two = second >= 0
         self.lengths = (1 + two).astype(np.int8)
         self.step_keys = keys
-        self.step_ids = np.stack([first, second], axis=1)[:, :h].astype(np.int32)
-        # one run of rows per (center, endpoint), keyed center * n + endpoint
-        self.n_entities = n_ent = kg.n_entities
-        key = center * n_ent + end
-        run = np.flatnonzero(_run_starts(key))
-        self.hood_key = key[run]
-        self.run_start = np.append(run, n)
-        self.hood_start = np.searchsorted(self.hood_key, np.arange(n_ent + 1) * n_ent)
+        self.step_ids = np.empty((n, h), dtype=np.int32)
+        self.step_ids[:, 0] = first
+        if h == 2:
+            self.step_ids[:, 1] = second
+        second = second[two]
         ents = store.entity_matrix(kg.side)
         middle = keys[first[two], 2]
         if max(centers.max(initial=-1), end.max(initial=-1), middle.max(initial=-1)) >= ents.shape[0]:
             raise MissingEmbedding(f"paths on side {kg.side.value} reach entities without vectors")
+        del middle
         rels = store.relation_matrix(kg)
-        incoming1, r1 = keys[first, :2].T
-        incoming2, r2 = keys[second[two], :2].T
+        r1, r2 = keys[first, 1], keys[second, 1]
         if max(r1.max(initial=-1), r2.max(initial=-1)) >= rels.shape[0]:
             raise MissingEmbedding(f"paths on side {kg.side.value} use relations without vectors")
+        # one run of rows per (center, endpoint), keyed center * n + endpoint
+        self.n_entities = n_ent = kg.n_entities
+        key = center * n_ent + end
+        del end
+        run = np.flatnonzero(_run_starts(key))
+        self.hood_key = key[run]
+        del key
+        self.run_start = np.append(run, n)
+        del run
+        self.hood_start = np.searchsorted(self.hood_key, np.arange(n_ent + 1) * n_ent)
         # row 0 weighs an outgoing step (inverse functionality), row 1 an
         # incoming one (functionality); a relation without triples is NaN
         # there and never appears on a path
         step_weight = np.stack([kg.ifunc, kg.func])
-        self.weight = step_weight[incoming1, r1]
-        self.weight[two] *= step_weight[incoming2, r2]
+        self.weight = step_weight[keys[first, 0], r1]
+        self.weight[two] *= step_weight[keys[second, 0], r2]
+        del second
         # the halves, with the same additions in the same order as
-        # path_embedding: the center plus the intermediate entity, and 0.0
-        # plus each step relation, each divided by the length
-        ent_keys, at, eid = _distinct_inverse(np.where(two, n_ent + first, center))
-        self.ent_half = ents[center[at]].astype(np.float64)
-        inner = ent_keys >= n_ent
-        self.ent_half[inner] += ents[keys[ent_keys[inner] - n_ent, 2]]
-        self.ent_half[inner] /= 2
-        # a relation combination is keyed r1 * base + r2 + 1, base being the
-        # relation count + 1 and r2 = -1 for a one-step path
+        # path_embedding: 0.0 plus each step relation, and the center plus
+        # the intermediate entity, each divided by the length; a relation
+        # combination is keyed r1 * base + r2 + 1, base being the relation
+        # count + 1 and r2 = -1 for a one-step path
         base = rels.shape[0] + 1
         rel_key = r1 * base
+        del r1
         rel_key[two] += r2 + 1
+        del r2
         rel_keys, _, rid = _distinct_inverse(rel_key)
+        del rel_key
+        self.rid = rid.astype(np.int32)
+        del rid
         combo1, combo2 = np.divmod(rel_keys, base)
         self.rel_half = 0.0 + rels[combo1]
         inner = combo2 > 0
         self.rel_half[inner] += rels[combo2[inner] - 1]
         self.rel_half[inner] /= 2
-        self.eid, self.rid = eid.astype(np.int32), rid.astype(np.int32)
+        ent_keys, at, eid = _distinct_inverse(np.where(two, n_ent + first, center))
+        del first
+        self.eid = eid.astype(np.int32)
+        del eid
+        self.ent_half = ents[center[at]].astype(np.float64)
+        del center, at
+        inner = ent_keys >= n_ent
+        self.ent_half[inner] += ents[keys[ent_keys[inner] - n_ent, 2]]
+        self.ent_half[inner] /= 2
         self.norm = np.empty(n, dtype=np.float64)
         for lo in range(0, n, _CHUNK):
             halves = self._halves(slice(lo, lo + _CHUNK))
@@ -265,16 +299,17 @@ class PathIndex:
 class Explanation:
     """The matched subgraph of one pair.
 
-    The matched paths stay as rows of the two sides' path indexes:
-    ``rows1[i]`` of ``indexes[0]`` matched ``rows2[i]`` of ``indexes[1]``
-    with cosine ``sims[i]``, both paths leading to the neighbor pair
-    ``matched_neighbor_pairs[neighbor[i]]``. Everything else is derived from
-    these rows on read, so a cached explanation costs little more than its row
-    arrays.
+    ``neighbor_keys`` holds the matched neighbor pairs (n, t) packed as
+    ``n * indexes[1].n_entities + t``, in node order. The matched paths stay
+    as rows of the two sides' path indexes: ``rows1[i]`` of ``indexes[0]``
+    matched ``rows2[i]`` of ``indexes[1]`` with cosine ``sims[i]``, both
+    paths leading to the neighbor pair ``neighbor_keys[neighbor[i]]``.
+    Everything else, the neighbor pairs as tuples included, is derived from
+    these arrays on read, so an explanation costs little more than them.
     """
 
     pair: tuple[int, int]
-    matched_neighbor_pairs: list[tuple[int, int]]
+    neighbor_keys: np.ndarray
     indexes: tuple[PathIndex, PathIndex] = field(repr=False)
     rows1: np.ndarray
     rows2: np.ndarray
@@ -290,6 +325,12 @@ class Explanation:
             and self.path_matches() == other.path_matches()
             and self.triple_keys == other.triple_keys
         )
+
+    @property
+    def matched_neighbor_pairs(self) -> list[tuple[int, int]]:
+        """The matched neighbor pairs as (source, target) tuples, in node
+        order: the form output is written in."""
+        return _unpack_pairs(self.neighbor_keys, self.indexes[1].n_entities)
 
     @property
     def no_match(self) -> bool:
@@ -308,6 +349,12 @@ class Explanation:
         """Each matched path pair as step keys read from the index rows, with
         its cosine, in match order."""
         return _path_matches(*self.indexes, self.rows1, self.rows2, self.sims)
+
+
+def _unpack_pairs(keys: np.ndarray, n_targets: int) -> list[tuple[int, int]]:
+    """The (n, t) pairs that ``n * n_targets + t`` keys pack."""
+    n, t = np.divmod(keys, n_targets)
+    return list(zip(n.tolist(), t.tolist()))
 
 
 def _path_matches(
@@ -338,10 +385,12 @@ def _triple_keys(index: PathIndex, rows: np.ndarray, side: int) -> np.ndarray:
 def _mutual_best(
     i1: PathIndex,
     i2: PathIndex,
-    items: Sequence[tuple[tuple[int, int], Sequence[tuple[int, int]]]],
+    pairs: Sequence[tuple[int, int]],
+    neighbors: Sequence[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Mutual-best path matching for every neighbor pair of every item, an
-    item being a (pair, neighbor pairs) couple.
+    """Mutual-best path matching for every neighbor pair of every item, item
+    i being ``pairs[i]`` with its neighbor pairs ``neighbors[i]``, packed as
+    ``n * i2.n_entities + t``.
 
     Each neighbor pair of an item is a block: the paths in ``i1`` from the
     item's source center to the neighbor's source entity against the paths
@@ -355,17 +404,16 @@ def _mutual_best(
     the pair each match was found for, and the position of that item,
     ordered by item, then by block, then by ``i1`` row.
     """
-    pairs = np.array([pair for pair, _ in items], dtype=np.int64).reshape(-1, 2)
-    counts = np.array([len(neighbor_pairs) for _, neighbor_pairs in items], dtype=np.int64)
-    neighbors = np.array(
-        [n for _, neighbor_pairs in items for n in neighbor_pairs], dtype=np.int64
-    ).reshape(-1, 2)
-    item = np.repeat(np.arange(len(items)), counts)
+    n_items = len(pairs)
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    counts = np.array([keys.size for keys in neighbors], dtype=np.int64)
+    n, t = np.divmod(np.concatenate([np.zeros(0, dtype=np.int64), *neighbors]), i2.n_entities)
+    item = np.repeat(np.arange(n_items), counts)
     pos = np.arange(item.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    start1, len1 = i1.runs(pairs[item, 0], neighbors[:, 0])
-    start2, len2 = i2.runs(pairs[item, 1], neighbors[:, 1])
+    start1, len1 = i1.runs(pairs[item, 0], n)
+    start2, len2 = i2.runs(pairs[item, 1], t)
     blocks = np.stack([start1, len1, start2, len2, pos, item], axis=1)[(len1 > 0) & (len2 > 0)]
-    sizes = np.zeros(len(items), dtype=np.int64)
+    sizes = np.zeros(n_items, dtype=np.int64)
     np.add.at(sizes, blocks[:, 5], blocks[:, 1] * blocks[:, 3])
     # cut between items: a pass ends before the item that would take it past
     # the budget, so an item over the budget gets a pass of its own
@@ -376,7 +424,7 @@ def _mutual_best(
             cuts.append(i)
             held = 0
         held += size
-    bounds = np.searchsorted(blocks[:, 5], cuts + [len(items)]).tolist()
+    bounds = np.searchsorted(blocks[:, 5], cuts + [n_items]).tolist()
     passes = [_match_blocks(i1, i2, blocks[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b]
     if not passes:
         empty = np.zeros(0, dtype=np.int64)
@@ -419,13 +467,15 @@ def neighbor_lists(
     forward: np.ndarray,
     keys: Sequence[tuple[int, int]],
     banned: np.ndarray | None = None,
-) -> list[list[tuple[int, int]]]:
+) -> list[np.ndarray]:
     """The matched-neighbor rule for each (s, t) of ``keys``, in one gather:
     (n, forward[n]) for each endpoint n of s's paths in ``index1``,
-    ascending, whose target ends a path of t in ``index2``, its packed key
-    ``n * index2.n_entities + forward[n]`` not in the sorted ``banned``. A
-    target outside the target graph is none, and a neighborhood never holds
-    its own center. Both indexes must hold the keys' centers."""
+    ascending, whose target ends a path of t in ``index2`` and whose packed
+    key ``n * index2.n_entities + forward[n]`` is not in the sorted
+    ``banned``; each key's pairs as those packed keys, ascending (views of
+    one array). A target outside the target graph is none, and a
+    neighborhood never holds its own center. Both indexes must hold the
+    keys' centers."""
     s, t = np.array(keys, dtype=np.int64).reshape(-1, 2).T
     lo, hi = index1.hood_start[s], index1.hood_start[s + 1]
     # each endpoint n of a key's source, the key's position, n's target
@@ -436,11 +486,12 @@ def neighbor_lists(
     keep = (target >= 0) & (target < index2.n_entities)
     which, n, target = which[keep], n[keep], target[keep]
     keep = _lookup(index2.hood_key, t[which] * index2.n_entities + target)[1]
+    packed = n * index2.n_entities + target
     if banned is not None:
-        keep &= ~_lookup(banned, n * index2.n_entities + target)[1]
+        keep &= ~_lookup(banned, packed)[1]
+    packed = packed[keep]
     bounds = np.searchsorted(which[keep], np.arange(len(keys) + 1)).tolist()
-    pairs = list(zip(n[keep].tolist(), target[keep].tolist()))
-    return [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [packed[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def match_paths(
@@ -461,9 +512,8 @@ def match_paths(
     """
     e1, e2 = kg1.check_entity(int(pair[0])), kg2.check_entity(int(pair[1]))
     index1, index2 = PathIndex(kg1, store, h, [e1]), PathIndex(kg2, store, h, [e2])
-    rows1, rows2, sims, _, _ = _mutual_best(
-        index1, index2, [((e1, e2), [(int(neighbor_pair[0]), int(neighbor_pair[1]))])]
-    )
+    key = np.array([int(neighbor_pair[0]) * kg2.n_entities + int(neighbor_pair[1])])
+    rows1, rows2, sims, _, _ = _mutual_best(index1, index2, [(e1, e2)], [key])
     return _path_matches(index1, index2, rows1, rows2, sims)
 
 
@@ -516,28 +566,30 @@ def explain_pairs(
 
 def explanations(
     pairs: Sequence[tuple[int, int]],
-    neighbors: Sequence[Iterable[tuple[int, int]]],
+    neighbors: Sequence[np.ndarray],
     index1: PathIndex,
     index2: PathIndex,
 ) -> list[Explanation]:
-    """The explanation of each pair from its list of distinct neighbor
-    pairs, over indexes that hold every pair's centers, with the paths of all
-    pairs matched together. Each equals what a call over its pair alone
-    builds: a pass keeps every block's rows and tie rule to itself."""
-    items = [
-        ((int(e1), int(e2)), list(n)) for (e1, e2), n in zip(pairs, neighbors, strict=True)
-    ]
-    rows1, rows2, sims, neighbor, item = _mutual_best(index1, index2, items)
-    bounds = np.searchsorted(item, np.arange(len(items) + 1)).tolist()
+    """The explanation of each pair from its distinct neighbor pairs, packed
+    as ``n * index2.n_entities + t`` (what ``neighbor_lists`` gives), over
+    indexes that hold every pair's centers, with the paths of all pairs
+    matched together. Each equals what a call over its pair alone builds: a
+    pass keeps every block's rows and tie rule to itself."""
+    pairs = [(int(e1), int(e2)) for e1, e2 in pairs]
+    neighbors = [np.asarray(keys, dtype=np.int64) for keys in neighbors]
+    if len(neighbors) != len(pairs):
+        raise ValueError(f"{len(pairs)} pairs but {len(neighbors)} neighbor lists")
+    rows1, rows2, sims, neighbor, item = _mutual_best(index1, index2, pairs, neighbors)
+    bounds = np.searchsorted(item, np.arange(len(pairs) + 1)).tolist()
     return [
         Explanation(
             pair=pair,
-            matched_neighbor_pairs=neighbor_pairs,
+            neighbor_keys=keys,
             indexes=(index1, index2),
             rows1=rows1[a:b],
             rows2=rows2[a:b],
             sims=sims[a:b],
             neighbor=neighbor[a:b],
         )
-        for (pair, neighbor_pairs), a, b in zip(items, bounds, bounds[1:])
+        for pair, keys, a, b in zip(pairs, neighbors, bounds, bounds[1:])
     ]

@@ -23,6 +23,12 @@ reads a pair's similarity once it is aligned, so none is stored.
 Seed pairs are immutable throughout; every loop carries the source-count guard
 that forces termination.
 
+The stages compare confidences, and ``PairAnalyzer`` caches a confidence,
+not a graph, per pair. Full dependency graphs are built only where their
+structure is read: one pass over the initial pairs gives the first
+confidence snapshot and the relation-conflict stage's graphs, and
+``RepairResult.adgs`` builds the final pairs' graphs when first read.
+
 The relation-conflict stage runs as array passes over chunks of dependency
 graphs. ``ConflictTables``, built once per stage (which reads the alignment
 and never changes it), numbers both sides' entities and relations in one id
@@ -47,7 +53,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .adg import STRONG, Adg, AdgConfig, build_adg, sigmoid
+from .adg import _PASS_NODES, STRONG, Adg, AdgConfig, build_adg, confidences, sigmoid
 from .embedding import (
     EmbeddingStore,
     SimilarityTopK,
@@ -57,7 +63,7 @@ from .embedding import (
 )
 from .errors import ConfigError, InvariantViolation
 from .explain import Explanation, PathIndex, explanations, neighbor_lists
-from .explain import _distinct, _distinct_inverse, _lookup, _ranges, _run_starts
+from .explain import _distinct, _distinct_inverse, _lookup, _ranges, _run_starts, _unpack_pairs
 # no caller here (a center's neighborhood is read off its path index), but
 # bench/traced_exea.py wraps this module's neighborhood_entities
 from .kg import SIDES, Kg, Side, check_hops, neighborhood_entities  # noqa: F401
@@ -231,41 +237,92 @@ class AlignmentState:
 
 
 def explanation(
-    pair: tuple[int, int], neighbors: list[tuple[int, int]], index1: PathIndex, index2: PathIndex
+    pair: tuple[int, int], neighbors: np.ndarray, index1: PathIndex, index2: PathIndex
 ) -> Explanation:
-    """One pair's explanation through the batched core: the single graph a
-    lookup rebuilds. bench/traced_exea.py counts these builds by this name."""
+    """One pair's explanation from its packed matched-neighbor keys, through
+    the batched core: the single graph a lookup rebuilds. bench/traced_exea.py
+    counts these builds by this name."""
     return explanations([pair], [neighbors], index1, index2)[0]
 
 
+class LazyAdg:
+    """What a ``PairAnalyzer`` lookup returns: the pair, the packed
+    matched-neighbor keys its cached confidence was computed from, and that
+    confidence. The dependency graph itself (``graph()``, and its
+    ``explanation``) is rebuilt from those keys on first access and held by
+    this object, never by the analyzer's cache. Equal to an ``Adg`` or a
+    ``LazyAdg`` whose graph is equal."""
+
+    def __init__(self, analyzer: PairAnalyzer, pair: tuple[int, int], neighbor_keys: np.ndarray,
+                 confidence: float):
+        self.pair = pair
+        self.neighbor_keys = neighbor_keys
+        self.confidence = confidence
+        self._analyzer = analyzer
+        self._graph: Adg | None = None
+
+    def graph(self) -> Adg:
+        if self._graph is None:
+            a = self._analyzer
+            expl = explanation(self.pair, self.neighbor_keys, a.index1, a.index2)
+            self._graph = build_adg([expl], a.store, a.cfg.adg)[0]
+        return self._graph
+
+    @property
+    def explanation(self) -> Explanation:
+        return self.graph().explanation
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LazyAdg):
+            other = other.graph()
+        return self.graph() == other if isinstance(other, Adg) else NotImplemented
+
+
+def _batches(sizes: Sequence[int]) -> Iterator[range]:
+    """Consecutive runs of positions whose ``1 + sizes[i]`` (a graph's node
+    count) add up to at most ``adg._PASS_NODES``, or of one position: one
+    ``build_adg`` pass each."""
+    lo = held = 0
+    for i, size in enumerate(sizes):
+        if i > lo and held + 1 + size > _PASS_NODES:
+            yield range(lo, i)
+            lo, held = i, 0
+        held += 1 + size
+    if lo < len(sizes):
+        yield range(lo, len(sizes))
+
+
 class PairAnalyzer:
-    """Dependency graphs (each holding its explanation) and confidences for
-    one repair run, with a cache that validates itself on every read.
+    """Dependency-graph confidences for one repair run, with a cache that
+    validates itself on every read.
 
     Both path indexes are built once, over every entity: the paths of s and t
-    never change, and the explanation of (s, t), so its dependency graph, is a
-    function of its matched-neighbor list. A cached graph is reused while
-    ``neighbor_pairs(s, t)``, recomputed from the endpoints of those paths,
-    the live alignment and the banned pairs, equals the list it was built
-    from, and rebuilt when it differs. Entries are never evicted.
+    never change, and the explanation of (s, t), so its dependency graph and
+    confidence, is a function of its matched-neighbor list. The cache holds
+    two things per key: that list, as the sorted packed int64 keys ``n *
+    n_targets + t`` that ``neighbor_lists`` gathers from the endpoints of
+    those paths, the state's ``forward`` array and the banned pairs, and the
+    confidence computed from it. A read gathers the key's current list and
+    reuses the confidence while the two arrays are equal
+    (``np.array_equal``); otherwise it recomputes it. Entries are never
+    evicted, and no entry holds a graph or an explanation: the rematch
+    comparisons, the confidence snapshots and the lazy candidate ranking
+    read only numbers.
 
-    Every graph is built through ``explanations`` over the two indexes:
-    ``adg`` hands it one stale key (through this module's ``explanation``),
-    ``adgs`` every stale key of a read, after one ``neighbor_lists`` gather
-    of every key's list from the state's ``forward`` array and the sorted
-    packed keys of the banned pairs that ``ban`` keeps; its matcher and
-    ``build_adg`` passes are bounded by fixed counts (of scored path pairs,
-    of nodes) that cap memory and change no output. The stages read through
-    ``adgs`` wherever the state holds still: the confidence snapshots, the
-    relation-conflict stage, the one-to-many claimants, the low-confidence
-    scan and the windows of each lazy candidate ranking
-    (``_candidate_targets``). The rematch comparisons read one or two graphs
-    per call, as the alignment moves between their calls; the low-confidence
-    one reads none when the confidence bounds settle it. Every key of
-    a batched read still goes through ``adg``, where it finds a fresh entry,
-    so a batched read builds the graphs and makes the lookups that the same
-    lookups one by one would. The benchmark's trace counts the lookups by
-    that name, and ``build_adg`` calls (build passes, not graphs) by theirs.
+    ``adg(s, t)`` is the one counted per-key lookup, and returns a
+    ``LazyAdg`` (the confidence at once, the graph rebuilt on demand).
+    ``adgs(keys)`` validates every key of a read with one gather and
+    recomputes the stale ones in shared passes of at most
+    ``adg._PASS_NODES`` nodes: ``explanations`` over the two indexes, then
+    ``adg.confidences``, whose explanations are dropped once their
+    confidence is taken; every key then goes through ``adg``, where it
+    finds a fresh entry, so a batched read makes the lookups and computes
+    the confidences that the same lookups one by one would. ``graphs(keys)``
+    builds full graphs, in the same passes, for the readers of their
+    structure: the first pass over the initial pairs (the confidence
+    snapshot and the relation-conflict stage) and ``RepairResult.adgs``.
+    The benchmark's trace counts lookups by the name ``adg`` and
+    ``build_adg`` calls (full-graph passes) by theirs.
     """
 
     def __init__(
@@ -286,7 +343,8 @@ class PairAnalyzer:
         self.banned_pairs: set[tuple[int, int]] = set()
         # the banned pairs as sorted n * n_targets + t keys
         self._banned = np.zeros(0, dtype=np.int64)
-        self._cache: dict[tuple[int, int], Adg] = {}
+        # (s, t) -> (packed matched-neighbor keys, confidence)
+        self._cache: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
 
     def ban(self, pairs: Iterable[tuple[int, int]]) -> None:
         pairs = list(pairs)
@@ -299,40 +357,64 @@ class PairAnalyzer:
     def neighbor_pairs(self, s: int, t: int) -> list[tuple[int, int]]:
         """(n, target of n) for every aligned n within h hops of s whose
         target lies within h hops of t, the pair not banned; sorted by n."""
-        return self._neighbor_lists([(s, t)])[0]
+        return _unpack_pairs(self._neighbor_lists([(s, t)])[0], self.kg2.n_entities)
 
-    def _neighbor_lists(self, keys: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    def _neighbor_lists(self, keys: Sequence[tuple[int, int]]) -> list[np.ndarray]:
         return neighbor_lists(self.index1, self.index2, self.state.forward, keys, self._banned)
 
-    def adg(self, s: int, t: int, neighbors: list[tuple[int, int]] | None = None) -> Adg:
-        """The graph of (s, t); ``neighbors``, when given, is
-        ``neighbor_pairs(s, t)`` already computed."""
+    def adg(self, s: int, t: int, neighbors: np.ndarray | None = None) -> LazyAdg:
+        """The lookup of (s, t): its confidence, recomputed when its packed
+        matched-neighbor keys differ from the cached ones. ``neighbors``,
+        when given, is those keys already gathered."""
         key = (int(s), int(t))
         if neighbors is None:
-            neighbors = self.neighbor_pairs(*key)
+            neighbors = self._neighbor_lists([key])[0]
         got = self._cache.get(key)
-        if got is None or got.explanation.matched_neighbor_pairs != neighbors:
+        if got is None or not np.array_equal(got[0], neighbors):
             expl = explanation(key, neighbors, self.index1, self.index2)
-            got = build_adg([expl], self.store, self.cfg.adg)[0]
-            self._cache[key] = got
-        return got
+            got = self._cache[key] = (neighbors, confidences([expl], self.store, self.cfg.adg)[0])
+        return LazyAdg(self, key, *got)
 
-    def adgs(self, keys: Iterable[tuple[int, int]]) -> list[Adg]:
+    def adgs(self, keys: Iterable[tuple[int, int]]) -> list[LazyAdg]:
         """``[self.adg(s, t) for s, t in keys]``, with every stale or missing
-        graph matched in shared ``explanations`` passes and built in shared
-        ``build_adg`` passes."""
+        confidence computed in shared passes."""
         keys = [(int(s), int(t)) for s, t in keys]
         distinct = list(dict.fromkeys(keys))
         neighbors = dict(zip(distinct, self._neighbor_lists(distinct)))
         stale = [
             key for key in distinct
-            if (got := self._cache.get(key)) is None
-            or got.explanation.matched_neighbor_pairs != neighbors[key]
+            if (got := self._cache.get(key)) is None or not np.array_equal(got[0], neighbors[key])
         ]
-        if stale:
-            expls = explanations(stale, [neighbors[key] for key in stale], self.index1, self.index2)
-            self._cache.update(zip(stale, build_adg(expls, self.store, self.cfg.adg)))
+        lists = [neighbors[key] for key in stale]
+        for batch, expls in self._passes(stale, lists):
+            for i, conf in zip(batch, confidences(expls, self.store, self.cfg.adg)):
+                # a copy, so that the entry does not hold the whole read's gather
+                self._cache[stale[i]] = (lists[i].copy(), conf)
         return [self.adg(s, t, neighbors[(s, t)]) for s, t in keys]
+
+    def graphs(self, keys: Sequence[tuple[int, int]]) -> Iterator[Adg]:
+        """The dependency graph of each key under the current state, in
+        order, built in the passes ``adgs`` shares; each key's confidence is
+        cached as its pass is built, and a pass's graphs are released once
+        the caller has moved past them."""
+        keys = [(int(s), int(t)) for s, t in keys]
+        lists = self._neighbor_lists(keys)
+        for batch, expls in self._passes(keys, lists):
+            graphs = build_adg(expls, self.store, self.cfg.adg)
+            for i, graph in zip(batch, graphs):
+                self._cache[keys[i]] = (lists[i].copy(), graph.confidence)
+            yield from graphs
+            del graphs
+
+    def _passes(
+        self, keys: list[tuple[int, int]], lists: list[np.ndarray]
+    ) -> Iterator[tuple[range, list[Explanation]]]:
+        """The explanations of ``keys`` from their packed neighbor keys
+        ``lists``, in runs of at most ``adg._PASS_NODES`` graph nodes (or one
+        key), each run with its positions in ``keys``."""
+        for batch in _batches([packed.size for packed in lists]):
+            pairs, neighbors = [keys[i] for i in batch], [lists[i] for i in batch]
+            yield batch, explanations(pairs, neighbors, self.index1, self.index2)
 
     def confidence(self, s: int, t: int) -> float:
         return self.adg(s, t).confidence
@@ -495,12 +577,13 @@ class ConflictTables:
         """The entities whose 1-hop triples ``adg``'s swaps start from: the
         central pair and, in node order, each neighbor pair on a Strong edge,
         source entity first; none when there is no Strong edge."""
-        strong = sorted(set(adg.edge_neighbor[adg.edge_class == STRONG].tolist()))
-        if not strong:
+        strong = _distinct(adg.edge_neighbor[adg.edge_class == STRONG])
+        if not strong.size:
             return np.zeros(0, dtype=np.int64)
         expl = adg.explanation
-        pairs = [expl.pair] + [expl.matched_neighbor_pairs[i] for i in strong]
-        return (np.array(pairs, dtype=np.int64) + [0, self.entity_offset]).ravel()
+        n, t = np.divmod(expl.neighbor_keys[strong], self.n_entities - self.entity_offset)
+        s0, t0 = expl.pair
+        return np.stack([np.append(s0, n), np.append(t0, t) + self.entity_offset], axis=1).ravel()
 
     def chunks(self, adgs: Sequence[Adg], rows: int) -> Iterable[list[Adg]]:
         """``adgs`` in order, in runs that gather fewer than ``rows`` 1-hop
@@ -666,18 +749,17 @@ def detect_relation_conflicts(
     radices = [len(adgs), n1, tables.n_entities - n1]
     facts = _pack(derived.T, radices)
     expls = [adg.explanation for adg in adgs]
-    neighbors = np.array(
-        [p for expl in expls for p in expl.matched_neighbor_pairs], dtype=np.int64
-    ).reshape(-1, 2)
-    graph = np.repeat(np.arange(len(adgs)), [len(e.matched_neighbor_pairs) for e in expls])
+    keys = [expl.neighbor_keys for expl in expls]
+    n, t = np.divmod(np.concatenate([np.zeros(0, dtype=np.int64), *keys]), tables.n_entities - n1)
+    graph = np.repeat(np.arange(len(adgs)), [k.size for k in keys])
     # the facts are distinct and sorted, as their rows are
-    pruned = neighbors[_lookup(facts, _pack([graph, *neighbors.T], radices))[1]]
+    pruned = _lookup(facts, _pack([graph, n, t], radices))[1]
     central = np.array([expl.pair for expl in expls], dtype=np.int64).reshape(-1, 2)
     flagged = _lookup(facts, _pack([np.arange(len(adgs)), *central.T], radices))[1]
     distinct = _unpack(_distinct(_pack(derived[:, 1:].T, radices[1:])), radices[1:])
     return RelationConflictReport(
         derived_pairs=list(zip(*(c.tolist() for c in distinct))),
-        pruned_neighbor_pairs=sorted(set(map(tuple, pruned.tolist()))),
+        pruned_neighbor_pairs=sorted(set(zip(n[pruned].tolist(), t[pruned].tolist()))),
         flagged_pairs=list(map(tuple, central[flagged].tolist())),
     )
 
@@ -944,16 +1026,23 @@ class RepairReport:
 class RepairResult:
     pairs: tuple[tuple[int, int], ...]
     state: AlignmentState
-    adgs: dict[tuple[int, int], Adg]
     report: RepairReport
+    analyzer: PairAnalyzer = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def adgs(self) -> dict[tuple[int, int], Adg]:
+        """The final pairs' dependency graphs, built from the final state
+        and banned pairs the first time they are read."""
+        return dict(zip(self.pairs, self.analyzer.graphs(self.pairs)))
 
 
-def _confidence_snapshot(state: AlignmentState, adgs: Iterable[Adg]) -> list[dict]:
-    """Each pair of ``state`` with the confidence of its graph in ``adgs``,
-    which follows ``state.pairs()``."""
+def _confidence_snapshot(
+    pairs: Sequence[tuple[int, int, str]], confidence: Iterable[float]
+) -> list[dict]:
+    """Each (s, t, provenance) of ``pairs`` with its confidence."""
     return [
-        {"source": s, "target": t, "provenance": prov, "confidence": adg.confidence}
-        for (s, t, prov), adg in zip(state.pairs(), adgs)
+        {"source": s, "target": t, "provenance": prov, "confidence": conf}
+        for (s, t, prov), conf in zip(pairs, confidence)
     ]
 
 
@@ -981,28 +1070,40 @@ def repair(
         n_targets=kg2.n_entities,
     )
     analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
-    confidence_before = _confidence_snapshot(state, analyzer.adgs(p[:2] for p in state.pairs()))
 
     rel_align = RelationAlignment(pairs=())
     rules: list[NotSameAsRule] = []
-    derived_all: set[tuple[int, int]] = set()
-    pruned_all: set[tuple[int, int]] = set()
-    flagged: set[int] = set()
     if cfg.enable_relation_repair:
         rel_align = mine_relation_alignment(store, kg1, kg2, cfg.relation_vector_source)
         rules = mine_not_same_as_rules(kg1) + mine_not_same_as_rules(kg2)
-        if rules:
-            tables = ConflictTables(kg1, kg2, state, rel_align)
-            # each chunk's facts are folded in and dropped before the next;
-            # the graphs' list is handed straight to the chunk loop and no
-            # name holds it, so a graph that a later stage rebuilds can be
-            # freed once the loop ends
-            keys = ((s, t) for s, t, prov in state.pairs() if prov != SEED)
-            for chunk in tables.chunks(analyzer.adgs(keys), _CONFLICT_ROWS):
-                found = detect_relation_conflicts(chunk, rules, tables, cfg)
-                derived_all.update(found.derived_pairs)
-                pruned_all.update(found.pruned_neighbor_pairs)
-                flagged.update(s for s, _ in found.flagged_pairs)
+    derived_all: set[tuple[int, int]] = set()
+    pruned_all: set[tuple[int, int]] = set()
+    flagged: set[int] = set()
+    initial = state.pairs()
+    keys = [(s, t) for s, t, _ in initial]
+    if rules:
+        # the state does not move until the stage ends, so one pass of full
+        # graphs over the initial pairs gives both their confidences and the
+        # stage's graphs; each chunk's facts are folded in and its graphs
+        # dropped before the next is built
+        before: list[float] = []
+
+        def non_seed_graphs() -> Iterator[Adg]:
+            for (_, _, prov), adg in zip(initial, analyzer.graphs(keys)):
+                before.append(adg.confidence)
+                if prov != SEED:
+                    yield adg
+
+        tables = ConflictTables(kg1, kg2, state, rel_align)
+        for chunk in tables.chunks(non_seed_graphs(), _CONFLICT_ROWS):
+            found = detect_relation_conflicts(chunk, rules, tables, cfg)
+            derived_all.update(found.derived_pairs)
+            pruned_all.update(found.pruned_neighbor_pairs)
+            flagged.update(s for s, _ in found.flagged_pairs)
+    else:
+        before = [adg.confidence for adg in analyzer.adgs(keys)]
+    confidence_before = _confidence_snapshot(initial, before)
+    if cfg.enable_relation_repair:
         # a derived fact bans its pair from matched neighborhoods everywhere,
         # not only in the graph where it surfaced
         analyzer.ban(derived_all)
@@ -1027,9 +1128,10 @@ def repair(
         if not state.is_seed_pair(s, t):
             raise InvariantViolation("seed-immutability", f"seed pair ({s}, {t}) was altered")
 
-    final_pairs = tuple((s, t) for s, t, _ in state.pairs())
-    adgs = dict(zip(final_pairs, analyzer.adgs(final_pairs)))
-    confidence_after = _confidence_snapshot(state, adgs.values())
+    final = state.pairs()
+    final_pairs = tuple((s, t) for s, t, _ in final)
+    after = [adg.confidence for adg in analyzer.adgs(final_pairs)]
+    confidence_after = _confidence_snapshot(final, after)
 
     report = RepairReport(
         stages_enabled={
@@ -1066,9 +1168,4 @@ def repair(
         confidence_before=confidence_before,
         confidence_after=confidence_after,
     )
-    return RepairResult(
-        pairs=final_pairs,
-        state=state,
-        adgs=adgs,
-        report=report,
-    )
+    return RepairResult(pairs=final_pairs, state=state, report=report, analyzer=analyzer)

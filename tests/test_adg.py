@@ -16,6 +16,7 @@ from exea.adg import (
     EdgeClass,
     aggregate_confidence,
     build_adg,
+    confidences,
     sigmoid,
 )
 from exea.embedding import EmbeddingStore, greedy_align, pair_cosines
@@ -335,7 +336,7 @@ class TestBuildAdg:
         analyzer = PairAnalyzer(c["kg1"], c["kg2"], c["store"], state, RepairConfig(h=2))
         assert len(analyzer.adg(0, 0).explanation.matched_neighbor_pairs) == 2
         analyzer.ban([(1, 1)])
-        pruned = analyzer.adg(0, 0)
+        pruned = analyzer.adg(0, 0).graph()
         assert pruned.explanation.matched_neighbor_pairs == [(2, 2)]
         assert len(pruned.edge_neighbor) == 1
         assert pruned.c_s == pytest.approx(0.937 * 0.757, abs=1e-5)
@@ -460,13 +461,13 @@ class TestAdgFromTablesIsExact:
         if pass_nodes != "default":
             monkeypatch.setattr(adg_module, "_PASS_NODES", pass_nodes)
         passes = []
-        build_pass = adg_module._build_pass
+        pass_arrays = adg_module._pass_arrays
 
         def counted(expls, *args):
             passes.append((len(expls), sum(1 + len(e.matched_neighbor_pairs) for e in expls)))
-            return build_pass(expls, *args)
+            return pass_arrays(expls, *args)
 
-        monkeypatch.setattr(adg_module, "_build_pass", counted)
+        monkeypatch.setattr(adg_module, "_pass_arrays", counted)
         res = generate_pair(
             SynthConfig(n_entities=200, density=8, conflict_injection=0.2, rng_seed=2)
         )
@@ -479,11 +480,12 @@ class TestAdgFromTablesIsExact:
         rng = np.random.default_rng(8)
         keys = [(s, t) for s, t, _ in state.pairs()]
         keys += [tuple(map(int, k)) for k in rng.integers(0, 200, size=(100, 2))]
-        lists = [analyzer.neighbor_pairs(s, t) for s, t in keys]
+        lists = analyzer._neighbor_lists(keys)
         # empty neighbor lists, and neighbor pairs that no path reaches: nodes
         # without edges
         keys += keys[:20]
-        lists += [[] for _ in range(10)] + [[(s, t)] for s, t in keys[10:20]]
+        lists += [np.zeros(0, dtype=np.int64)] * 10
+        lists += [np.array([s * 200 + t]) for s, t in keys[10:20]]
         expls = explanations(keys, lists, analyzer.index1, analyzer.index2)
         # explanations over their own indexes start a pass of their own
         gold = dict(res.gold)
@@ -511,6 +513,10 @@ class TestAdgFromTablesIsExact:
                 assert len(passes) == 7
             else:
                 assert len(passes) > 7
+            # the confidence-only read takes the same passes and arithmetic
+            built = len(passes)
+            assert confidences(expls, store, cfg) == [adg.confidence for adg in got]
+            assert len(passes) == 2 * built
 
     @pytest.mark.parametrize("density", [3, 8])
     def test_equals_reference(self, density):
@@ -549,7 +555,7 @@ class TestAdgFromTablesIsExact:
                 continue
             hood = endpoint_runs(expl.indexes[0]).get(e1, {})
             far = next(x for x in range(kg1.n_entities) if x != e1 and x not in hood)
-            injected = [(far, gold[far])] + expl.matched_neighbor_pairs
+            injected = np.append(far * kg2.n_entities + gold[far], expl.neighbor_keys)
             [shifted] = explanations([(e1, e2)], [injected], *expl.indexes)
             [adg] = build_adg([shifted], store)
             assert_equals_reference(adg, kg1, kg2, store)

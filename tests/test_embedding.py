@@ -222,7 +222,9 @@ class TestSimilaritySearch:
         """Blocks of 1 to 17 rows (where BLAS matrix kernels switch), of
         nearly all rows and of all rows, and a budget under one row's scores
         (one row per block), give the same top-k at several widths; every
-        score equals the per-pair ``np.dot`` of the normalized rows."""
+        score equals the per-pair ``np.dot`` of the normalized rows. On
+        targets with tied scores, every block size keeps the lowest targets
+        of the run that k cuts."""
         rng = np.random.default_rng(29)
         for dim in (6, 32, 64):
             st = store_from(rng.normal(size=(40, dim)), rng.normal(size=(25, dim)))
@@ -238,6 +240,26 @@ class TestSimilaritySearch:
                 got = similarity_topk(st, range(40), range(25), k=4)
                 np.testing.assert_array_equal(got.target_indices, whole.target_indices)
                 np.testing.assert_array_equal(got.scores, whole.scores)
+        # targets that repeat six rows, so that scores tie in runs of four or
+        # five targets and k cuts through a run: every budget from one row
+        # per block to all rows in one gives the lowest targets of the run
+        rows = rng.normal(size=(6, 8))
+        st = store_from(rng.normal(size=(40, 8)), rows[np.arange(25) % 6])
+        a, b = (st.entity_matrix(side).astype(np.float64) for side in (Side.SOURCE, Side.TARGET))
+        a, b = a / np.linalg.norm(a, axis=1)[:, None], b / np.linalg.norm(b, axis=1)[:, None]
+        sims = [[float(np.dot(u, v)) for v in b] for u in a]
+        for k in (3, 7, 25):
+            expected = [sorted(range(25), key=lambda j: (-row[j], j))[:k] for row in sims]
+            cut = sum(row[ranked[-1]] in [row[j] for j in range(25) if j not in ranked]
+                      for row, ranked in zip(sims, expected))
+            assert cut > 0 or k == 25
+            for rows_per_block in range(1, 41):
+                monkeypatch.setattr(embedding_module, "_TOPK_BLOCK_BYTES", 8 * 25 * rows_per_block)
+                got = similarity_topk(st, range(40), range(25), k=k)
+                assert got.target_indices.tolist() == expected
+                assert got.scores.tolist() == [
+                    [row[j] for j in ranked] for row, ranked in zip(sims, expected)
+                ]
 
     def test_matrix_rows_do_not_depend_on_the_rows_scored_with_them(self):
         """A subset of 1 to 17 sources (where BLAS matrix kernels switch)

@@ -104,6 +104,17 @@ def row_triples(index, row):
     return explain_module._triple_keys(index, np.array([row]), 0)[:, 1:].tolist()
 
 
+def packed(pairs, n_targets):
+    """(n, t) pairs as the packed ``n * n_targets + t`` keys ``explanations``
+    takes."""
+    return np.array([n * n_targets + t for n, t in pairs], dtype=np.int64)
+
+
+def unpacked(keys, n_targets):
+    """Packed ``n * n_targets + t`` keys as (n, t) pairs."""
+    return [divmod(key, n_targets) for key in keys.tolist()]
+
+
 def indexed_neighbors(pair, idx1, idx2, alignments):
     """The matched neighbors of ``pair`` read off shared path indexes, as
     ``explanation`` reads them off its own."""
@@ -206,11 +217,15 @@ class TestGatherEqualsWalk:
             if 0 <= a < n1:
                 forward[a] = b
         expected = [matched_neighbors(key, kg1, kg2, alignments, h) for key in keys]
-        assert neighbor_lists(idx1, idx2, forward, keys) == expected
+        got = neighbor_lists(idx1, idx2, forward, keys)
+        assert all(k.dtype == np.int64 for k in got)
+        assert [unpacked(k, n2) for k in got] == expected
         banned = sorted({p for hits in expected for p in hits if rng.random() < 0.4})
-        banned_keys = np.array([n * n2 + t for n, t in banned], dtype=np.int64)
+        banned_keys = packed(banned, n2)
         got = neighbor_lists(idx1, idx2, forward, keys, banned_keys)
-        assert got == [[p for p in hits if p not in banned] for hits in expected]
+        assert [unpacked(k, n2) for k in got] == [
+            [p for p in hits if p not in banned] for hits in expected
+        ]
         for key, hits in zip(keys, expected):
             assert explanation(key, kg1, kg2, store, alignments, h).matched_neighbor_pairs == hits
 
@@ -334,7 +349,8 @@ class TestBatchedCoreIsExact:
                         expected = reference_match_paths(
                             store, kg1, kg2, (e1, e2), (n1, n2), h, stats
                         )
-                        [expl] = explanations([(e1, e2)], [[(n1, n2)]], idx1, idx2)
+                        neighbors = [packed([(n1, n2)], kg2.n_entities)]
+                        [expl] = explanations([(e1, e2)], neighbors, idx1, idx2)
                         assert expl.path_matches() == expected
                         got = match_paths((e1, e2), (n1, n2), store, kg1, kg2, h)
                         assert got == expected
@@ -402,7 +418,7 @@ class TestBatchedCoreIsExact:
                      "all": 10**9}[budget]
             monkeypatch.setattr(explain_module, "_PASS_PAIRS", limit)
             passes.clear()
-            got = explanations(pairs, lists, idx1, idx2)
+            got = explanations(pairs, [packed(n, kg2.n_entities) for n in lists], idx1, idx2)
             batch = passes[:]
             assert [(e.pair, e.matched_neighbor_pairs) for e in got] == list(zip(pairs, lists))
             for expl, pair, neighbor_pairs in zip(got, pairs, lists):
@@ -413,7 +429,7 @@ class TestBatchedCoreIsExact:
                     positions += [pos] * len(found)
                 assert expl.path_matches() == expected
                 assert expl.neighbor.tolist() == positions
-                [alone] = explanations([pair], [neighbor_pairs], idx1, idx2)
+                [alone] = explanations([pair], [packed(neighbor_pairs, kg2.n_entities)], idx1, idx2)
                 assert expl == alone
                 assert expl.neighbor.tolist() == alone.neighbor.tolist()
             assert got[-2].no_match and got[-1].no_match
@@ -730,11 +746,12 @@ class TestUnitRowsAreRebuiltExactly:
             unit2 = whole_matrix_unit(kg2, store, h, idx2)
             alignments = {int(s): int(rng.integers(0, 10)) for s in range(10)}
             pairs = [(int(a), int(b)) for a, b in rng.integers(0, 10, size=(15, 2))]
-            items = [(pair, indexed_neighbors(pair, idx1, idx2, alignments)) for pair in pairs]
+            lists = [indexed_neighbors(pair, idx1, idx2, alignments) for pair in pairs]
+            lists = [packed(n, kg2.n_entities) for n in lists]
             got = {}
             for budget in (1, explain_module._PASS_PAIRS, 10**9):
                 monkeypatch.setattr(explain_module, "_PASS_PAIRS", budget)
-                got[budget] = explain_module._mutual_best(idx1, idx2, items)
+                got[budget] = explain_module._mutual_best(idx1, idx2, pairs, lists)
             first, *others = got.values()
             for other in others:
                 for a, b in zip(first, other):
@@ -896,9 +913,8 @@ class TestExplanation:
         c = governor_case
         idx1 = PathIndex(c["kg1"], c["store"], 2)
         idx2 = PathIndex(c["kg2"], c["store"], 2)
-        [a] = explanations(
-            [(0, 0)], [indexed_neighbors((0, 0), idx1, idx2, c["alignments"])], idx1, idx2
-        )
+        neighbors = indexed_neighbors((0, 0), idx1, idx2, c["alignments"])
+        [a] = explanations([(0, 0)], [packed(neighbors, c["kg2"].n_entities)], idx1, idx2)
         b = explanation((0, 0), c["kg1"], c["kg2"], c["store"], c["alignments"], 2)
         assert a.triple_keys == b.triple_keys
         assert a == b

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exea.adg import AdgConfig, EdgeClass, sigmoid
+import exea.cli
+from exea.adg import Adg, AdgConfig, EdgeClass, sigmoid
 from exea.embedding import (
     EmbeddingStore,
     greedy_align,
@@ -23,7 +24,7 @@ from exea.embedding import (
     similarity_topk,
 )
 from exea.errors import ConfigError, InvariantViolation, NoRelationVectors
-from exea.explain import _ranges
+from exea.explain import Explanation, _ranges
 from exea.kg import Kg, Side, neighborhood_entities
 from exea.repair import (
     REPAIRED,
@@ -52,6 +53,7 @@ from exea.repair import (
 from exea.synth import SynthConfig, generate_pair
 
 from test_embedding import reference_cosine
+from test_explain import matched_neighbors, unpacked
 from conftest import adjacency
 from test_kg import make_kg, random_kg
 
@@ -626,7 +628,7 @@ class TestCrossKgTriples:
 
     def test_hand_enumerated_swap_set(self):
         tables, analyzer = self.build()
-        got = self.cross(tables, analyzer.adg(1, 1))
+        got = self.cross(tables, analyzer.adg(1, 1).graph())
         assert set(got) == cross_keys(self.expected_variants())
         assert len(got) == len(self.expected_variants())
         # (Donald Trump, successor, Joe Biden)
@@ -637,13 +639,13 @@ class TestCrossKgTriples:
         state = AlignmentState([], raw, n_sources=kg1.n_entities, n_targets=kg2.n_entities)
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
         ra = mine_relation_alignment(store, kg1, kg2, "native")
-        adg = analyzer.adg(1, 1)
+        adg = analyzer.adg(1, 1).graph()
         assert len(adg.edge_neighbor) == 0
         assert self.cross(ConflictTables(kg1, kg2, state, ra), adg) == []
 
     def test_budget_zero_and_budget_cap(self):
         tables, analyzer = self.build()
-        adg = analyzer.adg(1, 1)
+        adg = analyzer.adg(1, 1).graph()
         assert self.cross(tables, adg, budget=0) == []
         # budget 1 consults only Joe Biden's single source-side triple
         capped = self.cross(tables, adg, budget=1)
@@ -659,7 +661,7 @@ class TestCrossKgTriples:
 
     def test_deterministic_order(self):
         tables, analyzer = self.build()
-        adg = analyzer.adg(1, 1)
+        adg = analyzer.adg(1, 1).graph()
         a = cross_kg_triples([adg], tables)
         b = cross_kg_triples([adg, adg], tables)
         assert a.tolist() == b[b[:, 0] == 0].tolist()
@@ -674,7 +676,7 @@ class TestRelationConflictDetection:
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
         tables = ConflictTables(kg1, kg2, state, mine_relation_alignment(store, kg1, kg2, "native"))
         rules = mine_not_same_as_rules(kg1) + mine_not_same_as_rules(kg2)
-        found = detect_relation_conflicts([analyzer.adg(1, 1)], rules, tables, cfg)
+        found = detect_relation_conflicts([analyzer.adg(1, 1).graph()], rules, tables, cfg)
         assert found.flagged_pairs == [(1, 1)]
         assert (1, 1) in found.derived_pairs
         assert found.pruned_neighbor_pairs == []
@@ -684,7 +686,7 @@ class TestRelationConflictDetection:
         state = AlignmentState(seeds, raw, n_sources=kg1.n_entities, n_targets=kg2.n_entities)
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
         tables = ConflictTables(kg1, kg2, state, mine_relation_alignment(store, kg1, kg2, "native"))
-        adg = analyzer.adg(1, 1)
+        adg = analyzer.adg(1, 1).graph()
         found = detect_relation_conflicts([adg], [], tables, cfg)
         assert found.derived_pairs == []
         assert found.pruned_neighbor_pairs == []
@@ -698,7 +700,7 @@ class TestRelationConflictDetection:
         # a contradicted neighbor pair is banned: it leaves the graph and the
         # confidence is recomputed without it
         analyzer.ban([(0, 0)])
-        repaired = analyzer.adg(1, 1)
+        repaired = analyzer.adg(1, 1).graph()
         assert repaired.explanation.matched_neighbor_pairs == []
         assert len(repaired.edge_neighbor) == 0
         assert repaired.confidence == pytest.approx(sigmoid(0.0))
@@ -733,7 +735,7 @@ class TestConflictStageIsExact:
         res, state, analyzer, rel_align, rules = conflict_stage_fixture(density)
         kg1, kg2 = res.kg1, res.kg2
         tables = ConflictTables(kg1, kg2, state, rel_align)
-        adgs = [analyzer.adg(s, t) for s, t, prov in state.pairs() if prov != SEED]
+        adgs = list(analyzer.graphs([(s, t) for s, t, prov in state.pairs() if prov != SEED]))
         totals = {"cross": 0, "derived": 0, "pruned": 0, "flagged": 0}
         for budget in (1, 7, 200):
             all_cross = cross_kg_triples(adgs, tables, budget)
@@ -772,12 +774,16 @@ class TestConflictStageIsExact:
         assert all(totals.values()), totals
 
 
-def stub_adg(pair, neighbor_pairs, strong):
+def stub_adg(pair, neighbor_pairs, strong, n_targets):
     """What the conflict stage reads of a dependency graph: its pair, its
-    matched neighbor pairs and one Strong or Weak edge per neighbor."""
+    matched neighbor pairs (as packed keys, and as tuples for the reference)
+    and one Strong or Weak edge per neighbor."""
     classes = list(EdgeClass)
+    keys = np.array([n * n_targets + t for n, t in neighbor_pairs], dtype=np.int64)
     return SimpleNamespace(
-        explanation=SimpleNamespace(pair=pair, matched_neighbor_pairs=list(neighbor_pairs)),
+        explanation=SimpleNamespace(
+            pair=pair, neighbor_keys=keys, matched_neighbor_pairs=list(neighbor_pairs)
+        ),
         edge_neighbor=np.arange(len(neighbor_pairs)),
         edge_class=np.array(
             [classes.index(EdgeClass.STRONG if s else EdgeClass.WEAK) for s in strong], dtype=np.int64
@@ -810,7 +816,7 @@ def conflict_cases(draw):
     ]
     pair = st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1))
     adgs = [
-        stub_adg(draw(pair), [p for p, _ in nbrs], [s for _, s in nbrs])
+        stub_adg(draw(pair), [p for p, _ in nbrs], [s for _, s in nbrs], n2)
         for nbrs in draw(st.lists(st.lists(st.tuples(pair, st.booleans()), max_size=3), min_size=1, max_size=4))
     ]
     return kg1, kg2, state, rel_align, rules, adgs
@@ -842,7 +848,7 @@ class TestConflictStageEdges:
         state = AlignmentState([], [(0, 0), (1, 1)], n_sources=2, n_targets=2)
         tables = ConflictTables(kg1, kg2, state, RelationAlignment(pairs=()))
         assert tables.hop_triples[tables.hop_start[0]:tables.hop_start[1]].tolist() == [0, 1]
-        adg = stub_adg((0, 0), [(1, 1)], [True])
+        adg = stub_adg((0, 0), [(1, 1)], [True], 2)
         # the budget of 1 is spent on the self-loop, whose two swaps are emitted
         got = cross_by_graph(cross_kg_triples([adg], tables, budget=1), tables, 1)[0]
         assert got == [(0, 0, 0, 0, 1, 0), (1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 0)]
@@ -850,7 +856,7 @@ class TestConflictStageEdges:
     def test_budget_zero_and_no_rules_derive_nothing(self):
         res, state, analyzer, rel_align, rules = conflict_stage_fixture(3)
         tables = ConflictTables(res.kg1, res.kg2, state, rel_align)
-        adgs = [analyzer.adg(s, t) for s, t, prov in state.pairs() if prov != SEED]
+        adgs = list(analyzer.graphs([(s, t) for s, t, prov in state.pairs() if prov != SEED]))
         assert cross_kg_triples(adgs, tables, budget=0).shape == (0, 4)
         assert len(cross_kg_triples(adgs, tables))
         for found in (
@@ -968,15 +974,23 @@ class TestPairAnalyzer:
         assert analyzer.confidence(1, 1) == pytest.approx(sigmoid(0.0))
 
     def test_cached_graph_lives_as_long_as_its_neighbor_list(self):
+        """A cache entry, the packed matched-neighbor keys and the confidence
+        of a graph, is reused while the keys stay the same and replaced when
+        they change; it never holds the graph."""
         state, analyzer = self.build()
         first = analyzer.adg(1, 1)
+        entry = analyzer._cache[(1, 1)]
         assert first.explanation.matched_neighbor_pairs == [(0, 0)]
+        # the neighbor pair (0, 0) packs to 0 * 3 + 0
+        assert entry[0].tolist() == [0] and entry[1] == first.confidence
         # source 2 lies within h hops of source 1, but its target 1 is the
         # center of the target side, so the matched-neighbor list of (1, 1) stays the same
         state.align(2, 1, REPAIRED)
-        assert analyzer.adg(1, 1) is first
+        assert analyzer.adg(1, 1) == first
+        assert analyzer._cache[(1, 1)] is entry
         state.unalign(2)
-        assert analyzer.adg(1, 1) is first
+        assert analyzer.adg(1, 1).confidence == first.confidence
+        assert analyzer._cache[(1, 1)] is entry
 
         def cold():
             fresh = PairAnalyzer(analyzer.kg1, analyzer.kg2, analyzer.store, state, analyzer.cfg)
@@ -985,15 +999,22 @@ class TestPairAnalyzer:
 
         state.align(2, 2, REPAIRED)
         grown = analyzer.adg(1, 1)
-        assert grown is not first
+        assert analyzer._cache[(1, 1)] is not entry
         assert grown.explanation.matched_neighbor_pairs == [(0, 0), (2, 2)]
         assert grown == cold()
+        entry = analyzer._cache[(1, 1)]
         analyzer.ban([(0, 0)])
         banned = analyzer.adg(1, 1)
-        assert banned is not grown
+        assert analyzer._cache[(1, 1)] is not entry
         assert banned.explanation.matched_neighbor_pairs == [(2, 2)]
         assert banned == cold()
-        assert analyzer.adg(1, 1) is banned
+        entry = analyzer._cache[(1, 1)]
+        assert analyzer.adg(1, 1).confidence == banned.confidence
+        assert analyzer._cache[(1, 1)] is entry
+        assert all(
+            type(keys) is np.ndarray and type(conf) is float
+            for keys, conf in analyzer._cache.values()
+        )
 
 
 @functools.cache
@@ -1051,6 +1072,41 @@ class TestAnalyzerCacheAgainstColdRebuild:
             assert warm.adg(s, t) == cold.adg(s, t)
 
 
+class TestConfidenceCacheIsExact:
+    """At every step of random align/unalign/ban sequences, every confidence
+    a warm analyzer reads (one key at a time or batched) equals the
+    confidence of the graph a cold analyzer builds for the same state and
+    banned pairs, and each cache entry's packed neighbor keys decode to the
+    breadth-first matched-neighbor walk minus the banned pairs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.lists(mutation, min_size=1, max_size=25), batched=st.booleans())
+    def test_every_read_equals_a_cold_build(self, steps, batched):
+        res, raw = small_synth()
+        cfg = RepairConfig()
+        state = AlignmentState(res.seeds, raw, n_sources=30, n_targets=30)
+        seed_sources = {s for s, _ in res.seeds}
+        warm = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
+        for op, s, t in steps:
+            if op == "align" and s not in seed_sources and state.target_of(s) is None:
+                state.align(s, t, REPAIRED)
+            elif op == "unalign" and s not in seed_sources and state.target_of(s) is not None:
+                state.unalign(s)
+            elif op == "ban":
+                warm.ban([(s, t)])
+            keys = [(s, t)] + [(a, b) for a, b, _ in state.pairs()][::4]
+            got = warm.adgs(keys) if batched else [warm.adg(a, b) for a, b in keys]
+            cold = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
+            cold.ban(warm.banned_pairs)
+            alignments = {a: b for a, b, _ in state.pairs()}
+            for key, lookup, graph in zip(keys, got, cold.graphs(keys)):
+                assert lookup.confidence == graph.confidence
+                packed, confidence = warm._cache[key]
+                assert confidence == lookup.confidence
+                walk = matched_neighbors(key, res.kg1, res.kg2, alignments, cfg.h)
+                assert unpacked(packed, 30) == [p for p in walk if p not in warm.banned_pairs]
+
+
 @functools.cache
 def lookup_fixture(density):
     res = generate_pair(
@@ -1070,10 +1126,11 @@ def aligned_neighbors(analyzer, s):
 
 class TestBatchedLookupIsExact:
     """``PairAnalyzer.adgs(keys)`` returns what one ``adg`` lookup per key
-    returns, equal to a cold analyzer's graphs, and builds exactly the graphs
-    those lookups build: over duplicate keys, keys without a matched
-    neighbor, banned pairs and entries that alignment mutations made stale.
-    A repair does not depend on where the matcher's passes are cut."""
+    returns, equal to a cold analyzer's graphs, and computes exactly the
+    confidences those lookups compute: over duplicate keys, keys without a
+    matched neighbor, banned pairs and entries that alignment mutations made
+    stale. A repair does not depend on where the matcher's or the
+    analyzer's passes are cut."""
 
     @pytest.mark.parametrize("density", [3, 8])
     @pytest.mark.parametrize("h", [1, 2])
@@ -1084,20 +1141,23 @@ class TestBatchedLookupIsExact:
         state = AlignmentState(res.seeds, raw, n_sources=60, n_targets=60)
         batched = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
         single = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
-        # graphs built per analyzer, told apart by the index they were matched over
+        # confidences computed per analyzer, told apart by the index they
+        # were matched over
         builds = {id(batched.index1): 0, id(single.index1): 0}
-        build_adg = repair_module.build_adg
+        confidences = repair_module.confidences
 
         def counted(expls, *args):
             for expl in expls:
                 key = id(expl.indexes[0])
                 builds[key] = builds.get(key, 0) + 1
-            return build_adg(expls, *args)
+            return confidences(expls, *args)
 
-        monkeypatch.setattr(repair_module, "build_adg", counted)
+        monkeypatch.setattr(repair_module, "confidences", counted)
         # calls of the one explanation builder, per analyzer: one per batched
-        # read that builds anything, none from the per-key lookups it ends
-        # with; one per graph a single lookup builds
+        # read that computes anything (its keys fit one pass here), none from
+        # the per-key lookups it ends with; one per confidence a single
+        # lookup computes
+        monkeypatch.setattr(repair_module, "_PASS_NODES", 10**9)
         cores = {id(batched.index1): 0, id(single.index1): 0}
         explanations = repair_module.explanations
 
@@ -1120,19 +1180,26 @@ class TestBatchedLookupIsExact:
             got = batched.adgs(keys)
             assert builds[id(batched.index1)] > built
             assert cores[id(batched.index1)] == calls + 1
+            single_calls, single_built = cores[id(single.index1)], builds[id(single.index1)]
             expected = [single.adg(s, t) for s, t in keys]
-            assert got == expected
             assert builds[id(batched.index1)] == builds[id(single.index1)]
-            assert cores[id(single.index1)] == builds[id(single.index1)]
-            # the cache is left as the lookups leave it
-            assert all(batched.adg(s, t) is adg for (s, t), adg in zip(keys, got))
+            # (graphs built for the comparisons below call the core too)
+            assert (cores[id(single.index1)] - single_calls
+                    == builds[id(single.index1)] - single_built)
+            for a, b in zip(got, expected):
+                assert (a.pair, a.confidence) == (b.pair, b.confidence)
+                assert np.array_equal(a.neighbor_keys, b.neighbor_keys)
+            # the cache is left as the lookups leave it, and holds no graph
+            for key in keys:
+                (got_keys, got_conf), (ref_keys, ref_conf) = batched._cache[key], single._cache[key]
+                assert np.array_equal(got_keys, ref_keys) and got_conf == ref_conf
+            after = [single._cache.get(key) for key in keys]
+            assert got == expected
             cold = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
             cold.ban(batched.banned_pairs)
             assert got == [cold.adg(s, t) for s, t in keys]
-            empty += sum(not adg.explanation.matched_neighbor_pairs for adg in got)
-            stale += sum(
-                old is not None and old is not new for old, new in zip(before, expected)
-            )
+            empty += sum(not a.neighbor_keys.size for a in got)
+            stale += sum(old is not None and old is not new for old, new in zip(before, after))
             banned += sum(
                 p in batched.banned_pairs for key in keys for p in aligned_neighbors(single, key[0])
             )
@@ -1171,6 +1238,28 @@ class TestBatchedLookupIsExact:
             outputs[budget] = (out.pairs, json.dumps(out.report.to_json_dict(), sort_keys=True))
         assert passes[0] > passes[explain_module._PASS_PAIRS] > passes[10**9]
         assert outputs[0] == outputs[explain_module._PASS_PAIRS] == outputs[10**9]
+        # the analyzer's passes over stale keys: one key each, the default,
+        # and every stale key of a read at once
+        repair_module = importlib.import_module("exea.repair")
+        default = repair_module._PASS_NODES
+        for budget in (1, default, 10**9):
+            calls = [0]
+            explanations = repair_module.explanations
+
+            def core(*args):
+                calls[0] += 1
+                return explanations(*args)
+
+            with monkeypatch.context() as m:
+                m.setattr(repair_module, "_PASS_NODES", budget)
+                m.setattr(repair_module, "explanations", core)
+                out = repair(res.kg1, res.kg2, res.perturbed_store, raw, res.seeds)
+            passes[budget, "nodes"] = calls[0]
+            report = json.dumps(out.report.to_json_dict(), sort_keys=True)
+            outputs[budget, "nodes"] = (out.pairs, report)
+        assert passes[1, "nodes"] > passes[default, "nodes"] >= passes[10**9, "nodes"]
+        assert outputs[1, "nodes"] == outputs[default, "nodes"] == outputs[10**9, "nodes"]
+        assert outputs[1, "nodes"] == outputs[10**9]
 
 
 class TestOneToOne:
@@ -1942,3 +2031,57 @@ class TestCachedExplanations:
             assert cached == fresh
             assert out.adgs[(s, t)].confidence == cold.adg(s, t).confidence
             assert out.adgs[(s, t)] == cold.adg(s, t)
+
+
+class TestRepairKeepsNoGraphs:
+    """``exea repair`` on an n=200 ``exea synth`` fixture: once ``repair()``
+    returns, the analyzer's cache holds no dependency graph or explanation,
+    and no graph is built after the final fill (its confidences are read
+    without one), since nothing on the command's path reads
+    ``RepairResult.adgs``."""
+
+    def test_cache_holds_numbers_only(self, monkeypatch, tmp_path):
+        repair_module = importlib.import_module("exea.repair")
+        data, out = tmp_path / "data", tmp_path / "out"
+        kgs = ["--kg1", str(data / "triples_1"), "--kg2", str(data / "triples_2")]
+        emb = ["--emb", str(data / "embeddings.tsv"), "--seeds", str(data / "train_links")]
+        assert exea.cli.main([
+            "synth", "--out", str(data), "--n-entities", "200", "--conflict-injection", "0.2",
+            "--rng-seed", "1",
+        ]) == 0
+        assert exea.cli.main(["infer", *kgs, *emb, "--out", str(data / "raw.tsv")]) == 0
+        filled = [False]
+        built = {"before fill": 0, "after fill": 0}
+        analyzers = []
+        final_fill = repair_module.final_fill
+        build_adg = repair_module.build_adg
+
+        def fill(*args):
+            stats = final_fill(*args)
+            filled[0] = True
+            return stats
+
+        def counted(expls, *args):
+            built["after fill" if filled[0] else "before fill"] += len(expls)
+            return build_adg(expls, *args)
+
+        class Recorded(PairAnalyzer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                analyzers.append(self)
+
+        monkeypatch.setattr(repair_module, "final_fill", fill)
+        monkeypatch.setattr(repair_module, "build_adg", counted)
+        monkeypatch.setattr(repair_module, "PairAnalyzer", Recorded)
+        assert exea.cli.main([
+            "repair", *kgs, *emb, "--pred", str(data / "raw.tsv"),
+            "--out", str(out / "aligned.tsv"), "--report", str(out / "report.json"),
+        ]) == 0
+        assert filled[0] and built["before fill"] > 0
+        assert built["after fill"] == 0
+        [analyzer] = analyzers
+        assert len(analyzer._cache) >= 200
+        for value in analyzer._cache.values():
+            packed, confidence = value
+            assert type(packed) is np.ndarray and type(confidence) is float
+            assert not any(isinstance(v, (Adg, Explanation)) for v in value)
