@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -187,20 +188,27 @@ def confidences(
     return out
 
 
+def pass_ranges(sizes: Sequence[int]) -> Iterator[range]:
+    """Consecutive runs of positions whose node counts ``1 + sizes[i]`` (a
+    graph's central pair and its matched neighbors) add up to at most
+    ``_PASS_NODES``, or of one position: one build pass each."""
+    lo = held = 0
+    for i, size in enumerate(sizes):
+        if i > lo and held + 1 + size > _PASS_NODES:
+            yield range(lo, i)
+            lo, held = i, 0
+        held += 1 + size
+    if lo < len(sizes):
+        yield range(lo, len(sizes))
+
+
 def _passes(expls: Sequence[Explanation]) -> Iterator[list[Explanation]]:
-    """``expls`` in runs that share their indexes and hold at most
-    ``_PASS_NODES`` nodes, or one graph."""
-    run: list[Explanation] = []
-    held = 0
-    for expl in expls:
-        size = 1 + expl.neighbor_keys.size
-        if run and (held + size > _PASS_NODES or expl.indexes != run[0].indexes):
-            yield run
-            run, held = [], 0
-        run.append(expl)
-        held += size
-    if run:
-        yield run
+    """``expls`` in runs that share their indexes, each cut by
+    ``pass_ranges``."""
+    for _, group in groupby(expls, key=lambda expl: expl.indexes):
+        run = list(group)
+        for batch in pass_ranges([expl.neighbor_keys.size for expl in run]):
+            yield run[batch.start : batch.stop]
 
 
 def _pass_arrays(

@@ -1157,7 +1157,7 @@ class TestBatchedLookupIsExact:
         # read that computes anything (its keys fit one pass here), none from
         # the per-key lookups it ends with; one per confidence a single
         # lookup computes
-        monkeypatch.setattr(repair_module, "_PASS_NODES", 10**9)
+        monkeypatch.setattr(importlib.import_module("exea.adg"), "_PASS_NODES", 10**9)
         cores = {id(batched.index1): 0, id(single.index1): 0}
         explanations = repair_module.explanations
 
@@ -1241,7 +1241,8 @@ class TestBatchedLookupIsExact:
         # the analyzer's passes over stale keys: one key each, the default,
         # and every stale key of a read at once
         repair_module = importlib.import_module("exea.repair")
-        default = repair_module._PASS_NODES
+        adg_module = importlib.import_module("exea.adg")
+        default = adg_module._PASS_NODES
         for budget in (1, default, 10**9):
             calls = [0]
             explanations = repair_module.explanations
@@ -1251,7 +1252,7 @@ class TestBatchedLookupIsExact:
                 return explanations(*args)
 
             with monkeypatch.context() as m:
-                m.setattr(repair_module, "_PASS_NODES", budget)
+                m.setattr(adg_module, "_PASS_NODES", budget)
                 m.setattr(repair_module, "explanations", core)
                 out = repair(res.kg1, res.kg2, res.perturbed_store, raw, res.seeds)
             passes[budget, "nodes"] = calls[0]
