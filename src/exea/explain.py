@@ -28,13 +28,20 @@ the tuple form (``Explanation.matched_neighbor_pairs``) is derived only
 where output is written. ``explanations`` is the one
 explanation builder: given each pair's neighbor keys and indexes that hold
 every pair's centers, it scores the path pairs of many neighbor pairs
-together, each neighbor pair a block, with one ``np.vecdot`` per pass, and
-picks row and column bests with lexsorts per block that keep the
-lowest-index tie rule. A pass rebuilds unit rows only for its blocks' rows,
-with the operations of ``path_embedding`` over its norm in the same order,
-so every score equals the per-path computation bit for bit, and takes whole
-pairs up to ``_PASS_PAIRS`` scored path pairs (a larger pair gets a pass of
-its own): a constant that caps its temporaries and changes no output.
+together, each neighbor pair a block, in passes linear in their scored path
+pairs. A pass rebuilds unit rows only for its blocks' rows, with the
+operations of ``path_embedding`` over its norm in the same order, so every
+score equals the per-path computation bit for bit. It gathers each path
+pair's two unit rows a chunk at a time into two buffers of at most
+``_DOT_BYTES``, reused from chunk to chunk and small enough to come from
+the heap, and scores each chunk with one ``np.vecdot``. Each row's and each
+column's best is the first maximum of its run (``_first_max``: one
+``np.maximum.reduceat`` and a search for the first equal score), which is
+the lowest-index tie rule; a block's pairs lie row-major, and its column
+runs are read through its column-major order, so no sort is needed. A pass
+takes whole pairs up to ``_PASS_PAIRS`` scored path pairs (a larger pair
+gets a pass of its own). Both constants cap temporaries and change no
+output.
 The repair's ``PairAnalyzer`` reads both over one index per side of every
 entity. ``explain_pairs`` builds one index per side over all its pairs'
 centers and matches one pair per ``explanations`` call; ``explanation``
@@ -83,10 +90,16 @@ PathMatch = tuple[tuple[Step, ...], tuple[Step, ...], float]
 
 
 _CHUNK = 512  # rows per pass of the norm work, which keeps its temporaries small
-# scored path pairs per matcher pass: each gathers two unit rows of 2 * dim
-# float64 values, rebuilt for the pass's rows, so this bounds the matcher's
-# temporaries however many pairs a caller hands it at once
+# scored path pairs per matcher pass: a pass holds a few int64 positions and
+# a score per path pair and rebuilds at most one unit row (2 * dim float64
+# values) per path pair and side, so this bounds the matcher's temporaries
+# however many pairs a caller hands it at once
 _PASS_PAIRS = 2048
+# bytes of gathered unit rows per side in one matcher dot chunk: below glibc's
+# default 128 KiB mmap threshold, so both buffers come from the heap, whose
+# freed memory the next pass reuses, instead of faulting in fresh pages
+# each time
+_DOT_BYTES = 96 * 1024
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -396,13 +409,15 @@ def _mutual_best(
     item's source center to the neighbor's source entity against the paths
     in ``i2`` from its target center to the neighbor's target entity. Within
     a block a path takes the other side's path of highest cosine, the lowest
-    row on ties, and a pair is kept when each side is the other's choice.
-    All-zero paths score -2.0 and never match. The blocks are scored in
-    passes of at most ``_PASS_PAIRS`` path pairs, cut between items; an item
-    with more gets a pass of its own. Returns the matched rows of ``i1`` and
-    ``i2``, their similarities, the position in its item's neighbor pairs of
-    the pair each match was found for, and the position of that item,
-    ordered by item, then by block, then by ``i1`` row.
+    row on ties (the first maximum of its run, ``_first_max``, in the block's
+    row-major or column-major order), and a pair is kept when each side is
+    the other's choice. All-zero paths score -2.0 and never match. The
+    blocks are scored in passes of at most ``_PASS_PAIRS`` path pairs, cut
+    between items; an item with more gets a pass of its own. Returns the
+    matched rows of ``i1`` and ``i2``, their similarities, the position in
+    its item's neighbor pairs of the pair each match was found for, and the
+    position of that item, ordered by item, then by block, then by ``i1``
+    row.
     """
     n_items = len(pairs)
     pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
@@ -442,23 +457,48 @@ def _match_blocks(
     start1, len1, start2, len2, pos, item = blocks.T
     sizes = len1 * len2
     block = np.repeat(np.arange(len(blocks)), sizes)
-    i, j = np.divmod(_ranges(np.zeros_like(sizes), sizes), len2[block])
-    rows1 = start1[block] + i
-    rows2 = start2[block] + j
+    # a block's path pairs row-major: source path i, then target path j
+    local = _ranges(np.zeros_like(sizes), sizes)
+    i, j = np.divmod(local, len2[block])
     # one id per (block, source path) and per (block, target path): the
-    # positions of rows1 and rows2 in the blocks' concatenated row runs, so
-    # unit rows are rebuilt once per block row, not once per path pair
+    # positions of i and j in the blocks' concatenated row runs, so unit
+    # rows are rebuilt once per block row, not once per path pair
+    rows1, rows2 = _ranges(start1, len1), _ranges(start2, len2)
     row_id = (np.cumsum(len1) - len1)[block] + i
     col_id = (np.cumsum(len2) - len2)[block] + j
-    u1, u2 = i1.unit_rows(_ranges(start1, len1)), i2.unit_rows(_ranges(start2, len2))
-    sims = np.vecdot(u1[row_id], u2[col_id])
-    sims[i1.zero[rows1] | i2.zero[rows2]] = -2.0
-    # each row's and column's best: the first of its run by score, ties to the lower index
-    by_row, by_col = np.lexsort((j, -sims, row_id)), np.lexsort((i, -sims, col_id))
-    row_best = by_row[_run_starts(row_id[by_row])]
-    col_best = by_col[_run_starts(col_id[by_col])]
+    u1, u2 = i1.unit_rows(rows1), i2.unit_rows(rows2)
+    sims = np.empty(local.size)
+    # the pairs' unit rows are gathered a chunk at a time into two reused
+    # buffers (mode="clip" takes straight into them; the ids are in range)
+    chunk = max(1, _DOT_BYTES // max(1, u1[0].nbytes))
+    a, b = (np.empty((min(chunk, sims.size), u1.shape[1])) for _ in range(2))
+    for lo in range(0, sims.size, chunk):
+        n = min(chunk, sims.size - lo)
+        np.take(u1, row_id[lo : lo + n], axis=0, out=a[:n], mode="clip")
+        np.take(u2, col_id[lo : lo + n], axis=0, out=b[:n], mode="clip")
+        np.vecdot(a[:n], b[:n], out=sims[lo : lo + n])
+    sims[i1.zero[rows1][row_id] | i2.zero[rows2][col_id]] = -2.0
+    # each row's best, ties to the lower j: the first maximum of its run
+    row_best = _first_max(sims, np.repeat(len2, len1))
+    # each column's best, ties to the lower i: the first maximum of its run
+    # in each block's column-major order
+    j, i = np.divmod(local, len1[block])
+    col_major = (np.cumsum(sizes) - sizes)[block] + i * len2[block] + j
+    col_best = col_major[_first_max(sims[col_major], np.repeat(len1, len2))]
     keep = row_best[(col_best[col_id[row_best]] == row_best) & (sims[row_best] > -2.0)]
-    return rows1[keep], rows2[keep], sims[keep], pos[block[keep]], item[block[keep]]
+    kept = block[keep]
+    return rows1[row_id[keep]], rows2[col_id[keep]], sims[keep], pos[kept], item[kept]
+
+
+def _first_max(scores: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The position of the first maximum of each run of ``scores``, the runs
+    laid end to end with the given lengths, none empty: the pick of a sort by
+    run, then descending score, then position (-0.0 and 0.0 tie), in one
+    reduction and one search."""
+    starts = np.cumsum(lengths) - lengths
+    best = np.maximum.reduceat(scores, starts)
+    hits = np.flatnonzero(scores == np.repeat(best, lengths))
+    return hits[np.searchsorted(hits, starts)]
 
 
 def neighbor_lists(

@@ -353,12 +353,14 @@ class PairAnalyzer:
     def adg(self, s: int, t: int, neighbors: np.ndarray | None = None) -> LazyAdg:
         """The lookup of (s, t): its confidence, recomputed when its packed
         matched-neighbor keys differ from the cached ones. ``neighbors``,
-        when given, is those keys already gathered."""
+        when given, is those keys already gathered; ``adgs`` and ``graphs``
+        pass the cached array itself for a key they have just validated or
+        computed, which the identity check accepts without a comparison."""
         key = (int(s), int(t))
         if neighbors is None:
             neighbors = self._neighbor_lists([key])[0]
         got = self._cache.get(key)
-        if got is None or not np.array_equal(got[0], neighbors):
+        if got is None or (got[0] is not neighbors and not np.array_equal(got[0], neighbors)):
             expl = explanation(key, neighbors, self.index1, self.index2)
             got = self._cache[key] = (neighbors, confidences([expl], self.store, self.cfg.adg)[0])
         return LazyAdg(self, key, *got)
@@ -378,7 +380,7 @@ class PairAnalyzer:
             for i, conf in zip(batch, confidences(expls, self.store, self.cfg.adg)):
                 # a copy, so that the entry does not hold the whole read's gather
                 self._cache[stale[i]] = (lists[i].copy(), conf)
-        return [self.adg(s, t, neighbors[(s, t)]) for s, t in keys]
+        return [self.adg(s, t, self._cache[s, t][0]) for s, t in keys]
 
     def graphs(self, keys: Sequence[tuple[int, int]]) -> Iterator[Adg]:
         """The dependency graph of each key under the current state, in
@@ -390,9 +392,9 @@ class PairAnalyzer:
         for batch, expls in self._passes(keys, lists):
             graphs = build_adg(expls, self.store, self.cfg.adg)
             for i, graph in zip(batch, graphs):
-                self._cache[keys[i]] = (lists[i].copy(), graph.confidence)
+                entry = self._cache[keys[i]] = (lists[i].copy(), graph.confidence)
                 # counted like any other read; the entry is fresh
-                self.adg(*keys[i], lists[i])
+                self.adg(*keys[i], entry[0])
             yield from graphs
             del graphs
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exea.explain as explain_module
@@ -445,6 +445,49 @@ class TestBatchedCoreIsExact:
         assert (shared > 0) == (budget != "each")
 
     @pytest.mark.parametrize("h", [1, 2])
+    def test_dot_chunk_changes_nothing(self, monkeypatch, h):
+        """The matcher's dot chunks, one path pair each, the default or a
+        whole pass at once, change no matched row, score, neighbor position or
+        item, on the fixtures above and, at h = 2, on a dense item over
+        ``_PASS_PAIRS``, which gets a pass of its own cut into many default
+        chunks."""
+        rng = np.random.default_rng(5000 + 10 * h)
+        for trial in range(6):
+            kg1, kg2, store = tied_pair(rng, 10, 3, 25, h, integer=trial % 2 == 0)
+            alignments = {int(s): int(rng.integers(0, 10)) for s in range(10)}
+            pairs = [(int(a), int(b)) for a, b in rng.integers(0, 10, size=(12, 2))]
+            dense = trial == 0 and h == 2
+            if dense:
+                # every entity aligned to itself over a dense pair of graphs
+                kg1, kg2, store = tied_pair(rng, 12, 2, 70, h, integer=False)
+                alignments = {s: s for s in range(12)}
+                pairs[0] = (0, 0)
+            idx1, idx2 = PathIndex(kg1, store, h), PathIndex(kg2, store, h)
+            lists = [indexed_neighbors(pair, idx1, idx2, alignments) for pair in pairs]
+            if dense:
+                g1, g2 = endpoint_runs(idx1)[0], endpoint_runs(idx2)[0]
+                size = sum((g1[n][1] - g1[n][0]) * (g2[t][1] - g2[t][0]) for n, t in lists[0])
+                assert size > explain_module._PASS_PAIRS
+                row_bytes = idx1.unit_rows(np.array([0])).nbytes
+                assert size * row_bytes > 4 * explain_module._DOT_BYTES
+            lists = [packed(n, kg2.n_entities) for n in lists]
+            got = {}
+            for chunk in (1, explain_module._DOT_BYTES, 10**9):
+                monkeypatch.setattr(explain_module, "_DOT_BYTES", chunk)
+                got[chunk] = explain_module._mutual_best(idx1, idx2, pairs, lists)
+            first, *others = got.values()
+            assert first[0].size > 0
+            for other in others:
+                for a, b in zip(first, other):
+                    assert a.dtype == b.dtype and a.tolist() == b.tolist()
+            if dense:
+                [expl] = explanations(pairs[:1], lists[:1], idx1, idx2)
+                expected = []
+                for neighbor_pair in unpacked(lists[0], kg2.n_entities):
+                    expected += reference_match_paths(store, kg1, kg2, (0, 0), neighbor_pair, h)
+                assert expl.path_matches() == expected
+
+    @pytest.mark.parametrize("h", [1, 2])
     def test_table_rows_equal_path_embedding_over_norm(self, h):
         rng = np.random.default_rng(3000 + 10 * h)
         zero_rows = 0
@@ -475,6 +518,29 @@ class TestBatchedCoreIsExact:
                     ends = steps[np.arange(stop - start), index.lengths[start:stop] - 1, 2]
                     assert (ends == end).all()
         assert zero_rows > 0
+
+
+class TestFirstMax:
+    """``_first_max`` picks each run's best as the matcher's former sort by
+    run, descending score and position did: the highest score, the first
+    position on ties, with -0.0 tying 0.0 and -2.0 (an all-zero path's
+    score) an ordinary value."""
+
+    scores = st.one_of(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0]), st.floats(-1.0, 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @example(runs=[[0.0, -0.0], [-0.0, 0.0], [-0.0]])
+    @example(runs=[[-2.0], [-2.0, -2.0], [1.0, 1.0, -2.0]])
+    @given(runs=st.lists(st.lists(scores, min_size=1, max_size=8), min_size=1, max_size=12))
+    def test_equals_lexsort(self, runs):
+        scores = np.array([s for run in runs for s in run])
+        lengths = np.array([len(run) for run in runs])
+        run = np.repeat(np.arange(len(runs)), lengths)
+        order = np.lexsort((np.arange(scores.size), -scores, run))
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = run[order][1:] != run[order][:-1]
+        got = explain_module._first_max(scores, lengths)
+        assert got.tolist() == order[first].tolist()
 
 
 def rough_kg(rng, n_ent, n_rel, n_triples, side):
@@ -810,6 +876,17 @@ class TestMatchPaths:
         assert len(got) == 1
         assert len(got[0][0]) == 1
         assert len(got[0][1]) == 1
+
+    def test_zero_dimension_vectors_match_nothing(self):
+        """Vectors of dimension 0 make every path all-zero: its neighbors are
+        found and none of its paths match."""
+        triples = [(0, 0, 1), (1, 0, 2), (0, 0, 3)]
+        kg1, kg2 = make_kg(4, triples, n_rel=1), tgt_kg(4, triples, n_rel=1)
+        none = {side: np.zeros((4, 0)) for side in Side}
+        store = EmbeddingStore(none, {side: np.zeros((1, 0)) for side in Side})
+        expl = explanation((0, 0), kg1, kg2, store, {1: 1, 2: 2, 3: 3}, 2)
+        assert expl.matched_neighbor_pairs == [(1, 1), (2, 2), (3, 3)]
+        assert expl.no_match
 
     def test_empty_when_no_connecting_path(self):
         kg1 = make_kg(3, [(0, 0, 1)])

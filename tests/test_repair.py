@@ -1217,6 +1217,29 @@ class TestBatchedLookupIsExact:
             single.ban(ban)
         assert empty > 0 and stale > 0 and banned > 0
 
+    def test_compares_each_distinct_key_once(self, monkeypatch):
+        """A batched read compares each distinct cached key's neighbor keys
+        once: the counted ``adg`` lookup each key then goes through is handed
+        the cached array itself and accepts it without a second comparison."""
+        res, raw = lookup_fixture(3)
+        state = AlignmentState(res.seeds, raw, n_sources=60, n_targets=60)
+        analyzer = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, RepairConfig())
+        keys = [(s, t) for s, t, _ in state.pairs()]
+        keys += keys[:10]
+        cold = [graph.confidence for graph in analyzer.adgs(keys)]
+        compared = [0]
+        array_equal = np.array_equal
+
+        def counted(*args):
+            compared[0] += 1
+            return array_equal(*args)
+
+        monkeypatch.setattr(np, "array_equal", counted)
+        warm = analyzer.adgs(keys)
+        assert compared[0] == len(set(keys))
+        assert [graph.confidence for graph in warm] == cold
+        assert all(graph.neighbor_keys is analyzer._cache[graph.pair][0] for graph in warm)
+
     def test_pass_budget_changes_nothing(self, monkeypatch):
         explain_module = importlib.import_module("exea.explain")
         res, raw = lookup_fixture(8)
