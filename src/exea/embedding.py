@@ -77,6 +77,10 @@ class EmbeddingStore:
         if len(dims) != 1:
             raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
         self.dim = dims.pop()
+        # name encodings may have their own dimension, one for both sides
+        name_dims = {m.shape[1] for m in self._name_relation.values()}
+        if len(name_dims) > 1:
+            raise ValueError(f"relation-name vectors differ in dimension: {sorted(name_dims)}")
         self._derived_relation: dict[Side, tuple[Kg, np.ndarray]] = {}
         self._entity_norms: dict[Side, np.ndarray] = {}
 

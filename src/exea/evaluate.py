@@ -186,6 +186,8 @@ def ablation(
     raw = [(int(s), int(t)) for s, t in raw_alignment]
     gold_pairs = [(int(s), int(t)) for s, t in gold]
     stages = list(stages)
+    if not stages:
+        raise ConfigError("ablation needs at least one stage")
     unknown = [s for s in stages if s not in _STAGE_TOGGLES]
     if unknown:
         raise ConfigError(f"unknown ablation stages: {unknown}")
@@ -216,7 +218,7 @@ def ablation(
         mean_sparsity, empty = explanation_sparsity_stats(kg1, kg2, triples_by_pair, cfg.h)
 
     return EvalReport(
-        accuracy=per_stage.get("full", per_stage.get(stages[0], 0.0)),
+        accuracy=per_stage.get("full", per_stage[stages[0]]),
         mean_sparsity=mean_sparsity,
         fidelity=None,
         per_stage_accuracy=per_stage,

@@ -9,13 +9,9 @@ the claimant with the highest dependency-graph confidence, and displaced
 sources walk their top-k candidates, evicting incumbents of lower confidence.
 Low-confidence conflicts: pairs under the confidence floor are stripped and
 re-matched against targets that share a matched neighbor, ranked and compared
-by confidence plus weighted cosine; each candidate is scored once, from the
-cosines that rank it and the confidences that filter it, and a lazy ranking
-builds only the candidates that a confidence in [0.5, 1] leaves able to
-beat the ones already built. Both stages share one
-rematch walk (``_rematch``) and differ only in the ranking and the comparison
-they pass it.
-A final greedy pass fills any leftovers from the unclaimed targets.
+by confidence plus weighted cosine. Both stages share one rematch walk
+(``_rematch``) and differ only in the ranking and the comparison they pass
+it. A final greedy pass fills any leftovers from the unclaimed targets.
 
 The alignment state holds a target and a provenance per source; no stage
 reads a pair's similarity once it is aligned, so none is stored.
@@ -23,11 +19,11 @@ reads a pair's similarity once it is aligned, so none is stored.
 Seed pairs are immutable throughout; every loop carries the source-count guard
 that forces termination.
 
-The stages compare confidences, and ``PairAnalyzer`` caches a confidence,
-not a graph, per pair. Full dependency graphs are built only where their
-structure is read: one pass over the initial pairs gives the first
-confidence snapshot and the relation-conflict stage's graphs, and
-``RepairResult.adgs`` builds the final pairs' graphs when first read.
+The stages compare confidences, which ``PairAnalyzer`` looks up as plain
+numbers and caches per pair. Full dependency graphs are built only where
+their structure is read: one pass over the initial pairs (the first
+confidence snapshot and the relation-conflict stage) and
+``RepairResult.adgs``.
 
 The relation-conflict stage runs as array passes over chunks of dependency
 graphs. ``ConflictTables``, built once per stage (which reads the alignment
@@ -61,9 +57,9 @@ from .embedding import (
     similarity_matrix,
     similarity_topk,
 )
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, MissingEmbedding
 from .explain import Explanation, PathIndex, explanations, neighbor_lists
-from .explain import _distinct, _distinct_inverse, _lookup, _ranges, _run_starts, _unpack_pairs
+from .explain import _distinct, _distinct_inverse, _lookup, _ranges, _run_starts
 # no caller here (a center's neighborhood is read off its path index), but
 # bench/traced_exea.py wraps this module's neighborhood_entities
 from .kg import SIDES, Kg, Side, check_hops, neighborhood_entities  # noqa: F401
@@ -240,77 +236,34 @@ def explanation(
     pair: tuple[int, int], neighbors: np.ndarray, index1: PathIndex, index2: PathIndex
 ) -> Explanation:
     """One pair's explanation from its packed matched-neighbor keys, through
-    the batched core: the single graph a lookup rebuilds. bench/traced_exea.py
-    counts these builds by this name."""
+    the batched core: what a lookup of one stale key computes its confidence
+    from. bench/traced_exea.py counts these builds by this name."""
     return explanations([pair], [neighbors], index1, index2)[0]
-
-
-class LazyAdg:
-    """What a ``PairAnalyzer`` lookup returns: the pair, the packed
-    matched-neighbor keys its cached confidence was computed from, and that
-    confidence. The dependency graph itself (``graph()``, and its
-    ``explanation``) is rebuilt from those keys on first access and held by
-    this object, never by the analyzer's cache. Equal to an ``Adg`` or a
-    ``LazyAdg`` whose graph is equal."""
-
-    def __init__(self, analyzer: PairAnalyzer, pair: tuple[int, int], neighbor_keys: np.ndarray,
-                 confidence: float):
-        self.pair = pair
-        self.neighbor_keys = neighbor_keys
-        self.confidence = confidence
-        self._analyzer = analyzer
-        self._graph: Adg | None = None
-
-    def graph(self) -> Adg:
-        if self._graph is None:
-            a = self._analyzer
-            expl = explanation(self.pair, self.neighbor_keys, a.index1, a.index2)
-            self._graph = build_adg([expl], a.store, a.cfg.adg)[0]
-        return self._graph
-
-    @property
-    def explanation(self) -> Explanation:
-        return self.graph().explanation
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LazyAdg):
-            other = other.graph()
-        return self.graph() == other if isinstance(other, Adg) else NotImplemented
 
 
 class PairAnalyzer:
     """Dependency-graph confidences for one repair run, with a cache that
     validates itself on every read.
 
-    Both path indexes are built once, over every entity: the paths of s and t
-    never change, and the explanation of (s, t), so its dependency graph and
-    confidence, is a function of its matched-neighbor list. The cache holds
-    two things per key: that list, as the sorted packed int64 keys ``n *
-    n_targets + t`` that ``neighbor_lists`` gathers from the endpoints of
-    those paths, the state's ``forward`` array and the banned pairs, and the
-    confidence computed from it. A read gathers the key's current list and
-    reuses the confidence while the two arrays are equal
+    Both path indexes are built once, over every entity, and the confidence
+    of (s, t) is a function of its matched-neighbor list: the sorted packed
+    int64 keys ``n * n_targets + t`` that ``neighbor_lists`` gathers from
+    the two indexes, the state's ``forward`` array and the banned pairs. The
+    cache holds that list and the confidence per key. A read gathers the
+    current list and reuses the confidence while the two arrays are equal
     (``np.array_equal``); otherwise it recomputes it. Entries are never
-    evicted, and no entry holds a graph or an explanation: the rematch
-    comparisons, the confidence snapshots and the lazy candidate ranking
-    read only numbers.
+    evicted and hold no graph.
 
-    ``adg(s, t)`` is the one counted per-key lookup, and returns a
-    ``LazyAdg`` (the confidence at once, the graph rebuilt on demand).
-    ``adgs(keys)`` validates every key of a read with one gather and
-    recomputes the stale ones in shared passes of at most
-    ``adg._PASS_NODES`` nodes: ``explanations`` over the two indexes, then
-    ``adg.confidences``, whose explanations are dropped once their
-    confidence is taken; every key then goes through ``adg``, where it
-    finds a fresh entry, so a batched read makes the lookups and computes
-    the confidences that the same lookups one by one would. ``graphs(keys)``
-    builds full graphs, in the same passes, for the readers of their
-    structure: the first pass over the initial pairs (the confidence
-    snapshot and the relation-conflict stage) and ``RepairResult.adgs``;
-    it, too, sends every key through ``adg``, after caching its
-    confidence, so every confidence read is a counted lookup.
-    The benchmark's trace counts lookups by the name ``adg`` and
-    ``build_adg`` calls (full-graph passes) by theirs.
+    ``adg(s, t)`` is the one per-key lookup and returns the confidence; it
+    keeps its name because the benchmark's trace counts lookups by it.
+    ``adgs(keys)`` computes a read's stale confidences in shared passes of
+    at most ``adg._PASS_NODES`` nodes (``adg.confidences``), then looks
+    every key up through ``adg``, so a batched read makes the lookups and
+    computes the confidences that one lookup per key would. ``graphs(keys)``
+    builds full graphs in the same passes for the two readers of their
+    structure, the first pass over the initial pairs and
+    ``RepairResult.adgs``, and caches and looks up each key's confidence as
+    its pass is built.
     """
 
     def __init__(
@@ -342,16 +295,11 @@ class PairAnalyzer:
         ok = (n >= 0) & (n < self.kg1.n_entities) & (t >= 0) & (t < self.kg2.n_entities)
         self._banned = _distinct(np.concatenate([self._banned, n[ok] * self.kg2.n_entities + t[ok]]))
 
-    def neighbor_pairs(self, s: int, t: int) -> list[tuple[int, int]]:
-        """(n, target of n) for every aligned n within h hops of s whose
-        target lies within h hops of t, the pair not banned; sorted by n."""
-        return _unpack_pairs(self._neighbor_lists([(s, t)])[0], self.kg2.n_entities)
-
     def _neighbor_lists(self, keys: Sequence[tuple[int, int]]) -> list[np.ndarray]:
         return neighbor_lists(self.index1, self.index2, self.state.forward, keys, self._banned)
 
-    def adg(self, s: int, t: int, neighbors: np.ndarray | None = None) -> LazyAdg:
-        """The lookup of (s, t): its confidence, recomputed when its packed
+    def adg(self, s: int, t: int, neighbors: np.ndarray | None = None) -> float:
+        """The confidence of (s, t), recomputed when its packed
         matched-neighbor keys differ from the cached ones. ``neighbors``,
         when given, is those keys already gathered; ``adgs`` and ``graphs``
         pass the cached array itself for a key they have just validated or
@@ -363,9 +311,9 @@ class PairAnalyzer:
         if got is None or (got[0] is not neighbors and not np.array_equal(got[0], neighbors)):
             expl = explanation(key, neighbors, self.index1, self.index2)
             got = self._cache[key] = (neighbors, confidences([expl], self.store, self.cfg.adg)[0])
-        return LazyAdg(self, key, *got)
+        return got[1]
 
-    def adgs(self, keys: Iterable[tuple[int, int]]) -> list[LazyAdg]:
+    def adgs(self, keys: Iterable[tuple[int, int]]) -> list[float]:
         """``[self.adg(s, t) for s, t in keys]``, with every stale or missing
         confidence computed in shared passes."""
         keys = [(int(s), int(t)) for s, t in keys]
@@ -408,18 +356,26 @@ class PairAnalyzer:
             pairs, neighbors = [keys[i] for i in batch], [lists[i] for i in batch]
             yield batch, explanations(pairs, neighbors, self.index1, self.index2)
 
-    def confidence(self, s: int, t: int) -> float:
-        return self.adg(s, t).confidence
-
 
 def _relation_vectors(
     store: EmbeddingStore, kg: Kg, source: str
 ) -> np.ndarray:
+    """One row per relation of ``kg`` from ``source``. Rows past the graph's
+    relations are ignored, as entity rows past its entities are; a relation
+    with triples but no row is a missing embedding, and one with neither
+    gets a zero row, which never takes part in matching."""
     if source == "derived":
         return store.derived_relation_matrix(kg)
-    if source == "native":
-        return store.relation_vecs(kg.side).astype(np.float64)
-    return store.name_relation_vecs(kg.side).astype(np.float64)
+    vecs = store.relation_vecs(kg.side) if source == "native" else store.name_relation_vecs(kg.side)
+    vecs = vecs[: kg.n_relations].astype(np.float64)
+    used = np.array(kg.triple_keys, dtype=np.int64).reshape(-1, 3)[:, 1]
+    missing = used[used >= len(vecs)]
+    if missing.size:
+        raise MissingEmbedding(
+            f"{len(vecs)} {source} relation vectors on side {kg.side.value}, but relation "
+            f"{missing.min()} has triples"
+        )
+    return np.concatenate([vecs, np.zeros((kg.n_relations - len(vecs), vecs.shape[1]))])
 
 
 def mine_relation_alignment(
@@ -772,7 +728,7 @@ def one_to_one(state: AlignmentState, analyzer: PairAnalyzer) -> set[int]:
         else:
             scored.append((t, claimants))
     keys = [(s, t) for t, claimants in scored for s in claimants]
-    confidence = {key: adg.confidence for key, adg in zip(keys, analyzer.adgs(keys))}
+    confidence = dict(zip(keys, analyzer.adgs(keys)))
     for t, claimants in scored:
         winners[t] = max(claimants, key=lambda s: (confidence[(s, t)], -s))
     displaced = set()
@@ -832,7 +788,7 @@ def resolve_one_to_many(
 
     def better(e1: int, e2: int, score: float, incumbent: int) -> bool:
         challenger, held = analyzer.adgs([(e1, e2), (incumbent, e2)])
-        return challenger.confidence > held.confidence
+        return challenger > held
 
     while len(queue) > 0:
         last_len = len(queue)
@@ -900,9 +856,9 @@ def _candidate_targets(
         while end < len(nearest) and 1.0 + weighted[end] >= floor:
             end += 1
         window = range(built, end)
-        for i, adg in zip(window, analyzer.adgs((e1, nearest[i]) for i in window)):
-            if adg.confidence >= beta:
-                heapq.heappush(kept, (-(adg.confidence + weighted[i]), nearest[i]))
+        for i, conf in zip(window, analyzer.adgs((e1, nearest[i]) for i in window)):
+            if conf >= beta:
+                heapq.heappush(kept, (-(conf + weighted[i]), nearest[i]))
         built = end
 
 
@@ -918,7 +874,7 @@ def _outscores(
         return True
     if e1_score <= 0.5 + weighted:
         return False
-    return e1_score > analyzer.confidence(incumbent, e2) + weighted
+    return e1_score > analyzer.adg(incumbent, e2) + weighted
 
 
 def resolve_low_confidence(
@@ -951,7 +907,7 @@ def resolve_low_confidence(
         pairs = [(s, t) for s, t, prov in state.pairs() if prov != SEED]
         # a flagged pair is stripped unscored
         keys = [(s, t) for s, t in pairs if s not in flags]
-        confidence = {key: adg.confidence for key, adg in zip(keys, analyzer.adgs(keys))}
+        confidence = dict(zip(keys, analyzer.adgs(keys)))
         low = [s for s, t in pairs if s in flags or confidence[(s, t)] < beta]
         for s in low:
             state.unalign(s)
@@ -1124,8 +1080,7 @@ def repair(
 
     final = state.pairs()
     final_pairs = tuple((s, t) for s, t, _ in final)
-    after = [adg.confidence for adg in analyzer.adgs(final_pairs)]
-    confidence_after = _confidence_snapshot(final, after)
+    confidence_after = _confidence_snapshot(final, analyzer.adgs(final_pairs))
 
     report = RepairReport(
         stages_enabled={

@@ -263,8 +263,8 @@ class TestConfidenceBounds:
         )
         state = AlignmentState(res.seeds, [], n_sources=40, n_targets=40)
         analyzer = PairAnalyzer(res.kg1, res.kg2, store, state, RepairConfig(h=2, adg=cfg))
-        for adg in analyzer.adgs(keys):
-            assert 0.5 <= adg.confidence <= 1.0
+        for confidence in analyzer.adgs(keys):
+            assert 0.5 <= confidence <= 1.0
 
     def test_saturation(self):
         assert sigmoid(0.0) == 0.5
@@ -334,16 +334,16 @@ class TestBuildAdg:
         state = AlignmentState(c["seeds"], [(0, 0)], n_sources=c["kg1"].n_entities,
                                n_targets=c["kg2"].n_entities)
         analyzer = PairAnalyzer(c["kg1"], c["kg2"], c["store"], state, RepairConfig(h=2))
-        assert len(analyzer.adg(0, 0).explanation.matched_neighbor_pairs) == 2
+        assert len(next(analyzer.graphs([(0, 0)])).explanation.matched_neighbor_pairs) == 2
         analyzer.ban([(1, 1)])
-        pruned = analyzer.adg(0, 0).graph()
+        pruned = next(analyzer.graphs([(0, 0)]))
         assert pruned.explanation.matched_neighbor_pairs == [(2, 2)]
         assert len(pruned.edge_neighbor) == 1
         assert pruned.c_s == pytest.approx(0.937 * 0.757, abs=1e-5)
         assert pruned.confidence == pytest.approx(sigmoid(pruned.c_s))
         # banning every neighbor leaves the floor
         analyzer.ban([(2, 2)])
-        assert analyzer.adg(0, 0).confidence == pytest.approx(0.5)
+        assert analyzer.adg(0, 0) == pytest.approx(0.5)
 
     def test_confidence_function_matches_stored_value(self, governor_case):
         c = governor_case
@@ -529,8 +529,8 @@ class TestAdgFromTablesIsExact:
         state = AlignmentState(res.seeds, raw, n_sources=200, n_targets=200)
         analyzer = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, RepairConfig())
         seen = set()
-        for s, t, _ in state.pairs():
-            expl = analyzer.adg(s, t).explanation
+        for graph in analyzer.graphs([(s, t) for s, t, _ in state.pairs()]):
+            expl = graph.explanation
             for cfg in (AdgConfig(), AdgConfig(alpha=0.3, weak_weight=0.2, theta=2.0, gamma=2.0)):
                 [adg] = build_adg([expl], res.perturbed_store, cfg)
                 edges = assert_equals_reference(adg, res.kg1, res.kg2, res.perturbed_store, cfg)

@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import exea.cli
@@ -1014,6 +1015,91 @@ class TestZeroVectorNeighbor:
         assert "cosine is undefined for a zero vector" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def synth60(tmp_path_factory):
+    """An ``exea synth --n-entities 60`` fixture (8 relations a side, each
+    with triples) and its raw predictions."""
+    out = tmp_path_factory.mktemp("synth60")
+    assert main(["synth", "--out", str(out), "--n-entities", "60",
+                 "--conflict-injection", "0.2", "--rng-seed", "1"]) == 0
+    assert main(["infer", "--kg1", str(out / "triples_1"), "--kg2", str(out / "triples_2"),
+                 "--emb", str(out / "embeddings.tsv"), "--seeds", str(out / "train_links"),
+                 "--out", str(out / "raw.tsv")]) == 0
+    return out
+
+
+def relation_rows(n_source, n_target, dim_source, dim_target=None):
+    """Random relation vectors per side whose target rows past the first 8
+    copy source rows, so that each of those rows is a source row's mutual
+    best match."""
+    rng = np.random.default_rng(7)
+    source = rng.normal(size=(n_source, dim_source))
+    target = rng.normal(size=(n_target, dim_target or dim_source))
+    if n_target > 8:
+        target[8:] = source[: n_target - 8]
+    return source, target
+
+
+class TestRelationVectorsFitTheGraphs:
+    """``exea repair`` reads exactly the graphs' relations from the chosen
+    relation-vector source on an n=60 fixture with 8 relations a side. Rows
+    past the graph's relations are ignored, as entity rows past its entities
+    are, so the run writes what the same file cut to 8 rows gives. Name
+    vectors of two dimensions, or a relation with triples but no row, end
+    in a data error: exit 2, no traceback, no output."""
+
+    def repair(self, data, tmp_path, name, source, kinds, rows):
+        text = (data / "embeddings.tsv").read_text(encoding="utf-8")
+        for kind, mat in zip(kinds, rows):
+            text += f"exea-emb v1 {kind} {len(mat)} {mat.shape[1]}\n"
+            text += "".join(f"{i}\t" + " ".join(map(repr, row.tolist())) + "\n"
+                            for i, row in enumerate(mat))
+        emb = tmp_path / f"{name}.tsv"
+        emb.write_text(text, encoding="utf-8")
+        out = tmp_path / name
+        rc = main([
+            "repair", "--kg1", str(data / "triples_1"), "--kg2", str(data / "triples_2"),
+            "--emb", str(emb), "--seeds", str(data / "train_links"),
+            "--pred", str(data / "raw.tsv"), "--relation-vector-source", source,
+            "--out", str(out / "aligned.tsv"), "--report", str(out / "report.json"),
+        ])
+        return rc, out
+
+    @pytest.mark.parametrize("source, kinds", [
+        ("native", ("source-rel", "target-rel")),
+        ("name", ("source-rel-name", "target-rel-name")),
+    ])
+    def test_rows_past_the_relations_are_ignored(self, synth60, tmp_path, capsys, source, kinds):
+        dim = load_embeddings(synth60 / "embeddings.tsv").dim
+        rows = relation_rows(12, 12, dim)
+        rc, wide = self.repair(synth60, tmp_path, "wide", source, kinds, rows)
+        err = capsys.readouterr().err
+        assert rc == 0, err
+        assert "Traceback" not in err
+        rc, cut = self.repair(synth60, tmp_path, "cut", source, kinds, [m[:8] for m in rows])
+        assert rc == 0
+        for name in ("aligned.tsv", "report.json"):
+            assert (wide / name).read_bytes() == (cut / name).read_bytes()
+        # the copied rows would have matched relations 8 to 11 of the target
+        report = json.loads((wide / "report.json").read_text())
+        assert report["relation_alignment"]
+        assert all(p["target"] < 8 for p in report["relation_alignment"])
+
+    @pytest.mark.parametrize("rows, message", [
+        pytest.param(relation_rows(8, 8, 4, 5), "relation-name vectors differ in dimension",
+                     id="name-dims-4-and-5"),
+        pytest.param(relation_rows(3, 3, 4), "but relation 3 has triples", id="name-3-rows"),
+    ])
+    def test_exits_2(self, synth60, tmp_path, capsys, rows, message):
+        rc, out = self.repair(synth60, tmp_path, "bad", "name",
+                              ("source-rel-name", "target-rel-name"), rows)
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert "data error" in err and message in err
+        assert "Traceback" not in err
+        assert not (out / "aligned.tsv").exists()
 
 
 class TestBadTunables:

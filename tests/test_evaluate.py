@@ -281,6 +281,11 @@ class TestAblation:
                 stages=["full", "no_cr9"],
             )
 
+    def test_empty_stage_list_rejected(self, ablation_fixture):
+        res, raw = ablation_fixture
+        with pytest.raises(ConfigError, match="at least one stage"):
+            ablation(res.kg1, res.kg2, res.perturbed_store, raw, res.seeds, res.gold, stages=[])
+
     def test_config_snapshot_round_trips(self, ablation_fixture):
         res, raw = ablation_fixture
         report = ablation(

@@ -599,7 +599,9 @@ class TestNeighborhoodIsTableEndpoints:
                     expected = matched_neighbors((e1, e2), kg1, kg2, alignments, h)
                     expl = explanation((e1, e2), kg1, kg2, store, alignments, h)
                     assert expl.matched_neighbor_pairs == expected
-                    assert analyzer.neighbor_pairs(e1, e2) == expected
+                    [got] = neighbor_lists(analyzer.index1, analyzer.index2, state.forward,
+                                           [(e1, e2)])
+                    assert unpacked(got, 9) == expected
                     found += len(expected)
         assert found > 0
 

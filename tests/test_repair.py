@@ -24,7 +24,7 @@ from exea.embedding import (
     similarity_topk,
 )
 from exea.errors import ConfigError, InvariantViolation, NoRelationVectors
-from exea.explain import Explanation, _ranges
+from exea.explain import Explanation, _ranges, neighbor_lists
 from exea.kg import Kg, Side, neighborhood_entities
 from exea.repair import (
     REPAIRED,
@@ -628,7 +628,7 @@ class TestCrossKgTriples:
 
     def test_hand_enumerated_swap_set(self):
         tables, analyzer = self.build()
-        got = self.cross(tables, analyzer.adg(1, 1).graph())
+        got = self.cross(tables, next(analyzer.graphs([(1, 1)])))
         assert set(got) == cross_keys(self.expected_variants())
         assert len(got) == len(self.expected_variants())
         # (Donald Trump, successor, Joe Biden)
@@ -639,13 +639,13 @@ class TestCrossKgTriples:
         state = AlignmentState([], raw, n_sources=kg1.n_entities, n_targets=kg2.n_entities)
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
         ra = mine_relation_alignment(store, kg1, kg2, "native")
-        adg = analyzer.adg(1, 1).graph()
+        adg = next(analyzer.graphs([(1, 1)]))
         assert len(adg.edge_neighbor) == 0
         assert self.cross(ConflictTables(kg1, kg2, state, ra), adg) == []
 
     def test_budget_zero_and_budget_cap(self):
         tables, analyzer = self.build()
-        adg = analyzer.adg(1, 1).graph()
+        adg = next(analyzer.graphs([(1, 1)]))
         assert self.cross(tables, adg, budget=0) == []
         # budget 1 consults only Joe Biden's single source-side triple
         capped = self.cross(tables, adg, budget=1)
@@ -661,7 +661,7 @@ class TestCrossKgTriples:
 
     def test_deterministic_order(self):
         tables, analyzer = self.build()
-        adg = analyzer.adg(1, 1).graph()
+        adg = next(analyzer.graphs([(1, 1)]))
         a = cross_kg_triples([adg], tables)
         b = cross_kg_triples([adg, adg], tables)
         assert a.tolist() == b[b[:, 0] == 0].tolist()
@@ -676,7 +676,7 @@ class TestRelationConflictDetection:
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
         tables = ConflictTables(kg1, kg2, state, mine_relation_alignment(store, kg1, kg2, "native"))
         rules = mine_not_same_as_rules(kg1) + mine_not_same_as_rules(kg2)
-        found = detect_relation_conflicts([analyzer.adg(1, 1).graph()], rules, tables, cfg)
+        found = detect_relation_conflicts([next(analyzer.graphs([(1, 1)]))], rules, tables, cfg)
         assert found.flagged_pairs == [(1, 1)]
         assert (1, 1) in found.derived_pairs
         assert found.pruned_neighbor_pairs == []
@@ -686,7 +686,7 @@ class TestRelationConflictDetection:
         state = AlignmentState(seeds, raw, n_sources=kg1.n_entities, n_targets=kg2.n_entities)
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
         tables = ConflictTables(kg1, kg2, state, mine_relation_alignment(store, kg1, kg2, "native"))
-        adg = analyzer.adg(1, 1).graph()
+        adg = next(analyzer.graphs([(1, 1)]))
         found = detect_relation_conflicts([adg], [], tables, cfg)
         assert found.derived_pairs == []
         assert found.pruned_neighbor_pairs == []
@@ -696,11 +696,11 @@ class TestRelationConflictDetection:
         kg1, kg2, store, seeds, raw, cfg = presidents_case()
         state = AlignmentState(seeds, raw, n_sources=kg1.n_entities, n_targets=kg2.n_entities)
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
-        assert analyzer.adg(1, 1).confidence == pytest.approx(sigmoid(1.0))
+        assert analyzer.adg(1, 1) == pytest.approx(sigmoid(1.0))
         # a contradicted neighbor pair is banned: it leaves the graph and the
         # confidence is recomputed without it
         analyzer.ban([(0, 0)])
-        repaired = analyzer.adg(1, 1).graph()
+        repaired = next(analyzer.graphs([(1, 1)]))
         assert repaired.explanation.matched_neighbor_pairs == []
         assert len(repaired.edge_neighbor) == 0
         assert repaired.confidence == pytest.approx(sigmoid(0.0))
@@ -948,6 +948,15 @@ class TestConflictChunks:
         assert report.derived_not_same_as and report.pruned_neighbor_pairs and report.flagged_sources
 
 
+def analyzer_neighbors(analyzer, keys):
+    """The (n, t) matched neighbors the analyzer reads for each key under
+    its state and banned pairs, through the one gather it reads them with."""
+    lists = neighbor_lists(
+        analyzer.index1, analyzer.index2, analyzer.state.forward, keys, analyzer._banned
+    )
+    return [unpacked(packed, analyzer.kg2.n_entities) for packed in lists]
+
+
 class TestPairAnalyzer:
     def build(self):
         spokes1 = [50, 15]
@@ -959,19 +968,19 @@ class TestPairAnalyzer:
 
     def test_confidence_tracks_state_mutations(self):
         state, analyzer = self.build()
-        with_neighbor = analyzer.confidence(1, 1)
+        with_neighbor = analyzer.adg(1, 1)
         assert with_neighbor == pytest.approx(sigmoid(1.0))
         state.unalign(0)
-        assert analyzer.confidence(1, 1) == pytest.approx(sigmoid(0.0))
+        assert analyzer.adg(1, 1) == pytest.approx(sigmoid(0.0))
         state.align(0, 0, "repaired")
-        assert analyzer.confidence(1, 1) == pytest.approx(with_neighbor)
+        assert analyzer.adg(1, 1) == pytest.approx(with_neighbor)
 
     def test_banned_pairs_leave_matched_neighborhoods(self):
         state, analyzer = self.build()
-        assert analyzer.confidence(1, 1) == pytest.approx(sigmoid(1.0))
+        assert analyzer.adg(1, 1) == pytest.approx(sigmoid(1.0))
         analyzer.ban([(0, 0)])
-        assert analyzer.neighbor_pairs(1, 1) == []
-        assert analyzer.confidence(1, 1) == pytest.approx(sigmoid(0.0))
+        assert analyzer_neighbors(analyzer, [(1, 1)]) == [[]]
+        assert analyzer.adg(1, 1) == pytest.approx(sigmoid(0.0))
 
     def test_cached_graph_lives_as_long_as_its_neighbor_list(self):
         """A cache entry, the packed matched-neighbor keys and the confidence
@@ -980,36 +989,40 @@ class TestPairAnalyzer:
         state, analyzer = self.build()
         first = analyzer.adg(1, 1)
         entry = analyzer._cache[(1, 1)]
-        assert first.explanation.matched_neighbor_pairs == [(0, 0)]
+        assert analyzer_neighbors(analyzer, [(1, 1)]) == [[(0, 0)]]
         # the neighbor pair (0, 0) packs to 0 * 3 + 0
-        assert entry[0].tolist() == [0] and entry[1] == first.confidence
+        assert entry[0].tolist() == [0] and entry[1] == first
         # source 2 lies within h hops of source 1, but its target 1 is the
         # center of the target side, so the matched-neighbor list of (1, 1) stays the same
         state.align(2, 1, REPAIRED)
         assert analyzer.adg(1, 1) == first
         assert analyzer._cache[(1, 1)] is entry
         state.unalign(2)
-        assert analyzer.adg(1, 1).confidence == first.confidence
+        assert analyzer.adg(1, 1) == first
         assert analyzer._cache[(1, 1)] is entry
 
         def cold():
             fresh = PairAnalyzer(analyzer.kg1, analyzer.kg2, analyzer.store, state, analyzer.cfg)
             fresh.ban(analyzer.banned_pairs)
-            return fresh.adg(1, 1)
+            return next(fresh.graphs([(1, 1)]))
 
         state.align(2, 2, REPAIRED)
         grown = analyzer.adg(1, 1)
         assert analyzer._cache[(1, 1)] is not entry
-        assert grown.explanation.matched_neighbor_pairs == [(0, 0), (2, 2)]
-        assert grown == cold()
+        assert grown == cold().confidence
+        graph = next(analyzer.graphs([(1, 1)]))
+        assert graph.explanation.matched_neighbor_pairs == [(0, 0), (2, 2)]
+        assert graph == cold()
         entry = analyzer._cache[(1, 1)]
         analyzer.ban([(0, 0)])
         banned = analyzer.adg(1, 1)
         assert analyzer._cache[(1, 1)] is not entry
-        assert banned.explanation.matched_neighbor_pairs == [(2, 2)]
-        assert banned == cold()
+        assert banned == cold().confidence
+        graph = next(analyzer.graphs([(1, 1)]))
+        assert graph.explanation.matched_neighbor_pairs == [(2, 2)]
+        assert graph == cold()
         entry = analyzer._cache[(1, 1)]
-        assert analyzer.adg(1, 1).confidence == banned.confidence
+        assert analyzer.adg(1, 1) == banned
         assert analyzer._cache[(1, 1)] is entry
         assert all(
             type(keys) is np.ndarray and type(conf) is float
@@ -1055,7 +1068,7 @@ class TestAnalyzerCacheAgainstColdRebuild:
                 state.unalign(s)
             elif op == "ban":
                 warm.ban([(s, t)])
-            warm.confidence(s, t)
+            warm.adg(s, t)
         cold = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
         cold.ban(warm.banned_pairs)
         forward = {s: t for s, t, _ in state.pairs()}
@@ -1067,9 +1080,11 @@ class TestAnalyzerCacheAgainstColdRebuild:
                 if forward.get(a) in hood2 and (a, forward[a]) != (s, t)
                 and (a, forward[a]) not in warm.banned_pairs
             ]
-            assert warm.neighbor_pairs(s, t) == expected
-            assert warm.confidence(s, t) == cold.confidence(s, t)
+            assert analyzer_neighbors(warm, [(s, t)]) == [expected]
             assert warm.adg(s, t) == cold.adg(s, t)
+            assert unpacked(warm._cache[(s, t)][0], 30) == expected
+        # the warm lookups above are done; a graph read refreshes the cache
+        assert list(warm.graphs(probes)) == list(cold.graphs(probes))
 
 
 class TestConfidenceCacheIsExact:
@@ -1100,9 +1115,9 @@ class TestConfidenceCacheIsExact:
             cold.ban(warm.banned_pairs)
             alignments = {a: b for a, b, _ in state.pairs()}
             for key, lookup, graph in zip(keys, got, cold.graphs(keys)):
-                assert lookup.confidence == graph.confidence
+                assert lookup == graph.confidence
                 packed, confidence = warm._cache[key]
-                assert confidence == lookup.confidence
+                assert confidence == lookup
                 walk = matched_neighbors(key, res.kg1, res.kg2, alignments, cfg.h)
                 assert unpacked(packed, 30) == [p for p in walk if p not in warm.banned_pairs]
 
@@ -1126,7 +1141,7 @@ def aligned_neighbors(analyzer, s):
 
 class TestBatchedLookupIsExact:
     """``PairAnalyzer.adgs(keys)`` returns what one ``adg`` lookup per key
-    returns, equal to a cold analyzer's graphs, and computes exactly the
+    returns, equal to a cold analyzer's lookups, and computes exactly the
     confidences those lookups compute: over duplicate keys, keys without a
     matched neighbor, banned pairs and entries that alignment mutations made
     stale. A repair does not depend on where the matcher's or the
@@ -1186,9 +1201,7 @@ class TestBatchedLookupIsExact:
             # (graphs built for the comparisons below call the core too)
             assert (cores[id(single.index1)] - single_calls
                     == builds[id(single.index1)] - single_built)
-            for a, b in zip(got, expected):
-                assert (a.pair, a.confidence) == (b.pair, b.confidence)
-                assert np.array_equal(a.neighbor_keys, b.neighbor_keys)
+            assert len(got) == len(expected) == len(keys)
             # the cache is left as the lookups leave it, and holds no graph
             for key in keys:
                 (got_keys, got_conf), (ref_keys, ref_conf) = batched._cache[key], single._cache[key]
@@ -1198,7 +1211,7 @@ class TestBatchedLookupIsExact:
             cold = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
             cold.ban(batched.banned_pairs)
             assert got == [cold.adg(s, t) for s, t in keys]
-            empty += sum(not a.neighbor_keys.size for a in got)
+            empty += sum(not batched._cache[key][0].size for key in keys)
             stale += sum(old is not None and old is not new for old, new in zip(before, after))
             banned += sum(
                 p in batched.banned_pairs for key in keys for p in aligned_neighbors(single, key[0])
@@ -1209,10 +1222,11 @@ class TestBatchedLookupIsExact:
                     state.unalign(s)
             for s in sorted(state.unaligned_sources)[::3]:
                 state.align(s, int(rng.integers(0, 60)), REPAIRED)
-            matched = sorted({p for key in keys for p in batched.neighbor_pairs(*key)})
+            matched = sorted({p for pairs in analyzer_neighbors(batched, keys) for p in pairs})
             ban = [matched[int(i)] for i in rng.integers(0, len(matched), size=3)]
             hollow.append(keys[int(rng.integers(0, len(keys)))])
-            ban += batched.neighbor_pairs(*hollow[-1])
+            [hollow_neighbors] = analyzer_neighbors(batched, hollow[-1:])
+            ban += hollow_neighbors
             batched.ban(ban)
             single.ban(ban)
         assert empty > 0 and stale > 0 and banned > 0
@@ -1226,19 +1240,27 @@ class TestBatchedLookupIsExact:
         analyzer = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, RepairConfig())
         keys = [(s, t) for s, t, _ in state.pairs()]
         keys += keys[:10]
-        cold = [graph.confidence for graph in analyzer.adgs(keys)]
+        cold = analyzer.adgs(keys)
         compared = [0]
         array_equal = np.array_equal
+        handed = []
+        lookup = analyzer.adg
 
         def counted(*args):
             compared[0] += 1
             return array_equal(*args)
 
+        def recorded(s, t, neighbors=None):
+            handed.append(((s, t), neighbors))
+            return lookup(s, t, neighbors)
+
         monkeypatch.setattr(np, "array_equal", counted)
+        monkeypatch.setattr(analyzer, "adg", recorded)
         warm = analyzer.adgs(keys)
         assert compared[0] == len(set(keys))
-        assert [graph.confidence for graph in warm] == cold
-        assert all(graph.neighbor_keys is analyzer._cache[graph.pair][0] for graph in warm)
+        assert warm == cold
+        assert [key for key, _ in handed] == keys
+        assert all(neighbors is analyzer._cache[key][0] for key, neighbors in handed)
 
     def test_pass_budget_changes_nothing(self, monkeypatch):
         explain_module = importlib.import_module("exea.explain")
@@ -1321,7 +1343,7 @@ class TestOneToOne:
 
     def test_tie_goes_to_lower_source_index(self):
         state, analyzer, topk = self.build_town([(1, 1), (2, 1)])
-        assert analyzer.confidence(1, 1) == pytest.approx(analyzer.confidence(2, 1))
+        assert analyzer.adg(1, 1) == pytest.approx(analyzer.adg(2, 1))
         displaced = one_to_one(state, analyzer)
         assert displaced == {2}
         assert state.target_of(1) == 1
@@ -1358,7 +1380,7 @@ class TestResolveOneToMany:
         # displaced source 2 evicts the weaker incumbent 3 from target 2; the
         # queue size stays at one, so the loop stops and 3 is reported
         state, analyzer, topk = self.build_town([(1, 1), (2, 1), (3, 2)])
-        assert analyzer.confidence(2, 2) > analyzer.confidence(3, 2)
+        assert analyzer.adg(2, 2) > analyzer.adg(3, 2)
         leftover, stats = resolve_one_to_many(state, analyzer, topk, 3)
         assert stats["evictions"] == 1
         assert leftover == {3}
@@ -1388,7 +1410,7 @@ class TestResolveLowConfidence:
         state, analyzer, cfg, flags = self.build_star(
             [50, 15], [53.13, 36.87], [(1, 1), (2, 2)]
         )
-        assert analyzer.confidence(1, 1) == pytest.approx(sigmoid(1.0))
+        assert analyzer.adg(1, 1) == pytest.approx(sigmoid(1.0))
         leftover, stats = resolve_low_confidence(state, analyzer, cfg, set(), flags)
         assert stats["stripped"] == 0
         assert leftover == set()
@@ -1415,7 +1437,7 @@ class TestResolveLowConfidence:
         state = AlignmentState([(0, 0)], [(1, 1), (2, 3)], n_sources=3, n_targets=5)
         cfg = RepairConfig()
         analyzer = PairAnalyzer(kg1, kg2, store, state, cfg)
-        assert analyzer.confidence(2, 3) < cfg.effective_beta()
+        assert analyzer.adg(2, 3) < cfg.effective_beta()
         leftover, stats = resolve_low_confidence(state, analyzer, cfg, set(), set())
         assert stats["stripped"] == 1
         assert state.target_of(2) == 2
@@ -1446,7 +1468,7 @@ class TestResolveLowConfidence:
         sims = pair_cosines(
             analyzer.store, Side.SOURCE, [s for s, _ in pairs], Side.TARGET, [t for _, t in pairs]
         )
-        score = {(s, t): analyzer.confidence(s, t) + sim for (s, t), sim in zip(pairs, sims)}
+        score = {(s, t): analyzer.adg(s, t) + sim for (s, t), sim in zip(pairs, sims)}
         best = max(
             itertools.permutations((1, 2, 3)),
             key=lambda perm: sum(score[(s, t)] for s, t in zip((1, 2, 3), perm)),
@@ -1478,7 +1500,7 @@ def reference_resolve_one_to_many(state, analyzer, topk, k):
                 incumbent = holders[0]
                 if state.is_seed_pair(incumbent, e2):
                     continue
-                if analyzer.confidence(e1, e2) > analyzer.confidence(incumbent, e2):
+                if analyzer.adg(e1, e2) > analyzer.adg(incumbent, e2):
                     state.unalign(incumbent)
                     state.align(e1, e2, REPAIRED)
                     fresh.add(incumbent)
@@ -1521,7 +1543,7 @@ def reference_candidate_targets(e1, state, analyzer, beta, cap):
     targets = sorted(raw)
     sims = pair_cosines(analyzer.store, Side.SOURCE, [e1] * len(targets), Side.TARGET, targets)
     ranked = sorted(zip(targets, sims.tolist()), key=lambda ts: (-ts[1], ts[0]))[:cap]
-    return [t for t, _ in ranked if analyzer.confidence(e1, t) >= beta]
+    return [t for t, _ in ranked if analyzer.adg(e1, t) >= beta]
 
 
 def reference_resolve_low_confidence(state, analyzer, cfg, unaligned, flagged, rescored):
@@ -1539,7 +1561,7 @@ def reference_resolve_low_confidence(state, analyzer, cfg, unaligned, flagged, r
         for s, t, prov in state.pairs():
             if prov == SEED:
                 continue
-            if s in flags or analyzer.confidence(s, t) < beta:
+            if s in flags or analyzer.adg(s, t) < beta:
                 low.append(s)
         for s in low:
             state.unalign(s)
@@ -1557,7 +1579,7 @@ def reference_resolve_low_confidence(state, analyzer, cfg, unaligned, flagged, r
             scored = sorted(
                 (
                     (
-                        analyzer.confidence(e1, t)
+                        analyzer.adg(e1, t)
                         + cfg.score_lambda * reference_similarity(analyzer.store, e1, t),
                         -t,
                     )
@@ -1576,7 +1598,7 @@ def reference_resolve_low_confidence(state, analyzer, cfg, unaligned, flagged, r
                 incumbent = holders[0]
                 if state.is_seed_pair(incumbent, e2):
                     continue
-                incumbent_score = analyzer.confidence(incumbent, e2) + (
+                incumbent_score = analyzer.adg(incumbent, e2) + (
                     cfg.score_lambda * reference_similarity(analyzer.store, incumbent, e2)
                 )
                 if score > incumbent_score:
@@ -1686,8 +1708,7 @@ def reference_ranked_candidates(e1, state, analyzer, beta, cfg):
     by (-score, target), uncut."""
     nearest = nearest_candidates(e1, state, analyzer, cfg.candidate_cap)
     scored = []
-    for (t, sim), adg in zip(nearest, analyzer.adgs((e1, t) for t, _ in nearest)):
-        conf = adg.confidence
+    for (t, sim), conf in zip(nearest, analyzer.adgs((e1, t) for t, _ in nearest)):
         if conf >= beta:
             scored.append((t, conf + cfg.score_lambda * sim))
     return sorted(scored, key=lambda ts: (-ts[1], ts[0]))
@@ -1773,7 +1794,7 @@ class TestRankingBounds:
         confidence = {}
 
         def adgs(keys):
-            return [SimpleNamespace(confidence=confidence.get(t, 0.5)) for _, t in keys]
+            return [confidence.get(t, 0.5) for _, t in keys]
 
         monkeypatch.setattr(self.analyzer, "adgs", adgs)
         ties = 0
@@ -1819,7 +1840,7 @@ class TestRankingBounds:
             cfg = RepairConfig(score_lambda=score_lambda)
             for incumbent, e2 in keys:
                 w = score_lambda * reference_similarity(self.analyzer.store, incumbent, e2)
-                held = adg(incumbent, e2).confidence + w
+                held = adg(incumbent, e2) + w
                 for edge in (0.5 + w, held, 1.0 + w):
                     below, above = math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)
                     for score in (below, edge, above):
@@ -2034,8 +2055,8 @@ class TestRepairPipeline:
 
 
 class TestCachedExplanations:
-    """repair() hands out the explanations and graphs its analyzer cached;
-    each must equal a cold rebuild over the final state."""
+    """The graphs ``RepairResult.adgs`` builds for the final pairs, and
+    their explanations, equal a cold analyzer's over the final state."""
 
     @pytest.mark.parametrize("rng_seed", [1, 2, 3])
     def test_cached_equals_cold_rebuild(self, rng_seed):
@@ -2048,13 +2069,13 @@ class TestCachedExplanations:
         cold = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, out.state, cfg)
         cold.ban(tuple(p) for p in out.report.derived_not_same_as)
         assert len(out.pairs) == 200
-        for s, t in out.pairs:
-            cached, fresh = out.adgs[(s, t)].explanation, cold.adg(s, t).explanation
+        for (s, t), graph in zip(out.pairs, cold.graphs(out.pairs)):
+            cached, fresh = out.adgs[(s, t)].explanation, graph.explanation
             assert cached.path_matches() == fresh.path_matches()
             assert cached.triple_keys == fresh.triple_keys
             assert cached == fresh
-            assert out.adgs[(s, t)].confidence == cold.adg(s, t).confidence
-            assert out.adgs[(s, t)] == cold.adg(s, t)
+            assert out.adgs[(s, t)].confidence == cold.adg(s, t)
+            assert out.adgs[(s, t)] == graph
 
 
 class TestRepairKeepsNoGraphs:
