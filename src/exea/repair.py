@@ -23,7 +23,10 @@ The stages compare confidences, which ``PairAnalyzer`` looks up as plain
 numbers and caches per pair. Full dependency graphs are built only where
 their structure is read: one pass over the initial pairs (the first
 confidence snapshot and the relation-conflict stage) and
-``RepairResult.adgs``.
+``RepairResult.adgs``. A one-to-many walk reads every comparison it may make
+when it starts, since the alignment stays fixed until the walk aligns; a
+challenger without matched neighbors scores 0.5, the least a confidence
+can, and loses unread.
 
 The relation-conflict stage runs as array passes over chunks of dependency
 graphs. ``ConflictTables``, built once per stage (which reads the alignment
@@ -186,6 +189,18 @@ class AlignmentState:
         # -1 marks an unaligned source, not a target
         return tuple(np.flatnonzero(self.forward == t).tolist()) if t >= 0 else ()
 
+    def holders(self, targets: Sequence[int]) -> list[int]:
+        """The lowest source aligned to each of ``targets``, -1 for none:
+        ``sources_of(t)[0]`` for a few targets in one pass over ``forward``."""
+        # one slot per target, and a last one that -1 (no target) reads
+        wanted = np.zeros(self.n_targets + 1, dtype=bool)
+        wanted[list(targets)] = True
+        sources = np.flatnonzero(wanted[self.forward])
+        first: dict[int, int] = {}
+        for s, t in zip(sources.tolist(), self.forward[sources].tolist()):
+            first.setdefault(t, s)
+        return [first.get(t, -1) for t in targets]
+
     def pairs(self) -> list[tuple[int, int, str]]:
         sources = np.flatnonzero(self.forward >= 0).tolist()
         return [(s, t, self.provenance[s]) for s, t in zip(sources, self.forward[sources].tolist())]
@@ -256,10 +271,11 @@ class PairAnalyzer:
 
     ``adg(s, t)`` is the one per-key lookup and returns the confidence; it
     keeps its name because the benchmark's trace counts lookups by it.
-    ``adgs(keys)`` computes a read's stale confidences in shared passes of
-    at most ``adg._PASS_NODES`` nodes (``adg.confidences``), then looks
-    every key up through ``adg``, so a batched read makes the lookups and
-    computes the confidences that one lookup per key would. ``graphs(keys)``
+    ``adgs(keys)`` has ``refresh`` compute a read's stale confidences in
+    shared passes of at most ``adg._PASS_NODES`` nodes (``adg.confidences``),
+    then looks every key up through ``adg``, so a batched read makes the
+    lookups and computes the confidences that one lookup per key would;
+    one-to-many's walk refreshes first and looks up later. ``graphs(keys)``
     builds full graphs in the same passes for the two readers of their
     structure, the first pass over the initial pairs and
     ``RepairResult.adgs``, and caches and looks up each key's confidence as
@@ -318,17 +334,27 @@ class PairAnalyzer:
         confidence computed in shared passes."""
         keys = [(int(s), int(t)) for s, t in keys]
         distinct = list(dict.fromkeys(keys))
-        neighbors = dict(zip(distinct, self._neighbor_lists(distinct)))
+        held = dict(zip(distinct, self.refresh(distinct, self._neighbor_lists(distinct))))
+        return [self.adg(s, t, held[s, t]) for s, t in keys]
+
+    def refresh(
+        self, keys: Sequence[tuple[int, int]], lists: Sequence[np.ndarray]
+    ) -> list[np.ndarray]:
+        """Cache the confidence of each of the distinct ``keys`` whose
+        current packed matched-neighbor keys ``lists`` differ from the
+        cached ones, computed in shared passes, without counting a lookup.
+        Returns the array the cache holds for each key, which ``adg``
+        accepts by identity while the state and the banned pairs stay."""
         stale = [
-            key for key in distinct
-            if (got := self._cache.get(key)) is None or not np.array_equal(got[0], neighbors[key])
+            i for i, key in enumerate(keys)
+            if (got := self._cache.get(key)) is None or not np.array_equal(got[0], lists[i])
         ]
-        lists = [neighbors[key] for key in stale]
-        for batch, expls in self._passes(stale, lists):
+        stale_keys, stale_lists = [keys[i] for i in stale], [lists[i] for i in stale]
+        for batch, expls in self._passes(stale_keys, stale_lists):
             for i, conf in zip(batch, confidences(expls, self.store, self.cfg.adg)):
                 # a copy, so that the entry does not hold the whole read's gather
-                self._cache[stale[i]] = (lists[i].copy(), conf)
-        return [self.adg(s, t, self._cache[s, t][0]) for s, t in keys]
+                self._cache[stale_keys[i]] = (stale_lists[i].copy(), conf)
+        return [self._cache[key][0] for key in keys]
 
     def graphs(self, keys: Sequence[tuple[int, int]]) -> Iterator[Adg]:
         """The dependency graph of each key under the current state, in
@@ -778,17 +804,49 @@ def resolve_one_to_many(
 ) -> tuple[set[int], dict]:
     """Realign displaced sources through their top-k targets, evicting
     incumbents of strictly lower confidence. Returns the sources still
-    unaligned and loop statistics."""
+    unaligned and loop statistics.
+
+    The alignment does not move until a walk aligns, so ``ranked`` reads
+    every comparison the walk may make when it starts, in one gather and
+    shared passes, and ``better`` looks both keys up against the arrays the
+    cache then holds, which computes nothing."""
     displaced = one_to_one(state, analyzer)
     queue = displaced | state.unaligned_sources
     stats = {"initial_unaligned": len(queue), "iterations": 0, "evictions": 0}
 
+    # the walk under way's comparisons by (e1, e2): the cached neighbor
+    # arrays of the challenger and the holder, None for one settled unread
+    reads: dict[tuple[int, int], tuple[np.ndarray, np.ndarray] | None] = {}
+
     def ranked(e1: int) -> list[tuple[int, float]]:
-        return topk.candidates(e1)[:k]
+        candidates = topk.candidates(e1)[:k]
+        # the comparisons the walk may make: each target up to the first free
+        # one whose holder is not a seed
+        contests = []
+        for (e2, _), holder in zip(candidates, state.holders([e2 for e2, _ in candidates])):
+            if holder < 0:
+                break
+            if not state.is_seed_pair(holder, e2):
+                contests.append((e2, holder))
+        n = len(contests)
+        # the challengers' keys, then the holders'
+        keys = [(e1, e2) for e2, _ in contests] + [(holder, e2) for e2, holder in contests]
+        lists = analyzer._neighbor_lists(keys)
+        # a challenger without matched neighbors has confidence sigmoid(0) =
+        # 0.5, the least a confidence can be, so it beats no holder
+        read = [i for i in range(n) if lists[i].size]
+        both = read + [n + i for i in read]
+        held = analyzer.refresh([keys[i] for i in both], [lists[i] for i in both])
+        reads.clear()
+        reads.update(dict.fromkeys(keys[:n]))
+        reads.update((keys[i], (held[j], held[len(read) + j])) for j, i in enumerate(read))
+        return candidates
 
     def better(e1: int, e2: int, score: float, incumbent: int) -> bool:
-        challenger, held = analyzer.adgs([(e1, e2), (incumbent, e2)])
-        return challenger > held
+        read = reads[e1, e2]
+        if read is None:
+            return False
+        return analyzer.adg(e1, e2, read[0]) > analyzer.adg(incumbent, e2, read[1])
 
     while len(queue) > 0:
         last_len = len(queue)

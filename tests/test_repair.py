@@ -284,6 +284,7 @@ class TestAlignmentStateAgainstDictModel:
             assert [state.sources_of(x) for x in range(-1, n_t + 1)] == [
                 tuple(claims.get(x, ())) for x in range(-1, n_t + 1)
             ]
+            assert state.holders(range(n_t)) == [(claims[x] or [-1])[0] for x in range(n_t)]
             assert state.unaligned_sources == set(range(n_s)) - set(model)
             assert state.unaligned_targets == {x for x in range(n_t) if not claims[x]}
             multi = [x for x in range(n_t) if len(claims[x]) > 1]
@@ -1682,6 +1683,95 @@ class TestRematchIsExact:
         # as many graphs as the reference
         assert rescored_total > 0
         assert got_total < ref_total
+
+
+class TestOneToManyReads:
+    """One-to-many reads a walk's comparisons when the walk starts: each
+    ``better`` answer equals the comparison of two confidences a cold
+    analyzer builds on the same state and banned pairs, and a challenger
+    without matched neighbors, at exactly sigmoid(0) = 0.5, loses unread."""
+
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_every_answer_equals_a_cold_comparison(self, monkeypatch, k):
+        repair_module = importlib.import_module("exea.repair")
+        resolve, rematch = repair_module.resolve_one_to_many, repair_module._rematch
+        answers = []  # (better's answer, the cold comparison's, challenger unmatched)
+
+        def recorded_resolve(state, analyzer, topk, k):
+            cold = PairAnalyzer(analyzer.kg1, analyzer.kg2, analyzer.store, state, analyzer.cfg)
+            cold.ban(analyzer.banned_pairs)
+
+            def recorded_rematch(state, queue, ranked, better):
+                def recorded(e1, e2, score, incumbent):
+                    got = better(e1, e2, score, incumbent)
+                    cold._cache.clear()
+                    challenger, held = cold.graphs([(e1, e2), (incumbent, e2)])
+                    empty = not challenger.explanation.neighbor_keys.size
+                    answers.append((got, challenger.confidence > held.confidence, empty))
+                    return got
+
+                return rematch(state, queue, ranked, recorded)
+
+            with monkeypatch.context() as m:
+                m.setattr(repair_module, "_rematch", recorded_rematch)
+                return resolve(state, analyzer, topk, k)
+
+        monkeypatch.setattr(repair_module, "resolve_one_to_many", recorded_resolve)
+        for rng_seed in (1, 2, 3):
+            res, raw = rematch_fixture(rng_seed)
+            repair(res.kg1, res.kg2, res.perturbed_store, raw, res.seeds, RepairConfig(k=k))
+        assert [got for got, _, _ in answers] == [cold for _, cold, _ in answers]
+        # some comparisons evict; at k = 10 some challengers are unmatched
+        # (at k = 1 a walk compares only at its nearest target, and on these
+        # fixtures every such challenger has a matched neighbor)
+        assert any(got for got, _, _ in answers)
+        assert any(empty for _, _, empty in answers) is (k == 10)
+
+    @staticmethod
+    def build_hub(predictions, k):
+        """A seeded hub (0, 0) with two spokes per side and isolated
+        entities 3 and 4 on each side, the given predictions, and the top-k
+        targets of every source."""
+        kg1 = make_kg(5, [(0, 0, 1), (0, 0, 2)], side=Side.SOURCE)
+        kg2 = make_kg(5, [(0, 0, 1), (0, 0, 2)], side=Side.TARGET)
+        store = EmbeddingStore({
+            Side.SOURCE: angles_to_rows([0, 50, 60, 40, 120]),
+            Side.TARGET: angles_to_rows([0, 50, 60, 35, 170]),
+        })
+        state = AlignmentState([(0, 0)], predictions, n_sources=5, n_targets=5)
+        analyzer = PairAnalyzer(kg1, kg2, store, state, RepairConfig(k=k))
+        cold = PairAnalyzer(kg1, kg2, store, state, RepairConfig(k=k))
+        return state, analyzer, cold, similarity_topk(store, range(1, 5), range(5), k)
+
+    def test_unmatched_challenger_evicts_no_one(self):
+        """Source 3 is isolated, so each of its keys has no matched neighbor
+        and confidence exactly 0.5. Its four nearest targets are held by
+        source 2 at 0.5 (target 3 is isolated), by spoke 1 above 0.5, by
+        isolated source 4 at 0.5 and by the seed; the one free target, 4, is
+        its farthest. It evicts no one, and no key of it is cached."""
+        state, analyzer, cold, topk = self.build_hub([(1, 1), (2, 3), (4, 2)], k=4)
+        assert [t for t, _ in topk.candidates(3)] == [3, 1, 2, 0]
+        assert [cold.adg(3, t) for t in (3, 1, 2)] == [0.5] * 3
+        assert cold.adg(2, 3) == cold.adg(4, 2) == 0.5
+        assert cold.adg(1, 1) > 0.5
+        leftover, stats = resolve_one_to_many(state, analyzer, topk, 4)
+        assert leftover == {3}
+        assert stats["evictions"] == 0
+        assert [(s, t) for s, t, _ in state.pairs()] == [(0, 0), (1, 1), (2, 3), (4, 2)]
+        assert not [key for key in analyzer._cache if key[0] == 3]
+
+    def test_one_matched_neighbor_is_read(self):
+        """Spoke 1's one matched neighbor, the seeded hub, lifts it above
+        isolated source 4, which holds its nearest target at 0.5, so it
+        evicts 4 (its other spoke neighbor, 2, is aligned outside target
+        1's neighborhood)."""
+        state, analyzer, cold, topk = self.build_hub([(2, 3), (3, 2), (4, 1)], k=1)
+        assert analyzer_neighbors(cold, [(1, 1)]) == [[(0, 0)]]
+        assert cold.adg(1, 1) > cold.adg(4, 1) == 0.5
+        leftover, stats = resolve_one_to_many(state, analyzer, topk, 1)
+        assert stats["evictions"] == 1
+        assert state.target_of(1) == 1
+        assert leftover == {4}
 
 
 def nearest_candidates(e1, state, analyzer, cap):
