@@ -380,7 +380,13 @@ def _atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def _write_json(path: str | Path, obj) -> None:
-    _atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    def write(tmp: Path) -> None:
+        # streamed, so the whole text is never held
+        with tmp.open("w", encoding="utf-8") as fh:
+            json.dump(obj, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+
+    _atomic_write(path, write)
 
 
 def _write_pairs(path: str | Path, pairs) -> None:

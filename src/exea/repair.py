@@ -10,8 +10,10 @@ sources walk their top-k candidates, evicting incumbents of lower confidence.
 Low-confidence conflicts: pairs under the confidence floor are stripped and
 re-matched against targets that share a matched neighbor, ranked and compared
 by confidence plus weighted cosine. Both stages share one rematch walk
-(``_rematch``) and differ only in the ranking and the comparison they pass
-it. A final greedy pass fills any leftovers from the unclaimed targets.
+(``_rematch``) and differ only in the choices they hand it: the (target,
+holder) pairs a source may take, best first, a free target or one whose
+non-seed holder it beats. A final greedy pass fills any leftovers from the
+unclaimed targets.
 
 The alignment state holds a target and a provenance per source; no stage
 reads a pair's similarity once it is aligned, so none is stored.
@@ -26,7 +28,8 @@ confidence snapshot and the relation-conflict stage) and
 ``RepairResult.adgs``. A one-to-many walk reads every comparison it may make
 when it starts, since the alignment stays fixed until the walk aligns; a
 challenger without matched neighbors scores 0.5, the least a confidence
-can, and loses unread.
+can, and loses unread. A low-confidence walk reads a comparison only when
+it reaches it.
 
 The relation-conflict stage runs as array passes over chunks of dependency
 graphs. ``ConflictTables``, built once per stage (which reads the alignment
@@ -271,11 +274,13 @@ class PairAnalyzer:
 
     ``adg(s, t)`` is the one per-key lookup and returns the confidence; it
     keeps its name because the benchmark's trace counts lookups by it.
-    ``adgs(keys)`` has ``refresh`` compute a read's stale confidences in
-    shared passes of at most ``adg._PASS_NODES`` nodes (``adg.confidences``),
-    then looks every key up through ``adg``, so a batched read makes the
-    lookups and computes the confidences that one lookup per key would;
-    one-to-many's walk refreshes first and looks up later. ``graphs(keys)``
+    ``adgs(keys, lists)`` computes a read's stale confidences in shared
+    passes of at most ``adg._PASS_NODES`` nodes (``adg.confidences``), then
+    looks every key up through ``adg``, so a batched read makes the lookups
+    and computes the confidences that one lookup per key would; a caller
+    that has already gathered the keys' ``neighbor_lists``, as one-to-many's
+    walk has, hands them in. Only ``adgs`` and ``graphs`` hand ``adg`` a
+    cached array. ``graphs(keys)``
     builds full graphs in the same passes for the two readers of their
     structure, the first pass over the initial pairs and
     ``RepairResult.adgs``, and caches and looks up each key's confidence as
@@ -311,7 +316,9 @@ class PairAnalyzer:
         ok = (n >= 0) & (n < self.kg1.n_entities) & (t >= 0) & (t < self.kg2.n_entities)
         self._banned = _distinct(np.concatenate([self._banned, n[ok] * self.kg2.n_entities + t[ok]]))
 
-    def _neighbor_lists(self, keys: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+    def neighbor_lists(self, keys: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+        """Each key's packed matched-neighbor keys under the current state
+        and banned pairs, in one gather."""
         return neighbor_lists(self.index1, self.index2, self.state.forward, keys, self._banned)
 
     def adg(self, s: int, t: int, neighbors: np.ndarray | None = None) -> float:
@@ -322,39 +329,36 @@ class PairAnalyzer:
         computed, which the identity check accepts without a comparison."""
         key = (int(s), int(t))
         if neighbors is None:
-            neighbors = self._neighbor_lists([key])[0]
+            neighbors = self.neighbor_lists([key])[0]
         got = self._cache.get(key)
         if got is None or (got[0] is not neighbors and not np.array_equal(got[0], neighbors)):
             expl = explanation(key, neighbors, self.index1, self.index2)
             got = self._cache[key] = (neighbors, confidences([expl], self.store, self.cfg.adg)[0])
         return got[1]
 
-    def adgs(self, keys: Iterable[tuple[int, int]]) -> list[float]:
+    def adgs(
+        self, keys: Iterable[tuple[int, int]], lists: Sequence[np.ndarray] | None = None
+    ) -> list[float]:
         """``[self.adg(s, t) for s, t in keys]``, with every stale or missing
-        confidence computed in shared passes."""
+        confidence computed in shared passes and each distinct key compared
+        with its cache entry once. ``lists``, when given, is each key's
+        ``neighbor_lists`` gathered under the current state and banned
+        pairs."""
         keys = [(int(s), int(t)) for s, t in keys]
-        distinct = list(dict.fromkeys(keys))
-        held = dict(zip(distinct, self.refresh(distinct, self._neighbor_lists(distinct))))
-        return [self.adg(s, t, held[s, t]) for s, t in keys]
-
-    def refresh(
-        self, keys: Sequence[tuple[int, int]], lists: Sequence[np.ndarray]
-    ) -> list[np.ndarray]:
-        """Cache the confidence of each of the distinct ``keys`` whose
-        current packed matched-neighbor keys ``lists`` differ from the
-        cached ones, computed in shared passes, without counting a lookup.
-        Returns the array the cache holds for each key, which ``adg``
-        accepts by identity while the state and the banned pairs stay."""
+        if lists is None:
+            distinct = list(dict.fromkeys(keys))
+            current = dict(zip(distinct, self.neighbor_lists(distinct)))
+        else:
+            current = dict(zip(keys, lists))
         stale = [
-            i for i, key in enumerate(keys)
-            if (got := self._cache.get(key)) is None or not np.array_equal(got[0], lists[i])
+            key for key, packed in current.items()
+            if (got := self._cache.get(key)) is None or not np.array_equal(got[0], packed)
         ]
-        stale_keys, stale_lists = [keys[i] for i in stale], [lists[i] for i in stale]
-        for batch, expls in self._passes(stale_keys, stale_lists):
+        for batch, expls in self._passes(stale, [current[key] for key in stale]):
             for i, conf in zip(batch, confidences(expls, self.store, self.cfg.adg)):
                 # a copy, so that the entry does not hold the whole read's gather
-                self._cache[stale_keys[i]] = (stale_lists[i].copy(), conf)
-        return [self._cache[key][0] for key in keys]
+                self._cache[stale[i]] = (current[stale[i]].copy(), conf)
+        return [self.adg(s, t, self._cache[s, t][0]) for s, t in keys]
 
     def graphs(self, keys: Sequence[tuple[int, int]]) -> Iterator[Adg]:
         """The dependency graph of each key under the current state, in
@@ -362,7 +366,7 @@ class PairAnalyzer:
         cached as its pass is built, and a pass's graphs are released once
         the caller has moved past them."""
         keys = [(int(s), int(t)) for s, t in keys]
-        lists = self._neighbor_lists(keys)
+        lists = self.neighbor_lists(keys)
         for batch, expls in self._passes(keys, lists):
             graphs = build_adg(expls, self.store, self.cfg.adg)
             for i, graph in zip(batch, graphs):
@@ -769,25 +773,20 @@ def one_to_one(state: AlignmentState, analyzer: PairAnalyzer) -> set[int]:
 def _rematch(
     state: AlignmentState,
     queue: Iterable[int],
-    ranked: Callable[[int], Iterable[tuple[int, float]]],
-    better: Callable[[int, int, float, int], bool],
+    choices: Callable[[int], Iterable[tuple[int, int]]],
 ) -> tuple[set[int], int]:
-    """Walk each queued source, lowest first, through ``ranked(e1)``, its
-    (target, score) candidates best first: take the first unclaimed target,
-    or evict a non-seed incumbent that ``better(e1, e2, score, incumbent)``
-    ranks below ``e1``. Returns the sources left unaligned (evicted
-    incumbents included) and the number of evictions."""
+    """Walk each queued source, lowest first, to the first of ``choices(e1)``,
+    the (target, holder) pairs it may take, best first: a free target (holder
+    -1) or one whose holder, a non-seed source, ``e1`` beats and evicts.
+    Returns the sources left unaligned (evicted holders included) and the
+    number of evictions."""
     fresh: set[int] = set()
     evictions = 0
     for e1 in sorted(queue):
-        for e2, score in ranked(e1):
-            holders = state.sources_of(e2)
-            if holders:
-                incumbent = holders[0]
-                if state.is_seed_pair(incumbent, e2) or not better(e1, e2, score, incumbent):
-                    continue
-                state.unalign(incumbent)
-                fresh.add(incumbent)
+        for e2, holder in choices(e1):
+            if holder >= 0:
+                state.unalign(holder)
+                fresh.add(holder)
                 evictions += 1
             state.align(e1, e2, REPAIRED)
             break
@@ -800,58 +799,45 @@ def resolve_one_to_many(
     state: AlignmentState,
     analyzer: PairAnalyzer,
     topk: SimilarityTopK,
-    k: int,
 ) -> tuple[set[int], dict]:
-    """Realign displaced sources through their top-k targets, evicting
+    """Realign displaced sources through their ``topk`` targets, evicting
     incumbents of strictly lower confidence. Returns the sources still
     unaligned and loop statistics.
 
-    The alignment does not move until a walk aligns, so ``ranked`` reads
-    every comparison the walk may make when it starts, in one gather and
-    shared passes, and ``better`` looks both keys up against the arrays the
-    cache then holds, which computes nothing."""
+    The alignment does not move until a walk aligns, so ``choices`` reads
+    every comparison the walk may make when it starts: the holders in one
+    pass over ``forward``, the confidences in one gather and shared
+    passes."""
     displaced = one_to_one(state, analyzer)
     queue = displaced | state.unaligned_sources
     stats = {"initial_unaligned": len(queue), "iterations": 0, "evictions": 0}
 
-    # the walk under way's comparisons by (e1, e2): the cached neighbor
-    # arrays of the challenger and the holder, None for one settled unread
-    reads: dict[tuple[int, int], tuple[np.ndarray, np.ndarray] | None] = {}
-
-    def ranked(e1: int) -> list[tuple[int, float]]:
-        candidates = topk.candidates(e1)[:k]
-        # the comparisons the walk may make: each target up to the first free
-        # one whose holder is not a seed
-        contests = []
-        for (e2, _), holder in zip(candidates, state.holders([e2 for e2, _ in candidates])):
+    def choices(e1: int) -> list[tuple[int, int]]:
+        targets = [e2 for e2, _ in topk.candidates(e1)]
+        # each target up to the first free one whose holder is not a seed
+        contests, free = [], []
+        for e2, holder in zip(targets, state.holders(targets)):
             if holder < 0:
+                free = [(e2, -1)]
                 break
             if not state.is_seed_pair(holder, e2):
                 contests.append((e2, holder))
         n = len(contests)
         # the challengers' keys, then the holders'
         keys = [(e1, e2) for e2, _ in contests] + [(holder, e2) for e2, holder in contests]
-        lists = analyzer._neighbor_lists(keys)
+        lists = analyzer.neighbor_lists(keys)
         # a challenger without matched neighbors has confidence sigmoid(0) =
-        # 0.5, the least a confidence can be, so it beats no holder
+        # 0.5, the least a confidence can be, so it beats no holder unread
         read = [i for i in range(n) if lists[i].size]
         both = read + [n + i for i in read]
-        held = analyzer.refresh([keys[i] for i in both], [lists[i] for i in both])
-        reads.clear()
-        reads.update(dict.fromkeys(keys[:n]))
-        reads.update((keys[i], (held[j], held[len(read) + j])) for j, i in enumerate(read))
-        return candidates
-
-    def better(e1: int, e2: int, score: float, incumbent: int) -> bool:
-        read = reads[e1, e2]
-        if read is None:
-            return False
-        return analyzer.adg(e1, e2, read[0]) > analyzer.adg(incumbent, e2, read[1])
+        conf = analyzer.adgs([keys[i] for i in both], [lists[i] for i in both])
+        won = [contests[i] for j, i in enumerate(read) if conf[j] > conf[len(read) + j]]
+        return won + free
 
     while len(queue) > 0:
         last_len = len(queue)
         stats["iterations"] += 1
-        queue, evictions = _rematch(state, queue, ranked, better)
+        queue, evictions = _rematch(state, queue, choices)
         stats["evictions"] += evictions
         if len(queue) >= last_len:
             break
@@ -946,19 +932,23 @@ def resolve_low_confidence(
     then rematch them against neighbor-sharing candidates scored by
     confidence + lambda * cosine. Returns leftover sources and stats.
 
-    Each source's candidates come from the lazy ``_candidate_targets`` and
-    each incumbent is compared by ``_outscores``, both of which bound a
-    confidence by [0.5, 1] before reading a graph, so the walk builds only
-    the graphs its comparisons need."""
+    A source's ``choices`` walks the lazy ``_candidate_targets`` and
+    compares each holder through ``_outscores`` when the walk reaches it;
+    both bound a confidence by [0.5, 1] before reading a graph, so the walk
+    builds only the graphs its comparisons need."""
     beta = cfg.effective_beta()
     queue = set(unaligned)
     flags = set(flagged)
     stats = {"stripped": 0, "iterations": 0, "swaps": 0}
 
-    def ranked(e1: int) -> Iterator[tuple[int, float]]:
-        return _candidate_targets(e1, state, analyzer, beta, cfg)
-
-    better = functools.partial(_outscores, analyzer, cfg)
+    def choices(e1: int) -> Iterator[tuple[int, int]]:
+        for e2, score in _candidate_targets(e1, state, analyzer, beta, cfg):
+            holder = next(iter(state.sources_of(e2)), -1)
+            if holder < 0 or (
+                not state.is_seed_pair(holder, e2)
+                and _outscores(analyzer, cfg, e1, e2, score, holder)
+            ):
+                yield e2, holder
 
     last_len = -1
     while True:
@@ -976,7 +966,7 @@ def resolve_low_confidence(
             break
         last_len = len(queue)
         stats["iterations"] += 1
-        queue, swaps = _rematch(state, queue, ranked, better)
+        queue, swaps = _rematch(state, queue, choices)
         stats["swaps"] += swaps
     stats["leftover"] = len(queue)
     return queue, stats
@@ -1122,7 +1112,7 @@ def repair(
         topk = similarity_topk(
             store, range(kg1.n_entities), range(kg2.n_entities), cfg.k
         )
-        unaligned, otm_stats = resolve_one_to_many(state, analyzer, topk, cfg.k)
+        unaligned, otm_stats = resolve_one_to_many(state, analyzer, topk)
 
     low_stats: dict = {"skipped": True}
     if cfg.enable_low_confidence:

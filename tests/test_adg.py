@@ -480,7 +480,7 @@ class TestAdgFromTablesIsExact:
         rng = np.random.default_rng(8)
         keys = [(s, t) for s, t, _ in state.pairs()]
         keys += [tuple(map(int, k)) for k in rng.integers(0, 200, size=(100, 2))]
-        lists = analyzer._neighbor_lists(keys)
+        lists = analyzer.neighbor_lists(keys)
         # empty neighbor lists, and neighbor pairs that no path reaches: nodes
         # without edges
         keys += keys[:20]

@@ -1145,8 +1145,9 @@ class TestBatchedLookupIsExact:
     returns, equal to a cold analyzer's lookups, and computes exactly the
     confidences those lookups compute: over duplicate keys, keys without a
     matched neighbor, banned pairs and entries that alignment mutations made
-    stale. A repair does not depend on where the matcher's or the
-    analyzer's passes are cut."""
+    stale, with the keys' neighbor lists gathered by ``adgs`` or handed in.
+    A repair does not depend on where the matcher's or the analyzer's passes
+    are cut."""
 
     @pytest.mark.parametrize("density", [3, 8])
     @pytest.mark.parametrize("h", [1, 2])
@@ -1186,14 +1187,16 @@ class TestBatchedLookupIsExact:
         seed_sources = {s for s, _ in res.seeds}
         empty = stale = banned = 0
         hollow = []  # keys whose matched neighbors were all banned
-        for _ in range(5):
+        for round_ in range(5):
             pairs = [(s, t) for s, t, _ in state.pairs()]
             keys = pairs + [tuple(map(int, k)) for k in rng.integers(0, 60, size=(40, 2))]
             keys += hollow
             keys += [keys[int(i)] for i in rng.integers(0, len(keys), size=20)]
             before = [single._cache.get(key) for key in keys]
             calls, built = cores[id(batched.index1)], builds[id(batched.index1)]
-            got = batched.adgs(keys)
+            # every other round hands in the lists, duplicate keys' included
+            lists = batched.neighbor_lists(keys) if round_ % 2 else None
+            got = batched.adgs(keys, lists)
             assert builds[id(batched.index1)] > built
             assert cores[id(batched.index1)] == calls + 1
             single_calls, single_built = cores[id(single.index1)], builds[id(single.index1)]
@@ -1234,8 +1237,9 @@ class TestBatchedLookupIsExact:
 
     def test_compares_each_distinct_key_once(self, monkeypatch):
         """A batched read compares each distinct cached key's neighbor keys
-        once: the counted ``adg`` lookup each key then goes through is handed
-        the cached array itself and accepts it without a second comparison."""
+        once, whether it gathers them or is handed them: the counted ``adg``
+        lookup each key then goes through is handed the cached array itself
+        and accepts it without a second comparison."""
         res, raw = lookup_fixture(3)
         state = AlignmentState(res.seeds, raw, n_sources=60, n_targets=60)
         analyzer = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, RepairConfig())
@@ -1255,13 +1259,17 @@ class TestBatchedLookupIsExact:
             handed.append(((s, t), neighbors))
             return lookup(s, t, neighbors)
 
+        lists = analyzer.neighbor_lists(keys)
         monkeypatch.setattr(np, "array_equal", counted)
         monkeypatch.setattr(analyzer, "adg", recorded)
-        warm = analyzer.adgs(keys)
-        assert compared[0] == len(set(keys))
-        assert warm == cold
-        assert [key for key, _ in handed] == keys
-        assert all(neighbors is analyzer._cache[key][0] for key, neighbors in handed)
+        for given in (None, lists):
+            compared[0] = 0
+            handed.clear()
+            warm = analyzer.adgs(keys, given)
+            assert compared[0] == len(set(keys))
+            assert warm == cold
+            assert [key for key, _ in handed] == keys
+            assert all(neighbors is analyzer._cache[key][0] for key, neighbors in handed)
 
     def test_pass_budget_changes_nothing(self, monkeypatch):
         explain_module = importlib.import_module("exea.explain")
@@ -1364,7 +1372,7 @@ class TestResolveOneToMany:
         # both spokes claim target 1; loser 2 walks to its next candidate,
         # target 2, which is free
         state, analyzer, topk = self.build_town([(1, 1), (2, 1)])
-        leftover, stats = resolve_one_to_many(state, analyzer, topk, 3)
+        leftover, stats = resolve_one_to_many(state, analyzer, topk)
         assert leftover == set()
         assert stats["evictions"] == 0
         assert dict((s, t) for s, t, _ in state.pairs()) == {0: 0, 1: 1, 2: 2}
@@ -1372,7 +1380,7 @@ class TestResolveOneToMany:
 
     def test_k1_stuck_loser_stays_unaligned(self):
         state, analyzer, topk = self.build_town([(1, 1), (2, 1)], k=1)
-        leftover, stats = resolve_one_to_many(state, analyzer, topk, 1)
+        leftover, stats = resolve_one_to_many(state, analyzer, topk)
         assert leftover == {2}
         assert state.target_of(2) is None
         assert state.target_of(1) == 1
@@ -1382,7 +1390,7 @@ class TestResolveOneToMany:
         # queue size stays at one, so the loop stops and 3 is reported
         state, analyzer, topk = self.build_town([(1, 1), (2, 1), (3, 2)])
         assert analyzer.adg(2, 2) > analyzer.adg(3, 2)
-        leftover, stats = resolve_one_to_many(state, analyzer, topk, 3)
+        leftover, stats = resolve_one_to_many(state, analyzer, topk)
         assert stats["evictions"] == 1
         assert leftover == {3}
         assert state.target_of(2) == 2
@@ -1390,8 +1398,8 @@ class TestResolveOneToMany:
 
     def test_never_evicts_stronger_incumbent(self):
         # hubless source 3 contests both occupied targets and wins neither
-        state, analyzer, topk = self.build_town([(1, 1), (2, 2), (3, 1)])
-        leftover, stats = resolve_one_to_many(state, analyzer, topk, 2)
+        state, analyzer, topk = self.build_town([(1, 1), (2, 2), (3, 1)], k=2)
+        leftover, stats = resolve_one_to_many(state, analyzer, topk)
         assert stats["evictions"] == 0
         assert leftover == {3}
         assert state.target_of(1) == 1
@@ -1480,7 +1488,7 @@ class TestResolveLowConfidence:
         assert tuple(got[s] for s in (1, 2, 3)) == best
 
 
-def reference_resolve_one_to_many(state, analyzer, topk, k):
+def reference_resolve_one_to_many(state, analyzer, topk):
     """The one-to-many stage with its own rematch loop, as it was written
     before it shared ``_rematch`` with the low-confidence stage."""
     displaced = one_to_one(state, analyzer)
@@ -1492,7 +1500,7 @@ def reference_resolve_one_to_many(state, analyzer, topk, k):
         fresh = set()
         for e1 in sorted(queue):
             aligned = False
-            for e2, _ in topk.candidates(e1)[:k]:
+            for e2, _ in topk.candidates(e1):
                 holders = state.sources_of(e2)
                 if not holders:
                     state.align(e1, e2, REPAIRED)
@@ -1687,39 +1695,55 @@ class TestRematchIsExact:
 
 class TestOneToManyReads:
     """One-to-many reads a walk's comparisons when the walk starts: each
-    ``better`` answer equals the comparison of two confidences a cold
-    analyzer builds on the same state and banned pairs, and a challenger
-    without matched neighbors, at exactly sigmoid(0) = 0.5, loses unread."""
+    ``choices`` list equals the one a cold analyzer's graphs give on the
+    same state and banned pairs, every contest's answer equals the
+    comparison of two cold confidences, and a challenger without matched
+    neighbors, at exactly sigmoid(0) = 0.5, loses unread."""
 
     @pytest.mark.parametrize("k", [1, 10])
     def test_every_answer_equals_a_cold_comparison(self, monkeypatch, k):
         repair_module = importlib.import_module("exea.repair")
         resolve, rematch = repair_module.resolve_one_to_many, repair_module._rematch
-        answers = []  # (better's answer, the cold comparison's, challenger unmatched)
+        walks = []  # (the walk's choices, the cold analyzer's)
+        answers = []  # (the walk's answer, the cold comparison's, challenger unmatched)
 
-        def recorded_resolve(state, analyzer, topk, k):
+        def recorded_resolve(state, analyzer, topk):
             cold = PairAnalyzer(analyzer.kg1, analyzer.kg2, analyzer.store, state, analyzer.cfg)
             cold.ban(analyzer.banned_pairs)
 
-            def recorded_rematch(state, queue, ranked, better):
-                def recorded(e1, e2, score, incumbent):
-                    got = better(e1, e2, score, incumbent)
-                    cold._cache.clear()
-                    challenger, held = cold.graphs([(e1, e2), (incumbent, e2)])
-                    empty = not challenger.explanation.neighbor_keys.size
-                    answers.append((got, challenger.confidence > held.confidence, empty))
+            def recorded_rematch(state, queue, choices):
+                def recorded(e1):
+                    got = choices(e1)
+                    expected = []
+                    # seed targets skipped, each contest won, the first free target
+                    for e2, _ in topk.candidates(e1):
+                        holders = state.sources_of(e2)
+                        if not holders:
+                            expected.append((e2, -1))
+                            break
+                        if state.is_seed_pair(holders[0], e2):
+                            continue
+                        cold._cache.clear()
+                        challenger, held = cold.graphs([(e1, e2), (holders[0], e2)])
+                        win = challenger.confidence > held.confidence
+                        empty = not challenger.explanation.neighbor_keys.size
+                        answers.append(((e2, holders[0]) in got, win, empty))
+                        if win:
+                            expected.append((e2, holders[0]))
+                    walks.append((got, expected))
                     return got
 
-                return rematch(state, queue, ranked, recorded)
+                return rematch(state, queue, recorded)
 
             with monkeypatch.context() as m:
                 m.setattr(repair_module, "_rematch", recorded_rematch)
-                return resolve(state, analyzer, topk, k)
+                return resolve(state, analyzer, topk)
 
         monkeypatch.setattr(repair_module, "resolve_one_to_many", recorded_resolve)
         for rng_seed in (1, 2, 3):
             res, raw = rematch_fixture(rng_seed)
             repair(res.kg1, res.kg2, res.perturbed_store, raw, res.seeds, RepairConfig(k=k))
+        assert [got for got, _ in walks] == [cold for _, cold in walks]
         assert [got for got, _, _ in answers] == [cold for _, cold, _ in answers]
         # some comparisons evict; at k = 10 some challengers are unmatched
         # (at k = 1 a walk compares only at its nearest target, and on these
@@ -1754,7 +1778,7 @@ class TestOneToManyReads:
         assert [cold.adg(3, t) for t in (3, 1, 2)] == [0.5] * 3
         assert cold.adg(2, 3) == cold.adg(4, 2) == 0.5
         assert cold.adg(1, 1) > 0.5
-        leftover, stats = resolve_one_to_many(state, analyzer, topk, 4)
+        leftover, stats = resolve_one_to_many(state, analyzer, topk)
         assert leftover == {3}
         assert stats["evictions"] == 0
         assert [(s, t) for s, t, _ in state.pairs()] == [(0, 0), (1, 1), (2, 3), (4, 2)]
@@ -1768,7 +1792,7 @@ class TestOneToManyReads:
         state, analyzer, cold, topk = self.build_hub([(2, 3), (3, 2), (4, 1)], k=1)
         assert analyzer_neighbors(cold, [(1, 1)]) == [[(0, 0)]]
         assert cold.adg(1, 1) > cold.adg(4, 1) == 0.5
-        leftover, stats = resolve_one_to_many(state, analyzer, topk, 1)
+        leftover, stats = resolve_one_to_many(state, analyzer, topk)
         assert stats["evictions"] == 1
         assert state.target_of(1) == 1
         assert leftover == {4}
