@@ -38,10 +38,12 @@ space, source ids first, and holds each entity's sorted 1-hop triples and
 out-triples as index tables and every counterpart as an int array (-1 for
 none). Per chunk, each graph's position is a key column: its Strong-edge
 entities' base triples are gathered and cut to its budget, their swap
-variants emitted, its subjects' out-edges added, and rows joined on (graph,
-subject, rule) into derived facts. Rows are deduplicated by sorting packed
-int64 keys (``_pack``) and masking adjacent repeats; the stage's result is
-the union of its chunks', so it does not depend on where chunks end.
+variants emitted, its subjects' out-edges added, and in each (graph,
+subject) slot every run of one relation's source-side objects joined, row by
+row, with each target-side run whose relation a rule pairs with its own,
+into derived facts. Rows are deduplicated by sorting packed int64 keys
+(``_pack``) and masking adjacent repeats; the stage's result is the union of
+its chunks', so it does not depend on where chunks end.
 """
 
 from __future__ import annotations
@@ -652,11 +654,23 @@ def _chain_rules(
     triples and their original out-edges join in. One round reaches the
     fixpoint: derived not-same-as facts never match a rule body, whose
     relations are graph relations. Rows of one graph and subject (a slot)
-    pair an object of a rule's first relation with one of its second on the
-    other side. Returns the distinct (graph, source, target) facts, sorted.
+    form runs of one relation and one object side; a source run joins each
+    target run of its slot whose relation a rule pairs with its own, in
+    either role, row by row. Returns the distinct (graph, source, target)
+    facts, sorted.
     """
     if not rules or not cross.size:
         return np.zeros((0, 3), dtype=np.int64)
+    # the relations the rules name, numbered, and which pairs of them a rule
+    # joins; facts are symmetric, so in both orientations
+    ends = np.array([(rule.r1, rule.r2) for rule in rules], dtype=np.int64)
+    ends += tables.relation_offset * np.array([rule.side for rule in rules])[:, None]
+    named = _distinct(ends.ravel())
+    number = np.full(tables.n_relations, -1)
+    number[named] = np.arange(named.size)
+    first, second = number[ends].T
+    joined = np.zeros((named.size, named.size), dtype=bool)
+    joined[first, second] = joined[second, first] = True
     graph, subject, relation, obj = cross.T
     # cross rows are sorted, so each slot is a run of them
     new = _run_starts(graph) | _run_starts(subject)
@@ -665,51 +679,37 @@ def _chain_rules(
     n_slots = graph.size
     count = tables.out_start[subject + 1] - tables.out_start[subject]
     out = tables.triples[_ranges(tables.out_start[subject], count)]
+    rows = [
+        np.concatenate([slot, np.repeat(np.arange(n_slots), count)]),
+        np.concatenate([relation, out[:, 1]]),
+        np.concatenate([obj, out[:, 2]]),
+    ]
     slot_radices = [n_slots, tables.n_relations, tables.n_entities]
-    slot, relation, obj = _unpack(
-        _distinct(
-            _pack(
-                [
-                    np.concatenate([slot, np.repeat(np.arange(n_slots), count)]),
-                    np.concatenate([relation, out[:, 1]]),
-                    np.concatenate([obj, out[:, 2]]),
-                ],
-                slot_radices,
-            )
-        ),
-        slot_radices,
-    )
-    obj_side = (obj >= tables.entity_offset).astype(np.int64)
-    side, r1, r2 = np.array(
-        [(rule.side, rule.r1, rule.r2) for rule in rules], dtype=np.int64
-    ).T
-    join_radices = [n_slots, len(rules), 2]
-
-    def role(rule_relation: np.ndarray, join_side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row once per rule with the row's relation in this role: the
-        rows and their (slot, rule, join_side) keys."""
-        by_relation = np.argsort(rule_relation, kind="stable")
-        start = np.searchsorted(rule_relation[by_relation], np.arange(tables.n_relations + 1))
-        n_rules = start[relation + 1] - start[relation]
-        row = np.repeat(np.arange(relation.size), n_rules)
-        rule = by_relation[_ranges(start[relation], n_rules)]
-        return row, _pack([slot[row], rule, join_side[row]], join_radices)
-
-    offset = side * tables.relation_offset
-    # keys match where the first object and the second lie on different sides
-    row1, key1 = role(r1 + offset, obj_side)
-    row2, key2 = role(r2 + offset, 1 - obj_side)
-    order = np.argsort(key2, kind="stable")
-    row2, key2 = row2[order], key2[order]
-    lo = np.searchsorted(key2, key1, "left")
-    count = np.searchsorted(key2, key1, "right") - lo
-    a = np.repeat(obj[row1], count)
-    b = obj[row2[_ranges(lo, count)]]
+    # a row whose relation no rule names joins nothing
+    key = _pack(rows, slot_radices)[number[rows[1]] >= 0]
+    slot, relation, obj = _unpack(_distinct(key), slot_radices)
+    # rows are sorted and source ids come first, so a (slot, relation) run is
+    # a run of source objects and then one of target objects
     n1 = tables.entity_offset
+    side = obj >= n1
+    start = np.flatnonzero(_run_starts(slot) | _run_starts(relation) | _run_starts(side))
+    length = np.diff(start, append=obj.size)
+    run_slot, run_relation = slot[start], number[relation[start]]
+    # every source run meets every target run of its slot
+    source, target = np.flatnonzero(~side[start]), np.flatnonzero(side[start])
+    per_slot = np.bincount(run_slot[target], minlength=n_slots)
+    met = per_slot[run_slot[source]]
+    a = np.repeat(source, met)
+    b = target[_ranges((np.cumsum(per_slot) - per_slot)[run_slot[source]], met)]
+    joins = joined[run_relation[a], run_relation[b]]
+    a, b = a[joins], b[joins]
+    # a joined pair of runs joins each row of one with each of the other
+    pairs = length[a] * length[b]
+    at, width = _ranges(np.zeros_like(pairs), pairs), np.repeat(length[b], pairs)
+    row_a = np.repeat(start[a], pairs) + at // width
+    row_b = np.repeat(start[b], pairs) + at % width
     radices = [n_graphs, n1, tables.n_entities - n1]
-    fact = _pack(
-        [np.repeat(graph[slot[row1]], count), np.minimum(a, b), np.maximum(a, b) - n1], radices
-    )
+    fact = _pack([graph[slot[row_a]], obj[row_a], obj[row_b] - n1], radices)
     return np.stack(_unpack(_distinct(fact), radices), axis=1)
 
 
@@ -906,19 +906,18 @@ def _candidate_targets(
         built = end
 
 
-def _outscores(
-    analyzer: PairAnalyzer, cfg: RepairConfig, e1: int, e2: int, e1_score: float, incumbent: int
-) -> bool:
-    """Whether ``e1_score`` beats the incumbent's score for ``e2``, its
-    confidence + lambda * cosine. The confidence lies in [0.5, 1], so the
-    incumbent's graph is read only when those bounds leave it open."""
+def _outscores(analyzer: PairAnalyzer, cfg: RepairConfig, e2: int, score: float, incumbent: int) -> bool:
+    """Whether a challenger's ``score`` beats the incumbent's score for
+    ``e2``, its confidence + lambda * cosine. The confidence lies in [0.5,
+    1], so the incumbent's graph is read only when those bounds leave it
+    open."""
     sim = pair_cosines(analyzer.store, Side.SOURCE, [incumbent], Side.TARGET, [e2]).item()
     weighted = cfg.score_lambda * sim
-    if e1_score > 1.0 + weighted:
+    if score > 1.0 + weighted:
         return True
-    if e1_score <= 0.5 + weighted:
+    if score <= 0.5 + weighted:
         return False
-    return e1_score > analyzer.adg(incumbent, e2) + weighted
+    return score > analyzer.adg(incumbent, e2) + weighted
 
 
 def resolve_low_confidence(
@@ -946,7 +945,7 @@ def resolve_low_confidence(
             holder = next(iter(state.sources_of(e2)), -1)
             if holder < 0 or (
                 not state.is_seed_pair(holder, e2)
-                and _outscores(analyzer, cfg, e1, e2, score, holder)
+                and _outscores(analyzer, cfg, e2, score, holder)
             ):
                 yield e2, holder
 

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exea.cli
@@ -823,12 +823,45 @@ def conflict_cases(draw):
     return kg1, kg2, state, rel_align, rules, adgs
 
 
+def join_shapes_case():
+    """One source subject, 0, whose relation 0 reaches source objects 1 and 3
+    and relation 1 reaches 2 and 4, all aligned to their own index, under
+    the rule (0, 0, 1), in a graph whose central pair is (0, 0). The slot of
+    0 holds two objects on each side of both relations, and the rule meets
+    its relations in both roles: relation 0 on the source side and 1 on the
+    target side, and the reverse."""
+    kg1 = make_kg(5, [(0, 0, 1), (0, 0, 3), (0, 1, 2), (0, 1, 4)], side=Side.SOURCE)
+    kg2 = make_kg(5, [], n_rel=1, side=Side.TARGET)
+    state = AlignmentState([], [(e, e) for e in range(5)], n_sources=5, n_targets=5)
+    adg = stub_adg((0, 0), [(1, 1)], [True], 5)
+    return kg1, kg2, state, RelationAlignment(pairs=()), [NotSameAsRule(0, 0, 1)], [adg]
+
+
+def hub_case():
+    """A source subject, 0, with 240 out-edges: four under the two relations
+    the rule (0, 0, 1) joins, to objects aligned to their own index, and the
+    rest under eight relations that no rule names. The target side mirrors
+    it, with every relation aligned to its own index and the rule mined
+    there too, and the central pair is (0, 0)."""
+    n, edges = 241, [(0, 0, 1), (0, 0, 2), (0, 1, 3), (0, 1, 4)]
+    edges += [(0, 2 + o % 8, o) for o in range(5, n)]
+    kg1 = make_kg(n, edges, n_rel=10, side=Side.SOURCE)
+    kg2 = make_kg(n, edges, n_rel=10, side=Side.TARGET)
+    state = AlignmentState([], [(e, e) for e in range(n)], n_sources=n, n_targets=n)
+    rel_align = RelationAlignment(pairs=tuple((r, r, 1.0) for r in range(10)))
+    adg = stub_adg((0, 0), [(1, 1), (3, 3)], [True, False], n)
+    return kg1, kg2, state, rel_align, [NotSameAsRule(0, 0, 1), NotSameAsRule(1, 1, 0)], [adg]
+
+
 class TestConflictStageEdges:
     """Self-loops, relations and entities without counterparts, graphs
-    without Strong edges, rule-less and budget-0 calls: every graph of a
-    many-graph call still equals the reference."""
+    without Strong edges, rule-less and budget-0 calls, a rule met in both
+    roles, runs of several objects on both sides and a hub subject: every
+    graph of a many-graph call still equals the reference."""
 
     @given(conflict_cases(), st.sampled_from([0, 1, 3, 200]))
+    @example(join_shapes_case(), 200)
+    @example(hub_case(), 200)
     @settings(max_examples=150, deadline=None)
     def test_many_graph_call_equals_reference(self, case, budget):
         kg1, kg2, state, rel_align, rules, adgs = case
@@ -1959,7 +1992,7 @@ class TestRankingBounds:
                     below, above = math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)
                     for score in (below, edge, above):
                         lookups.clear()
-                        got = _outscores(self.analyzer, cfg, 0, e2, score, incumbent)
+                        got = _outscores(self.analyzer, cfg, e2, score, incumbent)
                         assert got == (score > held)
                         assert (not lookups) == (score > 1.0 + w or score <= 0.5 + w)
 
