@@ -24,8 +24,14 @@ what a call over its explanation alone builds;
 per-graph build as references and compares with ``==``. ``confidences``
 takes the same passes and arithmetic and returns only each graph's
 confidence, for readers that compare numbers and never a graph's
-structure. The benchmark's ``adg.build_calls`` counts ``build_adg`` calls,
-so full-graph build passes, not graphs and not confidence passes.
+structure. ``pair_confidences`` gives the same numbers from neighbor lists
+without explanations: the matcher's unscored mode reads no cosine for a
+block of one path on each side, and its matched rows, neighbor positions
+and pairs go straight into the same class arithmetic (``_class_masses``,
+written once for all three), with influences from the neighbor rows alone;
+``tests/test_adg.py::TestPairConfidencesAreExact`` compares it with the
+scored build. The benchmark's ``adg.build_calls`` counts ``build_adg``
+calls, so full-graph build passes, not graphs and not confidence passes.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import numpy as np
 
 from .embedding import EmbeddingStore, pair_cosines
 from .errors import ConfigError
-from .explain import Explanation
+from .explain import Explanation, PathIndex, _mutual_best
 from .kg import Side
 
 
@@ -188,6 +194,40 @@ def confidences(
     return out
 
 
+def pair_confidences(
+    pairs: Sequence[tuple[int, int]],
+    neighbors: Sequence[np.ndarray],
+    index1: PathIndex,
+    index2: PathIndex,
+    store: EmbeddingStore,
+    cfg: AdgConfig | None = None,
+) -> list[float]:
+    """The confidence of each pair's dependency graph from its packed
+    neighbor keys, over indexes that hold every pair's centers: what
+    ``confidences(explanations(pairs, neighbors, index1, index2), store,
+    cfg)`` gives, bit for bit, with no explanation built and no path cosine
+    read where a match needs none.
+
+    In ``pass_ranges``' passes, the unscored matcher gives the matched rows,
+    their neighbor positions and their pairs, which go straight into the
+    class arithmetic of ``build_adg``; the influences are the neighbor
+    nodes' alone, since no edge reads a central pair's."""
+    cfg = cfg or AdgConfig()
+    out: list[float] = []
+    for batch in pass_ranges([keys.size for keys in neighbors]):
+        keys = [neighbors[i] for i in batch]
+        rows1, rows2, neighbor, graph = _mutual_best(
+            index1, index2, [pairs[i] for i in batch], keys, scored=False
+        )
+        counts = np.array([k.size for k in keys], dtype=np.int64)
+        n, t = np.divmod(np.concatenate([np.zeros(0, dtype=np.int64), *keys]), index2.n_entities)
+        influence = _influence(store, n, t)[(np.cumsum(counts) - counts)[graph] + neighbor]
+        _, _, mass = _class_masses(index1, index2, rows1, rows2, graph, influence, len(keys), cfg)
+        mass = mass.tolist()
+        out += [aggregate_confidence(*mass[3 * g : 3 * g + 3], cfg) for g in range(len(keys))]
+    return out
+
+
 def pass_ranges(sizes: Sequence[int]) -> Iterator[range]:
     """Consecutive runs of positions whose node counts ``1 + sizes[i]`` (a
     graph's central pair and its matched neighbors) add up to at most
@@ -231,22 +271,48 @@ def _pass_arrays(
         ),
         axis=1,
     )
-    sims = pair_cosines(store, Side.SOURCE, nodes[:, 0], Side.TARGET, nodes[:, 1])
-    # influences: embedding cosines clamped to [0, 1], each central pair
-    # first; min(1.0, max(0.0, sim)) element by element
-    influence = np.where(sims > 0.0, np.minimum(sims, 1.0), 0.0)
+    influence = _influence(store, nodes[:, 0], nodes[:, 1])
     edges = np.cumsum([0] + [expl.rows1.size for expl in expls])
     graph = np.repeat(np.arange(len(expls)), np.diff(edges))
-    i1, i2 = expls[0].indexes
     rows1 = np.concatenate([expl.rows1 for expl in expls])
     rows2 = np.concatenate([expl.rows2 for expl in expls])
     neighbor = np.concatenate([expl.neighbor for expl in expls])
+    edge_influence = influence[first[graph] + neighbor + 1]
+    classes, weights, mass = _class_masses(
+        *expls[0].indexes, rows1, rows2, graph, edge_influence, len(expls), cfg
+    )
+    return influence, classes, weights, mass, first, edges
+
+
+def _influence(store: EmbeddingStore, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each (source, target) node's influence: its embedding cosine clamped
+    to [0, 1], min(1.0, max(0.0, sim)) element by element. ``pair_cosines``
+    takes its dots row by row, so a node's influence does not depend on the
+    nodes beside it."""
+    sims = pair_cosines(store, Side.SOURCE, sources, Side.TARGET, targets)
+    return np.where(sims > 0.0, np.minimum(sims, 1.0), 0.0)
+
+
+def _class_masses(
+    i1: PathIndex,
+    i2: PathIndex,
+    rows1: np.ndarray,
+    rows2: np.ndarray,
+    graph: np.ndarray,
+    influence: np.ndarray,
+    n_graphs: int,
+    cfg: AdgConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The class and weight of each edge, a matched pair of rows of ``i1``
+    and ``i2`` on graph ``graph`` whose node has ``influence``, and the
+    class masses of the ``n_graphs`` graphs, three each: ``weight *
+    influence`` added one edge at a time in edge order."""
     len1, len2 = i1.lengths[rows1], i2.lengths[rows2]
     # both paths direct: Strong (0); one: Moderate (1); neither: Weak (2)
     classes = 2 - (len1 == 1) - (len2 == 1)
     weights = np.minimum(i1.weight[rows1], i2.weight[rows2])
     weights[classes == 1] *= cfg.alpha
     weights[classes == 2] = cfg.weak_weight
-    mass = np.zeros(3 * len(expls))
-    np.add.at(mass, graph * 3 + classes, weights * influence[first[graph] + neighbor + 1])
-    return influence, classes, weights, mass, first, edges
+    mass = np.zeros(3 * n_graphs)
+    np.add.at(mass, graph * 3 + classes, weights * influence)
+    return classes, weights, mass

@@ -31,10 +31,14 @@ every pair's centers, it scores the path pairs of many neighbor pairs
 together, each neighbor pair a block, in passes linear in their scored path
 pairs. A pass rebuilds unit rows only for its blocks' rows, with the
 operations of ``path_embedding`` over its norm in the same order, so every
-score equals the per-path computation bit for bit. It gathers each path
-pair's two unit rows a chunk at a time into two buffers of at most
-``_DOT_BYTES``, reused from chunk to chunk and small enough to come from
-the heap, and scores each chunk with one ``np.vecdot``. Each row's and each
+score equals the per-path computation bit for bit. Unscored, as the
+repair's batched confidence read runs it, the matcher returns no cosines
+and rebuilds rows only for blocks of several path pairs: a block of one
+path on each side keeps its pair exactly when neither path is all-zero.
+It gathers each path pair's two unit rows a chunk at a time into two
+buffers of at most ``_DOT_BYTES``, reused from chunk to chunk and small
+enough to come from the heap, and scores each chunk with one
+``np.vecdot``. Each row's and each
 column's best is the first maximum of its run (``_first_max``: one
 ``np.maximum.reduceat`` and a search for the first equal score), which is
 the lowest-index tie rule; a block's pairs lie row-major, and its column
@@ -400,7 +404,8 @@ def _mutual_best(
     i2: PathIndex,
     pairs: Sequence[tuple[int, int]],
     neighbors: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    scored: bool = True,
+) -> tuple[np.ndarray, ...]:
     """Mutual-best path matching for every neighbor pair of every item, item
     i being ``pairs[i]`` with its neighbor pairs ``neighbors[i]``, packed as
     ``n * i2.n_entities + t``.
@@ -418,6 +423,10 @@ def _mutual_best(
     its item's neighbor pairs of the pair each match was found for, and the
     position of that item, ordered by item, then by block, then by ``i1``
     row.
+
+    With ``scored`` false the similarities column is left out and a block
+    of one path on each side is not scored: its pair is kept exactly when
+    neither path is all-zero, which is what its scores would decide.
     """
     n_items = len(pairs)
     pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
@@ -440,29 +449,59 @@ def _mutual_best(
             held = 0
         held += size
     bounds = np.searchsorted(blocks[:, 5], cuts + [n_items]).tolist()
-    passes = [_match_blocks(i1, i2, blocks[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b]
+    passes = [
+        _match_blocks(i1, i2, blocks[a:b], scored) for a, b in zip(bounds, bounds[1:]) if a < b
+    ]
     if not passes:
         empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, np.zeros(0, dtype=np.float64), empty, empty
+        sims = (np.zeros(0, dtype=np.float64),) if scored else ()
+        return empty, empty, *sims, empty, empty
     if len(passes) == 1:
         return passes[0]
     return tuple(np.concatenate(column) for column in zip(*passes))
 
 
 def _match_blocks(
-    i1: PathIndex, i2: PathIndex, blocks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    i1: PathIndex, i2: PathIndex, blocks: np.ndarray, scored: bool
+) -> tuple[np.ndarray, ...]:
     """One pass of ``_mutual_best`` over blocks, one (start1, len1, start2,
     len2, neighbor position, item) row each."""
-    start1, len1, start2, len2, pos, item = blocks.T
+    pos, item = blocks[:, 4], blocks[:, 5]
+    if scored:
+        rows1, rows2, sims, block = _score_blocks(i1, i2, blocks)
+        return rows1, rows2, sims, pos[block], item[block]
+    # a block of one path pair keeps it unless a path is all-zero, unscored;
+    # the others are scored, and the two sets merge back into block order
+    start1, len1, start2, len2 = blocks[:, :4].T
+    single = (len1 == 1) & (len2 == 1)
+    many = np.flatnonzero(~single)
+    rows1, rows2, _, block = _score_blocks(i1, i2, blocks[many])
+    one = np.flatnonzero(single & ~i1.zero[start1] & ~i2.zero[start2])
+    block = np.concatenate([many[block], one])
+    order = np.argsort(block, kind="stable")
+    block = block[order]
+    rows1 = np.concatenate([rows1, start1[one]])[order]
+    rows2 = np.concatenate([rows2, start2[one]])[order]
+    return rows1, rows2, pos[block], item[block]
+
+
+def _score_blocks(
+    i1: PathIndex, i2: PathIndex, blocks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The mutual-best pairs of ``blocks``, scored: the matched rows, their
+    cosines and each match's block, by block, then by ``i1`` row."""
+    start1, len1, start2, len2 = blocks[:, :4].T
     sizes = len1 * len2
-    block = np.repeat(np.arange(len(blocks)), sizes)
+    if not sizes.size:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros(0, dtype=np.float64), empty
+    block = np.repeat(np.arange(sizes.size), sizes)
     # a block's path pairs row-major: source path i, then target path j
     local = _ranges(np.zeros_like(sizes), sizes)
     i, j = np.divmod(local, len2[block])
     # one id per (block, source path) and per (block, target path): the
     # positions of i and j in the blocks' concatenated row runs, so unit
-    # rows are rebuilt once per block row, not once per path pair
+    # rows are rebuilt once per scored block row, not once per path pair
     rows1, rows2 = _ranges(start1, len1), _ranges(start2, len2)
     row_id = (np.cumsum(len1) - len1)[block] + i
     col_id = (np.cumsum(len2) - len2)[block] + j
@@ -470,7 +509,7 @@ def _match_blocks(
     sims = np.empty(local.size)
     # the pairs' unit rows are gathered a chunk at a time into two reused
     # buffers (mode="clip" takes straight into them; the ids are in range)
-    chunk = max(1, _DOT_BYTES // max(1, u1[0].nbytes))
+    chunk = max(1, _DOT_BYTES // max(1, u1.itemsize * u1.shape[1]))
     a, b = (np.empty((min(chunk, sims.size), u1.shape[1])) for _ in range(2))
     for lo in range(0, sims.size, chunk):
         n = min(chunk, sims.size - lo)
@@ -486,8 +525,7 @@ def _match_blocks(
     col_major = (np.cumsum(sizes) - sizes)[block] + i * len2[block] + j
     col_best = col_major[_first_max(sims[col_major], np.repeat(len1, len2))]
     keep = row_best[(col_best[col_id[row_best]] == row_best) & (sims[row_best] > -2.0)]
-    kept = block[keep]
-    return rows1[row_id[keep]], rows2[col_id[keep]], sims[keep], pos[kept], item[kept]
+    return rows1[row_id[keep]], rows2[col_id[keep]], sims[keep], block[keep]
 
 
 def _first_max(scores: np.ndarray, lengths: np.ndarray) -> np.ndarray:

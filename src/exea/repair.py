@@ -25,23 +25,27 @@ The stages compare confidences, which ``PairAnalyzer`` looks up as plain
 numbers and caches per pair. Full dependency graphs are built only where
 their structure is read: one pass over the initial pairs (the first
 confidence snapshot and the relation-conflict stage) and
-``RepairResult.adgs``. A one-to-many walk reads every comparison it may make
-when it starts, since the alignment stays fixed until the walk aligns; a
-challenger without matched neighbors scores 0.5, the least a confidence
-can, and loses unread. A low-confidence walk reads a comparison only when
-it reaches it.
+``RepairResult.adgs``. A batched read computes its stale confidences
+straight from the neighbor lists (``adg.pair_confidences``), with no
+explanation and no cosine for a block of one path on each side; graphs and
+a single stale lookup keep every path cosine. A one-to-many walk reads
+every comparison it may make when it starts, since the alignment stays
+fixed until the walk aligns; a challenger without matched neighbors scores
+0.5, the least a confidence can, and loses unread. A low-confidence walk
+reads a comparison only when it reaches it.
 
 The relation-conflict stage runs as array passes over chunks of dependency
 graphs. ``ConflictTables``, built once per stage (which reads the alignment
 and never changes it), numbers both sides' entities and relations in one id
 space, source ids first, and holds each entity's sorted 1-hop triples and
 out-triples as index tables and every counterpart as an int array (-1 for
-none). Per chunk, each graph's position is a key column: its Strong-edge
-entities' base triples are gathered and cut to its budget, their swap
-variants emitted, its subjects' out-edges added, and in each (graph,
-subject) slot every run of one relation's source-side objects joined, row by
-row, with each target-side run whose relation a rule pairs with its own,
-into derived facts. Rows are deduplicated by sorting packed int64 keys
+none). The chunks hand on the entities each graph visits, found once per
+graph when the chunks are cut. Per chunk, each graph's position is a key
+column: its Strong-edge entities' base triples are gathered and cut to its
+budget, their swap variants emitted, its subjects' out-edges added, and in
+each (graph, subject) slot every run of one relation's source-side objects
+joined, row by row, with each target-side run whose relation a rule pairs
+with its own, into derived facts. Rows are deduplicated by sorting packed int64 keys
 (``_pack``) and masking adjacent repeats; the stage's result is the union of
 its chunks', so it does not depend on where chunks end.
 """
@@ -58,6 +62,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .adg import STRONG, Adg, AdgConfig, build_adg, confidences, pass_ranges, sigmoid
+from .adg import pair_confidences
 from .embedding import (
     EmbeddingStore,
     SimilarityTopK,
@@ -275,18 +280,21 @@ class PairAnalyzer:
     evicted and hold no graph.
 
     ``adg(s, t)`` is the one per-key lookup and returns the confidence; it
-    keeps its name because the benchmark's trace counts lookups by it.
-    ``adgs(keys, lists)`` computes a read's stale confidences in shared
-    passes of at most ``adg._PASS_NODES`` nodes (``adg.confidences``), then
-    looks every key up through ``adg``, so a batched read makes the lookups
-    and computes the confidences that one lookup per key would; a caller
-    that has already gathered the keys' ``neighbor_lists``, as one-to-many's
-    walk has, hands them in. Only ``adgs`` and ``graphs`` hand ``adg`` a
-    cached array. ``graphs(keys)``
-    builds full graphs in the same passes for the two readers of their
-    structure, the first pass over the initial pairs and
-    ``RepairResult.adgs``, and caches and looks up each key's confidence as
-    its pass is built.
+    keeps its name because the benchmark's trace counts lookups by it. A
+    stale entry is recomputed from its explanation (``repair.explanation``,
+    which the trace counts, then ``adg.confidences``). ``adgs(keys, lists)``
+    computes a read's stale confidences with ``adg.pair_confidences``, in
+    shared passes of at most ``adg._PASS_NODES`` nodes, straight from the
+    neighbor lists: no explanation is built and a block of one path on
+    each side is not scored. It then looks every key up through ``adg``, so
+    a batched read makes the lookups and computes the confidences, bit for
+    bit, that one lookup per key would; a caller that has already gathered
+    the keys' ``neighbor_lists``, as one-to-many's walk has, hands them in.
+    Only ``adgs`` and ``graphs`` hand ``adg`` a cached array.
+    ``graphs(keys)`` builds full, scored graphs in the same passes for the
+    two readers of their structure, the first pass over the initial pairs
+    and ``RepairResult.adgs``, and caches and looks up each key's confidence
+    as its pass is built.
     """
 
     def __init__(
@@ -356,20 +364,24 @@ class PairAnalyzer:
             key for key, packed in current.items()
             if (got := self._cache.get(key)) is None or not np.array_equal(got[0], packed)
         ]
-        for batch, expls in self._passes(stale, [current[key] for key in stale]):
-            for i, conf in zip(batch, confidences(expls, self.store, self.cfg.adg)):
-                # a copy, so that the entry does not hold the whole read's gather
-                self._cache[stale[i]] = (current[stale[i]].copy(), conf)
+        lists = [current[key] for key in stale]
+        computed = pair_confidences(stale, lists, self.index1, self.index2, self.store, self.cfg.adg)
+        for key, packed, conf in zip(stale, lists, computed):
+            # a copy, so that the entry does not hold the whole read's gather
+            self._cache[key] = (packed.copy(), conf)
         return [self.adg(s, t, self._cache[s, t][0]) for s, t in keys]
 
     def graphs(self, keys: Sequence[tuple[int, int]]) -> Iterator[Adg]:
         """The dependency graph of each key under the current state, in
-        order, built in the passes ``adgs`` shares; each key's confidence is
-        cached as its pass is built, and a pass's graphs are released once
-        the caller has moved past them."""
+        order, built in ``adg.pass_ranges``' passes over full explanations;
+        each key's confidence is cached as its pass is built, and a pass's
+        graphs are released once the caller has moved past them."""
         keys = [(int(s), int(t)) for s, t in keys]
         lists = self.neighbor_lists(keys)
-        for batch, expls in self._passes(keys, lists):
+        for batch in pass_ranges([packed.size for packed in lists]):
+            expls = explanations(
+                [keys[i] for i in batch], [lists[i] for i in batch], self.index1, self.index2
+            )
             graphs = build_adg(expls, self.store, self.cfg.adg)
             for i, graph in zip(batch, graphs):
                 entry = self._cache[keys[i]] = (lists[i].copy(), graph.confidence)
@@ -377,16 +389,6 @@ class PairAnalyzer:
                 self.adg(*keys[i], entry[0])
             yield from graphs
             del graphs
-
-    def _passes(
-        self, keys: list[tuple[int, int]], lists: list[np.ndarray]
-    ) -> Iterator[tuple[range, list[Explanation]]]:
-        """The explanations of ``keys`` from their packed neighbor keys
-        ``lists``, in runs of at most ``adg._PASS_NODES`` graph nodes (or one
-        key), each run with its positions in ``keys``."""
-        for batch in pass_ranges([packed.size for packed in lists]):
-            pairs, neighbors = [keys[i] for i in batch], [lists[i] for i in batch]
-            yield batch, explanations(pairs, neighbors, self.index1, self.index2)
 
 
 def _relation_vectors(
@@ -565,21 +567,27 @@ class ConflictTables:
         s0, t0 = expl.pair
         return np.stack([np.append(s0, n), np.append(t0, t) + self.entity_offset], axis=1).ravel()
 
-    def chunks(self, adgs: Sequence[Adg], rows: int) -> Iterable[list[Adg]]:
+    def chunks(
+        self, adgs: Iterable[Adg], rows: int
+    ) -> Iterator[tuple[list[Adg], list[np.ndarray]]]:
         """``adgs`` in order, in runs that gather fewer than ``rows`` 1-hop
-        base rows between them, or hold one graph."""
+        base rows between them, or hold one graph, each with its graphs'
+        ``visits``."""
         hop_count = np.diff(self.hop_start)
         chunk: list[Adg] = []
+        visits: list[np.ndarray] = []
         held = 0
         for adg in adgs:
-            count = int(hop_count[self.visits(adg)].sum())
+            visit = self.visits(adg)
+            count = int(hop_count[visit].sum())
             if chunk and (held + count >= rows or len(chunk) == self.max_chunk):
-                yield chunk
-                chunk, held = [], 0
+                yield chunk, visits
+                chunk, visits, held = [], [], 0
             chunk.append(adg)
+            visits.append(visit)
             held += count
         if chunk:
-            yield chunk
+            yield chunk, visits
 
 
 # the seven non-empty (subject, relation, object) substitutions, as masks
@@ -587,7 +595,10 @@ _SWAPS = np.array(list(product((False, True), repeat=3))[1:])
 
 
 def cross_kg_triples(
-    adgs: Sequence[Adg], tables: ConflictTables, budget: int = 200
+    adgs: Sequence[Adg],
+    tables: ConflictTables,
+    budget: int = 200,
+    visits: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Swapped variants of the 1-hop triples of every entity on a Strong
     edge, for each graph in ``adgs``.
@@ -598,9 +609,12 @@ def cross_kg_triples(
     triples are consulted per graph: its first distinct ones in node order,
     sides interleaved, each entity's triples sorted. Returns the distinct
     (graph, subject, relation, object) rows, sorted, with the graph as its
-    position in ``adgs`` and the rest as ``tables`` ids.
+    position in ``adgs`` and the rest as ``tables`` ids. ``visits``, when
+    given, is each graph's ``tables.visits``, as ``tables.chunks`` hands
+    them over.
     """
-    visits = [tables.visits(adg) for adg in adgs]
+    if visits is None:
+        visits = [tables.visits(adg) for adg in adgs]
     entity = np.concatenate([np.zeros(0, dtype=np.int64), *visits])
     count = tables.hop_start[entity + 1] - tables.hop_start[entity]
     graph = np.repeat(np.repeat(np.arange(len(adgs)), [v.size for v in visits]), count)
@@ -718,10 +732,11 @@ def detect_relation_conflicts(
     rules: Sequence[NotSameAsRule],
     tables: ConflictTables,
     cfg: RepairConfig,
+    visits: Sequence[np.ndarray] | None = None,
 ) -> RelationConflictReport:
     """Chain the rules over each graph's cross triples and report which node
-    pairs are contradicted."""
-    cross = cross_kg_triples(adgs, tables, cfg.triple_budget)
+    pairs are contradicted; ``visits`` as ``cross_kg_triples`` takes it."""
+    cross = cross_kg_triples(adgs, tables, cfg.triple_budget, visits)
     derived = _chain_rules(rules, cross, tables, len(adgs))
     n1 = tables.entity_offset
     radices = [len(adgs), n1, tables.n_entities - n1]
@@ -1091,8 +1106,8 @@ def repair(
     graphs = non_seed_graphs()
     if rules:
         tables = ConflictTables(kg1, kg2, state, rel_align)
-        for chunk in tables.chunks(graphs, _CONFLICT_ROWS):
-            found = detect_relation_conflicts(chunk, rules, tables, cfg)
+        for chunk, visits in tables.chunks(graphs, _CONFLICT_ROWS):
+            found = detect_relation_conflicts(chunk, rules, tables, cfg, visits)
             derived_all.update(found.derived_pairs)
             pruned_all.update(found.pruned_neighbor_pairs)
             flagged.update(s for s, _ in found.flagged_pairs)

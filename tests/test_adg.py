@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from exea.adg import (
@@ -17,11 +17,12 @@ from exea.adg import (
     aggregate_confidence,
     build_adg,
     confidences,
+    pair_confidences,
     sigmoid,
 )
 from exea.embedding import EmbeddingStore, greedy_align, pair_cosines
-from exea.errors import ConfigError
-from exea.explain import explanation, explanations
+from exea.errors import ConfigError, ZeroVector
+from exea.explain import PathIndex, _mutual_best, explanation, explanations, neighbor_lists
 from exea.kg import Side, enumerate_paths, functionality, inverse_functionality
 from exea.repair import AlignmentState, PairAnalyzer, RepairConfig
 from exea.synth import SynthConfig, generate_pair
@@ -517,6 +518,10 @@ class TestAdgFromTablesIsExact:
             built = len(passes)
             assert confidences(expls, store, cfg) == [adg.confidence for adg in got]
             assert len(passes) == 2 * built
+            # and so does the batched read, straight from the neighbor lists
+            batched = pair_confidences(keys, lists, analyzer.index1, analyzer.index2, store, cfg)
+            assert batched == [adg.confidence for adg in got[:50] + got[55:]]
+            assert len(passes) == 2 * built
 
     @pytest.mark.parametrize("density", [3, 8])
     def test_equals_reference(self, density):
@@ -563,3 +568,191 @@ class TestAdgFromTablesIsExact:
             assert adg.edge_neighbor.tolist() == (expl.neighbor + 1).tolist()
             checked += 1
         assert checked >= 10
+
+
+# vectors the read cases draw from: entity 0 and 1 cancel, as do relations
+# 0 and 1, and relation 2 is all-zero, so a two-step path through a pair
+# that cancels on both halves has an all-zero embedding; no entity is zero
+ENT_ALPHABET = np.array([(1, 1, 0), (-1, -1, 0), (1, 0, 1), (0, 1, -1)], dtype=float)
+REL_ALPHABET = np.array([(1, 0, 0), (-1, 0, 0), (0, 0, 0), (0, 1, 1)], dtype=float)
+READ_ENTITIES = 7  # entity 6 is on no triple: a key on it has no neighbor
+
+
+class ReadCase(NamedTuple):
+    """Two graphs over ``READ_ENTITIES`` entities and 2 relations, as
+    (subject, relation, object) triples per side; each entity's and
+    relation's vector as an alphabet position per side; the alignment as
+    ``forward``; the keys read; and the pass budgets they are read in."""
+
+    h: int
+    triples: tuple
+    ents: tuple
+    rels: tuple
+    forward: tuple
+    keys: tuple
+    pass_nodes: int
+    pass_pairs: int
+
+    def build(self):
+        kg1, kg2 = (
+            make_kg(READ_ENTITIES, sorted(set(t)), n_rel=2, side=side)
+            for t, side in zip(self.triples, (Side.SOURCE, Side.TARGET))
+        )
+        store = EmbeddingStore(
+            {side: ENT_ALPHABET[list(e)] for side, e in zip((Side.SOURCE, Side.TARGET), self.ents)},
+            {side: REL_ALPHABET[list(r)] for side, r in zip((Side.SOURCE, Side.TARGET), self.rels)},
+        )
+        return kg1, kg2, store
+
+
+@st.composite
+def read_cases(draw):
+    """Random small graphs with reciprocal triples (tied blocks of several
+    paths), cancelling vectors (all-zero paths, one-by-one blocks among
+    them), keys on the isolated entity (no neighbors) and pass budgets from
+    one key or path pair each to all at once."""
+    # each side a tree over entities 0-5 (one path between any two, so
+    # one-by-one blocks), each edge either way, plus a few more triples and
+    # reciprocals, which give blocks of several, often tied, paths
+    triple = st.tuples(st.integers(0, 5), st.integers(0, 1), st.integers(0, 5))
+    triples = []
+    for _ in range(2):
+        side = set()
+        for e in range(1, 6):
+            p, r, out = draw(st.integers(0, e - 1)), draw(st.integers(0, 1)), draw(st.booleans())
+            side.add((p, r, e) if out else (e, r, p))
+        for (s, r, o), mirror in draw(st.lists(st.tuples(triple, st.booleans()), max_size=4)):
+            if s != o:
+                side |= {(s, r, o), (o, r, s)} if mirror else {(s, r, o)}
+        triples.append(tuple(sorted(side)))
+    # first (and shrunk toward) the vectors that cancel: even entities 0,
+    # odd ones 1, so every two-step path through entities of both parities
+    # has a zero entity half, and relations 0 and 1 (or both 2), so every
+    # such path over both relations (or over either) is all-zero
+    pick = st.integers(0, 3)
+    parity = tuple(e % 2 for e in range(READ_ENTITIES))
+    vectors = st.lists(pick, min_size=READ_ENTITIES, max_size=READ_ENTITIES).map(tuple)
+    ents = tuple(draw(st.one_of(st.just(parity), vectors)) for _ in range(2))
+    relations = st.lists(pick, min_size=2, max_size=2).map(tuple)
+    rels = tuple(draw(st.one_of(st.just((0, 1)), st.just((2, 2)), relations)) for _ in range(2))
+    forward = tuple(draw(st.lists(st.integers(-1, READ_ENTITIES - 1),
+                                  min_size=READ_ENTITIES, max_size=READ_ENTITIES)))
+    entity = st.integers(0, READ_ENTITIES - 1)
+    # the aligned pairs, which have the most matched neighbors, and others
+    keys = tuple((s, t) for s, t in enumerate(forward) if t >= 0)
+    keys += tuple(draw(st.lists(st.tuples(entity, entity), max_size=6)))
+    return ReadCase(
+        h=draw(st.sampled_from([1, 2])),
+        triples=tuple(triples),
+        ents=ents,
+        rels=rels,
+        forward=forward,
+        keys=keys + ((6, 6),),
+        pass_nodes=draw(st.sampled_from([1, 3, 4096])),
+        pass_pairs=draw(st.sampled_from([0, 1, 2048])),
+    )
+
+
+# a tree 0-1-2, 0-3-4, 0-5 on each side, all one-by-one blocks from 0: the
+# source path 0 -> 1 -> 2 and the target path 0 -> 3 -> 4 are all-zero, and
+# the only neighbors with influence are (2, 2) and (4, 4), whose Weak edges
+# would each add to c_w if kept
+ONE_BY_ONE = ReadCase(
+    h=2,
+    triples=(((0, 0, 1), (1, 1, 2), (0, 0, 3), (3, 1, 4), (0, 1, 5)),) * 2,
+    ents=((0, 1, 3, 2, 2, 0, 0), (0, 2, 3, 1, 2, 1, 0)),
+    rels=((0, 1), (0, 1)),
+    forward=tuple(range(READ_ENTITIES)),
+    keys=((0, 0), (1, 1), (6, 6)),
+    pass_nodes=4096,
+    pass_pairs=2048,
+)
+READ_CONFIGS = (AdgConfig(), AdgConfig(alpha=0.3, weak_weight=0.2, theta=2.0, gamma=2.0))
+
+
+class TestPairConfidencesAreExact:
+    """The batched read's confidences, straight from the unscored matcher's
+    arrays, equal (``==``) those of the scored explanations' graphs:
+    ``confidences(explanations(...))`` over the same neighbor lists, and
+    ``PairAnalyzer.adgs`` over the same state, whatever the block shapes,
+    all-zero paths, empty neighbor lists and pass budgets."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=read_cases())
+    @example(case=ONE_BY_ONE)
+    @example(case=ONE_BY_ONE._replace(pass_nodes=1, pass_pairs=0))
+    def test_equals_scored_build(self, case):
+        kg1, kg2, store = case.build()
+        i1, i2 = PathIndex(kg1, store, case.h), PathIndex(kg2, store, case.h)
+        lists = neighbor_lists(i1, i2, np.array(case.forward), case.keys)
+        pairs = [(s, t) for s, t in enumerate(case.forward) if t >= 0]
+        state = AlignmentState((), pairs, READ_ENTITIES, READ_ENTITIES)
+        for cfg in READ_CONFIGS:
+            expected = confidences(explanations(case.keys, lists, i1, i2), store, cfg)
+            analyzer = PairAnalyzer(kg1, kg2, store, state, RepairConfig(h=case.h, adg=cfg))
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(importlib.import_module("exea.adg"), "_PASS_NODES", case.pass_nodes)
+                m.setattr(importlib.import_module("exea.explain"), "_PASS_PAIRS", case.pass_pairs)
+                assert pair_confidences(case.keys, lists, i1, i2, store, cfg) == expected
+                assert analyzer.adgs(case.keys) == expected
+
+    def test_one_by_one_case_has_its_shapes(self):
+        """``ONE_BY_ONE`` holds what the exactness test needs it for: one-by-one
+        blocks whose only path pair has an all-zero path on one side or the
+        other, on neighbors of positive influence, which the scored matcher
+        drops, a key without neighbors, and a confidence that a kept zero
+        path would move."""
+        kg1, kg2, store = ONE_BY_ONE.build()
+        i1, i2 = PathIndex(kg1, store, 2), PathIndex(kg2, store, 2)
+        lists = neighbor_lists(i1, i2, np.array(ONE_BY_ONE.forward), ONE_BY_ONE.keys)
+        assert lists[0].tolist() == [n * READ_ENTITIES + n for n in range(1, 6)]
+        assert lists[2].size == 0
+        for n, zero in ((2, (True, False)), (4, (False, True))):
+            (a1, b1), (a2, b2) = (index.runs(np.array([0]), np.array([n])) for index in (i1, i2))
+            assert (b1.tolist(), b2.tolist()) == ([1], [1])
+            assert (i1.zero[a1[0]], i2.zero[a2[0]]) == zero
+            assert pair_cosines(store, Side.SOURCE, [n], Side.TARGET, [n]).item() > 0.99
+        [expl] = explanations(ONE_BY_ONE.keys[:1], lists[:1], i1, i2)
+        assert [n for n, _ in expl.matched_neighbor_pairs] == [1, 2, 3, 4, 5]
+        assert expl.neighbor.tolist() == [0, 2, 4]
+        assert pair_confidences(ONE_BY_ONE.keys[:1], lists[:1], i1, i2, store) == [0.5]
+
+    def test_unscored_matcher_returns_no_cosines(self):
+        """The unscored matcher gives the scored matcher's rows, neighbor
+        positions and items and no similarity column, so no placeholder
+        score can reach an explanation."""
+        rng = np.random.default_rng(11)
+        res = generate_pair(SynthConfig(n_entities=60, density=4, rng_seed=4))
+        kg1, kg2, store = res.kg1, res.kg2, res.perturbed_store
+        i1, i2 = PathIndex(kg1, store, 2), PathIndex(kg2, store, 2)
+        forward = np.array([t for _, t in sorted(res.gold)])
+        keys = [tuple(map(int, k)) for k in rng.integers(0, 60, size=(40, 2))] + list(res.gold)
+        lists = neighbor_lists(i1, i2, forward, keys)
+        scored = _mutual_best(i1, i2, keys, lists)
+        unscored = _mutual_best(i1, i2, keys, lists, scored=False)
+        assert len(scored) == 5 and len(unscored) == 4
+        for got, want in zip(unscored, scored[:2] + scored[3:]):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    def test_zero_dimension_vectors(self):
+        """Vectors of dimension 0 make every path all-zero: the unscored
+        matcher keeps nothing without dividing by the row size, a key
+        without neighbors reads 0.5, and neighbors, which have no cosine,
+        raise the scored read's ``ZeroVector``."""
+        triples = [(0, 0, 1), (1, 0, 2), (0, 0, 3)]
+        kg1 = make_kg(4, triples, n_rel=1)
+        kg2 = make_kg(4, triples, n_rel=1, side=Side.TARGET)
+        none = {side: np.zeros((4, 0)) for side in Side}
+        store = EmbeddingStore(none, {side: np.zeros((1, 0)) for side in Side})
+        i1, i2 = PathIndex(kg1, store, 2), PathIndex(kg2, store, 2)
+        keys = [(0, 0), (1, 1)]
+        lists = neighbor_lists(i1, i2, np.arange(4), keys)
+        assert [keys.size for keys in lists] == [3, 3]
+        for column in _mutual_best(i1, i2, keys, lists, scored=False):
+            assert column.size == 0
+        empty = [np.zeros(0, dtype=np.int64)] * 2
+        assert pair_confidences(keys, empty, i1, i2, store) == [0.5, 0.5]
+        with pytest.raises(ZeroVector):
+            confidences(explanations(keys, lists, i1, i2), store)
+        with pytest.raises(ZeroVector):
+            pair_confidences(keys, lists, i1, i2, store)

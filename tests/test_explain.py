@@ -391,9 +391,9 @@ class TestBatchedCoreIsExact:
         passes = []
         match_blocks = explain_module._match_blocks
 
-        def counted(i1, i2, blocks):
+        def counted(i1, i2, blocks, scored):
             passes.append({item for *_, item in blocks})
-            return match_blocks(i1, i2, blocks)
+            return match_blocks(i1, i2, blocks, scored)
 
         monkeypatch.setattr(explain_module, "_match_blocks", counted)
         rng = np.random.default_rng(4000 + 10 * h)

@@ -24,7 +24,7 @@ from exea.embedding import (
     similarity_topk,
 )
 from exea.errors import ConfigError, InvariantViolation, NoRelationVectors
-from exea.explain import Explanation, _ranges, neighbor_lists
+from exea.explain import Explanation, _ranges, explain_pairs, neighbor_lists
 from exea.kg import Kg, Side, neighborhood_entities
 from exea.repair import (
     REPAIRED,
@@ -53,7 +53,7 @@ from exea.repair import (
 from exea.synth import SynthConfig, generate_pair
 
 from test_embedding import reference_cosine
-from test_explain import matched_neighbors, unpacked
+from test_explain import matched_neighbors, reference_match_paths, unpacked
 from conftest import adjacency
 from test_kg import make_kg, random_kg
 
@@ -1192,9 +1192,11 @@ class TestBatchedLookupIsExact:
         batched = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
         single = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
         # confidences computed per analyzer, told apart by the index they
-        # were matched over
+        # were matched over: a single lookup's from its explanation, a
+        # batched read's straight from the neighbor lists
         builds = {id(batched.index1): 0, id(single.index1): 0}
         confidences = repair_module.confidences
+        pair_confidences = repair_module.pair_confidences
 
         def counted(expls, *args):
             for expl in expls:
@@ -1202,19 +1204,25 @@ class TestBatchedLookupIsExact:
                 builds[key] = builds.get(key, 0) + 1
             return confidences(expls, *args)
 
-        monkeypatch.setattr(repair_module, "confidences", counted)
-        # calls of the one explanation builder, per analyzer: one per batched
-        # read that computes anything (its keys fit one pass here), none from
-        # the per-key lookups it ends with; one per confidence a single
-        # lookup computes
+        # calls of the builder each lookup goes through, per analyzer: one
+        # per batched read that computes anything (its keys fit one pass
+        # here), none from the per-key lookups it ends with; one explanation
+        # per confidence a single lookup computes
         monkeypatch.setattr(importlib.import_module("exea.adg"), "_PASS_NODES", 10**9)
         cores = {id(batched.index1): 0, id(single.index1): 0}
         explanations = repair_module.explanations
+
+        def counted_pairs(pairs, neighbor_lists, index1, *args):
+            builds[id(index1)] = builds.get(id(index1), 0) + len(pairs)
+            cores[id(index1)] = cores.get(id(index1), 0) + bool(pairs)
+            return pair_confidences(pairs, neighbor_lists, index1, *args)
 
         def core(pairs, neighbor_lists, index1, index2):
             cores[id(index1)] = cores.get(id(index1), 0) + 1
             return explanations(pairs, neighbor_lists, index1, index2)
 
+        monkeypatch.setattr(repair_module, "confidences", counted)
+        monkeypatch.setattr(repair_module, "pair_confidences", counted_pairs)
         monkeypatch.setattr(repair_module, "explanations", core)
         rng = np.random.default_rng(100 * density + h)
         seed_sources = {s for s, _ in res.seeds}
@@ -1326,21 +1334,28 @@ class TestBatchedLookupIsExact:
         assert passes[0] > passes[explain_module._PASS_PAIRS] > passes[10**9]
         assert outputs[0] == outputs[explain_module._PASS_PAIRS] == outputs[10**9]
         # the analyzer's passes over stale keys: one key each, the default,
-        # and every stale key of a read at once
+        # and every stale key of a read at once; a graph pass builds its
+        # explanations, a batched read's pass matches its keys straight
         repair_module = importlib.import_module("exea.repair")
         adg_module = importlib.import_module("exea.adg")
         default = adg_module._PASS_NODES
         for budget in (1, default, 10**9):
             calls = [0]
             explanations = repair_module.explanations
+            mutual_best = adg_module._mutual_best
 
             def core(*args):
                 calls[0] += 1
                 return explanations(*args)
 
+            def matched(*args, **kwargs):
+                calls[0] += 1
+                return mutual_best(*args, **kwargs)
+
             with monkeypatch.context() as m:
                 m.setattr(adg_module, "_PASS_NODES", budget)
                 m.setattr(repair_module, "explanations", core)
+                m.setattr(adg_module, "_mutual_best", matched)
                 out = repair(res.kg1, res.kg2, res.perturbed_store, raw, res.seeds)
             passes[budget, "nodes"] = calls[0]
             report = json.dumps(out.report.to_json_dict(), sort_keys=True)
@@ -1348,6 +1363,70 @@ class TestBatchedLookupIsExact:
         assert passes[1, "nodes"] > passes[default, "nodes"] >= passes[10**9, "nodes"]
         assert outputs[1, "nodes"] == outputs[default, "nodes"] == outputs[10**9, "nodes"]
         assert outputs[1, "nodes"] == outputs[10**9]
+
+
+class TestScoredReadsKeepCosines:
+    """The reads whose path cosines reach an output keep them: the graphs of
+    ``RepairResult.adgs`` and the explanations of ``explain_pairs`` carry
+    the per-path reference's cosines, one-by-one blocks included, and a
+    stale single-key lookup still builds its explanation, while a batched
+    read builds none."""
+
+    def test_result_graphs_and_explain_pairs_equal_reference(self):
+        res, raw = lookup_fixture(3)
+        kg1, kg2, store = res.kg1, res.kg2, res.perturbed_store
+        out = repair(kg1, kg2, store, raw, res.seeds)
+        analyzer = out.analyzer
+        expls = [adg.explanation for adg in out.adgs.values()]
+        expls += list(explain_pairs(out.pairs, kg1, kg2, store, out.state.forward, 2))
+        single = 0
+        for expl in expls:
+            expected = []
+            for n, t in expl.matched_neighbor_pairs:
+                expected += reference_match_paths(store, kg1, kg2, expl.pair, (n, t), 2)
+                (_, len1), (_, len2) = (
+                    index.runs(np.array([center]), np.array([end]))
+                    for index, center, end in (
+                        (analyzer.index1, expl.pair[0], n), (analyzer.index2, expl.pair[1], t)
+                    )
+                )
+                single += (len1.tolist(), len2.tolist()) == ([1], [1])
+            assert expl.path_matches() == expected
+        assert single > 0
+
+    def test_stale_single_lookup_builds_its_explanation(self, monkeypatch):
+        repair_module = importlib.import_module("exea.repair")
+        res, raw = lookup_fixture(3)
+        state = AlignmentState(res.seeds, raw, n_sources=60, n_targets=60)
+        analyzer = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, RepairConfig())
+        built = []
+        explanation = repair_module.explanation
+
+        def counted(pair, *args):
+            built.append(pair)
+            return explanation(pair, *args)
+
+        monkeypatch.setattr(repair_module, "explanation", counted)
+        seeds = {s for s, _ in res.seeds}
+        keys = [(s, t) for s, t, _ in state.pairs() if s not in seeds]
+        # a key and one of its matched neighbors that is not a seed
+        key, n = next(
+            (key, n) for key in keys
+            for n in (analyzer.neighbor_lists([key])[0] // 60).tolist() if n not in seeds
+        )
+        cold = analyzer.adg(*key)
+        assert built == [key]
+        assert analyzer.adg(*key) == cold and built == [key]
+        # unaligning the neighbor makes the entry stale
+        target = state.unalign(n)
+        analyzer.adg(*key)
+        assert built == [key, key]
+        # realigned, it is stale again, and a batched read computes it (and
+        # every other key) without an explanation
+        state.align(n, target, REPAIRED)
+        got = analyzer.adgs(keys)
+        assert built == [key, key]
+        assert got[keys.index(key)] == cold
 
 
 class TestOneToOne:
