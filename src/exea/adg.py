@@ -4,49 +4,45 @@ supports it.
 Nodes are matched entity pairs, as (source index, target index); the node
 influence is the pair's embedding cosine clamped to [0, 1]. Each matched path
 pair becomes an edge whose class reflects path lengths: both length 1 is
-Strong, exactly one length 1 is Moderate, neither is Weak. Edge weights come from relation functionality: a
-step leaving its anchor (anchor is subject) weighs the relation's inverse
-functionality, a step entering (anchor is object) weighs its functionality,
-and multi-step paths multiply their step weights. A Strong edge takes the
-smaller of its two path weights, a Moderate edge scales that by alpha, and a
-Weak edge gets a fixed floor weight.
+Strong, exactly one length 1 is Moderate, neither is Weak. Edge weights come
+from relation functionality: a step leaving its anchor (anchor is subject)
+weighs the relation's inverse functionality, a step entering weighs its
+functionality, and multi-step paths multiply their step weights. A Strong
+edge takes the smaller of its two path weights, a Moderate edge scales that
+by alpha, and a Weak edge gets a fixed floor weight.
 
 Confidence aggregates weight * influence per class into (c_s, c_m, c_w) and
 gates the weaker classes: Moderate mass counts only when c_s < theta, Weak
 mass only when additionally c_m < gamma. The gated sum is squashed through a
 sigmoid.
 
-``build_adg`` reads each graph off its explanation: edge ``i`` is matched path
-pair ``i``, on the node of the neighbor pair the matcher found it for. It
-builds a list of graphs in array passes, and each graph equals, bit for bit,
-what a call over its explanation alone builds;
-``tests/test_adg.py::TestAdgFromTablesIsExact`` keeps a per-path and a
-per-graph build as references and compares with ``==``. ``confidences``
-takes the same passes and arithmetic and returns only each graph's
-confidence, for readers that compare numbers and never a graph's
-structure. ``pair_confidences`` gives the same numbers from neighbor lists
-without explanations: the matcher's unscored mode reads no cosine for a
-block of one path on each side, and its matched rows, neighbor positions
-and pairs go straight into the same class arithmetic (``_class_masses``,
-written once for all three), with influences from the neighbor rows alone;
-``tests/test_adg.py::TestPairConfidencesAreExact`` compares it with the
-scored build. The benchmark's ``adg.build_calls`` counts ``build_adg``
-calls, so full-graph build passes, not graphs and not confidence passes.
+``build_adg`` reads each graph off its explanation (edge ``i`` is matched
+path pair ``i``, on its neighbor pair's node), in array passes, each graph
+equal bit for bit to what a call over its explanation alone builds
+(``tests/test_adg.py::TestAdgFromTablesIsExact``). ``confidences`` takes the
+same passes and returns only the confidences. ``pair_confidences`` gives
+them from neighbor lists in one flat pass per batch, with no explanation: a
+block of one path on each side is kept or dropped by the indexes' zero
+masks, only blocks of several paths are scored, and the matches go into the
+same class arithmetic (``_class_masses``, written once for all three;
+``TestPairConfidencesAreExact``). The benchmark's ``adg.build_calls`` counts
+``build_adg`` calls: full-graph build passes, not graphs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .embedding import EmbeddingStore, pair_cosines
 from .errors import ConfigError
-from .explain import Explanation, PathIndex, _mutual_best
+from .explain import Explanation, PathIndex, _score_passes
 from .kg import Side
 
 
@@ -201,29 +197,42 @@ def pair_confidences(
     index2: PathIndex,
     store: EmbeddingStore,
     cfg: AdgConfig | None = None,
+    influence: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> list[float]:
     """The confidence of each pair's dependency graph from its packed
     neighbor keys, over indexes that hold every pair's centers: what
     ``confidences(explanations(pairs, neighbors, index1, index2), store,
-    cfg)`` gives, bit for bit, with no explanation built and no path cosine
-    read where a match needs none.
-
-    In ``pass_ranges``' passes, the unscored matcher gives the matched rows,
-    their neighbor positions and their pairs, which go straight into the
-    class arithmetic of ``build_adg``; the influences are the neighbor
-    nodes' alone, since no edge reads a central pair's."""
+    cfg)`` gives, bit for bit. A block of one path on each side keeps its
+    pair unless a path is all-zero (a unit row's cosine is above -2.0), so
+    only blocks of several paths are scored. Every neighbor node's
+    influence is read, through ``influence`` when given, and no central
+    pair's, since no edge reads it."""
     cfg = cfg or AdgConfig()
+    influence = influence or functools.partial(_influence, store)
     out: list[float] = []
     for batch in pass_ranges([keys.size for keys in neighbors]):
         keys = [neighbors[i] for i in batch]
-        rows1, rows2, neighbor, graph = _mutual_best(
-            index1, index2, [pairs[i] for i in batch], keys, scored=False
-        )
-        counts = np.array([k.size for k in keys], dtype=np.int64)
+        graph = np.repeat(np.arange(len(keys)), [k.size for k in keys])
         n, t = np.divmod(np.concatenate([np.zeros(0, dtype=np.int64), *keys]), index2.n_entities)
-        influence = _influence(store, n, t)[(np.cumsum(counts) - counts)[graph] + neighbor]
-        _, _, mass = _class_masses(index1, index2, rows1, rows2, graph, influence, len(keys), cfg)
-        mass = mass.tolist()
+        centers = np.array([pairs[i] for i in batch], dtype=np.int64).reshape(-1, 2)[graph]
+        start1, len1 = index1.runs(centers[:, 0], n)
+        start2, len2 = index2.runs(centers[:, 1], t)
+        node_influence = influence(n, t)
+        one = np.flatnonzero((len1 == 1) & (len2 == 1))
+        node = one[~index1.zero[start1[one]] & ~index2.zero[start2[one]]]
+        rows1, rows2 = start1[node], start2[node]
+        many = np.flatnonzero((len1 > 0) & (len2 > 0) & (len1 * len2 > 1))
+        if many.size:
+            blocks = np.stack([start1, len1, start2, len2, graph], axis=1)[many]
+            more1, more2, _, block = _score_passes(index1, index2, blocks)
+            # back into node order, each block's matches in i1 row order
+            node = np.concatenate([node, many[block]])
+            order = np.argsort(node, kind="stable")
+            node = node[order]
+            rows1, rows2 = (np.concatenate(r)[order] for r in ((rows1, more1), (rows2, more2)))
+        mass = _class_masses(
+            index1, index2, rows1, rows2, graph[node], node_influence[node], len(keys), cfg
+        )[2].tolist()
         out += [aggregate_confidence(*mass[3 * g : 3 * g + 3], cfg) for g in range(len(keys))]
     return out
 

@@ -10,56 +10,41 @@ along matched paths is the explanation subgraph.
 
 Performance notes. ``PathIndex`` is one table per side, built in one array
 pass over the graph's step index (``Kg.step_keys``) for every center it is
-given; its docstring gives the row layout. A row holds no embedding, only
-ids of two small half tables and a norm, and its halves are summed in the
-order ``path_embedding`` adds, so no value depends on which centers share
-the index. The build drops each temporary as soon as it is consumed, so
-its peak stays within about twice the finished index. Distinct keys come
-from a sort and a run-start mask (``_distinct``, ``_distinct_inverse``),
-since ``np.unique`` imports ``numpy.ma`` on its first call in a process.
+given, dropping each temporary once consumed (its peak stays within about
+twice the finished index). A row holds no embedding, only ids of two small
+half tables and a norm, summed in ``path_embedding``'s order, so no value
+depends on which centers share the index. Distinct keys come from a sort
+and a run-start mask (``_distinct``, ``_distinct_inverse``), since
+``np.unique`` imports ``numpy.ma`` on its first call in a process.
 ``neighbor_lists`` is the one matched-neighbor rule: a gather of each
-pair's source endpoints, their targets in a forward array (``forward[s]``
-the target of source s, -1 for none) and sorted membership tests against
-the target's endpoints and the banned pairs, which gives each pair's
-matched neighbor pairs (n, t) as sorted packed int64 keys ``n * n_targets +
-t``. Those arrays are what the repair's cache stores and compares, and what
-``explanations``, ``adg.build_adg`` and the relation-conflict stage read;
-the tuple form (``Explanation.matched_neighbor_pairs``) is derived only
-where output is written. ``explanations`` is the one
-explanation builder: given each pair's neighbor keys and indexes that hold
-every pair's centers, it scores the path pairs of many neighbor pairs
-together, each neighbor pair a block, in passes linear in their scored path
-pairs. A pass rebuilds unit rows only for its blocks' rows, with the
-operations of ``path_embedding`` over its norm in the same order, so every
-score equals the per-path computation bit for bit. Unscored, as the
-repair's batched confidence read runs it, the matcher returns no cosines
-and rebuilds rows only for blocks of several path pairs: a block of one
-path on each side keeps its pair exactly when neither path is all-zero.
-It gathers each path pair's two unit rows a chunk at a time into two
-buffers of at most ``_DOT_BYTES``, reused from chunk to chunk and small
-enough to come from the heap, and scores each chunk with one
-``np.vecdot``. Each row's and each
-column's best is the first maximum of its run (``_first_max``: one
-``np.maximum.reduceat`` and a search for the first equal score), which is
-the lowest-index tie rule; a block's pairs lie row-major, and its column
-runs are read through its column-major order, so no sort is needed. A pass
-takes whole pairs up to ``_PASS_PAIRS`` scored path pairs (a larger pair
-gets a pass of its own). Both constants cap temporaries and change no
-output.
-The repair's ``PairAnalyzer`` reads both over one index per side of every
-entity. ``explain_pairs`` builds one index per side over all its pairs'
-centers and matches one pair per ``explanations`` call; ``explanation``
-(one pair, its neighbors read off a mapping) calls it for one pair, and
-``match_paths`` (one neighbor pair) builds indexes over the pair's own
-centers. ``adg.build_adg`` builds the dependency graphs of many
-explanations at once. Similarities and norms go through ``np.vecdot``,
-never a matrix product or an einsum: vecdot takes, row by row, the BLAS dot
+pair's source endpoints, their targets in a forward array (-1 for none)
+and sorted membership tests against the target's endpoints and the banned
+pairs, giving sorted packed int64 keys ``n * n_targets + t``: what the
+repair's cache compares and ``explanations``, ``adg.build_adg`` and the
+relation-conflict stage read; tuples are derived only for output.
+``explanations`` is the one explanation builder: it scores the path pairs
+of many neighbor pairs together, each neighbor pair a block, in passes
+linear in their scored path pairs, rebuilding unit rows for its blocks'
+rows only, with ``path_embedding``'s operations in its order. The repair's
+batched confidence read (``adg.pair_confidences``) keeps a block of one
+path on each side exactly when neither path is all-zero and scores only
+the others. A pass gathers each path pair's two unit rows a chunk at a
+time into two reused buffers of at most ``_DOT_BYTES``, small enough to
+come from the heap, and scores each chunk with one ``np.vecdot``. Each
+row's and each column's best is the first maximum of its run
+(``_first_max``), the lowest-index tie rule, with column runs read through
+each block's column-major order, so no sort is needed. A pass takes whole
+pairs up to ``_PASS_PAIRS`` scored path pairs, a larger pair one of its
+own; both constants cap temporaries and change no output. Similarities
+and norms go through ``np.vecdot``, which takes, row by row, the BLAS dot
 that ``np.dot`` and ``np.linalg.norm`` take for one vector, where a matrix
-product or einsum may sum in another order. In ``tests/test_explain.py``,
-``TestBatchedCoreIsExact`` keeps the per-pair matcher as the reference,
-``TestPathIndexIsExact`` the per-center path build,
-``TestUnitRowsAreRebuiltExactly`` the whole unit matrix and
-``TestGatherEqualsWalk`` the breadth-first matched-neighbor walk.
+product or an einsum may sum in another order. ``explain_pairs`` matches
+one pair per ``explanations`` call over one index per side of all its
+pairs' centers; ``explanation`` and ``match_paths`` build indexes over one
+pair's own centers. In ``tests/test_explain.py``, ``TestBatchedCoreIsExact``
+keeps the per-pair matcher as the reference, ``TestPathIndexIsExact`` the
+per-center path build, ``TestUnitRowsAreRebuiltExactly`` the whole unit
+matrix and ``TestGatherEqualsWalk`` the breadth-first walk.
 
 Everything here is ints: a pair is (source index, target index), a path is
 its tuple of step keys (see ``kg``), and a triple is a (side, subject,
@@ -404,8 +389,7 @@ def _mutual_best(
     i2: PathIndex,
     pairs: Sequence[tuple[int, int]],
     neighbors: Sequence[np.ndarray],
-    scored: bool = True,
-) -> tuple[np.ndarray, ...]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mutual-best path matching for every neighbor pair of every item, item
     i being ``pairs[i]`` with its neighbor pairs ``neighbors[i]``, packed as
     ``n * i2.n_entities + t``.
@@ -416,73 +400,46 @@ def _mutual_best(
     a block a path takes the other side's path of highest cosine, the lowest
     row on ties (the first maximum of its run, ``_first_max``, in the block's
     row-major or column-major order), and a pair is kept when each side is
-    the other's choice. All-zero paths score -2.0 and never match. The
-    blocks are scored in passes of at most ``_PASS_PAIRS`` path pairs, cut
-    between items; an item with more gets a pass of its own. Returns the
-    matched rows of ``i1`` and ``i2``, their similarities, the position in
-    its item's neighbor pairs of the pair each match was found for, and the
-    position of that item, ordered by item, then by block, then by ``i1``
-    row.
-
-    With ``scored`` false the similarities column is left out and a block
-    of one path on each side is not scored: its pair is kept exactly when
-    neither path is all-zero, which is what its scores would decide.
+    the other's choice. All-zero paths score -2.0 and never match. Returns
+    the matched rows of ``i1`` and ``i2``, their similarities, the position
+    in its item's neighbor pairs of the pair each match was found for, and
+    that item's, ordered by item, then by block, then by ``i1`` row.
     """
-    n_items = len(pairs)
     pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     counts = np.array([keys.size for keys in neighbors], dtype=np.int64)
     n, t = np.divmod(np.concatenate([np.zeros(0, dtype=np.int64), *neighbors]), i2.n_entities)
-    item = np.repeat(np.arange(n_items), counts)
+    item = np.repeat(np.arange(len(pairs)), counts)
     pos = np.arange(item.size) - np.repeat(np.cumsum(counts) - counts, counts)
     start1, len1 = i1.runs(pairs[item, 0], n)
     start2, len2 = i2.runs(pairs[item, 1], t)
-    blocks = np.stack([start1, len1, start2, len2, pos, item], axis=1)[(len1 > 0) & (len2 > 0)]
-    sizes = np.zeros(n_items, dtype=np.int64)
-    np.add.at(sizes, blocks[:, 5], blocks[:, 1] * blocks[:, 3])
-    # cut between items: a pass ends before the item that would take it past
-    # the budget, so an item over the budget gets a pass of its own
-    cuts = [0]
-    held = 0
-    for i, size in enumerate(sizes.tolist()):
+    at = np.flatnonzero((len1 > 0) & (len2 > 0))
+    blocks = np.stack([start1, len1, start2, len2, item], axis=1)[at]
+    rows1, rows2, sims, block = _score_passes(i1, i2, blocks)
+    return rows1, rows2, sims, pos[at[block]], item[at[block]]
+
+
+def _score_passes(
+    i1: PathIndex, i2: PathIndex, blocks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_score_blocks`` over ``blocks``, one (start1, len1, start2, len2,
+    item) row each, by item, in passes of at most ``_PASS_PAIRS`` path
+    pairs cut between items (an item over the budget gets a pass of its
+    own); each match's block is its row in ``blocks``."""
+    starts = np.flatnonzero(_run_starts(blocks[:, 4]))
+    sizes = np.add.reduceat(blocks[:, 1] * blocks[:, 3], starts).tolist() if starts.size else []
+    bounds, held = [0], 0
+    for at, size in zip(starts.tolist(), sizes):
         if held and held + size > _PASS_PAIRS:
-            cuts.append(i)
+            bounds.append(at)
             held = 0
         held += size
-    bounds = np.searchsorted(blocks[:, 5], cuts + [n_items]).tolist()
-    passes = [
-        _match_blocks(i1, i2, blocks[a:b], scored) for a, b in zip(bounds, bounds[1:]) if a < b
-    ]
-    if not passes:
-        empty = np.zeros(0, dtype=np.int64)
-        sims = (np.zeros(0, dtype=np.float64),) if scored else ()
-        return empty, empty, *sims, empty, empty
+    bounds.append(len(blocks))
+    passes = [_score_blocks(i1, i2, blocks[a:b]) for a, b in zip(bounds, bounds[1:])]
     if len(passes) == 1:
         return passes[0]
-    return tuple(np.concatenate(column) for column in zip(*passes))
-
-
-def _match_blocks(
-    i1: PathIndex, i2: PathIndex, blocks: np.ndarray, scored: bool
-) -> tuple[np.ndarray, ...]:
-    """One pass of ``_mutual_best`` over blocks, one (start1, len1, start2,
-    len2, neighbor position, item) row each."""
-    pos, item = blocks[:, 4], blocks[:, 5]
-    if scored:
-        rows1, rows2, sims, block = _score_blocks(i1, i2, blocks)
-        return rows1, rows2, sims, pos[block], item[block]
-    # a block of one path pair keeps it unless a path is all-zero, unscored;
-    # the others are scored, and the two sets merge back into block order
-    start1, len1, start2, len2 = blocks[:, :4].T
-    single = (len1 == 1) & (len2 == 1)
-    many = np.flatnonzero(~single)
-    rows1, rows2, _, block = _score_blocks(i1, i2, blocks[many])
-    one = np.flatnonzero(single & ~i1.zero[start1] & ~i2.zero[start2])
-    block = np.concatenate([many[block], one])
-    order = np.argsort(block, kind="stable")
-    block = block[order]
-    rows1 = np.concatenate([rows1, start1[one]])[order]
-    rows2 = np.concatenate([rows2, start2[one]])[order]
-    return rows1, rows2, pos[block], item[block]
+    rows1, rows2, sims, _ = (np.concatenate(column) for column in zip(*passes))
+    block = np.concatenate([found[3] + a for found, a in zip(passes, bounds)])
+    return rows1, rows2, sims, block
 
 
 def _score_blocks(

@@ -21,18 +21,17 @@ reads a pair's similarity once it is aligned, so none is stored.
 Seed pairs are immutable throughout; every loop carries the source-count guard
 that forces termination.
 
-The stages compare confidences, which ``PairAnalyzer`` looks up as plain
-numbers and caches per pair. Full dependency graphs are built only where
-their structure is read: one pass over the initial pairs (the first
-confidence snapshot and the relation-conflict stage) and
-``RepairResult.adgs``. A batched read computes its stale confidences
-straight from the neighbor lists (``adg.pair_confidences``), with no
-explanation and no cosine for a block of one path on each side; graphs and
-a single stale lookup keep every path cosine. A one-to-many walk reads
-every comparison it may make when it starts, since the alignment stays
-fixed until the walk aligns; a challenger without matched neighbors scores
-0.5, the least a confidence can, and loses unread. A low-confidence walk
-reads a comparison only when it reaches it.
+The stages compare confidences, which ``PairAnalyzer`` caches per pair
+and reads paying only for what moved: only keys near a move or ban are
+gathered and compared, and a stale one is computed straight from its
+neighbor list (``adg.pair_confidences``). Full dependency graphs are built
+only where their structure is read: one pass over the initial pairs (the
+first confidence snapshot and the relation-conflict stage) and
+``RepairResult.adgs``. A one-to-many walk reads every comparison it may
+make when it starts, since the alignment stays fixed until the walk
+aligns; a challenger without matched neighbors scores 0.5, the least a
+confidence can, and loses unread. A low-confidence walk reads a
+comparison only when it reaches it.
 
 The relation-conflict stage runs as array passes over chunks of dependency
 graphs. ``ConflictTables``, built once per stage (which reads the alignment
@@ -62,7 +61,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .adg import STRONG, Adg, AdgConfig, build_adg, confidences, pass_ranges, sigmoid
-from .adg import pair_confidences
+from .adg import _influence, pair_confidences
 from .embedding import (
     EmbeddingStore,
     SimilarityTopK,
@@ -150,8 +149,9 @@ class AlignmentState:
     until one-to-many resolution has run. The pairs, a target's sources, the
     unaligned and multi-claimed entities and the seed checks are all read off
     these two. Seeds can never be realigned or removed. Every mutation is
-    appended to ``mutations``, a record of what a run did; nothing in the
-    library reads it back (the benchmark's trace reports its length).
+    appended to ``mutations`` as (source, target): ``PairAnalyzer`` reads
+    the sources moved since its last read from it, and the benchmark's trace
+    reports its length.
     """
 
     def __init__(
@@ -190,10 +190,6 @@ class AlignmentState:
 
     def is_seed_pair(self, s: int, t: int) -> bool:
         return 0 <= s < self.forward.size and self.provenance[s] == SEED and int(self.forward[s]) == t
-
-    def target_of(self, s: int) -> int | None:
-        t = int(self.forward[s]) if 0 <= s < self.forward.size else -1
-        return t if t >= 0 else None
 
     def sources_of(self, t: int) -> tuple[int, ...]:
         # -1 marks an unaligned source, not a target
@@ -267,34 +263,27 @@ def explanation(
 
 
 class PairAnalyzer:
-    """Dependency-graph confidences for one repair run, with a cache that
-    validates itself on every read.
+    """Dependency-graph confidences for one repair run, cached per pair.
 
-    Both path indexes are built once, over every entity, and the confidence
-    of (s, t) is a function of its matched-neighbor list: the sorted packed
-    int64 keys ``n * n_targets + t`` that ``neighbor_lists`` gathers from
-    the two indexes, the state's ``forward`` array and the banned pairs. The
-    cache holds that list and the confidence per key. A read gathers the
-    current list and reuses the confidence while the two arrays are equal
-    (``np.array_equal``); otherwise it recomputes it. Entries are never
-    evicted and hold no graph.
+    Both path indexes are built once, over every entity. The confidence of
+    (s, t) is a function of its matched-neighbor list, the sorted packed
+    int64 keys ``n * n_targets + t`` that ``neighbor_lists`` gathers; the
+    cache holds that list, the confidence and the epoch the list was last
+    checked at. A list depends only on ``forward`` and bans within h hops of
+    s, and hoods are symmetric, so each move read off ``state.mutations``
+    and each ``ban`` stamps every source within h hops of its source with a
+    new epoch. A cached key with no newer stamp is clean: no gather, no
+    comparison. Another is gathered, compared (``np.array_equal``) and
+    recomputed only when its list changed.
 
-    ``adg(s, t)`` is the one per-key lookup and returns the confidence; it
-    keeps its name because the benchmark's trace counts lookups by it. A
-    stale entry is recomputed from its explanation (``repair.explanation``,
-    which the trace counts, then ``adg.confidences``). ``adgs(keys, lists)``
-    computes a read's stale confidences with ``adg.pair_confidences``, in
-    shared passes of at most ``adg._PASS_NODES`` nodes, straight from the
-    neighbor lists: no explanation is built and a block of one path on
-    each side is not scored. It then looks every key up through ``adg``, so
-    a batched read makes the lookups and computes the confidences, bit for
-    bit, that one lookup per key would; a caller that has already gathered
-    the keys' ``neighbor_lists``, as one-to-many's walk has, hands them in.
-    Only ``adgs`` and ``graphs`` hand ``adg`` a cached array.
-    ``graphs(keys)`` builds full, scored graphs in the same passes for the
-    two readers of their structure, the first pass over the initial pairs
-    and ``RepairResult.adgs``, and caches and looks up each key's confidence
-    as its pass is built.
+    ``adg(s, t)``, the per-key lookup the benchmark's trace counts,
+    recomputes a stale key from its explanation (``repair.explanation``).
+    ``adgs(keys, lists)`` computes stale keys with ``adg.pair_confidences``,
+    each neighbor's influence kept per source with its target
+    (``pair_cosines`` works row by row), then looks every key up through
+    ``adg`` with the cached array, which the identity check accepts.
+    ``graphs(keys)`` builds full graphs for the first pass over the initial
+    pairs and ``RepairResult.adgs``, caching each key's confidence.
     """
 
     def __init__(
@@ -315,8 +304,21 @@ class PairAnalyzer:
         self.banned_pairs: set[tuple[int, int]] = set()
         # the banned pairs as sorted n * n_targets + t keys
         self._banned = np.zeros(0, dtype=np.int64)
-        # (s, t) -> (packed matched-neighbor keys, confidence)
-        self._cache: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
+        # (s, t) -> (packed matched-neighbor keys, confidence, epoch checked)
+        self._cache: dict[tuple[int, int], tuple[np.ndarray, float, int]] = {}
+        # per source, the last epoch that moved or banned one within h hops;
+        # the mutations stamped so far
+        self._stamps = np.zeros(kg1.n_entities, dtype=np.int64)
+        self._epoch = self._seen = 0
+        # per source n, the influence of (n, target), target -1 for none
+        self._influence = np.zeros(kg1.n_entities)
+        self._influence_target = np.full(kg1.n_entities, -1)
+
+    def _stamp(self, sources: Iterable[int]) -> None:
+        """Stamp every source within h hops of ``sources`` with a new epoch."""
+        self._epoch += 1
+        for n in set(sources):
+            self._stamps[self.index1.hood(n)] = self._epoch
 
     def ban(self, pairs: Iterable[tuple[int, int]]) -> None:
         pairs = list(pairs)
@@ -325,35 +327,51 @@ class PairAnalyzer:
         # a pair outside the graphs is never a matched neighbor
         ok = (n >= 0) & (n < self.kg1.n_entities) & (t >= 0) & (t < self.kg2.n_entities)
         self._banned = _distinct(np.concatenate([self._banned, n[ok] * self.kg2.n_entities + t[ok]]))
+        self._stamp(n[ok].tolist())
 
     def neighbor_lists(self, keys: Sequence[tuple[int, int]]) -> list[np.ndarray]:
         """Each key's packed matched-neighbor keys under the current state
-        and banned pairs, in one gather."""
-        return neighbor_lists(self.index1, self.index2, self.state.forward, keys, self._banned)
+        and banned pairs: a cached key's own array while its list is
+        unchanged. Only keys stamped since they were last checked are
+        gathered, in one pass, and compared with their entries."""
+        log = self.state.mutations
+        if len(log) > self._seen:
+            self._stamp(s for s, _ in log[self._seen :])
+            self._seen = len(log)
+        entries = [self._cache.get(key) for key in keys]
+        stamps = self._stamps[[s for s, _ in keys]].tolist()
+        stale = [i for i, (got, at) in enumerate(zip(entries, stamps)) if not got or at > got[2]]
+        lists = [got and got[0] for got in entries]
+        gathered = neighbor_lists(
+            self.index1, self.index2, self.state.forward, [keys[i] for i in stale], self._banned
+        )
+        for i, packed in zip(stale, gathered):
+            if lists[i] is not None and np.array_equal(lists[i], packed):
+                self._cache[keys[i]] = (*entries[i][:2], self._epoch)
+            else:
+                lists[i] = packed
+        return lists
 
     def adg(self, s: int, t: int, neighbors: np.ndarray | None = None) -> float:
-        """The confidence of (s, t), recomputed when its packed
-        matched-neighbor keys differ from the cached ones. ``neighbors``,
-        when given, is those keys already gathered; ``adgs`` and ``graphs``
-        pass the cached array itself for a key they have just validated or
-        computed, which the identity check accepts without a comparison."""
+        """The confidence of (s, t), recomputed unless its packed
+        matched-neighbor keys, ``neighbors`` or else read through
+        ``neighbor_lists``, are the cached array itself."""
         key = (int(s), int(t))
         if neighbors is None:
-            neighbors = self.neighbor_lists([key])[0]
+            [neighbors] = self.neighbor_lists([key])
         got = self._cache.get(key)
-        if got is None or (got[0] is not neighbors and not np.array_equal(got[0], neighbors)):
+        if got is None or neighbors is not got[0]:
             expl = explanation(key, neighbors, self.index1, self.index2)
-            got = self._cache[key] = (neighbors, confidences([expl], self.store, self.cfg.adg)[0])
+            conf = confidences([expl], self.store, self.cfg.adg)[0]
+            got = self._cache[key] = (neighbors, conf, self._epoch)
         return got[1]
 
     def adgs(
         self, keys: Iterable[tuple[int, int]], lists: Sequence[np.ndarray] | None = None
     ) -> list[float]:
         """``[self.adg(s, t) for s, t in keys]``, with every stale or missing
-        confidence computed in shared passes and each distinct key compared
-        with its cache entry once. ``lists``, when given, is each key's
-        ``neighbor_lists`` gathered under the current state and banned
-        pairs."""
+        confidence computed in shared passes. ``lists``, when given, is the
+        keys' ``neighbor_lists``, read under the current state."""
         keys = [(int(s), int(t)) for s, t in keys]
         if lists is None:
             distinct = list(dict.fromkeys(keys))
@@ -362,14 +380,26 @@ class PairAnalyzer:
             current = dict(zip(keys, lists))
         stale = [
             key for key, packed in current.items()
-            if (got := self._cache.get(key)) is None or not np.array_equal(got[0], packed)
+            if (got := self._cache.get(key)) is None or packed is not got[0]
         ]
         lists = [current[key] for key in stale]
-        computed = pair_confidences(stale, lists, self.index1, self.index2, self.store, self.cfg.adg)
+        computed = pair_confidences(
+            stale, lists, self.index1, self.index2, self.store, self.cfg.adg, self._influences
+        )
         for key, packed, conf in zip(stale, lists, computed):
             # a copy, so that the entry does not hold the whole read's gather
-            self._cache[key] = (packed.copy(), conf)
+            self._cache[key] = (packed.copy(), conf, self._epoch)
         return [self.adg(s, t, self._cache[s, t][0]) for s, t in keys]
+
+    def _influences(self, n: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Each node (n, t)'s influence, computed where n's kept one is for another target."""
+        got = self._influence[n]
+        miss = self._influence_target[n] != t
+        if miss.any():
+            n, t = n[miss], t[miss]
+            got[miss] = self._influence[n] = _influence(self.store, n, t)
+            self._influence_target[n] = t
+        return got
 
     def graphs(self, keys: Sequence[tuple[int, int]]) -> Iterator[Adg]:
         """The dependency graph of each key under the current state, in
@@ -378,13 +408,14 @@ class PairAnalyzer:
         graphs are released once the caller has moved past them."""
         keys = [(int(s), int(t)) for s, t in keys]
         lists = self.neighbor_lists(keys)
+        epoch = self._epoch
         for batch in pass_ranges([packed.size for packed in lists]):
             expls = explanations(
                 [keys[i] for i in batch], [lists[i] for i in batch], self.index1, self.index2
             )
             graphs = build_adg(expls, self.store, self.cfg.adg)
             for i, graph in zip(batch, graphs):
-                entry = self._cache[keys[i]] = (lists[i].copy(), graph.confidence)
+                entry = self._cache[keys[i]] = (lists[i].copy(), graph.confidence, epoch)
                 # counted like any other read; the entry is fresh
                 self.adg(*keys[i], entry[0])
             yield from graphs

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import exea.explain as explain_module
 from exea.adg import (
     Adg,
     AdgConfig,
@@ -19,6 +20,7 @@ from exea.adg import (
     confidences,
     pair_confidences,
     sigmoid,
+    _influence,
 )
 from exea.embedding import EmbeddingStore, greedy_align, pair_cosines
 from exea.errors import ConfigError, ZeroVector
@@ -717,10 +719,10 @@ class TestPairConfidencesAreExact:
         assert expl.neighbor.tolist() == [0, 2, 4]
         assert pair_confidences(ONE_BY_ONE.keys[:1], lists[:1], i1, i2, store) == [0.5]
 
-    def test_unscored_matcher_returns_no_cosines(self):
-        """The unscored matcher gives the scored matcher's rows, neighbor
-        positions and items and no similarity column, so no placeholder
-        score can reach an explanation."""
+    def test_kernel_hands_on_the_scored_matches(self, monkeypatch):
+        """The kernel hands the class arithmetic the scored matcher's rows
+        and items, each with its neighbor's influence, and no cosine; only
+        blocks of several path pairs are scored."""
         rng = np.random.default_rng(11)
         res = generate_pair(SynthConfig(n_entities=60, density=4, rng_seed=4))
         kg1, kg2, store = res.kg1, res.kg2, res.perturbed_store
@@ -728,15 +730,37 @@ class TestPairConfidencesAreExact:
         forward = np.array([t for _, t in sorted(res.gold)])
         keys = [tuple(map(int, k)) for k in rng.integers(0, 60, size=(40, 2))] + list(res.gold)
         lists = neighbor_lists(i1, i2, forward, keys)
-        scored = _mutual_best(i1, i2, keys, lists)
-        unscored = _mutual_best(i1, i2, keys, lists, scored=False)
-        assert len(scored) == 5 and len(unscored) == 4
-        for got, want in zip(unscored, scored[:2] + scored[3:]):
+        rows1, rows2, _, neighbor, item = _mutual_best(i1, i2, keys, lists)
+        adg_module = importlib.import_module("exea.adg")
+        handed, scored = [], []
+        class_masses, score_blocks = adg_module._class_masses, explain_module._score_blocks
+
+        def masses(i1, i2, *arrays):
+            handed.append(arrays)
+            return class_masses(i1, i2, *arrays)
+
+        def blocks(i1, i2, rows):
+            scored.append(rows)
+            return score_blocks(i1, i2, rows)
+
+        monkeypatch.setattr(adg_module, "_PASS_NODES", 10**9)
+        monkeypatch.setattr(adg_module, "_class_masses", masses)
+        monkeypatch.setattr(explain_module, "_score_blocks", blocks)
+        pair_confidences(keys, lists, i1, i2, store)
+        [(got1, got2, graph, influence, n_graphs, _)] = handed
+        assert n_graphs == len(keys)
+        for got, want in ((got1, rows1), (got2, rows2), (graph, item)):
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        n, t = np.divmod(np.array([lists[g][p] for g, p in zip(item, neighbor)]), 60)
+        assert influence.tolist() == _influence(store, n, t).tolist()
+        sizes = np.concatenate([rows[:, 1] * rows[:, 3] for rows in scored])
+        # some matched blocks are scored, and others, one by one, are not
+        assert sizes.size and (sizes > 1).all()
+        assert len(set(zip(item.tolist(), neighbor.tolist()))) > sizes.size
 
     def test_zero_dimension_vectors(self):
-        """Vectors of dimension 0 make every path all-zero: the unscored
-        matcher keeps nothing without dividing by the row size, a key
+        """Vectors of dimension 0 make every path all-zero: the kernel
+        keeps nothing without dividing by the row size, a key
         without neighbors reads 0.5, and neighbors, which have no cosine,
         raise the scored read's ``ZeroVector``."""
         triples = [(0, 0, 1), (1, 0, 2), (0, 0, 3)]
@@ -748,8 +772,20 @@ class TestPairConfidencesAreExact:
         keys = [(0, 0), (1, 1)]
         lists = neighbor_lists(i1, i2, np.arange(4), keys)
         assert [keys.size for keys in lists] == [3, 3]
-        for column in _mutual_best(i1, i2, keys, lists, scored=False):
-            assert column.size == 0
+        # the kernel over influences that need no cosine hands the class
+        # arithmetic no match
+        handed = []
+        adg_module = importlib.import_module("exea.adg")
+        class_masses = adg_module._class_masses
+
+        def masses(i1, i2, rows1, *arrays):
+            handed.append(rows1.size)
+            return class_masses(i1, i2, rows1, *arrays)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(adg_module, "_class_masses", masses)
+            ones = pair_confidences(keys, lists, i1, i2, store, influence=lambda n, t: n * 0.0 + 1)
+        assert ones == [0.5, 0.5] and handed == [0]
         empty = [np.zeros(0, dtype=np.int64)] * 2
         assert pair_confidences(keys, empty, i1, i2, store) == [0.5, 0.5]
         with pytest.raises(ZeroVector):

@@ -261,6 +261,33 @@ class TestSimilaritySearch:
                     [row[j] for j in ranked] for row, ranked in zip(sims, expected)
                 ]
 
+    @pytest.mark.parametrize("negative", [None, 0, 2, 3])
+    def test_tie_at_the_kth_score_goes_to_the_lower_target(self, monkeypatch, negative):
+        """k cuts through a run of exactly tied targets (cosine 0.0, one of
+        them -0.0 where ``negative`` says) on every source, in blocks of one
+        to all six sources, so the boundaries fall between tied rows in
+        every way: every blocking keeps the lower tied targets, target 0
+        and target 2, and drops target 3."""
+        targets = [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 2.0], [-1.0, 0.0]]
+        st = store_from([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]] * 2, targets)
+        vecdot = np.vecdot
+
+        def signed(*args, **kwargs):
+            # a score of 0.0 read as -0.0 on the target ``negative``
+            sims = vecdot(*args, **kwargs)
+            flip = (np.arange(len(targets)) == negative) & (sims == 0.0)
+            return np.where(flip, -0.0, sims)
+
+        monkeypatch.setattr(np, "vecdot", signed)
+        results = []
+        for rows_per_block in range(1, 7):
+            monkeypatch.setattr(embedding_module, "_TOPK_BLOCK_BYTES", 8 * 5 * rows_per_block)
+            topk = similarity_topk(st, range(6), range(5), k=3)
+            results.append((topk.target_indices.tolist(), topk.scores.tolist()))
+            if negative is not None and negative < 3:
+                assert np.signbit(topk.scores[:, 1 + (negative == 2)]).all()
+        assert results == [([[1, 0, 2]] * 6, [[1.0, 0.0, 0.0]] * 6)] * 6
+
     def test_matrix_rows_do_not_depend_on_the_rows_scored_with_them(self):
         """A subset of 1 to 17 sources (where BLAS matrix kernels switch)
         gets, with ``==``, the rows the full matrix gives them, so

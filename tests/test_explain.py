@@ -389,13 +389,13 @@ class TestBatchedCoreIsExact:
         (0), packs items under the largest one's size, stays at its default or
         takes all items in one pass."""
         passes = []
-        match_blocks = explain_module._match_blocks
+        score_blocks = explain_module._score_blocks
 
-        def counted(i1, i2, blocks, scored):
-            passes.append({item for *_, item in blocks})
-            return match_blocks(i1, i2, blocks, scored)
+        def counted(i1, i2, blocks):
+            passes.append({item for *_, item in blocks.tolist()})
+            return score_blocks(i1, i2, blocks)
 
-        monkeypatch.setattr(explain_module, "_match_blocks", counted)
+        monkeypatch.setattr(explain_module, "_score_blocks", counted)
         rng = np.random.default_rng(4000 + 10 * h)
         boundaries = shared = 0
         for trial in range(8):
@@ -604,6 +604,32 @@ class TestNeighborhoodIsTableEndpoints:
                     assert unpacked(got, 9) == expected
                     found += len(expected)
         assert found > 0
+
+
+class TestHoodsAreSymmetric:
+    """m lies in ``PathIndex.hood(n)`` exactly when n lies in ``hood(m)``:
+    a simple path of at most h undirected steps read backwards is one too.
+    The repair's analyzer stamps the sources whose lists a move may change
+    as the moved source's own hood, so its stamps rest on this."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        h=st.sampled_from([1, 2]),
+        n_ent=st.integers(1, 9),
+        triples=st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 2), st.integers(0, 8)), max_size=24
+        ),
+    )
+    @example(h=2, n_ent=4, triples=[(0, 0, 1), (1, 0, 0), (1, 1, 2), (2, 2, 2), (0, 1, 1)])
+    def test_membership_is_symmetric(self, h, n_ent, triples):
+        triples = sorted({(s % n_ent, r, o % n_ent) for s, r, o in triples})
+        kg = make_kg(n_ent, triples, n_rel=3)
+        index = PathIndex(kg, paired_store(np.random.default_rng(0), n_ent, n_ent), h)
+        hoods = [set(index.hood(n).tolist()) for n in range(n_ent)]
+        for n in range(n_ent):
+            assert n not in hoods[n]
+            for m in range(n_ent):
+                assert (m in hoods[n]) == (n in hoods[m])
 
 
 def reference_table(kg, store, h, center):

@@ -160,7 +160,7 @@ class TestAlignmentState:
     def test_seed_and_prediction_bookkeeping(self):
         state = AlignmentState([(0, 0)], [(1, 1), (2, 1)], n_sources=3, n_targets=2)
         assert state.is_seed_pair(0, 0)
-        assert state.target_of(1) == 1
+        assert state.forward[1] == 1
         assert provenance_of(state, 0) == "seed"
         assert provenance_of(state, 2) == "predicted"
         assert state.sources_of(1) == (1, 2)
@@ -178,7 +178,7 @@ class TestAlignmentState:
 
     def test_prediction_for_seed_source_is_dropped(self):
         state = AlignmentState([(0, 0)], [(0, 5)], n_sources=1, n_targets=6)
-        assert state.target_of(0) == 0
+        assert state.forward[0] == 0
         assert provenance_of(state, 0) == "seed"
         assert 5 in state.unaligned_targets
 
@@ -219,14 +219,13 @@ class TestAlignmentState:
         assert state.unaligned_sources == {2, 3}
         assert state.unaligned_targets == {2}
 
-    def test_forward_array_follows_target_of(self):
+    def test_forward_array_follows_the_pairs(self):
         state = AlignmentState([(0, 0)], [(1, 1), (2, 1), (3, 0)], n_sources=6, n_targets=4)
 
         def check():
             assert state.forward.dtype == np.int64
-            assert state.forward.tolist() == [
-                -1 if (t := state.target_of(s)) is None else t for s in range(6)
-            ]
+            targets = {s: t for s, t, _ in state.pairs()}
+            assert state.forward.tolist() == [targets.get(s, -1) for s in range(6)]
 
         check()
         for op, *args in [("unalign", 2), ("align", 2, 3), ("unalign", 1), ("align", 5, 1),
@@ -295,7 +294,8 @@ class TestAlignmentStateAgainstDictModel:
             else:
                 state.check_injective()
             for a in range(-1, n_s + 1):
-                assert state.target_of(a) == model.get(a, (None,))[0]
+                if 0 <= a < n_s:
+                    assert state.forward[a] == model.get(a, (-1,))[0]
                 for b in range(n_t):
                     assert state.is_seed_pair(a, b) is (seeds.get(a) == b)
             assert state.mutations == log
@@ -1018,8 +1018,9 @@ class TestPairAnalyzer:
 
     def test_cached_graph_lives_as_long_as_its_neighbor_list(self):
         """A cache entry, the packed matched-neighbor keys and the confidence
-        of a graph, is reused while the keys stay the same and replaced when
-        they change; it never holds the graph."""
+        of a graph and the epoch they were last checked at, keeps its keys
+        while they stay the same and is replaced when they change; it never
+        holds the graph."""
         state, analyzer = self.build()
         first = analyzer.adg(1, 1)
         entry = analyzer._cache[(1, 1)]
@@ -1030,10 +1031,10 @@ class TestPairAnalyzer:
         # center of the target side, so the matched-neighbor list of (1, 1) stays the same
         state.align(2, 1, REPAIRED)
         assert analyzer.adg(1, 1) == first
-        assert analyzer._cache[(1, 1)] is entry
+        assert analyzer._cache[(1, 1)][0] is entry[0]
         state.unalign(2)
         assert analyzer.adg(1, 1) == first
-        assert analyzer._cache[(1, 1)] is entry
+        assert analyzer._cache[(1, 1)][0] is entry[0]
 
         def cold():
             fresh = PairAnalyzer(analyzer.kg1, analyzer.kg2, analyzer.store, state, analyzer.cfg)
@@ -1042,7 +1043,7 @@ class TestPairAnalyzer:
 
         state.align(2, 2, REPAIRED)
         grown = analyzer.adg(1, 1)
-        assert analyzer._cache[(1, 1)] is not entry
+        assert analyzer._cache[(1, 1)][0] is not entry[0]
         assert grown == cold().confidence
         graph = next(analyzer.graphs([(1, 1)]))
         assert graph.explanation.matched_neighbor_pairs == [(0, 0), (2, 2)]
@@ -1050,17 +1051,17 @@ class TestPairAnalyzer:
         entry = analyzer._cache[(1, 1)]
         analyzer.ban([(0, 0)])
         banned = analyzer.adg(1, 1)
-        assert analyzer._cache[(1, 1)] is not entry
+        assert analyzer._cache[(1, 1)][0] is not entry[0]
         assert banned == cold().confidence
         graph = next(analyzer.graphs([(1, 1)]))
         assert graph.explanation.matched_neighbor_pairs == [(2, 2)]
         assert graph == cold()
         entry = analyzer._cache[(1, 1)]
         assert analyzer.adg(1, 1) == banned
-        assert analyzer._cache[(1, 1)] is entry
+        assert analyzer._cache[(1, 1)][0] is entry[0]
         assert all(
-            type(keys) is np.ndarray and type(conf) is float
-            for keys, conf in analyzer._cache.values()
+            type(keys) is np.ndarray and type(conf) is float and type(epoch) is int
+            for keys, conf, epoch in analyzer._cache.values()
         )
 
 
@@ -1096,9 +1097,9 @@ class TestAnalyzerCacheAgainstColdRebuild:
         seed_sources = {s for s, _ in res.seeds}
         warm = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
         for op, s, t in steps:
-            if op == "align" and s not in seed_sources and state.target_of(s) is None:
+            if op == "align" and s not in seed_sources and state.forward[s] < 0:
                 state.align(s, t, REPAIRED)
-            elif op == "unalign" and s not in seed_sources and state.target_of(s) is not None:
+            elif op == "unalign" and s not in seed_sources and state.forward[s] >= 0:
                 state.unalign(s)
             elif op == "ban":
                 warm.ban([(s, t)])
@@ -1137,9 +1138,9 @@ class TestConfidenceCacheIsExact:
         seed_sources = {s for s, _ in res.seeds}
         warm = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
         for op, s, t in steps:
-            if op == "align" and s not in seed_sources and state.target_of(s) is None:
+            if op == "align" and s not in seed_sources and state.forward[s] < 0:
                 state.align(s, t, REPAIRED)
-            elif op == "unalign" and s not in seed_sources and state.target_of(s) is not None:
+            elif op == "unalign" and s not in seed_sources and state.forward[s] >= 0:
                 state.unalign(s)
             elif op == "ban":
                 warm.ban([(s, t)])
@@ -1150,10 +1151,52 @@ class TestConfidenceCacheIsExact:
             alignments = {a: b for a, b, _ in state.pairs()}
             for key, lookup, graph in zip(keys, got, cold.graphs(keys)):
                 assert lookup == graph.confidence
-                packed, confidence = warm._cache[key]
+                packed, confidence, _ = warm._cache[key]
                 assert confidence == lookup
                 walk = matched_neighbors(key, res.kg1, res.kg2, alignments, cfg.h)
                 assert unpacked(packed, 30) == [p for p in walk if p not in warm.banned_pairs]
+
+
+class TestStampedReadsAreExact:
+    """A warm analyzer reads a clean key's list and confidence off its cache
+    with no gather, trusting the source stamps that moves and bans leave.
+    After any sequence of aligns, unaligns and bans, several of them between
+    two reads or none, every confidence it reads, one key at a time or
+    batched, and every list it returns equals what an analyzer built cold on
+    the same state and banned pairs reads."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(
+        st.tuples(mutation, st.sampled_from([None, None, "one", "batch"])), min_size=1, max_size=24
+    ))
+    def test_every_read_equals_a_cold_read(self, steps):
+        res, raw = small_synth()
+        cfg = RepairConfig()
+        state = AlignmentState(res.seeds, raw, n_sources=30, n_targets=30)
+        seed_sources = {s for s, _ in res.seeds}
+        warm = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
+        # every initial pair is cached first, so that later reads meet
+        # entries that only the stamps can tell are stale
+        keys = [(s, t) for s, t, _ in state.pairs()]
+        warm.adgs(keys)
+        for (op, s, t), read in steps + [(("look", 0, 0), "batch")]:
+            if op == "align" and s not in seed_sources and state.forward[s] < 0:
+                state.align(s, t, REPAIRED)
+            elif op == "unalign" and s not in seed_sources and state.forward[s] >= 0:
+                state.unalign(s)
+            elif op == "ban":
+                # the pair s is aligned in, when it is, which is a matched
+                # neighbor of the keys around s
+                warm.ban([(s, int(state.forward[s]) if state.forward[s] >= 0 else t)])
+            if read is None:
+                continue
+            wanted = keys + [(s, t)]
+            cold = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
+            cold.ban(warm.banned_pairs)
+            got = warm.adgs(wanted) if read == "batch" else [warm.adg(a, b) for a, b in wanted]
+            assert got == [cold.adg(a, b) for a, b in wanted]
+            lists = warm.neighbor_lists(wanted)
+            assert [x.tolist() for x in lists] == [x.tolist() for x in cold.neighbor_lists(wanted)]
 
 
 @functools.cache
@@ -1169,8 +1212,8 @@ def lookup_fixture(density):
 def aligned_neighbors(analyzer, s):
     """(n, target of n) for every aligned n within h hops of source s,
     sorted by n."""
-    target_of = analyzer.state.target_of
-    return [(n, t) for n in analyzer.index1.hood(s).tolist() if (t := target_of(n)) is not None]
+    forward = analyzer.state.forward
+    return [(n, t) for n in analyzer.index1.hood(s).tolist() if (t := int(forward[n])) >= 0]
 
 
 class TestBatchedLookupIsExact:
@@ -1249,7 +1292,8 @@ class TestBatchedLookupIsExact:
             assert len(got) == len(expected) == len(keys)
             # the cache is left as the lookups leave it, and holds no graph
             for key in keys:
-                (got_keys, got_conf), (ref_keys, ref_conf) = batched._cache[key], single._cache[key]
+                got_keys, got_conf, _ = batched._cache[key]
+                ref_keys, ref_conf, _ = single._cache[key]
                 assert np.array_equal(got_keys, ref_keys) and got_conf == ref_conf
             after = [single._cache.get(key) for key in keys]
             assert got == expected
@@ -1257,7 +1301,9 @@ class TestBatchedLookupIsExact:
             cold.ban(batched.banned_pairs)
             assert got == [cold.adg(s, t) for s, t in keys]
             empty += sum(not batched._cache[key][0].size for key in keys)
-            stale += sum(old is not None and old is not new for old, new in zip(before, after))
+            stale += sum(
+                old is not None and old[0] is not new[0] for old, new in zip(before, after)
+            )
             banned += sum(
                 p in batched.banned_pairs for key in keys for p in aligned_neighbors(single, key[0])
             )
@@ -1276,21 +1322,26 @@ class TestBatchedLookupIsExact:
             single.ban(ban)
         assert empty > 0 and stale > 0 and banned > 0
 
-    def test_compares_each_distinct_key_once(self, monkeypatch):
-        """A batched read compares each distinct cached key's neighbor keys
-        once, whether it gathers them or is handed them: the counted ``adg``
-        lookup each key then goes through is handed the cached array itself
-        and accepts it without a second comparison."""
+    def test_compares_stamped_keys_once_and_clean_keys_never(self, monkeypatch):
+        """A read gathers and compares a key whose source lies within h
+        hops of a source moved or banned since the key was last checked,
+        once per time it is asked for (a batched read asks once per distinct
+        key; handed lists were asked for by the caller), and any other
+        cached key never: the counted ``adg`` lookup each key then goes
+        through is handed the cached array itself and accepts it without a
+        comparison."""
+        repair_module = importlib.import_module("exea.repair")
         res, raw = lookup_fixture(3)
         state = AlignmentState(res.seeds, raw, n_sources=60, n_targets=60)
         analyzer = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, RepairConfig())
         keys = [(s, t) for s, t, _ in state.pairs()]
         keys += keys[:10]
-        cold = analyzer.adgs(keys)
+        analyzer.adgs(keys)
         compared = [0]
         array_equal = np.array_equal
-        handed = []
+        handed, gathered = [], []
         lookup = analyzer.adg
+        gather = repair_module.neighbor_lists
 
         def counted(*args):
             compared[0] += 1
@@ -1300,34 +1351,67 @@ class TestBatchedLookupIsExact:
             handed.append(((s, t), neighbors))
             return lookup(s, t, neighbors)
 
-        lists = analyzer.neighbor_lists(keys)
+        def gathering(index1, index2, forward, wanted, banned):
+            gathered.extend(wanted)
+            return gather(index1, index2, forward, wanted, banned)
+
         monkeypatch.setattr(np, "array_equal", counted)
         monkeypatch.setattr(analyzer, "adg", recorded)
-        for given in (None, lists):
+        monkeypatch.setattr(repair_module, "neighbor_lists", gathering)
+        seeds = {s for s, _ in res.seeds}
+        movable = [s for s, _ in keys if s not in seeds]
+        for round_, given in enumerate((None, "lists", None, "lists")):
+            moved = set()
+            if round_:
+                # move two sources and ban one pair; the first round reads a
+                # cache that nothing has touched since it was filled
+                for s in movable[round_ : round_ + 2]:
+                    target = state.unalign(s)
+                    state.align(s, (target + round_) % 60, REPAIRED)
+                    moved.add(s)
+                n, t = movable[-round_], int(state.forward[movable[-round_]])
+                analyzer.ban([(n, t)])
+                moved.add(n)
+            stamped = {
+                key for key in keys if moved & set(analyzer.index1.hood(key[0]).tolist())
+            }
+            assert (0 < len(stamped) < len(set(keys))) == bool(round_)
             compared[0] = 0
             handed.clear()
-            warm = analyzer.adgs(keys, given)
-            assert compared[0] == len(set(keys))
-            assert warm == cold
+            gathered.clear()
+            lists = analyzer.neighbor_lists(keys) if given else None
+            warm = analyzer.adgs(keys, lists)
+            assert set(gathered) == stamped and len(gathered) == len(
+                [key for key in (keys if given else dict.fromkeys(keys)) if key in stamped]
+            )
+            assert compared[0] == len(gathered)
+            cold = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, RepairConfig())
+            cold.ban(analyzer.banned_pairs)
+            assert warm == cold.adgs(keys)
             assert [key for key, _ in handed] == keys
             assert all(neighbors is analyzer._cache[key][0] for key, neighbors in handed)
+            # read again, nothing has moved: no key is gathered or compared
+            compared[0] = 0
+            gathered.clear()
+            assert analyzer.adgs(keys) == warm
+            assert compared[0] == 0 and not gathered
 
     def test_pass_budget_changes_nothing(self, monkeypatch):
         explain_module = importlib.import_module("exea.explain")
         res, raw = lookup_fixture(8)
         passes = {}
         outputs = {}
-        match_blocks = explain_module._match_blocks
+        score_blocks = explain_module._score_blocks
         for budget in (0, explain_module._PASS_PAIRS, 10**9):
             calls = [0]
 
             def counted(*args):
                 calls[0] += 1
-                return match_blocks(*args)
+                return score_blocks(*args)
 
             with monkeypatch.context() as m:
                 m.setattr(explain_module, "_PASS_PAIRS", budget)
-                m.setattr(explain_module, "_match_blocks", counted)
+                m.setattr(explain_module, "_score_blocks", counted)
                 out = repair(res.kg1, res.kg2, res.perturbed_store, raw, res.seeds)
             passes[budget] = calls[0]
             outputs[budget] = (out.pairs, json.dumps(out.report.to_json_dict(), sort_keys=True))
@@ -1335,27 +1419,28 @@ class TestBatchedLookupIsExact:
         assert outputs[0] == outputs[explain_module._PASS_PAIRS] == outputs[10**9]
         # the analyzer's passes over stale keys: one key each, the default,
         # and every stale key of a read at once; a graph pass builds its
-        # explanations, a batched read's pass matches its keys straight
+        # explanations, a batched read's kernel pass matches its keys
+        # straight, and each adds its class masses once
         repair_module = importlib.import_module("exea.repair")
         adg_module = importlib.import_module("exea.adg")
         default = adg_module._PASS_NODES
         for budget in (1, default, 10**9):
             calls = [0]
             explanations = repair_module.explanations
-            mutual_best = adg_module._mutual_best
+            class_masses = adg_module._class_masses
 
             def core(*args):
                 calls[0] += 1
                 return explanations(*args)
 
-            def matched(*args, **kwargs):
+            def masses(*args):
                 calls[0] += 1
-                return mutual_best(*args, **kwargs)
+                return class_masses(*args)
 
             with monkeypatch.context() as m:
                 m.setattr(adg_module, "_PASS_NODES", budget)
                 m.setattr(repair_module, "explanations", core)
-                m.setattr(adg_module, "_mutual_best", matched)
+                m.setattr(adg_module, "_class_masses", masses)
                 out = repair(res.kg1, res.kg2, res.perturbed_store, raw, res.seeds)
             passes[budget, "nodes"] = calls[0]
             report = json.dumps(out.report.to_json_dict(), sort_keys=True)
@@ -1459,21 +1544,21 @@ class TestOneToOne:
         state, analyzer, topk = self.build_town([(2, 1), (3, 1)])
         displaced = one_to_one(state, analyzer)
         assert displaced == {3}
-        assert state.target_of(2) == 1
-        assert state.target_of(3) is None
+        assert state.forward[2] == 1
+        assert state.forward[3] < 0
 
     def test_tie_goes_to_lower_source_index(self):
         state, analyzer, topk = self.build_town([(1, 1), (2, 1)])
         assert analyzer.adg(1, 1) == pytest.approx(analyzer.adg(2, 1))
         displaced = one_to_one(state, analyzer)
         assert displaced == {2}
-        assert state.target_of(1) == 1
+        assert state.forward[1] == 1
 
     def test_seed_claimant_is_unbeatable(self):
         state, analyzer, topk = self.build_town([(1, 0)])
         displaced = one_to_one(state, analyzer)
         assert displaced == {1}
-        assert state.target_of(0) == 0
+        assert state.forward[0] == 0
         assert provenance_of(state, 0) == "seed"
 
 
@@ -1494,8 +1579,8 @@ class TestResolveOneToMany:
         state, analyzer, topk = self.build_town([(1, 1), (2, 1)], k=1)
         leftover, stats = resolve_one_to_many(state, analyzer, topk)
         assert leftover == {2}
-        assert state.target_of(2) is None
-        assert state.target_of(1) == 1
+        assert state.forward[2] < 0
+        assert state.forward[1] == 1
 
     def test_eviction_chain_respects_loop_guard(self):
         # displaced source 2 evicts the weaker incumbent 3 from target 2; the
@@ -1505,8 +1590,8 @@ class TestResolveOneToMany:
         leftover, stats = resolve_one_to_many(state, analyzer, topk)
         assert stats["evictions"] == 1
         assert leftover == {3}
-        assert state.target_of(2) == 2
-        assert state.target_of(3) is None
+        assert state.forward[2] == 2
+        assert state.forward[3] < 0
 
     def test_never_evicts_stronger_incumbent(self):
         # hubless source 3 contests both occupied targets and wins neither
@@ -1514,8 +1599,8 @@ class TestResolveOneToMany:
         leftover, stats = resolve_one_to_many(state, analyzer, topk)
         assert stats["evictions"] == 0
         assert leftover == {3}
-        assert state.target_of(1) == 1
-        assert state.target_of(2) == 2
+        assert state.forward[1] == 1
+        assert state.forward[2] == 2
 
 
 class TestResolveLowConfidence:
@@ -1544,7 +1629,7 @@ class TestResolveLowConfidence:
         leftover, stats = resolve_low_confidence(state, analyzer, cfg, set(), flags)
         assert stats["stripped"] == 1
         assert leftover == set()
-        assert state.target_of(1) == 1
+        assert state.forward[1] == 1
         assert provenance_of(state, 1) == "repaired"
 
     def test_low_confidence_pair_stripped_and_rematched(self):
@@ -1561,7 +1646,7 @@ class TestResolveLowConfidence:
         assert analyzer.adg(2, 3) < cfg.effective_beta()
         leftover, stats = resolve_low_confidence(state, analyzer, cfg, set(), set())
         assert stats["stripped"] == 1
-        assert state.target_of(2) == 2
+        assert state.forward[2] == 2
         assert leftover == set()
 
     def test_contest_by_score_evicts_weaker(self):
@@ -1574,8 +1659,8 @@ class TestResolveLowConfidence:
         assert sim21 > sim11
         leftover, stats = resolve_low_confidence(state, analyzer, cfg, set(), flags)
         assert stats["swaps"] == 1
-        assert state.target_of(2) == 1
-        assert state.target_of(1) == 2
+        assert state.forward[2] == 1
+        assert state.forward[1] == 2
         assert leftover == set()
 
     def test_greedy_result_matches_brute_force_on_separated_scores(self):
@@ -1650,14 +1735,14 @@ def reference_candidate_targets(e1, state, analyzer, beta, cap):
     matched_targets = set()
     h = analyzer.cfg.h
     for u in neighborhood_entities(analyzer.kg1, e1, h):
-        t = state.target_of(u)
-        if t is not None:
+        t = int(state.forward[u])
+        if t >= 0:
             matched_targets.add(t)
     raw = set()
     for t_prime in matched_targets:
         raw |= set(neighborhood_entities(analyzer.kg2, t_prime, h))
-    own = state.target_of(e1)
-    if own is not None:
+    own = int(state.forward[e1])
+    if own >= 0:
         raw.discard(own)
     if not raw:
         return []
@@ -1906,7 +1991,7 @@ class TestOneToManyReads:
         assert cold.adg(1, 1) > cold.adg(4, 1) == 0.5
         leftover, stats = resolve_one_to_many(state, analyzer, topk)
         assert stats["evictions"] == 1
-        assert state.target_of(1) == 1
+        assert state.forward[1] == 1
         assert leftover == {4}
 
 
@@ -2086,9 +2171,23 @@ class TestFinalFill:
         # best pair is (1, 0) at 2 degrees apart, then (0, 1) at 3 degrees;
         # the straight pairs at 18+ degrees never get a turn
         assert stats["filled"] == 2
-        assert state.target_of(1) == 0
-        assert state.target_of(0) == 1
+        assert state.forward[1] == 0
+        assert state.forward[0] == 1
         assert stats["unaligned_sources"] == []
+
+    @pytest.mark.parametrize("rows1,rows2", [
+        # sources 0 and 1 tie exactly for target 0: the lower source takes it
+        ([[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]),
+        # targets 0 and 1 tie exactly for source 0: it takes the lower target
+        ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]]),
+    ])
+    def test_exact_tie_goes_to_lower_source_then_lower_target(self, rows1, rows2):
+        store = EmbeddingStore({Side.SOURCE: np.array(rows1), Side.TARGET: np.array(rows2)})
+        sims = similarity_matrix(store, [0, 1], [0, 1])
+        assert sims.max() == 1.0 and (sims == 1.0).sum() == 2
+        state = AlignmentState([], [], n_sources=2, n_targets=2)
+        assert final_fill(state, store) == {"filled": 2, "unaligned_sources": []}
+        assert [(s, t) for s, t, _ in state.pairs()] == [(0, 0), (1, 1)]
 
     def test_pigeonhole_reports_leftover(self):
         e1 = angles_to_rows([0, 40, 80])
@@ -2353,6 +2452,6 @@ class TestRepairKeepsNoGraphs:
         [analyzer] = analyzers
         assert len(analyzer._cache) >= 200
         for value in analyzer._cache.values():
-            packed, confidence = value
-            assert type(packed) is np.ndarray and type(confidence) is float
+            packed, confidence, epoch = value
+            assert type(packed) is np.ndarray and type(confidence) is float and type(epoch) is int
             assert not any(isinstance(v, (Adg, Explanation)) for v in value)
