@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .adg import Adg, AdgConfig, EdgeClass, build_adg, sigmoid
 from .embedding import (
     EmbeddingStore,
-    SimilarityTopK,
     greedy_align,
     load_embeddings,
     save_embeddings,
@@ -93,7 +92,6 @@ __all__ = [
     "RepairReport",
     "RepairResult",
     "Side",
-    "SimilarityTopK",
     "SynthConfig",
     "SynthResult",
     "TrainConfig",

@@ -19,14 +19,14 @@ sigmoid.
 ``build_adg`` reads each graph off its explanation (edge ``i`` is matched
 path pair ``i``, on its neighbor pair's node), in array passes, each graph
 equal bit for bit to what a call over its explanation alone builds
-(``tests/test_adg.py::TestAdgFromTablesIsExact``). ``confidences`` takes the
-same passes and returns only the confidences. ``pair_confidences`` gives
-them from neighbor lists in one flat pass per batch, with no explanation: a
-block of one path on each side is kept or dropped by the indexes' zero
-masks, only blocks of several paths are scored, and the matches go into the
-same class arithmetic (``_class_masses``, written once for all three;
-``TestPairConfidencesAreExact``). The benchmark's ``adg.build_calls`` counts
-``build_adg`` calls: full-graph build passes, not graphs.
+(``tests/test_adg.py::TestAdgFromTablesIsExact``). ``pair_confidences``
+gives the confidences alone from neighbor lists in one flat pass per batch,
+with no explanation: a block of one path on each side is kept or dropped by
+the indexes' zero masks, only blocks of several paths are scored, and the
+matches go into the same class arithmetic (``_class_masses``, written once
+for both; ``TestPairConfidencesAreExact``). Every confidence comes from one
+of the two. The benchmark's ``adg.build_calls`` counts ``build_adg`` calls:
+full-graph build passes, not graphs.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .embedding import EmbeddingStore, pair_cosines
 from .errors import ConfigError
-from .explain import Explanation, PathIndex, _score_passes
+from .explain import Explanation, PathIndex, _block_runs, _score_passes, _split_keys
 from .kg import Side
 
 
@@ -153,7 +153,25 @@ def build_adg(
     cfg = cfg or AdgConfig()
     graphs: list[Adg] = []
     for run in _passes(expls):
-        influence, classes, weights, mass, first, edges = _pass_arrays(run, store, cfg)
+        i1, i2 = run[0].indexes
+        # each graph's nodes: its central pair, then its neighbor pairs
+        first = np.cumsum([0] + [1 + expl.neighbor_keys.size for expl in run])
+        central = np.zeros(first[-1], dtype=bool)
+        central[first[:-1]] = True
+        nodes = np.empty((first[-1], 2), dtype=np.int64)
+        nodes[central] = [expl.pair for expl in run]
+        nodes[~central] = np.stack(
+            _split_keys([expl.neighbor_keys for expl in run], i2.n_entities)[:2], axis=1
+        )
+        influence = _influence(store, nodes[:, 0], nodes[:, 1])
+        edges = np.cumsum([0] + [expl.rows1.size for expl in run])
+        graph = np.repeat(np.arange(len(run)), np.diff(edges))
+        rows1 = np.concatenate([expl.rows1 for expl in run])
+        rows2 = np.concatenate([expl.rows2 for expl in run])
+        neighbor = np.concatenate([expl.neighbor for expl in run])
+        classes, weights, mass = _class_masses(
+            i1, i2, rows1, rows2, graph, influence[first[graph] + neighbor + 1], len(run), cfg
+        )
         influence, mass = influence.tolist(), mass.tolist()
         first, edges = first.tolist(), edges.tolist()
         for g, expl in enumerate(run):
@@ -176,20 +194,6 @@ def build_adg(
     return graphs
 
 
-def confidences(
-    expls: Sequence[Explanation], store: EmbeddingStore, cfg: AdgConfig | None = None
-) -> list[float]:
-    """The confidence of each explanation's dependency graph, computed in
-    ``build_adg``'s passes with its arithmetic, so each equals that graph's
-    ``confidence``, without building the graphs."""
-    cfg = cfg or AdgConfig()
-    out: list[float] = []
-    for run in _passes(expls):
-        mass = _pass_arrays(run, store, cfg)[3].tolist()
-        out += [aggregate_confidence(*mass[3 * g : 3 * g + 3], cfg) for g in range(len(run))]
-    return out
-
-
 def pair_confidences(
     pairs: Sequence[tuple[int, int]],
     neighbors: Sequence[np.ndarray],
@@ -200,40 +204,39 @@ def pair_confidences(
     influence: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> list[float]:
     """The confidence of each pair's dependency graph from its packed
-    neighbor keys, over indexes that hold every pair's centers: what
-    ``confidences(explanations(pairs, neighbors, index1, index2), store,
-    cfg)`` gives, bit for bit. A block of one path on each side keeps its
-    pair unless a path is all-zero (a unit row's cosine is above -2.0), so
-    only blocks of several paths are scored. Every neighbor node's
-    influence is read, through ``influence`` when given, and no central
-    pair's, since no edge reads it."""
+    neighbor keys, over indexes that hold every pair's centers: the
+    ``confidence`` of ``build_adg(explanations(pairs, neighbors, index1,
+    index2), store, cfg)``, bit for bit. A block of one path on each side
+    keeps its pair unless a path is all-zero (a unit row's cosine is above
+    -2.0), so only blocks of several paths are scored. Every neighbor
+    node's influence is read, through ``influence`` when given, and no
+    central pair's, since no edge reads it."""
+    if len(neighbors) != len(pairs):
+        raise ValueError(f"{len(pairs)} pairs but {len(neighbors)} neighbor lists")
     cfg = cfg or AdgConfig()
     influence = influence or functools.partial(_influence, store)
     out: list[float] = []
     for batch in pass_ranges([keys.size for keys in neighbors]):
-        keys = [neighbors[i] for i in batch]
-        graph = np.repeat(np.arange(len(keys)), [k.size for k in keys])
-        n, t = np.divmod(np.concatenate([np.zeros(0, dtype=np.int64), *keys]), index2.n_entities)
-        centers = np.array([pairs[i] for i in batch], dtype=np.int64).reshape(-1, 2)[graph]
-        start1, len1 = index1.runs(centers[:, 0], n)
-        start2, len2 = index2.runs(centers[:, 1], t)
+        blocks, n, t = _block_runs(
+            index1, index2, [pairs[i] for i in batch], [neighbors[i] for i in batch]
+        )
+        start1, len1, start2, len2, graph = blocks.T
         node_influence = influence(n, t)
         one = np.flatnonzero((len1 == 1) & (len2 == 1))
         node = one[~index1.zero[start1[one]] & ~index2.zero[start2[one]]]
         rows1, rows2 = start1[node], start2[node]
         many = np.flatnonzero((len1 > 0) & (len2 > 0) & (len1 * len2 > 1))
         if many.size:
-            blocks = np.stack([start1, len1, start2, len2, graph], axis=1)[many]
-            more1, more2, _, block = _score_passes(index1, index2, blocks)
+            more1, more2, _, block = _score_passes(index1, index2, blocks[many])
             # back into node order, each block's matches in i1 row order
             node = np.concatenate([node, many[block]])
             order = np.argsort(node, kind="stable")
             node = node[order]
             rows1, rows2 = (np.concatenate(r)[order] for r in ((rows1, more1), (rows2, more2)))
         mass = _class_masses(
-            index1, index2, rows1, rows2, graph[node], node_influence[node], len(keys), cfg
+            index1, index2, rows1, rows2, graph[node], node_influence[node], len(batch), cfg
         )[2].tolist()
-        out += [aggregate_confidence(*mass[3 * g : 3 * g + 3], cfg) for g in range(len(keys))]
+        out += [aggregate_confidence(*mass[3 * g : 3 * g + 3], cfg) for g in range(len(batch))]
     return out
 
 
@@ -258,39 +261,6 @@ def _passes(expls: Sequence[Explanation]) -> Iterator[list[Explanation]]:
         run = list(group)
         for batch in pass_ranges([expl.neighbor_keys.size for expl in run]):
             yield run[batch.start : batch.stop]
-
-
-def _pass_arrays(
-    expls: list[Explanation], store: EmbeddingStore, cfg: AdgConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One pass over explanations that share their indexes: the node
-    influences (each graph's central pair first), the edge classes and
-    weights, the class masses (three per graph) and each graph's first node
-    and first edge."""
-    counts = np.array([expl.neighbor_keys.size for expl in expls], dtype=np.int64)
-    first = np.concatenate([[0], np.cumsum(1 + counts)])
-    central = np.zeros(first[-1], dtype=bool)
-    central[first[:-1]] = True
-    nodes = np.empty((first[-1], 2), dtype=np.int64)
-    nodes[central] = [expl.pair for expl in expls]
-    nodes[~central] = np.stack(
-        np.divmod(
-            np.concatenate([np.zeros(0, dtype=np.int64)] + [expl.neighbor_keys for expl in expls]),
-            expls[0].indexes[1].n_entities,
-        ),
-        axis=1,
-    )
-    influence = _influence(store, nodes[:, 0], nodes[:, 1])
-    edges = np.cumsum([0] + [expl.rows1.size for expl in expls])
-    graph = np.repeat(np.arange(len(expls)), np.diff(edges))
-    rows1 = np.concatenate([expl.rows1 for expl in expls])
-    rows2 = np.concatenate([expl.rows2 for expl in expls])
-    neighbor = np.concatenate([expl.neighbor for expl in expls])
-    edge_influence = influence[first[graph] + neighbor + 1]
-    classes, weights, mass = _class_masses(
-        *expls[0].indexes, rows1, rows2, graph, edge_influence, len(expls), cfg
-    )
-    return influence, classes, weights, mass, first, edges
 
 
 def _influence(store: EmbeddingStore, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ vectors, optional relation-name vectors).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -237,29 +236,6 @@ def similarity_matrix(store: EmbeddingStore, sources: Sequence[int], targets: Se
     return np.vecdot(a[:, None, :], b)
 
 
-@dataclass
-class SimilarityTopK:
-    """Per-source top-k target candidates, scores descending, ties by lower index."""
-
-    k: int
-    sources: tuple[int, ...]
-    targets: tuple[int, ...]
-    target_indices: np.ndarray
-    scores: np.ndarray
-
-    def __post_init__(self):
-        self._row = {s: i for i, s in enumerate(self.sources)}
-
-    def candidates(self, source: int) -> list[tuple[int, float]]:
-        row = self._row.get(source)
-        if row is None:
-            raise MissingEmbedding(f"source {source} was not included in the top-k index")
-        return [
-            (int(t), float(s))
-            for t, s in zip(self.target_indices[row], self.scores[row])
-        ]
-
-
 # bytes of one similarity_topk block's score matrix: a block takes as many
 # source rows as fit, at least one, which bounds its temporaries (the scores,
 # their negation and the sort order) however many sources and targets there
@@ -272,13 +248,15 @@ def similarity_topk(
     sources: Sequence[int],
     targets: Sequence[int],
     k: int,
-) -> SimilarityTopK:
-    """Exact top-k by cosine. Sources are processed in blocks of as many rows
-    as ``_TOPK_BLOCK_BYTES`` holds scores for. Each score is one
-    ``np.vecdot`` of a source row and a target row, the BLAS dot ``np.dot``
-    takes, so the result does not depend on the blocks; a matrix product
-    would pick its kernel, and with it the order of its sums, by the block's
-    row count."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k by cosine: row i holds the k nearest targets of
+    ``sources[i]`` (all targets when there are fewer) and their scores,
+    descending, ties to the lower target. Sources are processed in blocks
+    of as many rows as ``_TOPK_BLOCK_BYTES`` holds scores for. Each score
+    is one ``np.vecdot`` of a source row and a target row, the BLAS dot
+    ``np.dot`` takes, so the result does not depend on the blocks; a matrix
+    product would pick its kernel, and with it the order of its sums, by
+    the block's row count."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     sources = [int(s) for s in sources]
@@ -298,7 +276,7 @@ def similarity_topk(
         order = np.argsort(-sims, axis=1, kind="stable")[:, :width]
         out_idx[start : start + len(chunk)] = tgt_arr[order]
         out_scores[start : start + len(chunk)] = np.take_along_axis(sims, order, axis=1)
-    return SimilarityTopK(k, tuple(sources), tuple(targets), out_idx, out_scores)
+    return out_idx, out_scores
 
 
 def greedy_align(

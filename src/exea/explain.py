@@ -26,9 +26,10 @@ relation-conflict stage read; tuples are derived only for output.
 of many neighbor pairs together, each neighbor pair a block, in passes
 linear in their scored path pairs, rebuilding unit rows for its blocks'
 rows only, with ``path_embedding``'s operations in its order. The repair's
-batched confidence read (``adg.pair_confidences``) keeps a block of one
-path on each side exactly when neither path is all-zero and scores only
-the others. A pass gathers each path pair's two unit rows a chunk at a
+batched confidence read (``adg.pair_confidences``) shares its block
+setup (``_block_runs``), keeps a block of one path on each side exactly
+when neither path is all-zero and scores only the others. A pass gathers
+each path pair's two unit rows a chunk at a
 time into two reused buffers of at most ``_DOT_BYTES``, small enough to
 come from the heap, and scores each chunk with one ``np.vecdot``. Each
 row's and each column's best is the first maximum of its run
@@ -384,38 +385,60 @@ def _triple_keys(index: PathIndex, rows: np.ndarray, side: int) -> np.ndarray:
     return np.stack([np.full(r.size, side), subject, r, obj], axis=1)
 
 
+def _split_keys(
+    neighbors: Sequence[np.ndarray], n_targets: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n, t) of every packed ``n * n_targets + t`` key of the lists
+    ``neighbors``, concatenated, and the position of each key's list."""
+    counts = np.array([keys.size for keys in neighbors], dtype=np.int64)
+    n, t = np.divmod(np.concatenate([np.zeros(0, dtype=np.int64), *neighbors]), n_targets)
+    return n, t, np.repeat(np.arange(counts.size), counts)
+
+
+def _block_runs(
+    i1: PathIndex,
+    i2: PathIndex,
+    pairs: Sequence[tuple[int, int]],
+    neighbors: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each neighbor pair (n, t) of every item, item i being ``pairs[i]``
+    with its neighbor pairs ``neighbors[i]``, packed as ``n * i2.n_entities
+    + t``, as a block row (start1, len1, start2, len2, item): the run of
+    paths in ``i1`` from the item's source center to n and the run in
+    ``i2`` from its target center to t, length 0 where there is none; and
+    the n and t of each row."""
+    n, t, item = _split_keys(neighbors, i2.n_entities)
+    centers = np.array(pairs, dtype=np.int64).reshape(-1, 2)[item]
+    start1, len1 = i1.runs(centers[:, 0], n)
+    start2, len2 = i2.runs(centers[:, 1], t)
+    return np.stack([start1, len1, start2, len2, item], axis=1), n, t
+
+
 def _mutual_best(
     i1: PathIndex,
     i2: PathIndex,
     pairs: Sequence[tuple[int, int]],
     neighbors: Sequence[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Mutual-best path matching for every neighbor pair of every item, item
-    i being ``pairs[i]`` with its neighbor pairs ``neighbors[i]``, packed as
-    ``n * i2.n_entities + t``.
+    """Mutual-best path matching for every block of ``_block_runs(i1, i2,
+    pairs, neighbors)`` with paths on both sides.
 
-    Each neighbor pair of an item is a block: the paths in ``i1`` from the
-    item's source center to the neighbor's source entity against the paths
-    in ``i2`` from its target center to the neighbor's target entity. Within
-    a block a path takes the other side's path of highest cosine, the lowest
-    row on ties (the first maximum of its run, ``_first_max``, in the block's
-    row-major or column-major order), and a pair is kept when each side is
-    the other's choice. All-zero paths score -2.0 and never match. Returns
-    the matched rows of ``i1`` and ``i2``, their similarities, the position
-    in its item's neighbor pairs of the pair each match was found for, and
-    that item's, ordered by item, then by block, then by ``i1`` row.
+    Within a block a path takes the other side's path of highest cosine,
+    the lowest row on ties (the first maximum of its run, ``_first_max``,
+    in the block's row-major or column-major order), and a pair is kept
+    when each side is the other's choice. All-zero paths score -2.0 and
+    never match. Returns the matched rows of ``i1`` and ``i2``, their
+    similarities, the position in its item's neighbor pairs of the pair
+    each match was found for, and that item's, ordered by item, then by
+    block, then by ``i1`` row.
     """
-    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    counts = np.array([keys.size for keys in neighbors], dtype=np.int64)
-    n, t = np.divmod(np.concatenate([np.zeros(0, dtype=np.int64), *neighbors]), i2.n_entities)
-    item = np.repeat(np.arange(len(pairs)), counts)
-    pos = np.arange(item.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    start1, len1 = i1.runs(pairs[item, 0], n)
-    start2, len2 = i2.runs(pairs[item, 1], t)
-    at = np.flatnonzero((len1 > 0) & (len2 > 0))
-    blocks = np.stack([start1, len1, start2, len2, item], axis=1)[at]
-    rows1, rows2, sims, block = _score_passes(i1, i2, blocks)
-    return rows1, rows2, sims, pos[at[block]], item[at[block]]
+    blocks = _block_runs(i1, i2, pairs, neighbors)[0]
+    item = blocks[:, 4]
+    at = np.flatnonzero((blocks[:, 1] > 0) & (blocks[:, 3] > 0))
+    rows1, rows2, sims, block = _score_passes(i1, i2, blocks[at])
+    found = at[block]
+    # a block's position in its item's list: its row less the item's first
+    return rows1, rows2, sims, found - np.searchsorted(item, item[found]), item[found]
 
 
 def _score_passes(

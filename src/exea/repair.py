@@ -60,18 +60,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .adg import STRONG, Adg, AdgConfig, build_adg, confidences, pass_ranges, sigmoid
+from .adg import STRONG, Adg, AdgConfig, build_adg, pass_ranges, sigmoid
 from .adg import _influence, pair_confidences
-from .embedding import (
-    EmbeddingStore,
-    SimilarityTopK,
-    pair_cosines,
-    similarity_matrix,
-    similarity_topk,
-)
+from .embedding import EmbeddingStore, pair_cosines, similarity_matrix, similarity_topk
 from .errors import ConfigError, InvariantViolation, MissingEmbedding
 from .explain import Explanation, PathIndex, explanations, neighbor_lists
-from .explain import _distinct, _distinct_inverse, _lookup, _ranges, _run_starts
+from .explain import _distinct, _distinct_inverse, _lookup, _ranges, _run_starts, _split_keys
 # no caller here (a center's neighborhood is read off its path index), but
 # bench/traced_exea.py wraps this module's neighborhood_entities
 from .kg import SIDES, Kg, Side, check_hops, neighborhood_entities  # noqa: F401
@@ -191,21 +185,18 @@ class AlignmentState:
     def is_seed_pair(self, s: int, t: int) -> bool:
         return 0 <= s < self.forward.size and self.provenance[s] == SEED and int(self.forward[s]) == t
 
-    def sources_of(self, t: int) -> tuple[int, ...]:
-        # -1 marks an unaligned source, not a target
-        return tuple(np.flatnonzero(self.forward == t).tolist()) if t >= 0 else ()
-
-    def holders(self, targets: Sequence[int]) -> list[int]:
-        """The lowest source aligned to each of ``targets``, -1 for none:
-        ``sources_of(t)[0]`` for a few targets in one pass over ``forward``."""
+    def sources_of(self, targets: Iterable[int]) -> list[tuple[int, ...]]:
+        """The sources aligned to each of ``targets``, ascending, in one pass
+        over ``forward``; none for a target outside ``range(n_targets)``."""
+        targets = [int(t) for t in targets]
         # one slot per target, and a last one that -1 (no target) reads
         wanted = np.zeros(self.n_targets + 1, dtype=bool)
-        wanted[list(targets)] = True
+        wanted[[t for t in targets if 0 <= t < self.n_targets]] = True
         sources = np.flatnonzero(wanted[self.forward])
-        first: dict[int, int] = {}
+        found: dict[int, list[int]] = {}
         for s, t in zip(sources.tolist(), self.forward[sources].tolist()):
-            first.setdefault(t, s)
-        return [first.get(t, -1) for t in targets]
+            found.setdefault(t, []).append(s)
+        return [tuple(found.get(t, ())) for t in targets]
 
     def pairs(self) -> list[tuple[int, int, str]]:
         sources = np.flatnonzero(self.forward >= 0).tolist()
@@ -247,9 +238,11 @@ class AlignmentState:
         return np.flatnonzero(self._claims() > 1).tolist()
 
     def check_injective(self) -> None:
-        for t in self.multi_claimed_targets():
+        multi = self.multi_claimed_targets()
+        if multi:
+            [claimants] = self.sources_of(multi[:1])
             raise InvariantViolation(
-                "injectivity", f"target {t} is claimed by sources {list(self.sources_of(t))}"
+                "injectivity", f"target {multi[0]} is claimed by sources {list(claimants)}"
             )
 
 
@@ -276,14 +269,19 @@ class PairAnalyzer:
     comparison. Another is gathered, compared (``np.array_equal``) and
     recomputed only when its list changed.
 
+    ``neighbor_lists`` copies each list it gathers that changed, once, out
+    of its gather, so no entry holds a larger array; ``adg``, ``adgs`` and
+    ``graphs`` cache the lists they are given, which are those copies or the
+    cached arrays themselves.
+
     ``adg(s, t)``, the per-key lookup the benchmark's trace counts,
-    recomputes a stale key from its explanation (``repair.explanation``).
-    ``adgs(keys, lists)`` computes stale keys with ``adg.pair_confidences``,
-    each neighbor's influence kept per source with its target
-    (``pair_cosines`` works row by row), then looks every key up through
-    ``adg`` with the cached array, which the identity check accepts.
-    ``graphs(keys)`` builds full graphs for the first pass over the initial
-    pairs and ``RepairResult.adgs``, caching each key's confidence.
+    recomputes a stale key from its graph, built over its explanation
+    (``repair.explanation``). ``adgs(keys, lists)`` computes stale keys with
+    ``adg.pair_confidences``, each neighbor's influence kept per source with
+    its target (``pair_cosines`` works row by row), then looks every key up
+    through ``adg`` with the cached array, which the identity check
+    accepts. ``graphs(keys)`` builds full graphs for the first pass over the
+    initial pairs and ``RepairResult.adgs``, caching each key's confidence.
     """
 
     def __init__(
@@ -332,8 +330,9 @@ class PairAnalyzer:
     def neighbor_lists(self, keys: Sequence[tuple[int, int]]) -> list[np.ndarray]:
         """Each key's packed matched-neighbor keys under the current state
         and banned pairs: a cached key's own array while its list is
-        unchanged. Only keys stamped since they were last checked are
-        gathered, in one pass, and compared with their entries."""
+        unchanged, else a copy out of the gather. Only keys stamped since
+        they were last checked are gathered, in one pass, and compared with
+        their entries."""
         log = self.state.mutations
         if len(log) > self._seen:
             self._stamp(s for s, _ in log[self._seen :])
@@ -349,7 +348,7 @@ class PairAnalyzer:
             if lists[i] is not None and np.array_equal(lists[i], packed):
                 self._cache[keys[i]] = (*entries[i][:2], self._epoch)
             else:
-                lists[i] = packed
+                lists[i] = packed.copy()
         return lists
 
     def adg(self, s: int, t: int, neighbors: np.ndarray | None = None) -> float:
@@ -362,7 +361,7 @@ class PairAnalyzer:
         got = self._cache.get(key)
         if got is None or neighbors is not got[0]:
             expl = explanation(key, neighbors, self.index1, self.index2)
-            conf = confidences([expl], self.store, self.cfg.adg)[0]
+            conf = build_adg([expl], self.store, self.cfg.adg)[0].confidence
             got = self._cache[key] = (neighbors, conf, self._epoch)
         return got[1]
 
@@ -387,8 +386,7 @@ class PairAnalyzer:
             stale, lists, self.index1, self.index2, self.store, self.cfg.adg, self._influences
         )
         for key, packed, conf in zip(stale, lists, computed):
-            # a copy, so that the entry does not hold the whole read's gather
-            self._cache[key] = (packed.copy(), conf, self._epoch)
+            self._cache[key] = (packed, conf, self._epoch)
         return [self.adg(s, t, self._cache[s, t][0]) for s, t in keys]
 
     def _influences(self, n: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -415,7 +413,7 @@ class PairAnalyzer:
             )
             graphs = build_adg(expls, self.store, self.cfg.adg)
             for i, graph in zip(batch, graphs):
-                entry = self._cache[keys[i]] = (lists[i].copy(), graph.confidence, epoch)
+                entry = self._cache[keys[i]] = (lists[i], graph.confidence, epoch)
                 # counted like any other read; the entry is fresh
                 self.adg(*keys[i], entry[0])
             yield from graphs
@@ -773,9 +771,7 @@ def detect_relation_conflicts(
     radices = [len(adgs), n1, tables.n_entities - n1]
     facts = _pack(derived.T, radices)
     expls = [adg.explanation for adg in adgs]
-    keys = [expl.neighbor_keys for expl in expls]
-    n, t = np.divmod(np.concatenate([np.zeros(0, dtype=np.int64), *keys]), tables.n_entities - n1)
-    graph = np.repeat(np.arange(len(adgs)), [k.size for k in keys])
+    n, t, graph = _split_keys([expl.neighbor_keys for expl in expls], tables.n_entities - n1)
     # the facts are distinct and sorted, as their rows are
     pruned = _lookup(facts, _pack([graph, n, t], radices))[1]
     central = np.array([expl.pair for expl in expls], dtype=np.int64).reshape(-1, 2)
@@ -792,12 +788,12 @@ def one_to_one(state: AlignmentState, analyzer: PairAnalyzer) -> set[int]:
     """Keep the highest-confidence claimant per multi-claimed target (seeds
     are unbeatable; ties go to the lower source index). Returns the set of
     displaced sources."""
-    contested = state.multi_claimed_targets()
+    targets = state.multi_claimed_targets()
+    contested = dict(zip(targets, state.sources_of(targets)))
     winners: dict[int, int] = {}
     # the claimants of the targets that no seed holds, scored together
     scored: list[tuple[int, tuple[int, ...]]] = []
-    for t in contested:
-        claimants = state.sources_of(t)
+    for t, claimants in contested.items():
         seed_claimants = [s for s in claimants if state.is_seed_pair(s, t)]
         if seed_claimants:
             winners[t] = seed_claimants[0]
@@ -808,8 +804,8 @@ def one_to_one(state: AlignmentState, analyzer: PairAnalyzer) -> set[int]:
     for t, claimants in scored:
         winners[t] = max(claimants, key=lambda s: (confidence[(s, t)], -s))
     displaced = set()
-    for t in contested:
-        for s in state.sources_of(t):
+    for t, claimants in contested.items():
+        for s in claimants:
             if s != winners[t]:
                 state.unalign(s)
                 displaced.add(s)
@@ -844,11 +840,12 @@ def _rematch(
 def resolve_one_to_many(
     state: AlignmentState,
     analyzer: PairAnalyzer,
-    topk: SimilarityTopK,
+    candidates: np.ndarray,
 ) -> tuple[set[int], dict]:
-    """Realign displaced sources through their ``topk`` targets, evicting
-    incumbents of strictly lower confidence. Returns the sources still
-    unaligned and loop statistics.
+    """Realign displaced sources through their top-k targets, best first,
+    ``candidates[e1]`` for source e1 (``similarity_topk``'s targets over
+    every source), evicting incumbents of strictly lower confidence.
+    Returns the sources still unaligned and loop statistics.
 
     The alignment does not move until a walk aligns, so ``choices`` reads
     every comparison the walk may make when it starts: the holders in one
@@ -859,15 +856,15 @@ def resolve_one_to_many(
     stats = {"initial_unaligned": len(queue), "iterations": 0, "evictions": 0}
 
     def choices(e1: int) -> list[tuple[int, int]]:
-        targets = [e2 for e2, _ in topk.candidates(e1)]
+        targets = candidates[e1].tolist()
         # each target up to the first free one whose holder is not a seed
         contests, free = [], []
-        for e2, holder in zip(targets, state.holders(targets)):
-            if holder < 0:
+        for e2, holders in zip(targets, state.sources_of(targets)):
+            if not holders:
                 free = [(e2, -1)]
                 break
-            if not state.is_seed_pair(holder, e2):
-                contests.append((e2, holder))
+            if not state.is_seed_pair(holders[0], e2):
+                contests.append((e2, holders[0]))
         n = len(contests)
         # the challengers' keys, then the holders'
         keys = [(e1, e2) for e2, _ in contests] + [(holder, e2) for e2, holder in contests]
@@ -988,7 +985,8 @@ def resolve_low_confidence(
 
     def choices(e1: int) -> Iterator[tuple[int, int]]:
         for e2, score in _candidate_targets(e1, state, analyzer, beta, cfg):
-            holder = next(iter(state.sources_of(e2)), -1)
+            [holders] = state.sources_of([e2])
+            holder = holders[0] if holders else -1
             if holder < 0 or (
                 not state.is_seed_pair(holder, e2)
                 and _outscores(analyzer, cfg, e2, score, holder)
@@ -1154,10 +1152,8 @@ def repair(
     unaligned = state.unaligned_sources
     otm_stats: dict = {"skipped": True}
     if cfg.enable_one_to_many:
-        topk = similarity_topk(
-            store, range(kg1.n_entities), range(kg2.n_entities), cfg.k
-        )
-        unaligned, otm_stats = resolve_one_to_many(state, analyzer, topk)
+        candidates, _ = similarity_topk(store, range(kg1.n_entities), range(kg2.n_entities), cfg.k)
+        unaligned, otm_stats = resolve_one_to_many(state, analyzer, candidates)
 
     low_stats: dict = {"skipped": True}
     if cfg.enable_low_confidence:

@@ -17,7 +17,6 @@ from exea.adg import (
     EdgeClass,
     aggregate_confidence,
     build_adg,
-    confidences,
     pair_confidences,
     sigmoid,
     _influence,
@@ -463,14 +462,21 @@ class TestAdgFromTablesIsExact:
         adg_module = importlib.import_module("exea.adg")
         if pass_nodes != "default":
             monkeypatch.setattr(adg_module, "_PASS_NODES", pass_nodes)
+        # a build pass reads its nodes' influences (each graph's central
+        # pair and neighbor pairs) in one call, then its class masses
         passes = []
-        pass_arrays = adg_module._pass_arrays
+        influence, class_masses = adg_module._influence, adg_module._class_masses
 
-        def counted(expls, *args):
-            passes.append((len(expls), sum(1 + len(e.matched_neighbor_pairs) for e in expls)))
-            return pass_arrays(expls, *args)
+        def nodes(store, sources, targets):
+            passes.append([None, sources.size])
+            return influence(store, sources, targets)
 
-        monkeypatch.setattr(adg_module, "_pass_arrays", counted)
+        def masses(*args):
+            passes[-1][0] = args[6]
+            return class_masses(*args)
+
+        monkeypatch.setattr(adg_module, "_influence", nodes)
+        monkeypatch.setattr(adg_module, "_class_masses", masses)
         res = generate_pair(
             SynthConfig(n_entities=200, density=8, conflict_injection=0.2, rng_seed=2)
         )
@@ -500,6 +506,7 @@ class TestAdgFromTablesIsExact:
             passes.clear()
             got = build_adg(expls, store, cfg)
             assert len(got) == len(expls)
+            assert sum(1 + len(e.matched_neighbor_pairs) for e in expls) == sum(n for _, n in passes)
             for adg, expl in zip(got, expls):
                 assert adg.explanation is expl
                 assert adg.edge_neighbor is expl.neighbor
@@ -516,14 +523,10 @@ class TestAdgFromTablesIsExact:
                 assert len(passes) == 7
             else:
                 assert len(passes) > 7
-            # the confidence-only read takes the same passes and arithmetic
-            built = len(passes)
-            assert confidences(expls, store, cfg) == [adg.confidence for adg in got]
-            assert len(passes) == 2 * built
-            # and so does the batched read, straight from the neighbor lists
+            # the batched read, straight from the neighbor lists, gives the
+            # same confidences
             batched = pair_confidences(keys, lists, analyzer.index1, analyzer.index2, store, cfg)
             assert batched == [adg.confidence for adg in got[:50] + got[55:]]
-            assert len(passes) == 2 * built
 
     @pytest.mark.parametrize("density", [3, 8])
     def test_equals_reference(self, density):
@@ -675,7 +678,7 @@ READ_CONFIGS = (AdgConfig(), AdgConfig(alpha=0.3, weak_weight=0.2, theta=2.0, ga
 class TestPairConfidencesAreExact:
     """The batched read's confidences, straight from the unscored matcher's
     arrays, equal (``==``) those of the scored explanations' graphs:
-    ``confidences(explanations(...))`` over the same neighbor lists, and
+    ``build_adg(explanations(...))`` over the same neighbor lists, and
     ``PairAnalyzer.adgs`` over the same state, whatever the block shapes,
     all-zero paths, empty neighbor lists and pass budgets."""
 
@@ -690,7 +693,8 @@ class TestPairConfidencesAreExact:
         pairs = [(s, t) for s, t in enumerate(case.forward) if t >= 0]
         state = AlignmentState((), pairs, READ_ENTITIES, READ_ENTITIES)
         for cfg in READ_CONFIGS:
-            expected = confidences(explanations(case.keys, lists, i1, i2), store, cfg)
+            expls = explanations(case.keys, lists, i1, i2)
+            expected = [adg.confidence for adg in build_adg(expls, store, cfg)]
             analyzer = PairAnalyzer(kg1, kg2, store, state, RepairConfig(h=case.h, adg=cfg))
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(importlib.import_module("exea.adg"), "_PASS_NODES", case.pass_nodes)
@@ -718,6 +722,19 @@ class TestPairConfidencesAreExact:
         assert [n for n, _ in expl.matched_neighbor_pairs] == [1, 2, 3, 4, 5]
         assert expl.neighbor.tolist() == [0, 2, 4]
         assert pair_confidences(ONE_BY_ONE.keys[:1], lists[:1], i1, i2, store) == [0.5]
+
+    def test_pairs_and_lists_must_match(self):
+        """The batched read, like ``explanations``, refuses pairs and
+        neighbor lists of different lengths, either way round, instead of
+        reading the shorter."""
+        kg1, kg2, store = ONE_BY_ONE.build()
+        i1, i2 = PathIndex(kg1, store, 2), PathIndex(kg2, store, 2)
+        lists = neighbor_lists(i1, i2, np.array(ONE_BY_ONE.forward), ONE_BY_ONE.keys)
+        for keys, given in ((ONE_BY_ONE.keys, lists[:2]), (ONE_BY_ONE.keys[:2], lists)):
+            message = f"{len(keys)} pairs but {len(given)} neighbor lists"
+            for read in (explanations, functools.partial(pair_confidences, store=store)):
+                with pytest.raises(ValueError, match=message):
+                    read(keys, given, i1, i2)
 
     def test_kernel_hands_on_the_scored_matches(self, monkeypatch):
         """The kernel hands the class arithmetic the scored matcher's rows
@@ -789,6 +806,6 @@ class TestPairConfidencesAreExact:
         empty = [np.zeros(0, dtype=np.int64)] * 2
         assert pair_confidences(keys, empty, i1, i2, store) == [0.5, 0.5]
         with pytest.raises(ZeroVector):
-            confidences(explanations(keys, lists, i1, i2), store)
+            build_adg(explanations(keys, lists, i1, i2), store)
         with pytest.raises(ZeroVector):
             pair_confidences(keys, lists, i1, i2, store)

@@ -207,16 +207,16 @@ class TestSimilaritySearch:
         rng = np.random.default_rng(17)
         st = store_from(rng.normal(size=(9, 4)), rng.normal(size=(13, 4)))
         sims = similarity_matrix(st, range(9), range(13))
-        topk = similarity_topk(st, range(9), range(13), k=5)
+        targets, scores = similarity_topk(st, range(9), range(13), k=5)
         for i in range(9):
             full = sorted(range(13), key=lambda j: (-sims[i, j], j))
-            assert list(topk.target_indices[i]) == full[:5]
-            np.testing.assert_allclose(topk.scores[i], sims[i, full[:5]])
+            assert list(targets[i]) == full[:5]
+            np.testing.assert_allclose(scores[i], sims[i, full[:5]])
 
     def test_ties_break_toward_lower_target_index(self):
         st = store_from([[1.0, 0.0]], [[2.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        topk = similarity_topk(st, [0], [0, 1, 2], k=3)
-        assert list(topk.target_indices[0]) == [0, 1, 2]
+        targets, _ = similarity_topk(st, [0], [0, 1, 2], k=3)
+        assert list(targets[0]) == [0, 1, 2]
 
     def test_block_partitioning_does_not_change_results(self, monkeypatch):
         """Blocks of 1 to 17 rows (where BLAS matrix kernels switch), of
@@ -229,17 +229,17 @@ class TestSimilaritySearch:
         for dim in (6, 32, 64):
             st = store_from(rng.normal(size=(40, dim)), rng.normal(size=(25, dim)))
             monkeypatch.setattr(embedding_module, "_TOPK_BLOCK_BYTES", 8 * 25 * 4096)
-            whole = similarity_topk(st, range(40), range(25), k=4)
+            whole_targets, whole_scores = similarity_topk(st, range(40), range(25), k=4)
             a, b = (st.entity_matrix(side).astype(np.float64) for side in (Side.SOURCE, Side.TARGET))
             a, b = a / np.linalg.norm(a, axis=1)[:, None], b / np.linalg.norm(b, axis=1)[:, None]
             for i in range(40):
-                expected = [float(np.dot(a[i], b[j])) for j in whole.target_indices[i]]
-                assert whole.scores[i].tolist() == expected
+                expected = [float(np.dot(a[i], b[j])) for j in whole_targets[i]]
+                assert whole_scores[i].tolist() == expected
             for budget in [8 * 25 * rows for rows in [*range(1, 18), 39]] + [8 * 25 - 1, 0]:
                 monkeypatch.setattr(embedding_module, "_TOPK_BLOCK_BYTES", budget)
-                got = similarity_topk(st, range(40), range(25), k=4)
-                np.testing.assert_array_equal(got.target_indices, whole.target_indices)
-                np.testing.assert_array_equal(got.scores, whole.scores)
+                targets, scores = similarity_topk(st, range(40), range(25), k=4)
+                np.testing.assert_array_equal(targets, whole_targets)
+                np.testing.assert_array_equal(scores, whole_scores)
         # targets that repeat six rows, so that scores tie in runs of four or
         # five targets and k cuts through a run: every budget from one row
         # per block to all rows in one gives the lowest targets of the run
@@ -255,9 +255,9 @@ class TestSimilaritySearch:
             assert cut > 0 or k == 25
             for rows_per_block in range(1, 41):
                 monkeypatch.setattr(embedding_module, "_TOPK_BLOCK_BYTES", 8 * 25 * rows_per_block)
-                got = similarity_topk(st, range(40), range(25), k=k)
-                assert got.target_indices.tolist() == expected
-                assert got.scores.tolist() == [
+                targets, scores = similarity_topk(st, range(40), range(25), k=k)
+                assert targets.tolist() == expected
+                assert scores.tolist() == [
                     [row[j] for j in ranked] for row, ranked in zip(sims, expected)
                 ]
 
@@ -282,10 +282,10 @@ class TestSimilaritySearch:
         results = []
         for rows_per_block in range(1, 7):
             monkeypatch.setattr(embedding_module, "_TOPK_BLOCK_BYTES", 8 * 5 * rows_per_block)
-            topk = similarity_topk(st, range(6), range(5), k=3)
-            results.append((topk.target_indices.tolist(), topk.scores.tolist()))
+            ranked, scores = similarity_topk(st, range(6), range(5), k=3)
+            results.append((ranked.tolist(), scores.tolist()))
             if negative is not None and negative < 3:
-                assert np.signbit(topk.scores[:, 1 + (negative == 2)]).all()
+                assert np.signbit(scores[:, 1 + (negative == 2)]).all()
         assert results == [([[1, 0, 2]] * 6, [[1.0, 0.0, 0.0]] * 6)] * 6
 
     def test_matrix_rows_do_not_depend_on_the_rows_scored_with_them(self):
@@ -308,8 +308,8 @@ class TestSimilaritySearch:
 
     def test_k_wider_than_targets(self):
         st = store_from([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
-        topk = similarity_topk(st, [0], [0, 1], k=10)
-        assert topk.target_indices.shape == (1, 2)
+        targets, scores = similarity_topk(st, [0], [0, 1], k=10)
+        assert targets.shape == scores.shape == (1, 2)
 
     def test_greedy_align_is_rowwise_argmax(self):
         rng = np.random.default_rng(37)

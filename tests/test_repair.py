@@ -163,7 +163,7 @@ class TestAlignmentState:
         assert state.forward[1] == 1
         assert provenance_of(state, 0) == "seed"
         assert provenance_of(state, 2) == "predicted"
-        assert state.sources_of(1) == (1, 2)
+        assert state.sources_of([1]) == [(1, 2)]
         assert state.multi_claimed_targets() == [1]
 
     def test_non_injective_seeds_rejected(self):
@@ -280,10 +280,11 @@ class TestAlignmentStateAgainstDictModel:
             claims = {x: sorted(a for a, (b, _) in model.items() if b == x) for x in range(n_t)}
             assert state.pairs() == [(a, b, p) for a, (b, p) in sorted(model.items())]
             assert state.forward.tolist() == [model.get(a, (-1,))[0] for a in range(n_s)]
-            assert [state.sources_of(x) for x in range(-1, n_t + 1)] == [
-                tuple(claims.get(x, ())) for x in range(-1, n_t + 1)
-            ]
-            assert state.holders(range(n_t)) == [(claims[x] or [-1])[0] for x in range(n_t)]
+            # no target (-1) and targets past the graph have no sources
+            probes = range(-1, n_t + 2)
+            expected = [tuple(claims.get(x, ())) for x in probes]
+            assert state.sources_of(probes) == expected
+            assert [state.sources_of([x])[0] for x in probes] == expected
             assert state.unaligned_sources == set(range(n_s)) - set(model)
             assert state.unaligned_targets == {x for x in range(n_t) if not claims[x]}
             multi = [x for x in range(n_t) if len(claims[x]) > 1]
@@ -1065,6 +1066,45 @@ class TestPairAnalyzer:
         )
 
 
+    def test_entries_hold_arrays_of_their_own(self):
+        """No cache entry is a view of a larger gather, however its key was
+        read: a batched read with and without its lists handed in, a stale
+        single lookup and a graph build. A graph build keeps the cached
+        array itself of a key whose list did not change."""
+        res, raw = lookup_fixture(3)
+        state = AlignmentState(res.seeds, raw, n_sources=60, n_targets=60)
+        analyzer = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, RepairConfig())
+        keys = [(s, t) for s, t, _ in state.pairs()]
+
+        def own_arrays():
+            return all(entry[0].base is None for entry in analyzer._cache.values())
+
+        analyzer.adgs(keys[:20])
+        assert own_arrays()
+        analyzer.adgs(keys[20:40], analyzer.neighbor_lists(keys[20:40]))
+        assert own_arrays()
+        # a key made stale by unaligning one of its matched neighbors
+        seeds = {s for s, _ in res.seeds}
+        key, n = next(
+            (key, n) for key in keys[:40] if key[0] not in seeds
+            for n in (analyzer._cache[key][0] // 60).tolist() if n not in seeds
+        )
+        state.unalign(n)
+        stale = analyzer._cache[key][0]
+        analyzer.adg(*key)
+        assert analyzer._cache[key][0] is not stale
+        assert own_arrays()
+        before = {key: entry[0] for key, entry in analyzer._cache.items()}
+        for _ in analyzer.graphs(keys):
+            pass
+        assert own_arrays()
+        unchanged = [
+            key for key, packed in before.items() if np.array_equal(packed, analyzer._cache[key][0])
+        ]
+        assert 0 < len(unchanged) < len(keys)
+        assert all(analyzer._cache[key][0] is before[key] for key in unchanged)
+
+
 @functools.cache
 def small_synth():
     res = generate_pair(SynthConfig(n_entities=30, conflict_injection=0.2, rng_seed=5))
@@ -1238,14 +1278,14 @@ class TestBatchedLookupIsExact:
         # were matched over: a single lookup's from its explanation, a
         # batched read's straight from the neighbor lists
         builds = {id(batched.index1): 0, id(single.index1): 0}
-        confidences = repair_module.confidences
+        build_adg = repair_module.build_adg
         pair_confidences = repair_module.pair_confidences
 
         def counted(expls, *args):
             for expl in expls:
                 key = id(expl.indexes[0])
                 builds[key] = builds.get(key, 0) + 1
-            return confidences(expls, *args)
+            return build_adg(expls, *args)
 
         # calls of the builder each lookup goes through, per analyzer: one
         # per batched read that computes anything (its keys fit one pass
@@ -1264,7 +1304,7 @@ class TestBatchedLookupIsExact:
             cores[id(index1)] = cores.get(id(index1), 0) + 1
             return explanations(pairs, neighbor_lists, index1, index2)
 
-        monkeypatch.setattr(repair_module, "confidences", counted)
+        monkeypatch.setattr(repair_module, "build_adg", counted)
         monkeypatch.setattr(repair_module, "pair_confidences", counted_pairs)
         monkeypatch.setattr(repair_module, "explanations", core)
         rng = np.random.default_rng(100 * density + h)
@@ -1529,8 +1569,7 @@ class TestOneToOne:
         n_sources = 1 + max(s for s, _ in [(0, 0), *predictions])
         state = AlignmentState([(0, 0)], predictions, n_sources=n_sources, n_targets=4)
         analyzer = PairAnalyzer(kg1, kg2, store, state, RepairConfig(k=k))
-        sources = list(range(1, n_sources))
-        topk = similarity_topk(store, sources, range(4), k)
+        topk, _ = similarity_topk(store, range(n_sources), range(4), k)
         return state, analyzer, topk
 
     def test_injective_input_is_fixpoint(self):
@@ -1697,8 +1736,8 @@ def reference_resolve_one_to_many(state, analyzer, topk):
         fresh = set()
         for e1 in sorted(queue):
             aligned = False
-            for e2, _ in topk.candidates(e1):
-                holders = state.sources_of(e2)
+            for e2 in topk[e1].tolist():
+                [holders] = state.sources_of([e2])
                 if not holders:
                     state.align(e1, e2, REPAIRED)
                     aligned = True
@@ -1796,7 +1835,7 @@ def reference_resolve_low_confidence(state, analyzer, cfg, unaligned, flagged, r
             aligned = False
             for score, neg_t in scored[: cfg.k]:
                 e2 = -neg_t
-                holders = state.sources_of(e2)
+                [holders] = state.sources_of([e2])
                 if not holders:
                     state.align(e1, e2, REPAIRED)
                     aligned = True
@@ -1913,8 +1952,8 @@ class TestOneToManyReads:
                     got = choices(e1)
                     expected = []
                     # seed targets skipped, each contest won, the first free target
-                    for e2, _ in topk.candidates(e1):
-                        holders = state.sources_of(e2)
+                    for e2 in topk[e1].tolist():
+                        [holders] = state.sources_of([e2])
                         if not holders:
                             expected.append((e2, -1))
                             break
@@ -1962,7 +2001,7 @@ class TestOneToManyReads:
         state = AlignmentState([(0, 0)], predictions, n_sources=5, n_targets=5)
         analyzer = PairAnalyzer(kg1, kg2, store, state, RepairConfig(k=k))
         cold = PairAnalyzer(kg1, kg2, store, state, RepairConfig(k=k))
-        return state, analyzer, cold, similarity_topk(store, range(1, 5), range(5), k)
+        return state, analyzer, cold, similarity_topk(store, range(5), range(5), k)[0]
 
     def test_unmatched_challenger_evicts_no_one(self):
         """Source 3 is isolated, so each of its keys has no matched neighbor
@@ -1971,7 +2010,7 @@ class TestOneToManyReads:
         isolated source 4 at 0.5 and by the seed; the one free target, 4, is
         its farthest. It evicts no one, and no key of it is cached."""
         state, analyzer, cold, topk = self.build_hub([(1, 1), (2, 3), (4, 2)], k=4)
-        assert [t for t, _ in topk.candidates(3)] == [3, 1, 2, 0]
+        assert topk[3].tolist() == [3, 1, 2, 0]
         assert [cold.adg(3, t) for t in (3, 1, 2)] == [0.5] * 3
         assert cold.adg(2, 3) == cold.adg(4, 2) == 0.5
         assert cold.adg(1, 1) > 0.5

@@ -112,13 +112,13 @@ class TestEmbeddings:
         assert len(res.conflicts) == 40
         gold = dict(res.gold)
         n = cfg.n_entities
-        topk = similarity_topk(
+        targets, _ = similarity_topk(
             res.perturbed_store, [s for s, _, _ in res.conflicts], range(n), 10
         )
         pred = {s: t for s, t, _ in greedy_align(res.perturbed_store, range(n), range(n))}
-        for s, victim, stolen in res.conflicts:
+        for (s, victim, stolen), nearest in zip(res.conflicts, targets[:, 0].tolist()):
             assert gold[victim] == stolen
-            assert topk.candidates(s)[0][0] == stolen
+            assert nearest == stolen
             assert pred[victim] == stolen or victim in dict(res.seeds)
 
     def test_conflicted_sources_keep_a_clean_neighbor(self):
