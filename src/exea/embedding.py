@@ -211,17 +211,27 @@ def pair_cosines(
     return np.vecdot(a[i].astype(np.float64), b[j].astype(np.float64)) / (na * nb)
 
 
-def _normalized_rows(store: EmbeddingStore, side: Side, indices) -> np.ndarray:
-    mat = store.entity_matrix(side).astype(np.float64)
+def check_rows(store: EmbeddingStore, side: Side, indices) -> np.ndarray:
+    """``indices`` as an array, once each is known to name a nonzero entity
+    vector on ``side``: an index outside the store is ``MissingEmbedding``,
+    and a zero vector is ``ZeroVector`` naming the first in ``indices``'
+    order."""
+    mat = store.entity_matrix(side)
     idx = np.asarray(list(indices), dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= mat.shape[0]):
         raise MissingEmbedding(f"entity index outside store on side {side.value}")
-    rows = mat[idx]
-    norms = np.linalg.norm(rows, axis=1)
-    zero = np.nonzero(norms == 0.0)[0]
+    zero = np.flatnonzero(~mat[idx].any(axis=1))
     if zero.size:
         raise ZeroVector(f"entity {int(idx[zero[0]])} on side {side.value} has a zero vector")
-    return rows / norms[:, None]
+    return idx
+
+
+def _normalized_rows(store: EmbeddingStore, side: Side, indices) -> np.ndarray:
+    """The rows ``indices`` of the side's entity vectors in 64-bit, each over
+    its own ``np.linalg.norm``, so a row does not depend on the others asked
+    for; the rows are checked by ``check_rows``."""
+    rows = store.entity_matrix(side)[check_rows(store, side, indices)].astype(np.float64)
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
 
 
 def similarity_matrix(store: EmbeddingStore, sources: Sequence[int], targets: Sequence[int]) -> np.ndarray:
@@ -236,11 +246,28 @@ def similarity_matrix(store: EmbeddingStore, sources: Sequence[int], targets: Se
     return np.vecdot(a[:, None, :], b)
 
 
-# bytes of one similarity_topk block's score matrix: a block takes as many
-# source rows as fit, at least one, which bounds its temporaries (the scores,
-# their negation and the sort order) however many sources and targets there
-# are; no output depends on it, since every score is its own np.vecdot
+# bytes of one score block of similarity_topk and greedy_align: a block
+# takes as many source rows as fit, at least one, which bounds its
+# temporaries (the scores, their negation and the sort order) however many
+# sources and targets there are; no output depends on it, since every score
+# is its own np.vecdot
 _TOPK_BLOCK_BYTES = 1 << 20
+
+
+def _cosine_blocks(store: EmbeddingStore, sources: list[int], targets: list[int]):
+    """``(start, sims)`` for consecutive blocks of ``sources``, as many rows
+    as ``_TOPK_BLOCK_BYTES`` holds scores for: ``sims`` is the block's rows
+    of ``similarity_matrix(store, sources, targets)``, each entry one
+    ``np.vecdot``, the BLAS dot ``np.dot`` takes, so it does not depend on
+    the block; a matrix product would pick its kernel, and with it the
+    order of its sums, by the block's row count."""
+    if not targets:
+        raise ValueError("a similarity search needs at least one target")
+    b = _normalized_rows(store, Side.TARGET, targets)
+    block = max(1, _TOPK_BLOCK_BYTES // (8 * len(targets)))
+    for start in range(0, len(sources), block):
+        a = _normalized_rows(store, Side.SOURCE, sources[start : start + block])
+        yield start, np.vecdot(a[:, None, :], b)
 
 
 def similarity_topk(
@@ -251,50 +278,42 @@ def similarity_topk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k by cosine: row i holds the k nearest targets of
     ``sources[i]`` (all targets when there are fewer) and their scores,
-    descending, ties to the lower target. Sources are processed in blocks
-    of as many rows as ``_TOPK_BLOCK_BYTES`` holds scores for. Each score
-    is one ``np.vecdot`` of a source row and a target row, the BLAS dot
-    ``np.dot`` takes, so the result does not depend on the blocks; a matrix
-    product would pick its kernel, and with it the order of its sums, by
-    the block's row count."""
+    descending, ties to the target listed first. Sources are scored in
+    blocks (``_cosine_blocks``), so the result does not depend on which
+    other sources are asked for with them: one-to-many asks only for the
+    sources it queues."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     sources = [int(s) for s in sources]
     targets = [int(t) for t in targets]
-    if not targets:
-        raise ValueError("similarity_topk needs at least one target")
     width = min(k, len(targets))
-    b = _normalized_rows(store, Side.TARGET, targets)
     tgt_arr = np.asarray(targets, dtype=np.int64)
     out_idx = np.empty((len(sources), width), dtype=np.int64)
     out_scores = np.empty((len(sources), width), dtype=np.float64)
-    block = max(1, _TOPK_BLOCK_BYTES // (8 * len(targets)))
-    for start in range(0, len(sources), block):
-        chunk = sources[start : start + block]
-        a = _normalized_rows(store, Side.SOURCE, chunk)
-        sims = np.vecdot(a[:, None, :], b)
+    for start, sims in _cosine_blocks(store, sources, targets):
         order = np.argsort(-sims, axis=1, kind="stable")[:, :width]
-        out_idx[start : start + len(chunk)] = tgt_arr[order]
-        out_scores[start : start + len(chunk)] = np.take_along_axis(sims, order, axis=1)
+        out_idx[start : start + len(sims)] = tgt_arr[order]
+        out_scores[start : start + len(sims)] = np.take_along_axis(sims, order, axis=1)
     return out_idx, out_scores
 
 
 def greedy_align(
     store: EmbeddingStore, sources: Sequence[int], targets: Sequence[int]
 ) -> list[tuple[int, int, float]]:
-    """Each source takes its nearest target by cosine (ties: lower target index)."""
+    """Each source takes its nearest target by cosine (ties: lower target
+    index), one ``_cosine_blocks`` block at a time, so no source-by-target
+    matrix is held."""
     sources = [int(s) for s in sources]
     targets = [int(t) for t in targets]
     if not sources:
         return []
-    if not targets:
-        raise ValueError("greedy_align needs at least one target")
-    sims = similarity_matrix(store, sources, targets)
-    best = np.argmax(sims, axis=1)
-    return [
-        (s, targets[int(j)], float(sims[i, int(j)]))
-        for i, (s, j) in enumerate(zip(sources, best))
-    ]
+    best = np.empty(len(sources), dtype=np.int64)
+    scores = np.empty(len(sources), dtype=np.float64)
+    for start, sims in _cosine_blocks(store, sources, targets):
+        j = np.argmax(sims, axis=1)
+        best[start : start + len(sims)] = j
+        scores[start : start + len(sims)] = sims[np.arange(len(sims)), j]
+    return list(zip(sources, np.asarray(targets)[best].tolist(), scores.tolist()))
 
 
 def _section_payload(kind: str, ids: np.ndarray, mat: np.ndarray, binary: bool) -> bytes:

@@ -62,7 +62,7 @@ import numpy as np
 
 from .adg import STRONG, Adg, AdgConfig, build_adg, pass_ranges, sigmoid
 from .adg import _influence, pair_confidences
-from .embedding import EmbeddingStore, pair_cosines, similarity_matrix, similarity_topk
+from .embedding import EmbeddingStore, check_rows, pair_cosines, similarity_matrix, similarity_topk
 from .errors import ConfigError, InvariantViolation, MissingEmbedding
 from .explain import Explanation, PathIndex, explanations, neighbor_lists
 from .explain import _distinct, _distinct_inverse, _lookup, _ranges, _run_starts, _split_keys
@@ -840,26 +840,34 @@ def _rematch(
 def resolve_one_to_many(
     state: AlignmentState,
     analyzer: PairAnalyzer,
-    candidates: np.ndarray,
+    k: int,
 ) -> tuple[set[int], dict]:
-    """Realign displaced sources through their top-k targets, best first,
-    ``candidates[e1]`` for source e1 (``similarity_topk``'s targets over
-    every source), evicting incumbents of strictly lower confidence.
-    Returns the sources still unaligned and loop statistics.
+    """Realign displaced sources through their ``k`` nearest targets, best
+    first, evicting incumbents of strictly lower confidence. Returns the
+    sources still unaligned and loop statistics.
 
-    The alignment does not move until a walk aligns, so ``choices`` reads
-    every comparison the walk may make when it starts: the holders in one
-    pass over ``forward``, the confidences in one gather and shared
+    A source's targets come from ``similarity_topk`` when it first enters
+    the queue, in one call for every source entering with it; no other
+    source's row is computed. Every target and every source is checked by
+    ``check_rows`` when the stage starts, so a zero vector on either side is
+    an error whether or not a walk reaches it, as when every source was
+    ranked. The alignment does not move until a walk aligns, so ``choices``
+    reads every comparison the walk may make when it starts: the holders in
+    one pass over ``forward``, the confidences in one gather and shared
     passes."""
+    targets = range(state.n_targets)
+    check_rows(analyzer.store, Side.TARGET, targets)
+    check_rows(analyzer.store, Side.SOURCE, range(state.forward.size))
     displaced = one_to_one(state, analyzer)
     queue = displaced | state.unaligned_sources
     stats = {"initial_unaligned": len(queue), "iterations": 0, "evictions": 0}
+    nearest: dict[int, list[int]] = {}
 
     def choices(e1: int) -> list[tuple[int, int]]:
-        targets = candidates[e1].tolist()
+        ranked = nearest[e1]
         # each target up to the first free one whose holder is not a seed
         contests, free = [], []
-        for e2, holders in zip(targets, state.sources_of(targets)):
+        for e2, holders in zip(ranked, state.sources_of(ranked)):
             if not holders:
                 free = [(e2, -1)]
                 break
@@ -878,6 +886,10 @@ def resolve_one_to_many(
         return won + free
 
     while len(queue) > 0:
+        entering = sorted(queue.difference(nearest))
+        if entering:
+            rows, _ = similarity_topk(analyzer.store, entering, targets, k)
+            nearest.update(zip(entering, rows.tolist()))
         last_len = len(queue)
         stats["iterations"] += 1
         queue, evictions = _rematch(state, queue, choices)
@@ -1152,8 +1164,7 @@ def repair(
     unaligned = state.unaligned_sources
     otm_stats: dict = {"skipped": True}
     if cfg.enable_one_to_many:
-        candidates, _ = similarity_topk(store, range(kg1.n_entities), range(kg2.n_entities), cfg.k)
-        unaligned, otm_stats = resolve_one_to_many(state, analyzer, candidates)
+        unaligned, otm_stats = resolve_one_to_many(state, analyzer, cfg.k)
 
     low_stats: dict = {"skipped": True}
     if cfg.enable_low_confidence:

@@ -982,6 +982,64 @@ class TestZeroVectorPrediction:
         assert not (tmp_path / "r.json").exists()
 
 
+class TestZeroVectorOneToMany:
+    """One-to-many ranks targets by cosine, so a zero vector it may rank
+    against is an error, exit 2, with no traceback and no output: a target
+    no pair claims and no walk reads, with no source queued, and an
+    unaligned source (every vector of both sides is checked when the stage
+    starts). Both runs use the gold links of an
+    ``exea synth --n-entities 40`` fixture as predictions."""
+
+    def run_repair(self, synth40, tmp_path, pred, source_rows, target_rows):
+        emb = tmp_path / "emb.tsv"
+        save_embeddings(emb, EmbeddingStore({Side.SOURCE: source_rows, Side.TARGET: target_rows}))
+        pred_file = tmp_path / "pred.tsv"
+        pred_file.write_text("".join(f"{s}\t{t}\n" for s, t in pred))
+        proc = subprocess.run(
+            [sys.executable, "-m", "exea.cli", "repair",
+             "--kg1", str(tmp_path / "triples_1"), "--kg2", str(tmp_path / "triples_2"),
+             "--emb", str(emb), "--seeds", str(tmp_path / "train_links"),
+             "--pred", str(pred_file), "--out", str(tmp_path / "a.tsv"),
+             "--report", str(tmp_path / "r.json")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "a.tsv").exists()
+        assert not (tmp_path / "r.json").exists()
+        return proc.stderr
+
+    def copy_fixture(self, synth40, tmp_path):
+        for name in ("triples_1", "ent_ids_1", "rel_ids_1", "triples_2", "ent_ids_2",
+                     "rel_ids_2", "train_links"):
+            shutil.copy(synth40 / name, tmp_path / name)
+        store = load_embeddings(synth40 / "embeddings.tsv")
+        return store.entity_matrix(Side.SOURCE).copy(), store.entity_matrix(Side.TARGET).copy()
+
+    def test_unclaimed_zero_target_with_nothing_queued(self, synth40, tmp_path):
+        source_rows, target_rows = self.copy_fixture(synth40, tmp_path)
+        # a 41st target: isolated, unclaimed, with an all-zero vector
+        extra = len(target_rows)
+        with open(tmp_path / "ent_ids_2", "a") as fh:
+            fh.write(f"{extra}\textra\n")
+        target_rows = np.vstack([target_rows, np.zeros((1, target_rows.shape[1]))])
+        gold = read_pairs(synth40 / "ent_links")
+        assert sorted(s for s, _ in gold) == list(range(len(source_rows)))
+        assert sorted(t for _, t in gold) == list(range(extra))
+        stderr = self.run_repair(synth40, tmp_path, gold, source_rows, target_rows)
+        assert f"entity {extra} on side target has a zero vector" in stderr
+
+    def test_zero_unaligned_source(self, synth40, tmp_path):
+        source_rows, target_rows = self.copy_fixture(synth40, tmp_path)
+        seeds = {s for s, _ in read_pairs(synth40 / "train_links")}
+        gold = read_pairs(synth40 / "ent_links")
+        source = next(s for s, _ in gold if s not in seeds)
+        source_rows[source] = 0.0
+        pred = [(s, t) for s, t in gold if s != source]
+        stderr = self.run_repair(synth40, tmp_path, pred, source_rows, target_rows)
+        assert f"entity {source} on side source has a zero vector" in stderr
+
+
 class TestZeroVectorNeighbor:
     """A matched neighbor whose embedding row is all zeros has no cosine:
     ``exea explain`` exits 2 with the cosine error from ``pair_cosines``,

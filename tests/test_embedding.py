@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 import exea.embedding as embedding_module
 from exea.embedding import (
@@ -39,6 +41,33 @@ def one_pair_cosine(u, v) -> float:
     """``pair_cosines`` of two vectors, each in a one-row store."""
     st = store_from([u], [v])
     return pair_cosines(st, Side.SOURCE, [0], Side.TARGET, [0]).item()
+
+
+def exact_rows(store, side, indices):
+    """The rows ``indices`` of ``side`` over their ``np.linalg.norm``."""
+    rows = store.entity_matrix(side)[list(indices)].astype(np.float64)
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+def reference_sims(store, sources, targets):
+    """Every cosine as one broadcast ``np.vecdot`` of rows over their
+    ``np.linalg.norm``."""
+    a, b = exact_rows(store, Side.SOURCE, sources), exact_rows(store, Side.TARGET, targets)
+    return np.vecdot(a[:, None, :], b)
+
+
+def reference_topk(store, sources, targets, k):
+    """Top-k by one full sort of ``reference_sims``: each row ordered by a
+    stable ``np.argsort`` of the negated scores, so ties go to the target
+    listed first and -0.0 ties 0.0."""
+    sims = reference_sims(store, sources, targets)
+    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    return np.asarray(targets, dtype=np.int64)[order], np.take_along_axis(sims, order, axis=1)
+
+
+def bits(scores):
+    """Each score's float64 bits, so -0.0 and 0.0 differ."""
+    return np.asarray(scores, dtype=np.float64).view(np.int64).tolist()
 
 
 def store_from(src_rows, tgt_rows=None, **kw):
@@ -311,19 +340,90 @@ class TestSimilaritySearch:
         targets, scores = similarity_topk(st, [0], [0, 1], k=10)
         assert targets.shape == scores.shape == (1, 2)
 
-    def test_greedy_align_is_rowwise_argmax(self):
+    def test_greedy_align_is_rowwise_argmax(self, monkeypatch):
+        """Equal to the dense matrix's first row maximum, target and score
+        bits, in blocks of one to all eight sources, with targets 3 and 9
+        copies of targets 1 and 2 so that some maxima tie."""
         rng = np.random.default_rng(37)
-        st = store_from(rng.normal(size=(8, 5)), rng.normal(size=(11, 5)))
+        tgt = rng.normal(size=(11, 5))
+        tgt[[3, 9]] = tgt[[1, 2]]
+        st = store_from(rng.normal(size=(8, 5)), tgt)
         sims = similarity_matrix(st, range(8), range(11))
-        got = greedy_align(st, range(8), range(11))
-        for s, t, score in got:
-            assert t == int(np.argmax(sims[s]))
-            assert score == pytest.approx(sims[s].max())
+        for rows_per_block in (1, 3, 8):
+            monkeypatch.setattr(embedding_module, "_TOPK_BLOCK_BYTES", 8 * 11 * rows_per_block)
+            got = greedy_align(st, range(8), range(11))
+            assert [s for s, _, _ in got] == list(range(8))
+            for s, t, score in got:
+                assert t == int(np.argmax(sims[s]))
+                assert score.hex() == float(sims[s, t]).hex()
 
     def test_zero_vector_raises(self):
         st = store_from([[0.0, 0.0]], [[1.0, 0.0]])
         with pytest.raises(ZeroVector):
             similarity_topk(st, [0], [0], k=1)
+
+
+@strategies.composite
+def topk_cases(draw):
+    """Small stores whose rows take values in {-2, -1, 0, 1, 2} (or a few
+    rounded normals), so that many scores tie exactly and zeros are common,
+    with no zero row; a k up to past the target count; a block budget; and a
+    sample of sources in any order, repeats allowed."""
+    n_s = draw(strategies.integers(1, 9))
+    n_t = draw(strategies.integers(1, 9))
+    dim = draw(strategies.sampled_from([1, 2, 3, 8, 32]))
+    seed = draw(strategies.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(strategies.booleans()):
+        rows = rng.integers(-2, 3, size=(n_s + n_t, dim)).astype(np.float64)
+    else:
+        rows = np.round(rng.normal(size=(n_s + n_t, dim)), 1)
+    rows[~rows.any(axis=1), 0] = 1.0
+    # repeat some target rows, so whole runs of targets tie
+    dup = rng.integers(0, n_t, size=n_t)
+    copy = rng.random(n_t) < 0.4
+    rows[n_s:][copy] = rows[n_s:][dup[copy]]
+    store = store_from(rows[:n_s], rows[n_s:])
+    k = draw(strategies.integers(1, n_t + 2))
+    rows_per_block = draw(strategies.integers(1, n_s))
+    sample = draw(strategies.lists(strategies.integers(0, n_s - 1), min_size=1, max_size=2 * n_s))
+    return store, n_s, n_t, k, rows_per_block, sample
+
+
+def signed_zeros(vecdot):
+    """``vecdot`` with a 0.0 score read as -0.0 against every target whose
+    last component is negative, so the kernel and the reference meet the
+    same signed zeros."""
+
+    def signed(x, y, **kwargs):
+        sims = vecdot(x, y, **kwargs)
+        return np.where((y[..., -1] < 0) & (sims == 0.0), -0.0, sims)
+
+    return signed
+
+
+class TestTopKIsExact:
+    """``similarity_topk`` equals a full stable-argsort reference
+    (``reference_topk``), with ``==`` on the targets and the score bits, on
+    stores full of exact ties, with -0.0 against 0.0, at every block size,
+    and for any subset of sources in any order, whose rows equal those of
+    the all-sources call: one-to-many asks only for the sources it queues."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=topk_cases(), negative_zeros=strategies.booleans())
+    def test_equals_full_sort(self, case, negative_zeros):
+        store, n_s, n_t, k, rows_per_block, sample = case
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(embedding_module, "_TOPK_BLOCK_BYTES", 8 * n_t * rows_per_block)
+            if negative_zeros:
+                m.setattr(np, "vecdot", signed_zeros(np.vecdot))
+            expected = reference_topk(store, range(n_s), range(n_t), k)
+            targets, scores = similarity_topk(store, range(n_s), range(n_t), k)
+            sub_targets, sub_scores = similarity_topk(store, sample, range(n_t), k)
+        assert targets.tolist() == expected[0].tolist()
+        assert bits(scores) == bits(expected[1])
+        assert sub_targets.tolist() == targets[sample].tolist()
+        assert bits(sub_scores) == bits(scores[sample])
 
 
 class TestEmbeddingFiles:

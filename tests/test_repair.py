@@ -23,7 +23,7 @@ from exea.embedding import (
     similarity_matrix,
     similarity_topk,
 )
-from exea.errors import ConfigError, InvariantViolation, NoRelationVectors
+from exea.errors import ConfigError, InvariantViolation, NoRelationVectors, ZeroVector
 from exea.explain import Explanation, _ranges, explain_pairs, neighbor_lists
 from exea.kg import Kg, Side, neighborhood_entities
 from exea.repair import (
@@ -52,7 +52,7 @@ from exea.repair import (
 )
 from exea.synth import SynthConfig, generate_pair
 
-from test_embedding import reference_cosine
+from test_embedding import reference_cosine, reference_topk
 from test_explain import matched_neighbors, reference_match_paths, unpacked
 from conftest import adjacency
 from test_kg import make_kg, random_kg
@@ -1569,32 +1569,31 @@ class TestOneToOne:
         n_sources = 1 + max(s for s, _ in [(0, 0), *predictions])
         state = AlignmentState([(0, 0)], predictions, n_sources=n_sources, n_targets=4)
         analyzer = PairAnalyzer(kg1, kg2, store, state, RepairConfig(k=k))
-        topk, _ = similarity_topk(store, range(n_sources), range(4), k)
-        return state, analyzer, topk
+        return state, analyzer
 
     def test_injective_input_is_fixpoint(self):
-        state, analyzer, topk = self.build_town([(1, 1), (2, 2)])
+        state, analyzer = self.build_town([(1, 1), (2, 2)])
         displaced = one_to_one(state, analyzer)
         assert displaced == set()
         assert state.pairs() == [(0, 0, "seed"), (1, 1, "predicted"), (2, 2, "predicted")]
 
     def test_higher_confidence_claimant_wins(self):
         # source 3 is hubless, so its confidence sigmoid(0) loses to 2's sigmoid(0.5)
-        state, analyzer, topk = self.build_town([(2, 1), (3, 1)])
+        state, analyzer = self.build_town([(2, 1), (3, 1)])
         displaced = one_to_one(state, analyzer)
         assert displaced == {3}
         assert state.forward[2] == 1
         assert state.forward[3] < 0
 
     def test_tie_goes_to_lower_source_index(self):
-        state, analyzer, topk = self.build_town([(1, 1), (2, 1)])
+        state, analyzer = self.build_town([(1, 1), (2, 1)])
         assert analyzer.adg(1, 1) == pytest.approx(analyzer.adg(2, 1))
         displaced = one_to_one(state, analyzer)
         assert displaced == {2}
         assert state.forward[1] == 1
 
     def test_seed_claimant_is_unbeatable(self):
-        state, analyzer, topk = self.build_town([(1, 0)])
+        state, analyzer = self.build_town([(1, 0)])
         displaced = one_to_one(state, analyzer)
         assert displaced == {1}
         assert state.forward[0] == 0
@@ -1607,16 +1606,16 @@ class TestResolveOneToMany:
     def test_loser_reassigned_to_free_target(self):
         # both spokes claim target 1; loser 2 walks to its next candidate,
         # target 2, which is free
-        state, analyzer, topk = self.build_town([(1, 1), (2, 1)])
-        leftover, stats = resolve_one_to_many(state, analyzer, topk)
+        state, analyzer = self.build_town([(1, 1), (2, 1)])
+        leftover, stats = resolve_one_to_many(state, analyzer, analyzer.cfg.k)
         assert leftover == set()
         assert stats["evictions"] == 0
         assert dict((s, t) for s, t, _ in state.pairs()) == {0: 0, 1: 1, 2: 2}
         state.check_injective()
 
     def test_k1_stuck_loser_stays_unaligned(self):
-        state, analyzer, topk = self.build_town([(1, 1), (2, 1)], k=1)
-        leftover, stats = resolve_one_to_many(state, analyzer, topk)
+        state, analyzer = self.build_town([(1, 1), (2, 1)], k=1)
+        leftover, stats = resolve_one_to_many(state, analyzer, analyzer.cfg.k)
         assert leftover == {2}
         assert state.forward[2] < 0
         assert state.forward[1] == 1
@@ -1624,9 +1623,9 @@ class TestResolveOneToMany:
     def test_eviction_chain_respects_loop_guard(self):
         # displaced source 2 evicts the weaker incumbent 3 from target 2; the
         # queue size stays at one, so the loop stops and 3 is reported
-        state, analyzer, topk = self.build_town([(1, 1), (2, 1), (3, 2)])
+        state, analyzer = self.build_town([(1, 1), (2, 1), (3, 2)])
         assert analyzer.adg(2, 2) > analyzer.adg(3, 2)
-        leftover, stats = resolve_one_to_many(state, analyzer, topk)
+        leftover, stats = resolve_one_to_many(state, analyzer, analyzer.cfg.k)
         assert stats["evictions"] == 1
         assert leftover == {3}
         assert state.forward[2] == 2
@@ -1634,8 +1633,8 @@ class TestResolveOneToMany:
 
     def test_never_evicts_stronger_incumbent(self):
         # hubless source 3 contests both occupied targets and wins neither
-        state, analyzer, topk = self.build_town([(1, 1), (2, 2), (3, 1)], k=2)
-        leftover, stats = resolve_one_to_many(state, analyzer, topk)
+        state, analyzer = self.build_town([(1, 1), (2, 2), (3, 1)], k=2)
+        leftover, stats = resolve_one_to_many(state, analyzer, analyzer.cfg.k)
         assert stats["evictions"] == 0
         assert leftover == {3}
         assert state.forward[1] == 1
@@ -1724,9 +1723,11 @@ class TestResolveLowConfidence:
         assert tuple(got[s] for s in (1, 2, 3)) == best
 
 
-def reference_resolve_one_to_many(state, analyzer, topk):
+def reference_resolve_one_to_many(state, analyzer, k):
     """The one-to-many stage with its own rematch loop, as it was written
-    before it shared ``_rematch`` with the low-confidence stage."""
+    before it shared ``_rematch`` with the low-confidence stage, over every
+    source's top-k targets ranked before the stage by one full sort."""
+    topk, _ = reference_topk(analyzer.store, range(state.forward.size), range(state.n_targets), k)
     displaced = one_to_one(state, analyzer)
     queue = displaced | state.unaligned_sources
     stats = {"initial_unaligned": len(queue), "iterations": 0, "evictions": 0}
@@ -1943,7 +1944,10 @@ class TestOneToManyReads:
         walks = []  # (the walk's choices, the cold analyzer's)
         answers = []  # (the walk's answer, the cold comparison's, challenger unmatched)
 
-        def recorded_resolve(state, analyzer, topk):
+        def recorded_resolve(state, analyzer, k):
+            topk, _ = reference_topk(
+                analyzer.store, range(state.forward.size), range(state.n_targets), k
+            )
             cold = PairAnalyzer(analyzer.kg1, analyzer.kg2, analyzer.store, state, analyzer.cfg)
             cold.ban(analyzer.banned_pairs)
 
@@ -1973,7 +1977,7 @@ class TestOneToManyReads:
 
             with monkeypatch.context() as m:
                 m.setattr(repair_module, "_rematch", recorded_rematch)
-                return resolve(state, analyzer, topk)
+                return resolve(state, analyzer, k)
 
         monkeypatch.setattr(repair_module, "resolve_one_to_many", recorded_resolve)
         for rng_seed in (1, 2, 3):
@@ -2014,7 +2018,7 @@ class TestOneToManyReads:
         assert [cold.adg(3, t) for t in (3, 1, 2)] == [0.5] * 3
         assert cold.adg(2, 3) == cold.adg(4, 2) == 0.5
         assert cold.adg(1, 1) > 0.5
-        leftover, stats = resolve_one_to_many(state, analyzer, topk)
+        leftover, stats = resolve_one_to_many(state, analyzer, analyzer.cfg.k)
         assert leftover == {3}
         assert stats["evictions"] == 0
         assert [(s, t) for s, t, _ in state.pairs()] == [(0, 0), (1, 1), (2, 3), (4, 2)]
@@ -2028,10 +2032,100 @@ class TestOneToManyReads:
         state, analyzer, cold, topk = self.build_hub([(2, 3), (3, 2), (4, 1)], k=1)
         assert analyzer_neighbors(cold, [(1, 1)]) == [[(0, 0)]]
         assert cold.adg(1, 1) > cold.adg(4, 1) == 0.5
-        leftover, stats = resolve_one_to_many(state, analyzer, topk)
+        leftover, stats = resolve_one_to_many(state, analyzer, analyzer.cfg.k)
         assert stats["evictions"] == 1
         assert state.forward[1] == 1
         assert leftover == {4}
+
+
+class TestOneToManyRowsOnDemand:
+    """One-to-many computes a source's top-k row when the source first
+    enters the queue, in one ``similarity_topk`` call per round for the
+    sources entering then, and no other row: over whole ``repair()`` runs,
+    each round's call asks for exactly the queued sources not asked for
+    before, every queued source is asked for once, and each row equals the
+    eager all-sources full sort's."""
+
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_each_queued_row_is_computed_once(self, monkeypatch, k):
+        repair_module = importlib.import_module("exea.repair")
+        topk, rematch = repair_module.similarity_topk, repair_module._rematch
+        resolve = repair_module.resolve_one_to_many
+        events = []  # ("rows", sources, their rows) and ("round", queue), in order
+        stage = []
+
+        def recorded_topk(store, sources, targets, k):
+            out = topk(store, sources, targets, k)
+            events.append(("rows", list(sources), out[0]))
+            return out
+
+        def recorded_rematch(state, queue, choices):
+            if stage:
+                events.append(("round", set(queue)))
+            return rematch(state, queue, choices)
+
+        def recorded_resolve(state, analyzer, k):
+            stage.append(analyzer)
+            try:
+                return resolve(state, analyzer, k)
+            finally:
+                stage.clear()
+
+        monkeypatch.setattr(repair_module, "similarity_topk", recorded_topk)
+        monkeypatch.setattr(repair_module, "_rematch", recorded_rematch)
+        monkeypatch.setattr(repair_module, "resolve_one_to_many", recorded_resolve)
+        late = 0
+        for rng_seed in (1, 2, 3):
+            events.clear()
+            res, raw = rematch_fixture(rng_seed)
+            repair(res.kg1, res.kg2, res.perturbed_store, raw, res.seeds, RepairConfig(k=k))
+            eager, _ = reference_topk(res.perturbed_store, range(200), range(200), k)
+            asked: list[int] = []
+            queued: set[int] = set()
+            for i, event in enumerate(events):
+                if event[0] == "rows":
+                    _, sources, rows = event
+                    # a call is followed by the round it ranks for
+                    assert events[i + 1][0] == "round"
+                    assert rows.tolist() == eager[sources].tolist()
+                    asked += sources
+                    continue
+                entering = sorted(event[1] - queued)
+                assert entering == (events[i - 1][1] if events[i - 1][0] == "rows" else [])
+                late += bool(queued) and bool(entering)
+                queued |= event[1]
+            assert sorted(asked) == sorted(queued)
+            assert len(asked) == len(set(asked))
+            assert queued
+        # at k = 10 evicted holders enter the queue after the first round; at
+        # k = 1 the queue never shrinks on these fixtures, so one round ends
+        # the stage
+        assert (late > 0) is (k == 10)
+
+    def test_nothing_queued_computes_no_row(self, monkeypatch):
+        """An injective alignment with every source aligned queues no
+        source, so no row is computed."""
+        repair_module = importlib.import_module("exea.repair")
+        calls = []
+        monkeypatch.setattr(repair_module, "similarity_topk", lambda *args: calls.append(args))
+        state, analyzer = TestOneToOne().build_town([(1, 1), (2, 2)])
+        leftover, stats = resolve_one_to_many(state, analyzer, analyzer.cfg.k)
+        assert (leftover, stats["iterations"], calls) == (set(), 0, [])
+
+    @pytest.mark.parametrize("side, entity", [(Side.SOURCE, 1), (Side.TARGET, 3)])
+    def test_zero_vector_nothing_reads_is_an_error(self, side, entity):
+        """Every source and target vector is checked when the stage starts,
+        before ``one_to_one`` moves anything, as ranking every source up
+        front did: an all-zero vector of aligned source 1, which nothing
+        queues, or of unclaimed target 3 raises ``ZeroVector`` naming it."""
+        state, analyzer = TestOneToOne().build_town([(1, 1), (2, 2)])
+        vecs = {s: analyzer.store.entity_matrix(s).copy() for s in (Side.SOURCE, Side.TARGET)}
+        vecs[side][entity] = 0.0
+        analyzer = PairAnalyzer(analyzer.kg1, analyzer.kg2, EmbeddingStore(vecs), state, analyzer.cfg)
+        before = state.pairs()
+        with pytest.raises(ZeroVector, match=f"entity {entity} on side {side.value} has a zero vector"):
+            resolve_one_to_many(state, analyzer, analyzer.cfg.k)
+        assert state.pairs() == before
 
 
 def nearest_candidates(e1, state, analyzer, cap):
