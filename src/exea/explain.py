@@ -11,9 +11,11 @@ along matched paths is the explanation subgraph.
 Performance notes. ``PathIndex`` is one table per side, built in one array
 pass over the graph's step index (``Kg.step_keys``) for every center it is
 given, dropping each temporary once consumed (its peak stays within about
-twice the finished index). A row holds no embedding, only ids of two small
-half tables and a norm, summed in ``path_embedding``'s order, so no value
-depends on which centers share the index. Distinct keys come from a sort
+twice the finished index). A row holds no embedding, only step ids, the id
+of a small relation-half table and a norm; a pass rebuilds the entity half
+from the store's entity rows and the step anchors, summed in
+``path_embedding``'s order, so no value depends on which centers share the
+index. Distinct keys come from a sort
 and a run-start mask (``_distinct``, ``_distinct_inverse``), since
 ``np.unique`` imports ``numpy.ma`` on its first call in a process.
 ``neighbor_lists`` is the one matched-neighbor rule: a gather of each
@@ -149,15 +151,21 @@ class PathIndex:
     neighborhood, the entities ``neighborhood_entities`` finds, since every
     entity within h undirected hops ends some simple path of length <= h.
 
-    A path's embedding is kept as two halves by id and one norm, not as a
-    row: ``ent_half[eid[p]]`` is the mean of its center and intermediate
-    entity vectors (the center's vector for a one-step path, one row per
-    first step for the two-step ones), ``rel_half[rid[p]]`` the mean of its
-    relation vectors (one row per relation combination the index's paths
-    use), ``norm[p]`` the Euclidean norm of the two halves side by side, 1.0
-    where ``zero`` marks an all-zero embedding. ``unit_rows`` rebuilds unit
-    path embeddings for the rows asked for. ``weight`` holds the product of
-    per-step functionality weights.
+    A path's embedding is kept as ids and one norm, not as a row. Its entity
+    half, the mean of its center and intermediate entity vectors, is rebuilt
+    from ``ents``, the store's float32 entity matrix (shared, not copied), as
+    ``(ents[c] + ents[m]) / 2`` in float64: c is the anchor of its first
+    step and m that of its second (``step_anchor``, one entry per graph
+    step), or c again for a one-step path, where the mean is exactly the
+    center's vector.
+    ``rel_half[rid[p]]`` is the mean of its relation vectors (one row per
+    relation combination the index's paths use), ``norm[p]`` the Euclidean
+    norm of the two halves side by side, 1.0 where ``zero`` marks an
+    all-zero embedding. ``unit_rows`` rebuilds unit path embeddings for the
+    rows asked for. ``weight`` holds the product of per-step functionality
+    weights. Past the shared ``step_keys``, a path costs 30 bytes and a run
+    12; the other arrays are sized by entities, steps or relation
+    combinations.
 
     Paths and embeddings depend only on the graph, the store and h, so one
     index serves every explanation call on its side.
@@ -202,28 +210,33 @@ class PathIndex:
         two = second >= 0
         self.lengths = (1 + two).astype(np.int8)
         self.step_keys = keys
+        self.n_entities = n_ent = kg.n_entities
         self.step_ids = np.empty((n, h), dtype=np.int32)
         self.step_ids[:, 0] = first
         if h == 2:
             self.step_ids[:, 1] = second
+        # the entity each step leaves: a path's center is its first step's
+        # anchor and its intermediate entity its second step's
+        self.step_anchor = np.repeat(np.arange(n_ent, dtype=np.int32), degree)
+        del degree
         second = second[two]
         ents = store.entity_matrix(kg.side)
         middle = keys[first[two], 2]
         if max(centers.max(initial=-1), end.max(initial=-1), middle.max(initial=-1)) >= ents.shape[0]:
             raise MissingEmbedding(f"paths on side {kg.side.value} reach entities without vectors")
         del middle
+        self.ents = ents
         rels = store.relation_matrix(kg)
         r1, r2 = keys[first, 1], keys[second, 1]
         if max(r1.max(initial=-1), r2.max(initial=-1)) >= rels.shape[0]:
             raise MissingEmbedding(f"paths on side {kg.side.value} use relations without vectors")
         # one run of rows per (center, endpoint), keyed center * n + endpoint
-        self.n_entities = n_ent = kg.n_entities
         key = center * n_ent + end
-        del end
+        del center, end
         run = np.flatnonzero(_run_starts(key))
         self.hood_key = key[run]
         del key
-        self.run_start = np.append(run, n)
+        self.run_start = np.append(run, n).astype(np.int32)
         del run
         self.hood_start = np.searchsorted(self.hood_key, np.arange(n_ent + 1) * n_ent)
         # row 0 weighs an outgoing step (inverse functionality), row 1 an
@@ -231,13 +244,13 @@ class PathIndex:
         # there and never appears on a path
         step_weight = np.stack([kg.ifunc, kg.func])
         self.weight = step_weight[keys[first, 0], r1]
+        del first
         self.weight[two] *= step_weight[keys[second, 0], r2]
         del second
-        # the halves, with the same additions in the same order as
-        # path_embedding: 0.0 plus each step relation, and the center plus
-        # the intermediate entity, each divided by the length; a relation
-        # combination is keyed r1 * base + r2 + 1, base being the relation
-        # count + 1 and r2 = -1 for a one-step path
+        # the relation half, with the same additions in the same order as
+        # path_embedding: 0.0 plus each step relation, divided by the length;
+        # a relation combination is keyed r1 * base + r2 + 1, base being the
+        # relation count + 1 and r2 = -1 for a one-step path
         base = rels.shape[0] + 1
         rel_key = r1 * base
         del r1
@@ -252,32 +265,37 @@ class PathIndex:
         inner = combo2 > 0
         self.rel_half[inner] += rels[combo2[inner] - 1]
         self.rel_half[inner] /= 2
-        ent_keys, at, eid = _distinct_inverse(np.where(two, n_ent + first, center))
-        del first
-        self.eid = eid.astype(np.int32)
-        del eid
-        self.ent_half = ents[center[at]].astype(np.float64)
-        del center, at
-        inner = ent_keys >= n_ent
-        self.ent_half[inner] += ents[keys[ent_keys[inner] - n_ent, 2]]
-        self.ent_half[inner] /= 2
         self.norm = np.empty(n, dtype=np.float64)
         for lo in range(0, n, _CHUNK):
-            halves = self._halves(slice(lo, lo + _CHUNK))
+            halves = self._halves(np.arange(lo, min(lo + _CHUNK, n)))
             self.norm[lo : lo + _CHUNK] = np.sqrt(np.vecdot(halves, halves))
         self.zero = self.norm == 0.0
         self.norm[self.zero] = 1.0
 
-    def _halves(self, rows) -> np.ndarray:
-        """The entity and relation halves of ``rows``, side by side."""
-        return np.concatenate([self.ent_half[self.eid[rows]], self.rel_half[self.rid[rows]]], axis=1)
+    def _halves(self, rows: np.ndarray) -> np.ndarray:
+        """The entity and relation halves of ``rows``, side by side. The
+        entity half is ``(center + middle) / 2`` in float64 over the store's
+        float32 entity rows, the middle being the anchor of a two-step path's
+        last step and the center again for a one-step path: a float32 value
+        held as float64 doubles and halves exactly, so a one-step path's half
+        is its center's vector."""
+        ids = self.step_ids.take(rows, axis=0)
+        first, last = ids[:, 0], ids[:, -1]
+        center = self.ents.take(self.step_anchor.take(first), axis=0)
+        middle = self.ents.take(self.step_anchor.take(np.where(last >= 0, last, first)), axis=0)
+        # each half is summed and halved as a contiguous block, then the two
+        # are copied side by side once: numpy's loops run several times
+        # slower on a column slice of the result
+        ent = np.add(center, middle, dtype=np.float64)
+        ent /= 2
+        return np.concatenate([ent, self.rel_half.take(self.rid.take(rows), axis=0)], axis=1)
 
     def unit_rows(self, rows: np.ndarray) -> np.ndarray:
         """The unit path embeddings of ``rows``, all-zero where ``zero`` is
         set: the halves divided by the norm, as ``path_embedding(...) /
         norm`` computes them, bit for bit."""
         unit = self._halves(rows)
-        unit /= self.norm[rows, None]
+        unit /= self.norm.take(rows)[:, None]
         return unit
 
     def hood(self, center: int) -> np.ndarray:
@@ -371,16 +389,12 @@ def _path_matches(
 
 def _triple_keys(index: PathIndex, rows: np.ndarray, side: int) -> np.ndarray:
     """The triples that the paths in ``rows`` traverse, one (side, s, r, o)
-    line each: step k leaves its anchor, the center for k = 0 and otherwise
-    the entity step k - 1 reached."""
+    line each: step k leaves its anchor (``step_anchor``), the center for
+    k = 0 and otherwise the entity step k - 1 reached."""
     ids = index.step_ids[rows]
-    center = index.hood_key[np.searchsorted(index.run_start, rows, side="right") - 1]
-    anchor = np.concatenate(
-        [center[:, None] // index.n_entities, index.step_keys[ids[:, :-1], 2]], axis=1
-    )
-    taken = ids >= 0
-    incoming, r, u = index.step_keys[ids[taken]].T
-    a = anchor[taken]
+    ids = ids[ids >= 0]
+    incoming, r, u = index.step_keys[ids].T
+    a = index.step_anchor[ids]
     subject, obj = np.where(incoming == 1, u, a), np.where(incoming == 1, a, u)
     return np.stack([np.full(r.size, side), subject, r, obj], axis=1)
 

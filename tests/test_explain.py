@@ -679,18 +679,20 @@ def reference_table(kg, store, h, center):
     unit /= lengths[:, None]
     norms = np.sqrt(np.vecdot(unit, unit))
     zero = norms == 0.0
-    unit /= np.where(zero, 1.0, norms)[:, None]
-    return {"steps": steps, "lengths": lengths, "unit": unit, "zero": zero,
+    norms[zero] = 1.0
+    unit /= norms[:, None]
+    return {"steps": steps, "lengths": lengths, "unit": unit, "norm": norms, "zero": zero,
             "weight": weight, "triples": triples, "groups": groups}
 
 
-ROW_FIELDS = ("steps", "lengths", "unit", "zero", "weight", "triples")
+ROW_FIELDS = ("steps", "lengths", "unit", "norm", "zero", "weight", "triples")
 
 
 def center_rows(index, center):
     """Center ``center``'s rows of ``index`` by field, as the per-center
     build lays them out: steps and triples derived from the step ids, unit
-    rows rebuilt from the halves, ``groups`` with rows counted from the
+    rows rebuilt from the store's entity rows and the relation half, the
+    kept norms, zero flags and weights, ``groups`` with rows counted from the
     center's first row."""
     runs = endpoint_runs(index).get(center, {})
     lo = min((a for a, _ in runs.values()), default=0)
@@ -703,6 +705,7 @@ def center_rows(index, center):
         "steps": index_steps(index, rows),
         "lengths": index.lengths[rows].astype(np.int64),
         "unit": index.unit_rows(rows),
+        "norm": index.norm[rows],
         "zero": index.zero[rows],
         "weight": index.weight[rows],
         "triples": triples,
@@ -802,32 +805,59 @@ def whole_matrix_unit(kg, store, h, index):
     return unit
 
 
+def extreme_store(rng, kg):
+    """Vectors for ``kg``'s side drawn from float32's largest magnitude, its
+    smallest subnormal, -0.0 and 0.0 beside plain values: one entity row of
+    each extreme, one all-zero entity row and one all-zero relation row."""
+    big, tiny = float(np.finfo(np.float32).max), float(np.finfo(np.float32).smallest_subnormal)
+    palette = np.array([big, -big, tiny, -tiny, -0.0, 0.0, 1.0, -3.0])
+    ents = rng.choice(palette, size=(kg.n_entities, 4))
+    ents[:4] = [[big] * 4, [tiny] * 4, [-0.0] * 4, [0.0] * 4]
+    rels = rng.choice(palette, size=(kg.n_relations, 4))
+    rels[0] = 0.0
+    return EmbeddingStore({kg.side: ents}, {kg.side: rels})
+
+
 class TestUnitRowsAreRebuiltExactly:
-    """``PathIndex`` keeps each path's embedding as two half ids and a norm;
-    the rows it rebuilds equal the whole unit matrix it used to store, with
-    ``==`` on every row (all-zero rows included), whichever rows a caller
-    asks for and in whatever order, and the matcher picks the same matches
-    however its passes are cut."""
+    """``PathIndex`` keeps each path's embedding as step ids, a relation-half
+    id and a norm, and rebuilds the entity half from the store's entity rows
+    as ``(center + middle) / 2``; the rows it rebuilds equal the whole unit
+    matrix it used to store, with ``==`` on every row (all-zero rows
+    included), whichever rows a caller asks for and in whatever order, and
+    the matcher picks the same matches however its passes are cut."""
 
     @pytest.mark.parametrize("h", [1, 2])
     def test_every_row_equals_whole_matrix_build(self, h):
+        """Rows equal the whole matrix with ``==`` and bit for bit. The last
+        four trials draw entity rows from float32's extremes (``extreme_store``):
+        ``(x + x) / 2`` in float64 is exactly ``x`` for every float32 ``x``,
+        so a one-step path's entity half is its center's vector, -0.0
+        kept."""
         rng = np.random.default_rng(8000 + h)
-        zero = 0
-        for trial in range(8):
-            kg, _, store = tied_pair(rng, 10, 3, 24, h, integer=trial % 2 == 0)
-            if trial % 4 == 3:
-                kg = rough_kg(rng, 12, 3, 20, Side.SOURCE)
-                store = rough_store(rng, kg, integer=True)
+        zero = negative_zero = 0
+        for trial in range(12):
+            if trial < 8:
+                kg, _, store = tied_pair(rng, 10, 3, 24, h, integer=trial % 2 == 0)
+                if trial % 4 == 3:
+                    kg = rough_kg(rng, 12, 3, 20, Side.SOURCE)
+                    store = rough_store(rng, kg, integer=True)
+            else:
+                kg = rough_kg(rng, 12, 3, 20, (Side.SOURCE, Side.TARGET)[trial % 2])
+                store = extreme_store(rng, kg)
             centers = None if trial % 3 else rng.choice(kg.n_entities, size=4, replace=False)
             index = PathIndex(kg, store, h, centers)
             expected = whole_matrix_unit(kg, store, h, index)
             n = index.lengths.size
-            assert (index.unit_rows(np.arange(n)) == expected).all()
+            got = index.unit_rows(np.arange(n))
+            assert (got == expected).all()
+            assert (got.view(np.int64) == expected.view(np.int64)).all()
             assert (index.zero == ~expected.any(axis=1)).all()
+            assert np.isfinite(index.norm).all()
             picked = rng.integers(0, n, size=3 * n)
             assert (index.unit_rows(picked) == expected[picked]).all()
             zero += int(index.zero.sum())
-        assert zero > 0
+            negative_zero += int((np.signbit(got) & (got == 0.0)).sum())
+        assert zero > 0 and negative_zero > 0
 
     @pytest.mark.parametrize("h", [1, 2])
     def test_matcher_output_does_not_depend_on_pass_size(self, monkeypatch, h):
@@ -857,10 +887,38 @@ class TestUnitRowsAreRebuiltExactly:
 
 
 class TestPathIndexMemory:
+    def test_rows_hold_ids_not_vectors(self):
+        """Past the graph's shared step index, an index's arrays hold at most
+        30 bytes per path (step ids, length, relation-half id, weight, norm,
+        zero flag) and 12 per endpoint run (its key and first row); every
+        other array is a table sized by entities, graph steps or relation
+        combinations, so no path keeps an embedding row of its own. Run at
+        h = 2, where those counts all differ, so an array's length tells
+        which kind it is."""
+        result = generate_pair(SynthConfig(n_entities=60, density=3.0, rng_seed=3))
+        for kg in (result.kg1, result.kg2):
+            index = PathIndex(kg, result.perturbed_store, 2)
+            paths, runs = index.lengths.size, index.hood_key.size
+            tables = {kg.n_entities, kg.n_entities + 1, len(index.step_keys), len(index.rel_half)}
+            assert len({paths, runs, runs + 1} | tables) == 3 + len(tables)
+            per_path = per_run = 0
+            for name, array in vars(index).items():
+                if not isinstance(array, np.ndarray) or name == "step_keys":
+                    continue
+                rows = array.shape[0]
+                if rows == paths:
+                    per_path += array.nbytes / paths
+                elif rows in (runs, runs + 1):
+                    per_run += array.itemsize * int(np.prod(array.shape[1:]))
+                else:
+                    assert rows in tables, name
+            assert per_path <= 30
+            assert per_run <= 12
+
     def test_array_bytes_per_path(self):
         """A path row holds ids, a norm, a weight and flags, not an embedding:
-        every array the index holds, the half tables and the graph's shared
-        step index included, comes to at most 64 bytes per path on a dense
+        every array the index holds, its tables and the graph's shared step
+        index included, comes to at most 64 bytes per path on a dense
         graph (the unit matrix alone took 2 * 32 * 8 = 512)."""
         result = generate_pair(SynthConfig(n_entities=200, density=8.0))
         for kg in (result.kg1, result.kg2):
