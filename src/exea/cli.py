@@ -11,17 +11,19 @@ Exit codes: 0 success, 1 configuration error, 2 data error (missing or
 malformed files, failed training), 3 violated internal invariant.
 """
 
+from __future__ import annotations
+
 import argparse
 import hashlib
 import json
 import os
 import sys
 from dataclasses import asdict
+from importlib import import_module
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 from . import __version__
-from .adg import Adg, AdgConfig, EdgeClass, build_adg
 from .embedding import (
     EmbeddingStore,
     greedy_align,
@@ -37,19 +39,37 @@ from .errors import (
     MalformedLine,
     MissingEmbedding,
 )
-from .evaluate import (
-    EvalReport,
-    ablation,
-    accuracy,
-    explanation_sparsity_stats,
-    fidelity,
-    sample_correct_pairs,
-)
-from .explain import Explanation, explain_pairs, explanation
 from .kg import SIDES, Kg, Side, Step, check_hops, load_kg
-from .repair import AlignmentState, RepairConfig, repair
-from .synth import SynthConfig, generate_pair, write_dataset
-from .trainer import TrainConfig, train
+
+# module -> the names taken from it, imported when a command first needs
+# them (see ``_bind``): ``exea infer`` compiles none of these modules
+_DEFERRED = {
+    "adg": ("Adg", "AdgConfig", "EdgeClass", "build_adg"),
+    "evaluate": ("EvalReport", "ablation", "accuracy", "explanation_sparsity_stats",
+                 "fidelity", "sample_correct_pairs"),
+    "explain": ("Explanation", "explain_pairs", "explanation"),
+    "repair": ("AlignmentState", "RepairConfig", "repair"),
+    "synth": ("SynthConfig", "generate_pair", "write_dataset"),
+    "trainer": ("TrainConfig", "train"),
+}
+_DEFERRED_FROM = {name: module for module, names in _DEFERRED.items() for name in names}
+
+
+def _bind(module: str) -> None:
+    """Import ``module`` and bind its deferred names here. A name already
+    bound keeps its value, so a wrapper set over one before ``main`` runs is
+    the one the handlers call."""
+    mod = import_module(f".{module}", __package__)
+    for name in _DEFERRED[module]:
+        globals().setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    module = _DEFERRED_FROM.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
 
 
 class Option(NamedTuple):
@@ -149,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="exea", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"exea {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, keys, _) in _COMMANDS.items():
+    for command, (help_text, keys, *_) in _COMMANDS.items():
         sub = subs.add_parser(command, help=help_text)
         sub.add_argument(
             "--config", default=argparse.SUPPRESS,
@@ -722,24 +742,28 @@ _REPAIR = _ADG + ("k", "beta", "score_lambda", "triple_budget", "candidate_cap",
                   "relation_vector_source")
 _TRAIN = ("dim", "epochs", "learning_rate", "negatives", "margin", "rng_seed")
 
-# subcommand -> (help, the keys it takes besides --config, handler)
+# subcommand -> (help, the keys it takes besides --config, handler, the
+# deferred modules whose names the handler reads)
 _COMMANDS = {
     "train": ("fit embeddings for two graphs",
-              _GRAPHS + ("seeds", "out") + _TRAIN, _cmd_train),
+              _GRAPHS + ("seeds", "out") + _TRAIN, _cmd_train, ("repair", "trainer")),
     "infer": ("greedy nearest-neighbor alignment from embeddings",
-              _GRAPHS + ("emb", "seeds", "out"), _cmd_infer),
+              _GRAPHS + ("emb", "seeds", "out"), _cmd_infer, ()),
     "explain": ("matched-subgraph explanation for one pair",
-                _GRAPHS + ("emb", "alignment", "pair", "out", "h"), _cmd_explain),
+                _GRAPHS + ("emb", "alignment", "pair", "out", "h"), _cmd_explain, ("explain",)),
     "adg": ("dependency graph and confidence for one pair",
-            _GRAPHS + ("emb", "alignment", "pair", "out") + _ADG, _cmd_adg),
+            _GRAPHS + ("emb", "alignment", "pair", "out") + _ADG, _cmd_adg, ("adg", "explain")),
     "repair": ("resolve conflicts in a raw alignment",
-               _GRAPHS + ("emb", "seeds", "pred", "out", "report") + _REPAIR, _cmd_repair),
+               _GRAPHS + ("emb", "seeds", "pred", "out", "report") + _REPAIR, _cmd_repair,
+               ("adg", "repair")),
     "eval": ("accuracy, sparsity, fidelity, or ablation",
              _GRAPHS + ("emb", "mode", "seeds", "pred", "gold", "alignment", "out", "csv")
-             + _REPAIR + ("sample_n",) + _TRAIN, _cmd_eval),
+             + _REPAIR + ("sample_n",) + _TRAIN, _cmd_eval,
+             ("adg", "evaluate", "explain", "repair", "trainer")),
     "synth": ("generate a synthetic dataset directory",
               ("out", "n_entities", "n_relations", "density", "rename_noise", "seed_fraction",
-               "embedding_noise", "conflict_injection", "rng_seed", "dim"), _cmd_synth),
+               "embedding_noise", "conflict_injection", "rng_seed", "dim"), _cmd_synth,
+              ("synth",)),
 }
 
 
@@ -755,7 +779,10 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         _check_outputs(command, cfg)
-        _COMMANDS[command][2](cfg)
+        _, _, handler, modules = _COMMANDS[command]
+        for module in modules:
+            _bind(module)
+        handler(cfg)
     except (ConfigError, DegenerateConfig) as exc:
         print(f"exea {command}: config error: {exc}", file=sys.stderr)
         return 1

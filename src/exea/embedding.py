@@ -327,11 +327,10 @@ def _section_payload(kind: str, ids: np.ndarray, mat: np.ndarray, binary: bool) 
             body.write(ids32[i].tobytes())
             body.write(rows[i].tobytes())
         return head + body.getvalue()
-    lines = [f"{_TEXT_MAGIC} {kind} {count} {dim}"]
-    for i in range(count):
-        values = " ".join(f"{float(v):.9e}" for v in mat[i])
-        lines.append(f"{int(ids[i])}\t{values}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    # one template per row: "%.9e" formats a float as f"{v:.9e}" does
+    row = "%d\t" + " ".join(["%.9e"] * dim) + "\n"
+    body = "".join([row % (i, *values) for i, values in zip(ids.tolist(), mat.tolist())])
+    return f"{_TEXT_MAGIC} {kind} {count} {dim}\n{body}".encode("utf-8")
 
 
 def save_embeddings(path: str | Path, store: EmbeddingStore, binary: bool = False) -> None:

@@ -197,11 +197,11 @@ def _pick_conflicts(
         )
         if not anchors:
             continue
-        victims = [
-            (len(neighbors[s] & neighbors[v]), -v)
-            for v in range(cfg.n_entities)
-            if v != s and v not in conflicted and neighbors[s] & neighbors[v]
-        ]
+        # step rows run both ways, so the entities sharing a neighbor with s
+        # are its neighbors' neighbors
+        near = set().union(*(neighbors[u] for u in neighbors[s]))
+        near.discard(s)
+        victims = [(len(neighbors[s] & neighbors[v]), -v) for v in near - conflicted]
         if not victims:
             continue
         _, neg_v = max(victims)

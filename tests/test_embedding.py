@@ -426,6 +426,60 @@ class TestTopKIsExact:
         assert bits(sub_scores) == bits(scores[sample])
 
 
+def reference_text_section(kind, ids, mat) -> bytes:
+    """A text section formatted one element at a time."""
+    count, dim = mat.shape
+    lines = [f"exea-emb v1 {kind} {count} {dim}"]
+    for i in range(count):
+        values = " ".join(f"{float(v):.9e}" for v in mat[i])
+        lines.append(f"{int(ids[i])}\t{values}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+_TINY = np.finfo(np.float64).smallest_subnormal
+_BIG = np.finfo(np.float64).max
+# -0.0, subnormals, the extremes, and values whose 10th significant digit is
+# at the rounding edge, one (9.9999999996) carrying into the exponent
+_EDGE_VALUES = [
+    0.0, -0.0, _TINY, -_TINY, 3 * _TINY, np.finfo(np.float64).tiny / 3, _BIG, -_BIG,
+    float(np.finfo(np.float32).max), 1.5e300, -7.0000000005e-300, 1.0000000005, 1.0000000015,
+    1.2345678905, -2.5000000005, 0.99999999995, 9.9999999994999, 9.9999999995, 9.9999999996,
+]
+
+
+@strategies.composite
+def float_matrices(draw):
+    count = draw(strategies.integers(0, 6))
+    dim = draw(strategies.integers(1, 5))
+    value = strategies.one_of(
+        strategies.sampled_from(_EDGE_VALUES),
+        strategies.floats(allow_nan=False, allow_infinity=False),
+        strategies.floats(width=32, allow_nan=False, allow_infinity=False),
+    )
+    rows = draw(strategies.lists(strategies.lists(value, min_size=dim, max_size=dim),
+                                 min_size=count, max_size=count))
+    return np.array(rows, dtype=np.float64).reshape(count, dim)
+
+
+class TestTextWriterIsExact:
+    """The text writer formats each row with one template; its bytes equal
+    the element-by-element reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mat=float_matrices(), first_id=strategies.integers(0, 2**31))
+    def test_equals_per_element_formatting(self, mat, first_id):
+        ids = np.arange(first_id, first_id + mat.shape[0], dtype=np.int64)
+        got = embedding_module._section_payload("source", ids, mat, binary=False)
+        assert got == reference_text_section("source", ids, mat)
+
+    def test_edge_values(self):
+        mat = np.array(_EDGE_VALUES, dtype=np.float64).reshape(-1, 1)
+        ids = np.arange(mat.shape[0], dtype=np.int64)
+        got = embedding_module._section_payload("target", ids, mat, binary=False)
+        assert got == reference_text_section("target", ids, mat)
+        assert b"-0.000000000e+00" in got and b"1.000000000e+01" in got
+
+
 class TestEmbeddingFiles:
     def roundtrip(self, tmp_path, binary):
         rng = np.random.default_rng(5)

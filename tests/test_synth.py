@@ -2,7 +2,10 @@ from collections import Counter, deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
+import exea.synth as synth_module
 from exea.embedding import greedy_align, load_embeddings, similarity_topk
 from exea.errors import DegenerateConfig
 from exea.kg import Side, load_kg
@@ -22,6 +25,86 @@ def undirected_connected(kg) -> bool:
                 seen.add(u)
                 queue.append(u)
     return len(seen) == kg.n_entities
+
+
+def reference_pick_conflicts(rng, cfg, kg1, perm, seed_sources):
+    """``synth._pick_conflicts`` scoring every entity as a victim."""
+    n_conflicts = int(round(cfg.conflict_injection * cfg.n_entities))
+    if n_conflicts == 0:
+        return []
+    neighbors = {i: set(kg1.steps(i)[:, 2].tolist()) for i in range(cfg.n_entities)}
+    conflicted, protected, chosen = set(), set(), []
+    for cand in rng.permutation(cfg.n_entities):
+        if len(chosen) == n_conflicts:
+            break
+        s = int(cand)
+        if s in seed_sources or s in protected or not neighbors[s]:
+            continue
+        anchors = sorted(u for u in neighbors[s] if u in seed_sources) or sorted(
+            u for u in neighbors[s] if u not in conflicted
+        )
+        if not anchors:
+            continue
+        victims = [
+            (len(neighbors[s] & neighbors[v]), -v)
+            for v in range(cfg.n_entities)
+            if v != s and v not in conflicted and neighbors[s] & neighbors[v]
+        ]
+        if not victims:
+            continue
+        victim = -max(victims)[1]
+        protected.add(anchors[0])
+        protected.add(victim)
+        conflicted.add(s)
+        chosen.append((s, victim, int(perm[victim])))
+    if len(chosen) < n_conflicts:
+        raise DegenerateConfig(
+            f"could only place {len(chosen)} of {n_conflicts} conflicts: "
+            "graph too sparse or seed fraction too high"
+        )
+    return sorted(chosen)
+
+
+def outcome(cfg):
+    """The conflicts ``generate_pair`` places, or the error it raises."""
+    try:
+        return generate_pair(cfg).conflicts
+    except DegenerateConfig as exc:
+        return str(exc)
+
+
+class TestConflictSearchIsExact:
+    """Victims are searched among a source's neighbors' neighbors only; the
+    conflicts equal those of the all-entities scan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=strategies.integers(2, 60),
+        n_relations=strategies.integers(1, 4),
+        density=strategies.floats(0.5, 6.0),
+        rename_noise=strategies.sampled_from([0.0, 0.2]),
+        seed_fraction=strategies.floats(0.0, 0.8),
+        conflict_injection=strategies.floats(0.01, 0.6),
+        rng_seed=strategies.integers(0, 2**16),
+    )
+    def test_equals_all_entities_scan(self, n, n_relations, density, rename_noise,
+                                      seed_fraction, conflict_injection, rng_seed):
+        cfg = SynthConfig(n_entities=n, n_relations=n_relations, density=density,
+                          rename_noise=rename_noise, seed_fraction=seed_fraction,
+                          conflict_injection=conflict_injection, rng_seed=rng_seed, dim=4)
+        got = outcome(cfg)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(synth_module, "_pick_conflicts", reference_pick_conflicts)
+            expected = outcome(cfg)
+        assert got == expected
+
+    def test_equals_all_entities_scan_on_a_bench_sized_graph(self):
+        cfg = SynthConfig(n_entities=800, density=3.0, conflict_injection=0.2, rng_seed=1)
+        got = generate_pair(cfg).conflicts
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(synth_module, "_pick_conflicts", reference_pick_conflicts)
+            assert generate_pair(cfg).conflicts == got
+        assert len(got) == 160
 
 
 class TestConfig:
