@@ -14,7 +14,6 @@ malformed files, failed training), 3 violated internal invariant.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -39,7 +38,7 @@ from .errors import (
     MalformedLine,
     MissingEmbedding,
 )
-from .kg import SIDES, Kg, Side, Step, check_hops, load_kg
+from .kg import SIDES, Kg, Side, Step, check_hops, load_kg, seed_targets
 
 # module -> the names taken from it, imported when a command first needs
 # them (see ``_bind``): ``exea infer`` compiles none of these modules
@@ -374,8 +373,23 @@ def _load_inputs(cfg: dict, pair_keys: tuple[str, ...] = (), emb: bool = True) -
     return _Inputs(kg1, kg2, store, pairs, {**in1, **in2, **named})
 
 
-def _sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
+# the interpreter's built-in SHA-256: hashlib's own maps OpenSSL's
+# libcrypto, several MB resident, into a process that needs nothing else of
+# it, so hashlib serves only where the built-in module is not built
+_BUILTIN_SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+
+
+def _sha256(data: bytes = b""):
+    """A SHA-256 hash object over ``data``."""
+    try:
+        module = import_module(_BUILTIN_SHA256)
+    except ImportError:
+        module = import_module("hashlib")
+    return module.sha256(data)
+
+
+def _file_sha256(path: str | Path) -> str:
+    digest = _sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
@@ -425,9 +439,9 @@ def _write_manifest(command: str, cfg: dict, inputs: dict, outputs: dict) -> Non
         "command": command,
         "version": __version__,
         "config": {k: cfg.get(k) for k in sorted(cfg)},
-        "config_hash": hashlib.sha256(_canonical(cfg).encode()).hexdigest(),
-        "input_hashes": {name: _sha256(p) for name, p in sorted(inputs.items())},
-        "output_hashes": {name: _sha256(p) for name, p in sorted(outputs.items())},
+        "config_hash": _sha256(_canonical(cfg).encode()).hexdigest(),
+        "input_hashes": {name: _file_sha256(p) for name, p in sorted(inputs.items())},
+        "output_hashes": {name: _file_sha256(p) for name, p in sorted(outputs.items())},
     }
     _write_json(_manifest_path(command, cfg), manifest)
 
@@ -552,9 +566,9 @@ def _adg_json(adg: Adg, kg1: Kg, kg2: Kg) -> dict:
 def _cmd_train(cfg: dict) -> None:
     _require(cfg, "kg1", "kg2", "seeds", "out")
     data = _load_inputs(cfg, ("seeds",), emb=False)
-    # seeds that are not one-to-one fail here as in fidelity, before any
-    # training; the library train() accepts them
-    AlignmentState(data.pairs["seeds"], (), data.kg1.n_entities, data.kg2.n_entities)
+    # seeds that are not one-to-one fail here as in repair and fidelity,
+    # before any training; the library train() accepts them
+    seed_targets(data.pairs["seeds"], data.kg1.n_entities, data.kg2.n_entities)
     store = train(data.kg1, data.kg2, data.pairs["seeds"], _train_config(cfg))
     _atomic_write(cfg["out"], lambda tmp: save_embeddings(tmp, store))
     _write_manifest("train", cfg, data.paths, {"out": cfg["out"]})
@@ -746,7 +760,7 @@ _TRAIN = ("dim", "epochs", "learning_rate", "negatives", "margin", "rng_seed")
 # deferred modules whose names the handler reads)
 _COMMANDS = {
     "train": ("fit embeddings for two graphs",
-              _GRAPHS + ("seeds", "out") + _TRAIN, _cmd_train, ("repair", "trainer")),
+              _GRAPHS + ("seeds", "out") + _TRAIN, _cmd_train, ("trainer",)),
     "infer": ("greedy nearest-neighbor alignment from embeddings",
               _GRAPHS + ("emb", "seeds", "out"), _cmd_infer, ()),
     "explain": ("matched-subgraph explanation for one pair",

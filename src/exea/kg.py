@@ -50,6 +50,30 @@ def check_hops(h: int) -> None:
         raise ConfigError(f"h must be an integer in [1, {MAX_HOPS}], got {h!r}")
 
 
+def check_pair(s: int, t: int, n_sources: int, n_targets: int, what: str) -> None:
+    """The one pair-range rule: source ``s`` in ``range(n_sources)`` and
+    target ``t`` in ``range(n_targets)``; ``what`` names the pair's kind."""
+    if not 0 <= s < n_sources:
+        raise ConfigError(f"{what} source {s} is out of range")
+    if not 0 <= t < n_targets:
+        raise ConfigError(f"{what} target {t} is out of range")
+
+
+def seed_targets(seeds: Iterable[tuple[int, int]], n_sources: int, n_targets: int) -> list[int]:
+    """The one seed rule: every seed pair in range and the seeds one-to-one
+    (a pair may repeat), checked in order up to the first offending pair.
+    Returns each source's seed target, -1 for none."""
+    forward = [-1] * n_sources
+    seed_source = [-1] * n_targets
+    for s, t in seeds:
+        s, t = int(s), int(t)
+        check_pair(s, t, n_sources, n_targets, "seed")
+        if forward[s] not in (-1, t) or seed_source[t] not in (-1, s):
+            raise ConfigError(f"seed pairs are not one-to-one at ({s}, {t})")
+        forward[s], seed_source[t] = t, s
+    return forward
+
+
 class Kg:
     """An immutable, fully indexed triple store for one side.
 

@@ -66,9 +66,10 @@ from .embedding import EmbeddingStore, check_rows, pair_cosines, similarity_matr
 from .errors import ConfigError, InvariantViolation, MissingEmbedding
 from .explain import Explanation, PathIndex, explanations, neighbor_lists
 from .explain import _distinct, _distinct_inverse, _lookup, _ranges, _run_starts, _split_keys
+from .kg import SIDES, Kg, Side, check_hops, check_pair, seed_targets
 # no caller here (a center's neighborhood is read off its path index), but
 # bench/traced_exea.py wraps this module's neighborhood_entities
-from .kg import SIDES, Kg, Side, check_hops, neighborhood_entities  # noqa: F401
+from .kg import neighborhood_entities  # noqa: F401
 
 RELATION_VECTOR_SOURCES = ("derived", "native", "name")
 
@@ -155,24 +156,11 @@ class AlignmentState:
         n_sources: int,
         n_targets: int,
     ):
-        def check_range(s: int, t: int, what: str) -> None:
-            if not 0 <= s < n_sources:
-                raise ConfigError(f"{what} source {s} is out of range")
-            if not 0 <= t < n_targets:
-                raise ConfigError(f"{what} target {t} is out of range")
-
-        forward = [-1] * n_sources
-        self.provenance: list[str | None] = [None] * n_sources
-        seed_source = [-1] * n_targets
-        for s, t in seeds:
-            s, t = int(s), int(t)
-            check_range(s, t, "seed")
-            if forward[s] not in (-1, t) or seed_source[t] not in (-1, s):
-                raise ConfigError(f"seed pairs are not one-to-one at ({s}, {t})")
-            forward[s], seed_source[t], self.provenance[s] = t, s, SEED
+        forward = seed_targets(seeds, n_sources, n_targets)
+        self.provenance: list[str | None] = [None if t < 0 else SEED for t in forward]
         for s, t in predictions:
             s, t = int(s), int(t)
-            check_range(s, t, "predicted")
+            check_pair(s, t, n_sources, n_targets, "predicted")
             if self.provenance[s] == SEED:
                 continue
             if forward[s] >= 0:
@@ -299,7 +287,6 @@ class PairAnalyzer:
         self.cfg = cfg
         self.index1 = PathIndex(kg1, store, cfg.h)
         self.index2 = PathIndex(kg2, store, cfg.h)
-        self.banned_pairs: set[tuple[int, int]] = set()
         # the banned pairs as sorted n * n_targets + t keys
         self._banned = np.zeros(0, dtype=np.int64)
         # (s, t) -> (packed matched-neighbor keys, confidence, epoch checked)
@@ -318,10 +305,10 @@ class PairAnalyzer:
         for n in set(sources):
             self._stamps[self.index1.hood(n)] = self._epoch
 
-    def ban(self, pairs: Iterable[tuple[int, int]]) -> None:
-        pairs = list(pairs)
-        self.banned_pairs.update(pairs)
-        n, t = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    def ban(self, pairs: Iterable[tuple[int, int]] | np.ndarray) -> None:
+        if not isinstance(pairs, np.ndarray):
+            pairs = np.array(list(pairs), dtype=np.int64)
+        n, t = pairs.reshape(-1, 2).T
         # a pair outside the graphs is never a matched neighbor
         ok = (n >= 0) & (n < self.kg1.n_entities) & (t >= 0) & (t < self.kg2.n_entities)
         self._banned = _distinct(np.concatenate([self._banned, n[ok] * self.kg2.n_entities + t[ok]]))
@@ -674,11 +661,12 @@ def cross_kg_triples(
 @dataclass
 class RelationConflictReport:
     """What the rules derive over the cross triples of some dependency
-    graphs: the distinct (source index, target index) not-same-as facts, the
-    matched neighbor pairs a graph's own facts contradict, and the central
-    pairs so contradicted, in graph order."""
+    graphs: the distinct (source index, target index) not-same-as facts as
+    sorted ``source * n_targets + target`` keys, the matched neighbor pairs
+    a graph's own facts contradict, and the central pairs so contradicted,
+    in graph order."""
 
-    derived_pairs: list[tuple[int, int]]
+    derived_keys: np.ndarray
     pruned_neighbor_pairs: list[tuple[int, int]]
     flagged_pairs: list[tuple[int, int]]
 
@@ -776,9 +764,8 @@ def detect_relation_conflicts(
     pruned = _lookup(facts, _pack([graph, n, t], radices))[1]
     central = np.array([expl.pair for expl in expls], dtype=np.int64).reshape(-1, 2)
     flagged = _lookup(facts, _pack([np.arange(len(adgs)), *central.T], radices))[1]
-    distinct = _unpack(_distinct(_pack(derived[:, 1:].T, radices[1:])), radices[1:])
     return RelationConflictReport(
-        derived_pairs=list(zip(*(c.tolist() for c in distinct))),
+        derived_keys=_distinct(_pack(derived[:, 1:].T, radices[1:])),
         pruned_neighbor_pairs=sorted(set(zip(n[pruned].tolist(), t[pruned].tolist()))),
         flagged_pairs=list(map(tuple, central[flagged].tolist())),
     )
@@ -1127,7 +1114,8 @@ def repair(
     if cfg.enable_relation_repair:
         rel_align = mine_relation_alignment(store, kg1, kg2, cfg.relation_vector_source)
         rules = mine_not_same_as_rules(kg1) + mine_not_same_as_rules(kg2)
-    derived_all: set[tuple[int, int]] = set()
+    # the derived facts as packed keys, as ``RelationConflictReport`` holds them
+    derived: list[np.ndarray] = []
     pruned_all: set[tuple[int, int]] = set()
     flagged: set[int] = set()
     initial = state.pairs()
@@ -1149,17 +1137,20 @@ def repair(
         tables = ConflictTables(kg1, kg2, state, rel_align)
         for chunk, visits in tables.chunks(graphs, _CONFLICT_ROWS):
             found = detect_relation_conflicts(chunk, rules, tables, cfg, visits)
-            derived_all.update(found.derived_pairs)
+            derived.append(found.derived_keys)
             pruned_all.update(found.pruned_neighbor_pairs)
             flagged.update(s for s, _ in found.flagged_pairs)
     # without rules only the confidences are read
     for _ in graphs:
         pass
     confidence_before = _confidence_snapshot(initial, before)
+    # the stage's facts, distinct and sorted, one (source, target) row each
+    keys = _distinct(np.concatenate([np.zeros(0, dtype=np.int64), *derived]))
+    derived_pairs = np.stack(np.divmod(keys, kg2.n_entities), axis=1)
     if cfg.enable_relation_repair:
         # a derived fact bans its pair from matched neighborhoods everywhere,
         # not only in the graph where it surfaced
-        analyzer.ban(derived_all)
+        analyzer.ban(derived_pairs)
 
     unaligned = state.unaligned_sources
     otm_stats: dict = {"skipped": True}
@@ -1208,7 +1199,7 @@ def repair(
             }
             for rule in rules
         ],
-        derived_not_same_as=sorted([s, t] for s, t in derived_all),
+        derived_not_same_as=derived_pairs.tolist(),
         pruned_neighbor_pairs=sorted([s, t] for s, t in pruned_all),
         flagged_sources=sorted(flagged),
         one_to_many=otm_stats,

@@ -242,6 +242,44 @@ class TestSynth:
         assert not list(dataset.glob("*.tmp"))
 
 
+class TestDigest:
+    """The manifests' SHA-256 comes from the interpreter's built-in module,
+    read a MiB at a time, and equals hashlib's; with no built-in module it
+    is hashlib's."""
+
+    SIZES = [0, 1, 1 << 20, (1 << 20) + 1, 3 * (1 << 20) + 12345]
+
+    @pytest.fixture(params=SIZES, ids=lambda n: f"{n}B")
+    def blob(self, request, tmp_path):
+        data = random.Random(request.param).randbytes(request.param)
+        path = tmp_path / "blob"
+        path.write_bytes(data)
+        return path, data
+
+    def test_file_digest_equals_hashlib(self, blob):
+        path, data = blob
+        assert exea.cli._file_sha256(path) == hashlib.sha256(data).hexdigest()
+        assert exea.cli._sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+    def test_uses_the_builtin_module(self):
+        builtin = pytest.importorskip(exea.cli._BUILTIN_SHA256)
+        assert type(exea.cli._sha256()) is type(builtin.sha256())
+
+    def test_falls_back_to_hashlib(self, blob, monkeypatch):
+        path, data = blob
+        for name in ("_sha2", "_sha256"):
+            # a None entry makes the module unimportable
+            monkeypatch.setitem(sys.modules, name, None)
+        assert type(exea.cli._sha256()) is type(hashlib.sha256())
+        assert exea.cli._file_sha256(path) == hashlib.sha256(data).hexdigest()
+        assert exea.cli._sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+    def test_config_hash_is_the_canonical_configs_sha256(self, dataset):
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        canonical = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":"))
+        assert manifest["config_hash"] == hashlib.sha256(canonical.encode()).hexdigest()
+
+
 class TestInfer:
     def test_output_is_two_column_tsv(self, raw_alignment):
         pairs = read_pairs(raw_alignment)
@@ -610,13 +648,28 @@ class TestTrain:
         assert nested.read_bytes() == flat.read_bytes()
         assert sorted(p.name for p in nested.parent.iterdir()) == ["emb.tsv", "manifest.json"]
 
-    def test_refuses_seeds_that_are_not_one_to_one(self, dataset, tmp_path, capsys, monkeypatch):
-        # the same refusal as eval --mode fidelity's, before any training
+    def test_refuses_seeds_that_are_not_one_to_one(
+        self, dataset, kg_flags, raw_alignment, tmp_path, capsys, monkeypatch
+    ):
+        s, t = read_pairs(dataset / "train_links")[0]
+        self.refuses(dataset, kg_flags, raw_alignment, tmp_path, capsys, monkeypatch,
+                     (s, (t + 1) % 30))
+
+    def test_refuses_a_seed_target_taken_twice(
+        self, dataset, kg_flags, raw_alignment, tmp_path, capsys, monkeypatch
+    ):
+        s, t = read_pairs(dataset / "train_links")[0]
+        self.refuses(dataset, kg_flags, raw_alignment, tmp_path, capsys, monkeypatch,
+                     ((s + 1) % 30, t))
+
+    @staticmethod
+    def refuses(dataset, kg_flags, raw_alignment, tmp_path, capsys, monkeypatch, bad):
+        # the seeds plus pair ``bad`` are refused as repair and eval --mode
+        # fidelity refuse them, naming the same first offending pair, before
+        # any training
         rows = read_pairs(dataset / "train_links")
-        s, t = rows[0]
-        other = (t + 1) % 30
         seeds = tmp_path / "seeds.tsv"
-        seeds.write_text("".join(f"{a}\t{b}\n" for a, b in rows + [(s, other)]))
+        seeds.write_text("".join(f"{a}\t{b}\n" for a, b in rows + [bad]))
         monkeypatch.setattr(exea.cli, "train", lambda *args: pytest.fail("trained"))
         out = tmp_path / "emb.tsv"
         rc = main(["train", "--kg1", str(dataset / "triples_1"),
@@ -624,9 +677,12 @@ class TestTrain:
                    "--seeds", str(seeds), "--out", str(out), "--dim", "8", "--epochs", "2"])
         err = capsys.readouterr().err
         assert rc == 1
-        assert f"config error: seed pairs are not one-to-one at ({s}, {other})" in err
+        assert f"config error: seed pairs are not one-to-one at {bad}" in err
         assert "Traceback" not in err
         assert not out.exists()
+        assert main(["repair", *kg_flags, "--seeds", str(seeds), "--pred", str(raw_alignment),
+                     "--out", str(tmp_path / "a.tsv"), "--report", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err.replace("exea repair", "exea train") == err
 
 
 class TestOutputCollisions:

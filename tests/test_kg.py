@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import adjacency
 from exea.errors import ConfigError, EmptyKg, MalformedLine, UnknownId, UnknownRelation
@@ -15,6 +17,7 @@ from exea.kg import (
     load_kg,
     neighborhood_entities,
     neighborhood_triples,
+    seed_targets,
 )
 from exea.synth import SynthConfig, generate_pair
 
@@ -403,3 +406,35 @@ class TestLoading:
         _, e, r = self.make_files(tmp_path)
         with pytest.raises(EmptyKg):
             load_kg(t, e, r, Side.SOURCE)
+
+
+class TestSeedRule:
+    """``seed_targets``, the check that ``exea train`` makes and that
+    ``AlignmentState`` builds its seeds with, against a dict model."""
+
+    @staticmethod
+    def model(seeds, n_s, n_t):
+        forward, backward = {}, {}
+        for s, t in seeds:
+            if not 0 <= s < n_s:
+                return f"seed source {s} is out of range"
+            if not 0 <= t < n_t:
+                return f"seed target {t} is out of range"
+            if forward.get(s, t) != t or backward.get(t, s) != s:
+                return f"seed pairs are not one-to-one at ({s}, {t})"
+            forward[s], backward[t] = t, s
+        return [forward.get(s, -1) for s in range(n_s)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_dict_model(self, data):
+        n_s, n_t = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+        pair = st.tuples(st.integers(-1, n_s), st.integers(-1, n_t))
+        seeds = data.draw(st.lists(pair, max_size=8))
+        expected = self.model(seeds, n_s, n_t)
+        if isinstance(expected, str):
+            with pytest.raises(ConfigError) as err:
+                seed_targets(seeds, n_s, n_t)
+            assert str(err.value) == expected
+        else:
+            assert seed_targets(seeds, n_s, n_t) == expected

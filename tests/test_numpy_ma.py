@@ -11,6 +11,10 @@ set of ``exea`` modules, pinned here. A fresh interpreter per command is the
 point: in one process an earlier command has already bound the names a later
 one forgot to ask for. Each command runs on a tiny ``exea synth`` fixture
 and must exit 0.
+
+The manifests hash through the interpreter's built-in SHA-256, so a command
+that draws no random numbers never imports ``_hashlib``, which maps
+OpenSSL's libcrypto, several MB resident.
 """
 
 import json
@@ -27,6 +31,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PROBE = (
     "import json, sys; from exea.cli import main; code = main(sys.argv[1:]); "
     "print(json.dumps({'numpy.ma': 'numpy.ma' in sys.modules, "
+    "'_hashlib': '_hashlib' in sys.modules, "
     "'exea': sorted(m for m in sys.modules if m.split('.')[0] == 'exea')})); sys.exit(code)"
 )
 # every command loads these: the package, the command line and what it
@@ -37,8 +42,7 @@ EVAL = BASE | {"exea.explain", "exea.adg", "exea.repair", "exea.trainer", "exea.
 MODULES = {
     "synth": BASE | {"exea.synth"},
     "infer": BASE,
-    # the seed check reads repair's AlignmentState
-    "train": BASE | {"exea.trainer", "exea.repair", "exea.adg", "exea.explain"},
+    "train": BASE | {"exea.trainer"},
     "explain": BASE | {"exea.explain"},
     "adg": BASE | {"exea.explain", "exea.adg"},
     "repair": BASE | {"exea.explain", "exea.adg", "exea.repair"},
@@ -110,9 +114,20 @@ def probe(fixture):
 
     return run
 
+
 @pytest.mark.parametrize("command", ["explain", "adg", "repair", "sparsity", "fidelity"])
 def test_command_leaves_numpy_ma_unloaded(probe, command):
     assert probe(command)["numpy.ma"] is False
+
+
+# the commands that draw random numbers: numpy.random imports secrets, and
+# with it hashlib's OpenSSL backend
+RANDOM = {"synth", "train", "fidelity"}
+
+
+@pytest.mark.parametrize("command", [c for c in MODULES if c not in RANDOM])
+def test_command_leaves_openssl_unmapped(probe, command):
+    assert probe(command)["_hashlib"] is False
 
 
 @pytest.mark.parametrize("command", list(MODULES))

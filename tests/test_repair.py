@@ -671,6 +671,11 @@ class TestCrossKgTriples:
         assert self.cross(tables, adg) == sorted(self.cross(tables, adg))
 
 
+def derived_pairs(found, tables):
+    """A conflict report's derived facts as (source, target) pairs."""
+    return unpacked(found.derived_keys, tables.n_entities - tables.entity_offset)
+
+
 class TestRelationConflictDetection:
     def test_presidents_central_pair_flagged(self):
         kg1, kg2, store, seeds, raw, cfg = presidents_case()
@@ -680,7 +685,7 @@ class TestRelationConflictDetection:
         rules = mine_not_same_as_rules(kg1) + mine_not_same_as_rules(kg2)
         found = detect_relation_conflicts([next(analyzer.graphs([(1, 1)]))], rules, tables, cfg)
         assert found.flagged_pairs == [(1, 1)]
-        assert (1, 1) in found.derived_pairs
+        assert (1, 1) in derived_pairs(found, tables)
         assert found.pruned_neighbor_pairs == []
 
     def test_no_rules_leave_adg_unchanged(self):
@@ -690,7 +695,7 @@ class TestRelationConflictDetection:
         tables = ConflictTables(kg1, kg2, state, mine_relation_alignment(store, kg1, kg2, "native"))
         adg = next(analyzer.graphs([(1, 1)]))
         found = detect_relation_conflicts([adg], [], tables, cfg)
-        assert found.derived_pairs == []
+        assert derived_pairs(found, tables) == []
         assert found.pruned_neighbor_pairs == []
         assert found.flagged_pairs == []
 
@@ -757,7 +762,7 @@ class TestConflictStageIsExact:
                 found = detect_relation_conflicts(
                     [adg], rules, tables, RepairConfig(triple_budget=budget)
                 )
-                assert found.derived_pairs == sorted(ref_derived)
+                assert derived_pairs(found, tables) == sorted(ref_derived)
                 assert found.pruned_neighbor_pairs == sorted(ref_derived & node_pairs)
                 assert found.flagged_pairs == ([(s, t)] if (s, t) in ref_derived else [])
                 totals["cross"] += len(got_cross)
@@ -765,7 +770,7 @@ class TestConflictStageIsExact:
                 totals["pruned"] += len(found.pruned_neighbor_pairs)
                 totals["flagged"] += len(found.flagged_pairs)
             found = detect_relation_conflicts(adgs, rules, tables, RepairConfig(triple_budget=budget))
-            assert found.derived_pairs == sorted(set().union(*all_derived))
+            assert derived_pairs(found, tables) == sorted(set().union(*all_derived))
             assert found.pruned_neighbor_pairs == sorted(
                 set().union(*(d & set(a.explanation.matched_neighbor_pairs) for d, a in zip(all_derived, adgs)))
             )
@@ -874,7 +879,7 @@ class TestConflictStageEdges:
             assert got_cross == [cross_key(x) for x in ref_cross]
             assert got_derived == reference_chain_rules(rules, ref_cross, kg1, kg2)
         found = detect_relation_conflicts(adgs, rules, tables, RepairConfig(triple_budget=budget))
-        assert found.derived_pairs == sorted(set().union(*derived))
+        assert derived_pairs(found, tables) == sorted(set().union(*derived))
 
     def test_self_loop_is_one_base_triple(self):
         # entity 0 carries a self-loop and one more triple on each side
@@ -898,7 +903,7 @@ class TestConflictStageEdges:
             detect_relation_conflicts(adgs, rules, tables, RepairConfig(triple_budget=0)),
             detect_relation_conflicts(adgs, [], tables, RepairConfig()),
         ):
-            assert found.derived_pairs == found.pruned_neighbor_pairs == found.flagged_pairs == []
+            assert derived_pairs(found, tables) == found.pruned_neighbor_pairs == found.flagged_pairs == []
 
 
 class TestKeyPacking:
@@ -992,6 +997,11 @@ def analyzer_neighbors(analyzer, keys):
     return [unpacked(packed, analyzer.kg2.n_entities) for packed in lists]
 
 
+def banned_pairs(analyzer):
+    """The (n, t) pairs the analyzer bans, decoded from its packed keys."""
+    return set(unpacked(analyzer._banned, analyzer.kg2.n_entities))
+
+
 class TestPairAnalyzer:
     def build(self):
         spokes1 = [50, 15]
@@ -1039,7 +1049,7 @@ class TestPairAnalyzer:
 
         def cold():
             fresh = PairAnalyzer(analyzer.kg1, analyzer.kg2, analyzer.store, state, analyzer.cfg)
-            fresh.ban(analyzer.banned_pairs)
+            fresh.ban(banned_pairs(analyzer))
             return next(fresh.graphs([(1, 1)]))
 
         state.align(2, 2, REPAIRED)
@@ -1145,7 +1155,7 @@ class TestAnalyzerCacheAgainstColdRebuild:
                 warm.ban([(s, t)])
             warm.adg(s, t)
         cold = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
-        cold.ban(warm.banned_pairs)
+        cold.ban(banned_pairs(warm))
         forward = {s: t for s, t, _ in state.pairs()}
         probes = [(s, t) for s, t, _ in state.pairs()] + [(s, t) for _, s, t in steps]
         for s, t in probes:
@@ -1153,7 +1163,7 @@ class TestAnalyzerCacheAgainstColdRebuild:
             expected = [
                 (a, forward[a]) for a in neighborhood_entities(res.kg1, s, cfg.h)
                 if forward.get(a) in hood2 and (a, forward[a]) != (s, t)
-                and (a, forward[a]) not in warm.banned_pairs
+                and (a, forward[a]) not in banned_pairs(warm)
             ]
             assert analyzer_neighbors(warm, [(s, t)]) == [expected]
             assert warm.adg(s, t) == cold.adg(s, t)
@@ -1187,14 +1197,14 @@ class TestConfidenceCacheIsExact:
             keys = [(s, t)] + [(a, b) for a, b, _ in state.pairs()][::4]
             got = warm.adgs(keys) if batched else [warm.adg(a, b) for a, b in keys]
             cold = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
-            cold.ban(warm.banned_pairs)
+            cold.ban(banned_pairs(warm))
             alignments = {a: b for a, b, _ in state.pairs()}
             for key, lookup, graph in zip(keys, got, cold.graphs(keys)):
                 assert lookup == graph.confidence
                 packed, confidence, _ = warm._cache[key]
                 assert confidence == lookup
                 walk = matched_neighbors(key, res.kg1, res.kg2, alignments, cfg.h)
-                assert unpacked(packed, 30) == [p for p in walk if p not in warm.banned_pairs]
+                assert unpacked(packed, 30) == [p for p in walk if p not in banned_pairs(warm)]
 
 
 class TestStampedReadsAreExact:
@@ -1232,7 +1242,7 @@ class TestStampedReadsAreExact:
                 continue
             wanted = keys + [(s, t)]
             cold = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
-            cold.ban(warm.banned_pairs)
+            cold.ban(banned_pairs(warm))
             got = warm.adgs(wanted) if read == "batch" else [warm.adg(a, b) for a, b in wanted]
             assert got == [cold.adg(a, b) for a, b in wanted]
             lists = warm.neighbor_lists(wanted)
@@ -1338,14 +1348,14 @@ class TestBatchedLookupIsExact:
             after = [single._cache.get(key) for key in keys]
             assert got == expected
             cold = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, cfg)
-            cold.ban(batched.banned_pairs)
+            cold.ban(banned_pairs(batched))
             assert got == [cold.adg(s, t) for s, t in keys]
             empty += sum(not batched._cache[key][0].size for key in keys)
             stale += sum(
                 old is not None and old[0] is not new[0] for old, new in zip(before, after)
             )
             banned += sum(
-                p in batched.banned_pairs for key in keys for p in aligned_neighbors(single, key[0])
+                p in banned_pairs(batched) for key in keys for p in aligned_neighbors(single, key[0])
             )
             # move the alignment and ban some matched neighbors before the next round
             for s, t in pairs[::7]:
@@ -1426,7 +1436,7 @@ class TestBatchedLookupIsExact:
             )
             assert compared[0] == len(gathered)
             cold = PairAnalyzer(res.kg1, res.kg2, res.perturbed_store, state, RepairConfig())
-            cold.ban(analyzer.banned_pairs)
+            cold.ban(banned_pairs(analyzer))
             assert warm == cold.adgs(keys)
             assert [key for key, _ in handed] == keys
             assert all(neighbors is analyzer._cache[key][0] for key, neighbors in handed)
@@ -1949,7 +1959,7 @@ class TestOneToManyReads:
                 analyzer.store, range(state.forward.size), range(state.n_targets), k
             )
             cold = PairAnalyzer(analyzer.kg1, analyzer.kg2, analyzer.store, state, analyzer.cfg)
-            cold.ban(analyzer.banned_pairs)
+            cold.ban(banned_pairs(analyzer))
 
             def recorded_rematch(state, queue, choices):
                 def recorded(e1):
