@@ -9,6 +9,12 @@ same store, bit for bit. Sampling redraws a corruption that happens to be a
 true triple at most 4 times, so on a small or dense graph an accidental
 positive can survive into the batch.
 
+Gradients are added with ``ufunc.at`` on each flattened parameter matrix,
+numpy's fast 1-D indexed loop, and every element receives its additions in
+the order one 2-D ``np.add.at`` per block would give them. A block's flat
+indices are its rows of a table that holds every element's flat index, built
+once per ``train()``.
+
 Whether a corruption is a true triple is decided by a binary search over the
 sorted true keys, but only for the keys that a residue table marks: every true
 key's residue is marked, so the table never hides a true triple, and with
@@ -79,16 +85,6 @@ def _init_side(rng: np.random.Generator, n_ent: int, n_rel: int, dim: int) -> np
     return np.concatenate([ents, rels[:n_rel]])
 
 
-def _flat_rows(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Flat indices of ``rows`` in a C-ordered matrix with ``cols.size`` columns.
-
-    ``ufunc.at`` with them on the flattened matrix takes numpy's fast 1-D path
-    and applies each element's updates in the order of ``rows``, as the 2-D
-    call on the matrix would.
-    """
-    return (rows[:, None] * cols.size + cols).ravel()
-
-
 def _gather(mat: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``mat[rows]`` into the head of ``out``. The rows are in range, so mode
     "clip" changes none; it spares ``take`` the copy of ``out`` "raise" makes."""
@@ -96,18 +92,24 @@ def _gather(mat: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class _SideData:
-    def __init__(self, kg: Kg):
+    def __init__(self, kg: Kg, k: int = 1):
         if not kg.triple_keys:
             raise EmptyKg(f"cannot train on an empty graph (side {kg.side.value})")
         self.n_ent = kg.n_entities
         self.n_rel = kg.n_relations
         arr = np.asarray(kg.triple_keys, dtype=np.int64)
         self.s, self.r, self.o = arr[:, 0], arr[:, 1], arr[:, 2]
-        self.m = arr.shape[0]
+        self.m, self.k = arr.shape[0], k
         self.r_row = self.r + self.n_ent  # relation rows of the side's parameters
         # the parts of a key (s * n_rel + r) * n_ent + o a corrupted head or tail keeps
         self.head_kept = self.r * self.n_ent + self.o
         self.tail_kept = (self.s * self.n_rel + self.r) * self.n_ent
+        # the sampler's per-triple operands as contiguous (m, k) blocks, which
+        # np.where reads faster than the same columns broadcast
+        self.s_wide, self.o_wide, self.head_wide, self.tail_wide = (
+            np.broadcast_to(a[:, None], (self.m, k)).copy()
+            for a in (self.s, self.o, self.head_kept, self.tail_kept)
+        )
         self.true_keys = np.sort(self.tail_kept + self.o)
         # marks[key % marks.size] is set for every true key. The size is odd,
         # so a power-of-two entity count does not fold keys onto few residues.
@@ -128,57 +130,58 @@ class _SideData:
         idx = np.minimum(np.searchsorted(self.true_keys, cand), self.true_keys.size - 1)
         return hit[self.true_keys[idx] == cand]
 
-    def sample_negatives(self, rng: np.random.Generator, k: int):
+    def sample_negatives(self, rng: np.random.Generator):
         """Corrupt head or tail uniformly; redraw accidental positives.
 
         A redraw round draws a full ``(m, k)`` block from ``rng``. After the
         fourth round a slot that is still a true triple is returned as it is.
         """
-        neg = rng.integers(0, self.n_ent, size=(self.m, k))
-        corrupt_head = rng.integers(0, 2, size=(self.m, k)).astype(bool)
+        m, k = self.m, self.k
+        neg = rng.integers(0, self.n_ent, size=(m, k))
+        corrupt_head = rng.integers(0, 2, size=(m, k)).astype(bool)
         flat_neg, flat_head = neg.reshape(-1), corrupt_head.reshape(-1)
-        slots = self._positive(neg, corrupt_head, self.head_kept[:, None], self.tail_kept[:, None])
+        slots = self._positive(neg, corrupt_head, self.head_wide, self.tail_wide)
         for _ in range(4):
             if not slots.size:
                 break
-            flat_neg[slots] = rng.integers(0, self.n_ent, size=(self.m, k)).reshape(-1)[slots]
+            flat_neg[slots] = rng.integers(0, self.n_ent, size=(m, k)).reshape(-1)[slots]
             # only a redrawn slot can have turned into a positive
             rows = slots // k
             slots = slots[self._positive(
                 flat_neg[slots], flat_head[slots], self.head_kept[rows], self.tail_kept[rows]
             )]
-        s_neg = np.where(corrupt_head, neg, self.s[:, None])
-        o_neg = np.where(corrupt_head, self.o[:, None], neg)
+        s_neg = np.where(corrupt_head, neg, self.s_wide)
+        o_neg = np.where(corrupt_head, self.o_wide, neg)
         return s_neg, o_neg
 
 
-def _distances(P, heads, rels, tails, out, tmp) -> np.ndarray:
-    """``P[heads] + rels - P[tails]``, evaluated left to right, into ``out``."""
-    d = _gather(P, heads, out)
-    d += rels
-    d -= _gather(P, tails, tmp)
-    return d
-
-
-def _margin_step(P, data: _SideData, s_neg, o_neg, lr: float, margin: float, work) -> float:
+def _margin_step(P, at, data: _SideData, s_neg, o_neg, lr: float, margin: float, work) -> float:
     """One gradient step on one side's margin loss, which it returns.
 
-    ``work`` is ``(4, >= m, dim)`` float scratch shared by both sides, so the
-    step's large arrays reuse memory instead of faulting in fresh pages.
+    ``at`` holds the flat index of each element of ``P``, so a block's
+    ``ufunc.at`` indices are a gather of its rows. ``work`` is ``(3, >= m,
+    dim)`` float scratch shared by both sides, so the step's large arrays
+    reuse memory instead of faulting in fresh pages.
     """
-    flat, cols = P.reshape(-1), np.arange(P.shape[1])
-    rel_buf, pos_buf, neg_buf, tmp = work
+    flat = P.reshape(-1)
+    rel_buf, pos_buf, neg_buf = work
     s, o = data.s, data.o
     loss = 0.0
     stale = True  # pos_d is unset or P has changed since it was computed
     for j in range(s_neg.shape[1]):
         sj = s_neg[:, j]
         oj = o_neg[:, j]
+        # each distance is (P[head] + rels) - P[tail]; both sums are taken
+        # before rel_buf is reused for the tails
         rels = _gather(P, data.r_row, rel_buf)
+        neg_d = _gather(P, sj, neg_buf)
+        neg_d += rels
         if stale:
-            pos_d = _distances(P, s, rels, o, pos_buf, tmp)
+            pos_d = _gather(P, s, pos_buf)
+            pos_d += rels
+            pos_d -= _gather(P, o, rel_buf)
             pos_sq = np.einsum("ij,ij->i", pos_d, pos_d)
-        neg_d = _distances(P, sj, rels, oj, neg_buf, tmp)
+        neg_d -= _gather(P, oj, rel_buf)
         neg_sq = np.einsum("ij,ij->i", neg_d, neg_d)
         viol = margin + pos_sq - neg_sq
         act = np.flatnonzero(viol > 0)
@@ -186,19 +189,18 @@ def _margin_step(P, data: _SideData, s_neg, o_neg, lr: float, margin: float, wor
         if not stale:
             continue
         loss += float(viol[act].sum())
-        # tmp and rels are free again until the next column
-        g_pos = _gather(pos_d, act, tmp).reshape(-1)
+        # rel_buf is free, and so is pos_buf: the next column recomputes pos_d
+        g_pos = _gather(pos_d, act, rel_buf).reshape(-1)
         g_pos *= 2.0 * lr
-        g_neg = _gather(neg_d, act, rel_buf).reshape(-1)
+        g_neg = _gather(neg_d, act, pos_buf).reshape(-1)
         g_neg *= 2.0 * lr
-        # subtracting g adds -g bit for bit; the order per element is s, o, r, sj, oj, r
-        r_idx = _flat_rows(data.r_row[act], cols)
-        np.subtract.at(flat, _flat_rows(s[act], cols), g_pos)
-        np.add.at(flat, _flat_rows(o[act], cols), g_pos)
-        np.subtract.at(flat, r_idx, g_pos)
-        np.add.at(flat, _flat_rows(sj[act], cols), g_neg)
-        np.subtract.at(flat, _flat_rows(oj[act], cols), g_neg)
-        np.add.at(flat, r_idx, g_neg)
+        # subtracting g adds -g bit for bit; the order per element is s, o, r,
+        # sj, oj, r. Each block's indices are freed before the next is taken.
+        for ufunc, rows, g in (
+            (np.subtract, s, g_pos), (np.add, o, g_pos), (np.subtract, data.r_row, g_pos),
+            (np.add, sj, g_neg), (np.subtract, oj, g_neg), (np.add, data.r_row, g_neg),
+        ):
+            ufunc.at(flat, at.take(rows[act], axis=0).reshape(-1), g)
     return loss
 
 
@@ -214,8 +216,8 @@ def train(
     ``seed_alignment`` is an iterable of (source, target) index pairs; without
     any, a warning is issued and the two spaces are trained independently.
     """
-    d1 = _SideData(kg1)
-    d2 = _SideData(kg2)
+    d1 = _SideData(kg1, cfg.negatives_per_positive)
+    d2 = _SideData(kg2, cfg.negatives_per_positive)
     seeds = [(int(a), int(b)) for a, b in seed_alignment]
     if not all(0 <= a < d1.n_ent and 0 <= b < d2.n_ent for a, b in seeds):
         raise ConfigError("seed alignment references entities outside the graphs")
@@ -230,23 +232,24 @@ def train(
     P2 = _init_side(rng, d2.n_ent, d2.n_rel, cfg.dim)
     E1, R1 = P1[: d1.n_ent], P1[d1.n_ent :]
     E2, R2 = P2[: d2.n_ent], P2[d2.n_ent :]
+    at1, at2 = (np.arange(P.size).reshape(P.shape) for P in (P1, P2))
     if seeds:
         s1 = np.asarray([a for a, _ in seeds], dtype=np.int64)
         s2 = np.asarray([b for _, b in seeds], dtype=np.int64)
-        cols = np.arange(cfg.dim)
-        seed_at1, seed_at2 = _flat_rows(s1, cols), _flat_rows(s2, cols)
+        seed_at1, seed_at2 = at1.take(s1, axis=0).reshape(-1), at2.take(s2, axis=0).reshape(-1)
 
-    m = max(d1.m, d2.m)
-    work = np.empty((4, m, cfg.dim))
+    work = np.empty((3, max(d1.m, d2.m), cfg.dim))
     losses = []
     # divergence shows up as non-finite parameters, checked below, so the
     # intermediate overflow warnings carry no extra information
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
             total = 0.0
-            for P, data in ((P1, d1), (P2, d2)):
-                s_neg, o_neg = data.sample_negatives(rng, cfg.negatives_per_positive)
-                total += _margin_step(P, data, s_neg, o_neg, cfg.learning_rate, cfg.margin, work)
+            for P, at, data in ((P1, at1, d1), (P2, at2, d2)):
+                s_neg, o_neg = data.sample_negatives(rng)
+                total += _margin_step(
+                    P, at, data, s_neg, o_neg, cfg.learning_rate, cfg.margin, work
+                )
             if seeds:
                 diff = E1[s1] - E2[s2]
                 total += float(np.einsum("ij,ij->i", diff, diff).sum())
