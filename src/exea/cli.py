@@ -38,7 +38,7 @@ from .errors import (
     MalformedLine,
     MissingEmbedding,
 )
-from .kg import SIDES, Kg, Side, Step, check_hops, load_kg, seed_targets
+from .kg import SIDES, Kg, Side, Step, check_hops, load_kg, seed_targets, tsv_lines
 
 # module -> the names taken from it, imported when a command first needs
 # them (see ``_bind``): ``exea infer`` compiles none of these modules
@@ -302,22 +302,17 @@ def _pair_lines(
     two graphs given, a source id outside ``[0, kg1.n_entities)`` or a target
     id outside ``[0, kg2.n_entities)`` is a malformed line."""
     bounds = () if kg1 is None else (("source", kg1.n_entities), ("target", kg2.n_entities))
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise MalformedLine(path, line_no, "expected two tab-separated ids")
-            try:
-                pair = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise MalformedLine(path, line_no, "non-integer id") from None
-            for (what, n), x in zip(bounds, pair):
-                if not 0 <= x < n:
-                    raise MalformedLine(path, line_no, f"{what} id {x} outside [0, {n})")
-            yield line_no, pair
+    for line_no, parts in tsv_lines(path):
+        if len(parts) < 2:
+            raise MalformedLine(path, line_no, "expected two tab-separated ids")
+        try:
+            pair = (int(parts[0]), int(parts[1]))
+        except ValueError:
+            raise MalformedLine(path, line_no, "non-integer id") from None
+        for (what, n), x in zip(bounds, pair):
+            if not 0 <= x < n:
+                raise MalformedLine(path, line_no, f"{what} id {x} outside [0, {n})")
+        yield line_no, pair
 
 
 def _load_pair_file(

@@ -151,8 +151,7 @@ class EmbeddingStore:
         mat = np.zeros((kg.n_relations, self.dim), dtype=np.float64)
         # the triples grouped by relation, each group in its sorted order, so
         # each mean adds its rows in that order
-        triples = np.array(kg.triple_keys, dtype=np.int64).reshape(-1, 3)
-        s_idx, rel, o_idx = triples[np.argsort(triples[:, 1], kind="stable")].T
+        s_idx, rel, o_idx = kg.triple_keys[np.argsort(kg.triple_keys[:, 1], kind="stable")].T
         bad = np.maximum(s_idx, o_idx) >= ents.shape[0]
         if bad.any():
             raise MissingEmbedding(f"triples of relation {rel[bad.argmax()]} reference entities without vectors")

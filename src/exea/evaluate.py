@@ -76,9 +76,13 @@ def strip_triples(kg: Kg, removed: set[TripleKey]) -> Kg:
     """Copy of the graph without the removed triples of its side; labels are
     untouched."""
     side = SIDES.index(kg.side)
-    banned = {(s, r, o) for t_side, s, r, o in removed if t_side == side}
-    kept = [trip for trip in kg.triple_keys if trip not in banned]
-    return Kg(kg.side, kg.entity_labels, kg.relation_labels, kept)
+    banned = np.array([key[1:] for key in removed if key[0] == side], dtype=np.int64).reshape(-1, 3)
+    # the banned rows are distinct, as the set's keys are, so a stable sort
+    # puts each removed triple right before the one banned row equal to it
+    rows = np.concatenate([kg.triple_keys, banned])
+    order = np.lexsort(rows.T[::-1])
+    gone = order[:-1][(np.diff(rows[order], axis=0) == 0).all(axis=1)]
+    return Kg(kg.side, kg.entity_labels, kg.relation_labels, np.delete(kg.triple_keys, gone, axis=0))
 
 
 def random_matched_explanations(

@@ -4,10 +4,11 @@ A graph lives on one side of an alignment task (source or target). Entities
 and relations are dense integer indices; their human-readable labels sit in
 ``Kg.entity_labels`` and ``Kg.relation_labels`` and are read only where output
 is written. A graph keeps two stores: ``triple_keys``, its distinct
-(subject, relation, object) triples sorted, the only store that holds
-self-loops; and the step index ``step_keys``/``step_start``, every entity's
-steps in walk order, which ``Kg.steps`` reads and every graph walk goes
-through. Per-relation functionality statistics, used as edge weights
+(subject, relation, object) triples as one read-only, sorted (m, 3) int64
+array, the only store that holds self-loops, which every reader of the
+triples uses as it is; and the step index ``step_keys``/``step_start``,
+every entity's steps in walk order, which ``Kg.steps`` reads and every graph
+walk goes through. Per-relation functionality statistics, used as edge weights
 elsewhere, sit in the arrays ``func`` and ``ifunc``.
 
 A path from a center is a tuple of step keys, one per traversed edge: (0
@@ -19,11 +20,10 @@ source graph and 1 for the target graph, its position in ``SIDES``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,8 +79,11 @@ class Kg:
 
     Attributes
     ----------
-    triple_keys : the distinct (subject, relation, object) triples, sorted;
-        self-loops are kept here only.
+    triple_keys : the distinct (subject, relation, object) triples as a
+        read-only (m, 3) int64 array, rows sorted; self-loops are kept here
+        only. ``triples`` may be any iterable of such rows, or an array of
+        them, in any order and with repeats; an id out of range raises
+        UnknownId naming the first such triple in sorted order.
     step_keys / step_start : the steps a path can take, as int64 (0 out / 1 in,
         relation, entity reached) rows; entity v's, without self-loops, are
         ``step_keys[step_start[v]:step_start[v + 1]]``, in walk order, which
@@ -104,16 +107,24 @@ class Kg:
         n_ent = len(self.entity_labels)
         n_rel = len(self.relation_labels)
 
-        keys = sorted(set((int(s), int(r), int(o)) for s, r, o in triples))
-        for s, r, o in keys:
-            if not 0 <= s < n_ent:
-                raise UnknownId(f"subject id {s} outside [0, {n_ent}) on side {side.value}")
-            if not 0 <= o < n_ent:
-                raise UnknownId(f"object id {o} outside [0, {n_ent}) on side {side.value}")
-            if not 0 <= r < n_rel:
-                raise UnknownId(f"relation id {r} outside [0, {n_rel}) on side {side.value}")
-        self._triple_keys = tuple(keys)
-        s, r, o = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+        rows = triples if isinstance(triples, np.ndarray) else list(triples)
+        try:
+            keys = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+            in_range = ((keys >= 0) & (keys < (n_ent, n_rel, n_ent))).all()
+        except OverflowError:  # an id past int64 is out of range
+            in_range = False
+        if not in_range:
+            # the first triple in sorted order with an id out of range names
+            # its subject, else its object, else its relation
+            for row in sorted([int(x) for x in row] for row in rows):
+                for i, what, n in ((0, "subject", n_ent), (2, "object", n_ent), (1, "relation", n_rel)):
+                    if not 0 <= row[i] < n:
+                        raise UnknownId(f"{what} id {row[i]} outside [0, {n}) on side {side.value}")
+        # sorted, and each run of equal rows cut to its first
+        keys = keys[np.lexsort(keys.T[::-1])]
+        self.triple_keys = keys[(np.diff(keys, axis=0, prepend=-1) != 0).any(axis=1)]
+        self.triple_keys.flags.writeable = False
+        s, r, o = self.triple_keys.T
 
         # distinct subjects (objects) per relation over its triple count; the
         # distinct keys come from np.sort, since np.unique's first call in a
@@ -144,10 +155,6 @@ class Kg:
     def n_relations(self) -> int:
         return len(self.relation_labels)
 
-    @property
-    def triple_keys(self) -> tuple[tuple[int, int, int], ...]:
-        return self._triple_keys
-
     def check_entity(self, index: int) -> int:
         """``index`` itself; UnknownId when it is outside the graph."""
         if not 0 <= index < self.n_entities:
@@ -165,16 +172,16 @@ class Kg:
             self.side == other.side
             and self.entity_labels == other.entity_labels
             and self.relation_labels == other.relation_labels
-            and self._triple_keys == other._triple_keys
+            and np.array_equal(self.triple_keys, other.triple_keys)
         )
 
     def __hash__(self):
-        return hash((self.side, self.entity_labels, self.relation_labels, self._triple_keys))
+        return hash((self.side, self.entity_labels, self.relation_labels, self.triple_keys.tobytes()))
 
     def __repr__(self):
         return (
             f"Kg(side={self.side.value}, entities={self.n_entities}, "
-            f"relations={self.n_relations}, triples={len(self._triple_keys)})"
+            f"relations={self.n_relations}, triples={len(self.triple_keys)})"
         )
 
 
@@ -222,19 +229,19 @@ def neighborhood_triples(kg: Kg, e: int, h: int) -> list[tuple[int, int, int]]:
 
     A triple belongs to the neighborhood when one of its endpoints lies within
     ``h - 1`` hops of ``e``, i.e. the triple's own edge is the at-most-h-th
-    traversed edge. Returned as (subject, relation, object) keys, sorted.
+    traversed edge. Returned as (subject, relation, object) int tuples, sorted.
     """
     check_hops(h)
     start = kg.check_entity(int(e))
-    triples = kg.triple_keys
-    keys: set[tuple[int, int, int]] = set()
+    subjects = kg.triple_keys[:, 0]
+    keys = []
     for v in _hop_distances(kg, start, h - 1):
         # v's out-triples, self-loops included, are its run of the sorted
-        # triples; its in-triples are its incoming steps
-        lo = bisect_left(triples, (v,))
-        keys.update(triples[lo : bisect_left(triples, (v + 1,), lo)])
-        keys.update((u, r, v) for incoming, r, u in kg.steps(v).tolist() if incoming)
-    return sorted(keys)
+        # subject column; its in-triples are its incoming steps
+        lo, hi = subjects.searchsorted((v, v + 1))
+        keys += map(tuple, kg.triple_keys[lo:hi].tolist())
+        keys += ((u, r, v) for incoming, r, u in kg.steps(v).tolist() if incoming)
+    return sorted(set(keys))
 
 
 def enumerate_paths(kg: Kg, e: int, h: int) -> list[tuple[Step, ...]]:
@@ -263,23 +270,28 @@ def enumerate_paths(kg: Kg, e: int, h: int) -> list[tuple[Step, ...]]:
     return keys
 
 
-def _read_label_file(path: str | Path, what: str) -> list[str]:
-    labels: dict[int, str] = {}
+def tsv_lines(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """Each non-empty line of a UTF-8 TSV file: its number, from 1, and its
+    tab-separated fields."""
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise MalformedLine(path, line_no, f"expected 2 tab-separated columns, got {len(parts)}")
-            try:
-                idx = int(parts[0])
-            except ValueError:
-                raise MalformedLine(path, line_no, f"non-integer {what} id {parts[0]!r}") from None
-            if idx in labels:
-                raise MalformedLine(path, line_no, f"duplicate {what} id {idx}")
-            labels[idx] = parts[1]
+            if line:
+                yield line_no, line.split("\t")
+
+
+def _read_label_file(path: str | Path, what: str) -> list[str]:
+    labels: dict[int, str] = {}
+    for line_no, parts in tsv_lines(path):
+        if len(parts) != 2:
+            raise MalformedLine(path, line_no, f"expected 2 tab-separated columns, got {len(parts)}")
+        try:
+            idx = int(parts[0])
+        except ValueError:
+            raise MalformedLine(path, line_no, f"non-integer {what} id {parts[0]!r}") from None
+        if idx in labels:
+            raise MalformedLine(path, line_no, f"duplicate {what} id {idx}")
+        labels[idx] = parts[1]
     if sorted(labels) != list(range(len(labels))):
         raise UnknownId(f"{what} ids in {path} must be dense 0..{len(labels) - 1}")
     return [labels[i] for i in range(len(labels))]
@@ -289,22 +301,17 @@ def _read_triple_file(path: str | Path, n_ent: int, n_rel: int) -> list[tuple[in
     """The triples of ``path``; an id outside its label file's range is a
     malformed line."""
     triples = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise MalformedLine(path, line_no, f"expected 3 tab-separated columns, got {len(parts)}")
-            try:
-                s, r, o = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise MalformedLine(path, line_no, "non-integer id in triple") from None
-            for what, x, n in (("subject", s, n_ent), ("relation", r, n_rel), ("object", o, n_ent)):
-                if not 0 <= x < n:
-                    raise MalformedLine(path, line_no, f"{what} id {x} outside [0, {n})")
-            triples.append((s, r, o))
+    for line_no, parts in tsv_lines(path):
+        if len(parts) != 3:
+            raise MalformedLine(path, line_no, f"expected 3 tab-separated columns, got {len(parts)}")
+        try:
+            s, r, o = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise MalformedLine(path, line_no, "non-integer id in triple") from None
+        for what, x, n in (("subject", s, n_ent), ("relation", r, n_rel), ("object", o, n_ent)):
+            if not 0 <= x < n:
+                raise MalformedLine(path, line_no, f"{what} id {x} outside [0, {n})")
+        triples.append((s, r, o))
     return triples
 
 

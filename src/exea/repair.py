@@ -418,7 +418,7 @@ def _relation_vectors(
         return store.derived_relation_matrix(kg)
     vecs = store.relation_vecs(kg.side) if source == "native" else store.name_relation_vecs(kg.side)
     vecs = vecs[: kg.n_relations].astype(np.float64)
-    used = np.array(kg.triple_keys, dtype=np.int64).reshape(-1, 3)[:, 1]
+    used = kg.triple_keys[:, 1]
     missing = used[used >= len(vecs)]
     if missing.size:
         raise MissingEmbedding(
@@ -471,23 +471,28 @@ def mine_not_same_as_rules(kg: Kg) -> list[NotSameAsRule]:
 
     No relation alignment enters: it pairs a source relation with a target
     one, while both relations of a rule come from one graph."""
-    pair_sets: dict[int, set[tuple[int, int]]] = {}
-    subj_objs: dict[int, dict[int, set[int]]] = {}
-    for s, r, o in kg.triple_keys:
-        pair_sets.setdefault(r, set()).add((s, o))
-        subj_objs.setdefault(r, {}).setdefault(s, set()).add(o)
-    rels = sorted(pair_sets)
+    s, r, o = kg.triple_keys.T
+    n_rel = kg.n_relations
+    # the pairs sharing a subject, less those sharing a (subject, object): a
+    # subject the rest share witnesses two distinct objects
+    first = _run_starts(s * n_rel + r)
+    share_subject = _relation_pairs(s[first], r[first], n_rel)
+    order = np.lexsort((r, o, s))
+    share_pair = _relation_pairs(s[order] * kg.n_entities + o[order], r[order], n_rel)
+    r1, r2 = np.divmod(share_subject[~_lookup(share_pair, share_subject)[1]], n_rel)
     side = SIDES.index(kg.side)
-    rules = []
-    for i, r1 in enumerate(rels):
-        for r2 in rels[i + 1 :]:
-            if pair_sets[r1] & pair_sets[r2]:
-                continue
-            # the (subject, object) sets are disjoint here, so any shared
-            # subject witnesses two distinct objects
-            if subj_objs[r1].keys() & subj_objs[r2].keys():
-                rules.append(NotSameAsRule(side, r1, r2))
-    return rules
+    return [NotSameAsRule(side, a, b) for a, b in zip(r1.tolist(), r2.tolist())]
+
+
+def _relation_pairs(group: np.ndarray, rel: np.ndarray, n_rel: int) -> np.ndarray:
+    """The distinct keys ``r1 * n_rel + r2``, sorted, of the relation pairs
+    r1 < r2 that meet in a run of equal ``group`` values, ``rel`` being
+    ascending and distinct within each run."""
+    start = np.flatnonzero(_run_starts(group))
+    size = np.diff(np.append(start, group.size))
+    # row i pairs with every later row of its run
+    later = np.repeat(start + size, size) - np.arange(group.size) - 1
+    return _distinct(np.repeat(rel, later) * n_rel + rel[_ranges(np.arange(1, group.size + 1), later)])
 
 
 # a chunk of dependency graphs in the relation-conflict stage gathers fewer
@@ -548,10 +553,7 @@ class ConflictTables:
         self.max_chunk = _KEY_RANGE // max(self.n_entities**2 * self.n_relations, 1)
         if self.max_chunk < 1:
             raise ConfigError("the graphs are too large for the relation-conflict stage's int64 keys")
-        self.triples = np.concatenate([
-            np.array(kg1.triple_keys, dtype=np.int64).reshape(-1, 3),
-            np.array(kg2.triple_keys, dtype=np.int64).reshape(-1, 3) + (n1, r1, n1),
-        ])
+        self.triples = np.concatenate([kg1.triple_keys, kg2.triple_keys + (n1, r1, n1)])
         subject, _, obj = self.triples.T
         ids = np.arange(len(self.triples))
         loop = subject == obj

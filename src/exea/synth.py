@@ -13,7 +13,6 @@ determines the output.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .embedding import EmbeddingStore, save_embeddings
 from .errors import DegenerateConfig
-from .kg import Kg, Side
+from .kg import Kg, Side, _hop_distances
 
 # Blend fraction pulling a conflicted source toward the stolen target: at 0.6
 # the stolen target is clearly nearest while the source's own gold target
@@ -79,22 +78,9 @@ class SynthResult:
     """Injected conflicts as (source, victim source, shared target)."""
 
 
-def _connected(n: int, triples) -> bool:
-    if n <= 1:
-        return True
-    adj: dict[int, set[int]] = {}
-    for s, _, o in triples:
-        adj.setdefault(s, set()).add(o)
-        adj.setdefault(o, set()).add(s)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for u in adj.get(v, ()):
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == n
+def _connected(kg: Kg) -> bool:
+    """Whether every entity is reached from entity 0, edges taken both ways."""
+    return len(_hop_distances(kg, 0, kg.n_entities)) == kg.n_entities
 
 
 def _build_source_triples(rng: np.random.Generator, cfg: SynthConfig) -> list[tuple[int, int, int]]:
@@ -223,27 +209,30 @@ def generate_pair(cfg: SynthConfig) -> SynthResult:
     n, n_rel = cfg.n_entities, cfg.n_relations
 
     triples1 = _build_source_triples(rng, cfg)
+    kg1 = Kg(Side.SOURCE, [f"s{i}" for i in range(n)], [f"p{i}" for i in range(n_rel)], triples1)
     check_connectivity = cfg.density >= 2
-    if check_connectivity and not _connected(n, triples1):
+    if check_connectivity and not _connected(kg1):
         raise DegenerateConfig("source graph construction produced a disconnected graph")
 
     perm = rng.permutation(n)
     rel_perm = rng.permutation(n_rel)
     mapped = [(int(perm[s]), int(rel_perm[r]), int(perm[o])) for s, r, o in triples1]
-    triples2 = _degrade_target_triples(rng, mapped, cfg)
+
+    def degraded_target() -> Kg:
+        triples2 = _degrade_target_triples(rng, mapped, cfg)
+        return Kg(Side.TARGET, [f"t{i}" for i in range(n)], [f"q{i}" for i in range(n_rel)], triples2)
+
+    kg2 = degraded_target()
     if check_connectivity:
         for _ in range(_CONNECT_RETRIES):
-            if _connected(n, triples2):
+            if _connected(kg2):
                 break
-            triples2 = _degrade_target_triples(rng, mapped, cfg)
+            kg2 = degraded_target()
         else:
             raise DegenerateConfig(
                 f"target graph still disconnected after {_CONNECT_RETRIES} rewires; "
                 "lower rename_noise or raise density"
             )
-
-    kg1 = Kg(Side.SOURCE, [f"s{i}" for i in range(n)], [f"p{i}" for i in range(n_rel)], triples1)
-    kg2 = Kg(Side.TARGET, [f"t{i}" for i in range(n)], [f"q{i}" for i in range(n_rel)], triples2)
 
     gold = tuple((i, int(perm[i])) for i in range(n))
     n_seeds = int(round(cfg.seed_fraction * n))
@@ -304,8 +293,8 @@ def write_dataset(result: SynthResult, out_dir: str | Path) -> dict[str, Path]:
     dump("ent_ids_2", enumerate(result.kg2.entity_labels))
     dump("rel_ids_1", enumerate(result.kg1.relation_labels))
     dump("rel_ids_2", enumerate(result.kg2.relation_labels))
-    dump("triples_1", result.kg1.triple_keys)
-    dump("triples_2", result.kg2.triple_keys)
+    dump("triples_1", result.kg1.triple_keys.tolist())
+    dump("triples_2", result.kg2.triple_keys.tolist())
     dump("ent_links", result.gold)
     dump("train_links", result.seeds)
     save_embeddings(paths["embeddings.tsv"], result.perturbed_store)

@@ -93,13 +93,12 @@ def _gather(mat: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 class _SideData:
     def __init__(self, kg: Kg, k: int = 1):
-        if not kg.triple_keys:
+        if not len(kg.triple_keys):
             raise EmptyKg(f"cannot train on an empty graph (side {kg.side.value})")
         self.n_ent = kg.n_entities
         self.n_rel = kg.n_relations
-        arr = np.asarray(kg.triple_keys, dtype=np.int64)
-        self.s, self.r, self.o = arr[:, 0], arr[:, 1], arr[:, 2]
-        self.m, self.k = arr.shape[0], k
+        self.s, self.r, self.o = kg.triple_keys.T
+        self.m, self.k = len(kg.triple_keys), k
         self.r_row = self.r + self.n_ent  # relation rows of the side's parameters
         # the parts of a key (s * n_rel + r) * n_ent + o a corrupted head or tail keeps
         self.head_kept = self.r * self.n_ent + self.o
@@ -110,7 +109,7 @@ class _SideData:
             np.broadcast_to(a[:, None], (self.m, k)).copy()
             for a in (self.s, self.o, self.head_kept, self.tail_kept)
         )
-        self.true_keys = np.sort(self.tail_kept + self.o)
+        self.true_keys = self.tail_kept + self.o  # sorted, as the triples are
         # marks[key % marks.size] is set for every true key. The size is odd,
         # so a power-of-two entity count does not fold keys onto few residues.
         self.marks = np.zeros(_SLOTS_PER_TRIPLE * self.m - 1, dtype=bool)

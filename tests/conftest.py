@@ -27,13 +27,18 @@ from exea.embedding import EmbeddingStore
 from exea.kg import Kg, Side
 
 
+def triples_of(kg):
+    """``kg``'s triples as a list of (subject, relation, object) int tuples."""
+    return list(map(tuple, kg.triple_keys.tolist()))
+
+
 @functools.cache
 def adjacency(kg):
     """``kg``'s adjacency built from its triples alone, a reference apart from
     its step index: (subject -> sorted (relation, object) pairs, object ->
     sorted (relation, subject) pairs), a self-loop in both."""
     out, inc = {}, {}
-    for s, r, o in kg.triple_keys:
+    for s, r, o in triples_of(kg):
         out.setdefault(s, []).append((r, o))
         inc.setdefault(o, []).append((r, s))
     return (

@@ -25,7 +25,7 @@ from exea.kg import Side
 from exea.synth import SynthConfig, generate_pair
 from exea.trainer import TrainConfig, train
 
-from conftest import make_isomorphic_pair
+from conftest import make_isomorphic_pair, triples_of
 from test_kg import make_kg
 
 
@@ -175,7 +175,7 @@ class TestFidelity:
         expl = {keeper: full_expl[keeper], dropper: set()}
         removed = (full_expl[keeper] | candidate_triples(kg1, kg2, dropper, 2)) - full_expl[keeper]
         stripped1 = strip_triples(kg1, removed)
-        kept_keys = set(stripped1.triple_keys)
+        kept_keys = set(triples_of(stripped1))
         for side, s, r, o in full_expl[keeper]:
             if side == 0:
                 assert (s, r, o) in kept_keys

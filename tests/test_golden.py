@@ -20,8 +20,9 @@ holds ``aligned.tsv`` and ``report.json`` of the repair over ``exea infer``'s
 predictions on each benchmark repair fixture: ``wide`` (``--n-entities 800
 --density 3 --conflict-injection 0.2 --rng-seed 1``) and ``dense``
 (``--n-entities 200 --density 8 --conflict-injection 0 --rng-seed 1``).
-Running this file as a script, ``PYTHONPATH=src python tests/test_golden.py``,
-rewrites it.
+Its ``synth/`` keys pin the golden fixture's own graph and link files, as
+``exea synth`` writes them. Running this file as a script, ``PYTHONPATH=src
+python tests/test_golden.py``, rewrites it.
 """
 
 import hashlib
@@ -47,6 +48,11 @@ BENCH_FIXTURES = {
     "wide": ["--n-entities", "800", "--density", "3", "--conflict-injection", "0.2"],
     "dense": ["--n-entities", "200", "--density", "8", "--conflict-injection", "0"],
 }
+# the graph and link files of an exea synth fixture, hashed under synth/
+SYNTH_FILES = (
+    "triples_1", "triples_2", "ent_ids_1", "ent_ids_2", "rel_ids_1", "rel_ids_2",
+    "ent_links", "train_links",
+)
 
 
 def make_data(data: Path, synth: list[str] = GOLDEN_SYNTH) -> list[str]:
@@ -92,19 +98,26 @@ def bench_hashes(name: str, root: Path) -> dict[str, str]:
     return file_hashes([root / name / "aligned.tsv", root / name / "report.json"])
 
 
+def synth_hashes(data: Path) -> dict[str, str]:
+    """sha256 of the fixture's graph and link files, keyed ``synth/<file>``."""
+    return {f"synth/{name}": sha256_of(data / name) for name in SYNTH_FILES}
+
+
+def sha256_of(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def file_hashes(files: list[Path]) -> dict[str, str]:
-    return {
-        f"{p.parent.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest() for p in files
-    }
+    return {f"{p.parent.name}/{p.name}": sha256_of(p) for p in files}
 
 
 def golden_hashes(prefix: str | None = None) -> dict[str, str]:
     """The stored hashes, those under ``<prefix>/`` if given, else the
-    variants' (every key outside the benchmark fixtures)."""
+    variants' (every key outside the benchmark fixtures and ``synth/``)."""
     stored = json.loads(VARIANTS.read_text())
     if prefix is not None:
         return {k: v for k, v in stored.items() if k.split("/")[0] == prefix}
-    return {k: v for k, v in stored.items() if k.split("/")[0] not in BENCH_FIXTURES}
+    return {k: v for k, v in stored.items() if k.split("/")[0] not in {*BENCH_FIXTURES, "synth"}}
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +156,10 @@ def test_outputs_equal_golden_bytes(outputs, name):
     assert (outputs / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def test_synth_hashes_equal_golden(fixture_data):
+    assert synth_hashes(fixture_data[0]) == golden_hashes("synth")
+
+
 def test_variant_hashes_equal_golden(fixture_data, tmp_path):
     assert variant_hashes(*fixture_data, tmp_path) == golden_hashes()
 
@@ -155,7 +172,7 @@ def test_bench_fixture_hashes_equal_golden(name, tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as d:
         data = Path(d) / "data"
-        hashes = variant_hashes(data, make_data(data), Path(d))
+        hashes = variant_hashes(data, make_data(data), Path(d)) | synth_hashes(data)
         for name in BENCH_FIXTURES:
             hashes |= bench_hashes(name, Path(d) / name)
     VARIANTS.write_text(json.dumps(hashes, sort_keys=True, indent=2) + "\n")

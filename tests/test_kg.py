@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import adjacency
+from conftest import adjacency, triples_of
 from exea.errors import ConfigError, EmptyKg, MalformedLine, UnknownId, UnknownRelation
 from exea.explain import candidate_triples
 from exea.kg import (
@@ -20,6 +20,7 @@ from exea.kg import (
     seed_targets,
 )
 from exea.synth import SynthConfig, generate_pair
+from exea.trainer import TrainConfig, train
 
 
 def make_kg(n_ent, triples, n_rel=None, side=Side.SOURCE):
@@ -78,10 +79,11 @@ class TestConstructionAndIndexes:
                 for v in range(kg.n_entities)
                 for incoming, r, u in steps_of(kg, v)
             ]
-            edges = [t for t in kg.triple_keys if t[0] != t[2]]
+            triples = triples_of(kg)
+            edges = [t for t in triples if t[0] != t[2]]
             assert sorted(listed) == sorted(edges + edges)
-            assert len(edges) < len(kg.triple_keys)
-            assert list(kg.triple_keys) == sorted(set(kg.triple_keys))
+            assert len(edges) < len(triples)
+            assert triples == sorted(set(triples))
 
     def test_step_index_lists_each_entitys_steps_in_walk_order(self):
         # self-loops and reciprocal triples included; an entity's steps are
@@ -110,7 +112,7 @@ class TestConstructionAndIndexes:
     def test_labels_and_entity_range_check(self):
         kg = make_kg(2, [(0, 0, 1)])
         assert (kg.side, kg.entity_labels[1], kg.relation_labels[0]) == (Side.SOURCE, "e1", "r0")
-        assert kg.triple_keys[0] == (0, 0, 1)
+        assert kg.triple_keys[0].tolist() == [0, 0, 1]
         assert kg.check_entity(1) == 1
         for bad in (9, -1):
             with pytest.raises(UnknownId):
@@ -119,6 +121,72 @@ class TestConstructionAndIndexes:
                 neighborhood_entities(kg, bad, 1)
             with pytest.raises(UnknownId):
                 enumerate_paths(kg, bad, 1)
+
+
+def reference_triple_keys(side, n_ent, n_rel, triples):
+    """The distinct triples, sorted, each checked in that order (subject,
+    then object, then relation): a loop over Python int tuples, as the store
+    was first built."""
+    keys = sorted(set((int(s), int(r), int(o)) for s, r, o in triples))
+    for s, r, o in keys:
+        if not 0 <= s < n_ent:
+            raise UnknownId(f"subject id {s} outside [0, {n_ent}) on side {side.value}")
+        if not 0 <= o < n_ent:
+            raise UnknownId(f"object id {o} outside [0, {n_ent}) on side {side.value}")
+        if not 0 <= r < n_rel:
+            raise UnknownId(f"relation id {r} outside [0, {n_rel}) on side {side.value}")
+    return keys
+
+
+class TestTripleStore:
+    """``Kg.triple_keys`` is the one store of a graph's triples: a read-only,
+    sorted, distinct (m, 3) int64 array."""
+
+    def test_store_is_a_sorted_distinct_read_only_int64_array(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            kg = loop_kg(rng, 9, 3, 25)
+            keys = kg.triple_keys
+            assert keys.dtype == np.int64 and keys.shape == (len(keys), 3)
+            assert triples_of(kg) == sorted(set(triples_of(kg)))
+            assert not keys.flags.writeable
+            with pytest.raises(ValueError):
+                keys[0, 0] = 1
+
+    def test_list_array_and_shuffled_repeats_give_equal_graphs(self):
+        # conftest's functools.cache on adjacency(kg) relies on the hash
+        rng = np.random.default_rng(14)
+        triples = triples_of(loop_kg(rng, 9, 3, 25))
+        shuffled = [triples[i] for i in rng.permutation(len(triples))] + triples[:4]
+        kgs = [make_kg(9, t, n_rel=3) for t in (triples, np.array(triples), shuffled)]
+        assert kgs[0] == kgs[1] == kgs[2]
+        assert len({hash(kg) for kg in kgs}) == 1
+        assert make_kg(9, triples[1:], n_rel=3) != kgs[0]
+
+    def test_empty_input_gives_an_empty_store(self):
+        empty = make_kg(2, [], n_rel=1)
+        assert empty.triple_keys.shape == (0, 3) and empty.triple_keys.dtype == np.int64
+        assert empty == make_kg(2, np.zeros((0, 3), dtype=np.int64), n_rel=1)
+        with pytest.raises(EmptyKg):
+            train(empty, make_kg(2, [(0, 0, 1)], side=Side.TARGET), [(0, 0)], TrainConfig(epochs=1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_construction_equals_reference(self, data):
+        # the same store, or the same UnknownId message, as the reference;
+        # ids past int64 must raise UnknownId too, not OverflowError
+        n_ent, n_rel = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 3))
+        ident = st.integers(-2, 5) | st.sampled_from([2**63 - 1, 2**63, 2**70, -(2**70)])
+        triples = data.draw(st.lists(st.tuples(ident, ident, ident), max_size=8))
+        side = data.draw(st.sampled_from(list(Side)))
+        try:
+            expected = reference_triple_keys(side, n_ent, n_rel, triples)
+        except UnknownId as err:
+            with pytest.raises(UnknownId) as got:
+                make_kg(n_ent, triples, n_rel=n_rel, side=side)
+            assert str(got.value) == str(err)
+        else:
+            assert triples_of(make_kg(n_ent, triples, n_rel=n_rel, side=side)) == expected
 
 
 class TestFunctionality:
@@ -139,7 +207,7 @@ class TestFunctionality:
         for _ in range(20):
             kg = random_kg(rng, 10, 4, 40)
             counts = {}
-            for _, r, _ in kg.triple_keys:
+            for _, r, _ in triples_of(kg):
                 counts[r] = counts.get(r, 0) + 1
             for r, count in counts.items():
                 f = functionality(kg, r) * count
@@ -174,7 +242,7 @@ class TestFunctionality:
             assert kg.func.dtype == kg.ifunc.dtype == np.float64
             assert kg.func.shape == kg.ifunc.shape == (6,)
             for r in range(6):
-                trs = [t for t in kg.triple_keys if t[1] == r]
+                trs = [t for t in triples_of(kg) if t[1] == r]
                 if not trs:
                     assert np.isnan(kg.func[r]) and np.isnan(kg.ifunc[r])
                     continue
@@ -185,13 +253,14 @@ class TestFunctionality:
 def oracle_distances(kg, start):
     """Undirected breadth-first distances from ``start``, read off the
     triples alone."""
+    triples = triples_of(kg)
     dist = {start: 0}
     frontier = [start]
     while frontier:
         nxt = []
         for v in frontier:
-            nbrs = {o for s, _, o in kg.triple_keys if s == v}
-            nbrs |= {s for s, _, o in kg.triple_keys if o == v}
+            nbrs = {o for s, _, o in triples if s == v}
+            nbrs |= {s for s, _, o in triples if o == v}
             for u in nbrs:
                 if u not in dist:
                     dist[u] = dist[v] + 1
@@ -203,7 +272,7 @@ def oracle_distances(kg, start):
 def oracle_neighborhood(kg, e, h):
     dist = oracle_distances(kg, e)
     keys = set()
-    for s, r, o in kg.triple_keys:
+    for s, r, o in triples_of(kg):
         if min(dist.get(s, 10**9), dist.get(o, 10**9)) <= h - 1:
             keys.add((s, r, o))
     return keys
@@ -217,7 +286,7 @@ def oracle_paths(kg, e, h):
         grown = []
         for visited, steps in partial:
             v = visited[-1]
-            for s, r, o in kg.triple_keys:
+            for s, r, o in triples_of(kg):
                 if s == v and o not in visited:
                     grown.append((visited + (o,), steps + ((0, r, o),)))
                 elif o == v and s not in visited:
@@ -342,7 +411,7 @@ class TestPaths:
     def test_steps_are_backed_by_triples(self):
         rng = np.random.default_rng(41)
         kg = random_kg(rng, 12, 3, 30)
-        triples = set(kg.triple_keys)
+        triples = set(triples_of(kg))
         for e in range(12):
             for steps in enumerate_paths(kg, e, 2):
                 anchor = e
@@ -370,7 +439,7 @@ class TestLoading:
         t, e, r = self.make_files(tmp_path)
         kg = load_kg(t, e, r, Side.SOURCE)
         assert kg.entity_labels == ("a", "b", "c")
-        assert kg.triple_keys == ((0, 0, 1), (1, 0, 2))
+        assert triples_of(kg) == [(0, 0, 1), (1, 0, 2)]
         assert steps_of(kg, 0) == [(0, 0, 1)]
         assert steps_of(kg, 2) == [(1, 0, 1)]
 

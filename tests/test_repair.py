@@ -25,7 +25,7 @@ from exea.embedding import (
 )
 from exea.errors import ConfigError, InvariantViolation, NoRelationVectors, ZeroVector
 from exea.explain import Explanation, _ranges, explain_pairs, neighbor_lists
-from exea.kg import Kg, Side, neighborhood_entities
+from exea.kg import SIDES, Kg, Side, neighborhood_entities
 from exea.repair import (
     REPAIRED,
     SEED,
@@ -54,7 +54,7 @@ from exea.synth import SynthConfig, generate_pair
 
 from test_embedding import reference_cosine, reference_topk
 from test_explain import matched_neighbors, reference_match_paths, unpacked
-from conftest import adjacency
+from conftest import adjacency, triples_of
 from test_kg import make_kg, random_kg
 
 
@@ -407,6 +407,42 @@ def brute_force_rules(kg):
     return out
 
 
+def reference_mine_not_same_as_rules(kg):
+    """Dict-of-sets loops: each relation's (subject, object) pairs and each
+    subject's objects per relation, then every relation pair in order."""
+    pair_sets, subj_objs = {}, {}
+    for s, r, o in triples_of(kg):
+        pair_sets.setdefault(r, set()).add((s, o))
+        subj_objs.setdefault(r, {}).setdefault(s, set()).add(o)
+    rels = sorted(pair_sets)
+    side = SIDES.index(kg.side)
+    rules = []
+    for i, r1 in enumerate(rels):
+        for r2 in rels[i + 1 :]:
+            if pair_sets[r1] & pair_sets[r2]:
+                continue
+            # the (subject, object) sets are disjoint here, so any shared
+            # subject witnesses two distinct objects
+            if subj_objs[r1].keys() & subj_objs[r2].keys():
+                rules.append(NotSameAsRule(side, r1, r2))
+    return rules
+
+
+@st.composite
+def rule_graphs(draw):
+    """A small graph with self-loops, one (subject, object) pair under
+    several relations, and relations past the used ones that have no
+    triples."""
+    n_ent, used = draw(st.integers(1, 6)), draw(st.integers(2, 5))
+    entity, relation = st.integers(0, n_ent - 1), st.integers(0, used - 1)
+    triples = draw(st.lists(st.tuples(entity, relation, entity), max_size=25))
+    s, o, loop = draw(entity), draw(entity), draw(entity)
+    triples += [(s, r, o) for r in draw(st.sets(relation, min_size=2))]
+    triples.append((loop, draw(relation), loop))
+    side = draw(st.sampled_from(list(Side)))
+    return make_kg(n_ent, triples, n_rel=used + draw(st.integers(0, 2)), side=side)
+
+
 class TestMineNotSameAsRules:
     def test_presidents_rule_emitted(self):
         kg1, kg2, store, seeds, raw, cfg = presidents_case()
@@ -440,6 +476,11 @@ class TestMineNotSameAsRules:
             kg = random_kg(rng, 15, 4, 50)
             mined = {(r.r1, r.r2) for r in mine_not_same_as_rules(kg)}
             assert mined == brute_force_rules(kg), f"trial {trial}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(kg=rule_graphs())
+    def test_equals_reference_in_order(self, kg):
+        assert mine_not_same_as_rules(kg) == reference_mine_not_same_as_rules(kg)
 
 
 class Ref(NamedTuple):

@@ -11,10 +11,13 @@ from exea.errors import DegenerateConfig
 from exea.kg import Side, load_kg
 from exea.synth import SynthConfig, generate_pair, write_dataset
 
+from conftest import triples_of
+from test_kg import make_kg
+
 
 def undirected_connected(kg) -> bool:
     adj = {}
-    for s, _, o in kg.triple_keys:
+    for s, _, o in triples_of(kg):
         adj.setdefault(s, set()).add(o)
         adj.setdefault(o, set()).add(s)
     seen = {0}
@@ -134,6 +137,25 @@ class TestConfig:
 
 
 class TestStructure:
+    @settings(max_examples=200, deadline=None)
+    @given(n=strategies.integers(2, 7), data=strategies.data())
+    def test_connectivity_check_equals_breadth_first_search(self, n, data):
+        # the generator's check walks the step index, which leaves out
+        # self-loops; isolated entities and repeated edges included
+        end = strategies.integers(0, n - 1)
+        triples = data.draw(strategies.lists(strategies.tuples(end, strategies.just(0), end), max_size=8))
+        kg = make_kg(n, triples, n_rel=1)
+        assert synth_module._connected(kg) == undirected_connected(kg)
+
+    def test_disconnected_target_is_redrawn(self, monkeypatch):
+        # at this seed the first three degraded targets are disconnected, so
+        # the generator redraws until one is connected, and keeps that one
+        connected, seen = synth_module._connected, []
+        monkeypatch.setattr(synth_module, "_connected", lambda kg: seen.append(connected(kg)) or seen[-1])
+        res = generate_pair(SynthConfig(n_entities=40, density=2, rename_noise=0.3, rng_seed=4))
+        assert seen == [True, False, False, False, True]
+        assert undirected_connected(res.kg2)
+
     def test_gold_is_bijection(self):
         res = generate_pair(SynthConfig(n_entities=50, rng_seed=4))
         sources = [s for s, _ in res.gold]
@@ -170,7 +192,7 @@ class TestStructure:
         base = generate_pair(SynthConfig(n_entities=60, rng_seed=9))
         noisy = generate_pair(SynthConfig(n_entities=60, rename_noise=0.2, rng_seed=9))
         assert len(noisy.kg2.triple_keys) <= len(base.kg2.triple_keys)
-        assert set(noisy.kg2.triple_keys) != set(base.kg2.triple_keys)
+        assert set(triples_of(noisy.kg2)) != set(triples_of(base.kg2))
 
     def test_seed_fraction(self):
         res = generate_pair(SynthConfig(n_entities=100, seed_fraction=0.25, rng_seed=5))

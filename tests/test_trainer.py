@@ -13,7 +13,7 @@ from exea.kg import Kg, Side
 from exea.synth import SynthConfig, generate_pair
 from exea.trainer import TrainConfig, train
 
-from conftest import make_isomorphic_pair
+from conftest import make_isomorphic_pair, triples_of
 
 
 def small_pair():
@@ -468,11 +468,11 @@ class TestResidueCheck:
         kg = graph()
         data = trainer._SideData(kg)
         assert data.marks.size == slots * data.m - 1
-        truth = set(kg.triple_keys)
+        truth = set(triples_of(kg))
         neg, corrupt_head = _all_corruptions(data)
         want = [
             i * neg.shape[1] + j
-            for i, (s, r, o) in enumerate(kg.triple_keys)
+            for i, (s, r, o) in enumerate(triples_of(kg))
             for j, (e, head) in enumerate(zip(neg[i].tolist(), corrupt_head[i].tolist()))
             if ((e, r, o) if head else (s, r, e)) in truth
         ]
